@@ -87,7 +87,7 @@ fn durable_service(n: u64, dir: &Path) -> DurableService {
         };
         durable.insert(doc).expect("durable insert");
     }
-    durable.rerank_batch(&[QueryContext::new(0, 0)]);
+    durable.service().rerank_batch(&[QueryContext::new(0, 0)]);
     durable
 }
 
@@ -204,7 +204,9 @@ fn bench_serve_throughput(c: &mut Criterion) {
             b.iter(|| {
                 round += 1;
                 mutate_durable(&mut top_k_wal, round);
-                top_k_wal.rerank_batch_top_k_into(&qs, 10, &mut results);
+                top_k_wal
+                    .service()
+                    .rerank_batch_top_k_into(&qs, 10, &mut results);
                 black_box(results.last().map(Vec::len))
             });
         });

@@ -1,6 +1,6 @@
 //! The incremental per-corpus ranking caches, bundled.
 //!
-//! Every steady-state consumer of the presorted ranking path keeps the
+//! Every steady-state consumer of the maintained-order ranking path keeps the
 //! same three derived structures alive across queries: the per-slot
 //! [`PageStats`] snapshot, the [`PopularityIndex`] over it, and — since
 //! this module — the [`PoolIndex`] recording selective-promotion

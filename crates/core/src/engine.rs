@@ -13,8 +13,8 @@ use crate::document::{Document, QueryContext};
 use rrp_model::new_rng;
 use rrp_model::PageId;
 use rrp_ranking::{
-    EngineVersion, PageStats, PoolView, PromotionConfig, PromotionRule, RandomizedRankPromotion,
-    RankBuffers,
+    EngineVersion, PageStats, PromotionConfig, PromotionRule, RandomizedRankPromotion, RankBuffers,
+    RankSource,
 };
 use serde::{Deserialize, Serialize};
 
@@ -183,162 +183,30 @@ impl RankPromotionEngine {
         policy.rank_into(&scratch.stats, &mut rng, &mut scratch.buffers, out);
     }
 
-    /// Re-rank against a precomputed snapshot: `stats` built once by
-    /// [`document_stats`](Self::document_stats) and `sorted` holding the
-    /// slot indices in [`popularity_order`](rrp_ranking::popularity_order).
-    /// This is the batch-serving fast path — the `O(n log n)` popularity
-    /// sort is paid once per snapshot instead of once per query — and its
-    /// output is byte-identical to [`rerank_slots`](Self::rerank_slots) on
-    /// the same documents.
-    pub fn rerank_presorted_slots_into(
+    /// Re-rank from maintained serving state, returning slots in display
+    /// order: the full ranking with `k = None`, else its first `min(k, n)`
+    /// ranks. This is the one slot-level entry every server path takes —
+    /// the [`RankSource`] comes off a [`CorpusCache`], a
+    /// [`PublishedVersion`](crate::PublishedVersion)'s merged order, or a
+    /// shard retrieval. Given a source equivalent to `documents`, the
+    /// output is byte-identical to [`rerank_slots`](Self::rerank_slots)
+    /// (its first `k` entries under engine v1). See
+    /// [`RandomizedRankPromotion::rank`] for the contract and panics.
+    pub fn rerank_source_into<F: Fn(usize) -> bool>(
         &self,
-        stats: &[PageStats],
-        sorted: &[usize],
+        source: RankSource<'_, F>,
+        k: Option<usize>,
         context: QueryContext,
         buffers: &mut RankBuffers,
         out: &mut Vec<usize>,
     ) {
-        let policy = self.policy();
         let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_presorted_into(stats, sorted, &mut rng, buffers, out);
+        self.policy().rank(source, k, &mut rng, buffers, out);
     }
 
-    /// The top-`k` prefix of
-    /// [`rerank_presorted_slots_into`](Self::rerank_presorted_slots_into):
-    /// emit only the first `min(k, n)` ranks, stopping the coin-flip merge
-    /// early. The output equals the length-`k` prefix of the full rerank
-    /// bit for bit — real queries consume only the top of the ranking
-    /// (the paper's rank-biased attention law), so serving tiers ask for
-    /// one page of results instead of all `n`.
-    pub fn rerank_top_k_presorted_slots_into(
-        &self,
-        stats: &[PageStats],
-        sorted: &[usize],
-        k: usize,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_top_k_presorted_into(stats, sorted, k, &mut rng, buffers, out);
-    }
-
-    /// [`rerank_presorted_slots_into`](Self::rerank_presorted_slots_into)
-    /// against a persistent pool: the [`PoolView`] bundles the stats
-    /// snapshot, its popularity order and a maintained
-    /// [`PoolIndex`](rrp_ranking::PoolIndex), so the promotion pool is
-    /// read off the index instead of re-derived by an `O(n)` scan + mask
-    /// reset per query (the Uniform rule still draws its mandatory
-    /// per-page coins). The index must be consistent with the stats
-    /// (checked by a debug assertion in the ranking layer); output is
-    /// byte-identical to the scanning path.
-    pub fn rerank_pooled_slots_into(
-        &self,
-        view: PoolView<'_>,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_pooled_into(view, &mut rng, buffers, out);
-    }
-
-    /// The top-`k` prefix of
-    /// [`rerank_pooled_slots_into`](Self::rerank_pooled_slots_into) — the
-    /// truly `O(pool + k)` serving path: pool off the index, at most
-    /// `pool + k` entries of the order touched, merge stopped at rank
-    /// `k`, nothing per-corpus left on the query. Output equals the
-    /// length-`k` prefix of the full rerank bit for bit.
-    pub fn rerank_top_k_pooled_slots_into(
-        &self,
-        view: PoolView<'_>,
-        k: usize,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_top_k_pooled_into(view, k, &mut rng, buffers, out);
-    }
-
-    /// [`rerank_pooled_slots_into`](Self::rerank_pooled_slots_into) read
-    /// straight off a repaired [`CorpusCache`] — the one-call form for
-    /// servers that keep the cache as their persistent serving state.
-    pub fn rerank_cached_slots_into(
-        &self,
-        cache: &CorpusCache,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        self.rerank_pooled_slots_into(cache.view(), context, buffers, out);
-    }
-
-    /// The top-`k` prefix of the full rerank computed from **merged shard
-    /// candidates** — the distributed serving path: per query each shard
-    /// contributes only its pool members and a popularity-order prefix
-    /// (collected off a [`ShardedCorpusCache`](crate::ShardedCorpusCache)),
-    /// the deterministic merge reassembles the global pool and order
-    /// prefix, and this call ranks against that view alone. No corpus-wide
-    /// snapshot, order, or pool is consulted, yet the output (global
-    /// slots) is bit-identical to the length-`k` prefix of
-    /// [`rerank_cached_slots_into`](Self::rerank_cached_slots_into).
-    ///
-    /// # Panics
-    /// Panics for Uniform-rule engines (their per-page coins require the
-    /// whole corpus); gate on [`reads_pool_index`](Self::reads_pool_index).
-    pub fn rerank_top_k_candidates_into(
-        &self,
-        candidates: &rrp_ranking::MergedCandidates,
-        k: usize,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_top_k_candidates_into(candidates, k, &mut rng, buffers, out);
-    }
-
-    /// The primitive under
-    /// [`rerank_top_k_candidates_into`](Self::rerank_top_k_candidates_into)
-    /// for serving tiers whose pool half is *maintained* rather than
-    /// re-merged per query (a
-    /// [`ShardedCorpusCache`](crate::ShardedCorpusCache)'s
-    /// [`pool_slots`](crate::ShardedCorpusCache::pool_slots)): `pool` is
-    /// the global pool in pre-shuffle (ascending-slot) order, `rest` the
-    /// first `min(k, available)` non-pool slots of the global popularity
-    /// order. Same panics and the same RNG stream as the candidate form.
-    pub fn rerank_top_k_retrieved_into(
-        &self,
-        pool: &[usize],
-        rest: &[usize],
-        k: usize,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_top_k_retrieved_into(pool, rest, k, &mut rng, buffers, out);
-    }
-
-    /// A **full rerank from merged shard state** — the single-tier serving
-    /// path: `order` is the complete global popularity order reassembled
-    /// by the deterministic shard merge (a
-    /// [`ShardedCorpusCache`](crate::ShardedCorpusCache)'s
-    /// [`merged_order`](crate::ShardedCorpusCache::merged_order)), `pool`
-    /// the maintained global pool in pre-shuffle (ascending-slot) order
-    /// and `in_pool` its membership predicate (both read only by the
-    /// Selective rule; the Uniform rule draws its per-page coins over
-    /// `0..order.len()` in slot order). No corpus-wide snapshot, order,
-    /// or pool index is consulted, yet the output (global slots) is
-    /// bit-identical to
-    /// [`rerank_cached_slots_into`](Self::rerank_cached_slots_into) over
-    /// the equivalent corpus-wide cache.
+    /// A full rerank over the complete popularity `order`, with the
+    /// maintained `pool` and its membership predicate `in_pool`: a
+    /// [`RankSource::new`] through [`rerank_source_into`](Self::rerank_source_into).
     pub fn rerank_merged_into(
         &self,
         pool: &[usize],
@@ -348,52 +216,42 @@ impl RankPromotionEngine {
         buffers: &mut RankBuffers,
         out: &mut Vec<usize>,
     ) {
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_merged_into(pool, order, in_pool, &mut rng, buffers, out);
+        self.rerank_source_into(
+            RankSource::new(pool, order, in_pool),
+            None,
+            context,
+            buffers,
+            out,
+        )
     }
 
-    /// The top-`k` prefix of
-    /// [`rerank_merged_into`](Self::rerank_merged_into): merge stopped at
-    /// rank `k`, `L_d` materialised only up to `k` entries. Unlike the
-    /// candidate-retrieval path this serves Uniform-rule engines too —
-    /// the complete merged order is corpus enough for their coins. Output
-    /// equals the length-`k` prefix of the full rerank bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rerank_top_k_merged_into(
+    /// A top-`k` rerank from the maintained `pool` and a retrieved
+    /// pool-free order prefix `rest`: a [`RankSource::retrieved`] through
+    /// [`rerank_source_into`](Self::rerank_source_into). Selective engines
+    /// only.
+    pub fn rerank_top_k_retrieved_into(
         &self,
         pool: &[usize],
-        order: &[usize],
-        in_pool: impl Fn(usize) -> bool,
+        rest: &[usize],
         k: usize,
         context: QueryContext,
         buffers: &mut RankBuffers,
         out: &mut Vec<usize>,
     ) {
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_top_k_merged_into(pool, order, in_pool, k, &mut rng, buffers, out);
-    }
-
-    /// [`rerank_top_k_pooled_slots_into`](Self::rerank_top_k_pooled_slots_into)
-    /// read straight off a repaired [`CorpusCache`].
-    pub fn rerank_top_k_cached_slots_into(
-        &self,
-        cache: &CorpusCache,
-        k: usize,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        self.rerank_top_k_pooled_slots_into(cache.view(), k, context, buffers, out);
+        self.rerank_source_into(
+            RankSource::retrieved(pool, rest),
+            Some(k),
+            context,
+            buffers,
+            out,
+        )
     }
 
     /// Convenience wrapper: the first `min(k, n)` document ids of
     /// [`rerank`](Self::rerank), computed without materialising the full
     /// ranking. Builds a [`CorpusCache`] per call (one stats pass + sort +
-    /// pool scan), then serves through the pooled `O(pool + k)` path —
-    /// batch servers keep the cache alive across queries instead and pay
-    /// none of the per-call derivation.
+    /// pool scan) and ranks from it — batch servers keep the cache alive
+    /// across queries instead and pay none of the per-call derivation.
     pub fn rerank_top_k(
         &self,
         documents: &[Document],
@@ -403,9 +261,11 @@ impl RankPromotionEngine {
         let mut cache = CorpusCache::new();
         cache.set_pool_maintained(self.reads_pool_index());
         cache.rebuild(documents);
+        let pool = cache.pool();
+        let source = RankSource::new(pool.members(), cache.order(), |s| pool.contains(s));
         let mut buffers = RankBuffers::new();
         let mut slots = Vec::with_capacity(k.min(documents.len()));
-        self.rerank_top_k_cached_slots_into(&cache, k, context, &mut buffers, &mut slots);
+        self.rerank_source_into(source, Some(k), context, &mut buffers, &mut slots);
         slots.into_iter().map(|slot| documents[slot].id).collect()
     }
 
@@ -615,28 +475,12 @@ mod tests {
     fn top_k_equals_the_full_rerank_prefix() {
         let docs = corpus();
         let engine = RankPromotionEngine::recommended().with_seed(21);
-        let mut stats = Vec::new();
-        RankPromotionEngine::document_stats(&docs, &mut stats);
-        let mut sorted: Vec<usize> = (0..stats.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| rrp_ranking::popularity_order(&stats[a], &stats[b]));
-        let mut buffers = RankBuffers::new();
-        let mut slots = Vec::new();
         for q in 0..40u64 {
             let ctx = QueryContext::new(q, q.wrapping_mul(77));
             let full = engine.rerank(&docs, ctx);
             for k in [0usize, 1, 2, 5, 10, 30, 99] {
                 let want = &full[..k.min(full.len())];
                 assert_eq!(engine.rerank_top_k(&docs, ctx, k), want, "k={k}, q={q}");
-                engine.rerank_top_k_presorted_slots_into(
-                    &stats,
-                    &sorted,
-                    k,
-                    ctx,
-                    &mut buffers,
-                    &mut slots,
-                );
-                let ids: Vec<u64> = slots.iter().map(|&s| docs[s].id).collect();
-                assert_eq!(ids, want, "presorted k={k}, q={q}");
             }
         }
     }
@@ -647,28 +491,26 @@ mod tests {
         let engine = RankPromotionEngine::recommended().with_seed(21);
         let mut cache = CorpusCache::new();
         cache.rebuild(&docs);
+        let pool = cache.pool();
+        let source = RankSource::new(pool.members(), cache.order(), |s| pool.contains(s));
         let mut buffers = RankBuffers::new();
-        let (mut scan, mut pooled) = (Vec::new(), Vec::new());
+        let mut cached = Vec::new();
         for q in 0..40u64 {
             let ctx = QueryContext::new(q, q.wrapping_mul(77));
-            engine.rerank_presorted_slots_into(
-                cache.stats(),
-                cache.order(),
-                ctx,
-                &mut buffers,
-                &mut scan,
-            );
-            engine.rerank_cached_slots_into(&cache, ctx, &mut buffers, &mut pooled);
-            assert_eq!(pooled, scan, "full pooled, q={q}");
+            let scan = engine.rerank_slots(&docs, ctx);
+            engine.rerank_source_into(source, None, ctx, &mut buffers, &mut cached);
+            assert_eq!(cached, scan, "full cached, q={q}");
             for k in [0usize, 1, 2, 5, 10, 30, 99] {
-                engine.rerank_top_k_cached_slots_into(&cache, k, ctx, &mut buffers, &mut pooled);
-                assert_eq!(pooled, scan[..k.min(scan.len())], "pooled k={k}, q={q}");
+                engine.rerank_source_into(source, Some(k), ctx, &mut buffers, &mut cached);
+                assert_eq!(cached, scan[..k.min(scan.len())], "cached k={k}, q={q}");
             }
         }
     }
 
     #[test]
     fn merged_paths_match_the_scanning_path_for_both_rules() {
+        // The two fixed-signature forms: a full rerank over the complete
+        // order, and (Selective only) a top-k from a retrieved prefix.
         let docs = corpus();
         let engines = [
             RankPromotionEngine::recommended().with_seed(21),
@@ -678,37 +520,41 @@ mod tests {
         for engine in engines {
             let mut cache = CorpusCache::new();
             cache.rebuild(&docs);
+            let pool = cache.pool();
             let mut buffers = RankBuffers::new();
-            let (mut scan, mut merged) = (Vec::new(), Vec::new());
+            let mut merged = Vec::new();
             for q in 0..20u64 {
                 let ctx = QueryContext::new(q, q.wrapping_mul(77));
-                engine.rerank_presorted_slots_into(
-                    cache.stats(),
-                    cache.order(),
-                    ctx,
-                    &mut buffers,
-                    &mut scan,
-                );
+                let scan = engine.rerank_slots(&docs, ctx);
                 engine.rerank_merged_into(
-                    cache.pool().members(),
+                    pool.members(),
                     cache.order(),
-                    |s| cache.pool().contains(s),
+                    |s| pool.contains(s),
                     ctx,
                     &mut buffers,
                     &mut merged,
                 );
                 assert_eq!(merged, scan, "full merged, q={q}");
+                if !engine.reads_pool_index() {
+                    continue;
+                }
                 for k in [0usize, 1, 2, 5, 10, 30, 99] {
-                    engine.rerank_top_k_merged_into(
-                        cache.pool().members(),
-                        cache.order(),
-                        |s| cache.pool().contains(s),
+                    let rest: Vec<usize> = cache
+                        .order()
+                        .iter()
+                        .copied()
+                        .filter(|&s| !pool.contains(s))
+                        .take(k)
+                        .collect();
+                    engine.rerank_top_k_retrieved_into(
+                        pool.members(),
+                        &rest,
                         k,
                         ctx,
                         &mut buffers,
                         &mut merged,
                     );
-                    assert_eq!(merged, scan[..k.min(scan.len())], "merged k={k}, q={q}");
+                    assert_eq!(merged, scan[..k.min(scan.len())], "retrieved k={k}, q={q}");
                 }
             }
         }
@@ -725,8 +571,15 @@ mod tests {
 
         let mut cache = CorpusCache::new();
         cache.rebuild(&docs);
+        let pool = cache.pool();
+        let rest: Vec<usize> = cache
+            .order()
+            .iter()
+            .copied()
+            .filter(|&s| !pool.contains(s))
+            .collect();
         let mut buffers = RankBuffers::new();
-        let (mut pooled, mut merged) = (Vec::new(), Vec::new());
+        let mut retrieved = Vec::new();
         let mut diverged = false;
         for q in 0..20u64 {
             let ctx = QueryContext::new(q, q.wrapping_mul(77));
@@ -735,19 +588,16 @@ mod tests {
             // …and every v2 top-k route draws the same lazy stream.
             let k = 8;
             let top = v2.rerank_top_k(&docs, ctx, k);
-            v2.rerank_top_k_cached_slots_into(&cache, k, ctx, &mut buffers, &mut pooled);
-            let pooled_ids: Vec<u64> = pooled.iter().map(|&s| docs[s].id).collect();
-            assert_eq!(pooled_ids, top, "cached≡rerank_top_k, q={q}");
-            v2.rerank_top_k_merged_into(
-                cache.pool().members(),
-                cache.order(),
-                |s| cache.pool().contains(s),
+            v2.rerank_top_k_retrieved_into(
+                pool.members(),
+                &rest,
                 k,
                 ctx,
                 &mut buffers,
-                &mut merged,
+                &mut retrieved,
             );
-            assert_eq!(merged, pooled, "merged≡cached, q={q}");
+            let retrieved_ids: Vec<u64> = retrieved.iter().map(|&s| docs[s].id).collect();
+            assert_eq!(retrieved_ids, top, "retrieved≡rerank_top_k, q={q}");
             if top != v1.rerank_top_k(&docs, ctx, k) {
                 diverged = true;
             }
@@ -790,11 +640,11 @@ mod tests {
         let docs = corpus();
         let engine = RankPromotionEngine::recommended().with_seed(3);
 
-        // Snapshot built once, as a batch server would.
-        let mut stats = Vec::new();
-        RankPromotionEngine::document_stats(&docs, &mut stats);
-        let mut sorted: Vec<usize> = (0..stats.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| rrp_ranking::popularity_order(&stats[a], &stats[b]));
+        // The sorted source built once, as a batch server would.
+        let mut cache = CorpusCache::new();
+        cache.rebuild(&docs);
+        let pool = cache.pool();
+        let source = RankSource::new(pool.members(), cache.order(), |s| pool.contains(s));
 
         let mut scratch = RerankScratch::with_capacity(docs.len());
         let mut buffers = RankBuffers::new();
@@ -806,7 +656,7 @@ mod tests {
             engine.rerank_slots_into(&docs, ctx, &mut scratch, &mut out);
             assert_eq!(out, expected, "scratch path, query {q}");
 
-            engine.rerank_presorted_slots_into(&stats, &sorted, ctx, &mut buffers, &mut out);
+            engine.rerank_source_into(source, None, ctx, &mut buffers, &mut out);
             assert_eq!(out, expected, "presorted path, query {q}");
         }
         assert_eq!(engine.seed(), 3);

@@ -71,4 +71,4 @@ pub use rrp_ranking as ranking;
 pub use rrp_sim as sim;
 
 // The most commonly used configuration types, re-exported at the top level.
-pub use rrp_ranking::{EngineVersion, PromotionConfig, PromotionRule};
+pub use rrp_ranking::{EngineVersion, PromotionConfig, PromotionRule, RankSource};

@@ -689,10 +689,9 @@ impl ShardedCorpusCache {
             .is_some_and(|s| s.cache.pool_maintained())
     }
 
-    /// Re-merge the shard pools into the maintained global pool — the
-    /// *same* ascending-slot k-way merge the per-query candidate path
-    /// runs ([`merge_ascending_slots_into`](rrp_ranking::merge_ascending_slots_into)),
-    /// executed once per repair instead of once per query. The merge
+    /// Re-merge the shard pools into the maintained global pool
+    /// ([`merge_ascending_slots_into`](rrp_ranking::merge_ascending_slots_into)),
+    /// once per repair instead of once per query. The merge
     /// writes into recycled spare storage and swaps it in as a fresh
     /// `Arc`, leaving any published version's pool untouched.
     fn merge_pools(&mut self) {
@@ -719,17 +718,6 @@ impl ShardedCorpusCache {
         out.resize_with(self.shards.len(), ShardCandidates::new);
         for (shard, candidates) in self.shards.iter().zip(out.iter_mut()) {
             candidates.collect_rest(shard.cache.view(), limit, &shard.globals);
-        }
-    }
-
-    /// [`collect_rest_candidates`](Self::collect_rest_candidates) with the
-    /// pool halves included — the self-contained per-query form the merge
-    /// goldens pin; serving tiers use the rest-only form plus the
-    /// maintained [`pool_slots`](Self::pool_slots) instead.
-    pub fn collect_candidates(&self, limit: usize, out: &mut Vec<ShardCandidates>) {
-        out.resize_with(self.shards.len(), ShardCandidates::new);
-        for (shard, candidates) in self.shards.iter().zip(out.iter_mut()) {
-            candidates.collect(shard.cache.view(), limit, &shard.globals);
         }
     }
 
@@ -826,24 +814,12 @@ mod tests {
             // The maintained merged pool is the corpus-wide pool.
             assert_eq!(cache.pool_slots(), pool.members(), "{shards} shards");
 
-            // And the self-contained per-query collection merges to the
-            // same pool plus the corpus-wide non-pool prefix.
+            // The per-query collection merges to the corpus-wide
+            // non-pool prefix.
             let mut candidates = Vec::new();
-            cache.collect_candidates(7, &mut candidates);
             let mut merged = MergedCandidates::new();
-            merge_shard_candidates_into(&candidates, 7, &mut merged);
-            assert_eq!(merged.pool(), pool.members(), "{shards} shards");
-            let rest_slots: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
-            assert_eq!(
-                rest_slots,
-                expected_rest(&order, &pool, 7),
-                "{shards} shards"
-            );
-
-            // The rest-only serving collection yields the same prefix.
             cache.collect_rest_candidates(7, &mut candidates);
             merge_shard_candidates_into(&candidates, 7, &mut merged);
-            assert!(merged.pool().is_empty());
             let rest_slots: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
             assert_eq!(
                 rest_slots,

@@ -24,7 +24,7 @@ pub struct RankBuffers {
     pub(crate) pool: Vec<usize>,
     /// Deterministic-remainder entries (indices, later slot indices).
     pub(crate) rest: Vec<usize>,
-    /// Per-slot pool-membership mask (used by the presorted Uniform path).
+    /// Per-slot pool-membership mask (the Uniform rule's coin scan).
     pub(crate) mask: Vec<bool>,
     /// Per-slot seen mask for permutation validation.
     pub(crate) seen: Vec<bool>,
@@ -66,8 +66,8 @@ impl RankBuffers {
 
     /// Drain the count of per-slot mask resets since the last call (each
     /// one marks an `O(n)` full-corpus pool derivation). The pooled
-    /// selective path performs none; the presorted fallback and the
-    /// Uniform rule's mandatory per-page coin scan perform one per query —
+    /// selective path performs none; the Uniform rule's mandatory
+    /// per-page coin scan performs one per query —
     /// serving probes aggregate this to pin their scan-free contract.
     pub fn take_mask_resets(&mut self) -> u64 {
         std::mem::take(&mut self.mask_resets)

@@ -6,30 +6,19 @@
 //! selective promotion rule only ever reads the promotion pool plus a
 //! rank-ordered prefix of the popularity order. This module brings
 //! retrieval down to the shards: each shard produces a [`ShardCandidates`]
-//! set — its pool members plus its first `c` *non-pool* entries in
-//! popularity order (`c` from
+//! set — its first `c` *non-pool* entries in popularity order (`c` from
 //! [`PromotionConfig::candidate_prefix_len`](crate::PromotionConfig::candidate_prefix_len))
-//! — and [`merge_shard_candidates_into`] reassembles the global structures
-//! the pooled ranking path consumes:
+//! — and [`merge_shard_candidates_into`] reassembles the first `c`
+//! **non-pool entries of the global popularity order**: exactly the
+//! deterministic remainder `L_d` a top-`k` merge may consume.
 //!
-//! * the **global pool** in ascending global-slot order — exactly the
-//!   scan's pre-shuffle order, so the per-query shuffle consumes the
-//!   identical RNG stream as a corpus-wide
-//!   [`PoolIndex`](crate::PoolIndex); and
-//! * the first `c` **non-pool entries of the global popularity order** —
-//!   exactly the deterministic remainder `L_d` the top-`k` merge may
-//!   consume.
-//!
-//! The two halves have different lifetimes, and the split is what keeps
-//! the per-query path cheap: the *rest* prefix depends on `k` and must be
-//! retrieved per query (it is `O(k)` per shard), while the *pool* half is
-//! query-independent — membership moves only when a mutation flips a
-//! slot — so a serving tier merges it once per repair and reuses it
-//! across every query in between (see
-//! [`ShardCandidates::collect_rest`]). Only the rest entries carry
-//! [`PageStats`] copies (the merge needs their sort keys); pool
-//! candidates are bare global slots, so the pool half of a merge is a
-//! cursor walk over `usize` streams.
+//! The pool half has a different lifetime: it is query-independent —
+//! membership moves only when a mutation flips a slot — so a serving tier
+//! merges the shard pools once per repair with
+//! [`merge_ascending_slots_into`] (ascending global slot, exactly the
+//! scan's pre-shuffle order) and reuses the result across every query in
+//! between. Per query only the `O(k)` rest prefix is retrieved; together
+//! they form a [`RankSource::retrieved`](crate::RankSource::retrieved).
 //!
 //! Why the k-way rest merge is *exact* (equal to a derivation from the
 //! global order) even though every shard stream is truncated: each
@@ -47,12 +36,10 @@
 use crate::poolindex::PoolView;
 use crate::stats::{popularity_order, PageStats};
 
-/// One shard's candidate set: everything the top-`k` promotion merge
-/// could possibly read from this shard.
+/// One shard's candidate set: everything of the shard's non-pool order the
+/// top-`k` promotion merge could possibly read.
 #[derive(Debug, Clone, Default)]
 pub struct ShardCandidates {
-    /// The shard's promotion-pool members as global slots, ascending.
-    pool: Vec<usize>,
     /// The shard's first `limit` non-pool entries in popularity order,
     /// with `slot` rewritten to the global slot.
     rest: Vec<PageStats>,
@@ -64,39 +51,21 @@ impl ShardCandidates {
         ShardCandidates::default()
     }
 
-    /// The shard's pool members, ascending by global slot.
-    #[inline]
-    pub fn pool(&self) -> &[usize] {
-        &self.pool
-    }
-
     /// The shard's non-pool popularity-order prefix.
     #[inline]
     pub fn rest(&self) -> &[PageStats] {
         &self.rest
     }
 
-    /// Fill this set from a shard's maintained [`PoolView`]: copy the pool
-    /// members (ascending local slot) and filter the shard's popularity
-    /// order through the pool mask, stopping after `limit` non-pool
-    /// matches — `O(pool + limit)`, no per-corpus work. Each entry is
-    /// relabeled through `global_slots` (local slot → global slot), which
-    /// must be strictly increasing so that shard-local order agrees with
-    /// the global order's slot tie-break.
-    pub fn collect(&mut self, view: PoolView<'_>, limit: usize, global_slots: &[usize]) {
-        self.collect_rest(view, limit, global_slots);
-        self.pool
-            .extend(view.pool.members().iter().map(|&local| global_slots[local]));
-    }
-
-    /// [`collect`](Self::collect) without the pool half — the steady-state
-    /// serving path: pool membership changes only on mutation, so its
-    /// owner merges the pools once per repair
-    /// ([`ShardedCorpusCache`](../../rrp_core/struct.ShardedCorpusCache.html)
-    /// keeps the result) and per query only the `O(limit)` rest prefix is
-    /// retrieved. Leaves `pool` empty.
+    /// Fill this set from a shard's maintained [`PoolView`]: filter the
+    /// shard's popularity order through the pool mask, stopping after
+    /// `limit` non-pool matches — `O(limit)` past any pool members above
+    /// the cut, no per-corpus work. Each entry is relabeled through
+    /// `global_slots` (local slot → global slot), which must be strictly
+    /// increasing so that shard-local order agrees with the global order's
+    /// slot tie-break. The pool half is its owner's to merge, once per
+    /// repair ([`merge_ascending_slots_into`]).
     pub fn collect_rest(&mut self, view: PoolView<'_>, limit: usize, global_slots: &[usize]) {
-        self.pool.clear();
         debug_assert_eq!(global_slots.len(), view.pages.len());
         debug_assert!(global_slots.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(
@@ -118,13 +87,10 @@ impl ShardCandidates {
     }
 }
 
-/// The merged global candidate view a top-`k` query ranks against: the
-/// global pool in pre-shuffle order plus the global non-pool popularity
-/// prefix. Produced by [`merge_shard_candidates_into`].
+/// The merged global non-pool popularity prefix a top-`k` query ranks
+/// against. Produced by [`merge_shard_candidates_into`].
 #[derive(Debug, Clone, Default)]
 pub struct MergedCandidates {
-    /// Global pool members, ascending by global slot.
-    pool: Vec<usize>,
     /// First `limit` non-pool entries of the global popularity order.
     rest: Vec<PageStats>,
     /// Scratch: per-shard stream cursors during a merge (kept here so the
@@ -138,14 +104,6 @@ impl MergedCandidates {
         MergedCandidates::default()
     }
 
-    /// The global pool, ascending by slot — identical in content and
-    /// order to a corpus-wide
-    /// [`PoolIndex::members`](crate::PoolIndex::members).
-    #[inline]
-    pub fn pool(&self) -> &[usize] {
-        &self.pool
-    }
-
     /// The first `limit` non-pool entries of the global popularity order —
     /// the deterministic remainder `L_d`, already truncated to what a
     /// top-`limit` merge can consume.
@@ -156,10 +114,9 @@ impl MergedCandidates {
 }
 
 /// K-way merge of disjoint ascending global-slot streams into `out`
-/// (cleared first) — the pool half of the candidate merge, factored out
-/// so the repair-time maintained pool merge (a
-/// `ShardedCorpusCache`'s) runs the *same* procedure as the per-query
-/// candidate form and the two can never diverge. `stream_len(s)` and
+/// (cleared first) — the pool half of a shard merge: the shard pools
+/// merge into exactly a corpus-wide
+/// [`PoolIndex::members`](crate::PoolIndex::members). `stream_len(s)` and
 /// `slot_at(s, i)` describe stream `s`; `heads` is caller scratch
 /// (cursor per stream, reused across calls).
 pub fn merge_ascending_slots_into(
@@ -254,15 +211,10 @@ pub fn merge_shard_orders_into(
 
 /// Deterministically k-way merge per-shard candidate sets into the global
 /// candidate view, writing into `merged` (cleared first; storage reused):
-///
-/// * `merged.pool` — all shard pools merged by ascending slot: exactly
-///   the global pool in the scan's pre-shuffle order (empty when the
-///   candidates were collected rest-only);
-/// * `merged.rest` — shard rest prefixes merged by
-///   [`popularity_order`], stopping after `limit` entries: exactly the
-///   first `limit` non-pool entries of the global popularity order
-///   (see the module docs for why truncated shard streams cannot lose an
-///   element).
+/// the shard rest prefixes merged by [`popularity_order`], stopping after
+/// `limit` entries — exactly the first `limit` non-pool entries of the
+/// global popularity order (see the module docs for why truncated shard
+/// streams cannot lose an element).
 ///
 /// Shard candidate sets must be disjoint in global slots (they come from a
 /// partition of the corpus) and each collected with a `limit` of at least
@@ -272,17 +224,8 @@ pub fn merge_shard_candidates_into(
     limit: usize,
     merged: &mut MergedCandidates,
 ) {
-    let MergedCandidates { pool, rest, heads } = merged;
+    let MergedCandidates { rest, heads } = merged;
     rest.clear();
-
-    merge_ascending_slots_into(
-        shards.len(),
-        |s| shards[s].pool.len(),
-        |s, i| shards[s].pool[i],
-        heads,
-        pool,
-    );
-
     merge_stat_streams(
         shards.len(),
         |s| shards[s].rest.len(),
@@ -340,7 +283,11 @@ mod tests {
                 let order = PopularityIndex::build(locals);
                 let pool = PoolIndex::build(locals);
                 let mut candidates = ShardCandidates::new();
-                candidates.collect(PoolView::new(locals, order.order(), &pool), limit, globals);
+                candidates.collect_rest(
+                    PoolView::new(locals, order.order(), &pool),
+                    limit,
+                    globals,
+                );
                 candidates
             })
             .collect()
@@ -350,11 +297,18 @@ mod tests {
     fn merged_pool_equals_the_global_pool_index() {
         let stats = corpus(40);
         let global_pool = PoolIndex::build(&stats);
+        let (mut heads, mut merged) = (Vec::new(), Vec::new());
         for shards in [1usize, 2, 3, 8] {
-            let candidates = collect_all(&stats, shards, 5);
-            let mut merged = MergedCandidates::new();
-            merge_shard_candidates_into(&candidates, 5, &mut merged);
-            assert_eq!(merged.pool(), global_pool.members(), "{shards} shards");
+            let parts = partition(&stats, shards);
+            let pools: Vec<PoolIndex> = parts.iter().map(|(l, _)| PoolIndex::build(l)).collect();
+            merge_ascending_slots_into(
+                shards,
+                |s| pools[s].len(),
+                |s, i| parts[s].1[pools[s].members()[i]],
+                &mut heads,
+                &mut merged,
+            );
+            assert_eq!(merged, global_pool.members(), "{shards} shards");
         }
     }
 
@@ -412,32 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn rest_only_collection_matches_the_full_collection_rest() {
-        let stats = corpus(36);
-        for shards in [1usize, 3] {
-            let full = collect_all(&stats, shards, 6);
-            let rest_only: Vec<ShardCandidates> = partition(&stats, shards)
-                .iter()
-                .map(|(locals, globals)| {
-                    let order = PopularityIndex::build(locals);
-                    let pool = PoolIndex::build(locals);
-                    let mut candidates = ShardCandidates::new();
-                    candidates.collect_rest(
-                        PoolView::new(locals, order.order(), &pool),
-                        6,
-                        globals,
-                    );
-                    candidates
-                })
-                .collect();
-            for (a, b) in full.iter().zip(&rest_only) {
-                assert_eq!(a.rest(), b.rest(), "{shards} shards");
-                assert!(b.pool().is_empty(), "rest-only collection skips the pool");
-            }
-        }
-    }
-
-    #[test]
     fn high_popularity_pool_members_never_crowd_out_the_rest_prefix() {
         // Pool members can outrank every established page (an unexplored
         // document may carry any popularity score), yet the rest prefix
@@ -472,11 +400,9 @@ mod tests {
     fn empty_shards_and_empty_sets_merge_to_empty() {
         let mut merged = MergedCandidates::new();
         merge_shard_candidates_into(&[], 5, &mut merged);
-        assert!(merged.pool().is_empty());
         assert!(merged.rest().is_empty());
         let empties = vec![ShardCandidates::new(); 3];
         merge_shard_candidates_into(&empties, 5, &mut merged);
-        assert!(merged.pool().is_empty());
         assert!(merged.rest().is_empty());
     }
 }

@@ -10,12 +10,11 @@
 //! implementing [`RankingPolicy`] for callers that want the trait.
 
 use crate::buffers::RankBuffers;
-use crate::candidates::MergedCandidates;
 use crate::deterministic::{FullyRandomRanking, PopularityRanking, QualityOracleRanking};
 use crate::policy::RankingPolicy;
 use crate::poolindex::PoolView;
 use crate::promotion::{PromotionConfig, PromotionRule};
-use crate::randomized::RandomizedRankPromotion;
+use crate::randomized::{RandomizedRankPromotion, RankSource};
 use crate::stats::PageStats;
 use rand::RngCore;
 
@@ -74,238 +73,60 @@ impl PolicyKind {
         RankingPolicy::rank(self, pages, rng)
     }
 
-    /// Rank when the caller already maintains the full popularity order of
-    /// `pages` (see
-    /// [`RandomizedRankPromotion::rank_presorted_into`] for the contract:
-    /// `pages[i].slot == i` and `sorted` ordered by
-    /// [`popularity_order`](crate::popularity_order)).
+    /// Rank against a maintained [`PoolView`] (the stats, their popularity
+    /// order and the [`PoolIndex`](crate::PoolIndex)) — the full ranking
+    /// with `k = None`, else its first `min(k, n)` ranks. Output and RNG
+    /// consumption are byte-identical to [`rank_into`](Self::rank_into)
+    /// over `view.pages` (for promotion under engine v2, a Selective
+    /// top-`k` draws the lazy stream instead).
     ///
-    /// Policies that do not rank by popularity ignore `sorted`: the quality
-    /// oracle sorts by quality as usual, and fully-random ranking shuffles.
-    /// Output and RNG consumption are byte-identical to
-    /// [`rank_into`](Self::rank_into).
-    pub fn rank_presorted_into<R: RngCore + ?Sized>(
+    /// Promotion ranks through [`RandomizedRankPromotion::rank`], reading
+    /// the pool off the index; plain popularity ranking copies the order.
+    /// The quality oracle and the fully-random shuffle read the whole
+    /// population and are truncated afterwards. Only the Selective rule
+    /// reads the index, so callers may leave it unmaintained otherwise
+    /// (see [`reads_pool_index`](Self::reads_pool_index)).
+    pub fn rank_view_into<R: RngCore + ?Sized>(
         &self,
-        pages: &[PageStats],
-        sorted: &[usize],
+        view: PoolView<'_>,
+        k: Option<usize>,
         rng: &mut R,
         buffers: &mut RankBuffers,
         out: &mut Vec<usize>,
     ) {
+        let PoolView {
+            pages,
+            sorted,
+            pool,
+        } = view;
+        debug_assert!(pages.iter().enumerate().all(|(i, p)| p.slot == i));
+        debug_assert_eq!(sorted.len(), pages.len());
+        debug_assert!(sorted.windows(2).all(|w| crate::popularity_order(
+            &pages[w[0]],
+            &pages[w[1]]
+        )
+        .is_lt()));
+        let limit = k.unwrap_or(pages.len());
         match self {
             PolicyKind::Popularity => {
-                debug_assert!(pages.iter().enumerate().all(|(i, p)| p.slot == i));
-                debug_assert_eq!(sorted.len(), pages.len());
-                debug_assert!(sorted.windows(2).all(|w| crate::popularity_order(
-                    &pages[w[0]],
-                    &pages[w[1]]
-                )
-                .is_lt()));
                 out.clear();
-                out.extend_from_slice(sorted);
-            }
-            PolicyKind::QualityOracle => QualityOracleRanking.rank_order_into(pages, out),
-            PolicyKind::FullyRandom => FullyRandomRanking.shuffle_into(pages, rng, out),
-            PolicyKind::Promotion(policy) => {
-                policy.rank_presorted_into(pages, sorted, rng, buffers, out)
-            }
-        }
-    }
-
-    /// The top-`k` prefix of
-    /// [`rank_presorted_into`](Self::rank_presorted_into): emit only the
-    /// first `min(k, n)` ranks. For every kind the output equals the
-    /// length-`k` prefix of the full rerank bit for bit.
-    ///
-    /// Only popularity-ordered kinds get a genuine early exit (the
-    /// promotion merge stops at rank `k`; plain popularity ranking copies
-    /// `k` entries off the precomputed order). The quality oracle and the
-    /// fully-random shuffle must still process all `n` pages — their prefix
-    /// depends on the whole permutation — and are truncated afterwards.
-    pub fn rank_top_k_presorted_into<R: RngCore + ?Sized>(
-        &self,
-        pages: &[PageStats],
-        sorted: &[usize],
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            PolicyKind::Popularity => {
-                debug_assert!(pages.iter().enumerate().all(|(i, p)| p.slot == i));
-                debug_assert_eq!(sorted.len(), pages.len());
-                out.clear();
-                out.extend_from_slice(&sorted[..k.min(sorted.len())]);
+                out.extend_from_slice(&sorted[..limit.min(sorted.len())]);
             }
             PolicyKind::QualityOracle => {
                 QualityOracleRanking.rank_order_into(pages, out);
-                out.truncate(k);
+                out.truncate(limit);
             }
             PolicyKind::FullyRandom => {
                 FullyRandomRanking.shuffle_into(pages, rng, out);
-                out.truncate(k);
+                out.truncate(limit);
             }
             PolicyKind::Promotion(policy) => {
-                policy.rank_top_k_presorted_into(pages, sorted, k, rng, buffers, out)
-            }
-        }
-    }
-
-    /// [`rank_presorted_into`](Self::rank_presorted_into) against a
-    /// persistent pool ([`PoolView`] bundles the stats, their popularity
-    /// order and the maintained [`PoolIndex`](crate::PoolIndex)):
-    /// promotion policies take their pool `L_p` off the index instead of
-    /// re-scanning all `n` pages (the Uniform rule still draws its
-    /// mandatory per-page coins). Policies that do not promote ignore the
-    /// index. Output and RNG consumption are byte-identical to
-    /// [`rank_presorted_into`](Self::rank_presorted_into).
-    pub fn rank_pooled_into<R: RngCore + ?Sized>(
-        &self,
-        view: PoolView<'_>,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            PolicyKind::Promotion(policy) => policy.rank_pooled_into(view, rng, buffers, out),
-            _ => self.rank_presorted_into(view.pages, view.sorted, rng, buffers, out),
-        }
-    }
-
-    /// The top-`k` prefix of [`rank_pooled_into`](Self::rank_pooled_into):
-    /// for the promotion policy this is the `O(pool + k)` serving path —
-    /// no full-corpus scan, no mask reset, coin-flip merge stopped at rank
-    /// `k`. For every kind the output equals the length-`k` prefix of the
-    /// full rerank bit for bit.
-    pub fn rank_top_k_pooled_into<R: RngCore + ?Sized>(
-        &self,
-        view: PoolView<'_>,
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            PolicyKind::Promotion(policy) => {
-                policy.rank_top_k_pooled_into(view, k, rng, buffers, out)
-            }
-            _ => self.rank_top_k_presorted_into(view.pages, view.sorted, k, rng, buffers, out),
-        }
-    }
-
-    /// The top-`k` prefix of the full rerank computed from **merged shard
-    /// candidates** ([`MergedCandidates`], built with a limit of at least
-    /// `k`) — the distributed serving path that touches no corpus-wide
-    /// structure, forwarding to
-    /// [`RandomizedRankPromotion::rank_top_k_candidates_into`]. Output is
-    /// bit-identical to the length-`k` prefix of the full rerank.
-    ///
-    /// # Panics
-    /// Panics for every kind whose prefix depends on the whole corpus —
-    /// all but selective promotion: the quality oracle orders by quality,
-    /// the fully-random shuffle permutes all `n` pages, plain popularity
-    /// ranking already has an `O(k)` answer in the maintained order
-    /// itself, and the Uniform promotion rule draws per-page coins. Gate
-    /// on [`supports_candidate_retrieval`](Self::supports_candidate_retrieval).
-    pub fn rank_top_k_candidates_into<R: RngCore + ?Sized>(
-        &self,
-        candidates: &MergedCandidates,
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            PolicyKind::Promotion(policy) => {
-                policy.rank_top_k_candidates_into(candidates, k, rng, buffers, out)
-            }
-            PolicyKind::Popularity | PolicyKind::QualityOracle | PolicyKind::FullyRandom => {
-                panic!(
-                    "{} does not rank from shard candidates; serve it from the corpus-wide state",
-                    self.name()
-                )
-            }
-        }
-    }
-
-    /// Whether [`rank_top_k_candidates_into`](Self::rank_top_k_candidates_into)
-    /// can answer for this kind — exactly when the policy reads the pool
-    /// index: selective promotion's top-`k` is a pure function of the
-    /// pool and a non-pool popularity-order prefix, which is precisely
-    /// what shard-local retrieval reassembles. Every other kind needs the
-    /// corpus-wide state (or, for plain popularity ranking, already has a
-    /// cheaper `O(k)` answer in the maintained order).
-    pub fn supports_candidate_retrieval(&self) -> bool {
-        self.reads_pool_index()
-    }
-
-    /// A **full rerank from merged shard state** — the distributed path
-    /// that consumes the complete global popularity order reassembled by
-    /// [`merge_shard_orders_into`](crate::merge_shard_orders_into) and no
-    /// corpus-wide stats snapshot. Plain popularity ranking's answer *is*
-    /// the merged order; promotion forwards to
-    /// [`RandomizedRankPromotion::rank_merged_into`] (both rules — the
-    /// Uniform rule's per-page coins are drawn over `0..order.len()` in
-    /// slot order, so the complete merged order is corpus enough). Output
-    /// is bit-identical to [`rank_pooled_into`](Self::rank_pooled_into)
-    /// over the equivalent corpus-wide view.
-    ///
-    /// # Panics
-    /// Panics for the quality oracle and the fully-random shuffle: their
-    /// permutations read per-page state the popularity-ordered merge does
-    /// not carry.
-    pub fn rank_merged_into<R: RngCore + ?Sized>(
-        &self,
-        pool: &[usize],
-        order: &[usize],
-        in_pool: impl Fn(usize) -> bool,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            PolicyKind::Popularity => {
-                out.clear();
-                out.extend_from_slice(order);
-            }
-            PolicyKind::QualityOracle | PolicyKind::FullyRandom => panic!(
-                "{} does not rank from merged shard state; it reads per-page state \
-                 the popularity-ordered merge does not carry",
-                self.name()
-            ),
-            PolicyKind::Promotion(policy) => {
-                policy.rank_merged_into(pool, order, in_pool, rng, buffers, out)
-            }
-        }
-    }
-
-    /// The top-`k` prefix of [`rank_merged_into`](Self::rank_merged_into)
-    /// (same panics); for the supported kinds the output equals the
-    /// length-`k` prefix of the full rerank bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rank_top_k_merged_into<R: RngCore + ?Sized>(
-        &self,
-        pool: &[usize],
-        order: &[usize],
-        in_pool: impl Fn(usize) -> bool,
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            PolicyKind::Popularity => {
-                out.clear();
-                out.extend_from_slice(&order[..k.min(order.len())]);
-            }
-            PolicyKind::QualityOracle | PolicyKind::FullyRandom => panic!(
-                "{} does not rank from merged shard state; it reads per-page state \
-                 the popularity-ordered merge does not carry",
-                self.name()
-            ),
-            PolicyKind::Promotion(policy) => {
-                policy.rank_top_k_merged_into(pool, order, in_pool, k, rng, buffers, out)
+                debug_assert!(
+                    !self.reads_pool_index() || pool.is_consistent(pages),
+                    "the pool index must match a fresh is_unexplored scan"
+                );
+                let source = RankSource::new(pool.members(), sorted, |s| pool.contains(s));
+                policy.rank(source, k, rng, buffers, out)
             }
         }
     }
@@ -440,17 +261,23 @@ mod tests {
         }
     }
 
+    fn view_parts(ps: &[PageStats]) -> (Vec<usize>, crate::PoolIndex) {
+        let mut sorted: Vec<usize> = (0..ps.len()).collect();
+        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
+        (sorted, crate::PoolIndex::build(ps))
+    }
+
     #[test]
     fn presorted_path_matches_plain_path_for_every_kind() {
         let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
+        let (sorted, pool) = view_parts(&ps);
+        let view = PoolView::new(&ps, &sorted, &pool);
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
         for kind in all_kinds() {
             for seed in 0..10 {
                 let expected = kind.rank(&ps, &mut new_rng(seed));
-                kind.rank_presorted_into(&ps, &sorted, &mut new_rng(seed), &mut buffers, &mut out);
+                kind.rank_view_into(view, None, &mut new_rng(seed), &mut buffers, &mut out);
                 assert_eq!(out, expected, "{}", kind.name());
                 assert!(is_permutation(&out, ps.len()));
             }
@@ -460,22 +287,15 @@ mod tests {
     #[test]
     fn top_k_matches_the_full_rerank_prefix_for_every_kind() {
         let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
+        let (sorted, pool) = view_parts(&ps);
+        let view = PoolView::new(&ps, &sorted, &pool);
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
         for kind in all_kinds() {
             for seed in 0..10 {
                 let full = kind.rank(&ps, &mut new_rng(seed));
                 for k in [0usize, 1, 2, 5, 10, 30, 64] {
-                    kind.rank_top_k_presorted_into(
-                        &ps,
-                        &sorted,
-                        k,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut out,
-                    );
+                    kind.rank_view_into(view, Some(k), &mut new_rng(seed), &mut buffers, &mut out);
                     assert_eq!(
                         out,
                         full[..k.min(full.len())],
@@ -489,179 +309,25 @@ mod tests {
 
     #[test]
     fn pooled_dispatch_matches_the_full_rerank_prefix_for_every_kind() {
+        // Owners skip pool maintenance for kinds that never read the index
+        // (the simulator does): an unmaintained, empty index must not
+        // change their answers.
         let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
-        let pool = crate::PoolIndex::build(&ps);
-        let view = PoolView::new(&ps, &sorted, &pool);
+        let (sorted, _) = view_parts(&ps);
+        let unmaintained = crate::PoolIndex::default();
+        let view = PoolView::new(&ps, &sorted, &unmaintained);
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
-        for kind in all_kinds() {
+        for kind in all_kinds().into_iter().filter(|k| !k.reads_pool_index()) {
             for seed in 0..10 {
                 let full = kind.rank(&ps, &mut new_rng(seed));
-                kind.rank_pooled_into(view, &mut new_rng(seed), &mut buffers, &mut out);
-                assert_eq!(out, full, "{} pooled full", kind.name());
-                for k in [0usize, 1, 2, 5, 10, 30, 64] {
-                    kind.rank_top_k_pooled_into(
-                        view,
-                        k,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut out,
-                    );
-                    assert_eq!(
-                        out,
-                        full[..k.min(full.len())],
-                        "{} pooled with k={k}, seed={seed}",
-                        kind.name()
-                    );
+                for k in [None, Some(0), Some(5), Some(64)] {
+                    kind.rank_view_into(view, k, &mut new_rng(seed), &mut buffers, &mut out);
+                    let want = &full[..k.unwrap_or(full.len()).min(full.len())];
+                    assert_eq!(out, want, "{} k={k:?}, seed={seed}", kind.name());
                 }
             }
         }
-    }
-
-    #[test]
-    fn candidate_dispatch_matches_the_full_rerank_prefix_where_supported() {
-        use crate::candidates::{merge_shard_candidates_into, MergedCandidates, ShardCandidates};
-        use crate::popindex::PopularityIndex;
-        use crate::PoolIndex;
-
-        let ps = pages();
-        let mut buffers = RankBuffers::new();
-        let mut out = Vec::new();
-        let mut merged = MergedCandidates::new();
-        for shards in [1usize, 2, 4] {
-            let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
-            let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
-            for p in &ps {
-                let shard = (p.slot * 11 + 2) % shards;
-                let mut local = *p;
-                local.slot = locals[shard].len();
-                locals[shard].push(local);
-                globals[shard].push(p.slot);
-            }
-            for kind in all_kinds()
-                .into_iter()
-                .filter(PolicyKind::supports_candidate_retrieval)
-            {
-                for k in [0usize, 1, 2, 5, 10, 30, 64] {
-                    let candidates: Vec<ShardCandidates> = (0..shards)
-                        .map(|s| {
-                            let order = PopularityIndex::build(&locals[s]);
-                            let pool = PoolIndex::build(&locals[s]);
-                            let mut c = ShardCandidates::new();
-                            c.collect(
-                                PoolView::new(&locals[s], order.order(), &pool),
-                                k,
-                                &globals[s],
-                            );
-                            c
-                        })
-                        .collect();
-                    merge_shard_candidates_into(&candidates, k, &mut merged);
-                    for seed in 0..5 {
-                        let full = kind.rank(&ps, &mut new_rng(seed));
-                        kind.rank_top_k_candidates_into(
-                            &merged,
-                            k,
-                            &mut new_rng(seed),
-                            &mut buffers,
-                            &mut out,
-                        );
-                        assert_eq!(
-                            out,
-                            full[..k.min(full.len())],
-                            "{} with {shards} shards, k={k}, seed={seed}",
-                            kind.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn candidate_retrieval_support_matches_what_each_kind_reads() {
-        assert!(PolicyKind::recommended(2).supports_candidate_retrieval());
-        assert!(!PolicyKind::Popularity.supports_candidate_retrieval());
-        assert!(!PolicyKind::QualityOracle.supports_candidate_retrieval());
-        assert!(!PolicyKind::FullyRandom.supports_candidate_retrieval());
-        assert!(!PolicyKind::promotion(
-            PromotionConfig::new(PromotionRule::Uniform, 1, 0.3).unwrap()
-        )
-        .supports_candidate_retrieval());
-    }
-
-    #[test]
-    fn merged_dispatch_matches_the_full_rerank_where_supported() {
-        let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
-        let pool = crate::PoolIndex::build(&ps);
-        let mut buffers = RankBuffers::new();
-        let mut out = Vec::new();
-        let supported = [
-            PolicyKind::Popularity,
-            PolicyKind::recommended(2),
-            PolicyKind::promotion(PromotionConfig::new(PromotionRule::Uniform, 1, 0.3).unwrap()),
-        ];
-        for kind in supported {
-            for seed in 0..10 {
-                let full = kind.rank(&ps, &mut new_rng(seed));
-                kind.rank_merged_into(
-                    pool.members(),
-                    &sorted,
-                    |s| pool.contains(s),
-                    &mut new_rng(seed),
-                    &mut buffers,
-                    &mut out,
-                );
-                assert_eq!(out, full, "{} merged full, seed={seed}", kind.name());
-                for k in [0usize, 1, 2, 5, 10, 30, 64] {
-                    kind.rank_top_k_merged_into(
-                        pool.members(),
-                        &sorted,
-                        |s| pool.contains(s),
-                        k,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut out,
-                    );
-                    assert_eq!(
-                        out,
-                        full[..k.min(full.len())],
-                        "{} merged with k={k}, seed={seed}",
-                        kind.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not rank from merged shard state")]
-    fn merged_dispatch_rejects_per_page_state_kinds() {
-        PolicyKind::QualityOracle.rank_merged_into(
-            &[],
-            &[],
-            |_| false,
-            &mut new_rng(0),
-            &mut RankBuffers::new(),
-            &mut Vec::new(),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "does not rank from shard candidates")]
-    fn candidate_dispatch_rejects_whole_corpus_kinds() {
-        use crate::candidates::MergedCandidates;
-        PolicyKind::FullyRandom.rank_top_k_candidates_into(
-            &MergedCandidates::new(),
-            3,
-            &mut new_rng(0),
-            &mut RankBuffers::new(),
-            &mut Vec::new(),
-        );
     }
 
     #[test]

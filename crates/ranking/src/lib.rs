@@ -21,7 +21,7 @@
 //! // The paper's recommendation: selective promotion, r = 0.1, k = 2.
 //! let policy = RandomizedRankPromotion::new(PromotionConfig::recommended(2));
 //! let mut rng = new_rng(42);
-//! let result = policy.rank(&pages, &mut rng);
+//! let result = RankingPolicy::rank(&policy, &pages, &mut rng);
 //!
 //! // The top result is protected, and every page appears exactly once.
 //! assert_eq!(result[0], 0);
@@ -61,5 +61,5 @@ pub use policy::{is_permutation, is_permutation_with_scratch, RankingPolicy};
 pub use poolindex::{PoolIndex, PoolView};
 pub use popindex::PopularityIndex;
 pub use promotion::{PromotionConfig, PromotionRule};
-pub use randomized::RandomizedRankPromotion;
+pub use randomized::{RandomizedRankPromotion, RankSource};
 pub use stats::{popularity_order, PageStats};

@@ -12,7 +12,7 @@
 //! [`PopularityIndex`](crate::PopularityIndex): the membership list and its
 //! per-slot mask persist across queries and are patched from the mutation
 //! path's dirty list, so the pooled query path
-//! ([`rank_top_k_pooled_into`](crate::RandomizedRankPromotion::rank_top_k_pooled_into))
+//! ([`RandomizedRankPromotion::rank`](crate::RandomizedRankPromotion::rank))
 //! touches no per-corpus state at all.
 //!
 //! Why repair is sound: pool membership is a pure per-slot predicate of the
@@ -83,7 +83,7 @@ impl PoolIndex {
     /// Build the index with a from-scratch scan of `stats`.
     ///
     /// Requires dense slot indexing (`stats[i].slot == i`), like every
-    /// consumer of the presorted ranking path.
+    /// consumer of the maintained-order ranking path.
     pub fn build(stats: &[PageStats]) -> Self {
         let mut index = PoolIndex::default();
         index.rebuild(stats);

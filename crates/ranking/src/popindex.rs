@@ -1,6 +1,6 @@
 //! An incrementally maintained popularity order over the page slots.
 //!
-//! Both steady-state consumers of the presorted ranking path — the
+//! Both steady-state consumers of the maintained-order ranking path — the
 //! simulator's day loop and the batch serving tier — used to re-sort all
 //! `n` pages by popularity on every step, `O(n log n)` work even though a
 //! step changes the popularity key of only the handful of slots that
@@ -48,7 +48,7 @@ impl PopularityIndex {
     /// Build the index with a from-scratch sort of `stats`.
     ///
     /// Requires dense slot indexing (`stats[i].slot == i`), like every
-    /// consumer of the presorted ranking path.
+    /// consumer of the maintained-order ranking path.
     pub fn build(stats: &[PageStats]) -> Self {
         let mut index = PopularityIndex::default();
         index.rebuild(stats);

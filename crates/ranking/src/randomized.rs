@@ -17,11 +17,57 @@ use crate::buffers::RankBuffers;
 use crate::lazyshuffle::{merge_promoted_top_k_lazy_into, EngineVersion, LazyShuffle};
 use crate::merge::{merge_promoted_into, merge_promoted_top_k_into};
 use crate::policy::RankingPolicy;
-use crate::poolindex::PoolView;
 use crate::promotion::{PromotionConfig, PromotionRule};
 use crate::stats::{popularity_order, PageStats};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
+
+/// What [`RandomizedRankPromotion::rank`] ranks. Every maintained-state
+/// caller has this shape, whatever structure it keeps:
+///
+/// * `pool` — the promotion pool in pre-shuffle order (ascending slot),
+///   read only by the Selective rule;
+/// * `order` — slots in [`popularity_order`], best first;
+/// * `in_pool` — pool membership, filtering the pool out of `order`.
+///   `None` marks a *retrieved* source whose `order` already excludes the
+///   pool and may stop after the first `k` entries.
+///
+/// The Uniform rule ignores `pool` and `in_pool` and draws its own pool
+/// over the slots of `order`, so it needs a complete order.
+#[derive(Clone, Copy, Debug)]
+pub struct RankSource<'a, F = fn(usize) -> bool> {
+    /// The promotion pool, ascending by slot.
+    pub pool: &'a [usize],
+    /// Slots in popularity order (complete, or a pool-free prefix).
+    pub order: &'a [usize],
+    /// Pool membership over `order`; `None` for a pool-free prefix.
+    pub in_pool: Option<F>,
+}
+
+impl<'a, F: Fn(usize) -> bool> RankSource<'a, F> {
+    /// A source over the complete popularity `order`, with `in_pool`
+    /// telling the pool's members apart.
+    pub fn new(pool: &'a [usize], order: &'a [usize], in_pool: F) -> Self {
+        RankSource {
+            pool,
+            order,
+            in_pool: Some(in_pool),
+        }
+    }
+}
+
+impl<'a> RankSource<'a> {
+    /// A retrieved source: `rest` holds the first non-pool slots of the
+    /// popularity order (at least `min(k, available)` for a top-`k` rank).
+    /// Selective top-`k` only.
+    pub fn retrieved(pool: &'a [usize], rest: &'a [usize]) -> Self {
+        RankSource {
+            pool,
+            order: rest,
+            in_pool: None,
+        }
+    }
+}
 
 /// The paper's randomized rank-promotion ranking policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,14 +111,6 @@ impl RandomizedRankPromotion {
     /// The engine version in use.
     pub fn version(&self) -> EngineVersion {
         self.version
-    }
-
-    /// Whether this policy serves top-k through the v2 lazy shuffle: the
-    /// lazy stream exists only where the pool is consumed front-first
-    /// against a maintained membership set, i.e. the Selective rule (the
-    /// Uniform rule's per-page coins already dominate and stay v1).
-    fn lazy_top_k(&self) -> bool {
-        self.version == EngineVersion::V2 && self.config.rule == PromotionRule::Selective
     }
 
     /// Split the input into (promotion pool, deterministic remainder),
@@ -120,404 +158,100 @@ impl RandomizedRankPromotion {
         }
     }
 
-    /// Rank when the caller already maintains the popularity order of all
-    /// pages — the simulator's incremental index or a batch server's
-    /// once-per-batch sort — eliminating the per-call `O(n log n)` sort.
+    /// Rank from a [`RankSource`]: the one entry point every maintained-
+    /// state caller (serving tier, engine, simulator) goes through. With
+    /// `k = None` it emits the full ranking; with `Some(k)` the first
+    /// `min(k, n)` ranks, `L_d` materialised only up to `k` entries and the
+    /// coin-flip merge stopped at rank `k`.
     ///
-    /// Requirements (checked by debug assertions):
+    /// The draw sequence is the scanning [`rank_into`](Self::rank_into)'s:
+    /// the Selective rule copies the pool in its pre-shuffle order and
+    /// shuffles it in full (its size and order are observable in any
+    /// prefix); the Uniform rule draws one coin per slot `0..order.len()`
+    /// in slot order; then the coin-flip merge. Given a source equivalent
+    /// to a corpus, the output (slots) is byte-identical to `rank_into`
+    /// over that corpus, and under [`EngineVersion::V1`] a top-`k` answer
+    /// is the length-`k` prefix of the full one.
     ///
-    /// * `pages[i].slot == i` for every `i` (dense slot indexing);
-    /// * `sorted` is a permutation of `0..n` ordered by
-    ///   [`popularity_order`].
+    /// Under [`EngineVersion::V2`] a Selective top-`k` query neither copies
+    /// nor shuffles the pool: a [`LazyShuffle`] draws one swap index per
+    /// pool entry the merge consumes, at most `k` per query (counted in
+    /// [`RankBuffers::take_pool_draws`]). Its output is its own, separately
+    /// golden-pinned stream. Full ranks and the Uniform rule are identical
+    /// across versions.
     ///
-    /// Consumes exactly the same RNG draws as
-    /// [`rank_into`](RankingPolicy::rank_into) (the pool split and coin-flip
-    /// merge happen in the same order), so the output is byte-identical.
-    ///
-    /// Generic over the RNG so that concrete callers (the simulator day
-    /// loop, the batch server) get a statically dispatched, inlinable
-    /// generator on the hottest loop in the workspace; trait objects still
-    /// work (`R = dyn RngCore`).
-    pub fn rank_presorted_into<R: RngCore + ?Sized>(
+    /// # Panics
+    /// Panics for the Uniform rule on a [`RankSource::retrieved`] source:
+    /// its per-page coins need the complete popularity order.
+    pub fn rank<F: Fn(usize) -> bool, R: RngCore + ?Sized>(
         &self,
-        pages: &[PageStats],
-        sorted: &[usize],
+        source: RankSource<'_, F>,
+        k: Option<usize>,
         rng: &mut R,
         buffers: &mut RankBuffers,
         out: &mut Vec<usize>,
     ) {
-        self.build_presorted_lists(pages, sorted, pages.len(), rng, buffers);
-        merge_promoted_into(
-            &buffers.rest,
-            &buffers.pool,
-            self.config.start_rank,
-            self.config.degree,
-            rng,
-            out,
-        );
-    }
-
-    /// The shared front half of the scanning presorted paths: build `L_p`
-    /// (`buffers.pool`, shuffled) and `L_d` (`buffers.rest`, truncated to
-    /// `rest_limit` entries). One copy serves both the full and top-k
-    /// paths, and the `L_d` filter + pool shuffle tail is shared with the
-    /// pooled builder through [`fill_rest_and_shuffle`] — the paths can
-    /// never drift apart in their RNG draws, which the top-k ≡
-    /// full-prefix and pooled ≡ scanning invariants depend on.
-    ///
-    /// Pool membership is recorded in input (slot) order — the same
-    /// iteration, and for Uniform the same coin flips, as
-    /// `split_pool_into`. Because `pages[i].slot == i`, pool entries are
-    /// already slot indices. Both rules record membership in the dense
-    /// per-slot mask with one sequential pass, so the `L_d` filter reads an
-    /// L1-resident bitmap instead of gathering from the much larger stats
-    /// array in popularity order; the filter reads straight off the
-    /// precomputed index instead of sorting, and stops at `rest_limit`
-    /// matches (only the first `k` non-pool slots can surface in `k`
-    /// ranks). The pool is always built and shuffled in full: its size and
-    /// shuffle order are observable within any output prefix.
-    fn build_presorted_lists<R: RngCore + ?Sized>(
-        &self,
-        pages: &[PageStats],
-        sorted: &[usize],
-        rest_limit: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-    ) {
-        debug_assert!(pages.iter().enumerate().all(|(i, p)| p.slot == i));
-        debug_assert_eq!(sorted.len(), pages.len());
-        debug_assert!(sorted
-            .windows(2)
-            .all(|w| popularity_order(&pages[w[0]], &pages[w[1]]).is_lt()));
-
-        buffers.reset_mask(pages.len());
-        let RankBuffers {
-            pool, rest, mask, ..
-        } = buffers;
-        pool.clear();
-        match self.config.rule {
-            PromotionRule::Selective => {
-                for p in pages.iter() {
-                    if p.is_unexplored() {
-                        mask[p.slot] = true;
-                        pool.push(p.slot);
-                    }
-                }
-            }
-            PromotionRule::Uniform => {
-                for p in pages.iter() {
-                    if rng.gen::<f64>() < self.config.degree {
-                        mask[p.slot] = true;
-                        pool.push(p.slot);
-                    }
-                }
-            }
-        }
-        fill_rest_and_shuffle(sorted, |s| mask[s], rest_limit, rng, pool, rest);
-    }
-
-    /// The pooled front half: build `L_p` and `L_d` from a *persistent*
-    /// [`PoolIndex`](crate::PoolIndex) instead of scanning all `n` pages and resetting the
-    /// membership mask per query.
-    ///
-    /// For the Selective rule the pool is copied straight off
-    /// [`PoolIndex::members`](crate::PoolIndex::members) — ascending slot order, exactly the order the
-    /// per-page scan would have pushed — and the deterministic remainder
-    /// filters `sorted` through the index's maintained membership mask,
-    /// stopping after `rest_limit` matches: `O(pool + rest_limit)` total,
-    /// with no per-corpus pass and no mask reset. The Uniform rule *must*
-    /// still draw one coin per page in slot order (the coins are part of
-    /// the observable RNG stream), so it falls back to
-    /// [`build_presorted_lists`](Self::build_presorted_lists) and ignores
-    /// the index. Either way the RNG draws are identical to the scanning
-    /// path, so outputs stay byte-identical.
-    fn build_pooled_lists<R: RngCore + ?Sized>(
-        &self,
-        view: PoolView<'_>,
-        rest_limit: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-    ) {
-        let PoolView {
-            pages,
-            sorted,
+        let RankSource {
             pool,
-        } = view;
-        if self.config.rule == PromotionRule::Uniform {
-            self.build_presorted_lists(pages, sorted, rest_limit, rng, buffers);
-            return;
+            order,
+            in_pool,
+        } = source;
+        match in_pool {
+            Some(in_pool) => self.rank_lists(pool, order, in_pool, k, rng, buffers, out),
+            None => {
+                assert_eq!(
+                    self.config.rule,
+                    PromotionRule::Selective,
+                    "the Uniform rule draws per-page coins and needs the complete popularity order"
+                );
+                self.rank_lists(pool, order, |_| false, k, rng, buffers, out)
+            }
         }
-        debug_assert!(pages.iter().enumerate().all(|(i, p)| p.slot == i));
-        debug_assert_eq!(sorted.len(), pages.len());
-        debug_assert!(sorted
-            .windows(2)
-            .all(|w| popularity_order(&pages[w[0]], &pages[w[1]]).is_lt()));
-        debug_assert!(
-            pool.is_consistent(pages),
-            "the pool index must match a fresh is_unexplored scan"
-        );
-
-        let RankBuffers {
-            pool: pool_buf,
-            rest,
-            ..
-        } = buffers;
-        pool_buf.clear();
-        pool_buf.extend_from_slice(pool.members());
-        fill_rest_and_shuffle(
-            sorted,
-            |s| pool.contains(s),
-            rest_limit,
-            rng,
-            pool_buf,
-            rest,
-        );
     }
 
-    /// [`rank_presorted_into`](Self::rank_presorted_into) against a
-    /// persistent pool: the [`PoolView`] bundles the stats snapshot, its
-    /// popularity order, and a [`PoolIndex`](crate::PoolIndex) consistent
-    /// with the stats (checked by a debug assertion). Output and RNG
-    /// consumption are byte-identical to the scanning path; the Selective
-    /// rule skips the per-query `O(n)` pool scan and mask reset entirely.
-    pub fn rank_pooled_into<R: RngCore + ?Sized>(
-        &self,
-        view: PoolView<'_>,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        self.build_pooled_lists(view, view.pages.len(), rng, buffers);
-        merge_promoted_into(
-            &buffers.rest,
-            &buffers.pool,
-            self.config.start_rank,
-            self.config.degree,
-            rng,
-            out,
-        );
-    }
-
-    /// The top-`k` prefix of [`rank_pooled_into`](Self::rank_pooled_into):
-    /// the truly `O(pool + k)` query path. The Selective rule copies the
-    /// pool off the index, filters at most `pool + k` entries of `sorted`,
-    /// shuffles the pool, and stops the coin-flip merge at rank `k` —
-    /// nothing per-corpus remains. Output equals the length-`k` prefix of
-    /// the full rerank bit for bit.
-    ///
-    /// Under [`EngineVersion::V2`] the Selective rule goes further and is
-    /// `O(k)` outright: the pool is neither copied nor shuffled — a
-    /// [`LazyShuffle`] over the index's members draws one swap index per
-    /// pool entry the merge actually consumes. The v2 output is *not* the
-    /// full-rerank prefix (the lazy stream is its own, separately
-    /// golden-pinned), but its promoted-slot distribution is equivalent.
-    pub fn rank_top_k_pooled_into<R: RngCore + ?Sized>(
-        &self,
-        view: PoolView<'_>,
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        if self.lazy_top_k() {
-            let PoolView {
-                pages,
-                sorted,
-                pool,
-            } = view;
-            debug_assert!(pages.iter().enumerate().all(|(i, p)| p.slot == i));
-            debug_assert_eq!(sorted.len(), pages.len());
-            debug_assert!(
-                pool.is_consistent(pages),
-                "the pool index must match a fresh is_unexplored scan"
-            );
-            self.rank_top_k_lazy(
-                pool.members(),
-                sorted,
-                |s| pool.contains(s),
-                k,
-                rng,
-                buffers,
-                out,
-            );
-            return;
-        }
-        self.build_pooled_lists(view, k, rng, buffers);
-        merge_promoted_top_k_into(
-            &buffers.rest,
-            &buffers.pool,
-            self.config.start_rank,
-            self.config.degree,
-            k,
-            rng,
-            out,
-        );
-    }
-
-    /// The shared v2 back half: fill `L_d` with the first `k` non-pool
-    /// entries of `order` (no RNG draws — identical filter to v1) and run
-    /// the lazy coin-flip merge over the unshuffled pool. Exactly one copy
-    /// of this sequence serves the pooled, retrieved and merged-order v2
-    /// routes, so they can never drift apart in their draws.
+    /// The body of [`rank`](Self::rank) once pool membership is a plain
+    /// predicate: build `L_p` and `L_d`, then merge. There is exactly one
+    /// copy of this draw sequence, so no two serving routes can drift
+    /// apart in their RNG streams.
     #[allow(clippy::too_many_arguments)]
-    fn rank_top_k_lazy<R: RngCore + ?Sized>(
+    fn rank_lists<R: RngCore + ?Sized>(
         &self,
         pool: &[usize],
         order: &[usize],
         in_pool: impl Fn(usize) -> bool,
-        k: usize,
+        k: Option<usize>,
         rng: &mut R,
         buffers: &mut RankBuffers,
         out: &mut Vec<usize>,
     ) {
-        let draws = {
-            let RankBuffers { rest, overlay, .. } = &mut *buffers;
-            rest.clear();
-            rest.extend(order.iter().copied().filter(|&s| !in_pool(s)).take(k));
-            let mut lazy = LazyShuffle::new(pool, overlay);
-            merge_promoted_top_k_lazy_into(
-                rest,
-                &mut lazy,
-                self.config.start_rank,
-                self.config.degree,
-                k,
-                rng,
-                out,
-            );
-            lazy.draws()
-        };
-        buffers.count_pool_draws(draws);
-    }
-
-    /// The top-`k` prefix of the full rerank, computed from **merged shard
-    /// candidates** instead of any corpus-wide structure — the serving
-    /// tier's shard-retrieval path. `candidates` must come from
-    /// [`merge_shard_candidates_into`](crate::merge_shard_candidates_into)
-    /// with a limit of at least
-    /// [`candidate_prefix_len(k)`](PromotionConfig::candidate_prefix_len):
-    /// its pool is then byte-identical (content *and* pre-shuffle order)
-    /// to the global [`PoolIndex`](crate::PoolIndex) members and its rest
-    /// prefix to the first `k` non-pool entries of the global popularity
-    /// order, so the shuffle and every merge coin consume exactly the RNG
-    /// draws of [`rank_top_k_pooled_into`](Self::rank_top_k_pooled_into)
-    /// — the output (global slots) is bit-identical to the length-`k`
-    /// prefix of the full corpus-wide rerank.
-    ///
-    /// # Panics
-    /// Panics for the Uniform rule: its per-page coins are part of the
-    /// observable RNG stream and require a pass over the whole corpus, so
-    /// no candidate set short of "everything" can reproduce them. Callers
-    /// gate on [`PolicyKind::reads_pool_index`](crate::PolicyKind::reads_pool_index)
-    /// (or equivalent) before retrieving candidates.
-    pub fn rank_top_k_candidates_into<R: RngCore + ?Sized>(
-        &self,
-        candidates: &crate::MergedCandidates,
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let RankBuffers { rest, .. } = buffers;
-        rest.clear();
-        rest.extend(candidates.rest().iter().take(k).map(|p| p.slot));
-        let rest = std::mem::take(rest);
-        self.rank_top_k_retrieved_into(candidates.pool(), &rest, k, rng, buffers, out);
-        buffers.rest = rest;
-    }
-
-    /// The primitive under
-    /// [`rank_top_k_candidates_into`](Self::rank_top_k_candidates_into):
-    /// rank from an already-assembled global pool (pre-shuffle order,
-    /// i.e. ascending slot) and non-pool order prefix (at least
-    /// `min(k, available)` slots, best rank first). A serving tier whose
-    /// pool half is *maintained* rather than re-merged per query — pool
-    /// membership only moves on mutation — feeds it here directly and
-    /// pays `O(pool)` only for the mandatory copy-and-shuffle. There is
-    /// exactly one copy of this draw sequence, shared by the candidate
-    /// path and the goldens pinning it, so the two can never diverge.
-    ///
-    /// Under [`EngineVersion::V2`] even the copy-and-shuffle disappears:
-    /// the lazy shuffle draws one swap index per consumed pool entry, so
-    /// the whole query is `O(k)` and consumes the same stream as the v2
-    /// pooled path.
-    ///
-    /// # Panics
-    /// Panics for the Uniform rule: its per-page coins are part of the
-    /// observable RNG stream and require a pass over the whole corpus, so
-    /// no candidate set short of "everything" can reproduce them. Callers
-    /// gate on [`PolicyKind::reads_pool_index`](crate::PolicyKind::reads_pool_index)
-    /// (or equivalent) before retrieving candidates.
-    pub fn rank_top_k_retrieved_into<R: RngCore + ?Sized>(
-        &self,
-        pool: &[usize],
-        rest: &[usize],
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        assert_eq!(
-            self.config.rule,
-            PromotionRule::Selective,
-            "the Uniform rule draws per-page coins and cannot rank from shard candidates"
-        );
-        if self.version == EngineVersion::V2 {
-            // `rest` is already retrieved and pool-free; the shared v2
-            // back half only truncates it to `k`.
-            self.rank_top_k_lazy(pool, rest, |_| false, k, rng, buffers, out);
-            return;
-        }
-        let RankBuffers { pool: pool_buf, .. } = buffers;
-        pool_buf.clear();
-        pool_buf.extend_from_slice(pool);
-        pool_buf.shuffle(rng);
-        merge_promoted_top_k_into(
-            &rest[..k.min(rest.len())],
-            pool_buf,
-            self.config.start_rank,
-            self.config.degree,
-            k,
-            rng,
-            out,
-        );
-    }
-
-    /// The front half of the merged-order paths: build `L_p` and `L_d`
-    /// from a reassembled **global popularity order** (`order`, complete —
-    /// e.g. from
-    /// [`merge_shard_orders_into`](crate::merge_shard_orders_into)) with
-    /// no corpus-wide stats snapshot in sight.
-    ///
-    /// The Selective rule copies `pool` (the global pool in pre-shuffle,
-    /// ascending-slot order) and filters `order` through `in_pool`,
-    /// exactly as [`build_pooled_lists`](Self::build_pooled_lists) does
-    /// against a corpus-wide [`PoolIndex`](crate::PoolIndex). The Uniform
-    /// rule ignores `pool` and `in_pool` entirely (`in_pool` is never
-    /// invoked): its mandatory per-page coins are drawn in slot order —
-    /// one per slot `0..order.len()`, the same draws as the scanning
-    /// path's pass over `pages` — into the membership mask, and `order` is
-    /// filtered through that. Either way the RNG draws are identical to
-    /// the corpus-wide paths, so outputs stay byte-identical.
-    fn build_merged_lists<R: RngCore + ?Sized>(
-        &self,
-        pool: &[usize],
-        order: &[usize],
-        in_pool: impl Fn(usize) -> bool,
-        rest_limit: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-    ) {
+        let PromotionConfig {
+            start_rank, degree, ..
+        } = self.config;
+        // `L_d` never needs more than `k` entries: each rank consumes at
+        // most one. Filling it draws nothing.
+        let rest_limit = k.unwrap_or(order.len());
         match self.config.rule {
             PromotionRule::Selective => {
                 debug_assert!(pool.windows(2).all(|w| w[0] < w[1]));
                 let RankBuffers {
                     pool: pool_buf,
                     rest,
+                    overlay,
                     ..
-                } = buffers;
+                } = &mut *buffers;
+                fill_rest(order, in_pool, rest_limit, rest);
+                if let (Some(k), EngineVersion::V2) = (k, self.version) {
+                    // The lazy back half: merge over the unshuffled pool.
+                    let mut lazy = LazyShuffle::new(pool, overlay);
+                    merge_promoted_top_k_lazy_into(
+                        rest, &mut lazy, start_rank, degree, k, rng, out,
+                    );
+                    let draws = lazy.draws();
+                    buffers.count_pool_draws(draws);
+                    return;
+                }
                 pool_buf.clear();
                 pool_buf.extend_from_slice(pool);
-                fill_rest_and_shuffle(order, in_pool, rest_limit, rng, pool_buf, rest);
             }
             PromotionRule::Uniform => {
                 buffers.reset_mask(order.len());
@@ -526,118 +260,25 @@ impl RandomizedRankPromotion {
                     rest,
                     mask,
                     ..
-                } = buffers;
+                } = &mut *buffers;
                 pool_buf.clear();
-                for (slot, promoted) in mask.iter_mut().enumerate().take(order.len()) {
-                    if rng.gen::<f64>() < self.config.degree {
+                for (slot, promoted) in mask.iter_mut().enumerate() {
+                    if rng.gen::<f64>() < degree {
                         *promoted = true;
                         pool_buf.push(slot);
                     }
                 }
-                fill_rest_and_shuffle(order, |s| mask[s], rest_limit, rng, pool_buf, rest);
+                fill_rest(order, |s| mask[s], rest_limit, rest);
             }
         }
-    }
-
-    /// A **full rerank from merged shard state**: rank against the
-    /// complete global popularity order reassembled by the deterministic
-    /// shard merge, with no corpus-wide stats snapshot, order, or pool
-    /// index anywhere. `order` must be the complete merged popularity
-    /// order (global slots); `pool` the global pool in pre-shuffle
-    /// (ascending-slot) order and `in_pool` its membership predicate —
-    /// both read only by the Selective rule, whose pool a sharded cache
-    /// tier maintains across queries. The Uniform rule draws its per-page
-    /// coins over `0..order.len()` in slot order, exactly the scanning
-    /// path's draws. Output (global slots) is bit-identical to
-    /// [`rank_pooled_into`](Self::rank_pooled_into) over the equivalent
-    /// corpus-wide view.
-    pub fn rank_merged_into<R: RngCore + ?Sized>(
-        &self,
-        pool: &[usize],
-        order: &[usize],
-        in_pool: impl Fn(usize) -> bool,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        self.build_merged_lists(pool, order, in_pool, order.len(), rng, buffers);
-        merge_promoted_into(
-            &buffers.rest,
-            &buffers.pool,
-            self.config.start_rank,
-            self.config.degree,
-            rng,
-            out,
-        );
-    }
-
-    /// The top-`k` prefix of [`rank_merged_into`](Self::rank_merged_into):
-    /// `L_d` is materialised only up to its first `k` entries and the
-    /// coin-flip merge stops at rank `k`. Unlike the candidate-retrieval
-    /// path this serves the Uniform rule too (the complete merged order is
-    /// enough corpus for its per-page coins); output equals the length-`k`
-    /// prefix of the full rerank bit for bit. Under [`EngineVersion::V2`]
-    /// the Selective rule draws the lazy `O(k)` stream instead (its own
-    /// golden set; the Uniform rule stays v1-identical).
-    #[allow(clippy::too_many_arguments)]
-    pub fn rank_top_k_merged_into<R: RngCore + ?Sized>(
-        &self,
-        pool: &[usize],
-        order: &[usize],
-        in_pool: impl Fn(usize) -> bool,
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        if self.lazy_top_k() {
-            debug_assert!(pool.windows(2).all(|w| w[0] < w[1]));
-            self.rank_top_k_lazy(pool, order, in_pool, k, rng, buffers, out);
-            return;
+        // `L_p`: the whole pool shuffled — its size and order are
+        // observable within any prefix.
+        let RankBuffers { pool, rest, .. } = buffers;
+        pool.shuffle(rng);
+        match k {
+            None => merge_promoted_into(rest, pool, start_rank, degree, rng, out),
+            Some(k) => merge_promoted_top_k_into(rest, pool, start_rank, degree, k, rng, out),
         }
-        self.build_merged_lists(pool, order, in_pool, k, rng, buffers);
-        merge_promoted_top_k_into(
-            &buffers.rest,
-            &buffers.pool,
-            self.config.start_rank,
-            self.config.degree,
-            k,
-            rng,
-            out,
-        );
-    }
-
-    /// The top-`k` prefix of
-    /// [`rank_presorted_into`](Self::rank_presorted_into), emitting only the
-    /// first `k` ranks and stopping the coin-flip merge early.
-    ///
-    /// Same requirements as `rank_presorted_into` (dense slots, `sorted` in
-    /// [`popularity_order`]); the output equals the length-`k` prefix of the
-    /// full rerank bit for bit (`min(k, n)` entries). The pool split and the
-    /// pool shuffle still run in full — their RNG draws shape the prefix —
-    /// but `L_d` is materialised only up to its first `k` entries (at most
-    /// `k` deterministic elements can surface in `k` ranks) and the merge
-    /// stops at rank `k`, so the per-query cost past the split drops from
-    /// `O(n)` to `O(pool + k)`.
-    pub fn rank_top_k_presorted_into<R: RngCore + ?Sized>(
-        &self,
-        pages: &[PageStats],
-        sorted: &[usize],
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        self.build_presorted_lists(pages, sorted, k, rng, buffers);
-        merge_promoted_top_k_into(
-            &buffers.rest,
-            &buffers.pool,
-            self.config.start_rank,
-            self.config.degree,
-            k,
-            rng,
-            out,
-        );
     }
 
     /// Statically dispatched implementation of
@@ -682,18 +323,14 @@ impl RandomizedRankPromotion {
     }
 }
 
-/// The shared tail of both list builders: fill `rest` with the first
-/// `rest_limit` entries of `sorted` outside the pool, then shuffle `pool`
-/// in place. There is exactly one copy of this draw sequence — the
-/// scanning and pooled front halves differ only in how they *source* pool
-/// membership (freshly scanned mask vs. persistent index), so an edit to
-/// the filter or the shuffle can never diverge their RNG streams.
-fn fill_rest_and_shuffle<R: RngCore + ?Sized>(
+/// Fill `rest` (`L_d`) with the first `rest_limit` entries of `sorted`
+/// outside the pool — shared by both rules, which differ only in how they
+/// *source* pool membership (the caller's predicate vs. freshly drawn
+/// coins).
+fn fill_rest(
     sorted: &[usize],
     in_pool: impl Fn(usize) -> bool,
     rest_limit: usize,
-    rng: &mut R,
-    pool: &mut [usize],
     rest: &mut Vec<usize>,
 ) {
     rest.clear();
@@ -704,7 +341,6 @@ fn fill_rest_and_shuffle<R: RngCore + ?Sized>(
             .filter(|&s| !in_pool(s))
             .take(rest_limit),
     );
-    pool.shuffle(rng);
 }
 
 impl RankingPolicy for RandomizedRankPromotion {
@@ -750,7 +386,7 @@ mod tests {
         let policy = RandomizedRankPromotion::recommended(2);
         for seed in 0..100 {
             let mut rng = new_rng(seed);
-            let order = policy.rank(&pages(), &mut rng);
+            let order = RankingPolicy::rank(&policy, &pages(), &mut rng);
             assert!(is_permutation(&order, 10));
         }
     }
@@ -790,7 +426,7 @@ mod tests {
         );
         for seed in 0..50 {
             let mut rng = new_rng(seed);
-            let order = policy.rank(&pages(), &mut rng);
+            let order = RankingPolicy::rank(&policy, &pages(), &mut rng);
             assert_eq!(
                 order[0], 0,
                 "slot 0 has the highest popularity and k=2 protects it"
@@ -806,7 +442,7 @@ mod tests {
         let mut displaced = false;
         for seed in 0..50 {
             let mut rng = new_rng(seed);
-            let order = policy.rank(&pages(), &mut rng);
+            let order = RankingPolicy::rank(&policy, &pages(), &mut rng);
             if order[0] != 0 {
                 displaced = true;
                 break;
@@ -827,7 +463,7 @@ mod tests {
             PromotionConfig::new(PromotionRule::Selective, 1, 0.0).unwrap(),
         );
         let mut rng = new_rng(5);
-        let order = policy.rank(&pages(), &mut rng);
+        let order = RankingPolicy::rank(&policy, &pages(), &mut rng);
         assert_eq!(&order[..5], &[0, 1, 2, 3, 4]);
         let mut tail: Vec<usize> = order[5..].to_vec();
         tail.sort_unstable();
@@ -839,7 +475,7 @@ mod tests {
         let policy = RandomizedRankPromotion::recommended(1);
         for seed in 0..20 {
             let mut rng = new_rng(seed);
-            let order = policy.rank(&pages(), &mut rng);
+            let order = RankingPolicy::rank(&policy, &pages(), &mut rng);
             let positions: Vec<usize> = (0..5)
                 .map(|slot| order.iter().position(|&s| s == slot).unwrap())
                 .collect();
@@ -858,270 +494,28 @@ mod tests {
             PromotionConfig::new(PromotionRule::Selective, 1, 1.0).unwrap(),
         );
         let mut rng = new_rng(2);
-        let order = policy.rank(&pages(), &mut rng);
+        let order = RankingPolicy::rank(&policy, &pages(), &mut rng);
         let mut head: Vec<usize> = order[..5].to_vec();
         head.sort_unstable();
         assert_eq!(head, vec![5, 6, 7, 8, 9]);
     }
 
-    #[test]
-    fn top_k_presorted_equals_the_full_rerank_prefix() {
-        let ps = pages();
+    /// `pages()` as a source: its popularity order and pool index.
+    fn sorted_and_pool(ps: &[PageStats]) -> (Vec<usize>, PoolIndex) {
         let mut sorted: Vec<usize> = (0..ps.len()).collect();
         sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
-        let mut buffers = RankBuffers::new();
-        let mut full = Vec::new();
-        let mut topk = Vec::new();
-        for rule in [PromotionRule::Selective, PromotionRule::Uniform] {
-            for start_rank in [1usize, 2, 4] {
-                let policy = RandomizedRankPromotion::new(
-                    PromotionConfig::new(rule, start_rank, 0.3).unwrap(),
-                );
-                for seed in 0..20 {
-                    policy.rank_presorted_into(
-                        &ps,
-                        &sorted,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut full,
-                    );
-                    let reference = full.clone();
-                    for k in [0usize, 1, 3, 5, 10, 50] {
-                        policy.rank_top_k_presorted_into(
-                            &ps,
-                            &sorted,
-                            k,
-                            &mut new_rng(seed),
-                            &mut buffers,
-                            &mut topk,
-                        );
-                        assert_eq!(
-                            topk,
-                            reference[..k.min(reference.len())],
-                            "{rule:?}, k={k}, start_rank={start_rank}, seed={seed}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_paths_match_the_scanning_paths_for_both_rules() {
-        let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
-        let pool = PoolIndex::build(&ps);
-        let view = PoolView::new(&ps, &sorted, &pool);
-        let mut buffers = RankBuffers::new();
-        let (mut scan, mut pooled) = (Vec::new(), Vec::new());
-        for rule in [PromotionRule::Selective, PromotionRule::Uniform] {
-            for start_rank in [1usize, 2, 4] {
-                let policy = RandomizedRankPromotion::new(
-                    PromotionConfig::new(rule, start_rank, 0.4).unwrap(),
-                );
-                for seed in 0..20 {
-                    policy.rank_presorted_into(
-                        &ps,
-                        &sorted,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut scan,
-                    );
-                    policy.rank_pooled_into(view, &mut new_rng(seed), &mut buffers, &mut pooled);
-                    assert_eq!(pooled, scan, "{rule:?}, k={start_rank}, seed={seed}");
-                    for k in [0usize, 1, 3, 5, 10, 50] {
-                        policy.rank_top_k_pooled_into(
-                            view,
-                            k,
-                            &mut new_rng(seed),
-                            &mut buffers,
-                            &mut pooled,
-                        );
-                        assert_eq!(
-                            pooled,
-                            scan[..k.min(scan.len())],
-                            "top-k {rule:?}, k={k}, seed={seed}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn candidate_path_matches_the_pooled_path_across_shard_counts() {
-        use crate::candidates::{merge_shard_candidates_into, MergedCandidates, ShardCandidates};
-        use crate::popindex::PopularityIndex;
-
-        let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
-        let pool = PoolIndex::build(&ps);
-        let view = PoolView::new(&ps, &sorted, &pool);
-        let mut buffers = RankBuffers::new();
-        let (mut pooled, mut from_candidates) = (Vec::new(), Vec::new());
-        let mut merged = MergedCandidates::new();
-
-        for shards in [1usize, 2, 3] {
-            // Partition the corpus into shard-local corpora with dense
-            // local slots, exactly as a sharded cache tier would hold it.
-            let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
-            let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
-            for p in &ps {
-                let shard = (p.slot * 5 + 1) % shards;
-                let mut local = *p;
-                local.slot = locals[shard].len();
-                locals[shard].push(local);
-                globals[shard].push(p.slot);
-            }
-            for start_rank in [1usize, 2, 4] {
-                let policy = RandomizedRankPromotion::new(
-                    PromotionConfig::new(PromotionRule::Selective, start_rank, 0.4).unwrap(),
-                );
-                for k in [0usize, 1, 3, 5, 10, 50] {
-                    let limit = policy.config().candidate_prefix_len(k);
-                    let candidates: Vec<ShardCandidates> = (0..shards)
-                        .map(|s| {
-                            let order = PopularityIndex::build(&locals[s]);
-                            let shard_pool = PoolIndex::build(&locals[s]);
-                            let mut c = ShardCandidates::new();
-                            c.collect(
-                                PoolView::new(&locals[s], order.order(), &shard_pool),
-                                limit,
-                                &globals[s],
-                            );
-                            c
-                        })
-                        .collect();
-                    merge_shard_candidates_into(&candidates, limit, &mut merged);
-                    for seed in 0..10 {
-                        policy.rank_top_k_pooled_into(
-                            view,
-                            k,
-                            &mut new_rng(seed),
-                            &mut buffers,
-                            &mut pooled,
-                        );
-                        policy.rank_top_k_candidates_into(
-                            &merged,
-                            k,
-                            &mut new_rng(seed),
-                            &mut buffers,
-                            &mut from_candidates,
-                        );
-                        assert_eq!(
-                            from_candidates, pooled,
-                            "{shards} shards, start_rank {start_rank}, k {k}, seed {seed}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn merged_paths_match_the_scanning_paths_for_both_rules() {
-        use crate::candidates::merge_shard_orders_into;
-
-        let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
-        let pool = PoolIndex::build(&ps);
-        let mut buffers = RankBuffers::new();
-        let (mut scan, mut merged_out) = (Vec::new(), Vec::new());
-
-        for shards in [1usize, 2, 3] {
-            // Shard the corpus and reassemble the complete global order
-            // through the k-way merge, as the serving tier does.
-            let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
-            let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
-            for p in &ps {
-                let shard = (p.slot * 5 + 1) % shards;
-                let mut local = *p;
-                local.slot = locals[shard].len();
-                locals[shard].push(local);
-                globals[shard].push(p.slot);
-            }
-            let shard_orders: Vec<Vec<usize>> = (0..shards)
-                .map(|s| {
-                    let mut order: Vec<usize> = (0..locals[s].len()).collect();
-                    order.sort_unstable_by(|&a, &b| popularity_order(&locals[s][a], &locals[s][b]));
-                    order
-                })
-                .collect();
-            let (mut heads, mut order) = (Vec::new(), Vec::new());
-            merge_shard_orders_into(
-                shards,
-                |s| shard_orders[s].len(),
-                |s, i| {
-                    let local = shard_orders[s][i];
-                    let mut stat = locals[s][local];
-                    stat.slot = globals[s][local];
-                    stat
-                },
-                &mut heads,
-                &mut order,
-            );
-            assert_eq!(order, sorted, "{shards} shards: merged order is global");
-
-            for rule in [PromotionRule::Selective, PromotionRule::Uniform] {
-                for start_rank in [1usize, 2, 4] {
-                    let policy = RandomizedRankPromotion::new(
-                        PromotionConfig::new(rule, start_rank, 0.4).unwrap(),
-                    );
-                    for seed in 0..10 {
-                        policy.rank_presorted_into(
-                            &ps,
-                            &sorted,
-                            &mut new_rng(seed),
-                            &mut buffers,
-                            &mut scan,
-                        );
-                        policy.rank_merged_into(
-                            pool.members(),
-                            &order,
-                            |s| pool.contains(s),
-                            &mut new_rng(seed),
-                            &mut buffers,
-                            &mut merged_out,
-                        );
-                        assert_eq!(
-                            merged_out, scan,
-                            "full merged {rule:?}, {shards} shards, start_rank {start_rank}, seed {seed}"
-                        );
-                        for k in [0usize, 1, 3, 5, 10, 50] {
-                            policy.rank_top_k_merged_into(
-                                pool.members(),
-                                &order,
-                                |s| pool.contains(s),
-                                k,
-                                &mut new_rng(seed),
-                                &mut buffers,
-                                &mut merged_out,
-                            );
-                            assert_eq!(
-                                merged_out,
-                                scan[..k.min(scan.len())],
-                                "top-k merged {rule:?}, {shards} shards, k {k}, seed {seed}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        (sorted, PoolIndex::build(ps))
     }
 
     #[test]
     #[should_panic(expected = "per-page coins")]
     fn candidate_path_rejects_the_uniform_rule() {
-        use crate::candidates::MergedCandidates;
         let policy = RandomizedRankPromotion::new(
             PromotionConfig::new(PromotionRule::Uniform, 1, 0.3).unwrap(),
         );
-        policy.rank_top_k_candidates_into(
-            &MergedCandidates::new(),
-            3,
+        policy.rank(
+            RankSource::retrieved(&[], &[0, 1, 2]),
+            Some(3),
             &mut new_rng(0),
             &mut RankBuffers::new(),
             &mut Vec::new(),
@@ -1131,31 +525,20 @@ mod tests {
     #[test]
     fn pooled_selective_path_never_resets_the_mask() {
         let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
-        let pool = PoolIndex::build(&ps);
-        let view = PoolView::new(&ps, &sorted, &pool);
+        let (sorted, pool) = sorted_and_pool(&ps);
+        let source = RankSource::new(pool.members(), &sorted, |s| pool.contains(s));
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
 
         let selective = RandomizedRankPromotion::recommended(2);
-        selective.rank_top_k_pooled_into(view, 5, &mut new_rng(3), &mut buffers, &mut out);
-        assert_eq!(buffers.take_mask_resets(), 0, "selective pooled: no reset");
-
-        selective.rank_top_k_presorted_into(
-            &ps,
-            &sorted,
-            5,
-            &mut new_rng(3),
-            &mut buffers,
-            &mut out,
-        );
-        assert_eq!(buffers.take_mask_resets(), 1, "scanning path resets once");
+        selective.rank(source, Some(5), &mut new_rng(3), &mut buffers, &mut out);
+        selective.rank(source, None, &mut new_rng(3), &mut buffers, &mut out);
+        assert_eq!(buffers.take_mask_resets(), 0, "selective: no reset");
 
         let uniform = RandomizedRankPromotion::new(
             PromotionConfig::new(PromotionRule::Uniform, 1, 0.3).unwrap(),
         );
-        uniform.rank_top_k_pooled_into(view, 5, &mut new_rng(3), &mut buffers, &mut out);
+        uniform.rank(source, Some(5), &mut new_rng(3), &mut buffers, &mut out);
         assert_eq!(
             buffers.take_mask_resets(),
             1,
@@ -1165,15 +548,11 @@ mod tests {
 
     #[test]
     fn v2_routes_agree_and_draw_at_most_k_swaps() {
-        use crate::lazyshuffle::EngineVersion;
-
         let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
-        let pool = PoolIndex::build(&ps);
-        let view = PoolView::new(&ps, &sorted, &pool);
+        let (sorted, pool) = sorted_and_pool(&ps);
+        let complete = RankSource::new(pool.members(), &sorted, |s| pool.contains(s));
         let mut buffers = RankBuffers::new();
-        let (mut pooled, mut merged, mut retrieved) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut full, mut retrieved) = (Vec::new(), Vec::new());
         for start_rank in [1usize, 2, 4] {
             let policy = RandomizedRankPromotion::new(
                 PromotionConfig::new(PromotionRule::Selective, start_rank, 0.4).unwrap(),
@@ -1181,52 +560,40 @@ mod tests {
             .with_version(EngineVersion::V2);
             assert_eq!(policy.version(), EngineVersion::V2);
             for k in [0usize, 1, 3, 5, 10, 50] {
+                let rest_slots: Vec<usize> = sorted
+                    .iter()
+                    .copied()
+                    .filter(|&s| !pool.contains(s))
+                    .take(k)
+                    .collect();
                 for seed in 0..20 {
-                    policy.rank_top_k_pooled_into(
-                        view,
-                        k,
+                    policy.rank(
+                        complete,
+                        Some(k),
                         &mut new_rng(seed),
                         &mut buffers,
-                        &mut pooled,
+                        &mut full,
                     );
                     let draws = buffers.take_pool_draws();
                     assert!(draws <= k as u64, "k={k}, seed={seed}: {draws} draws");
-                    policy.rank_top_k_merged_into(
-                        pool.members(),
-                        &sorted,
-                        |s| pool.contains(s),
-                        k,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut merged,
-                    );
-                    assert_eq!(merged, pooled, "merged≡pooled, k={k}, seed={seed}");
-                    assert_eq!(buffers.take_pool_draws(), draws, "merged draw count");
-                    let rest_slots: Vec<usize> = sorted
-                        .iter()
-                        .copied()
-                        .filter(|&s| !pool.contains(s))
-                        .take(k)
-                        .collect();
-                    policy.rank_top_k_retrieved_into(
-                        pool.members(),
-                        &rest_slots,
-                        k,
+                    policy.rank(
+                        RankSource::retrieved(pool.members(), &rest_slots),
+                        Some(k),
                         &mut new_rng(seed),
                         &mut buffers,
                         &mut retrieved,
                     );
-                    assert_eq!(retrieved, pooled, "retrieved≡pooled, k={k}, seed={seed}");
+                    assert_eq!(retrieved, full, "retrieved≡complete, k={k}, seed={seed}");
                     assert_eq!(buffers.take_pool_draws(), draws, "retrieved draw count");
                     // The prefix is made of distinct slots and protects
                     // the deterministic top start_rank − 1.
-                    let mut dedup = pooled.clone();
+                    let mut dedup = full.clone();
                     dedup.sort_unstable();
                     dedup.dedup();
-                    assert_eq!(dedup.len(), pooled.len(), "no slot emitted twice");
+                    assert_eq!(dedup.len(), full.len(), "no slot emitted twice");
                     let protected = (start_rank - 1).min(k).min(rest_slots.len());
                     assert_eq!(
-                        &pooled[..protected],
+                        &full[..protected],
                         &rest_slots[..protected],
                         "protected prefix, k={k}, seed={seed}"
                     );
@@ -1237,36 +604,32 @@ mod tests {
 
     #[test]
     fn v2_leaves_the_uniform_rule_and_full_reranks_bit_identical() {
-        use crate::lazyshuffle::EngineVersion;
-
         let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
-        let pool = PoolIndex::build(&ps);
-        let view = PoolView::new(&ps, &sorted, &pool);
+        let (sorted, pool) = sorted_and_pool(&ps);
+        let source = RankSource::new(pool.members(), &sorted, |s| pool.contains(s));
         let mut buffers = RankBuffers::new();
         let (mut v1_out, mut v2_out) = (Vec::new(), Vec::new());
         for rule in [PromotionRule::Selective, PromotionRule::Uniform] {
             let v1 = RandomizedRankPromotion::new(PromotionConfig::new(rule, 2, 0.4).unwrap());
             let v2 = v1.with_version(EngineVersion::V2);
             for seed in 0..20 {
-                // Full reranks never take the lazy route under either rule.
-                v1.rank_pooled_into(view, &mut new_rng(seed), &mut buffers, &mut v1_out);
-                v2.rank_pooled_into(view, &mut new_rng(seed), &mut buffers, &mut v2_out);
+                // Full ranks never take the lazy route under either rule.
+                v1.rank(source, None, &mut new_rng(seed), &mut buffers, &mut v1_out);
+                v2.rank(source, None, &mut new_rng(seed), &mut buffers, &mut v2_out);
                 assert_eq!(v2_out, v1_out, "full {rule:?}, seed={seed}");
                 if rule == PromotionRule::Uniform {
                     // Uniform top-k is v1-identical too: per-page coins
                     // dominate, so there is no lazy stream for it.
-                    v1.rank_top_k_pooled_into(
-                        view,
-                        5,
+                    v1.rank(
+                        source,
+                        Some(5),
                         &mut new_rng(seed),
                         &mut buffers,
                         &mut v1_out,
                     );
-                    v2.rank_top_k_pooled_into(
-                        view,
-                        5,
+                    v2.rank(
+                        source,
+                        Some(5),
                         &mut new_rng(seed),
                         &mut buffers,
                         &mut v2_out,
@@ -1291,6 +654,6 @@ mod tests {
     fn empty_input_is_fine() {
         let policy = RandomizedRankPromotion::recommended(1);
         let mut rng = new_rng(0);
-        assert!(policy.rank(&[], &mut rng).is_empty());
+        assert!(RankingPolicy::rank(&policy, &[], &mut rng).is_empty());
     }
 }

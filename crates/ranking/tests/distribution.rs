@@ -24,7 +24,7 @@
 use proptest::prelude::*;
 use rrp_model::new_rng;
 use rrp_ranking::{
-    EngineVersion, PromotionConfig, PromotionRule, RandomizedRankPromotion, RankBuffers,
+    EngineVersion, PromotionConfig, PromotionRule, RandomizedRankPromotion, RankBuffers, RankSource,
 };
 
 /// Trials per proptest case. Each trial is one paired (v1, v2) top-k
@@ -85,6 +85,7 @@ proptest! {
         // output slot is a plain comparison.
         let pool: Vec<usize> = (0..pool_len).collect();
         let rest: Vec<usize> = (pool_len..pool_len + rest_len).collect();
+        let source = RankSource::retrieved(&pool, &rest);
 
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
@@ -92,9 +93,9 @@ proptest! {
         let mut m2 = Marginals::new(k, pool_len);
         for trial in 0..TRIALS {
             let seed = base_seed.wrapping_add(trial.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            v1.rank_top_k_retrieved_into(&pool, &rest, k, &mut new_rng(seed), &mut buffers, &mut out);
+            v1.rank(source, Some(k), &mut new_rng(seed), &mut buffers, &mut out);
             m1.record(&out, pool_len);
-            v2.rank_top_k_retrieved_into(&pool, &rest, k, &mut new_rng(seed), &mut buffers, &mut out);
+            v2.rank(source, Some(k), &mut new_rng(seed), &mut buffers, &mut out);
             m2.record(&out, pool_len);
             prop_assert!(buffers.take_pool_draws() <= k as u64, "v2 must stay O(k) draws");
         }

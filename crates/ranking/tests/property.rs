@@ -7,9 +7,11 @@
 use proptest::prelude::*;
 use rrp_model::{new_rng, PageId};
 use rrp_ranking::{
-    is_permutation, merge_promoted, popularity_order, FullyRandomRanking, PageStats, PolicyKind,
-    PoolIndex, PoolView, PopularityRanking, PromotionConfig, PromotionRule, QualityOracleRanking,
-    RandomizedRankPromotion, RankBuffers, RankingPolicy,
+    is_permutation, merge_ascending_slots_into, merge_promoted, merge_shard_candidates_into,
+    merge_shard_orders_into, popularity_order, EngineVersion, FullyRandomRanking, MergedCandidates,
+    PageStats, PolicyKind, PoolIndex, PoolView, PopularityIndex, PopularityRanking,
+    PromotionConfig, PromotionRule, QualityOracleRanking, RandomizedRankPromotion, RankBuffers,
+    RankSource, RankingPolicy, ShardCandidates,
 };
 
 /// Strategy producing an arbitrary page population of size 1..=120.
@@ -56,7 +58,7 @@ proptest! {
         let promo = RandomizedRankPromotion::new(
             PromotionConfig::new(rule, k, degree).unwrap(),
         );
-        let promoted = promo.rank(&pages, &mut rng);
+        let promoted = RankingPolicy::rank(&promo, &pages, &mut rng);
         prop_assert!(is_permutation(&promoted, n));
     }
 
@@ -91,7 +93,7 @@ proptest! {
             PromotionConfig::new(PromotionRule::Selective, k, degree).unwrap(),
         );
         let mut rng = new_rng(seed.wrapping_add(1));
-        let promoted = promo.rank(&pages, &mut rng);
+        let promoted = RankingPolicy::rank(&promo, &pages, &mut rng);
 
         // The selective pool contains only zero-awareness (zero-popularity)
         // pages, so the deterministic prefix of explored pages is identical.
@@ -157,7 +159,7 @@ proptest! {
         let policy = RandomizedRankPromotion::recommended(2);
         let mut a = new_rng(seed);
         let mut b = new_rng(seed);
-        prop_assert_eq!(policy.rank(&pages, &mut a), policy.rank(&pages, &mut b));
+        prop_assert_eq!(RankingPolicy::rank(&policy, &pages, &mut a), RankingPolicy::rank(&policy, &pages, &mut b));
     }
 
     /// For *any* valid promotion configuration — both rules, any starting
@@ -174,7 +176,7 @@ proptest! {
         let config = PromotionConfig::new(rule, k, degree).unwrap();
         let policy = RandomizedRankPromotion::new(config);
         let mut rng = new_rng(seed);
-        let order = policy.rank(&pages, &mut rng);
+        let order = RankingPolicy::rank(&policy, &pages, &mut rng);
         prop_assert!(is_permutation(&order, pages.len()));
     }
 
@@ -207,35 +209,6 @@ proptest! {
             policy.rank_into(&pages, &mut new_rng(seed), &mut buffers, &mut out);
             prop_assert_eq!(&out, &legacy, "policy {}", policy.name());
         }
-    }
-
-    /// The presorted promotion path (used by the simulator's incremental
-    /// popularity index and the batch serving layer) is byte-identical to
-    /// the sorting path for any configuration, given a correct popularity
-    /// order of the input.
-    #[test]
-    fn rank_presorted_matches_rank(
-        pages in arb_pages(),
-        seed in proptest::num::u64::ANY,
-        rule in prop_oneof![Just(PromotionRule::Uniform), Just(PromotionRule::Selective)],
-        k in 1usize..50,
-        degree in 0.0f64..=1.0,
-    ) {
-        let config = PromotionConfig::new(rule, k, degree).unwrap();
-        let policy = RandomizedRankPromotion::new(config);
-        let mut sorted: Vec<usize> = (0..pages.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&pages[a], &pages[b]));
-
-        let legacy = policy.rank(&pages, &mut new_rng(seed));
-        let mut buffers = RankBuffers::new();
-        let mut out = Vec::new();
-        policy.rank_presorted_into(&pages, &sorted, &mut new_rng(seed), &mut buffers, &mut out);
-        prop_assert_eq!(&out, &legacy);
-
-        // And through the enum dispatch used by the simulator.
-        let kind = PolicyKind::promotion(config);
-        kind.rank_presorted_into(&pages, &sorted, &mut new_rng(seed), &mut buffers, &mut out);
-        prop_assert_eq!(&out, &legacy);
     }
 
     /// The persistent pool index under arbitrary dirty sequences — visits
@@ -298,69 +271,63 @@ proptest! {
         prop_assert_eq!(index.len(), rebuilt.len());
     }
 
-    /// The pooled ranking paths are byte-identical to the scanning paths
-    /// for any configuration and any population: same pool order before
-    /// the shuffle, same RNG draws, same output — full and top-k alike.
+    /// The one rank primitive against the scanning reference, for any
+    /// population, both rules, both engine versions, any start rank and
+    /// any `k`:
+    ///
+    /// * `rank(source, None)` over a pool index is byte-identical to the
+    ///   scanning `rank_into`;
+    /// * under V1, `rank(source, Some(k))` is the length-`k` prefix;
+    /// * a V2 Selective top-`k` query makes at most `k` pool draws;
+    /// * a source rebuilt from 1..9 shards — the complete order by
+    ///   `merge_shard_orders_into`, the pool by `merge_ascending_slots_into`
+    ///   and, for Selective top-k, the retrieved rest by
+    ///   `merge_shard_candidates_into` — answers exactly as the
+    ///   corpus-wide source does.
+    ///
+    /// A single mis-merged, stale or re-ordered entry would shift the RNG
+    /// stream, so equality is exact.
     #[test]
     fn pooled_paths_match_scanning_paths(
         pages in arb_pages(),
         seed in proptest::num::u64::ANY,
         rule in prop_oneof![Just(PromotionRule::Uniform), Just(PromotionRule::Selective)],
+        v2 in prop::bool::ANY,
         start_rank in 1usize..50,
         degree in 0.0f64..=1.0,
         k in 0usize..140,
-    ) {
-        let config = PromotionConfig::new(rule, start_rank, degree).unwrap();
-        let policy = RandomizedRankPromotion::new(config);
-        let mut sorted: Vec<usize> = (0..pages.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&pages[a], &pages[b]));
-        let pool = PoolIndex::build(&pages);
-        let view = PoolView::new(&pages, &sorted, &pool);
-
-        let mut buffers = RankBuffers::new();
-        let (mut scan, mut pooled) = (Vec::new(), Vec::new());
-        policy.rank_presorted_into(&pages, &sorted, &mut new_rng(seed), &mut buffers, &mut scan);
-        policy.rank_pooled_into(view, &mut new_rng(seed), &mut buffers, &mut pooled);
-        prop_assert_eq!(&pooled, &scan);
-
-        policy.rank_top_k_pooled_into(view, k, &mut new_rng(seed), &mut buffers, &mut pooled);
-        prop_assert_eq!(&pooled, &scan[..k.min(scan.len())].to_vec());
-
-        // And through the enum dispatch used by the simulator.
-        let kind = PolicyKind::promotion(config);
-        kind.rank_top_k_pooled_into(view, k, &mut new_rng(seed), &mut buffers, &mut pooled);
-        prop_assert_eq!(&pooled, &scan[..k.min(scan.len())].to_vec());
-    }
-
-    /// Shard-candidate retrieval is invisible: partitioning an arbitrary
-    /// population into an arbitrary number of shards, collecting each
-    /// shard's candidates off shard-local indexes and running the
-    /// deterministic k-way merge reproduces (a) the corpus-wide pool in
-    /// its exact pre-shuffle order, (b) the corpus-wide non-pool order
-    /// prefix, and (c) a top-k ranking byte-identical to the scanning
-    /// path's prefix — for selective promotion and plain popularity
-    /// ranking alike. A single mis-merged, stale, or re-ordered candidate
-    /// would silently shift the RNG stream, so equality is exact.
-    #[test]
-    fn shard_candidate_merge_matches_the_corpus_wide_derivation(
-        pages in arb_pages(),
-        seed in proptest::num::u64::ANY,
         shards in 1usize..9,
-        start_rank in 1usize..50,
-        degree in 0.0f64..=1.0,
-        k in 0usize..140,
         route_salt in 0usize..1000,
     ) {
-        use rrp_ranking::{merge_shard_candidates_into, MergedCandidates, PopularityIndex, ShardCandidates};
-
-        let config = PromotionConfig::new(PromotionRule::Selective, start_rank, degree).unwrap();
-        let policy = RandomizedRankPromotion::new(config);
-        let mut sorted: Vec<usize> = (0..pages.len()).collect();
+        let n = pages.len();
+        let config = PromotionConfig::new(rule, start_rank, degree).unwrap();
+        let version = if v2 { EngineVersion::V2 } else { EngineVersion::V1 };
+        let policy = RandomizedRankPromotion::new(config).with_version(version);
+        let lazy = version == EngineVersion::V2 && rule == PromotionRule::Selective;
+        let mut sorted: Vec<usize> = (0..n).collect();
         sorted.sort_unstable_by(|&a, &b| popularity_order(&pages[a], &pages[b]));
         let pool = PoolIndex::build(&pages);
+        let source = RankSource::new(pool.members(), &sorted, |s| pool.contains(s));
+
+        let mut buffers = RankBuffers::new();
+        let (mut reference, mut full, mut top, mut out) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        policy.rank_into(&pages, &mut new_rng(seed), &mut buffers, &mut reference);
+        policy.rank(source, None, &mut new_rng(seed), &mut buffers, &mut full);
+        prop_assert_eq!(&full, &reference);
+        policy.rank(source, Some(k), &mut new_rng(seed), &mut buffers, &mut top);
+        let draws = buffers.take_pool_draws();
+        if lazy {
+            prop_assert!(draws <= k as u64, "{} draws for k = {}", draws, k);
+            prop_assert_eq!(top.len(), k.min(n));
+        } else {
+            prop_assert_eq!(&top, &reference[..k.min(n)].to_vec());
+            prop_assert_eq!(draws, 0);
+        }
 
         // Partition into shard-local corpora with dense local slots under
-        // an arbitrary (but slot-order-preserving) routing.
+        // an arbitrary (but slot-order-preserving) routing, and rebuild
+        // the source from the shards alone.
         let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
         let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
         for p in &pages {
@@ -370,55 +337,55 @@ proptest! {
             locals[shard].push(local);
             globals[shard].push(p.slot);
         }
-        let limit = config.candidate_prefix_len(k);
-        let candidates: Vec<ShardCandidates> = (0..shards)
-            .map(|s| {
-                let order = PopularityIndex::build(&locals[s]);
-                let shard_pool = PoolIndex::build(&locals[s]);
-                let mut c = ShardCandidates::new();
-                c.collect(PoolView::new(&locals[s], order.order(), &shard_pool), limit, &globals[s]);
-                c
-            })
-            .collect();
-        let mut merged = MergedCandidates::new();
-        merge_shard_candidates_into(&candidates, limit, &mut merged);
-
-        // (a) + (b): the merged view equals the corpus-wide derivation.
-        prop_assert_eq!(&merged.pool().to_vec(), &pool.members().to_vec());
-        let merged_rest: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
-        let expected_rest: Vec<usize> = sorted
-            .iter()
-            .copied()
-            .filter(|&s| !pool.contains(s))
-            .take(limit)
-            .collect();
-        prop_assert_eq!(&merged_rest, &expected_rest);
-
-        // (c): ranking from the merged view is the scanning prefix —
-        // through the self-contained candidate form and through the
-        // maintained-pool primitive the serving tier uses (pool merged at
-        // repair time, rest retrieved per query).
-        let mut buffers = RankBuffers::new();
-        let (mut scan, mut from_merge) = (Vec::new(), Vec::new());
-        policy.rank_presorted_into(&pages, &sorted, &mut new_rng(seed), &mut buffers, &mut scan);
-        policy.rank_top_k_candidates_into(&merged, k, &mut new_rng(seed), &mut buffers, &mut from_merge);
-        prop_assert_eq!(&from_merge, &scan[..k.min(scan.len())].to_vec());
-
-        policy.rank_top_k_retrieved_into(
-            pool.members(),
-            &merged_rest,
-            k,
-            &mut new_rng(seed),
-            &mut buffers,
-            &mut from_merge,
+        let orders: Vec<PopularityIndex> = locals.iter().map(|l| PopularityIndex::build(l)).collect();
+        let pools: Vec<PoolIndex> = locals.iter().map(|l| PoolIndex::build(l)).collect();
+        let (mut heads, mut merged_order, mut merged_pool) = (Vec::new(), Vec::new(), Vec::new());
+        merge_shard_orders_into(
+            shards,
+            |s| orders[s].order().len(),
+            |s, i| {
+                let local = orders[s].order()[i];
+                let mut stat = locals[s][local];
+                stat.slot = globals[s][local];
+                stat
+            },
+            &mut heads,
+            &mut merged_order,
         );
-        prop_assert_eq!(&from_merge, &scan[..k.min(scan.len())].to_vec());
+        merge_ascending_slots_into(
+            shards,
+            |s| pools[s].len(),
+            |s, i| globals[s][pools[s].members()[i]],
+            &mut heads,
+            &mut merged_pool,
+        );
+        prop_assert_eq!(&merged_order, &sorted);
+        prop_assert_eq!(&merged_pool[..], pool.members());
+        let mut mask = vec![false; n];
+        for &s in &merged_pool {
+            mask[s] = true;
+        }
+        let sharded = RankSource::new(&merged_pool, &merged_order, |s| mask[s]);
+        policy.rank(sharded, None, &mut new_rng(seed), &mut buffers, &mut out);
+        prop_assert_eq!(&out, &full);
+        policy.rank(sharded, Some(k), &mut new_rng(seed), &mut buffers, &mut out);
+        prop_assert_eq!(&out, &top);
 
-        // And through the enum dispatch used by policy-generic callers.
-        let kind = PolicyKind::promotion(config);
-        prop_assert!(kind.supports_candidate_retrieval());
-        kind.rank_top_k_candidates_into(&merged, k, &mut new_rng(seed), &mut buffers, &mut from_merge);
-        prop_assert_eq!(&from_merge, &scan[..k.min(scan.len())].to_vec());
+        if rule == PromotionRule::Selective {
+            let limit = config.candidate_prefix_len(k);
+            let candidates: Vec<ShardCandidates> = (0..shards)
+                .map(|s| {
+                    let mut c = ShardCandidates::new();
+                    c.collect_rest(PoolView::new(&locals[s], orders[s].order(), &pools[s]), limit, &globals[s]);
+                    c
+                })
+                .collect();
+            let mut merged = MergedCandidates::new();
+            merge_shard_candidates_into(&candidates, limit, &mut merged);
+            let rest: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
+            policy.rank(RankSource::retrieved(&merged_pool, &rest), Some(k), &mut new_rng(seed), &mut buffers, &mut out);
+            prop_assert_eq!(&out, &top);
+        }
     }
 
     /// For *any* valid promotion configuration, ranks better than `k` are
@@ -438,7 +405,7 @@ proptest! {
     ) {
         let config = PromotionConfig::new(rule, k, degree).unwrap();
         let policy = RandomizedRankPromotion::new(config);
-        let order = policy.rank(&pages, &mut new_rng(seed));
+        let order = RankingPolicy::rank(&policy, &pages, &mut new_rng(seed));
 
         // Reproduce the policy's own pool split from the same seed: the
         // Uniform rule consumes one coin flip per page, in input order,

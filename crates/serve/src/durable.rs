@@ -44,7 +44,7 @@
 use crate::error::ServeError;
 use crate::service::{ServeStats, ShardedPromotionService, StoreGuard};
 use crate::store::ShardedStore;
-use rrp_core::{Document, QueryContext, RankPromotionEngine, ShardedCorpusCache};
+use rrp_core::{Document, RankPromotionEngine, ShardedCorpusCache};
 use rrp_wal::fault::{Failpoint, FailpointSink};
 use rrp_wal::snapshot::{read_snapshot, write_snapshot_atomic};
 use rrp_wal::{
@@ -379,35 +379,6 @@ impl DurableService {
             self.snapshot_now()?;
         }
         Ok(())
-    }
-
-    // ── Serving delegates ───────────────────────────────────────────────
-    // Queries never touch the log; these forward to the wrapped service
-    // so the common paths don't need `service_mut` at every call site.
-
-    /// See [`ShardedPromotionService::rerank_one`].
-    pub fn rerank_one(&self, ctx: QueryContext) -> Vec<u64> {
-        self.inner.rerank_one(ctx)
-    }
-
-    /// See [`ShardedPromotionService::rerank_top_k`].
-    pub fn rerank_top_k(&self, ctx: QueryContext, k: usize) -> Vec<u64> {
-        self.inner.rerank_top_k(ctx, k)
-    }
-
-    /// See [`ShardedPromotionService::rerank_batch`].
-    pub fn rerank_batch(&self, queries: &[QueryContext]) -> Vec<Vec<u64>> {
-        self.inner.rerank_batch(queries)
-    }
-
-    /// See [`ShardedPromotionService::rerank_batch_top_k_into`].
-    pub fn rerank_batch_top_k_into(
-        &self,
-        queries: &[QueryContext],
-        k: usize,
-        results: &mut Vec<Vec<u64>>,
-    ) {
-        self.inner.rerank_batch_top_k_into(queries, k, results)
     }
 }
 

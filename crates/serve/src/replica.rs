@@ -44,7 +44,7 @@
 use crate::durable::{apply_event, bootstrap_snapshot, ReplayCursor, SNAPSHOT_FILE, WAL_FILE};
 use crate::error::ServeError;
 use crate::service::{ServeStats, ShardedPromotionService, StoreGuard};
-use rrp_core::{QueryContext, RankPromotionEngine};
+use rrp_core::RankPromotionEngine;
 use rrp_wal::{WalEvent, WalPoll, WalTailReader};
 use std::collections::VecDeque;
 use std::path::Path;
@@ -228,32 +228,5 @@ impl ReplicaService {
     /// The wrapped service's serving counters.
     pub fn serve_stats(&self) -> ServeStats {
         self.inner.serve_stats()
-    }
-
-    // ── Serving delegates ───────────────────────────────────────────────
-
-    /// See [`ShardedPromotionService::rerank_one`].
-    pub fn rerank_one(&self, ctx: QueryContext) -> Vec<u64> {
-        self.inner.rerank_one(ctx)
-    }
-
-    /// See [`ShardedPromotionService::rerank_top_k`].
-    pub fn rerank_top_k(&self, ctx: QueryContext, k: usize) -> Vec<u64> {
-        self.inner.rerank_top_k(ctx, k)
-    }
-
-    /// See [`ShardedPromotionService::rerank_batch`].
-    pub fn rerank_batch(&self, queries: &[QueryContext]) -> Vec<Vec<u64>> {
-        self.inner.rerank_batch(queries)
-    }
-
-    /// See [`ShardedPromotionService::rerank_batch_top_k_into`].
-    pub fn rerank_batch_top_k_into(
-        &self,
-        queries: &[QueryContext],
-        k: usize,
-        results: &mut Vec<Vec<u64>>,
-    ) {
-        self.inner.rerank_batch_top_k_into(queries, k, results)
     }
 }

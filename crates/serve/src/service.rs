@@ -1,11 +1,12 @@
 //! The sharded batch rerank service.
 
 use crate::store::ShardedStore;
-use rrp_core::{Document, PublishedVersion, QueryContext, RankPromotionEngine, ShardedCorpusCache};
+use rrp_core::{
+    Document, PublishedVersion, QueryContext, RankPromotionEngine, RankSource, ShardedCorpusCache,
+};
 use rrp_ranking::{merge_shard_candidates_into, MergedCandidates, RankBuffers, ShardCandidates};
-use std::marker::PhantomData;
-use std::ops::{Deref, Range};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Operation counters for the incremental serving state — the probe that
@@ -20,27 +21,16 @@ pub struct ServeStats {
     pub batches: u64,
     /// Queries answered, across batch, single and top-k paths.
     pub queries: u64,
-    /// Full re-derivations of the serving tier from the store —
-    /// incremented only by
+    /// Full re-derivations of the serving tier from the store (snapshot,
+    /// `O(n log n)` order sorts, pool scans) — incremented only by
     /// [`ShardedPromotionService::rebuild_from_store`]. The shard caches
-    /// are maintained in place on every mutation, so no query or mutation
-    /// path ever triggers one; tests pin this at 0 to catch a future
-    /// change that routes serving back through a rebuild.
-    pub snapshot_rebuilds: u64,
-    /// From-scratch `O(n log n)` sorts of the popularity orders — likewise
-    /// incremented only by the explicit rebuild path; the query paths
-    /// only ever repair.
-    pub full_sorts: u64,
+    /// and their pools are maintained in place on every mutation, so no
+    /// query or mutation path ever triggers one; tests pin this at 0 to
+    /// catch a future change that routes serving back through a rebuild.
+    pub rebuilds: u64,
     /// Dirty slots handed to the shard-tier repairs (distinct slots per
     /// shard: the dirty lists deduplicate on entry).
     pub dirty_slots_repaired: u64,
-    /// Full-corpus promotion-pool derivations (`O(n)` scan over every
-    /// document) — incremented only by
-    /// [`ShardedPromotionService::rebuild_from_store`]. The pool
-    /// membership persists in each shard cache's `PoolIndex` and is
-    /// repaired alongside the popularity orders, so no query or mutation
-    /// path ever re-derives it; tests pin this at 0.
-    pub pool_rebuilds: u64,
     /// Incremental repairs of the pool membership (runs with every
     /// shard-tier repair, from the same dirty slots — counted only while
     /// pools are maintained, i.e. for selective engines).
@@ -112,10 +102,8 @@ pub struct ServeStats {
 struct ProbeCells {
     batches: AtomicU64,
     queries: AtomicU64,
-    snapshot_rebuilds: AtomicU64,
-    full_sorts: AtomicU64,
+    rebuilds: AtomicU64,
     dirty_slots_repaired: AtomicU64,
-    pool_rebuilds: AtomicU64,
     pool_repairs: AtomicU64,
     mask_resets: AtomicU64,
     shard_retrievals: AtomicU64,
@@ -135,10 +123,8 @@ impl ProbeCells {
         ServeStats {
             batches: self.batches.load(Ordering::Relaxed),
             queries: self.queries.load(Ordering::Relaxed),
-            snapshot_rebuilds: self.snapshot_rebuilds.load(Ordering::Relaxed),
-            full_sorts: self.full_sorts.load(Ordering::Relaxed),
+            rebuilds: self.rebuilds.load(Ordering::Relaxed),
             dirty_slots_repaired: self.dirty_slots_repaired.load(Ordering::Relaxed),
-            pool_rebuilds: self.pool_rebuilds.load(Ordering::Relaxed),
             pool_repairs: self.pool_repairs.load(Ordering::Relaxed),
             mask_resets: self.mask_resets.load(Ordering::Relaxed),
             shard_retrievals: self.shard_retrievals.load(Ordering::Relaxed),
@@ -226,9 +212,9 @@ impl std::fmt::Debug for StoreGuard<'_> {
 ///    [`rerank_top_k`](Self::rerank_top_k) query is truly `O(pool + k)` —
 ///    no full-corpus scan, no membership-mask reset (also pinned, via
 ///    [`ServeStats::mask_resets`]).
-/// 4. **Contention-free fan-out** — batch results are written into
-///    disjoint `&mut` regions claimed chunk-by-chunk from an atomic
-///    cursor; workers never take a lock and never touch another worker's
+/// 4. **Chunked fan-out** — batch results are written into disjoint
+///    `&mut` chunks that workers claim one at a time (one short lock per
+///    chunk, never per query); workers never touch another worker's
 ///    slots, and per-worker scratch arenas keep the per-query path
 ///    allocation-free.
 /// 5. **Epoch-versioned shared reads** — every query path takes `&self`:
@@ -476,19 +462,15 @@ impl ShardedPromotionService {
     /// keeps the local↔global slot maps dense), recompute every
     /// `PageStats`, re-sort the per-shard popularity orders and re-scan
     /// the pool membership from scratch. **Not** part of any query or
-    /// mutation path — serving never needs it, and the [`ServeStats`]
-    /// counters it increments are pinned at 0 in the steady-state tests
-    /// precisely to catch a change that reintroduces per-batch rebuilds.
-    /// It exists as the recovery/maintenance escape hatch (and as the one
-    /// honest increment site for those counters). Bumps the epoch: the
-    /// next query publishes the rebuilt state.
+    /// mutation path — serving never needs it, and the
+    /// [`ServeStats::rebuilds`] counter it increments is pinned at 0 in the
+    /// steady-state tests precisely to catch a change that reintroduces
+    /// per-batch rebuilds. It exists as the recovery/maintenance escape
+    /// hatch (and as the one honest increment site for that counter).
+    /// Bumps the epoch: the next query publishes the rebuilt state.
     pub fn rebuild_from_store(&self) {
         let mut writer = self.writer.lock().expect("writer lock");
-        ProbeCells::add(&self.probe.snapshot_rebuilds, 1);
-        ProbeCells::add(&self.probe.full_sorts, 1);
-        if writer.shards.pool_maintained() {
-            ProbeCells::add(&self.probe.pool_rebuilds, 1);
-        }
+        ProbeCells::add(&self.probe.rebuilds, 1);
         let WriterState {
             store,
             shards,
@@ -605,7 +587,7 @@ impl ShardedPromotionService {
     /// raced the query.
     pub fn rerank_one_versioned(&self, context: QueryContext) -> (u64, Vec<u64>) {
         let mut out = Vec::new();
-        let epoch = self.one_versioned_into(context, &mut out);
+        let epoch = self.read_into(context, None, &mut out);
         (epoch, out)
     }
 
@@ -613,94 +595,22 @@ impl ShardedPromotionService {
     /// `out` (cleared first): allocation-free once the serving state and
     /// `out` have grown to the corpus size.
     pub fn rerank_one_into(&self, context: QueryContext, out: &mut Vec<u64>) {
-        self.one_versioned_into(context, out);
+        self.read_into(context, None, out);
     }
 
-    fn one_versioned_into(&self, context: QueryContext, out: &mut Vec<u64>) -> u64 {
+    /// One sequential read: the full rerank (`k = None`) or its top-`k`,
+    /// answered by [`BatchWorker::answer_into`] on the route
+    /// [`read_mode`](Self::read_mode) picks. Validates at merge time: a
+    /// racing mutation leaves the answer consistent at the version's
+    /// epoch, merely stale — retry once against the fresh version, then
+    /// accept (the writer may always be one step ahead).
+    fn read_into(&self, context: QueryContext, k: Option<usize>, out: &mut Vec<u64>) -> u64 {
         ProbeCells::add(&self.probe.queries, 1);
-        let mut version = self.current_version();
-        if version.is_empty() {
-            // Degenerate path: answer without touching (or charging) the
-            // serving tier.
-            out.clear();
-            return version.epoch();
-        }
-        let mut scratch = self.take_scratch();
-        let mut retried = false;
-        let epoch = loop {
-            let (order, ran) = version.ensure_merged_order();
-            if ran {
-                ProbeCells::add(&self.probe.order_merges, 1);
-            }
-            self.engine.rerank_merged_into(
-                version.pool_slots(),
-                order,
-                |s| version.in_pool(s),
-                context,
-                &mut scratch.buffers,
-                &mut scratch.slots,
-            );
-            // Validate at merge time: a racing mutation leaves the answer
-            // consistent at the version's epoch, merely stale — retry
-            // once against the fresh version, then accept (the writer may
-            // always be one step ahead).
-            if retried || self.epoch.load(Ordering::Acquire) == version.epoch() {
-                break version.epoch();
-            }
-            ProbeCells::add(&self.probe.epoch_conflicts, 1);
-            retried = true;
-            version = self.current_version();
-        };
-        ProbeCells::add(&self.probe.mask_resets, scratch.buffers.take_mask_resets());
-        ProbeCells::add(&self.probe.pool_draws, scratch.buffers.take_pool_draws());
-        out.clear();
-        out.extend(scratch.slots.iter().map(|&s| version.page_of(s).0));
-        self.put_scratch(scratch);
-        epoch
-    }
-
-    /// The first `min(k, n)` document ids of
-    /// [`rerank_one`](Self::rerank_one), computed with the early-exit
-    /// merge: bit-identical to the length-`k` prefix of the full rerank.
-    ///
-    /// Under a selective engine this is the **shard-retrieval path**: each
-    /// shard cache contributes only its pool members and a
-    /// popularity-order prefix, the deterministic merge reassembles the
-    /// global pool and order prefix, and the query ranks against that view
-    /// alone — the complete merged order is neither re-merged nor
-    /// consulted (pinned by [`ServeStats::order_merges`]). A Uniform-rule
-    /// engine must keep scanning every slot for its per-page coins and
-    /// reads the complete merged order instead. `k = 0` answers without
-    /// consulting — or publishing — any serving state.
-    pub fn rerank_top_k(&self, context: QueryContext, k: usize) -> Vec<u64> {
-        self.rerank_top_k_versioned(context, k).1
-    }
-
-    /// [`rerank_top_k`](Self::rerank_top_k) plus the answering version's
-    /// epoch (the currently published epoch when `k = 0`).
-    pub fn rerank_top_k_versioned(&self, context: QueryContext, k: usize) -> (u64, Vec<u64>) {
-        let mut out = Vec::new();
-        let epoch = self.top_k_versioned_into(context, k, &mut out);
-        (epoch, out)
-    }
-
-    /// [`rerank_top_k`](Self::rerank_top_k) writing into `out` (cleared
-    /// first); allocation-free after warm-up.
-    pub fn rerank_top_k_into(&self, context: QueryContext, k: usize, out: &mut Vec<u64>) {
-        self.top_k_versioned_into(context, k, out);
-    }
-
-    fn top_k_versioned_into(&self, context: QueryContext, k: usize, out: &mut Vec<u64>) -> u64 {
-        ProbeCells::add(&self.probe.queries, 1);
-        if k == 0 {
+        if k == Some(0) {
             // A zero-rank query is answerable from nothing: charge no
             // probes and publish no version, whatever the backlog.
             out.clear();
-            return self
-                .published
-                .read()
-                .expect("published version lock")
-                .epoch();
+            return self.published_epoch();
         }
         let mut version = self.current_version();
         if version.is_empty() {
@@ -712,34 +622,10 @@ impl ShardedPromotionService {
         let mut scratch = self.take_scratch();
         let mut retried = false;
         let epoch = loop {
-            if self.engine.reads_pool_index() {
-                ProbeCells::add(&self.probe.shard_retrievals, version.shard_count() as u64);
-                scratch.retrieval.answer_into(
-                    &self.engine,
-                    &version,
-                    context,
-                    k,
-                    &mut scratch.buffers,
-                    &mut scratch.slots,
-                    out,
-                );
-            } else {
-                let (order, ran) = version.ensure_merged_order();
-                if ran {
-                    ProbeCells::add(&self.probe.order_merges, 1);
-                }
-                self.engine.rerank_top_k_merged_into(
-                    version.pool_slots(),
-                    order,
-                    |s| version.in_pool(s),
-                    k,
-                    context,
-                    &mut scratch.buffers,
-                    &mut scratch.slots,
-                );
-                out.clear();
-                out.extend(scratch.slots.iter().map(|&s| version.page_of(s).0));
-            }
+            let mode = self.read_mode(&version, k, 1);
+            let mut worker = BatchWorker::new(&self.engine, &version, scratch);
+            worker.answer_into(context, mode, out);
+            scratch = worker.scratch;
             if retried || self.epoch.load(Ordering::Acquire) == version.epoch() {
                 break version.epoch();
             }
@@ -747,10 +633,79 @@ impl ShardedPromotionService {
             retried = true;
             version = self.current_version();
         };
+        self.finish_scratch(scratch);
+        epoch
+    }
+
+    /// Pick how `queries` reads against `version` are answered, charging
+    /// the routing probes: top-k under a selective engine retrieves per
+    /// shard (`shards × queries` retrievals); everything else (full
+    /// reranks, the Uniform rule's coin scan) reads the complete merged
+    /// order, brought current first.
+    fn read_mode(&self, version: &PublishedVersion, k: Option<usize>, queries: usize) -> ReadMode {
+        match k {
+            Some(k) if self.engine.reads_pool_index() => {
+                ProbeCells::add(
+                    &self.probe.shard_retrievals,
+                    (version.shard_count() * queries) as u64,
+                );
+                ReadMode::Shards(k)
+            }
+            _ => {
+                let (_, ran) = version.ensure_merged_order();
+                if ran {
+                    ProbeCells::add(&self.probe.order_merges, 1);
+                }
+                ReadMode::Merged(k)
+            }
+        }
+    }
+
+    /// Fold a scratch set's arena counters into the probes (one relaxed
+    /// add each) and return it to the pool.
+    fn finish_scratch(&self, mut scratch: QueryScratch) {
         ProbeCells::add(&self.probe.mask_resets, scratch.buffers.take_mask_resets());
         ProbeCells::add(&self.probe.pool_draws, scratch.buffers.take_pool_draws());
         self.put_scratch(scratch);
-        epoch
+    }
+
+    /// The epoch of the currently published version (no publication).
+    fn published_epoch(&self) -> u64 {
+        self.published
+            .read()
+            .expect("published version lock")
+            .epoch()
+    }
+
+    /// The first `min(k, n)` document ids of
+    /// [`rerank_one`](Self::rerank_one), computed with the early-exit
+    /// merge: bit-identical to the length-`k` prefix of the full rerank.
+    ///
+    /// Under a selective engine this is the **shard-retrieval path**: each
+    /// shard cache contributes only a popularity-order prefix, the
+    /// deterministic merge reassembles the global order prefix, and the
+    /// query ranks against that plus the maintained merged pool — the
+    /// complete merged order is neither re-merged nor consulted (pinned
+    /// by [`ServeStats::order_merges`]). A Uniform-rule engine must keep
+    /// scanning every slot for its per-page coins and reads the complete
+    /// merged order instead. `k = 0` answers without consulting — or
+    /// publishing — any serving state.
+    pub fn rerank_top_k(&self, context: QueryContext, k: usize) -> Vec<u64> {
+        self.rerank_top_k_versioned(context, k).1
+    }
+
+    /// [`rerank_top_k`](Self::rerank_top_k) plus the answering version's
+    /// epoch (the currently published epoch when `k = 0`).
+    pub fn rerank_top_k_versioned(&self, context: QueryContext, k: usize) -> (u64, Vec<u64>) {
+        let mut out = Vec::new();
+        let epoch = self.read_into(context, Some(k), &mut out);
+        (epoch, out)
+    }
+
+    /// [`rerank_top_k`](Self::rerank_top_k) writing into `out` (cleared
+    /// first); allocation-free after warm-up.
+    pub fn rerank_top_k_into(&self, context: QueryContext, k: usize, out: &mut Vec<u64>) {
+        self.read_into(context, Some(k), out);
     }
 
     /// Answer a batch of queries, fanning out across scoped worker
@@ -810,26 +765,15 @@ impl ShardedPromotionService {
         results.resize_with(queries.len(), Vec::new);
         if queries.is_empty() {
             // Explicit early return: an empty batch must publish nothing
-            // and, above all, never reach the region-claim fan-out below —
-            // `chunk_len`/`SlotRegions` are defined over at least one
-            // result slot.
-            return self
-                .published
-                .read()
-                .expect("published version lock")
-                .epoch();
+            // and never reach the chunked fan-out below — `chunk_len` is
+            // defined over at least one result slot.
+            return self.published_epoch();
         }
         if k == Some(0) {
             // Zero-rank batches are answerable from nothing: clear the
             // (possibly reused) result slots, publish and charge nothing.
-            for out in results.iter_mut() {
-                out.clear();
-            }
-            return self
-                .published
-                .read()
-                .expect("published version lock")
-                .epoch();
+            results.iter_mut().for_each(Vec::clear);
+            return self.published_epoch();
         }
         let version = self.current_version();
         if version.is_empty() {
@@ -837,95 +781,43 @@ impl ShardedPromotionService {
             // and charges nothing — no repair, no retrievals, no merge.
             // `resize_with` keeps reused entries' stale contents, so
             // clear each result explicitly.
-            for out in results.iter_mut() {
-                out.clear();
-            }
+            results.iter_mut().for_each(Vec::clear);
             return version.epoch();
         }
 
-        // Pick the batch's path: top-k under a selective engine retrieves
-        // per shard; everything else (full reranks, the Uniform rule's
-        // coin scan) consumes the complete merged order, brought current
-        // once for the batch.
-        let mode = match k {
-            Some(k) if self.engine.reads_pool_index() => {
-                ProbeCells::add(
-                    &self.probe.shard_retrievals,
-                    (version.shard_count() * queries.len()) as u64,
-                );
-                BatchMode::TopKShards(k)
-            }
-            Some(k) => {
-                let (_, ran) = version.ensure_merged_order();
-                if ran {
-                    ProbeCells::add(&self.probe.order_merges, 1);
-                }
-                BatchMode::TopKMerged(k)
-            }
-            None => {
-                let (_, ran) = version.ensure_merged_order();
-                if ran {
-                    ProbeCells::add(&self.probe.order_merges, 1);
-                }
-                BatchMode::Full
-            }
-        };
-
-        let engine = &self.engine;
+        let mode = self.read_mode(&version, k, queries.len());
         let workers = self.workers.min(queries.len());
-        if workers <= 1 {
-            let mut worker = BatchWorker::new(engine, &version, self.take_scratch());
-            for (&ctx, out) in queries.iter().zip(results.iter_mut()) {
-                worker.answer_into(ctx, mode, out);
+        // Chunked work-stealing: workers claim result chunks a few queries
+        // wide (one short lock per chunk), so a slow query does not
+        // serialise its neighbours behind one worker. Each worker borrows
+        // a private scratch set from the pool — queries are
+        // allocation-free once the pool has warmed up to the fan-out —
+        // and folds its arena counters into the probes once, at exit.
+        let chunk = chunk_len(queries.len(), workers);
+        let chunks = Mutex::new(results.chunks_mut(chunk).enumerate());
+        let work = || {
+            let mut worker = BatchWorker::new(&self.engine, &version, self.take_scratch());
+            loop {
+                // `let … else` releases the lock before the chunk is
+                // answered (a `while let` would hold it for the body).
+                let Some((index, slots)) = chunks.lock().expect("batch chunk lock").next() else {
+                    break;
+                };
+                let start = index * chunk;
+                for (&ctx, out) in queries[start..].iter().zip(slots.iter_mut()) {
+                    worker.answer_into(ctx, mode, out);
+                }
             }
-            ProbeCells::add(
-                &self.probe.mask_resets,
-                worker.scratch.buffers.take_mask_resets(),
-            );
-            ProbeCells::add(
-                &self.probe.pool_draws,
-                worker.scratch.buffers.take_pool_draws(),
-            );
-            self.put_scratch(worker.scratch);
+            self.finish_scratch(worker.scratch);
+        };
+        if workers <= 1 {
+            work();
         } else {
-            // Contention-free fan-out: the result slots are pre-split into
-            // disjoint `&mut` regions that workers claim chunk-by-chunk
-            // from an atomic cursor — chunked work-stealing by index
-            // ranges, no result lock anywhere. Chunks are a few queries
-            // wide so a slow query does not serialise its neighbours
-            // behind one worker.
-            let regions = SlotRegions::new(results, chunk_len(queries.len(), workers));
-            // Mask resets and lazy-shuffle draws are accumulated per
-            // worker arena and folded into the probe once per worker —
-            // one relaxed add each at scope exit, nothing on the query
-            // path.
-            let mask_resets = AtomicU64::new(0);
-            let pool_draws = AtomicU64::new(0);
-            let version = &*version;
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| {
-                        // Each worker borrows a private scratch set from
-                        // the pool: queries are allocation-free once the
-                        // pool has warmed up to the worker fan-out.
-                        let mut worker = BatchWorker::new(engine, version, self.take_scratch());
-                        while let Some((range, slots)) = regions.claim() {
-                            for (&ctx, out) in queries[range].iter().zip(slots.iter_mut()) {
-                                worker.answer_into(ctx, mode, out);
-                            }
-                        }
-                        mask_resets.fetch_add(
-                            worker.scratch.buffers.take_mask_resets(),
-                            Ordering::Relaxed,
-                        );
-                        pool_draws
-                            .fetch_add(worker.scratch.buffers.take_pool_draws(), Ordering::Relaxed);
-                        self.put_scratch(worker.scratch);
-                    });
+                    scope.spawn(work);
                 }
             });
-            ProbeCells::add(&self.probe.mask_resets, mask_resets.into_inner());
-            ProbeCells::add(&self.probe.pool_draws, pool_draws.into_inner());
         }
         // Validate once at merge time, count-only: each answer is
         // consistent at the version's epoch by construction (versions are
@@ -938,84 +830,29 @@ impl ShardedPromotionService {
     }
 }
 
-/// How a batch's queries are answered (decided once per batch).
+/// How a read is answered (decided once per batch, or per sequential
+/// attempt, by [`ShardedPromotionService::read_mode`]).
 #[derive(Clone, Copy)]
-enum BatchMode {
-    /// Full rerank off the complete merged order (all `n` ranks
-    /// materialised per query).
-    Full,
-    /// Top-k off the complete merged order (the Uniform rule's per-page
-    /// coin scan needs every slot).
-    TopKMerged(usize),
-    /// Top-k via per-shard candidate retrieval and the deterministic
-    /// merge — no complete order touched.
-    TopKShards(usize),
+enum ReadMode {
+    /// Off the complete merged order: a full rerank (`None`) or a top-k
+    /// (the Uniform rule's per-page coin scan needs every slot).
+    Merged(Option<usize>),
+    /// Top-k via per-shard retrieval and the deterministic merge — no
+    /// complete order touched.
+    Shards(usize),
 }
 
 /// Chunk width for the batch fan-out: a handful of chunks per worker
-/// amortises the atomic claim while still letting fast workers steal work
-/// from slow ones.
+/// amortises the claim while still letting fast workers steal work from
+/// slow ones.
 fn chunk_len(queries: usize, workers: usize) -> usize {
     queries.div_ceil(workers * 4).max(1)
 }
 
-/// Disjoint `&mut` regions over a batch's result slots, claimed
-/// chunk-by-chunk from an atomic cursor (chunked work-stealing by index
-/// ranges). This is what replaces the old `Mutex<Vec<Option<Vec<u64>>>>`:
-/// no lock is taken on the result path, and each slot is handed to exactly
-/// one worker.
-struct SlotRegions<'a> {
-    base: *mut Vec<u64>,
-    len: usize,
-    chunk: usize,
-    next: AtomicUsize,
-    _slots: PhantomData<&'a mut [Vec<u64>]>,
-}
-
-// SAFETY: `SlotRegions` hands out raw-pointer-derived slices, but `claim`
-// guarantees every chunk index is observed by exactly one thread (it comes
-// from `fetch_add` on the cursor), and chunks are disjoint index ranges of
-// one allocation that outlives `'a`. `Vec<u64>` is `Send`, so moving the
-// exclusive regions across worker threads is sound.
-unsafe impl Send for SlotRegions<'_> {}
-unsafe impl Sync for SlotRegions<'_> {}
-
-impl<'a> SlotRegions<'a> {
-    fn new(slots: &'a mut [Vec<u64>], chunk: usize) -> Self {
-        debug_assert!(chunk >= 1);
-        SlotRegions {
-            base: slots.as_mut_ptr(),
-            len: slots.len(),
-            chunk,
-            next: AtomicUsize::new(0),
-            _slots: PhantomData,
-        }
-    }
-
-    /// Claim the next unclaimed chunk: its query-index range plus the
-    /// matching exclusive result region. Returns `None` once all slots
-    /// are handed out.
-    fn claim(&self) -> Option<(Range<usize>, &'a mut [Vec<u64>])> {
-        let chunk_index = self.next.fetch_add(1, Ordering::Relaxed);
-        let start = chunk_index.checked_mul(self.chunk)?;
-        if start >= self.len {
-            return None;
-        }
-        let end = (start + self.chunk).min(self.len);
-        // SAFETY: `fetch_add` yields each chunk index exactly once, so
-        // `start..end` ranges never overlap across calls; `base..base+len`
-        // stays valid and un-aliased for `'a` because `new` took the whole
-        // slice `&'a mut`.
-        let region = unsafe { std::slice::from_raw_parts_mut(self.base.add(start), end - start) };
-        Some((start..end, region))
-    }
-}
-
-/// Reusable scratch for one top-k query's retrieve→merge→rank round trip:
-/// the per-shard rest candidates, the merged view, and the slot list the
-/// merged rest flattens into. Owned per caller (a pooled sequential
-/// scratch set, or one per batch worker), so steady-state top-k queries
-/// allocate nothing.
+/// Reusable scratch for one top-k query's shard retrieval: the per-shard
+/// rest candidates, their merge, and the slot list the merged rest
+/// flattens into. Owned per caller (a pooled scratch set), so steady-state
+/// top-k queries allocate nothing.
 #[derive(Debug, Default)]
 struct TopKRetrieval {
     shards: Vec<ShardCandidates>,
@@ -1024,40 +861,24 @@ struct TopKRetrieval {
 }
 
 impl TopKRetrieval {
-    /// Answer one top-`k` query from a published version's shard caches
-    /// alone: retrieve each shard's rest prefix (`O(k)` per shard), merge
-    /// them deterministically, and rank against that prefix plus the
-    /// version's merged pool — the complete order is never read, and the
-    /// ranked global slots resolve to document ids through the version's
-    /// page table. Output is bit-identical to the length-`k` prefix of
-    /// the full rerank.
-    #[allow(clippy::too_many_arguments)]
-    fn answer_into(
+    /// Retrieve each shard's rest prefix of a published version (`O(k)`
+    /// per shard) and merge them deterministically into the first
+    /// non-pool slots of the global popularity order — with the version's
+    /// merged pool, a [`RankSource::retrieved`]. The complete order is
+    /// never read.
+    fn retrieve(
         &mut self,
         engine: &RankPromotionEngine,
         version: &PublishedVersion,
-        context: QueryContext,
         k: usize,
-        buffers: &mut RankBuffers,
-        slots: &mut Vec<usize>,
-        out: &mut Vec<u64>,
-    ) {
+    ) -> &[usize] {
         let limit = engine.config().candidate_prefix_len(k);
         version.collect_rest_candidates(limit, &mut self.shards);
         merge_shard_candidates_into(&self.shards, limit, &mut self.merged);
         self.rest_slots.clear();
         self.rest_slots
             .extend(self.merged.rest().iter().map(|p| p.slot));
-        engine.rerank_top_k_retrieved_into(
-            version.pool_slots(),
-            &self.rest_slots,
-            k,
-            context,
-            buffers,
-            slots,
-        );
-        out.clear();
-        out.extend(slots.iter().map(|&s| version.page_of(s).0));
+        &self.rest_slots
     }
 }
 
@@ -1071,9 +892,9 @@ struct BatchWorker<'a> {
 
 impl<'a> BatchWorker<'a> {
     /// Wrap a pooled scratch set: the arenas were grown by earlier
-    /// queries and go back to the pool after the batch, so steady-state
-    /// batches allocate nothing per batch (not even the first query's
-    /// arena growth — that warm-up happened once per service).
+    /// queries and go back to the pool afterwards, so steady-state reads
+    /// allocate nothing (not even the first query's arena growth — that
+    /// warm-up happened once per service).
     fn new(
         engine: &'a RankPromotionEngine,
         version: &'a PublishedVersion,
@@ -1086,47 +907,33 @@ impl<'a> BatchWorker<'a> {
         }
     }
 
-    /// Answer one query into `out` (cleared first) according to the
-    /// batch's mode. Reuses the worker's arenas and `out`'s storage — no
-    /// allocation once both have warmed up.
-    fn answer_into(&mut self, context: QueryContext, mode: BatchMode, out: &mut Vec<u64>) {
+    /// Answer one query into `out` (cleared first) on `mode`'s route — the
+    /// one place every read path ranks. Reuses the worker's arenas and
+    /// `out`'s storage — no allocation once both have warmed up.
+    fn answer_into(&mut self, context: QueryContext, mode: ReadMode, out: &mut Vec<u64>) {
+        let QueryScratch {
+            buffers,
+            slots,
+            retrieval,
+        } = &mut self.scratch;
+        let version = self.version;
         match mode {
-            BatchMode::Full => self.engine.rerank_merged_into(
-                self.version.pool_slots(),
-                self.version.merged_order(),
-                |s| self.version.in_pool(s),
-                context,
-                &mut self.scratch.buffers,
-                &mut self.scratch.slots,
-            ),
-            BatchMode::TopKMerged(k) => self.engine.rerank_top_k_merged_into(
-                self.version.pool_slots(),
-                self.version.merged_order(),
-                |s| self.version.in_pool(s),
-                k,
-                context,
-                &mut self.scratch.buffers,
-                &mut self.scratch.slots,
-            ),
-            BatchMode::TopKShards(k) => {
-                return self.scratch.retrieval.answer_into(
-                    self.engine,
-                    self.version,
-                    context,
-                    k,
-                    &mut self.scratch.buffers,
-                    &mut self.scratch.slots,
-                    out,
-                );
+            ReadMode::Merged(k) => {
+                let source = RankSource::new(version.pool_slots(), version.merged_order(), |s| {
+                    version.in_pool(s)
+                });
+                self.engine
+                    .rerank_source_into(source, k, context, buffers, slots);
+            }
+            ReadMode::Shards(k) => {
+                let rest = retrieval.retrieve(self.engine, version, k);
+                let source = RankSource::retrieved(version.pool_slots(), rest);
+                self.engine
+                    .rerank_source_into(source, Some(k), context, buffers, slots);
             }
         }
         out.clear();
-        out.extend(
-            self.scratch
-                .slots
-                .iter()
-                .map(|&s| self.version.page_of(s).0),
-        );
+        out.extend(slots.iter().map(|&s| version.page_of(s).0));
     }
 }
 
@@ -1290,9 +1097,7 @@ mod tests {
             steady.version_publications, 1,
             "clean batches must not publish"
         );
-        assert_eq!(steady.snapshot_rebuilds, 0);
-        assert_eq!(steady.full_sorts, 0);
-        assert_eq!(steady.pool_rebuilds, 0);
+        assert_eq!(steady.rebuilds, 0);
         assert_eq!(steady.pool_repairs, 1);
         assert_eq!(steady.mask_resets, 0, "no query may scan the corpus");
         assert_eq!(steady.batches, 3);
@@ -1310,9 +1115,7 @@ mod tests {
         assert_eq!(mutated.dirty_slots_repaired, 302);
         assert_eq!(mutated.order_merges, 2);
         assert_eq!(mutated.version_publications, 2);
-        assert_eq!(mutated.snapshot_rebuilds, 0);
-        assert_eq!(mutated.full_sorts, 0);
-        assert_eq!(mutated.pool_rebuilds, 0);
+        assert_eq!(mutated.rebuilds, 0);
         assert_eq!(mutated.pool_repairs, 2);
         assert_eq!(mutated.mask_resets, 0);
         assert_eq!(mutated.epoch_conflicts, 0);
@@ -1339,7 +1142,7 @@ mod tests {
         service.rerank_batch_top_k_into(&qs, 10, &mut results);
         let after = service.serve_stats();
         assert_eq!(after.mask_resets, before.mask_resets);
-        assert_eq!(after.pool_rebuilds, 0);
+        assert_eq!(after.rebuilds, 0);
         assert_eq!(after.shard_repairs, before.shard_repairs);
         assert_eq!(after.order_merges, before.order_merges);
         assert_eq!(after.version_publications, before.version_publications);
@@ -1372,8 +1175,7 @@ mod tests {
         let stats = service.serve_stats();
         assert_eq!(stats.order_merges, 0, "no complete-order merge on top-k");
         assert_eq!(stats.shard_retrievals, shards * (16 + 16 + 16));
-        assert_eq!(stats.snapshot_rebuilds, 0);
-        assert_eq!(stats.full_sorts, 0);
+        assert_eq!(stats.rebuilds, 0);
         assert_eq!(stats.mask_resets, 0);
         // Two publications repaired dirt: the warm-up (300 inserted
         // slots) and the two mutations — there is only one tier, so the
@@ -1393,8 +1195,8 @@ mod tests {
     #[test]
     fn empty_batches_skip_repair_and_fan_out() {
         // Regression for the empty-batch edge: zero queries must not
-        // exercise the region-claim path (`chunk_len`/`SlotRegions` are
-        // defined over at least one slot) and must not trigger a
+        // exercise the chunked fan-out (`chunk_len` is defined over at
+        // least one slot) and must not trigger a
         // publication.
         let service =
             ShardedPromotionService::new(RankPromotionEngine::recommended(), 3).with_workers(4);
@@ -1443,7 +1245,7 @@ mod tests {
         assert_eq!(stats.shard_repairs, 1, "one warm-up repair");
         assert_eq!(stats.order_merges, 1, "one merge serves the clean stretch");
         assert_eq!(stats.mask_resets, 7, "the coin scan stays mandatory");
-        assert_eq!(stats.snapshot_rebuilds, 0);
+        assert_eq!(stats.rebuilds, 0);
         // And the answers are still the full-rerank prefix.
         let full = service.rerank_one(qs[0]);
         assert_eq!(results[0], full[..5]);
@@ -1461,7 +1263,7 @@ mod tests {
         service.rerank_top_k(qs[0], 5);
         let stats = service.serve_stats();
         assert_eq!(stats.mask_resets, 9, "one per query, none avoidable");
-        assert_eq!(stats.pool_rebuilds, 0);
+        assert_eq!(stats.rebuilds, 0);
         assert_eq!(
             stats.pool_repairs, 0,
             "no pool index is maintained for an engine that never reads one"
@@ -1480,7 +1282,7 @@ mod tests {
         service.insert(Document::unexplored(777));
         let expected = vec![0usize, 20, 30, 40, 50];
         assert_eq!(service.pooled_slots(), expected.as_slice());
-        assert_eq!(service.serve_stats().pool_rebuilds, 0);
+        assert_eq!(service.serve_stats().rebuilds, 0);
     }
 
     #[test]
@@ -1492,9 +1294,7 @@ mod tests {
         let incremental = service.rerank_batch(&qs);
 
         service.rebuild_from_store();
-        assert_eq!(service.serve_stats().snapshot_rebuilds, 1);
-        assert_eq!(service.serve_stats().full_sorts, 1);
-        assert_eq!(service.serve_stats().pool_rebuilds, 1);
+        assert_eq!(service.serve_stats().rebuilds, 1);
         assert_eq!(
             service.rerank_batch(&qs),
             incremental,
@@ -1543,8 +1343,7 @@ mod tests {
         let fresh = ShardedPromotionService::new(engine, 3).with_workers(3);
         fresh.extend(service.store().snapshot());
         assert_eq!(incremental, fresh.rerank_batch(&qs));
-        assert_eq!(service.serve_stats().snapshot_rebuilds, 0);
-        assert_eq!(service.serve_stats().full_sorts, 0);
+        assert_eq!(service.serve_stats().rebuilds, 0);
     }
 
     #[test]

@@ -80,14 +80,14 @@ proptest! {
                     match k {
                         Some(k) => {
                             let mut got = Vec::new();
-                            durable.rerank_batch_top_k_into(&qs, k, &mut got);
+                            durable.service().rerank_batch_top_k_into(&qs, k, &mut got);
                             let mut want = Vec::new();
                             twin.rerank_batch_top_k_into(&qs, k, &mut want);
                             prop_assert_eq!(got, want, "mid-schedule top-{}", k);
                         }
                         None => {
                             prop_assert_eq!(
-                                durable.rerank_batch(&qs),
+                                durable.service().rerank_batch(&qs),
                                 twin.rerank_batch(&qs),
                                 "mid-schedule full rerank"
                             );
@@ -131,7 +131,7 @@ proptest! {
                 );
                 // …and bit-identical serving, on every path.
                 prop_assert_eq!(
-                    recovered.rerank_batch(&qs),
+                    recovered.service().rerank_batch(&qs),
                     twin.rerank_batch(&qs),
                     "recovered full rerank ({} shards × {} workers, {:?})",
                     shards,
@@ -140,7 +140,7 @@ proptest! {
                 );
                 for k in [1usize, 4, 11] {
                     let mut got = Vec::new();
-                    recovered.rerank_batch_top_k_into(&qs, k, &mut got);
+                    recovered.service().rerank_batch_top_k_into(&qs, k, &mut got);
                     let mut want = Vec::new();
                     twin.rerank_batch_top_k_into(&qs, k, &mut want);
                     prop_assert_eq!(
@@ -155,12 +155,12 @@ proptest! {
                 }
                 for &ctx in &qs {
                     prop_assert_eq!(
-                        recovered.rerank_one(ctx),
+                        recovered.service().rerank_one(ctx),
                         twin.rerank_one(ctx),
                         "recovered sequential full rerank"
                     );
                     prop_assert_eq!(
-                        recovered.rerank_top_k(ctx, 3),
+                        recovered.service().rerank_top_k(ctx, 3),
                         twin.rerank_top_k(ctx, 3),
                         "recovered sequential top-3"
                     );
@@ -174,7 +174,7 @@ proptest! {
             recovered.insert(doc).unwrap();
             twin.insert(doc);
             prop_assert_eq!(
-                recovered.rerank_batch(&qs),
+                recovered.service().rerank_batch(&qs),
                 twin.rerank_batch(&qs),
                 "post-recovery mutation"
             );

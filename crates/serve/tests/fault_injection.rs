@@ -67,7 +67,10 @@ fn assert_recovers_to(
     let (recovered, _) = DurableService::open(dir.path(), engine(seed), shards).unwrap();
     assert_same_corpus(&recovered.store().snapshot(), &expected.store().snapshot());
     let qs = queries(4, 0xFA);
-    assert_eq!(recovered.rerank_batch(&qs), expected.rerank_batch(&qs));
+    assert_eq!(
+        recovered.service().rerank_batch(&qs),
+        expected.rerank_batch(&qs)
+    );
 }
 
 proptest! {
@@ -187,20 +190,23 @@ fn append_failures_degrade_gracefully_and_keep_state_consistent() {
 
     // Serving continues from consistent state mid-outage.
     let qs = queries(4, 3);
-    assert_eq!(durable.rerank_batch(&qs), twin.rerank_batch(&qs));
+    assert_eq!(durable.service().rerank_batch(&qs), twin.rerank_batch(&qs));
 
     // The disk "heals": mutations work again, and a crash-recovery round
     // trip sees exactly the successful history.
     failpoint.disarm();
     durable.record_visit(4).unwrap();
     twin.record_visit(4);
-    assert_eq!(durable.rerank_batch(&qs), twin.rerank_batch(&qs));
+    assert_eq!(durable.service().rerank_batch(&qs), twin.rerank_batch(&qs));
     drop(durable);
     let (recovered, report) = DurableService::open(dir.path(), engine(7), 2).unwrap();
     assert_eq!(report.events_lost, 0);
     assert_eq!(report.events_replayed, 13); // 10 inserts + 3 mutations
     assert_same_corpus(&recovered.store().snapshot(), &twin.store().snapshot());
-    assert_eq!(recovered.rerank_batch(&qs), twin.rerank_batch(&qs));
+    assert_eq!(
+        recovered.service().rerank_batch(&qs),
+        twin.rerank_batch(&qs)
+    );
 }
 
 #[test]
@@ -229,7 +235,10 @@ fn a_corrupt_snapshot_falls_back_to_full_log_replay() {
     assert_eq!(report.events_replayed, 21, "the whole history replays");
     assert_same_corpus(&recovered.store().snapshot(), &twin.store().snapshot());
     let qs = queries(4, 9);
-    assert_eq!(recovered.rerank_batch(&qs), twin.rerank_batch(&qs));
+    assert_eq!(
+        recovered.service().rerank_batch(&qs),
+        twin.rerank_batch(&qs)
+    );
 }
 
 #[test]
@@ -255,7 +264,10 @@ fn an_unreadable_log_header_resets_the_log_but_keeps_the_snapshot() {
     assert_eq!(report.bytes_dropped, log_len, "the unreadable log is reset");
     assert_same_corpus(&recovered.store().snapshot(), &twin.store().snapshot());
     let qs = queries(4, 2);
-    assert_eq!(recovered.rerank_batch(&qs), twin.rerank_batch(&qs));
+    assert_eq!(
+        recovered.service().rerank_batch(&qs),
+        twin.rerank_batch(&qs)
+    );
 
     // And the reset log keeps working: mutate, crash, recover again.
     let doc = Document::unexplored(500);
@@ -264,7 +276,7 @@ fn an_unreadable_log_header_resets_the_log_but_keeps_the_snapshot() {
     drop(recovered);
     let (again, report) = DurableService::open(dir.path(), engine(11), 2).unwrap();
     assert_eq!(report.events_replayed, 1);
-    assert_eq!(again.rerank_batch(&qs), twin.rerank_batch(&qs));
+    assert_eq!(again.service().rerank_batch(&qs), twin.rerank_batch(&qs));
 }
 
 #[test]
@@ -294,7 +306,10 @@ fn a_log_cut_below_the_snapshot_mark_is_reset_and_the_snapshot_carries() {
     assert_eq!(report.events_replayed, 0);
     assert_same_corpus(&recovered.store().snapshot(), &twin.store().snapshot());
     let qs = queries(4, 5);
-    assert_eq!(recovered.rerank_batch(&qs), twin.rerank_batch(&qs));
+    assert_eq!(
+        recovered.service().rerank_batch(&qs),
+        twin.rerank_batch(&qs)
+    );
 
     // Appending resumes at the snapshot's sequence; a second recovery
     // sees a gap-free log.
@@ -305,5 +320,5 @@ fn a_log_cut_below_the_snapshot_mark_is_reset_and_the_snapshot_carries() {
     let (again, report) = DurableService::open(dir.path(), engine(5), 2).unwrap();
     assert_eq!(report.events_lost, 0);
     assert_eq!(report.events_replayed, 1);
-    assert_eq!(again.rerank_batch(&qs), twin.rerank_batch(&qs));
+    assert_eq!(again.service().rerank_batch(&qs), twin.rerank_batch(&qs));
 }

@@ -75,9 +75,7 @@ proptest! {
         // a snapshot rebuild, a from-scratch sort, a pool rebuild, or a
         // per-query pool scan (the engine is selective, so every query
         // reads the persistent pool index).
-        prop_assert_eq!(service.serve_stats().snapshot_rebuilds, 0);
-        prop_assert_eq!(service.serve_stats().full_sorts, 0);
-        prop_assert_eq!(service.serve_stats().pool_rebuilds, 0);
+        prop_assert_eq!(service.serve_stats().rebuilds, 0);
         prop_assert_eq!(service.serve_stats().mask_resets, 0);
     }
 }

@@ -104,7 +104,7 @@ proptest! {
         // one from the complete merged order (zero retrievals, at most
         // one lazy merge per serve point). Neither route ever rebuilds.
         let stats = service.serve_stats();
-        prop_assert_eq!(stats.snapshot_rebuilds, 0);
+        prop_assert_eq!(stats.rebuilds, 0);
         if selective {
             prop_assert_eq!(stats.order_merges, 0);
             prop_assert_eq!(stats.shard_retrievals, 4 * topk_queries);
@@ -194,7 +194,7 @@ proptest! {
 
         let stats = service.serve_stats();
         prop_assert_eq!(stats.shard_retrievals, 0);
-        prop_assert_eq!(stats.snapshot_rebuilds, 0);
+        prop_assert_eq!(stats.rebuilds, 0);
         prop_assert!(stats.order_merges <= batch_salt);
 
         // Final sweep: every shard × worker combination reproduces the

@@ -109,7 +109,7 @@ proptest! {
         // Uniform engines take the merged-order route unchanged and never
         // touch the overlay.
         let stats = service.serve_stats();
-        prop_assert_eq!(stats.snapshot_rebuilds, 0);
+        prop_assert_eq!(stats.rebuilds, 0);
         if selective {
             prop_assert_eq!(stats.order_merges, 0);
             prop_assert_eq!(stats.shard_retrievals, 4 * topk_queries);

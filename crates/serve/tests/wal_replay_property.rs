@@ -94,14 +94,14 @@ proptest! {
         assert_same_corpus(&replayed.store().snapshot(), &live.store().snapshot());
         let qs = queries(5, prefix_salt);
         prop_assert_eq!(
-            replayed.rerank_batch(&qs),
+            replayed.service().rerank_batch(&qs),
             live.rerank_batch(&qs),
             "full rerank at prefix {}/{}",
             prefix,
             events.len()
         );
         let mut got = Vec::new();
-        replayed.rerank_batch_top_k_into(&qs, 7, &mut got);
+        replayed.service().rerank_batch_top_k_into(&qs, 7, &mut got);
         let mut want = Vec::new();
         live.rerank_batch_top_k_into(&qs, 7, &mut want);
         prop_assert_eq!(got, want, "top-7 at prefix {}/{}", prefix, events.len());

@@ -273,8 +273,9 @@ impl Simulation {
             self.pool_index.repair(&self.stats, &self.dirty_slots);
         }
         self.pop_index.repair(&self.stats, &mut self.dirty_slots);
-        self.policy.rank_pooled_into(
+        self.policy.rank_view_into(
             PoolView::new(&self.stats, self.pop_index.order(), &self.pool_index),
+            None,
             &mut self.rng,
             &mut self.buffers,
             &mut self.ranking,

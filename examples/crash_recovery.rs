@@ -44,7 +44,7 @@ fn main() {
     println!("before the crash:");
     println!("  wal appends       = {}", stats.wal_appends);
     println!("  snapshots written = {}", stats.snapshots_written);
-    let before: Vec<Vec<u64>> = durable.rerank_batch(&queries);
+    let before: Vec<Vec<u64>> = durable.service().rerank_batch(&queries);
     for (ctx, order) in queries.iter().zip(&before) {
         println!("  serve {ctx:?} -> {order:?}");
     }
@@ -65,7 +65,7 @@ fn main() {
     println!("  events lost       = {}", report.events_lost);
     println!("  bytes dropped     = {}", report.bytes_dropped);
 
-    let after: Vec<Vec<u64>> = recovered.rerank_batch(&queries);
+    let after: Vec<Vec<u64>> = recovered.service().rerank_batch(&queries);
     for (ctx, order) in queries.iter().zip(&after) {
         println!("  serve {ctx:?} -> {order:?}");
     }

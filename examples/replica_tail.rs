@@ -60,8 +60,8 @@ fn main() {
     // Replica answers are bit-identical to the leader's — same epochs,
     // same coins, same order.
     for &ctx in &queries {
-        let leader_order = leader.rerank_top_k(ctx, 5);
-        let replica_order = replica.rerank_top_k(ctx, 5);
+        let leader_order = leader.service().rerank_top_k(ctx, 5);
+        let replica_order = replica.service().rerank_top_k(ctx, 5);
         println!("  {ctx:?}: leader {leader_order:?} == replica {replica_order:?}");
         assert_eq!(leader_order, replica_order);
     }
@@ -79,13 +79,13 @@ fn main() {
     println!(
         "  {:?} as of event 10: {:?}",
         queries[0],
-        historian.rerank_top_k(queries[0], 5)
+        historian.service().rerank_top_k(queries[0], 5)
     );
     // Raising the cap drains the backlog without re-reading the file.
     historian.catch_up().expect("drain");
     assert_eq!(
-        historian.rerank_top_k(queries[0], 5),
-        replica.rerank_top_k(queries[0], 5),
+        historian.service().rerank_top_k(queries[0], 5),
+        replica.service().rerank_top_k(queries[0], 5),
         "fully caught up, the historian equals any live replica"
     );
     println!("  …and after catch_up() the historian equals the live replica.");

@@ -180,7 +180,7 @@ fn top_k_is_the_golden_prefix_at_every_layer() {
     }
 }
 
-/// Layer 3, the pooled serving path: `rank_top_k_pooled_into` — the
+/// Layer 3, the pooled serving path: `PolicyKind::rank_view_into` — the
 /// `O(pool + k)` route that reads the persistent [`PoolIndex`] instead of
 /// scanning the corpus per query — reproduces the recorded top-10 golden
 /// for **all four policies** from the same RNG state. The pool's
@@ -206,17 +206,10 @@ fn pooled_top_k_reproduces_the_recorded_goldens_for_all_four_policies() {
         (PolicyKind::recommended(2), &GOLDEN_TOP10_SELECTIVE_123),
     ];
     for (kind, golden) in kinds {
-        kind.rank_top_k_pooled_into(view, 10, &mut new_rng(123), &mut buffers, &mut pooled);
+        kind.rank_view_into(view, Some(10), &mut new_rng(123), &mut buffers, &mut pooled);
         assert_eq!(pooled, *golden, "{} pooled golden", kind.name());
-        kind.rank_top_k_presorted_into(
-            &stats,
-            &sorted,
-            10,
-            &mut new_rng(123),
-            &mut buffers,
-            &mut scanned,
-        );
-        assert_eq!(pooled, scanned, "{} pooled ≡ scanning", kind.name());
+        kind.rank_into(&stats, &mut new_rng(123), &mut buffers, &mut scanned);
+        assert_eq!(pooled, scanned[..10], "{} pooled ≡ scanning", kind.name());
     }
 }
 
@@ -244,9 +237,7 @@ fn mutate_then_serve_top_k_matches_its_golden() {
     );
     // The schedule was served entirely from repaired state.
     let stats = service.serve_stats();
-    assert_eq!(stats.snapshot_rebuilds, 0);
-    assert_eq!(stats.full_sorts, 0);
-    assert_eq!(stats.pool_rebuilds, 0);
+    assert_eq!(stats.rebuilds, 0);
     assert_eq!(stats.mask_resets, 0);
 }
 
@@ -320,7 +311,7 @@ fn shard_merged_top_k_reproduces_the_recorded_goldens_for_all_four_policies() {
                 assert_eq!(stats.shard_retrievals, 0, "{label}");
                 assert_eq!(stats.order_merges, 1, "{label}");
             }
-            assert_eq!(stats.snapshot_rebuilds, 0, "{label}");
+            assert_eq!(stats.rebuilds, 0, "{label}");
         }
     }
 }
@@ -367,31 +358,35 @@ fn uniform_full_rerank_reproduces_its_golden_through_the_merged_order() {
             assert_eq!(batch[1], GOLDEN_UNIFORM_R30_K1_FULL_7_11_13);
             let stats = service.serve_stats();
             assert_eq!(stats.shard_retrievals, 0, "{shards} shards");
-            assert_eq!(stats.snapshot_rebuilds, 0, "{shards} shards");
+            assert_eq!(stats.rebuilds, 0, "{shards} shards");
             assert_eq!(stats.order_merges, 1, "{shards} shards");
         }
     }
 }
 
 /// Layer 3, the merge at the ranking layer: partitioning the documented
-/// corpus into 1, 3 or 8 shard-local corpora, collecting per-shard
-/// candidates and running the deterministic merge reproduces the *same*
-/// recorded pooled golden as the corpus-wide path, from the same RNG
-/// state — through both the self-contained candidate form and the
-/// maintained-pool primitive the serving tier uses.
+/// corpus into 1, 3 or 8 shard-local corpora, merging the shard pools
+/// (`merge_ascending_slots_into`) and the per-shard rest candidates
+/// (`merge_shard_candidates_into`) and ranking from that retrieved source
+/// reproduces the *same* recorded pooled golden as the corpus-wide path,
+/// from the same RNG state.
 #[test]
 fn shard_candidate_merge_reproduces_the_pooled_goldens() {
     use rrp_ranking::{
-        merge_shard_candidates_into, MergedCandidates, PageStats, PopularityIndex, ShardCandidates,
+        merge_ascending_slots_into, merge_shard_candidates_into, MergedCandidates, PageStats,
+        PopularityIndex, RankSource, ShardCandidates,
     };
 
     let docs = corpus();
     let mut stats = Vec::new();
     RankPromotionEngine::document_stats(&docs, &mut stats);
-    let kind = PolicyKind::recommended(2);
+    let PolicyKind::Promotion(policy) = PolicyKind::recommended(2) else {
+        unreachable!()
+    };
     let mut buffers = RankBuffers::new();
     let mut out = Vec::new();
     let mut merged = MergedCandidates::new();
+    let (mut heads, mut pool) = (Vec::new(), Vec::new());
     for shards in [1usize, 3, 8] {
         let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
         let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
@@ -402,13 +397,20 @@ fn shard_candidate_merge_reproduces_the_pooled_goldens() {
             locals[shard].push(local);
             globals[shard].push(p.slot);
         }
+        let pools: Vec<PoolIndex> = locals.iter().map(|l| PoolIndex::build(l)).collect();
+        merge_ascending_slots_into(
+            shards,
+            |s| pools[s].len(),
+            |s, i| globals[s][pools[s].members()[i]],
+            &mut heads,
+            &mut pool,
+        );
         let candidates: Vec<ShardCandidates> = (0..shards)
             .map(|s| {
                 let order = PopularityIndex::build(&locals[s]);
-                let pool = PoolIndex::build(&locals[s]);
                 let mut c = ShardCandidates::new();
-                c.collect(
-                    PoolView::new(&locals[s], order.order(), &pool),
+                c.collect_rest(
+                    PoolView::new(&locals[s], order.order(), &pools[s]),
                     10,
                     &globals[s],
                 );
@@ -416,22 +418,10 @@ fn shard_candidate_merge_reproduces_the_pooled_goldens() {
             })
             .collect();
         merge_shard_candidates_into(&candidates, 10, &mut merged);
-        kind.rank_top_k_candidates_into(&merged, 10, &mut new_rng(123), &mut buffers, &mut out);
-        assert_eq!(
-            out, GOLDEN_TOP10_SELECTIVE_123,
-            "candidate form via {shards}-shard merge"
-        );
-
-        // The maintained-pool primitive (pool merged once per repair,
-        // rest retrieved per query) draws the identical stream.
-        let PolicyKind::Promotion(policy) = kind else {
-            unreachable!()
-        };
         let rest_slots: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
-        policy.rank_top_k_retrieved_into(
-            merged.pool(),
-            &rest_slots,
-            10,
+        policy.rank(
+            RankSource::retrieved(&pool, &rest_slots),
+            Some(10),
             &mut new_rng(123),
             &mut buffers,
             &mut out,
@@ -470,8 +460,7 @@ fn mutate_then_merge_schedule_reproduces_its_golden_at_every_shard_count() {
         assert_eq!(stats.order_merges, 0, "{shards} shards");
         assert_eq!(stats.shard_retrievals, shards as u64);
         assert_eq!(stats.shard_repairs, 1, "one repair covers the schedule");
-        assert_eq!(stats.snapshot_rebuilds, 0);
-        assert_eq!(stats.pool_rebuilds, 0);
+        assert_eq!(stats.rebuilds, 0);
         assert_eq!(stats.mask_resets, 0);
     }
 }
@@ -565,7 +554,7 @@ fn v2_shard_merged_top_k_reproduces_its_recorded_goldens() {
                 assert_eq!(stats.order_merges, 1, "{label}");
                 assert_eq!(stats.pool_draws, 0, "{label}: Uniform never draws");
             }
-            assert_eq!(stats.snapshot_rebuilds, 0, "{label}");
+            assert_eq!(stats.rebuilds, 0, "{label}");
             assert_eq!(
                 stats.mask_resets,
                 if engine.reads_pool_index() { 0 } else { 6 },
@@ -603,9 +592,7 @@ fn v2_mutate_then_serve_matches_its_golden_at_every_shard_count() {
             "{shards} shards"
         );
         let stats = service.serve_stats();
-        assert_eq!(stats.snapshot_rebuilds, 0);
-        assert_eq!(stats.full_sorts, 0);
-        assert_eq!(stats.pool_rebuilds, 0);
+        assert_eq!(stats.rebuilds, 0);
         assert_eq!(stats.mask_resets, 0);
         assert!(stats.pool_draws <= 12, "{shards} shards: O(k) draws");
     }
@@ -660,7 +647,7 @@ fn time_travel_replicas_reproduce_the_recorded_history() {
         assert_eq!(stats.events_applied, cap, "capped replay stops exactly");
         assert_eq!(stats.behind_by, total - cap, "the rest is held, not lost");
         assert_eq!(
-            replica.rerank_top_k(ctx, 12),
+            replica.service().rerank_top_k(ctx, 12),
             *golden,
             "history at event {cap}"
         );
