@@ -3,8 +3,8 @@
 //! Three layers are pinned here:
 //!
 //! 1. **Golden vectors** — the exact rerank order for a fixed
-//!    `(engine seed, query, session)` and the exact first outputs of the
-//!    workspace RNG. If these change, every recorded experiment in the
+//!    `(engine seed, query, session)`, the exact first outputs of the
+//!    workspace RNG, and the simulator's metrics for a fixed community. If these change, every recorded experiment in the
 //!    repository silently stops being reproducible, so a change must be
 //!    deliberate (update the vectors in the same commit and say why).
 //! 2. **Serial ≡ parallel** — every figure driver routes its sweep through
@@ -658,6 +658,66 @@ fn time_travel_replicas_reproduce_the_recorded_history() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Layer 1, the simulator: a tiny community run under all five policy
+/// shapes the figure drivers use (three deterministic baselines, the
+/// recommended Selective promotion and a Uniform-rule promotion), with
+/// pure search and with half the visits random surfing, plus one
+/// fresh-best-page trace (the probe path: a slot reset mid-run and a
+/// re-rank per traced day). Every metric is pinned as raw `f64` bits, so
+/// a change to the day loop's RNG stream, its incremental ranking state or
+/// its visit accounting shifts these vectors.
+#[test]
+fn simulation_reproduces_its_recorded_golden() {
+    use rrp_model::CommunityConfig;
+    use rrp_sim::{SimConfig, SimMetrics, Simulation};
+
+    let community = CommunityConfig::builder()
+        .pages(60)
+        .users(30)
+        .monitored_users(15)
+        .total_visits_per_day(30.0)
+        .expected_lifetime_days(40.0)
+        .build()
+        .unwrap();
+    let config = |surf: f64| SimConfig::for_community(community, 17).with_surf_fraction(surf);
+    let bits = |m: SimMetrics| {
+        [
+            m.days_measured,
+            m.absolute_qpc.to_bits(),
+            m.ideal_qpc.to_bits(),
+            m.normalized_qpc.to_bits(),
+            m.mean_zero_awareness_fraction.to_bits(),
+        ]
+    };
+    let policies = [
+        PolicyKind::Popularity,
+        PolicyKind::QualityOracle,
+        PolicyKind::FullyRandom,
+        PolicyKind::recommended(1),
+        PolicyKind::promotion(PromotionConfig::new(PromotionRule::Uniform, 1, 0.3).unwrap()),
+    ];
+    let mut observed = Vec::new();
+    for surf in [0.0, 0.5] {
+        for policy in policies {
+            let mut sim = Simulation::new(config(surf), policy).unwrap();
+            observed.push(bits(sim.run_windows(30, 30)));
+        }
+    }
+    assert_eq!(observed, GOLDEN_SIM_METRICS_17);
+
+    let mut sim = Simulation::new(config(0.0), PolicyKind::recommended(1)).unwrap();
+    sim.run(20);
+    let trace = sim.trace_fresh_best_page(15);
+    let trace_bits: Vec<u64> = trace
+        .popularity
+        .iter()
+        .chain(&trace.daily_visits)
+        .map(|x| x.to_bits())
+        .collect();
+    assert_eq!(trace_bits, GOLDEN_SIM_TRACE_17);
+    assert_eq!(bits(sim.run_windows(0, 10)), GOLDEN_SIM_AFTER_TRACE_17);
+}
+
 /// Golden outputs of `new_rng(123)`.
 const GOLDEN_RNG_123: [u64; 4] = [
     17369494502333954609,
@@ -732,3 +792,126 @@ const GOLDEN_V2_TOP10_SELECTIVE_R50_K1_7_11_13: [u64; 10] = [0, 1, 23, 26, 2, 29
 /// Golden engine-v2 top-12 document ids after the documented
 /// mutate-then-serve schedule (engine seed 7, `QueryContext::new(11, 13)`).
 const GOLDEN_V2_MUTATE_THEN_SERVE_TOP12: [u64; 12] = [3, 0, 1, 27, 2, 4, 5, 40, 6, 7, 8, 9];
+
+/// Golden simulator metrics (community of 60 pages, seed 17, 30 warm-up +
+/// 30 measured days) as `[days, absolute, ideal, normalized, zero-aware]`
+/// bits: popularity, oracle, fully random, recommended(1) and Uniform
+/// r = 0.3 k = 1, first with `surf_fraction` 0, then 0.5.
+const GOLDEN_SIM_METRICS_17: [[u64; 5]; 10] = [
+    [
+        30,
+        4572560687636185654,
+        4595372468040232909,
+        4584237927359508383,
+        4603144191134141863,
+    ],
+    [
+        30,
+        4595372468040232905,
+        4595372468040232909,
+        4607182418800017402,
+        4600707243335775829,
+    ],
+    [
+        30,
+        4573498820022566556,
+        4595372468040232909,
+        4585132132710027482,
+        4594912611815225790,
+    ],
+    [
+        30,
+        4570554685940564022,
+        4595372468040232909,
+        4581760496592118197,
+        4602909003153601404,
+    ],
+    [
+        30,
+        4590453989971789118,
+        4595372468040232909,
+        4602076526601897857,
+        4599156003464125990,
+    ],
+    [
+        30,
+        4597884643258104948,
+        4595372468040232909,
+        4609005922169136690,
+        4601567931264562190,
+    ],
+    [
+        30,
+        4597880041494384109,
+        4595372468040232909,
+        4609002581903860150,
+        4598345355531199301,
+    ],
+    [
+        30,
+        4593812618364558590,
+        4595372468040232909,
+        4604917934126594742,
+        4596974259644644287,
+    ],
+    [
+        30,
+        4598057139011881488,
+        4595372468040232909,
+        4609131131026358333,
+        4600617171343228416,
+    ],
+    [
+        30,
+        4596750016292674676,
+        4595372468040232909,
+        4608182334674348707,
+        4599536307432659499,
+    ],
+];
+
+/// Golden fresh-best-page trace under recommended(1) after 20 days (same
+/// community and seed): 16 popularity bits, then 16 expected-visit bits.
+const GOLDEN_SIM_TRACE_17: [u64; 32] = [
+    0,
+    4583343364772469583,
+    4596854163654581071,
+    4599916611401193008,
+    4600396995361445861,
+    4600396995361445861,
+    4600396995361445861,
+    4600877379321698714,
+    4600877379321698714,
+    4600877379321698714,
+    4600877379321698714,
+    4600877379321698714,
+    4600877379321698714,
+    4600877379321698714,
+    4600877379321698714,
+    4600877379321698714,
+    4591835003123871689,
+    4618856600888094665,
+    4618856600888094665,
+    4618856600888094665,
+    4618856600888094665,
+    4618856600888094665,
+    4612252786283040480,
+    4618856600888094665,
+    4618856600888094665,
+    4618856600888094665,
+    4618856600888094665,
+    4612252786283040480,
+    4618856600888094665,
+    4618856600888094665,
+    4618856600888094665,
+    4612252786283040480,
+];
+
+/// Golden metrics of the 10 days measured right after that trace.
+const GOLDEN_SIM_AFTER_TRACE_17: [u64; 5] = [
+    10,
+    4589751179446460937,
+    4595372468040232909,
+    4601056233628962632,
+    4603219251127931371,
+];
