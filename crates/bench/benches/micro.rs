@@ -13,8 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rrp_core::{CorpusCache, Document, QueryContext, RankPromotionEngine, RerankScratch};
 use rrp_model::{new_rng, CommunityConfig, PowerLawQuality, QualityDistribution};
 use rrp_ranking::{
-    PageStats, PoolIndex, PopularityRanking, RandomizedRankPromotion, RankBuffers, RankSource,
-    RankingPolicy,
+    PageStats, PopularityRanking, RandomizedRankPromotion, RankBuffers, RankingPolicy,
 };
 use rrp_serve::ShardedPromotionService;
 use rrp_sim::{SimConfig, Simulation};
@@ -68,10 +67,11 @@ fn bench_engine_rerank(c: &mut Criterion) {
     for &n in &[100usize, 1_000, 10_000] {
         let docs = corpus(n);
         let engine = RankPromotionEngine::recommended();
+        let mut stats = Vec::with_capacity(n);
+        RankPromotionEngine::document_stats(&docs, &mut stats);
         let mut cache = CorpusCache::new();
-        cache.rebuild(&docs);
-        let pool = cache.pool();
-        let source = RankSource::new(pool.members(), cache.order(), |s| pool.contains(s));
+        cache.rebuild(stats);
+        let source = cache.source();
         let mut buffers = RankBuffers::with_capacity(n);
         let mut slots = Vec::with_capacity(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &docs, |b, docs| {
@@ -160,12 +160,11 @@ fn bench_ranking_policies(c: &mut Criterion) {
         })
     });
     // And from a maintained popularity order and pool (no per-call sort or
-    // scan), as the simulator's incremental indexes and the serve layer
-    // provide.
-    let mut sorted: Vec<usize> = Vec::with_capacity(stats.len());
-    PopularityRanking.rank_order_into(&stats, &mut sorted);
-    let pool = PoolIndex::build(&stats);
-    let source = RankSource::new(pool.members(), &sorted, |s| pool.contains(s));
+    // scan), as the `CorpusCache` the simulator and the serve layer keep
+    // provides.
+    let mut cache = CorpusCache::new();
+    cache.rebuild(stats.iter().copied());
+    let source = cache.source();
     group.bench_function("selective_promotion_presorted", |b| {
         b.iter(|| {
             promo.rank(source, None, &mut rng, &mut buffers, &mut out);

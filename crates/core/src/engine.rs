@@ -8,13 +8,12 @@
 //! a user re-running the same query in the same session sees a stable list,
 //! while different users explore different promoted documents.
 
-use crate::cache::CorpusCache;
 use crate::document::{Document, QueryContext};
 use rrp_model::new_rng;
 use rrp_model::PageId;
 use rrp_ranking::{
-    EngineVersion, PageStats, PromotionConfig, PromotionRule, RandomizedRankPromotion, RankBuffers,
-    RankSource,
+    CorpusCache, EngineVersion, PageStats, PromotionConfig, PromotionRule, RandomizedRankPromotion,
+    RankBuffers, RankSource,
 };
 use serde::{Deserialize, Serialize};
 
@@ -260,12 +259,15 @@ impl RankPromotionEngine {
     ) -> Vec<u64> {
         let mut cache = CorpusCache::new();
         cache.set_pool_maintained(self.reads_pool_index());
-        cache.rebuild(documents);
-        let pool = cache.pool();
-        let source = RankSource::new(pool.members(), cache.order(), |s| pool.contains(s));
+        cache.rebuild(
+            documents
+                .iter()
+                .enumerate()
+                .map(|(slot, d)| Self::document_stat(slot, d)),
+        );
         let mut buffers = RankBuffers::new();
         let mut slots = Vec::with_capacity(k.min(documents.len()));
-        self.rerank_source_into(source, Some(k), context, &mut buffers, &mut slots);
+        self.rerank_source_into(cache.source(), Some(k), context, &mut buffers, &mut slots);
         slots.into_iter().map(|slot| documents[slot].id).collect()
     }
 
@@ -317,6 +319,15 @@ mod tests {
             .collect();
         docs.extend((20..30).map(Document::unexplored));
         docs
+    }
+
+    /// A repaired cache over `docs`, as a batch server keeps one.
+    fn cache_of(docs: &[Document]) -> CorpusCache {
+        let mut stats = Vec::new();
+        RankPromotionEngine::document_stats(docs, &mut stats);
+        let mut cache = CorpusCache::new();
+        cache.rebuild(stats);
+        cache
     }
 
     #[test]
@@ -489,10 +500,8 @@ mod tests {
     fn pooled_and_cached_paths_match_the_scanning_path() {
         let docs = corpus();
         let engine = RankPromotionEngine::recommended().with_seed(21);
-        let mut cache = CorpusCache::new();
-        cache.rebuild(&docs);
-        let pool = cache.pool();
-        let source = RankSource::new(pool.members(), cache.order(), |s| pool.contains(s));
+        let cache = cache_of(&docs);
+        let source = cache.source();
         let mut buffers = RankBuffers::new();
         let mut cached = Vec::new();
         for q in 0..40u64 {
@@ -518,8 +527,7 @@ mod tests {
                 .with_seed(21),
         ];
         for engine in engines {
-            let mut cache = CorpusCache::new();
-            cache.rebuild(&docs);
+            let cache = cache_of(&docs);
             let pool = cache.pool();
             let mut buffers = RankBuffers::new();
             let mut merged = Vec::new();
@@ -569,8 +577,7 @@ mod tests {
         assert_eq!(v2.version(), EngineVersion::V2);
         assert_eq!(v2.config(), v1.config());
 
-        let mut cache = CorpusCache::new();
-        cache.rebuild(&docs);
+        let cache = cache_of(&docs);
         let pool = cache.pool();
         let rest: Vec<usize> = cache
             .order()
@@ -641,10 +648,8 @@ mod tests {
         let engine = RankPromotionEngine::recommended().with_seed(3);
 
         // The sorted source built once, as a batch server would.
-        let mut cache = CorpusCache::new();
-        cache.rebuild(&docs);
-        let pool = cache.pool();
-        let source = RankSource::new(pool.members(), cache.order(), |s| pool.contains(s));
+        let cache = cache_of(&docs);
+        let source = cache.source();
 
         let mut scratch = RerankScratch::with_capacity(docs.len());
         let mut buffers = RankBuffers::new();

@@ -2,9 +2,9 @@
 //! read-only versions — the storage side of shard-local top-k candidate
 //! retrieval under concurrent readers.
 //!
-//! Where [`CorpusCache`] keeps one corpus-wide snapshot current,
-//! [`ShardedCorpusCache`] keeps one `CorpusCache` **per shard**, each over
-//! that shard's documents under dense *shard-local* slots, with a
+//! Where an [`rrp_ranking::CorpusCache`] keeps one corpus's ranking state
+//! current, [`ShardedCorpusCache`] keeps one `CorpusCache` **per shard**,
+//! each over that shard's documents under dense *shard-local* slots, with a
 //! shard-local dirty list repaired independently. A top-`k` query then
 //! never touches corpus-wide ranking state: each shard contributes a
 //! [`ShardCandidates`] rest prefix (its first `c` non-pool
@@ -62,10 +62,10 @@
 //!   globally ordered), which is what makes a shard-local popularity
 //!   order agree with the global order's slot tie-break after relabeling.
 
-use crate::cache::CorpusCache;
 use crate::document::Document;
+use crate::engine::RankPromotionEngine;
 use rrp_model::PageId;
-use rrp_ranking::{ShardCandidates, SharedLazyOrder};
+use rrp_ranking::{CorpusCache, ShardCandidates, SharedLazyOrder};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -269,7 +269,7 @@ impl PublishedVersion {
     pub fn collect_rest_candidates(&self, limit: usize, out: &mut Vec<ShardCandidates>) {
         out.resize_with(self.shards.len(), ShardCandidates::new);
         for (shard, candidates) in self.shards.iter().zip(out.iter_mut()) {
-            candidates.collect_rest(shard.cache.view(), limit, &shard.globals);
+            candidates.collect_rest(&shard.cache, limit, &shard.globals);
         }
     }
 }
@@ -428,7 +428,7 @@ impl ShardedCorpusCache {
         Arc::make_mut(&mut self.pool_mask).push(maintained && document.is_unexplored);
         let entry = &mut self.shards[shard];
         Arc::make_mut(&mut entry.globals).push(global_slot);
-        Arc::make_mut(&mut entry.cache).push(document);
+        Arc::make_mut(&mut entry.cache).push(RankPromotionEngine::document_stat(local, document));
         self.note_mutation(global_slot);
     }
 
@@ -439,7 +439,8 @@ impl ShardedCorpusCache {
     pub fn patch(&mut self, global_slot: usize, document: &Document) {
         let maintained = self.pool_maintained();
         let (shard, local) = self.placement[global_slot];
-        Arc::make_mut(&mut self.shards[shard as usize].cache).patch(local as usize, document);
+        let stat = RankPromotionEngine::document_stat(local as usize, document);
+        Arc::make_mut(&mut self.shards[shard as usize].cache).patch(local as usize, stat);
         Arc::make_mut(&mut self.pages)[global_slot] = PageId::new(document.id);
         Arc::make_mut(&mut self.pool_mask)[global_slot] = maintained && document.is_unexplored;
         self.note_mutation(global_slot);
@@ -589,10 +590,11 @@ impl ShardedCorpusCache {
             let document = fetch(global);
             let (cache_buf, globals_buf) = &mut shard_bufs[shard];
             if let Some(cache) = cache_buf {
+                let stat = RankPromotionEngine::document_stat(local, &document);
                 if local == cache.len() {
-                    cache.push(&document);
+                    cache.push(stat);
                 } else {
-                    cache.patch(local, &document);
+                    cache.patch(local, stat);
                 }
             }
             if let Some(globals) = globals_buf {
@@ -717,7 +719,7 @@ impl ShardedCorpusCache {
     pub fn collect_rest_candidates(&self, limit: usize, out: &mut Vec<ShardCandidates>) {
         out.resize_with(self.shards.len(), ShardCandidates::new);
         for (shard, candidates) in self.shards.iter().zip(out.iter_mut()) {
-            candidates.collect_rest(shard.cache.view(), limit, &shard.globals);
+            candidates.collect_rest(&shard.cache, limit, &shard.globals);
         }
     }
 
@@ -757,6 +759,7 @@ fn reclaim<T>(current: &Arc<T>, prev: Arc<T>) -> Option<T> {
 mod tests {
     use super::*;
     use rrp_ranking::{merge_shard_candidates_into, MergedCandidates, PoolIndex, PopularityIndex};
+    use serde::Value;
 
     fn documents(n: u64) -> Vec<Document> {
         (0..n)
@@ -787,7 +790,7 @@ mod tests {
     /// The corpus-wide reference: global stats, order, and pool.
     fn global_reference(docs: &[Document]) -> (PopularityIndex, PoolIndex) {
         let mut stats = Vec::new();
-        crate::engine::RankPromotionEngine::document_stats(docs, &mut stats);
+        RankPromotionEngine::document_stats(docs, &mut stats);
         (PopularityIndex::build(&stats), PoolIndex::build(&stats))
     }
 
@@ -994,7 +997,7 @@ mod tests {
         let mut cache = filled(&docs, 3);
         cache.repair();
         let mut stats = Vec::new();
-        crate::engine::RankPromotionEngine::document_stats(&docs, &mut stats);
+        RankPromotionEngine::document_stats(&docs, &mut stats);
         for (slot, stat) in stats.iter().enumerate() {
             assert_eq!(cache.stat_of(slot), *stat);
             assert_eq!(cache.in_pool(slot), docs[slot].is_unexplored);
@@ -1069,11 +1072,12 @@ mod tests {
         assert!(cache.shards.iter().all(|s| !s.cache.pool_maintained()));
     }
 
-    /// The PR 4 `is_unexplored` tripwire, at the shard tier: mutating a
-    /// document's awareness *without* routing the mutation through
-    /// [`ShardedCorpusCache::patch`] leaves that shard's pool index stale,
-    /// and the membership debug assertion inside the next shard-local
-    /// repair catches it instead of silently serving a drifted pool.
+    /// The pool index's `is_unexplored` tripwire, at the shard tier:
+    /// mutating a document's awareness *without* routing the mutation
+    /// through [`ShardedCorpusCache::patch`] leaves that shard's pool index
+    /// stale, and the membership debug assertion inside the next
+    /// shard-local repair catches it instead of silently serving a drifted
+    /// pool.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "is_consistent")]
@@ -1082,17 +1086,26 @@ mod tests {
         let mut cache = filled(&docs, 3);
         cache.repair();
 
-        // Visit the unexplored slot 0 behind the cache's back (no dirty
-        // mark), then dirty the *same shard* through a legitimate patch:
+        // Visit the unexplored slot 0 behind the cache's back — rewrite its
+        // entry in the shard cache's serialized state, so no dirty mark is
+        // set — then dirty the *same shard* through a legitimate patch:
         // slots 0 and 3 both route to shard `shard_of(0, 3)`, so the next
         // repair runs on the drifted shard and its membership assertion
         // fires.
         assert_eq!(shard_of(0, 3), shard_of(3, 3));
         docs[0].is_unexplored = false;
         let (shard, local) = cache.placement[0];
-        let stat = crate::engine::RankPromotionEngine::document_stat(local as usize, &docs[0]);
-        Arc::make_mut(&mut cache.shards[shard as usize].cache).stats_mut_unmarked()
-            [local as usize] = stat;
+        let stat = RankPromotionEngine::document_stat(local as usize, &docs[0]);
+        let shard_cache = &mut cache.shards[shard as usize].cache;
+        let Value::Map(mut fields) = shard_cache.to_value() else {
+            unreachable!("a cache serializes as a map")
+        };
+        let Some((_, Value::Seq(stats))) = fields.iter_mut().find(|(name, _)| name == "stats")
+        else {
+            unreachable!("the cache serializes its stats")
+        };
+        stats[local as usize] = stat.to_value();
+        *shard_cache = Arc::new(CorpusCache::from_value(&Value::Map(fields)).unwrap());
         docs[3].popularity = 0.9;
         cache.patch(3, &docs[3]);
         cache.repair();

@@ -33,7 +33,7 @@
 //! stopped. Either way no unseen element could have preceded an emitted
 //! one.
 
-use crate::poolindex::PoolView;
+use crate::cache::CorpusCache;
 use crate::stats::{popularity_order, PageStats};
 
 /// One shard's candidate set: everything of the shard's non-pool order the
@@ -57,7 +57,7 @@ impl ShardCandidates {
         &self.rest
     }
 
-    /// Fill this set from a shard's maintained [`PoolView`]: filter the
+    /// Fill this set from a shard's repaired [`CorpusCache`]: filter the
     /// shard's popularity order through the pool mask, stopping after
     /// `limit` non-pool matches — `O(limit)` past any pool members above
     /// the cut, no per-corpus work. Each entry is relabeled through
@@ -65,21 +65,23 @@ impl ShardCandidates {
     /// increasing so that shard-local order agrees with the global order's
     /// slot tie-break. The pool half is its owner's to merge, once per
     /// repair ([`merge_ascending_slots_into`]).
-    pub fn collect_rest(&mut self, view: PoolView<'_>, limit: usize, global_slots: &[usize]) {
-        debug_assert_eq!(global_slots.len(), view.pages.len());
+    pub fn collect_rest(&mut self, cache: &CorpusCache, limit: usize, global_slots: &[usize]) {
+        let (pages, pool) = (cache.stats(), cache.pool());
+        debug_assert_eq!(global_slots.len(), pages.len());
         debug_assert!(global_slots.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(
-            view.pool.is_consistent(view.pages),
+            pool.is_consistent(pages),
             "candidate retrieval requires a maintained pool index"
         );
         self.rest.clear();
         self.rest.extend(
-            view.sorted
+            cache
+                .order()
                 .iter()
-                .filter(|&&local| !view.pool.contains(local))
+                .filter(|&&local| !pool.contains(local))
                 .take(limit)
                 .map(|&local| {
-                    let mut stat = view.pages[local];
+                    let mut stat = pages[local];
                     stat.slot = global_slots[local];
                     stat
                 }),
@@ -280,14 +282,10 @@ mod tests {
         partition(stats, shards)
             .iter()
             .map(|(locals, globals)| {
-                let order = PopularityIndex::build(locals);
-                let pool = PoolIndex::build(locals);
+                let mut cache = CorpusCache::new();
+                cache.rebuild(locals.iter().copied());
                 let mut candidates = ShardCandidates::new();
-                candidates.collect_rest(
-                    PoolView::new(locals, order.order(), &pool),
-                    limit,
-                    globals,
-                );
+                candidates.collect_rest(&cache, limit, globals);
                 candidates
             })
             .collect()

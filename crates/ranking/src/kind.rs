@@ -10,11 +10,11 @@
 //! implementing [`RankingPolicy`] for callers that want the trait.
 
 use crate::buffers::RankBuffers;
+use crate::cache::CorpusCache;
 use crate::deterministic::{FullyRandomRanking, PopularityRanking, QualityOracleRanking};
 use crate::policy::RankingPolicy;
-use crate::poolindex::PoolView;
 use crate::promotion::{PromotionConfig, PromotionRule};
-use crate::randomized::{RandomizedRankPromotion, RankSource};
+use crate::randomized::RandomizedRankPromotion;
 use crate::stats::PageStats;
 use rand::RngCore;
 
@@ -73,39 +73,30 @@ impl PolicyKind {
         RankingPolicy::rank(self, pages, rng)
     }
 
-    /// Rank against a maintained [`PoolView`] (the stats, their popularity
-    /// order and the [`PoolIndex`](crate::PoolIndex)) — the full ranking
-    /// with `k = None`, else its first `min(k, n)` ranks. Output and RNG
-    /// consumption are byte-identical to [`rank_into`](Self::rank_into)
-    /// over `view.pages` (for promotion under engine v2, a Selective
-    /// top-`k` draws the lazy stream instead).
+    /// Rank against a repaired [`CorpusCache`] (the stats, their
+    /// popularity order and the [`PoolIndex`](crate::PoolIndex)) — the
+    /// full ranking with `k = None`, else its first `min(k, n)` ranks.
+    /// Output and RNG consumption are byte-identical to
+    /// [`rank_into`](Self::rank_into) over `cache.stats()` (for promotion
+    /// under engine v2, a Selective top-`k` draws the lazy stream instead).
     ///
-    /// Promotion ranks through [`RandomizedRankPromotion::rank`], reading
-    /// the pool off the index; plain popularity ranking copies the order.
+    /// Promotion ranks through [`RandomizedRankPromotion::rank`] from
+    /// [`CorpusCache::source`]; plain popularity ranking copies the order.
     /// The quality oracle and the fully-random shuffle read the whole
     /// population and are truncated afterwards. Only the Selective rule
-    /// reads the index, so callers may leave it unmaintained otherwise
+    /// reads the pool index, so owners may leave it unmaintained otherwise
     /// (see [`reads_pool_index`](Self::reads_pool_index)).
     pub fn rank_view_into<R: RngCore + ?Sized>(
         &self,
-        view: PoolView<'_>,
+        cache: &CorpusCache,
         k: Option<usize>,
         rng: &mut R,
         buffers: &mut RankBuffers,
         out: &mut Vec<usize>,
     ) {
-        let PoolView {
-            pages,
-            sorted,
-            pool,
-        } = view;
-        debug_assert!(pages.iter().enumerate().all(|(i, p)| p.slot == i));
+        let (pages, sorted) = (cache.stats(), cache.order());
+        debug_assert_eq!(cache.dirty_len(), 0, "rank a repaired cache");
         debug_assert_eq!(sorted.len(), pages.len());
-        debug_assert!(sorted.windows(2).all(|w| crate::popularity_order(
-            &pages[w[0]],
-            &pages[w[1]]
-        )
-        .is_lt()));
         let limit = k.unwrap_or(pages.len());
         match self {
             PolicyKind::Popularity => {
@@ -122,11 +113,10 @@ impl PolicyKind {
             }
             PolicyKind::Promotion(policy) => {
                 debug_assert!(
-                    !self.reads_pool_index() || pool.is_consistent(pages),
+                    !self.reads_pool_index() || cache.pool().is_consistent(pages),
                     "the pool index must match a fresh is_unexplored scan"
                 );
-                let source = RankSource::new(pool.members(), sorted, |s| pool.contains(s));
-                policy.rank(source, k, rng, buffers, out)
+                policy.rank(cache.source(), k, rng, buffers, out)
             }
         }
     }
@@ -206,7 +196,6 @@ mod tests {
     use super::*;
     use crate::policy::is_permutation;
     use crate::promotion::PromotionRule;
-    use crate::stats::popularity_order;
     use rrp_model::{new_rng, PageId};
 
     fn pages() -> Vec<PageStats> {
@@ -261,23 +250,23 @@ mod tests {
         }
     }
 
-    fn view_parts(ps: &[PageStats]) -> (Vec<usize>, crate::PoolIndex) {
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
-        (sorted, crate::PoolIndex::build(ps))
+    fn cache_of(ps: &[PageStats], pool_maintained: bool) -> CorpusCache {
+        let mut cache = CorpusCache::new();
+        cache.set_pool_maintained(pool_maintained);
+        cache.rebuild(ps.iter().copied());
+        cache
     }
 
     #[test]
     fn presorted_path_matches_plain_path_for_every_kind() {
         let ps = pages();
-        let (sorted, pool) = view_parts(&ps);
-        let view = PoolView::new(&ps, &sorted, &pool);
+        let cache = cache_of(&ps, true);
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
         for kind in all_kinds() {
             for seed in 0..10 {
                 let expected = kind.rank(&ps, &mut new_rng(seed));
-                kind.rank_view_into(view, None, &mut new_rng(seed), &mut buffers, &mut out);
+                kind.rank_view_into(&cache, None, &mut new_rng(seed), &mut buffers, &mut out);
                 assert_eq!(out, expected, "{}", kind.name());
                 assert!(is_permutation(&out, ps.len()));
             }
@@ -287,15 +276,20 @@ mod tests {
     #[test]
     fn top_k_matches_the_full_rerank_prefix_for_every_kind() {
         let ps = pages();
-        let (sorted, pool) = view_parts(&ps);
-        let view = PoolView::new(&ps, &sorted, &pool);
+        let cache = cache_of(&ps, true);
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
         for kind in all_kinds() {
             for seed in 0..10 {
                 let full = kind.rank(&ps, &mut new_rng(seed));
                 for k in [0usize, 1, 2, 5, 10, 30, 64] {
-                    kind.rank_view_into(view, Some(k), &mut new_rng(seed), &mut buffers, &mut out);
+                    kind.rank_view_into(
+                        &cache,
+                        Some(k),
+                        &mut new_rng(seed),
+                        &mut buffers,
+                        &mut out,
+                    );
                     assert_eq!(
                         out,
                         full[..k.min(full.len())],
@@ -313,16 +307,14 @@ mod tests {
         // (the simulator does): an unmaintained, empty index must not
         // change their answers.
         let ps = pages();
-        let (sorted, _) = view_parts(&ps);
-        let unmaintained = crate::PoolIndex::default();
-        let view = PoolView::new(&ps, &sorted, &unmaintained);
+        let cache = cache_of(&ps, false);
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
         for kind in all_kinds().into_iter().filter(|k| !k.reads_pool_index()) {
             for seed in 0..10 {
                 let full = kind.rank(&ps, &mut new_rng(seed));
                 for k in [None, Some(0), Some(5), Some(64)] {
-                    kind.rank_view_into(view, k, &mut new_rng(seed), &mut buffers, &mut out);
+                    kind.rank_view_into(&cache, k, &mut new_rng(seed), &mut buffers, &mut out);
                     let want = &full[..k.unwrap_or(full.len()).min(full.len())];
                     assert_eq!(out, want, "{} k={k:?}, seed={seed}", kind.name());
                 }

@@ -32,6 +32,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod buffers;
+pub mod cache;
 pub mod candidates;
 pub mod deterministic;
 pub mod kind;
@@ -46,6 +47,7 @@ pub mod randomized;
 pub mod stats;
 
 pub use buffers::RankBuffers;
+pub use cache::CorpusCache;
 pub use candidates::{
     merge_ascending_slots_into, merge_shard_candidates_into, merge_shard_orders_into,
     MergedCandidates, ShardCandidates,
@@ -58,7 +60,7 @@ pub use lazyshuffle::{
 };
 pub use merge::{merge_promoted, merge_promoted_into, merge_promoted_top_k_into};
 pub use policy::{is_permutation, is_permutation_with_scratch, RankingPolicy};
-pub use poolindex::{PoolIndex, PoolView};
+pub use poolindex::PoolIndex;
 pub use popindex::PopularityIndex;
 pub use promotion::{PromotionConfig, PromotionRule};
 pub use randomized::{RandomizedRankPromotion, RankSource};

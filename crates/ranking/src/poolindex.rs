@@ -30,33 +30,6 @@
 use crate::stats::PageStats;
 use serde::{Deserialize, Serialize};
 
-/// A borrowed view of the persistent per-corpus ranking state that the
-/// pooled query paths rank against: the per-slot statistics snapshot, its
-/// maintained popularity order, and the maintained pool membership. All
-/// three live across queries in their owner (a serving tier's cache, the
-/// simulator's day loop) and are only *read* per query.
-#[derive(Clone, Copy, Debug)]
-pub struct PoolView<'a> {
-    /// The per-slot statistics snapshot (`pages[i].slot == i`).
-    pub pages: &'a [PageStats],
-    /// Slot indices in [`popularity_order`](crate::popularity_order)
-    /// (best rank first).
-    pub sorted: &'a [usize],
-    /// The promotion-pool membership index, consistent with `pages`.
-    pub pool: &'a PoolIndex,
-}
-
-impl<'a> PoolView<'a> {
-    /// Bundle the three maintained structures into a query-time view.
-    pub fn new(pages: &'a [PageStats], sorted: &'a [usize], pool: &'a PoolIndex) -> Self {
-        PoolView {
-            pages,
-            sorted,
-            pool,
-        }
-    }
-}
-
 /// Unexplored slots in ascending slot order, repaired incrementally.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PoolIndex {

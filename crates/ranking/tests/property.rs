@@ -8,10 +8,10 @@ use proptest::prelude::*;
 use rrp_model::{new_rng, PageId};
 use rrp_ranking::{
     is_permutation, merge_ascending_slots_into, merge_promoted, merge_shard_candidates_into,
-    merge_shard_orders_into, popularity_order, EngineVersion, FullyRandomRanking, MergedCandidates,
-    PageStats, PolicyKind, PoolIndex, PoolView, PopularityIndex, PopularityRanking,
-    PromotionConfig, PromotionRule, QualityOracleRanking, RandomizedRankPromotion, RankBuffers,
-    RankSource, RankingPolicy, ShardCandidates,
+    merge_shard_orders_into, popularity_order, CorpusCache, EngineVersion, FullyRandomRanking,
+    MergedCandidates, PageStats, PolicyKind, PoolIndex, PopularityRanking, PromotionConfig,
+    PromotionRule, QualityOracleRanking, RandomizedRankPromotion, RankBuffers, RankSource,
+    RankingPolicy, ShardCandidates,
 };
 
 /// Strategy producing an arbitrary page population of size 1..=120.
@@ -337,14 +337,20 @@ proptest! {
             locals[shard].push(local);
             globals[shard].push(p.slot);
         }
-        let orders: Vec<PopularityIndex> = locals.iter().map(|l| PopularityIndex::build(l)).collect();
-        let pools: Vec<PoolIndex> = locals.iter().map(|l| PoolIndex::build(l)).collect();
+        let caches: Vec<CorpusCache> = locals
+            .iter()
+            .map(|l| {
+                let mut cache = CorpusCache::new();
+                cache.rebuild(l.iter().copied());
+                cache
+            })
+            .collect();
         let (mut heads, mut merged_order, mut merged_pool) = (Vec::new(), Vec::new(), Vec::new());
         merge_shard_orders_into(
             shards,
-            |s| orders[s].order().len(),
+            |s| caches[s].order().len(),
             |s, i| {
-                let local = orders[s].order()[i];
+                let local = caches[s].order()[i];
                 let mut stat = locals[s][local];
                 stat.slot = globals[s][local];
                 stat
@@ -354,8 +360,8 @@ proptest! {
         );
         merge_ascending_slots_into(
             shards,
-            |s| pools[s].len(),
-            |s, i| globals[s][pools[s].members()[i]],
+            |s| caches[s].pool().len(),
+            |s, i| globals[s][caches[s].pool().members()[i]],
             &mut heads,
             &mut merged_pool,
         );
@@ -376,7 +382,7 @@ proptest! {
             let candidates: Vec<ShardCandidates> = (0..shards)
                 .map(|s| {
                     let mut c = ShardCandidates::new();
-                    c.collect_rest(PoolView::new(&locals[s], orders[s].order(), &pools[s]), limit, &globals[s]);
+                    c.collect_rest(&caches[s], limit, &globals[s]);
                     c
                 })
                 .collect();

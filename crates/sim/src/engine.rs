@@ -9,7 +9,7 @@
 //!
 //! Each simulated day:
 //!
-//! 1. the configured [`RankingPolicy`] produces the day's result list from
+//! 1. the configured [`PolicyKind`] produces the day's result list from
 //!    the pages' current popularity/awareness;
 //! 2. the day's *user* visits are spread over the list according to the
 //!    `rank^(-3/2)` attention law (plus the random-surfing component of
@@ -26,8 +26,8 @@ use crate::config::SimConfig;
 use crate::metrics::{QpcAccumulator, SimMetrics};
 use rand::Rng;
 use rrp_attention::RankBias;
-use rrp_model::{new_rng, Day, ModelResult, Quality, Rng64, SimClock};
-use rrp_ranking::{PageStats, PolicyKind, PoolIndex, PoolView, PopularityIndex, RankBuffers};
+use rrp_model::{new_rng, Day, ModelError, ModelResult, Quality, Rng64, SimClock};
+use rrp_ranking::{CorpusCache, PageStats, PolicyKind, RankBuffers};
 
 /// The simulator.
 pub struct Simulation {
@@ -50,20 +50,14 @@ pub struct Simulation {
     measuring: bool,
     /// Slots exempt from retirement (active TBP probes).
     protected_slots: Vec<usize>,
-    /// Today's per-slot snapshot, patched in place each ranking (ages are
-    /// stored as a constant seniority surrogate — see `slot_stats`).
-    stats: Vec<PageStats>,
-    /// Popularity order of all slots, repaired incrementally: only slots
-    /// whose popularity key changed (a monitored visit that raised
-    /// awareness, or a retirement) are re-placed each day.
-    pop_index: PopularityIndex,
-    /// Promotion-pool membership (unexplored slots), repaired from the
-    /// same dirty slots: a monitored visit flips membership off exactly
-    /// when it dirties the slot, and a retirement flips it back on — so
-    /// the selective policy's per-day `O(n)` pool scan + mask reset is
-    /// replaced by reading this persistent index.
-    pool_index: PoolIndex,
-    /// Slots whose popularity key changed since the last index repair.
+    /// Today's per-slot snapshot (ages stored as a constant seniority
+    /// surrogate — see `slot_stats`), its popularity order and the
+    /// promotion pool, repaired incrementally: only slots a monitored
+    /// visit raised awareness on, or a retirement replaced, are re-placed
+    /// each day. The pool is maintained only for policies that read it.
+    cache: CorpusCache,
+    /// Slots the population changed since the last ranking, drained into
+    /// the cache before each repair.
     dirty_slots: Vec<usize>,
     /// Scratch arena for the allocation-free ranking path.
     buffers: RankBuffers,
@@ -85,17 +79,26 @@ impl Simulation {
         policy: impl Into<PolicyKind>,
     ) -> ModelResult<Self> {
         config.validate()?;
-        let population = PagePopulation::with_qualities(&config.community, qualities);
         let n = config.community.pages();
+        if qualities.len() != n {
+            return Err(ModelError::InvalidCommunity {
+                reason: format!("{} qualities for {n} page slots", qualities.len()),
+            });
+        }
+        let population = PagePopulation::with_qualities(&config.community, qualities);
         let total_bias = RankBias::altavista(n, config.community.total_visits_per_day());
         let monitored_bias = RankBias::altavista(n, config.community.monitored_visits_per_day());
         let rank_cdf = cumulative(&monitored_bias.probabilities_by_rank());
         let ideal_qpc = ideal_qpc(&total_bias, qualities);
-        let mut sim = Simulation {
+        let policy = policy.into();
+        let mut cache = CorpusCache::new();
+        cache.set_pool_maintained(policy.reads_pool_index());
+        cache.rebuild((0..n).map(|slot| Self::slot_stats(&population, slot)));
+        Ok(Simulation {
             rng: new_rng(config.seed),
             config,
             population,
-            policy: policy.into(),
+            policy,
             clock: SimClock::new(),
             total_bias,
             monitored_bias,
@@ -104,20 +107,12 @@ impl Simulation {
             ideal_qpc,
             measuring: false,
             protected_slots: Vec::new(),
-            stats: Vec::with_capacity(n),
-            pop_index: PopularityIndex::default(),
-            pool_index: PoolIndex::default(),
+            cache,
             dirty_slots: Vec::new(),
             buffers: RankBuffers::with_capacity(n),
             ranking: Vec::with_capacity(n),
             popularity_cdf: Vec::new(),
-        };
-        sim.refresh_stats();
-        sim.pop_index.rebuild(&sim.stats);
-        if sim.policy.reads_pool_index() {
-            sim.pool_index.rebuild(&sim.stats);
-        }
-        Ok(sim)
+        })
     }
 
     /// Create a simulation whose page qualities follow the paper's default
@@ -221,9 +216,9 @@ impl Simulation {
     /// rankings while never needing a daily `O(n)` re-aging pass over the
     /// snapshot. (Code that needs literal ages reads the population
     /// directly; this snapshot is private to the day loop.)
-    fn slot_stats(&self, slot: usize) -> PageStats {
-        let m = self.population.monitored_users();
-        let s = self.population.slot(slot);
+    fn slot_stats(population: &PagePopulation, slot: usize) -> PageStats {
+        let m = population.monitored_users();
+        let s = population.slot(slot);
         PageStats {
             slot,
             page: s.page,
@@ -234,47 +229,20 @@ impl Simulation {
         }
     }
 
-    /// Bring the per-slot [`PageStats`] snapshot current, incrementally:
-    /// only slots in `dirty_slots` — the only ones whose popularity,
-    /// awareness, page id or birthday can have changed — are recomputed
-    /// from the population. Clean entries are already exact (the seniority
-    /// surrogate in `age_days` never moves; see
-    /// [`slot_stats`](Self::slot_stats)), so the common case touches a few
-    /// dozen slots instead of all `n`.
-    fn refresh_stats(&mut self) {
-        if self.stats.len() != self.population.len() {
-            self.stats.clear();
-            for slot in 0..self.population.len() {
-                let snapshot = self.slot_stats(slot);
-                self.stats.push(snapshot);
-            }
-            return;
-        }
-        for i in 0..self.dirty_slots.len() {
-            let slot = self.dirty_slots[i];
-            let snapshot = self.slot_stats(slot);
-            self.stats[slot] = snapshot;
-        }
-        debug_assert!((0..self.population.len()).all(|s| self.stats[s] == self.slot_stats(s)));
-    }
-
-    /// Refresh the snapshot, repair the popularity and pool indexes, and
-    /// rank today's result list into `self.ranking`. Consumes exactly the
-    /// RNG draws the policy's `rank` would, so runs are bit-identical to
-    /// the historical per-day full-sort path.
+    /// Drain the population's dirty slots into the cache, repair its
+    /// indexes, and rank today's result list into `self.ranking`. Consumes
+    /// exactly the RNG draws the policy's `rank` would, so runs are
+    /// bit-identical to the historical per-day full-sort path.
     fn rank_today(&mut self) {
-        self.refresh_stats();
-        // Pool first: it borrows the dirty list that the popularity
-        // repair then drains. Both flip exactly at the dirtied slots —
-        // a monitored visit or a retirement changes awareness and
-        // popularity together. Policies that never read the pool
-        // (everything but selective promotion) skip its maintenance.
-        if self.policy.reads_pool_index() {
-            self.pool_index.repair(&self.stats, &self.dirty_slots);
+        for slot in self.dirty_slots.drain(..) {
+            self.cache
+                .patch(slot, Self::slot_stats(&self.population, slot));
         }
-        self.pop_index.repair(&self.stats, &mut self.dirty_slots);
+        debug_assert!((0..self.population.len())
+            .all(|s| self.cache.stats()[s] == Self::slot_stats(&self.population, s)));
+        self.cache.repair();
         self.policy.rank_view_into(
-            PoolView::new(&self.stats, self.pop_index.order(), &self.pool_index),
+            &self.cache,
             None,
             &mut self.rng,
             &mut self.buffers,
@@ -300,7 +268,7 @@ impl Simulation {
         let surf = self.config.surf_fraction;
         let teleport = self.config.teleportation;
         let popularity_sum: f64 = if surf > 0.0 {
-            self.stats.iter().map(|s| s.popularity).sum()
+            self.cache.stats().iter().map(|s| s.popularity).sum()
         } else {
             0.0
         };
@@ -325,7 +293,7 @@ impl Simulation {
                 let vu = self.config.community.total_visits_per_day();
                 for (slot, s) in self.population.slots().iter().enumerate() {
                     let link_share = if popularity_sum > 0.0 {
-                        self.stats[slot].popularity / popularity_sum
+                        self.cache.stats()[slot].popularity / popularity_sum
                     } else {
                         1.0 / n as f64
                     };
@@ -351,10 +319,11 @@ impl Simulation {
         if have_cdf {
             let mut acc = 0.0;
             self.popularity_cdf.clear();
-            self.popularity_cdf.extend(self.stats.iter().map(|s| {
-                acc += s.popularity / popularity_sum;
-                acc
-            }));
+            self.popularity_cdf
+                .extend(self.cache.stats().iter().map(|s| {
+                    acc += s.popularity / popularity_sum;
+                    acc
+                }));
         }
         for _ in 0..monitored_visits {
             let slot = if self.rng.gen::<f64>() < surf {
@@ -379,8 +348,8 @@ impl Simulation {
             }
         }
 
-        // 4. Retire and replace pages (replacements reset popularity & age,
-        // so they are dirty for the popularity index).
+        // 4. Retire and replace pages (replacements reset popularity,
+        // awareness and age, so they are dirty for the cache).
         let protected = std::mem::take(&mut self.protected_slots);
         self.population.retire_daily_recording(
             today,
@@ -406,7 +375,7 @@ impl Simulation {
     }
 
     /// Replace the page in `slot` with a fresh zero-awareness page (probe
-    /// management), keeping the incremental popularity index in sync.
+    /// management), marking it dirty for the cache.
     pub(crate) fn reset_slot_for_probe(&mut self, slot: usize) {
         let today = self.clock.now();
         self.population.replace_page(slot, today);
@@ -654,5 +623,23 @@ mod tests {
     fn invalid_config_is_rejected() {
         let config = tiny_config(1).with_surf_fraction(2.0);
         assert!(Simulation::new(config, PopularityRanking).is_err());
+    }
+
+    #[test]
+    fn a_quality_per_slot_is_required() {
+        for len in [199usize, 201] {
+            let qualities = vec![Quality::new(0.1).unwrap(); len];
+            match Simulation::with_qualities(tiny_config(1), &qualities, PopularityRanking) {
+                Err(ModelError::InvalidCommunity { reason }) => {
+                    assert_eq!(reason, format!("{len} qualities for 200 page slots"))
+                }
+                other => panic!(
+                    "{len} qualities: expected InvalidCommunity, got {:?}",
+                    other.err()
+                ),
+            }
+        }
+        let qualities = vec![Quality::new(0.1).unwrap(); 200];
+        assert!(Simulation::with_qualities(tiny_config(1), &qualities, PopularityRanking).is_ok());
     }
 }

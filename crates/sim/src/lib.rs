@@ -13,12 +13,13 @@
 //!   dispatched);
 //! * [`SimMetrics`] — absolute/normalised quality-per-click;
 //! * [`TbpResult`] / [`PopularityTrace`] — per-page probes (Figures 2, 4);
-//! * [`PagePopulation`] — the evolving page slots;
-//! * [`PopularityIndex`] / [`PoolIndex`] — re-exported from `rrp_ranking`:
-//!   the incrementally repaired popularity order and promotion-pool
-//!   membership that keep the day loop free of per-day sorting, pool
-//!   scanning and allocation (the serving tier maintains the same indexes
-//!   across batches).
+//! * [`PagePopulation`] — the evolving page slots.
+//!
+//! The day loop ranks from an
+//! [`rrp_ranking::CorpusCache`] — the stats snapshot, popularity order and
+//! promotion pool, repaired from the slots each day's visits and
+//! retirements touched — so it never sorts, scans the pool or allocates
+//! per day. Every serving shard keeps the same cache across batches.
 //!
 //! ```
 //! use rrp_sim::{SimConfig, Simulation};
@@ -61,4 +62,3 @@ pub use config::SimConfig;
 pub use engine::Simulation;
 pub use metrics::{PopularityTrace, QpcAccumulator, SimMetrics, TbpResult};
 pub use probe::TBP_POPULARITY_THRESHOLD;
-pub use rrp_ranking::{PoolIndex, PopularityIndex};

@@ -1,11 +1,12 @@
 //! Property-based tests for the simulator's configuration and metric types,
-//! and for the incremental popularity index that keeps the day loop free of
+//! and for the incremental ranking state (the popularity index, and the
+//! `CorpusCache` bundling it with the pool) that keeps the day loop free of
 //! per-day sorting.
 
 use proptest::prelude::*;
 use rrp_model::{CommunityConfig, PageId};
-use rrp_ranking::{popularity_order, PageStats};
-use rrp_sim::{PopularityIndex, PopularityTrace, QpcAccumulator, SimConfig};
+use rrp_ranking::{popularity_order, CorpusCache, PageStats, PopularityIndex};
+use rrp_sim::{PopularityTrace, QpcAccumulator, SimConfig};
 
 /// One mutation of the page population, as the simulator would apply it.
 #[derive(Debug, Clone, Copy)]
@@ -76,6 +77,51 @@ proptest! {
         expected.sort_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
         prop_assert_eq!(index.order(), expected.as_slice());
         prop_assert!(index.is_consistent(&stats));
+    }
+
+    /// The day loop's `CorpusCache`, fed the simulator's mutations — visits,
+    /// retirements to a fresh page born today (ages are the seniority
+    /// surrogate `u64::MAX − birthday`), and day ticks that touch no entry
+    /// — with repairs interleaved at arbitrary points, equals a fresh
+    /// rebuild of the current stats: same popularity order, same pool.
+    #[test]
+    fn day_loop_cache_equals_a_fresh_rebuild(
+        events in arb_events(30),
+        repair_every in 1usize..8,
+    ) {
+        let fresh_page = |slot: usize, born: u64| {
+            PageStats::new(slot, PageId::new(slot as u64), 0.0, 0.0).with_age(u64::MAX - born)
+        };
+        let mut stats: Vec<PageStats> = (0..30).map(|slot| fresh_page(slot, 0)).collect();
+        let mut cache = CorpusCache::new();
+        cache.rebuild(stats.iter().copied());
+        let mut today = 0u64;
+
+        for (step, event) in events.iter().enumerate() {
+            match *event {
+                Event::Visit { slot, gain } => {
+                    stats[slot].popularity = (stats[slot].popularity + gain).min(1.0);
+                    stats[slot].awareness = (stats[slot].awareness + gain).min(1.0);
+                    cache.patch(slot, stats[slot]);
+                }
+                Event::Retire { slot } => {
+                    stats[slot] = fresh_page(slot, today);
+                    cache.patch(slot, stats[slot]);
+                }
+                Event::NextDay => today += 1,
+            }
+            if step % repair_every == 0 {
+                cache.repair();
+                prop_assert_eq!(cache.dirty_len(), 0);
+            }
+        }
+        cache.repair();
+
+        let mut fresh = CorpusCache::new();
+        fresh.rebuild(stats.iter().copied());
+        prop_assert_eq!(cache.stats(), fresh.stats());
+        prop_assert_eq!(cache.order(), fresh.order());
+        prop_assert_eq!(cache.pool().members(), fresh.pool().members());
     }
 
     /// Config validation accepts exactly the unit interval for the surf

@@ -18,7 +18,9 @@
 use rrp_core::{Document, EngineVersion, QueryContext, RankPromotionEngine};
 use rrp_experiments::runner::SweepExecutor;
 use rrp_model::{new_rng, SeedSequence};
-use rrp_ranking::{PolicyKind, PoolIndex, PoolView, PromotionConfig, PromotionRule, RankBuffers};
+use rrp_ranking::{
+    CorpusCache, PolicyKind, PoolIndex, PromotionConfig, PromotionRule, RankBuffers,
+};
 use rrp_serve::{DurableService, ReplicaService, ShardedPromotionService};
 
 fn corpus() -> Vec<Document> {
@@ -193,10 +195,8 @@ fn pooled_top_k_reproduces_the_recorded_goldens_for_all_four_policies() {
     let docs = corpus();
     let mut stats = Vec::new();
     RankPromotionEngine::document_stats(&docs, &mut stats);
-    let mut sorted: Vec<usize> = (0..stats.len()).collect();
-    sorted.sort_unstable_by(|&a, &b| rrp_ranking::popularity_order(&stats[a], &stats[b]));
-    let pool = PoolIndex::build(&stats);
-    let view = PoolView::new(&stats, &sorted, &pool);
+    let mut cache = CorpusCache::new();
+    cache.rebuild(stats.iter().copied());
     let mut buffers = RankBuffers::new();
     let (mut pooled, mut scanned) = (Vec::new(), Vec::new());
     let kinds: [(PolicyKind, &[usize; 10]); 4] = [
@@ -206,7 +206,13 @@ fn pooled_top_k_reproduces_the_recorded_goldens_for_all_four_policies() {
         (PolicyKind::recommended(2), &GOLDEN_TOP10_SELECTIVE_123),
     ];
     for (kind, golden) in kinds {
-        kind.rank_view_into(view, Some(10), &mut new_rng(123), &mut buffers, &mut pooled);
+        kind.rank_view_into(
+            &cache,
+            Some(10),
+            &mut new_rng(123),
+            &mut buffers,
+            &mut pooled,
+        );
         assert_eq!(pooled, *golden, "{} pooled golden", kind.name());
         kind.rank_into(&stats, &mut new_rng(123), &mut buffers, &mut scanned);
         assert_eq!(pooled, scanned[..10], "{} pooled ≡ scanning", kind.name());
@@ -374,7 +380,7 @@ fn uniform_full_rerank_reproduces_its_golden_through_the_merged_order() {
 fn shard_candidate_merge_reproduces_the_pooled_goldens() {
     use rrp_ranking::{
         merge_ascending_slots_into, merge_shard_candidates_into, MergedCandidates, PageStats,
-        PopularityIndex, RankSource, ShardCandidates,
+        RankSource, ShardCandidates,
     };
 
     let docs = corpus();
@@ -407,13 +413,10 @@ fn shard_candidate_merge_reproduces_the_pooled_goldens() {
         );
         let candidates: Vec<ShardCandidates> = (0..shards)
             .map(|s| {
-                let order = PopularityIndex::build(&locals[s]);
+                let mut cache = CorpusCache::new();
+                cache.rebuild(locals[s].iter().copied());
                 let mut c = ShardCandidates::new();
-                c.collect_rest(
-                    PoolView::new(&locals[s], order.order(), &pools[s]),
-                    10,
-                    &globals[s],
-                );
+                c.collect_rest(&cache, 10, &globals[s]);
                 c
             })
             .collect();
