@@ -14,8 +14,9 @@
 //! reassembles exactly the global order prefix the promotion merge
 //! consumes, and the **merged global pool** — which moves only when a
 //! mutation flips a slot's membership, never with the query — is
-//! maintained across queries, re-merged from the shard pools at
-//! publication time.
+//! maintained across queries: publication merges in exactly the slots
+//! whose membership flipped since the last one, and a publication without
+//! a flip shares the previous version's pool as is.
 //!
 //! # Epoch-versioned publication
 //!
@@ -33,16 +34,27 @@
 //!   version without any lock; clean shards are shared between consecutive
 //!   versions, never copied.
 //!
-//! Publication stays `O(dirty)`, not `O(n)`, through **buffer
-//! recycling**: the cache keeps a *diff log* of every global slot mutated
-//! since the last publication, and when a version retires
-//! ([`recycle`](ShardedCorpusCache::recycle)) its uniquely-held buffers
-//! are reclaimed and caught up by replaying exactly that diff — the
-//! retired generation is one publication behind, so the diff is precisely
-//! what it is missing. If a straggling reader still holds the retired
-//! version, recycling is skipped and the next mutation falls back to
-//! copy-on-write (`Arc::make_mut`) — correct at any interleaving, merely
-//! paying a one-time copy.
+//! Publication is `O(dirty)` apart from block copies — no step walks all
+//! `n` slots one by one:
+//!
+//! * each dirty shard repairs its popularity order with `O(d log n)`
+//!   binary searches plus block moves
+//!   ([`PopularityIndex::repair`](rrp_ranking::PopularityIndex::repair)),
+//!   and its pool with an `O(d)` membership check that stops there when
+//!   nothing flipped
+//!   ([`PoolIndex::repair`](rrp_ranking::PoolIndex::repair));
+//! * the global pool costs nothing without a flip (the version shares the
+//!   previous `Arc`) and one merge of the flipped slots with one;
+//! * the other buffers are **recycled**: the cache keeps a *diff log* of
+//!   every global slot mutated since the last publication, and when a
+//!   version retires ([`recycle`](ShardedCorpusCache::recycle)) its
+//!   uniquely-held buffers are reclaimed and caught up by replaying
+//!   exactly that diff — the retired generation is one publication
+//!   behind, so the diff is precisely what it is missing. If a
+//!   straggling reader still holds the retired version, recycling is
+//!   skipped and the next mutation falls back to copy-on-write
+//!   (`Arc::make_mut`) — correct at any interleaving, merely paying a
+//!   one-time copy.
 //!
 //! Full reranks (and the Uniform rule's per-page coin scan) are served
 //! from the version's **complete** merged global popularity order
@@ -108,6 +120,9 @@ struct PublishedShard {
 pub struct PublishedVersion {
     epoch: u64,
     pool_maintained: bool,
+    /// Whether cutting this version changed the merged global pool (see
+    /// [`pool_repaired`](Self::pool_repaired)).
+    pool_repaired: bool,
     shards: Vec<PublishedShard>,
     /// Global slot → (shard, local slot).
     placement: Arc<Vec<(u32, u32)>>,
@@ -143,6 +158,7 @@ impl PublishedVersion {
         PublishedVersion {
             epoch: 0,
             pool_maintained,
+            pool_repaired: false,
             shards,
             placement: Arc::new(Vec::new()),
             pages: Arc::new(Vec::new()),
@@ -180,6 +196,15 @@ impl PublishedVersion {
     #[inline]
     pub fn pool_maintained(&self) -> bool {
         self.pool_maintained
+    }
+
+    /// Whether cutting this version changed the merged global pool. A
+    /// version cut with no membership flip shares its predecessor's pool
+    /// and reports `false` — the owner's `pool_repairs` probe counts the
+    /// `true`s.
+    #[inline]
+    pub fn pool_repaired(&self) -> bool {
+        self.pool_repaired
     }
 
     /// The merged global pool: every shard's pool members under global
@@ -294,13 +319,20 @@ pub struct ShardedCorpusCache {
     /// mask equals every shard pool's repaired membership). All `false`
     /// while pool maintenance is off, matching the empty shard pools.
     pool_mask: Arc<Vec<bool>>,
-    /// The merged global pool under global slots, ascending. Re-merged at
-    /// repair/publication time (membership only moves when a mutation
-    /// dirties a slot) into a fresh `Arc` so retired versions keep theirs.
+    /// The merged global pool under global slots, ascending. Repaired at
+    /// repair/publication time from `pool_flips` into a fresh `Arc` (so
+    /// retired versions keep theirs), and left shared when nothing flipped.
     merged_pool: Arc<Vec<usize>>,
-    /// Scratch: per-shard cursors for the pool merge.
+    /// Global slots whose `pool_mask` entry changed since the last pool
+    /// repair, in arrival order (a slot may repeat).
     #[serde(skip)]
-    merge_heads: Vec<usize>,
+    pool_flips: Vec<usize>,
+    /// Whether `pool_flips` is the complete difference between the mask
+    /// and `merged_pool`. False after deserialisation or a
+    /// pool-maintenance flip: the next repair then re-derives the pool
+    /// from the mask once.
+    #[serde(skip)]
+    pool_flips_tracked: bool,
     /// The diff log: global slots mutated since the last publication, in
     /// arrival order (pushes therefore ascend), deduplicated via
     /// `since_mask` so it is bounded by the corpus size.
@@ -344,7 +376,8 @@ impl ShardedCorpusCache {
             pages: Arc::new(Vec::new()),
             pool_mask: Arc::new(Vec::new()),
             merged_pool: Arc::new(Vec::new()),
-            merge_heads: Vec::new(),
+            pool_flips: Vec::new(),
+            pool_flips_tracked: true,
             since_publish: Vec::new(),
             since_mask: Vec::new(),
             diff_log_intact: true,
@@ -374,9 +407,12 @@ impl ShardedCorpusCache {
             mask[global] =
                 maintained && shards[shard as usize].cache.stats()[local as usize].is_unexplored();
         }
-        // A maintenance flip is not representable in the slot diff log:
-        // invalidate it so the next publication rebuilds honestly.
+        // A maintenance flip is not representable in the slot diff log or
+        // the flip list: invalidate both so the next publication rebuilds
+        // honestly.
         self.diff_log_intact = false;
+        self.pool_flips.clear();
+        self.pool_flips_tracked = false;
     }
 
     /// Number of shards.
@@ -425,7 +461,11 @@ impl ShardedCorpusCache {
         let local = self.shards[shard].globals.len();
         Arc::make_mut(&mut self.placement).push((shard as u32, local as u32));
         Arc::make_mut(&mut self.pages).push(PageId::new(document.id));
-        Arc::make_mut(&mut self.pool_mask).push(maintained && document.is_unexplored);
+        let member = maintained && document.is_unexplored;
+        Arc::make_mut(&mut self.pool_mask).push(member);
+        if member {
+            self.pool_flips.push(global_slot);
+        }
         let entry = &mut self.shards[shard];
         Arc::make_mut(&mut entry.globals).push(global_slot);
         Arc::make_mut(&mut entry.cache).push(RankPromotionEngine::document_stat(local, document));
@@ -442,17 +482,27 @@ impl ShardedCorpusCache {
         let stat = RankPromotionEngine::document_stat(local as usize, document);
         Arc::make_mut(&mut self.shards[shard as usize].cache).patch(local as usize, stat);
         Arc::make_mut(&mut self.pages)[global_slot] = PageId::new(document.id);
-        Arc::make_mut(&mut self.pool_mask)[global_slot] = maintained && document.is_unexplored;
+        let member = maintained && document.is_unexplored;
+        if self.pool_mask[global_slot] != member {
+            Arc::make_mut(&mut self.pool_mask)[global_slot] = member;
+            self.pool_flips.push(global_slot);
+        }
         self.note_mutation(global_slot);
     }
 
-    /// Repair every shard cache that has dirty slots and re-merge the
-    /// global pool, returning the total number of dirty entries handed to
-    /// the repairs (distinct slots per shard). Shards with a clean dirty
-    /// list skip their index repairs; the pool re-merge runs whenever
-    /// anything was dirty (`O(pool)` — the same class as one shard-pool
-    /// repair, and amortised over every query until the next mutation).
+    /// Repair every shard cache that has dirty slots and the global pool,
+    /// returning the total number of dirty entries handed to the repairs
+    /// (distinct slots per shard). Shards with a clean dirty list skip
+    /// their index repairs; the global pool is repaired only when a
+    /// membership flipped — without a flip it stays shared, as is, with
+    /// the published version.
     pub fn repair(&mut self) -> u64 {
+        self.repair_all().0
+    }
+
+    /// [`repair`](Self::repair), also reporting whether the global pool
+    /// changed (a fresh `merged_pool` was cut).
+    fn repair_all(&mut self) -> (u64, bool) {
         let handed: u64 = self
             .shards
             .iter_mut()
@@ -464,9 +514,7 @@ impl ShardedCorpusCache {
                 }
             })
             .sum();
-        if handed > 0 {
-            self.merge_pools();
-        }
+        let pool_repaired = self.repair_pool();
         debug_assert!(
             {
                 let from_mask: Vec<usize> = (0..self.pool_mask.len())
@@ -474,9 +522,9 @@ impl ShardedCorpusCache {
                     .collect();
                 from_mask == *self.merged_pool
             },
-            "the eager membership mask must equal the re-merged global pool"
+            "the eager membership mask must equal the repaired global pool"
         );
-        handed
+        (handed, pool_repaired)
     }
 
     /// Cut an immutable [`PublishedVersion`] of the current state, stamped
@@ -494,7 +542,7 @@ impl ShardedCorpusCache {
     /// [`recycle`](Self::recycle) on the retired version to keep the
     /// steady-state cost `O(dirty)`.
     pub fn publish(&mut self, epoch: u64) -> (Arc<PublishedVersion>, u64) {
-        let handed = self.repair();
+        let (handed, pool_repaired) = self.repair_all();
         let charged = if self.diff_log_intact {
             self.since_publish.len() as u64
         } else {
@@ -512,6 +560,7 @@ impl ShardedCorpusCache {
         let version = PublishedVersion {
             epoch,
             pool_maintained: self.pool_maintained(),
+            pool_repaired,
             shards: self
                 .shards
                 .iter()
@@ -677,7 +726,7 @@ impl ShardedCorpusCache {
     /// Whether `global_slot` is a member of its shard's promotion pool —
     /// one direct mask index, no placement indirection. Requires
     /// maintained pools and a preceding [`repair`](Self::repair) (the
-    /// repair debug-asserts this mask against the re-merged global pool).
+    /// repair debug-asserts this mask against the repaired global pool).
     #[inline]
     pub fn in_pool(&self, global_slot: usize) -> bool {
         self.pool_mask[global_slot]
@@ -691,22 +740,54 @@ impl ShardedCorpusCache {
             .is_some_and(|s| s.cache.pool_maintained())
     }
 
-    /// Re-merge the shard pools into the maintained global pool
-    /// ([`merge_ascending_slots_into`](rrp_ranking::merge_ascending_slots_into)),
-    /// once per repair instead of once per query. The merge
-    /// writes into recycled spare storage and swaps it in as a fresh
-    /// `Arc`, leaving any published version's pool untouched.
-    fn merge_pools(&mut self) {
+    /// Bring the global pool in line with the eager membership mask,
+    /// returning whether its content changed. Without a flip this is free
+    /// and the current `Arc` stays shared with the published version. With
+    /// flips it is one sorted merge of the flipped slots into the old pool
+    /// — `O(f log pool)` for `f` flips plus block copies of the members
+    /// between them — written into recycled spare storage and swapped in
+    /// as a fresh `Arc`, leaving any published version's pool untouched.
+    /// An untracked flip list (after deserialisation or a maintenance
+    /// flip) re-derives the pool from the mask instead (`O(n)`, once).
+    fn repair_pool(&mut self) -> bool {
+        if self.pool_flips_tracked && self.pool_flips.is_empty() {
+            return false;
+        }
         let mut buffer = std::mem::take(&mut self.pool_spare);
-        let shards = &self.shards;
-        rrp_ranking::merge_ascending_slots_into(
-            shards.len(),
-            |s| shards[s].cache.pool().len(),
-            |s, i| shards[s].globals[shards[s].cache.pool().members()[i]],
-            &mut self.merge_heads,
-            &mut buffer,
-        );
-        self.merged_pool = Arc::new(buffer);
+        buffer.clear();
+        let mask = &self.pool_mask;
+        let mut changed = false;
+        if self.pool_flips_tracked {
+            self.pool_flips.sort_unstable();
+            self.pool_flips.dedup();
+            let mut rest = &self.merged_pool[..];
+            for &slot in &self.pool_flips {
+                let below = rest.partition_point(|&m| m < slot);
+                buffer.extend_from_slice(&rest[..below]);
+                rest = &rest[below..];
+                // A slot can flip and flip back between two repairs.
+                let was_member = rest.first() == Some(&slot);
+                if was_member {
+                    rest = &rest[1..];
+                }
+                if mask[slot] {
+                    buffer.push(slot);
+                }
+                changed |= was_member != mask[slot];
+            }
+            buffer.extend_from_slice(rest);
+        } else {
+            buffer.extend((0..mask.len()).filter(|&s| mask[s]));
+            changed = buffer != *self.merged_pool;
+        }
+        self.pool_flips.clear();
+        self.pool_flips_tracked = true;
+        if changed {
+            self.merged_pool = Arc::new(buffer);
+        } else {
+            self.pool_spare = buffer;
+        }
+        changed
     }
 
     /// Collect every shard's per-query top-`k` rest candidates into `out`
@@ -738,6 +819,8 @@ impl ShardedCorpusCache {
         self.pages = Arc::new(Vec::new());
         self.pool_mask = Arc::new(Vec::new());
         self.merged_pool = Arc::new(Vec::new());
+        self.pool_flips.clear();
+        self.pool_flips_tracked = true;
         self.since_publish.clear();
         self.since_mask.clear();
         self.diff_log_intact = false;
@@ -992,6 +1075,82 @@ mod tests {
     }
 
     #[test]
+    fn publications_without_a_membership_flip_share_the_pool() {
+        let mut docs = documents(40);
+        let mut cache = filled(&docs, 4);
+        let (v1, _) = cache.publish(1);
+        assert!(
+            v1.pool_repaired(),
+            "the warm-up publication builds the pool"
+        );
+        // Popularity moves on explored and unexplored pages alike flip no
+        // membership: the next version shares the pool allocation.
+        docs[1].popularity = 7.0;
+        cache.patch(1, &docs[1]);
+        docs[3].popularity = 0.25;
+        cache.patch(3, &docs[3]);
+        let (v2, charged) = cache.publish(2);
+        assert_eq!(charged, 2);
+        assert!(!v2.pool_repaired());
+        assert!(Arc::ptr_eq(&v1.merged_pool, &v2.merged_pool));
+        cache.recycle(v1, |slot| docs[slot]);
+        // A slot that leaves and rejoins between two publications nets no
+        // change either.
+        docs[0].is_unexplored = false;
+        cache.patch(0, &docs[0]);
+        docs[0].is_unexplored = true;
+        cache.patch(0, &docs[0]);
+        let (v3, _) = cache.publish(3);
+        assert!(!v3.pool_repaired());
+        assert!(Arc::ptr_eq(&v2.merged_pool, &v3.merged_pool));
+        assert_eq!(v3.pool_slots(), global_reference(&docs).1.members());
+    }
+
+    #[test]
+    fn membership_flips_re_derive_the_pool_from_the_mask() {
+        fn mask_scan(cache: &ShardedCorpusCache) -> Vec<usize> {
+            (0..cache.len()).filter(|&s| cache.in_pool(s)).collect()
+        }
+        let mut docs = documents(40);
+        let mut cache = filled(&docs, 4);
+        let (mut live, _) = cache.publish(1);
+        let mut epoch = 1;
+        let mut republish = |cache: &mut ShardedCorpusCache, docs: &[Document]| {
+            epoch += 1;
+            let (version, _) = cache.publish(epoch);
+            assert!(version.pool_repaired());
+            assert!(!Arc::ptr_eq(&live.merged_pool, &version.merged_pool));
+            assert_eq!(version.pool_slots(), mask_scan(cache).as_slice());
+            assert_eq!(version.pool_slots(), global_reference(docs).1.members());
+            cache.recycle(std::mem::replace(&mut live, version), |slot| docs[slot]);
+        };
+        // A visit to an unexplored page: it leaves the pool.
+        assert!(docs[3].is_unexplored);
+        docs[3].is_unexplored = false;
+        cache.patch(3, &docs[3]);
+        republish(&mut cache, &docs);
+        // A push of an unexplored document: it joins at the end.
+        docs.push(Document::unexplored(500));
+        cache.push(shard_of(500, 4), docs.last().unwrap());
+        republish(&mut cache, &docs);
+        assert_eq!(cache.pool_slots().last(), Some(&40));
+        // A maintenance flip each way: off empties the pool, on restores
+        // it from the current stats.
+        cache.set_pool_maintained(false);
+        epoch += 1;
+        let (off, _) = cache.publish(epoch);
+        assert!(off.pool_repaired());
+        assert!(off.pool_slots().is_empty());
+        assert_eq!(off.pool_slots(), mask_scan(&cache).as_slice());
+        cache.set_pool_maintained(true);
+        epoch += 1;
+        let (on, _) = cache.publish(epoch);
+        assert!(on.pool_repaired());
+        assert_eq!(on.pool_slots(), mask_scan(&cache).as_slice());
+        assert_eq!(on.pool_slots(), global_reference(&docs).1.members());
+    }
+
+    #[test]
     fn stat_of_and_in_pool_resolve_through_the_placement_map() {
         let docs = documents(30);
         let mut cache = filled(&docs, 3);
@@ -1037,20 +1196,29 @@ mod tests {
         cache.patch(1, &docs[1]);
         docs.push(Document::unexplored(80)); // slot 30 joins
         cache.push(shard_of(80, 3), docs.last().unwrap());
-        cache.repair(); // debug-asserts mask ≡ re-merged global pool
+        cache.repair(); // debug-asserts mask ≡ repaired global pool
         for (slot, doc) in docs.iter().enumerate() {
             assert_eq!(cache.in_pool(slot), doc.is_unexplored, "slot {slot}");
             assert_eq!(cache.page_of(slot), PageId::new(doc.id), "slot {slot}");
         }
         // Turning maintenance off empties the mask (unmaintained pools are
-        // empty); turning it back on recomputes from the patched stats.
+        // empty); turning it back on recomputes from the patched stats —
+        // including a visit made while it was off, which must not stay
+        // promoted in the merged pool.
         cache.set_pool_maintained(false);
         assert!((0..docs.len()).all(|s| !cache.in_pool(s)));
+        assert!(docs[3].is_unexplored);
+        docs[3].is_unexplored = false;
+        cache.patch(3, &docs[3]);
+        cache.repair();
+        assert!(cache.pool_slots().is_empty());
         cache.set_pool_maintained(true);
         cache.repair();
         for (slot, doc) in docs.iter().enumerate() {
             assert_eq!(cache.in_pool(slot), doc.is_unexplored, "slot {slot}");
         }
+        assert!(!cache.pool_slots().contains(&3));
+        assert_eq!(cache.pool_slots(), global_reference(&docs).1.members());
     }
 
     #[test]

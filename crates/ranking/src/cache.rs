@@ -6,12 +6,15 @@
 //! snapshot, the [`PopularityIndex`] over it, and the [`PoolIndex`]
 //! recording selective-promotion membership. [`CorpusCache`] owns all
 //! three plus the shared dirty list that keeps them honest: a mutation
-//! patches one stats slot and marks it dirty; [`repair`](CorpusCache::repair)
+//! patches one stats slot, marks it dirty and, the first time, keeps the
+//! stats it replaced (its *displaced key*); [`repair`](CorpusCache::repair)
 //! then brings *both* indexes current from the same dirty slots
 //! (membership flips exactly where popularity keys move, because both are
 //! functions of the mutated slot's stats). Nothing is ever re-derived
 //! wholesale on a ranking path — the "repair, don't rebuild" discipline of
-//! incremental view maintenance.
+//! incremental view maintenance — and a repair of `d` dirty slots costs
+//! `O(d log n)` binary searches plus block moves, with no pool work at all
+//! when no membership flipped.
 
 use crate::poolindex::PoolIndex;
 use crate::popindex::PopularityIndex;
@@ -44,6 +47,13 @@ pub struct CorpusCache {
     dirty: Vec<usize>,
     /// Per-slot "already in `dirty`" mask (cleared during repair).
     dirty_mask: Vec<bool>,
+    /// The stats each patched slot had at the last repair, recorded by its
+    /// first patch since then (pushes record nothing, so this stays `O(d)`).
+    /// The popularity repair finds each slot's old position by them. Not
+    /// serialized: a deserialised cache with patched slots pending has
+    /// none, and its next repair re-sorts once instead.
+    #[serde(skip)]
+    displaced: Vec<PageStats>,
 }
 
 impl Default for CorpusCache {
@@ -55,6 +65,7 @@ impl Default for CorpusCache {
             maintain_pool: true,
             dirty: Vec::new(),
             dirty_mask: Vec::new(),
+            displaced: Vec::new(),
         }
     }
 }
@@ -72,8 +83,16 @@ impl CorpusCache {
     /// is the predicate; the Uniform rule re-draws its per-page coins —
     /// can switch it off so rebuilds and repairs stop paying for dead
     /// state. The [`source`](Self::source) then carries the (empty)
-    /// index, which such policies ignore.
+    /// index, which such policies ignore. Switching it back on re-derives
+    /// the pool from the current stats (`O(n)`, once): repairs skipped
+    /// while it was off would otherwise leave stale members behind.
     pub fn set_pool_maintained(&mut self, maintained: bool) {
+        if maintained != self.maintain_pool {
+            self.pool = PoolIndex::default();
+            if maintained {
+                self.pool.rebuild(&self.stats);
+            }
+        }
         self.maintain_pool = maintained;
     }
 
@@ -150,15 +169,18 @@ impl CorpusCache {
     /// Replace the cached stats of the existing `slot` after a mutation
     /// (`stat.slot` must equal `slot`) and mark it dirty (`O(1)`; a slot
     /// already pending repair is not re-listed, so deferring repairs never
-    /// grows the dirty list past the corpus size).
+    /// grows the dirty list past the corpus size). The first patch since
+    /// the last repair keeps the replaced stats as the slot's displaced
+    /// key; later ones — and patches of a slot pushed since — add nothing.
     #[inline]
     pub fn patch(&mut self, slot: usize, stat: PageStats) {
         assert_eq!(stat.slot, slot, "a patched entry keeps its slot");
-        self.stats[slot] = stat;
         if !self.dirty_mask[slot] {
             self.dirty_mask[slot] = true;
             self.dirty.push(slot);
+            self.displaced.push(self.stats[slot]);
         }
+        self.stats[slot] = stat;
     }
 
     /// Discard the incremental state and re-derive everything from
@@ -179,6 +201,7 @@ impl CorpusCache {
         self.dirty.clear();
         self.dirty_mask.clear();
         self.dirty_mask.resize(self.stats.len(), false);
+        self.displaced.clear();
     }
 
     /// Bring both indexes current by repairing the dirty slots (no-op when
@@ -186,23 +209,35 @@ impl CorpusCache {
     /// the repair (distinct slots — the list deduplicates on entry). Every
     /// ranking path calls this first.
     ///
-    /// The pool index is repaired from the dirty list *before* the
-    /// popularity repair drains it; both end up exactly where a
-    /// from-scratch derivation would put them (each repair carries its own
-    /// debug assertion against the fresh derivation, so a producer that
-    /// mutates stats without marking the slot dirty trips here).
+    /// Cost: `O(d log n)` binary searches plus block moves for the
+    /// popularity order (see [`PopularityIndex::repair`]), and `O(d)` for
+    /// the pool when no dirty slot flipped membership (see
+    /// [`PoolIndex::repair`]). Both end up exactly where a from-scratch
+    /// derivation would put them (each repair carries its own debug
+    /// assertion against the fresh derivation, so a producer that mutates
+    /// stats without marking the slot dirty trips here).
     pub fn repair(&mut self) -> u64 {
         let handed = self.dirty.len() as u64;
         if handed > 0 {
             if self.maintain_pool {
                 self.pool.repair(&self.stats, &self.dirty);
             }
-            // Restore the mask before the popularity repair drains the
-            // list (`O(d)` — exactly the entries set since last time).
+            // Restore the mask (`O(d)` — exactly the entries set since
+            // last time).
             for &slot in &self.dirty {
                 self.dirty_mask[slot] = false;
             }
-            self.popularity.repair(&self.stats, &mut self.dirty);
+            // Every dirty slot is either new (past the indexed length) or
+            // patched with a displaced key — unless the cache was
+            // deserialised with patches pending, which lost their keys.
+            let pushed = self.stats.len() - self.popularity.len();
+            if self.displaced.len() + pushed == self.dirty.len() {
+                self.popularity.repair(&mut self.stats, &mut self.displaced);
+            } else {
+                self.popularity.rebuild(&self.stats);
+                self.displaced.clear();
+            }
+            self.dirty.clear();
         }
         handed
     }
@@ -323,6 +358,48 @@ mod tests {
         // The mask restores with the repair: slots can go dirty again.
         cache.patch(0, ps[0]);
         assert_eq!(cache.dirty_len(), 1);
+    }
+
+    #[test]
+    fn re_enabling_pool_maintenance_drops_members_visited_while_off() {
+        // A first visit while nobody maintains the pool: switching
+        // maintenance back on must not resume repairing the stale index.
+        let mut ps = stats();
+        let mut cache = filled(&ps);
+        cache.repair();
+        assert!(cache.pool().contains(0));
+        cache.set_pool_maintained(false);
+        ps[0].awareness = 1.0;
+        ps[0].popularity = 0.5;
+        cache.patch(0, ps[0]);
+        cache.repair();
+        cache.set_pool_maintained(true);
+        cache.repair();
+        assert!(!cache.pool().contains(0), "the visited page left the pool");
+        assert_matches_rebuild(&cache, &ps);
+    }
+
+    #[test]
+    fn a_deserialised_cache_with_pending_patches_re_sorts_once() {
+        // The displaced keys are not serialized: the round-tripped cache
+        // re-derives its order from the current stats at the next repair.
+        let mut ps = stats();
+        let mut cache = filled(&ps);
+        cache.repair();
+        ps[5].popularity = 5.0;
+        cache.patch(5, ps[5]);
+        ps.push(PageStats::new(40, PageId::new(40), 0.9, 1.0));
+        cache.push(ps[40]);
+        let mut back = CorpusCache::from_value(&cache.to_value()).expect("round trip");
+        assert_eq!(back.dirty_len(), 2);
+        assert_eq!(back.repair(), 2);
+        assert_matches_rebuild(&back, &ps);
+        assert_eq!(back.order()[0], 5);
+        // Once re-derived, the next patch repairs incrementally again.
+        ps[7].popularity = 0.0;
+        back.patch(7, ps[7]);
+        back.repair();
+        assert_matches_rebuild(&back, &ps);
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod poolindex;
 pub mod popindex;
 pub mod promotion;
 pub mod randomized;
+mod splice;
 pub mod stats;
 
 pub use buffers::RankBuffers;

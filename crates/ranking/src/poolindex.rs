@@ -20,13 +20,14 @@
 //! change without the slot being mutated — and every awareness mutation
 //! marks its slot dirty (that is the mutation path's contract, the same one
 //! the popularity order relies on). Membership order is ascending slot
-//! index, which never changes, so removing the dirty slots and merging back
-//! the ones that test unexplored reproduces the from-scratch scan exactly.
-//! The subtle part is that this *must* be exact: the pool is shuffled into
-//! the merged prefix, so even a reordering of members (let alone a stale
-//! member) changes which page lands at which rank — the RNG stream itself
-//! is observable through the pool.
+//! index, which never changes, so cutting out the dirty slots that left and
+//! splicing in the ones that joined reproduces the from-scratch scan
+//! exactly. The subtle part is that this *must* be exact: the pool is
+//! shuffled into the merged prefix, so even a reordering of members (let
+//! alone a stale member) changes which page lands at which rank — the RNG
+//! stream itself is observable through the pool.
 
+use crate::splice;
 use crate::stats::PageStats;
 use serde::{Deserialize, Serialize};
 
@@ -41,15 +42,15 @@ pub struct PoolIndex {
     /// never reset — so the deterministic-remainder filter reads it
     /// without an `O(n)` clear per query.
     mask: Vec<bool>,
-    /// Scratch: per-slot "is dirty" mask during a repair.
+    /// Scratch: dirty slots that left the pool during a repair.
     #[serde(skip)]
-    removed: Vec<bool>,
-    /// Scratch: dirty slots that test unexplored, sorted ascending.
+    leaving: Vec<usize>,
+    /// Scratch: dirty slots that joined the pool during a repair.
     #[serde(skip)]
-    incoming: Vec<usize>,
-    /// Scratch: merge target swapped with `members` during a repair.
+    joining: Vec<usize>,
+    /// Scratch: removal, then insertion, positions during a repair.
     #[serde(skip)]
-    merged: Vec<usize>,
+    positions: Vec<usize>,
 }
 
 impl PoolIndex {
@@ -114,89 +115,67 @@ impl PoolIndex {
     /// times and in any order; unlike
     /// [`PopularityIndex::repair`](crate::PopularityIndex::repair) the list
     /// is borrowed, not drained, so the same dirty list can feed both
-    /// indexes before the popularity repair consumes it. The population may
-    /// have grown since the last repair (`stats.len() > indexed_slots()`),
-    /// in which case every new slot must appear in `dirty`. Allocation-free
-    /// once the scratch buffers have grown to `n`.
+    /// indexes. The population may have grown since the last repair
+    /// (`stats.len() > indexed_slots()`), in which case every new slot must
+    /// appear in `dirty`. Allocation-free once the scratch buffers have
+    /// grown to `d`.
     ///
-    /// Cost: amortised `O(pool + d log d)` for `d` dirty slots — one pass
-    /// over the current members, a sort-and-merge of the dirty survivors,
-    /// and an `O(d)` reset of exactly the scratch entries touched (the
-    /// scratch mask grows to `n` once and is never re-zeroed wholesale) —
-    /// versus the `O(n)` scan + mask reset of a rebuild.
+    /// Cost: `O(d)` to re-test each dirty slot against the mask — and
+    /// nothing more when no membership flipped, the steady state of a
+    /// popularity-only mutation stream. Each flip then adds one binary
+    /// search in the member list plus block moves (one `memmove` per gap
+    /// between edited positions), versus the `O(n)` scan of a rebuild.
     ///
     /// Debug builds verify the repaired membership against a fresh
     /// [`is_unexplored`](crate::PageStats::is_unexplored) scan afterwards
-    /// (and on the empty-dirty fast path), so any producer that mutates
-    /// awareness without marking the slot dirty trips an assertion at the
-    /// next repair instead of silently drifting the pool.
+    /// (on every path, the no-flip one included), so any producer that
+    /// mutates awareness without marking the slot dirty trips an assertion
+    /// at the next repair instead of silently drifting the pool.
     pub fn repair(&mut self, stats: &[PageStats], dirty: &[usize]) {
         debug_assert!(
             stats.len() >= self.mask.len(),
             "the population never shrinks"
         );
-        if dirty.is_empty() {
-            debug_assert!(self.is_consistent(stats));
-            return;
-        }
-
-        // Grow the membership mask for inserted slots (new entries start
-        // outside the pool and join below if they test unexplored).
-        let previously_indexed = self.mask.len();
+        // Inserted slots start outside the pool and join below if they
+        // test unexplored.
         self.mask.resize(stats.len(), false);
 
-        // Deduplicate via the scratch mask. Invariant: `removed` is
-        // all-false between repairs (each repair resets exactly the
-        // entries it set), so it only ever *grows* here — re-zeroing all
-        // `n` entries per repair would silently turn the advertised
-        // `O(pool + d)`-class bound into `O(n)`.
-        debug_assert!(self.removed.iter().all(|&r| !r));
-        if self.removed.len() < stats.len() {
-            self.removed.resize(stats.len(), false);
-        }
-        self.incoming.clear();
+        // Re-test every dirty slot; the mask absorbs duplicates (a slot
+        // listed twice flips on its first listing only).
+        self.leaving.clear();
+        self.joining.clear();
         for &slot in dirty {
-            if !self.removed[slot] {
-                self.removed[slot] = true;
-                self.incoming.push(slot);
-            }
-        }
-        debug_assert!(
-            (previously_indexed..stats.len()).all(|slot| self.removed[slot]),
-            "every slot inserted since the last repair must be dirty"
-        );
-
-        // Re-test membership for every dirty slot and update the mask.
-        self.incoming.retain(|&slot| {
             let member = stats[slot].is_unexplored();
-            self.mask[slot] = member;
-            member
-        });
-
-        // Pull dirty slots out of the member list, keeping the clean
-        // remainder (already ascending), then merge the dirty survivors
-        // back in slot order.
-        self.members.retain(|&slot| !self.removed[slot]);
-        self.incoming.sort_unstable();
-        self.merged.clear();
-        self.merged
-            .reserve(self.members.len() + self.incoming.len());
-        let mut next_incoming = 0;
-        for &clean in self.members.iter() {
-            while next_incoming < self.incoming.len() && self.incoming[next_incoming] < clean {
-                self.merged.push(self.incoming[next_incoming]);
-                next_incoming += 1;
+            if member != self.mask[slot] {
+                self.mask[slot] = member;
+                if member {
+                    self.joining.push(slot);
+                } else {
+                    self.leaving.push(slot);
+                }
             }
-            self.merged.push(clean);
         }
-        self.merged
-            .extend_from_slice(&self.incoming[next_incoming..]);
-        std::mem::swap(&mut self.members, &mut self.merged);
 
-        // Restore the all-false scratch invariant: O(d), duplicates
-        // included, instead of an O(n) clear at the next repair.
-        for &slot in dirty {
-            self.removed[slot] = false;
+        if !self.leaving.is_empty() {
+            self.leaving.sort_unstable();
+            self.positions.clear();
+            let mut from = 0;
+            for &slot in &self.leaving {
+                from += self.members[from..].partition_point(|&m| m < slot);
+                debug_assert_eq!(self.members.get(from), Some(&slot));
+                self.positions.push(from);
+            }
+            splice::remove_at(&mut self.members, &self.positions);
+        }
+        if !self.joining.is_empty() {
+            self.joining.sort_unstable();
+            self.positions.clear();
+            let mut from = 0;
+            for &slot in &self.joining {
+                from += self.members[from..].partition_point(|&m| m < slot);
+                self.positions.push(from);
+            }
+            splice::insert_at(&mut self.members, &self.joining, &self.positions);
         }
 
         debug_assert!(self.is_consistent(stats));
@@ -286,6 +265,9 @@ mod tests {
         ps[0].awareness = 0.5; // first visit: leaves the pool
         ps[3].awareness = 0.0; // retirement: joins the pool
         index.repair(&ps, &[0, 0, 3, 0, 3, 1]); // slot 1 is dirty but unchanged
+        assert_eq!(index.members(), &[2, 3]);
+        // A dirty list with no flip leaves the members untouched.
+        index.repair(&ps, &[2, 1, 2]);
         assert_eq!(index.members(), &[2, 3]);
         assert_eq!(index.members(), fresh_members(&ps).as_slice());
         assert!(index.is_consistent(&ps));

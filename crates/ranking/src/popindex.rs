@@ -5,9 +5,11 @@
 //! `n` pages by popularity on every step, `O(n log n)` work even though a
 //! step changes the popularity key of only the handful of slots that
 //! received a visit, changed their score, or were inserted.
-//! [`PopularityIndex`] keeps the previous order and *repairs* it: dirty
-//! slots are pulled out and reinserted at the position a binary search
-//! against [`popularity_order`](crate::popularity_order) dictates.
+//! [`PopularityIndex`] keeps the previous order and *repairs* it: each
+//! changed slot is found at its old position by a binary search on the key
+//! it had there (its *displaced key*), cut out, and spliced back in at the
+//! position a binary search against
+//! [`popularity_order`](crate::popularity_order) dictates.
 //!
 //! Why repair is sound: the comparator is a **total** order (popularity
 //! descending, then age descending, then slot ascending), so there is
@@ -18,12 +20,16 @@
 //! the slot dirty), and ages grow by exactly one day for *every* surviving
 //! page, which leaves all pairwise age comparisons between clean slots
 //! untouched. Newborn pages reset their age, so retirement marks them dirty
-//! too.
+//! too. The same argument locates a changed slot: with every displaced key
+//! swapped back in, the stored order is sorted over the stats again, so the
+//! binary search for a displaced key lands exactly on its slot (displaced
+//! keys age along with every other page).
 //!
 //! The population may also *grow* between repairs (a serving corpus takes
-//! inserts): brand-new slots are simply passed in as dirty and take part in
-//! the same binary-search reinsertion.
+//! inserts): slots past the indexed length are new, have no old position,
+//! and are spliced in like every other changed slot.
 
+use crate::splice;
 use crate::stats::{popularity_order, PageStats};
 use serde::{Deserialize, Serialize};
 
@@ -33,13 +39,10 @@ pub struct PopularityIndex {
     /// Slot indices, best-ranked first. Invariant outside `repair`: sorted
     /// by `popularity_order` over the most recent `stats` passed in.
     order: Vec<usize>,
-    /// Scratch: merge target swapped with `order` during a repair.
+    /// Scratch: the changed slots, spliced back in during a repair.
     #[serde(skip)]
-    merged: Vec<usize>,
-    /// Scratch: per-slot "is dirty" mask during a repair.
-    #[serde(skip)]
-    removed: Vec<bool>,
-    /// Scratch: insertion position of each dirty slot during a repair.
+    changed: Vec<usize>,
+    /// Scratch: removal, then insertion, positions during a repair.
     #[serde(skip)]
     positions: Vec<usize>,
 }
@@ -62,8 +65,6 @@ impl PopularityIndex {
         self.order.extend(0..stats.len());
         self.order
             .sort_unstable_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
-        self.removed.clear();
-        self.removed.resize(stats.len(), false);
     }
 
     /// The slots in popularity order (best rank first).
@@ -84,74 +85,77 @@ impl PopularityIndex {
         self.order.is_empty()
     }
 
-    /// Restore sortedness after the slots in `dirty` changed their keys,
-    /// comparing against the *current* `stats`. `dirty` is drained; slots
-    /// may appear in it multiple times and in any order. The population may
-    /// have grown since the last repair (`stats.len() > self.len()`), in
-    /// which case every new slot must appear in `dirty`. Allocation-free
-    /// once the scratch buffers have grown to `n`.
+    /// Restore sortedness against the *current* `stats` after keys
+    /// changed. `displaced` holds, for every indexed slot
+    /// (`slot < len()`) whose key changed since the last repair, the
+    /// [`PageStats`] it had at that repair — once per slot, in any order —
+    /// and is drained. Slots past [`len`](Self::len) are new (the
+    /// population may grow between repairs) and need no entry. `stats` is
+    /// only borrowed mutably to swap the displaced keys in and back out; it
+    /// is returned unchanged. Allocation-free once the scratch buffers
+    /// have grown to `d`.
     ///
-    /// Cost: `O(n + d log n)` for `d` dirty slots — two linear passes plus
-    /// one binary search per dirty slot — versus `O(n log n)` comparisons
-    /// for a from-scratch sort.
-    pub fn repair(&mut self, stats: &[PageStats], dirty: &mut Vec<usize>) {
-        debug_assert!(
-            stats.len() >= self.order.len(),
-            "the population never shrinks"
-        );
-        if dirty.is_empty() {
+    /// Cost: `O(d log n)` for `d` changed slots — one binary search to find
+    /// each old position, one to find each new one, and a sort of the `d`
+    /// slots — plus block moves: one `memmove` per gap between removed
+    /// positions and one per gap between inserted ones. No pass touches
+    /// all `n` entries one by one.
+    pub fn repair(&mut self, stats: &mut [PageStats], displaced: &mut Vec<PageStats>) {
+        let indexed = self.order.len();
+        debug_assert!(stats.len() >= indexed, "the population never shrinks");
+        if displaced.is_empty() && indexed == stats.len() {
             debug_assert!(self.is_consistent(stats));
             return;
         }
 
-        // Deduplicate via the mask (a slot visited twice is one repair).
-        self.removed.clear();
-        self.removed.resize(stats.len(), false);
-        dirty.retain(|&slot| {
-            let fresh = !self.removed[slot];
-            self.removed[slot] = true;
-            fresh
-        });
-        debug_assert!(
-            (self.order.len()..stats.len()).all(|slot| self.removed[slot]),
-            "every slot inserted since the last repair must be dirty"
-        );
-
-        // Pull dirty slots out, keeping the clean remainder in order.
-        // (Newly inserted slots are not in `order` yet; for them this pass
-        // is a no-op and the reinsertion below places them for the first
-        // time.)
-        self.order.retain(|&slot| !self.removed[slot]);
-
-        // Reinsert: sort the dirty slots by the shared total order, find
-        // each one's position in the clean list by binary search, and
-        // splice everything together in a single linear pass.
-        dirty.sort_unstable_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
+        // Find each changed slot's old position: with the displaced keys
+        // swapped back in, `order` is sorted over `stats` again, and the
+        // total order makes the partition point the slot's own entry.
+        for key in displaced.iter_mut() {
+            debug_assert!(key.slot < indexed, "only indexed slots are displaced");
+            std::mem::swap(&mut stats[key.slot], key);
+        }
         self.positions.clear();
-        for &slot in dirty.iter() {
-            // Clean slots never compare equal to a dirty one (slot indices
-            // differ), so this partition point is the unique position.
-            self.positions.push(
-                self.order.partition_point(|&clean| {
-                    popularity_order(&stats[clean], &stats[slot]).is_lt()
-                }),
+        for current in displaced.iter() {
+            let old = &stats[current.slot];
+            let at = self
+                .order
+                .partition_point(|&s| popularity_order(&stats[s], old).is_lt());
+            debug_assert_eq!(
+                self.order.get(at),
+                Some(&current.slot),
+                "a displaced key must locate its slot in the order"
             );
+            self.positions.push(at);
         }
-
-        self.merged.clear();
-        self.merged.reserve(stats.len());
-        let mut next_dirty = 0;
-        for (clean_index, &clean) in self.order.iter().enumerate() {
-            while next_dirty < dirty.len() && self.positions[next_dirty] == clean_index {
-                self.merged.push(dirty[next_dirty]);
-                next_dirty += 1;
-            }
-            self.merged.push(clean);
+        self.changed.clear();
+        for key in displaced.iter_mut() {
+            std::mem::swap(&mut stats[key.slot], key);
+            self.changed.push(key.slot);
         }
-        self.merged.extend_from_slice(&dirty[next_dirty..]);
-        std::mem::swap(&mut self.order, &mut self.merged);
+        displaced.clear();
+        self.changed.extend(indexed..stats.len());
 
-        dirty.clear();
+        // Cut the changed slots out; the clean remainder stays sorted.
+        self.positions.sort_unstable();
+        splice::remove_at(&mut self.order, &self.positions);
+
+        // Splice them back in: sort the changed slots by the shared total
+        // order and binary-search each one's position in the clean list
+        // (clean slots never compare equal to a changed one — slot indices
+        // differ — so the position is unique, and it never moves left of
+        // the previous slot's).
+        self.changed
+            .sort_unstable_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
+        self.positions.clear();
+        let mut from = 0;
+        for &slot in &self.changed {
+            from += self.order[from..]
+                .partition_point(|&clean| popularity_order(&stats[clean], &stats[slot]).is_lt());
+            self.positions.push(from);
+        }
+        splice::insert_at(&mut self.order, &self.changed, &self.positions);
+
         debug_assert!(self.is_consistent(stats));
     }
 
@@ -195,32 +199,32 @@ mod tests {
     fn repair_moves_a_promoted_slot_to_its_new_place() {
         let mut ps = stats(&[(0.9, 0), (0.7, 0), (0.5, 0), (0.3, 0), (0.1, 0)]);
         let mut index = PopularityIndex::build(&ps);
+        let mut displaced = vec![ps[4]];
         ps[4].popularity = 0.8; // slot 4 jumps to second place
-        let mut dirty = vec![4];
-        index.repair(&ps, &mut dirty);
+        index.repair(&mut ps, &mut displaced);
         assert_eq!(index.order(), &[0, 4, 1, 2, 3]);
-        assert!(dirty.is_empty(), "repair drains the dirty list");
+        assert!(displaced.is_empty(), "repair drains the displaced keys");
     }
 
     #[test]
-    fn repair_handles_duplicates_and_multiple_slots() {
+    fn repair_moves_several_slots_at_once() {
         let mut ps = stats(&[(0.9, 5), (0.7, 5), (0.5, 5), (0.3, 5), (0.1, 5)]);
         let mut index = PopularityIndex::build(&ps);
+        let mut displaced = vec![ps[3], ps[0]];
         ps[0].popularity = 0.0; // the leader collapses (a retirement)
         ps[0].age_days = 0;
         ps[3].popularity = 0.95; // a challenger overtakes everyone
-        let mut dirty = vec![3, 0, 3, 0, 0];
-        index.repair(&ps, &mut dirty);
+        index.repair(&mut ps, &mut displaced);
         assert!(index.is_consistent(&ps));
         assert_eq!(index.order(), &[3, 1, 2, 4, 0]);
     }
 
     #[test]
     fn repair_with_no_dirty_slots_is_a_no_op() {
-        let ps = stats(&[(0.2, 1), (0.8, 1)]);
+        let mut ps = stats(&[(0.2, 1), (0.8, 1)]);
         let mut index = PopularityIndex::build(&ps);
         let before = index.order().to_vec();
-        index.repair(&ps, &mut Vec::new());
+        index.repair(&mut ps, &mut Vec::new());
         assert_eq!(index.order(), before.as_slice());
     }
 
@@ -234,7 +238,7 @@ mod tests {
             p.age_days += 1;
         }
         assert!(index.is_consistent(&ps));
-        index.repair(&ps, &mut Vec::new());
+        index.repair(&mut ps, &mut Vec::new());
         assert!(index.is_consistent(&ps));
     }
 
@@ -251,8 +255,9 @@ mod tests {
 
     #[test]
     fn repair_places_newly_inserted_slots() {
-        // The population grows from 3 to 6 slots; the new slots arrive as
-        // dirty and land exactly where a from-scratch sort would put them.
+        // The population grows from 3 to 6 slots; the new slots need no
+        // displaced key and land exactly where a from-scratch sort would
+        // put them.
         let mut ps = stats(&[(0.6, 2), (0.2, 2), (0.4, 2)]);
         let mut index = PopularityIndex::build(&ps);
         ps.extend(
@@ -264,8 +269,7 @@ mod tests {
                     p
                 }),
         );
-        let mut dirty = vec![3, 4, 5];
-        index.repair(&ps, &mut dirty);
+        index.repair(&mut ps, &mut Vec::new());
         assert!(index.is_consistent(&ps));
         assert_eq!(index.order(), &[5, 0, 3, 2, 1, 4]);
     }
@@ -273,11 +277,10 @@ mod tests {
     #[test]
     fn repair_grows_an_empty_index_from_all_dirty_slots() {
         // A serving corpus built entirely through inserts: the first repair
-        // sees every slot dirty against an empty order.
-        let ps = stats(&[(0.3, 1), (0.7, 1), (0.1, 1), (0.7, 4)]);
+        // sees every slot as new against an empty order.
+        let mut ps = stats(&[(0.3, 1), (0.7, 1), (0.1, 1), (0.7, 4)]);
         let mut index = PopularityIndex::default();
-        let mut dirty = vec![0, 1, 2, 3];
-        index.repair(&ps, &mut dirty);
+        index.repair(&mut ps, &mut Vec::new());
         assert!(index.is_consistent(&ps));
         assert_eq!(index.order(), &[3, 1, 0, 2]);
     }
@@ -286,14 +289,39 @@ mod tests {
     fn repair_mixes_inserts_and_key_changes() {
         let mut ps = stats(&[(0.9, 3), (0.5, 3), (0.1, 3)]);
         let mut index = PopularityIndex::build(&ps);
+        let mut displaced = vec![ps[1]];
         ps[1].popularity = 0.95; // existing slot overtakes the leader
         let mut extra = stats(&[(0.8, 0)]);
         extra[0].slot = 3;
         extra[0].page = PageId::new(3);
         ps.extend(extra);
-        let mut dirty = vec![1, 3, 1];
-        index.repair(&ps, &mut dirty);
+        index.repair(&mut ps, &mut displaced);
         assert!(index.is_consistent(&ps));
         assert_eq!(index.order(), &[1, 0, 3, 2]);
+    }
+
+    #[test]
+    fn repair_locates_tied_keys_by_the_slot_tie_break() {
+        // Equal popularity and age everywhere: only the slot decides, so
+        // the displaced key of slot 2 must find slot 2, not a neighbour.
+        let mut ps = stats(&[(0.5, 1), (0.5, 1), (0.5, 1), (0.5, 1)]);
+        let mut index = PopularityIndex::build(&ps);
+        let mut displaced = vec![ps[2], ps[1]];
+        ps[2].popularity = 0.0; // to the bottom
+        index.repair(&mut ps, &mut displaced); // slot 1 patched to itself
+        assert_eq!(index.order(), &[0, 1, 3, 2]);
+        assert!(index.is_consistent(&ps));
+    }
+
+    #[test]
+    fn stats_come_back_unchanged() {
+        let mut ps = stats(&[(0.9, 0), (0.7, 0), (0.5, 0)]);
+        let mut index = PopularityIndex::build(&ps);
+        let mut displaced = vec![ps[0]];
+        ps[0].popularity = 0.1;
+        let current = ps.clone();
+        index.repair(&mut ps, &mut displaced);
+        assert_eq!(ps, current, "the displaced keys are swapped back out");
+        assert_eq!(index.order(), &[1, 2, 0]);
     }
 }

@@ -13,6 +13,7 @@ use rrp_ranking::{
     PromotionRule, QualityOracleRanking, RandomizedRankPromotion, RankBuffers, RankSource,
     RankingPolicy, ShardCandidates,
 };
+use serde::{Deserialize, Serialize};
 
 /// Strategy producing an arbitrary page population of size 1..=120.
 fn arb_pages() -> impl Strategy<Value = Vec<PageStats>> {
@@ -269,6 +270,89 @@ proptest! {
         prop_assert_eq!(index.members(), rebuilt.members());
         prop_assert!(index.is_consistent(&stats));
         prop_assert_eq!(index.len(), rebuilt.len());
+    }
+
+    /// The displaced-key repair under arbitrary patch/push schedules, with
+    /// repairs interleaved at arbitrary points: after every repair the
+    /// cache's order and pool equal a from-scratch rebuild of the current
+    /// stats. Keys come from a tiny grid (four popularities, three ages),
+    /// so most comparisons tie down to the slot tie-break; the schedule
+    /// mixes no-op patches, repeated patches of one slot between repairs
+    /// (only the first displaced key counts), jumps to the top and the
+    /// bottom, membership flips, inserts, and serde round trips with the
+    /// dirty list pending (the re-sort fallback).
+    #[test]
+    fn displaced_key_repair_equals_from_scratch_sort(
+        initial in 1usize..40,
+        events in prop::collection::vec((0usize..8, 0usize..80, 0usize..12), 0..150),
+        repair_every in 1usize..8,
+    ) {
+        let grid = |slot: usize, cell: usize| {
+            let popularity = [0.0, 0.25, 0.5, 0.75][cell % 4];
+            let awareness = if cell.is_multiple_of(5) { 0.0 } else { 0.5 };
+            PageStats::new(slot, PageId::new(slot as u64), popularity, awareness)
+                .with_age((cell / 4) as u64)
+        };
+        let mut stats: Vec<PageStats> = (0..initial).map(|slot| grid(slot, slot)).collect();
+        let mut cache = CorpusCache::new();
+        for &stat in &stats {
+            cache.push(stat);
+        }
+
+        for (step, &(kind, raw_slot, cell)) in events.iter().enumerate() {
+            let slot = raw_slot % stats.len();
+            match kind {
+                // A move on the tie-heavy grid.
+                0 => stats[slot] = grid(slot, cell),
+                // A no-op patch: the key does not change.
+                1 => {}
+                // Two patches of one slot before the next repair.
+                2 => {
+                    cache.patch(slot, grid(slot, cell + 1));
+                    stats[slot] = grid(slot, cell);
+                }
+                // A jump above every other page.
+                3 => stats[slot].popularity = 2.0 + cell as f64,
+                // A drop to the very bottom (a retirement).
+                4 => {
+                    stats[slot].popularity = 0.0;
+                    stats[slot].awareness = 0.0;
+                    stats[slot].age_days = 0;
+                }
+                // An insert.
+                5 => {
+                    let new_slot = stats.len();
+                    stats.push(grid(new_slot, cell));
+                    cache.push(stats[new_slot]);
+                    continue;
+                }
+                // A serde round trip with the dirty list pending.
+                6 => {
+                    cache = CorpusCache::from_value(&cache.to_value()).expect("round trip");
+                    continue;
+                }
+                // A first visit: the page leaves the pool.
+                _ => stats[slot].awareness = 0.5,
+            }
+            cache.patch(slot, stats[slot]);
+            if step % repair_every == 0 {
+                cache.repair();
+                prop_assert_eq!(cache.dirty_len(), 0);
+                let mut fresh = CorpusCache::new();
+                fresh.rebuild(stats.iter().copied());
+                prop_assert_eq!(cache.order(), fresh.order());
+                prop_assert_eq!(cache.pool().members(), fresh.pool().members());
+            }
+        }
+        cache.repair();
+
+        let mut expected: Vec<usize> = (0..stats.len()).collect();
+        expected.sort_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
+        prop_assert_eq!(cache.stats(), stats.as_slice());
+        prop_assert_eq!(cache.order(), expected.as_slice());
+        let mut fresh = CorpusCache::new();
+        fresh.rebuild(stats.iter().copied());
+        prop_assert_eq!(cache.pool().members(), fresh.pool().members());
     }
 
     /// The one rank primitive against the scanning reference, for any

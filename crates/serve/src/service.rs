@@ -31,9 +31,10 @@ pub struct ServeStats {
     /// Dirty slots handed to the shard-tier repairs (distinct slots per
     /// shard: the dirty lists deduplicate on entry).
     pub dirty_slots_repaired: u64,
-    /// Incremental repairs of the pool membership (runs with every
-    /// shard-tier repair, from the same dirty slots — counted only while
-    /// pools are maintained, i.e. for selective engines).
+    /// Publications that changed the merged global pool — a mutation
+    /// flipped some slot's membership (a first visit, an unexplored
+    /// insert). Popularity-only mutations publish without one, and an
+    /// engine that maintains no pool never counts any.
     pub pool_repairs: u64,
     /// Per-query membership-mask resets reported by the ranking arenas —
     /// each one marks an `O(n)` pool scan inside a query. The pooled
@@ -526,10 +527,10 @@ impl ShardedPromotionService {
         let (version, charged) = shards.publish(epoch);
         if charged > 0 {
             ProbeCells::add(&self.probe.shard_repairs, 1);
-            if shards.pool_maintained() {
-                ProbeCells::add(&self.probe.pool_repairs, 1);
-            }
             ProbeCells::add(&self.probe.dirty_slots_repaired, charged);
+        }
+        if version.pool_repaired() {
+            ProbeCells::add(&self.probe.pool_repairs, 1);
         }
         ProbeCells::add(&self.probe.version_publications, 1);
         let prev = std::mem::replace(
@@ -1119,6 +1120,16 @@ mod tests {
         assert_eq!(mutated.pool_repairs, 2);
         assert_eq!(mutated.mask_resets, 0);
         assert_eq!(mutated.epoch_conflicts, 0);
+
+        // A popularity-only mutation flips no slot's pool membership: its
+        // publication repairs the shard that holds it and leaves the
+        // merged pool alone.
+        assert!(service.update_popularity(7, 0.5));
+        service.rerank_batch(&qs);
+        let moved = service.serve_stats();
+        assert_eq!(moved.shard_repairs, 3);
+        assert_eq!(moved.version_publications, 3);
+        assert_eq!(moved.pool_repairs, 2, "no membership flipped");
     }
 
     #[test]

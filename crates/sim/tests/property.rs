@@ -45,33 +45,40 @@ proptest! {
             .map(|slot| PageStats::new(slot, PageId::new(slot as u64), 0.0, 0.0))
             .collect();
         let mut index = PopularityIndex::build(&stats);
-        let mut dirty: Vec<usize> = Vec::new();
+        // Each slot's stats as of the last repair, kept by its first
+        // mutation since then.
+        let mut displaced: Vec<PageStats> = Vec::new();
+        let displace = |displaced: &mut Vec<PageStats>, old: PageStats| {
+            if displaced.iter().all(|d| d.slot != old.slot) {
+                displaced.push(old);
+            }
+        };
 
         for (step, event) in events.iter().enumerate() {
             match *event {
                 Event::Visit { slot, gain } => {
+                    displace(&mut displaced, stats[slot]);
                     stats[slot].popularity = (stats[slot].popularity + gain).min(1.0);
                     stats[slot].awareness = (stats[slot].awareness + gain).min(1.0);
-                    dirty.push(slot);
                 }
                 Event::Retire { slot } => {
+                    displace(&mut displaced, stats[slot]);
                     stats[slot].popularity = 0.0;
                     stats[slot].awareness = 0.0;
                     stats[slot].age_days = 0;
-                    dirty.push(slot);
                 }
                 Event::NextDay => {
-                    for p in stats.iter_mut() {
+                    for p in stats.iter_mut().chain(displaced.iter_mut()) {
                         p.age_days += 1;
                     }
                 }
             }
             if step % repair_every == 0 {
-                index.repair(&stats, &mut dirty);
-                prop_assert!(dirty.is_empty());
+                index.repair(&mut stats, &mut displaced);
+                prop_assert!(displaced.is_empty());
             }
         }
-        index.repair(&stats, &mut dirty);
+        index.repair(&mut stats, &mut displaced);
 
         let mut expected: Vec<usize> = (0..n).collect();
         expected.sort_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
