@@ -21,13 +21,14 @@
 //! [`ServeStats::order_merges`]). Selective top-k
 //! ([`ShardedPromotionService::rerank_top_k`],
 //! [`ShardedPromotionService::rerank_batch_top_k_into`]) is
-//! **shard-local retrieval**: per query each shard contributes only its
-//! popularity-order prefix, the merge reassembles the exact global order
-//! prefix, and the maintained merged global pool is shuffled into it —
-//! the complete order is never consulted, pinned by
-//! [`ServeStats::order_merges`]` == 0` and
-//! [`ServeStats::shard_retrievals`]` == shards × queries`. Batch fan-out
-//! writes into disjoint `&mut` result regions (no result lock). All of it
+//! **shard-local retrieval**: per read call (a batch, or one sequential
+//! query) each shard contributes only its popularity-order prefix, the
+//! merge reassembles the exact global order prefix once, and every query
+//! shuffles the maintained merged global pool into it — the complete
+//! order is never consulted, pinned by [`ServeStats::order_merges`]` == 0`
+//! and [`ServeStats::shard_retrievals`]` == shards` per call. Batch
+//! fan-out writes into disjoint `&mut` result regions (no result lock),
+//! with the calling thread as one of the workers. All of it
 //! preserves the `(engine seed, query, session)` determinism of
 //! [`rrp_core::RankPromotionEngine`] exactly: batch, sequential and top-k
 //! answers are bit-identical (top-k ≡ the full rerank's prefix) at any

@@ -42,10 +42,13 @@ pub struct ServeStats {
     /// a Uniform-rule engine necessarily pays one per query, its per-page
     /// coins being part of the observable RNG stream.
     pub mask_resets: u64,
-    /// Shard-local candidate retrievals: one per shard per top-k query
-    /// answered through the retrieve→merge→rank path, so a clean top-k
-    /// batch reads exactly `shards × queries` (pinned in tests). The
-    /// complete merged order is never consulted on that path.
+    /// Shard-local candidate retrievals: one per shard per top-k read
+    /// call answered through the retrieve→merge→rank path — the rest
+    /// prefix of `L_d` is the same for every query against a version, so
+    /// a batch retrieves it once (`shards` per batch, whatever its size)
+    /// and a sequential read once per attempt (`shards` per read, again
+    /// on a retry). Pinned in tests. The complete merged order is never
+    /// consulted on that path.
     pub shard_retrievals: u64,
     /// Repair events on the per-shard caches: one per version publication
     /// that found at least one dirty slot. Every query path runs through
@@ -156,14 +159,22 @@ struct WriterState {
     rebuild_scratch: Vec<Document>,
 }
 
-/// Per-query scratch (rank arenas, slot list, top-k retrieval buffers),
-/// pooled so concurrent `&self` readers each borrow a private set and the
-/// steady-state query path stays allocation-free.
+/// Per-reader scratch, pooled so concurrent `&self` readers each borrow a
+/// private set and the steady-state read path stays allocation-free: the
+/// rank arenas a worker ranks with, plus the top-k retrieval buffers the
+/// read call's [`read_mode`](ShardedPromotionService::read_mode) fills
+/// (used only by the set the calling thread borrows).
 #[derive(Debug, Default)]
 struct QueryScratch {
+    rank: RankScratch,
+    retrieval: TopKRetrieval,
+}
+
+/// One worker's rank arenas and the slot list its answers flatten into.
+#[derive(Debug, Default)]
+struct RankScratch {
     buffers: RankBuffers,
     slots: Vec<usize>,
-    retrieval: TopKRetrieval,
 }
 
 /// A read guard over the service's document store, handed out by
@@ -213,11 +224,13 @@ impl std::fmt::Debug for StoreGuard<'_> {
 ///    [`rerank_top_k`](Self::rerank_top_k) query is truly `O(pool + k)` —
 ///    no full-corpus scan, no membership-mask reset (also pinned, via
 ///    [`ServeStats::mask_resets`]).
-/// 4. **Chunked fan-out** — batch results are written into disjoint
-///    `&mut` chunks that workers claim one at a time (one short lock per
-///    chunk, never per query); workers never touch another worker's
-///    slots, and per-worker scratch arenas keep the per-query path
-///    allocation-free.
+/// 4. **Chunked fan-out** — the query-independent part of a read (the
+///    route, and for selective top-k the merged shard rest prefix) is
+///    computed once per batch; batch results are then written into
+///    disjoint `&mut` chunks that workers — the calling thread among
+///    them — claim one at a time (one short lock per chunk, never per
+///    query). Workers never touch another worker's slots, and per-worker
+///    scratch arenas keep the per-query path allocation-free.
 /// 5. **Epoch-versioned shared reads** — every query path takes `&self`:
 ///    mutations bump a mutation-epoch counter and patch the writer
 ///    generation under a mutex, while readers rank against an immutable
@@ -600,7 +613,7 @@ impl ShardedPromotionService {
     }
 
     /// One sequential read: the full rerank (`k = None`) or its top-`k`,
-    /// answered by [`BatchWorker::answer_into`] on the route
+    /// answered by [`answer_into`](Self::answer_into) on the route
     /// [`read_mode`](Self::read_mode) picks. Validates at merge time: a
     /// racing mutation leaves the answer consistent at the version's
     /// epoch, merely stale — retry once against the fresh version, then
@@ -621,12 +634,11 @@ impl ShardedPromotionService {
             return version.epoch();
         }
         let mut scratch = self.take_scratch();
+        let QueryScratch { rank, retrieval } = &mut scratch;
         let mut retried = false;
         let epoch = loop {
-            let mode = self.read_mode(&version, k, 1);
-            let mut worker = BatchWorker::new(&self.engine, &version, scratch);
-            worker.answer_into(context, mode, out);
-            scratch = worker.scratch;
+            let mode = self.read_mode(&version, k, retrieval);
+            self.answer_into(&version, mode, context, rank, out);
             if retried || self.epoch.load(Ordering::Acquire) == version.epoch() {
                 break version.epoch();
             }
@@ -638,19 +650,23 @@ impl ShardedPromotionService {
         epoch
     }
 
-    /// Pick how `queries` reads against `version` are answered, charging
-    /// the routing probes: top-k under a selective engine retrieves per
-    /// shard (`shards × queries` retrievals); everything else (full
-    /// reranks, the Uniform rule's coin scan) reads the complete merged
-    /// order, brought current first.
-    fn read_mode(&self, version: &PublishedVersion, k: Option<usize>, queries: usize) -> ReadMode {
+    /// Pick how one read call (a batch, or a sequential attempt) against
+    /// `version` is answered, doing its query-independent work once and
+    /// charging the routing probes: top-k under a selective engine
+    /// retrieves and merges the shard rest prefix into `retrieval`
+    /// (`shards` retrievals, however many queries then rank from it);
+    /// everything else (full reranks, the Uniform rule's coin scan) reads
+    /// the complete merged order, brought current first.
+    fn read_mode<'r>(
+        &self,
+        version: &PublishedVersion,
+        k: Option<usize>,
+        retrieval: &'r mut TopKRetrieval,
+    ) -> ReadMode<'r> {
         match k {
             Some(k) if self.engine.reads_pool_index() => {
-                ProbeCells::add(
-                    &self.probe.shard_retrievals,
-                    (version.shard_count() * queries) as u64,
-                );
-                ReadMode::Shards(k)
+                ProbeCells::add(&self.probe.shard_retrievals, version.shard_count() as u64);
+                ReadMode::Shards(k, retrieval.retrieve(&self.engine, version, k))
             }
             _ => {
                 let (_, ran) = version.ensure_merged_order();
@@ -662,11 +678,43 @@ impl ShardedPromotionService {
         }
     }
 
+    /// Answer one query against `version` into `out` (cleared first) on
+    /// `mode`'s route — the one place every read path ranks. Reuses the
+    /// worker's arenas and `out`'s storage, so it allocates nothing once
+    /// both have warmed up.
+    fn answer_into(
+        &self,
+        version: &PublishedVersion,
+        mode: ReadMode<'_>,
+        context: QueryContext,
+        rank: &mut RankScratch,
+        out: &mut Vec<u64>,
+    ) {
+        let RankScratch { buffers, slots } = rank;
+        match mode {
+            ReadMode::Merged(k) => {
+                let source = RankSource::new(version.pool_slots(), version.merged_order(), |s| {
+                    version.in_pool(s)
+                });
+                self.engine
+                    .rerank_source_into(source, k, context, buffers, slots);
+            }
+            ReadMode::Shards(k, rest) => {
+                let source = RankSource::retrieved(version.pool_slots(), rest);
+                self.engine
+                    .rerank_source_into(source, Some(k), context, buffers, slots);
+            }
+        }
+        out.clear();
+        out.extend(slots.iter().map(|&s| version.page_of(s).0));
+    }
+
     /// Fold a scratch set's arena counters into the probes (one relaxed
     /// add each) and return it to the pool.
     fn finish_scratch(&self, mut scratch: QueryScratch) {
-        ProbeCells::add(&self.probe.mask_resets, scratch.buffers.take_mask_resets());
-        ProbeCells::add(&self.probe.pool_draws, scratch.buffers.take_pool_draws());
+        let buffers = &mut scratch.rank.buffers;
+        ProbeCells::add(&self.probe.mask_resets, buffers.take_mask_resets());
+        ProbeCells::add(&self.probe.pool_draws, buffers.take_pool_draws());
         self.put_scratch(scratch);
     }
 
@@ -741,8 +789,9 @@ impl ShardedPromotionService {
     /// the corresponding full rerank. Routed through shard-local candidate
     /// retrieval for selective engines (see
     /// [`rerank_top_k`](Self::rerank_top_k)): the batch performs **zero**
-    /// complete-order merges and exactly `shards × queries` shard
-    /// retrievals.
+    /// complete-order merges and exactly `shards` shard retrievals — the
+    /// merged rest prefix is query-independent, so it is retrieved once
+    /// and every query ranks its own pool shuffle and coin flips from it.
     pub fn rerank_batch_top_k_into(
         &self,
         queries: &[QueryContext],
@@ -786,40 +835,45 @@ impl ShardedPromotionService {
             return version.epoch();
         }
 
-        let mode = self.read_mode(&version, k, queries.len());
+        // The query-independent work, once per batch: the route and, for
+        // selective top-k, the merged shard rest prefix every query ranks
+        // from (held in the calling thread's scratch set).
+        let mut lead = self.take_scratch();
+        let QueryScratch { rank, retrieval } = &mut lead;
+        let mode = self.read_mode(&version, k, retrieval);
         let workers = self.workers.min(queries.len());
         // Chunked work-stealing: workers claim result chunks a few queries
         // wide (one short lock per chunk), so a slow query does not
-        // serialise its neighbours behind one worker. Each worker borrows
-        // a private scratch set from the pool — queries are
-        // allocation-free once the pool has warmed up to the fan-out —
-        // and folds its arena counters into the probes once, at exit.
+        // serialise its neighbours behind one worker.
         let chunk = chunk_len(queries.len(), workers);
         let chunks = Mutex::new(results.chunks_mut(chunk).enumerate());
-        let work = || {
-            let mut worker = BatchWorker::new(&self.engine, &version, self.take_scratch());
-            loop {
-                // `let … else` releases the lock before the chunk is
-                // answered (a `while let` would hold it for the body).
-                let Some((index, slots)) = chunks.lock().expect("batch chunk lock").next() else {
-                    break;
-                };
-                let start = index * chunk;
-                for (&ctx, out) in queries[start..].iter().zip(slots.iter_mut()) {
-                    worker.answer_into(ctx, mode, out);
-                }
+        let work = |rank: &mut RankScratch| loop {
+            // `let … else` releases the lock before the chunk is answered
+            // (a `while let` would hold it for the body).
+            let Some((index, slots)) = chunks.lock().expect("batch chunk lock").next() else {
+                break;
+            };
+            let start = index * chunk;
+            for (&ctx, out) in queries[start..].iter().zip(slots.iter_mut()) {
+                self.answer_into(&version, mode, ctx, rank, out);
             }
-            self.finish_scratch(worker.scratch);
         };
-        if workers <= 1 {
-            work();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(work);
-                }
-            });
-        }
+        // The calling thread works alongside `workers − 1` spawned ones
+        // (none for a single worker). Each spawned worker borrows a
+        // private scratch set from the pool — queries are allocation-free
+        // once the pool has warmed up to the fan-out — and folds its arena
+        // counters into the probes once, at exit.
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(|| {
+                    let mut scratch = self.take_scratch();
+                    work(&mut scratch.rank);
+                    self.finish_scratch(scratch);
+                });
+            }
+            work(rank);
+        });
+        self.finish_scratch(lead);
         // Validate once at merge time, count-only: each answer is
         // consistent at the version's epoch by construction (versions are
         // immutable), so a conflict records bounded staleness rather than
@@ -834,13 +888,13 @@ impl ShardedPromotionService {
 /// How a read is answered (decided once per batch, or per sequential
 /// attempt, by [`ShardedPromotionService::read_mode`]).
 #[derive(Clone, Copy)]
-enum ReadMode {
+enum ReadMode<'r> {
     /// Off the complete merged order: a full rerank (`None`) or a top-k
     /// (the Uniform rule's per-page coin scan needs every slot).
     Merged(Option<usize>),
-    /// Top-k via per-shard retrieval and the deterministic merge — no
-    /// complete order touched.
-    Shards(usize),
+    /// Top-`k` from the merged shard rest slots, retrieved once for the
+    /// whole read call — no complete order touched.
+    Shards(usize, &'r [usize]),
 }
 
 /// Chunk width for the batch fan-out: a handful of chunks per worker
@@ -850,10 +904,12 @@ fn chunk_len(queries: usize, workers: usize) -> usize {
     queries.div_ceil(workers * 4).max(1)
 }
 
-/// Reusable scratch for one top-k query's shard retrieval: the per-shard
+/// Reusable buffers for one read call's shard retrieval: the per-shard
 /// rest candidates, their merge, and the slot list the merged rest
-/// flattens into. Owned per caller (a pooled scratch set), so steady-state
-/// top-k queries allocate nothing.
+/// flattens into. Filled once per batch or sequential attempt by
+/// [`ShardedPromotionService::read_mode`] and then only read — every
+/// query of the call ranks from the same slots. Owned by the calling
+/// thread's pooled scratch set, so steady-state reads allocate nothing.
 #[derive(Debug, Default)]
 struct TopKRetrieval {
     shards: Vec<ShardCandidates>,
@@ -880,61 +936,6 @@ impl TopKRetrieval {
         self.rest_slots
             .extend(self.merged.rest().iter().map(|p| p.slot));
         &self.rest_slots
-    }
-}
-
-/// Per-worker state: a shared read-only published version plus private
-/// scratch.
-struct BatchWorker<'a> {
-    engine: &'a RankPromotionEngine,
-    version: &'a PublishedVersion,
-    scratch: QueryScratch,
-}
-
-impl<'a> BatchWorker<'a> {
-    /// Wrap a pooled scratch set: the arenas were grown by earlier
-    /// queries and go back to the pool afterwards, so steady-state reads
-    /// allocate nothing (not even the first query's arena growth — that
-    /// warm-up happened once per service).
-    fn new(
-        engine: &'a RankPromotionEngine,
-        version: &'a PublishedVersion,
-        scratch: QueryScratch,
-    ) -> Self {
-        BatchWorker {
-            engine,
-            version,
-            scratch,
-        }
-    }
-
-    /// Answer one query into `out` (cleared first) on `mode`'s route — the
-    /// one place every read path ranks. Reuses the worker's arenas and
-    /// `out`'s storage — no allocation once both have warmed up.
-    fn answer_into(&mut self, context: QueryContext, mode: ReadMode, out: &mut Vec<u64>) {
-        let QueryScratch {
-            buffers,
-            slots,
-            retrieval,
-        } = &mut self.scratch;
-        let version = self.version;
-        match mode {
-            ReadMode::Merged(k) => {
-                let source = RankSource::new(version.pool_slots(), version.merged_order(), |s| {
-                    version.in_pool(s)
-                });
-                self.engine
-                    .rerank_source_into(source, k, context, buffers, slots);
-            }
-            ReadMode::Shards(k) => {
-                let rest = retrieval.retrieve(self.engine, version, k);
-                let source = RankSource::retrieved(version.pool_slots(), rest);
-                self.engine
-                    .rerank_source_into(source, Some(k), context, buffers, slots);
-            }
-        }
-        out.clear();
-        out.extend(slots.iter().map(|&s| version.page_of(s).0));
     }
 }
 
@@ -1024,9 +1025,9 @@ mod tests {
     #[test]
     fn empty_corpus_and_empty_batch_queries_charge_nothing() {
         // Regression for the probe over-counting bug: the old routing
-        // charged `shard_retrievals += shards × queries` (and merged-path
-        // work) *before* noticing the corpus was empty, booking
-        // retrievals that never happened.
+        // charged `shard_retrievals` (and merged-path work) *before*
+        // noticing the corpus was empty, booking retrievals that never
+        // happened.
         for engine in [RankPromotionEngine::recommended(), uniform_engine()] {
             let service = ShardedPromotionService::new(engine, 4).with_workers(2);
             let qs = queries(3);
@@ -1166,7 +1167,7 @@ mod tests {
         // engine's top-k traffic — batched or sequential, clean or
         // mutated — never merges (or otherwise consults) the complete
         // global order, and performs exactly one candidate retrieval per
-        // shard per query.
+        // shard per read call: once per batch, once per sequential query.
         let shards = 4u64;
         let service =
             ShardedPromotionService::new(RankPromotionEngine::recommended(), shards as usize)
@@ -1185,7 +1186,7 @@ mod tests {
 
         let stats = service.serve_stats();
         assert_eq!(stats.order_merges, 0, "no complete-order merge on top-k");
-        assert_eq!(stats.shard_retrievals, shards * (16 + 16 + 16));
+        assert_eq!(stats.shard_retrievals, shards * (1 + 16 + 1));
         assert_eq!(stats.rebuilds, 0);
         assert_eq!(stats.mask_resets, 0);
         // Two publications repaired dirt: the warm-up (300 inserted
@@ -1201,6 +1202,50 @@ mod tests {
         assert_eq!(stats.order_merges, 1);
         assert_eq!(stats.shard_repairs, 2);
         assert_eq!(stats.dirty_slots_repaired, 302);
+    }
+
+    #[test]
+    fn a_top_k_batch_retrieves_once_and_answers_like_sequential_reads() {
+        // The batch half of the retrieval contract: one top-k batch
+        // retrieves the shard rest prefix once (`shards` retrievals,
+        // whatever its size or worker count), merges no order, keeps the
+        // O(k)-draw cap, and answers each query exactly as a sequential
+        // read — including when the calling thread answers everything.
+        use rrp_core::EngineVersion;
+        let k = 10usize;
+        let v1 = RankPromotionEngine::recommended().with_seed(29);
+        for engine in [v1, v1.with_version(EngineVersion::V2)] {
+            for shards in [1usize, 3, 8] {
+                for (workers, batch) in [(1usize, 64u64), (2, 64), (8, 64), (8, 3), (8, 1)] {
+                    let label = format!(
+                        "{:?}, {shards} shards, {workers} workers, {batch} queries",
+                        engine.version()
+                    );
+                    let service =
+                        ShardedPromotionService::new(engine, shards).with_workers(workers);
+                    service.extend(corpus(400));
+                    let qs = queries(batch);
+                    let expected: Vec<Vec<u64>> =
+                        qs.iter().map(|&ctx| service.rerank_top_k(ctx, k)).collect();
+                    let before = service.serve_stats();
+                    let mut results = Vec::new();
+                    service.rerank_batch_top_k_into(&qs, k, &mut results);
+                    let after = service.serve_stats();
+                    assert_eq!(results, expected, "{label}");
+                    assert_eq!(
+                        after.shard_retrievals - before.shard_retrievals,
+                        shards as u64,
+                        "{label}"
+                    );
+                    assert_eq!(after.order_merges, 0, "{label}");
+                    assert!(
+                        after.pool_draws - before.pool_draws <= (k as u64) * batch,
+                        "{label}"
+                    );
+                    assert_eq!(after.version_publications, 1, "{label}");
+                }
+            }
+        }
     }
 
     #[test]

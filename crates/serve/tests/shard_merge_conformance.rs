@@ -56,7 +56,7 @@ proptest! {
     /// prefix over the then-current corpus, and at the end the same holds
     /// for every shard × worker combination — plus the routing probe:
     /// selective top-k traffic performs zero complete-order merges and
-    /// exactly shards × queries retrievals, Uniform traffic zero
+    /// exactly shards retrievals per batch, Uniform traffic zero
     /// retrievals.
     #[test]
     fn shard_merged_top_k_equals_the_single_engine(
@@ -71,17 +71,17 @@ proptest! {
         seed_service(&mut service, initial, 4, 0.02);
 
         let mut batch_salt = 0u64;
-        let mut topk_queries = 0u64;
+        let mut topk_batches = 0u64;
         for &op in &ops {
             if let Some((q, Some(k))) = apply_mutation(&mut service, op) {
                 batch_salt += 1;
                 let qs = queries(q, batch_salt);
                 let corpus = service.store().snapshot();
                 // Empty-corpus serves charge nothing (the probe
-                // over-counting regression), so only live queries count
-                // toward the expected retrievals.
+                // over-counting regression), so only batches on a live
+                // corpus count toward the expected retrievals.
                 if !corpus.is_empty() {
-                    topk_queries += q;
+                    topk_batches += 1;
                 }
                 let mut top = Vec::new();
                 service.rerank_batch_top_k_into(&qs, k, &mut top);
@@ -100,14 +100,14 @@ proptest! {
 
         // The routing probe: selective engines answered every top-k query
         // from shard retrieval alone (zero complete-order merges, one
-        // retrieval per shard per query); Uniform engines answered every
+        // retrieval per shard per batch); Uniform engines answered every
         // one from the complete merged order (zero retrievals, at most
         // one lazy merge per serve point). Neither route ever rebuilds.
         let stats = service.serve_stats();
         prop_assert_eq!(stats.rebuilds, 0);
         if selective {
             prop_assert_eq!(stats.order_merges, 0);
-            prop_assert_eq!(stats.shard_retrievals, 4 * topk_queries);
+            prop_assert_eq!(stats.shard_retrievals, 4 * topk_batches);
         } else {
             prop_assert_eq!(stats.shard_retrievals, 0);
             prop_assert!(stats.order_merges <= batch_salt);

@@ -61,7 +61,7 @@ proptest! {
     /// single-engine v2 top-k over the then-current corpus, and at the
     /// end the same holds for every shard × worker combination — plus the
     /// probes: selective v2 traffic performs zero complete-order merges,
-    /// exactly shards × queries retrievals, and at most `k` lazy swap
+    /// exactly shards retrievals per batch, and at most `k` lazy swap
     /// draws per query; Uniform v2 traffic books zero draws.
     #[test]
     fn shard_merged_v2_top_k_equals_the_single_v2_engine(
@@ -77,7 +77,7 @@ proptest! {
         seed_service(&mut service, initial, 4, 0.02);
 
         let mut batch_salt = 0u64;
-        let mut topk_queries = 0u64;
+        let mut topk_batches = 0u64;
         let mut draw_budget = 0u64;
         for &op in &ops {
             if let Some((q, Some(k))) = apply_mutation(&mut service, op) {
@@ -85,7 +85,7 @@ proptest! {
                 let qs = queries(q, batch_salt);
                 let corpus = service.store().snapshot();
                 if !corpus.is_empty() {
-                    topk_queries += q;
+                    topk_batches += 1;
                     draw_budget += q * k as u64;
                 }
                 let mut top = Vec::new();
@@ -105,14 +105,14 @@ proptest! {
 
         // The routing and draw probes: the lazy route keeps the v1
         // retrieval guarantees (no complete-order merge, one retrieval
-        // per shard per query, no rebuild) and adds the O(k)-draw cap.
+        // per shard per batch, no rebuild) and adds the O(k)-draw cap.
         // Uniform engines take the merged-order route unchanged and never
         // touch the overlay.
         let stats = service.serve_stats();
         prop_assert_eq!(stats.rebuilds, 0);
         if selective {
             prop_assert_eq!(stats.order_merges, 0);
-            prop_assert_eq!(stats.shard_retrievals, 4 * topk_queries);
+            prop_assert_eq!(stats.shard_retrievals, 4 * topk_batches);
             prop_assert!(
                 stats.pool_draws <= draw_budget,
                 "{} swap draws exceed the k-per-query budget {}",
