@@ -12,10 +12,11 @@ const EXACT_LIMIT: usize = 200_000;
 
 /// Generalized harmonic number `H(n, s) = Σ_{i=1..n} i^(-s)` for `s > 0`.
 ///
-/// For `n` up to [`EXACT_LIMIT`] the sum is exact (to f64 rounding); beyond
-/// that the head is summed exactly and the tail is approximated with the
-/// Euler–Maclaurin formula, giving at least 10 significant digits for the
-/// exponents used in this workspace (`s = 1.5`, `s = 1`).
+/// For `n` up to `EXACT_LIMIT` (200 000) the sum is exact (to f64
+/// rounding); beyond that the head is summed exactly and the tail is
+/// approximated with the Euler–Maclaurin formula, giving at least 10
+/// significant digits for the exponents used in this workspace
+/// (`s = 1.5`, `s = 1`).
 pub fn generalized_harmonic(n: usize, s: f64) -> f64 {
     assert!(s > 0.0, "harmonic exponent must be positive");
     if n == 0 {

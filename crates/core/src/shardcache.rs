@@ -803,29 +803,6 @@ impl ShardedCorpusCache {
             candidates.collect_rest(&shard.cache, limit, &shard.globals);
         }
     }
-
-    /// Discard everything and start over with the same shard count and
-    /// pool-maintenance setting — the first half of a rebuild; the owner
-    /// then replays every document through [`push`](Self::push) in global
-    /// order and calls [`repair`](Self::repair). Invalidates the diff log
-    /// (the next publication falls back to copy-on-write once).
-    pub fn clear(&mut self) {
-        let maintained = self.pool_maintained();
-        for shard in self.shards.iter_mut() {
-            *shard = ShardCache::default();
-            Arc::make_mut(&mut shard.cache).set_pool_maintained(maintained);
-        }
-        self.placement = Arc::new(Vec::new());
-        self.pages = Arc::new(Vec::new());
-        self.pool_mask = Arc::new(Vec::new());
-        self.merged_pool = Arc::new(Vec::new());
-        self.pool_flips.clear();
-        self.pool_flips_tracked = true;
-        self.since_publish.clear();
-        self.since_mask.clear();
-        self.diff_log_intact = false;
-        self.recycle_valid = false;
-    }
 }
 
 /// Reclaim a retired `Arc` buffer unless it is (a) still the writer's own
@@ -1219,25 +1196,6 @@ mod tests {
         }
         assert!(!cache.pool_slots().contains(&3));
         assert_eq!(cache.pool_slots(), global_reference(&docs).1.members());
-    }
-
-    #[test]
-    fn clear_keeps_shape_and_pool_setting_for_a_replay() {
-        let docs = documents(20);
-        let mut cache = filled(&docs, 3);
-        cache.set_pool_maintained(false);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.shard_count(), 3);
-        assert!(cache.pool_slots().is_empty());
-        for doc in &docs {
-            cache.push(shard_of(doc.id, 3), doc);
-        }
-        cache.repair();
-        assert_eq!(cache.len(), docs.len());
-        // Pool maintenance stayed off across the clear (candidate
-        // retrieval is gated on it, so the setting must survive a replay).
-        assert!(cache.shards.iter().all(|s| !s.cache.pool_maintained()));
     }
 
     /// The pool index's `is_unexplored` tripwire, at the shard tier:

@@ -9,7 +9,7 @@
 //! changed slot is found at its old position by a binary search on the key
 //! it had there (its *displaced key*), cut out, and spliced back in at the
 //! position a binary search against
-//! [`popularity_order`](crate::popularity_order) dictates.
+//! [`popularity_order`] dictates.
 //!
 //! Why repair is sound: the comparator is a **total** order (popularity
 //! descending, then age descending, then slot ascending), so there is

@@ -19,8 +19,9 @@
 //!            │ 1. read + CRC-verify snapshot            │
 //!            │    (corrupt/missing → start empty,       │
 //!            │     replay the whole log instead)        │
-//!            │ 2. replay the log tail (events ≥ the     │
-//!            │    snapshot's high-water mark)           │
+//!            │ 2. catch up on the log as a replica does │
+//!            │    (events ≥ the snapshot's high-water   │
+//!            │    mark), until the reader stops         │
 //!            │ 3. classify the tail: torn final write   │
 //!            │    dropped cleanly; CRC failure truncates│
 //!            │    at the first bad record, loss counted │
@@ -28,6 +29,11 @@
 //!            │    resume appending                      │
 //!            └──────────────────────────────────────────┘
 //! ```
+//!
+//! Recovery is a replica's catch-up plus tail repair: steps 2 and 3 run
+//! the same reader ([`rrp_wal::WalTailReader`]) and the same
+//! poll → admit → apply loop as [`crate::ReplicaService`], and only the
+//! leader truncates.
 //!
 //! Replay reproduces bit-identical output because every serving answer is
 //! a pure function of (engine seed, query, session) over the store's
@@ -48,10 +54,11 @@ use rrp_core::{Document, RankPromotionEngine, ShardedCorpusCache};
 use rrp_wal::fault::{Failpoint, FailpointSink};
 use rrp_wal::snapshot::{read_snapshot, write_snapshot_atomic};
 use rrp_wal::{
-    create_log_file, resume_log_file, FileSink, TailStatus, WalError, WalEvent, WalReader,
+    create_log_file, resume_log_file, FileSink, WalError, WalEvent, WalPoll, WalTailReader,
     WalWriter,
 };
 use serde::{Deserialize, Serialize, Value};
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
 /// File name of the log inside a durable directory.
@@ -93,6 +100,19 @@ pub struct RecoveryReport {
 /// [`ShardedPromotionService`] behind a write-ahead log: mutations are
 /// durable, queries are served from the same in-memory tier, and
 /// [`open`](Self::open) recovers bit-identical state after a crash.
+///
+/// ## Durability contract
+///
+/// An `Ok` from [`insert`](Self::insert),
+/// [`record_visit`](Self::record_visit) or
+/// [`update_popularity`](Self::update_popularity) means the event's frame
+/// reached the OS: it survives a **process crash**. It survives an **OS
+/// crash or power loss** only once a later sync covers it — a cadence
+/// snapshot (every [`with_snapshot_every`](Self::with_snapshot_every)
+/// events), [`snapshot_now`](Self::snapshot_now) or
+/// [`sync_for_followers`](Self::sync_for_followers). Each of those syncs
+/// the log; a snapshot is also renamed into place and its directory
+/// synced.
 pub struct DurableService {
     inner: ShardedPromotionService,
     wal: WalWriter,
@@ -141,48 +161,24 @@ impl DurableService {
         report.snapshot_loaded = boot.snapshot_loaded;
         report.snapshot_fallback = boot.snapshot_fallback;
 
-        // 2–3. Replay the tail and classify how the log ends.
-        let mut cursor = ReplayCursor::new(next_event);
-        let mut log_state = match WalReader::open(&wal_path) {
-            Ok(mut reader) => {
-                while let Some((seq, event)) = reader.next_event().map_err(ServeError::from)? {
-                    cursor.offer(&inner, seq, &event)?;
+        // 2–3. Catch up on the log exactly as a replica does, then
+        // classify what the scan left unverified.
+        let mut log_state = match WalTailReader::open(&wal_path) {
+            Ok(reader) => {
+                let mut replay = ReplayCursor::new(reader, next_event);
+                match replay.apply_up_to(&inner, u64::MAX) {
+                    // A corrupt frame ends the scan; `tail` counts its cost.
+                    Ok(_) | Err(ServeError::Wal(WalError::Corrupt { .. })) => {}
+                    Err(e) => return Err(e),
                 }
-                match reader.tail() {
-                    TailStatus::Clean => {}
-                    TailStatus::TornWrite { dropped_bytes } => {
-                        report.bytes_dropped += dropped_bytes;
-                    }
-                    TailStatus::Corrupt {
-                        events_lost,
-                        dropped_bytes,
-                        ..
-                    } => {
-                        report.events_lost += events_lost;
-                        report.bytes_dropped += dropped_bytes;
-                    }
-                }
-                // Where appending must resume. The reader reports the
-                // sequence one past its last verified record; a scan that
-                // yielded records but cannot say where they end would be
-                // a sequencing bug, surfaced as a typed error instead of
-                // silently restarting numbering at 0 (the old
-                // `unwrap_or(0)` swallowed it — appends would then fork
-                // the log's history at sequence 0).
-                let log_next = match (reader.next_seq(), cursor.first_seq()) {
-                    (Some(next), _) => next,
-                    (None, Some(first)) => {
-                        return Err(ServeError::Recovery {
-                            detail: format!(
-                                "log yielded records starting at event {first} but reports \
-                                 no resume sequence"
-                            ),
-                        });
-                    }
-                    // An empty valid prefix: resume at the snapshot mark.
-                    (None, None) => next_event,
-                };
-                Some((reader.valid_len(), log_next))
+                report.events_replayed = replay.applied();
+                let tail = replay.reader.tail()?;
+                report.events_lost = tail.events_lost();
+                report.bytes_dropped = tail.dropped_bytes();
+                // Appending resumes one past the last verified record; an
+                // empty valid prefix resumes at the snapshot mark.
+                let log_next = replay.reader.next_seq().unwrap_or(next_event);
+                Some((replay.reader.valid_len(), log_next))
             }
             // No log yet: a fresh directory (or snapshot-only survivor).
             Err(WalError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => None,
@@ -219,8 +215,7 @@ impl DurableService {
         let sink = FailpointSink::new(FileSink::new(file), failpoint);
         let wal = WalWriter::new(Box::new(sink), writer_next);
 
-        let replayed = cursor.applied();
-        report.events_replayed = replayed;
+        let replayed = report.events_replayed;
         let service = DurableService {
             inner,
             wal,
@@ -255,18 +250,12 @@ impl DurableService {
     }
 
     /// The wrapped in-memory service — every query path is served from
-    /// here, unchanged (reads are never logged).
+    /// here, unchanged (reads are never logged). Its mutators take
+    /// `&self` too, but a mutation applied through them **bypasses the
+    /// log**: it is neither durable nor seen by replicas, and recovery
+    /// forgets it. Mutate through this wrapper instead.
     pub fn service(&self) -> &ShardedPromotionService {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped service. Since the epoch-versioned
-    /// refactor every rerank *and* mutation path takes `&self`, so this
-    /// exists only for builder-style reconfiguration; applying mutations
-    /// through [`service`](Self::service) (or this) would bypass the log,
-    /// so don't.
-    pub fn service_mut(&mut self) -> &mut ShardedPromotionService {
-        &mut self.inner
     }
 
     /// The underlying store (read-only; holds the writer lock while the
@@ -434,35 +423,78 @@ pub(crate) fn bootstrap_snapshot(
     }
 }
 
-/// The resumable replay loop shared by [`DurableService::open`] and the
-/// replica: offered records below the snapshot's high-water mark are
-/// already part of the bootstrapped state and skipped; records at or
-/// past it are applied. The first record seen is checked against the
-/// mark — a log that starts *past* it is missing history, and replaying
-/// it would silently skip events.
+/// The replay loop shared by [`DurableService::open`] and the replica:
+/// it polls the log's one reader, skips records the snapshot already
+/// covers, applies the rest in sequence order below a cap, and holds
+/// back the records past the cap. The first record seen is checked
+/// against the snapshot mark — a log that starts *past* it is missing
+/// history, and replaying it would silently skip events.
 pub(crate) struct ReplayCursor {
+    pub(crate) reader: WalTailReader,
     hwm: u64,
-    first_seq: Option<u64>,
+    /// Whether any record has been polled (only the first is checked).
+    started: bool,
+    /// Records applied so far: sequences `hwm..hwm + applied`.
     applied: u64,
+    /// Records read off the log but held back by a cap, in log order.
+    backlog: VecDeque<(u64, WalEvent)>,
 }
 
 impl ReplayCursor {
-    /// A cursor replaying onto state current through `hwm`.
-    pub(crate) fn new(hwm: u64) -> Self {
+    /// A cursor replaying `reader` onto state current through `hwm`.
+    pub(crate) fn new(reader: WalTailReader, hwm: u64) -> Self {
         ReplayCursor {
+            reader,
             hwm,
-            first_seq: None,
+            started: false,
             applied: 0,
+            backlog: VecDeque::new(),
         }
     }
 
-    /// Check the next record's place in the replay without applying it:
-    /// `Ok(true)` = past the snapshot mark (apply it, or hold it back),
-    /// `Ok(false)` = already covered by the snapshot, `Err` = the log is
-    /// missing history.
-    pub(crate) fn admit(&mut self, seq: u64) -> Result<bool, ServeError> {
-        if self.first_seq.is_none() {
-            self.first_seq = Some(seq);
+    /// Apply every visible record with sequence below `seq_cap` — first
+    /// the backlog an earlier, lower cap held back, then the log as far
+    /// as the reader sees it. Records past the cap join the backlog.
+    /// Returns how many were newly applied. The reader's error (a real
+    /// I/O failure, or sticky corruption) returns after every verified
+    /// record before it was applied.
+    pub(crate) fn apply_up_to(
+        &mut self,
+        service: &ShardedPromotionService,
+        seq_cap: u64,
+    ) -> Result<u64, ServeError> {
+        let mut newly = 0u64;
+        while self.backlog.front().is_some_and(|&(seq, _)| seq < seq_cap) {
+            let (seq, event) = self.backlog.pop_front().expect("front was Some");
+            self.apply(service, seq, &event)?;
+            newly += 1;
+        }
+        loop {
+            match self.reader.poll_next_event()? {
+                WalPoll::Pending => return Ok(newly),
+                WalPoll::Event { seq, event } => {
+                    if !self.admit(seq)? {
+                        continue;
+                    }
+                    // The backlog only holds records at or past the cap,
+                    // and sequences rise, so a record under it is next.
+                    if seq < seq_cap {
+                        self.apply(service, seq, &event)?;
+                        newly += 1;
+                    } else {
+                        self.backlog.push_back((seq, event));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Check the next record's place in the replay: `Ok(true)` = past the
+    /// snapshot mark, `Ok(false)` = already covered by the snapshot,
+    /// `Err` = the log is missing history.
+    fn admit(&mut self, seq: u64) -> Result<bool, ServeError> {
+        if !self.started {
+            self.started = true;
             if seq > self.hwm {
                 return Err(ServeError::Recovery {
                     detail: format!(
@@ -476,30 +508,31 @@ impl ReplayCursor {
         Ok(seq >= self.hwm)
     }
 
-    /// Offer the next record from the log, in log order. Returns whether
-    /// it was applied (false = covered by the snapshot).
-    pub(crate) fn offer(
+    fn apply(
         &mut self,
         service: &ShardedPromotionService,
         seq: u64,
         event: &WalEvent,
-    ) -> Result<bool, ServeError> {
-        if !self.admit(seq)? {
-            return Ok(false);
-        }
+    ) -> Result<(), ServeError> {
+        debug_assert_eq!(seq, self.next_to_apply(), "log replay skipped a sequence");
         apply_event(service, event)?;
         self.applied += 1;
-        Ok(true)
+        Ok(())
     }
 
-    /// Events applied so far (offers past the snapshot mark).
+    /// Events applied so far.
     pub(crate) fn applied(&self) -> u64 {
         self.applied
     }
 
-    /// The sequence of the first record offered, if any.
-    pub(crate) fn first_seq(&self) -> Option<u64> {
-        self.first_seq
+    /// The sequence the next applied event must carry.
+    pub(crate) fn next_to_apply(&self) -> u64 {
+        self.hwm + self.applied
+    }
+
+    /// Records held back by a cap.
+    pub(crate) fn backlog(&self) -> u64 {
+        self.backlog.len() as u64
     }
 }
 
@@ -608,7 +641,6 @@ pub(crate) fn apply_event(
 mod tests {
     use super::*;
     use rrp_core::RankPromotionEngine;
-    use rrp_wal::WalReader;
     use std::path::PathBuf;
 
     fn engine() -> RankPromotionEngine {
@@ -648,9 +680,12 @@ mod tests {
 
     /// Byte length of the log's valid prefix after `events` records.
     fn boundary_after(path: &Path, events: usize) -> u64 {
-        let mut reader = WalReader::open(path).unwrap();
+        let mut reader = WalTailReader::open(path).unwrap();
         for _ in 0..events {
-            reader.next_event().unwrap().unwrap();
+            assert!(matches!(
+                reader.poll_next_event().unwrap(),
+                WalPoll::Event { .. }
+            ));
         }
         reader.valid_len()
     }

@@ -46,7 +46,9 @@
 //! many-reader deployments where every replica answer is bit-identical
 //! to the leader at the applied sequence — and, via a capped
 //! [`ReplicaService::apply_up_to`], time-travel reads at any historical
-//! sequence.
+//! sequence. Leader recovery is that replica's catch-up over the same
+//! log reader, followed by tail repair: truncating the log at its
+//! verified prefix.
 //! Bad external input (unknown sequences, zero shard counts, out-of-range
 //! shard indexes, mismatched snapshots) degrades to a typed
 //! [`ServeError`] instead of a panic.

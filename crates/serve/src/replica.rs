@@ -41,12 +41,11 @@
 //! stranded at [`Pending`](rrp_wal::WalPoll::Pending) across such a
 //! reset must be re-opened.
 
-use crate::durable::{apply_event, bootstrap_snapshot, ReplayCursor, SNAPSHOT_FILE, WAL_FILE};
+use crate::durable::{bootstrap_snapshot, ReplayCursor, SNAPSHOT_FILE, WAL_FILE};
 use crate::error::ServeError;
 use crate::service::{ServeStats, ShardedPromotionService, StoreGuard};
 use rrp_core::RankPromotionEngine;
-use rrp_wal::{WalEvent, WalPoll, WalTailReader};
-use std::collections::VecDeque;
+use rrp_wal::WalTailReader;
 use std::path::Path;
 
 /// Where a replica's starting state came from, for lag introspection.
@@ -94,14 +93,9 @@ pub struct ReplicaStats {
 /// [`stats`](Self::stats) exposing the lag in between.
 pub struct ReplicaService {
     inner: ShardedPromotionService,
-    tail: WalTailReader,
-    cursor: ReplayCursor,
-    /// The sequence the next applied event must carry: the bootstrap
-    /// high-water mark, advanced by every applied event.
-    next_to_apply: u64,
-    events_applied: u64,
-    /// Events read off the log but not yet applied (held back by a cap).
-    buffered: VecDeque<(u64, WalEvent)>,
+    /// The log tail and its replay position (shared with leader
+    /// recovery, which is this replica's uncapped catch-up).
+    replay: ReplayCursor,
     bootstrap_source: BootstrapSource,
 }
 
@@ -132,11 +126,7 @@ impl ReplicaService {
         };
         Ok(ReplicaService {
             inner: boot.service,
-            tail,
-            cursor: ReplayCursor::new(boot.hwm),
-            next_to_apply: boot.hwm,
-            events_applied: 0,
-            buffered: VecDeque::new(),
+            replay: ReplayCursor::new(tail, boot.hwm),
             bootstrap_source,
         })
     }
@@ -168,37 +158,7 @@ impl ReplicaService {
     /// survives — check [`ReplicaStats::events_applied`] for how far it
     /// got.
     pub fn apply_up_to(&mut self, seq_cap: u64) -> Result<u64, ServeError> {
-        // Drain everything the file currently shows into the backlog…
-        let mut tail_error = None;
-        loop {
-            match self.tail.poll_next_event() {
-                Ok(WalPoll::Pending) => break,
-                Ok(WalPoll::Event { seq, event }) => {
-                    if self.cursor.admit(seq)? {
-                        self.buffered.push_back((seq, event));
-                    }
-                }
-                // Hold the error until the verified prefix is applied.
-                Err(e) => {
-                    tail_error = Some(e);
-                    break;
-                }
-            }
-        }
-        // …then apply the prefix under the cap, in sequence order.
-        let mut newly = 0u64;
-        while self.buffered.front().is_some_and(|&(seq, _)| seq < seq_cap) {
-            let (seq, event) = self.buffered.pop_front().expect("front was Some");
-            debug_assert_eq!(seq, self.next_to_apply, "log tailing skipped a sequence");
-            apply_event(&self.inner, &event)?;
-            self.next_to_apply = seq + 1;
-            self.events_applied += 1;
-            newly += 1;
-        }
-        match tail_error {
-            Some(e) => Err(e.into()),
-            None => Ok(newly),
-        }
+        self.replay.apply_up_to(&self.inner, seq_cap)
     }
 
     /// Replication lag, as of the last poll (a snapshot in time — call
@@ -206,9 +166,9 @@ impl ReplicaService {
     /// first for a current reading).
     pub fn stats(&self) -> ReplicaStats {
         ReplicaStats {
-            events_applied: self.events_applied,
-            last_applied_seq: self.next_to_apply.checked_sub(1),
-            behind_by: self.buffered.len() as u64,
+            events_applied: self.replay.applied(),
+            last_applied_seq: self.replay.next_to_apply().checked_sub(1),
+            behind_by: self.replay.backlog(),
             bootstrap_source: self.bootstrap_source,
         }
     }

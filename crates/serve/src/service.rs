@@ -21,13 +21,6 @@ pub struct ServeStats {
     pub batches: u64,
     /// Queries answered, across batch, single and top-k paths.
     pub queries: u64,
-    /// Full re-derivations of the serving tier from the store (snapshot,
-    /// `O(n log n)` order sorts, pool scans) — incremented only by
-    /// [`ShardedPromotionService::rebuild_from_store`]. The shard caches
-    /// and their pools are maintained in place on every mutation, so no
-    /// query or mutation path ever triggers one; tests pin this at 0 to
-    /// catch a future change that routes serving back through a rebuild.
-    pub rebuilds: u64,
     /// Dirty slots handed to the shard-tier repairs (distinct slots per
     /// shard: the dirty lists deduplicate on entry).
     pub dirty_slots_repaired: u64,
@@ -106,7 +99,6 @@ pub struct ServeStats {
 struct ProbeCells {
     batches: AtomicU64,
     queries: AtomicU64,
-    rebuilds: AtomicU64,
     dirty_slots_repaired: AtomicU64,
     pool_repairs: AtomicU64,
     mask_resets: AtomicU64,
@@ -127,7 +119,6 @@ impl ProbeCells {
         ServeStats {
             batches: self.batches.load(Ordering::Relaxed),
             queries: self.queries.load(Ordering::Relaxed),
-            rebuilds: self.rebuilds.load(Ordering::Relaxed),
             dirty_slots_repaired: self.dirty_slots_repaired.load(Ordering::Relaxed),
             pool_repairs: self.pool_repairs.load(Ordering::Relaxed),
             mask_resets: self.mask_resets.load(Ordering::Relaxed),
@@ -154,9 +145,6 @@ struct WriterState {
     /// shard, mutated in place and published as immutable epoch-stamped
     /// versions (see [`ShardedCorpusCache`]).
     shards: ShardedCorpusCache,
-    /// Snapshot scratch for [`ShardedPromotionService::rebuild_from_store`]'s
-    /// replay — the one path that still assembles a global document list.
-    rebuild_scratch: Vec<Document>,
 }
 
 /// Per-reader scratch, pooled so concurrent `&self` readers each borrow a
@@ -218,8 +206,8 @@ impl std::fmt::Debug for StoreGuard<'_> {
 ///    popularity order and promotion-pool membership of its shard's
 ///    documents. It persists *across* batches and is repaired at
 ///    publication time instead of being re-derived per batch or per
-///    query: an unchanged corpus pays zero sorts, zero rebuilds and zero
-///    order merges (pinned by [`ServeStats`]), a full rerank reads the
+///    query: an unchanged corpus pays zero repairs and zero order
+///    merges (pinned by [`ServeStats`]), a full rerank reads the
 ///    lazily maintained complete merged order, and a selective-promotion
 ///    [`rerank_top_k`](Self::rerank_top_k) query is truly `O(pool + k)` —
 ///    no full-corpus scan, no membership-mask reset (also pinned, via
@@ -249,7 +237,7 @@ pub struct ShardedPromotionService {
     /// mutation, read (acquire) by readers to detect a stale published
     /// version and to validate at merge time.
     epoch: AtomicU64,
-    /// The writer generation: store + shard caches + rebuild scratch,
+    /// The writer generation: store + shard caches,
     /// locked by mutations and by the (at most once per epoch)
     /// publication step.
     writer: Mutex<WriterState>,
@@ -311,11 +299,7 @@ impl ShardedPromotionService {
             engine,
             workers: available_workers(),
             epoch: AtomicU64::new(epoch),
-            writer: Mutex::new(WriterState {
-                store,
-                shards,
-                rebuild_scratch: Vec::new(),
-            }),
+            writer: Mutex::new(WriterState { store, shards }),
             published: RwLock::new(published),
             probe: ProbeCells::default(),
             scratch: Mutex::new(Vec::new()),
@@ -381,7 +365,7 @@ impl ShardedPromotionService {
     /// reinsertion.
     pub fn insert(&self, document: Document) -> u64 {
         let mut writer = self.writer.lock().expect("writer lock");
-        let WriterState { store, shards, .. } = &mut *writer;
+        let WriterState { store, shards } = &mut *writer;
         let seq = store.insert(document);
         let shard = store.shard_of_id(document.id);
         shards.push(shard, &document);
@@ -403,7 +387,7 @@ impl ShardedPromotionService {
     /// does not move).
     pub fn record_visit(&self, seq: u64) -> bool {
         let mut writer = self.writer.lock().expect("writer lock");
-        let WriterState { store, shards, .. } = &mut *writer;
+        let WriterState { store, shards } = &mut *writer;
         match store.record_visit(seq) {
             Some(document) => {
                 let slot = store
@@ -423,7 +407,7 @@ impl ShardedPromotionService {
     /// (and the epoch does not move).
     pub fn update_popularity(&self, seq: u64, popularity: f64) -> bool {
         let mut writer = self.writer.lock().expect("writer lock");
-        let WriterState { store, shards, .. } = &mut *writer;
+        let WriterState { store, shards } = &mut *writer;
         match store.update_popularity(seq, popularity) {
             Some(document) => {
                 let slot = store
@@ -471,38 +455,6 @@ impl ShardedPromotionService {
         }
     }
 
-    /// Discard the incremental state and re-derive it from the store:
-    /// replay the store's placement document by document (global order
-    /// keeps the local↔global slot maps dense), recompute every
-    /// `PageStats`, re-sort the per-shard popularity orders and re-scan
-    /// the pool membership from scratch. **Not** part of any query or
-    /// mutation path — serving never needs it, and the
-    /// [`ServeStats::rebuilds`] counter it increments is pinned at 0 in the
-    /// steady-state tests precisely to catch a change that reintroduces
-    /// per-batch rebuilds. It exists as the recovery/maintenance escape
-    /// hatch (and as the one honest increment site for that counter).
-    /// Bumps the epoch: the next query publishes the rebuilt state.
-    pub fn rebuild_from_store(&self) {
-        let mut writer = self.writer.lock().expect("writer lock");
-        ProbeCells::add(&self.probe.rebuilds, 1);
-        let WriterState {
-            store,
-            shards,
-            rebuild_scratch,
-        } = &mut *writer;
-        store.snapshot_into(rebuild_scratch);
-        shards.clear();
-        for document in rebuild_scratch.iter() {
-            shards.push(store.shard_of_id(document.id), document);
-        }
-        // Part of the same rebuild event, not a lazy repair — left out of
-        // the repair counters on purpose (the rebuild also invalidates
-        // the publication diff log, so the follow-up publication charges
-        // nothing extra).
-        shards.repair();
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-
     /// The serving version for the current epoch: the published one if it
     /// is current, else a fresh publication (at most one ever happens per
     /// epoch — racing readers converge on the same version).
@@ -536,7 +488,7 @@ impl ShardedPromotionService {
                 return published.clone();
             }
         }
-        let WriterState { store, shards, .. } = &mut *writer;
+        let WriterState { store, shards } = &mut *writer;
         let (version, charged) = shards.publish(epoch);
         if charged > 0 {
             ProbeCells::add(&self.probe.shard_repairs, 1);
@@ -1099,7 +1051,6 @@ mod tests {
             steady.version_publications, 1,
             "clean batches must not publish"
         );
-        assert_eq!(steady.rebuilds, 0);
         assert_eq!(steady.pool_repairs, 1);
         assert_eq!(steady.mask_resets, 0, "no query may scan the corpus");
         assert_eq!(steady.batches, 3);
@@ -1117,7 +1068,6 @@ mod tests {
         assert_eq!(mutated.dirty_slots_repaired, 302);
         assert_eq!(mutated.order_merges, 2);
         assert_eq!(mutated.version_publications, 2);
-        assert_eq!(mutated.rebuilds, 0);
         assert_eq!(mutated.pool_repairs, 2);
         assert_eq!(mutated.mask_resets, 0);
         assert_eq!(mutated.epoch_conflicts, 0);
@@ -1154,7 +1104,6 @@ mod tests {
         service.rerank_batch_top_k_into(&qs, 10, &mut results);
         let after = service.serve_stats();
         assert_eq!(after.mask_resets, before.mask_resets);
-        assert_eq!(after.rebuilds, 0);
         assert_eq!(after.shard_repairs, before.shard_repairs);
         assert_eq!(after.order_merges, before.order_merges);
         assert_eq!(after.version_publications, before.version_publications);
@@ -1187,7 +1136,6 @@ mod tests {
         let stats = service.serve_stats();
         assert_eq!(stats.order_merges, 0, "no complete-order merge on top-k");
         assert_eq!(stats.shard_retrievals, shards * (1 + 16 + 1));
-        assert_eq!(stats.rebuilds, 0);
         assert_eq!(stats.mask_resets, 0);
         // Two publications repaired dirt: the warm-up (300 inserted
         // slots) and the two mutations — there is only one tier, so the
@@ -1301,7 +1249,6 @@ mod tests {
         assert_eq!(stats.shard_repairs, 1, "one warm-up repair");
         assert_eq!(stats.order_merges, 1, "one merge serves the clean stretch");
         assert_eq!(stats.mask_resets, 7, "the coin scan stays mandatory");
-        assert_eq!(stats.rebuilds, 0);
         // And the answers are still the full-rerank prefix.
         let full = service.rerank_one(qs[0]);
         assert_eq!(results[0], full[..5]);
@@ -1319,7 +1266,6 @@ mod tests {
         service.rerank_top_k(qs[0], 5);
         let stats = service.serve_stats();
         assert_eq!(stats.mask_resets, 9, "one per query, none avoidable");
-        assert_eq!(stats.rebuilds, 0);
         assert_eq!(
             stats.pool_repairs, 0,
             "no pool index is maintained for an engine that never reads one"
@@ -1338,30 +1284,6 @@ mod tests {
         service.insert(Document::unexplored(777));
         let expected = vec![0usize, 20, 30, 40, 50];
         assert_eq!(service.pooled_slots(), expected.as_slice());
-        assert_eq!(service.serve_stats().rebuilds, 0);
-    }
-
-    #[test]
-    fn rebuild_from_store_is_observable_but_never_changes_answers() {
-        let service =
-            ShardedPromotionService::new(RankPromotionEngine::recommended(), 3).with_workers(2);
-        service.extend(corpus(120));
-        let qs = queries(6);
-        let incremental = service.rerank_batch(&qs);
-
-        service.rebuild_from_store();
-        assert_eq!(service.serve_stats().rebuilds, 1);
-        assert_eq!(
-            service.rerank_batch(&qs),
-            incremental,
-            "a from-scratch rebuild must reproduce the repaired state exactly"
-        );
-        // The rebuild drained the dirty lists itself, so the publication
-        // that followed charged no lazy repair — only the complete order
-        // had to re-merge for the new version.
-        assert_eq!(service.serve_stats().shard_repairs, 1);
-        assert_eq!(service.serve_stats().order_merges, 2);
-        assert_eq!(service.serve_stats().version_publications, 2);
     }
 
     #[test]
@@ -1399,7 +1321,6 @@ mod tests {
         let fresh = ShardedPromotionService::new(engine, 3).with_workers(3);
         fresh.extend(service.store().snapshot());
         assert_eq!(incremental, fresh.rerank_batch(&qs));
-        assert_eq!(service.serve_stats().rebuilds, 0);
     }
 
     #[test]

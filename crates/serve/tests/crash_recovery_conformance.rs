@@ -14,6 +14,10 @@
 //! down to the popularity *bits*. Snapshot cadence is drawn per case, so
 //! the same schedules recover through pure replay, pure snapshot, and
 //! every mix in between.
+//!
+//! A second property damages the crashed log first — tears it or flips a
+//! byte — and pins leader recovery to what it is built from: a replica's
+//! catch-up on the same damaged files plus tail repair.
 
 mod common;
 
@@ -24,7 +28,11 @@ use common::{
 use proptest::prelude::*;
 use rrp_core::{EngineVersion, RankPromotionEngine};
 use rrp_ranking::{PromotionConfig, PromotionRule};
-use rrp_serve::{DurableService, RecoveryReport, ShardedPromotionService};
+use rrp_serve::{
+    DurableService, RecoveryReport, ReplicaService, ServeError, ShardedPromotionService,
+};
+use rrp_wal::fault::{flip_byte, truncate_at};
+use rrp_wal::{TailStatus, WalError, WalPoll, WalTailReader, WAL_HEADER_LEN};
 
 /// The four serving policies of the shard-merge suites: both promotion
 /// rules, with and without a protected top result.
@@ -177,6 +185,114 @@ proptest! {
                 recovered.service().rerank_batch(&qs),
                 twin.rerank_batch(&qs),
                 "post-recovery mutation"
+            );
+        }
+    }
+}
+
+/// Scan a log with its one reader until the scan stops: the verified
+/// prefix's length and how the rest of the file ends.
+fn scan_tail(path: &std::path::Path) -> (u64, TailStatus) {
+    let mut reader = WalTailReader::open(path).expect("header intact");
+    loop {
+        match reader.poll_next_event() {
+            Ok(WalPoll::Event { .. }) => {}
+            Ok(WalPoll::Pending) | Err(WalError::Corrupt { .. }) => break,
+            Err(e) => panic!("real I/O error: {e}"),
+        }
+    }
+    (reader.valid_len(), reader.tail().expect("tail classifies"))
+}
+
+proptest! {
+    /// Run a schedule, crash, then tear the log at any offset or flip any
+    /// byte of its records. A copy of the damaged directory is taken
+    /// before recovery truncates the original. Recovery must serve
+    /// bit-identically to a replica caught up on the copy, report the
+    /// replica's applied count as replayed, and report the reader's tail
+    /// classification of the copy as lost and dropped.
+    #[test]
+    fn recovery_is_a_replica_catch_up_plus_tail_repair(
+        ops in arb_ops(ServeShape::TopK),
+        initial in 1usize..20,
+        seed in 0u64..1_000,
+        policy_index in 0usize..4,
+        v2 in prop::bool::ANY,
+        snapshot_every in 1u64..24,
+        shard_index in 0usize..3,
+        flip in prop::bool::ANY,
+        damage_salt in 0u64..100_000,
+    ) {
+        let version = if v2 { EngineVersion::V2 } else { EngineVersion::V1 };
+        let engine = policies()[policy_index].with_seed(seed).with_version(version);
+        let shards = GRID[shard_index];
+        let dir = TempDir::new("recovery-as-replica");
+        let (durable, _) = DurableService::open(dir.path(), engine, shards).unwrap();
+        let mut durable = durable.with_snapshot_every(snapshot_every);
+        for i in 0..initial {
+            let doc = inserted_document(i as u64, (i % 7) as f64 / 5.0, i as u64);
+            durable.insert(doc).unwrap();
+        }
+        for &op in &ops {
+            apply_mutation_durable(&mut durable, op);
+        }
+        drop(durable); // the crash
+
+        let wal = dir.wal_path();
+        let len = std::fs::metadata(&wal).unwrap().len();
+        if flip {
+            flip_byte(&wal, WAL_HEADER_LEN + damage_salt % (len - WAL_HEADER_LEN)).unwrap();
+        } else {
+            truncate_at(&wal, WAL_HEADER_LEN + damage_salt % (len - WAL_HEADER_LEN + 1)).unwrap();
+        }
+        let copy = TempDir::new("recovery-as-replica-copy");
+        std::fs::copy(&wal, copy.wal_path()).unwrap();
+        if dir.snapshot_path().exists() {
+            std::fs::copy(dir.snapshot_path(), copy.snapshot_path()).unwrap();
+        }
+
+        let (recovered, report) = DurableService::open(dir.path(), engine, shards).unwrap();
+        let mut replica = ReplicaService::open(copy.path(), engine, shards).unwrap();
+        let (valid_len, tail) = scan_tail(&copy.wal_path());
+        match replica.catch_up() {
+            Ok(_) => prop_assert!(!matches!(tail, TailStatus::Corrupt { .. })),
+            Err(e) => {
+                prop_assert!(matches!(tail, TailStatus::Corrupt { .. }), "{:?}", tail);
+                prop_assert!(matches!(e, ServeError::Wal(WalError::Corrupt { .. })), "{:?}", e);
+            }
+        }
+
+        prop_assert_eq!(report.events_replayed, replica.stats().events_applied);
+        prop_assert_eq!(report.events_lost, tail.events_lost());
+        // Damage behind the snapshot's mark leaves a log the leader
+        // cannot append to: it resets the file, dropping the valid
+        // prefix too.
+        let reset_bytes = if report.log_reset { valid_len } else { 0 };
+        prop_assert_eq!(report.bytes_dropped, tail.dropped_bytes() + reset_bytes);
+        prop_assert_eq!(
+            std::fs::metadata(&wal).unwrap().len(),
+            if report.log_reset { WAL_HEADER_LEN } else { valid_len },
+            "recovery truncates at the valid prefix"
+        );
+
+        // Bit-identical corpus and serving, on every path.
+        assert_same_corpus(&recovered.store().snapshot(), &replica.store().snapshot());
+        let qs = queries(5, damage_salt);
+        prop_assert_eq!(
+            recovered.service().rerank_batch(&qs),
+            replica.service().rerank_batch(&qs)
+        );
+        for k in [1usize, 4, 11] {
+            let mut got = Vec::new();
+            recovered.service().rerank_batch_top_k_into(&qs, k, &mut got);
+            let mut want = Vec::new();
+            replica.service().rerank_batch_top_k_into(&qs, k, &mut want);
+            prop_assert_eq!(got, want, "top-{}", k);
+        }
+        for &ctx in &qs {
+            prop_assert_eq!(
+                recovered.service().rerank_top_k(ctx, 3),
+                replica.service().rerank_top_k(ctx, 3)
             );
         }
     }

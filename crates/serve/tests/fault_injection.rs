@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rrp_core::{Document, RankPromotionEngine};
 use rrp_serve::{DurableService, ServeError, ShardedPromotionService};
 use rrp_wal::fault::{flip_byte, truncate_at, Failpoint};
-use rrp_wal::{WalEvent, WalReader, WAL_HEADER_LEN};
+use rrp_wal::{WalError, WalEvent, WalPoll, WalTailReader, WAL_HEADER_LEN};
 
 fn engine(seed: u64) -> RankPromotionEngine {
     RankPromotionEngine::recommended().with_seed(seed)
@@ -32,12 +32,16 @@ fn logged_history(ops: &[common::Op], seed: u64, shards: usize) -> TempDir {
 
 /// Whatever a damaged log still yields, read leniently.
 fn surviving_events(path: &std::path::Path) -> (Vec<WalEvent>, rrp_wal::TailStatus) {
-    let mut reader = WalReader::open(path).expect("header still intact");
+    let mut reader = WalTailReader::open(path).expect("header still intact");
     let mut events = Vec::new();
-    while let Some((_, event)) = reader.next_event().expect("no real I/O error") {
-        events.push(event);
+    loop {
+        match reader.poll_next_event() {
+            Ok(WalPoll::Event { event, .. }) => events.push(event),
+            Ok(WalPoll::Pending) | Err(WalError::Corrupt { .. }) => break,
+            Err(e) => panic!("no real I/O error: {e}"),
+        }
     }
-    (events, reader.tail())
+    (events, reader.tail().expect("no real I/O error"))
 }
 
 /// The in-memory state `events` produces when applied live.

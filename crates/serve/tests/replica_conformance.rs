@@ -33,7 +33,7 @@ use rrp_ranking::{PromotionConfig, PromotionRule};
 use rrp_serve::{
     BootstrapSource, DurableService, ReplicaService, ServeError, ShardedPromotionService,
 };
-use rrp_wal::{WalEvent, WalReader, WAL_HEADER_LEN};
+use rrp_wal::{WalEvent, WalPoll, WalTailReader, WAL_HEADER_LEN};
 use std::io::Write;
 use std::path::Path;
 
@@ -57,13 +57,9 @@ fn state_after(
     count: u64,
 ) -> ShardedPromotionService {
     let service = ShardedPromotionService::new(engine, shards);
-    let mut reader = WalReader::open(path).expect("leader log is readable");
+    let mut reader = WalTailReader::open(path).expect("leader log is readable");
     for _ in 0..count {
-        let (_, event) = reader
-            .next_event()
-            .expect("no I/O error")
-            .expect("log holds the requested prefix");
-        match event {
+        match next_event(&mut reader) {
             WalEvent::Insert(doc) => {
                 service.insert(doc);
             }
@@ -74,6 +70,14 @@ fn state_after(
         }
     }
     service
+}
+
+/// The next record of a log known to hold it.
+fn next_event(reader: &mut WalTailReader) -> WalEvent {
+    match reader.poll_next_event().expect("no I/O error") {
+        WalPoll::Event { event, .. } => event,
+        WalPoll::Pending => panic!("log holds the requested prefix"),
+    }
 }
 
 /// Bit-identical serving on every path, plus bit-identical corpus.
@@ -225,7 +229,7 @@ fn a_replica_polling_mid_write_applies_only_complete_frames() {
         "no snapshot was copied"
     );
     let twin = ShardedPromotionService::new(engine, shards);
-    let mut reader = WalReader::open(&src.wal_path()).unwrap();
+    let mut reader = WalTailReader::open(&src.wal_path()).unwrap();
     let mut applied = 0u64;
     let mut file = std::fs::OpenOptions::new()
         .append(true)
@@ -235,8 +239,7 @@ fn a_replica_polling_mid_write_applies_only_complete_frames() {
         file.write_all(&bytes[grow - 1..grow]).unwrap();
         let newly = replica.catch_up().unwrap();
         for _ in 0..newly {
-            let (_, event) = reader.next_event().unwrap().expect("twin runs behind");
-            match event {
+            match next_event(&mut reader) {
                 WalEvent::Insert(doc) => {
                     twin.insert(doc);
                 }
@@ -331,9 +334,9 @@ fn a_corrupt_tail_surfaces_as_a_typed_error_but_reads_keep_serving() {
     // Rot one payload byte inside the final frame: a complete frame that
     // can never verify, whatever arrives after it.
     let boundary = {
-        let mut reader = WalReader::open(&dir.wal_path()).unwrap();
+        let mut reader = WalTailReader::open(&dir.wal_path()).unwrap();
         for _ in 0..7 {
-            reader.next_event().unwrap().unwrap();
+            next_event(&mut reader);
         }
         reader.valid_len()
     };

@@ -18,19 +18,19 @@ use common::{apply_mutation_durable, arb_ops, assert_same_corpus, queries, Serve
 use proptest::prelude::*;
 use rrp_core::{EngineVersion, RankPromotionEngine};
 use rrp_serve::{DurableService, ShardedPromotionService};
-use rrp_wal::{fault::truncate_at, WalEvent, WalReader};
+use rrp_wal::{fault::truncate_at, WalEvent, WalPoll, WalTailReader};
 
 /// Read every event of a (clean) log plus the byte boundary after each
 /// record, so a prefix cut can land exactly between records.
 fn scan_log(path: &std::path::Path) -> (Vec<WalEvent>, Vec<u64>) {
-    let mut reader = WalReader::open(path).expect("log opens");
+    let mut reader = WalTailReader::open(path).expect("log opens");
     let mut events = Vec::new();
     let mut boundaries = vec![reader.valid_len()];
-    while let Some((_, event)) = reader.next_event().expect("log reads") {
+    while let WalPoll::Event { event, .. } = reader.poll_next_event().expect("log reads") {
         events.push(event);
         boundaries.push(reader.valid_len());
     }
-    assert_eq!(reader.tail(), rrp_wal::TailStatus::Clean);
+    assert_eq!(reader.tail().unwrap(), rrp_wal::TailStatus::Clean);
     (events, boundaries)
 }
 

@@ -1,6 +1,6 @@
 //! The write-ahead log proper: a versioned file header, length-prefixed
-//! checksummed record frames, an append path, and a streaming reader that
-//! classifies how a log ends.
+//! checksummed record frames, an append path, and the one reader that
+//! streams records back and classifies how a log ends.
 //!
 //! ## On-disk format
 //!
@@ -13,8 +13,16 @@
 //!
 //! Event sequence numbers are assigned by the writer and strictly
 //! monotone (+1 per record); the reader rejects any jump as corruption.
-//! A log therefore ends one of three ways, reported by
-//! [`WalReader::tail`]:
+//!
+//! ## Reading
+//!
+//! [`WalTailReader`] is the only reader, for a dead log and a live one
+//! alike. Each [`poll_next_event`](WalTailReader::poll_next_event)
+//! yields the next verified record or stops: an incomplete frame is
+//! [`WalPoll::Pending`] ("more may arrive"), and only a *complete* frame
+//! that fails verification — which no amount of further bytes can
+//! repair — reads as corruption. Once a scan stops,
+//! [`WalTailReader::tail`] classifies what is left:
 //!
 //! * [`TailStatus::Clean`] — the last frame is complete and verified;
 //! * [`TailStatus::TornWrite`] — the file stops mid-frame (the classic
@@ -25,21 +33,18 @@
 //!   reader counts how many whole frames follow so recovery can report
 //!   the number of events lost.
 //!
+//! ## Durability
+//!
 //! Appends go through the [`WalSink`] trait so tests can interpose
 //! failures (see [`crate::fault`]); the production sink is a plain
 //! unbuffered [`FileSink`]. Records are written with a single
-//! `write_all`, so a crashed process leaves at worst one torn frame —
-//! exactly the case the reader drops cleanly. Durability against *power*
-//! loss additionally needs [`WalWriter::sync`], which the serving tier
-//! calls at snapshot points.
-//!
-//! [`WalReader`] scans a *dead* log once and classifies its tail at EOF.
-//! For a log another process is still appending to, [`WalTailReader`]
-//! re-examines the tail on every [`poll_next_event`]
-//! ([`WalTailReader::poll_next_event`]): an incomplete frame is
-//! [`WalPoll::Pending`] ("more may arrive"), and only a *complete* frame
-//! that fails verification — which no amount of further bytes can
-//! repair — reads as corruption.
+//! `write_all`, so once [`WalWriter::append`] returns `Ok` the frame has
+//! reached the OS: it survives a *process* crash, and a crashed process
+//! leaves at worst one torn frame — exactly the case the reader drops
+//! cleanly. An appended frame survives an *OS crash or power loss* only
+//! once a later [`WalWriter::sync`] covers it. [`create_log_file`] syncs
+//! the parent directory, so the log's directory entry is durable from
+//! the start.
 
 use crate::crc32::crc32_concat;
 use crate::event::WalEvent;
@@ -76,9 +81,10 @@ pub enum WalError {
         /// The version the header claims.
         found: u32,
     },
-    /// Verified content that is structurally impossible (snapshot frames;
-    /// record-level corruption is reported via [`TailStatus::Corrupt`]
-    /// instead, because the log before it is still good).
+    /// Content that fails verification: a snapshot, or a complete log
+    /// frame — the reader's sticky error, which
+    /// [`WalTailReader::tail`] then reports as a [`TailStatus::Corrupt`]
+    /// tail with its loss count (the log before it is still good).
     Corrupt {
         /// Byte offset of the first bad content.
         offset: u64,
@@ -196,7 +202,10 @@ impl WalSink for FileSink {
 }
 
 /// Create a fresh log at `path` (truncating anything there) and return
-/// the file positioned after the freshly written header.
+/// the file positioned after the freshly written header. The parent
+/// directory is synced, so the file's directory entry survives power
+/// loss; the header itself is durable once the first
+/// [`WalWriter::sync`] runs.
 pub fn create_log_file(path: &Path) -> Result<File, WalError> {
     let mut file = OpenOptions::new()
         .read(true)
@@ -208,7 +217,23 @@ pub fn create_log_file(path: &Path) -> Result<File, WalError> {
     header[..8].copy_from_slice(&WAL_MAGIC);
     header[8..].copy_from_slice(&WAL_VERSION.to_le_bytes());
     file.write_all(&header)?;
+    sync_parent_dir(path)?;
     Ok(file)
+}
+
+/// The directory holding `path`: a path with no directory component
+/// lives in `"."`.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    }
+}
+
+/// Sync the directory holding `path`, so a file created or renamed into
+/// it survives power loss.
+pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    File::open(parent_dir(path))?.sync_all()
 }
 
 /// Reopen an existing log for appending after a scan: truncate to the
@@ -272,30 +297,8 @@ impl WalWriter {
     }
 }
 
-/// The streaming read path: yields verified `(seq, event)` records one at
-/// a time, then reports how the log ended and how much of it is valid.
-pub struct WalReader<R> {
-    src: R,
-    /// Bytes of verified log: header plus every good frame so far.
-    valid_len: u64,
-    /// The sequence the next record must carry (unknown until the first).
-    expect_seq: Option<u64>,
-    tail: TailStatus,
-    done: bool,
-}
-
-impl WalReader<BufReader<File>> {
-    /// Open a log file, validating its header. A missing file is an
-    /// ordinary [`WalError::Io`] with `NotFound`; a file too short to
-    /// hold a header, or one with the wrong magic, is a
-    /// [`WalError::BadHeader`].
-    pub fn open(path: &Path) -> Result<Self, WalError> {
-        Self::from_reader(BufReader::new(File::open(path)?))
-    }
-}
-
 /// Validate the (possibly short) header bytes read from the front of a
-/// log file — shared by the batch and tail readers.
+/// log file.
 fn validate_header(bytes: &[u8]) -> Result<(), WalError> {
     if bytes.len() < WAL_HEADER_LEN as usize {
         return Err(WalError::BadHeader {
@@ -317,164 +320,7 @@ fn validate_header(bytes: &[u8]) -> Result<(), WalError> {
     Ok(())
 }
 
-impl<R: Read> WalReader<R> {
-    /// Wrap any byte source, validating the header first.
-    pub fn from_reader(mut src: R) -> Result<Self, WalError> {
-        let mut header = [0u8; WAL_HEADER_LEN as usize];
-        let got = read_up_to(&mut src, &mut header)?;
-        validate_header(&header[..got])?;
-        Ok(WalReader {
-            src,
-            valid_len: WAL_HEADER_LEN,
-            expect_seq: None,
-            tail: TailStatus::Clean,
-            done: false,
-        })
-    }
-
-    /// The next verified record, or `None` once the log ends (cleanly or
-    /// not — ask [`tail`](Self::tail) which). `Err` is reserved for real
-    /// I/O failures from the underlying source.
-    pub fn next_event(&mut self) -> Result<Option<(u64, WalEvent)>, WalError> {
-        if self.done {
-            return Ok(None);
-        }
-        let mut prefix = [0u8; FRAME_PREFIX];
-        let got = read_up_to(&mut self.src, &mut prefix)?;
-        if got == 0 {
-            self.done = true;
-            return Ok(None);
-        }
-        if got < FRAME_PREFIX {
-            return self.finish_torn(got as u64);
-        }
-        let payload_len = u32::from_le_bytes(prefix[0..4].try_into().expect("4 bytes"));
-        let stored_crc = u32::from_le_bytes(prefix[4..8].try_into().expect("4 bytes"));
-        let seq = u64::from_le_bytes(prefix[8..16].try_into().expect("8 bytes"));
-        if payload_len > MAX_PAYLOAD {
-            // The claimed length is garbage, so this frame's true extent
-            // is unknowable and only its 16 prefix bytes were consumed —
-            // the loss-counting walk would start inside the unread
-            // payload and reinterpret its bytes as frame prefixes. Drop
-            // the rest uncounted instead.
-            return self.finish_corrupt_unframed(FRAME_PREFIX as u64, "absurd payload length");
-        }
-        let mut payload = vec![0u8; payload_len as usize];
-        let got = read_up_to(&mut self.src, &mut payload)?;
-        if got < payload.len() {
-            return self.finish_torn((FRAME_PREFIX + got) as u64);
-        }
-        let frame_len = (FRAME_PREFIX as u64) + payload_len as u64;
-        if crc32_concat(&[&prefix[8..16], &payload]) != stored_crc {
-            return self.finish_corrupt(frame_len, "checksum mismatch");
-        }
-        if let Some(expected) = self.expect_seq {
-            if seq != expected {
-                return self.finish_corrupt(frame_len, "sequence discontinuity");
-            }
-        }
-        let Some(event) = WalEvent::decode(&payload) else {
-            return self.finish_corrupt(frame_len, "undecodable event payload");
-        };
-        self.valid_len += frame_len;
-        self.expect_seq = Some(seq + 1);
-        Ok(Some((seq, event)))
-    }
-
-    /// Byte length of the verified prefix — what the file should be
-    /// truncated to before appending resumes.
-    pub fn valid_len(&self) -> u64 {
-        self.valid_len
-    }
-
-    /// How the log ended. Meaningful once [`next_event`](Self::next_event)
-    /// has returned `None`.
-    pub fn tail(&self) -> TailStatus {
-        self.tail
-    }
-
-    /// The sequence number one past the last verified record, if any
-    /// record was read at all.
-    pub fn next_seq(&self) -> Option<u64> {
-        self.expect_seq
-    }
-
-    /// A torn final write: `extra` bytes of partial frame, then EOF.
-    fn finish_torn(&mut self, extra: u64) -> Result<Option<(u64, WalEvent)>, WalError> {
-        self.done = true;
-        self.tail = TailStatus::TornWrite {
-            dropped_bytes: extra,
-        };
-        Ok(None)
-    }
-
-    /// A frame whose own length prefix cannot be trusted: the stream
-    /// position is `prefix_bytes` into the bad frame and no boundary
-    /// after it is knowable, so the remaining bytes are drained and
-    /// counted as dropped while the loss count stays at its floor of 1
-    /// (the bad frame itself).
-    fn finish_corrupt_unframed(
-        &mut self,
-        prefix_bytes: u64,
-        detail: &str,
-    ) -> Result<Option<(u64, WalEvent)>, WalError> {
-        let _ = detail; // classification only; the status carries the counts
-        self.done = true;
-        let dropped = prefix_bytes + drain(&mut self.src)?;
-        self.tail = TailStatus::Corrupt {
-            first_bad_offset: self.valid_len,
-            events_lost: 1,
-            dropped_bytes: dropped,
-        };
-        Ok(None)
-    }
-
-    /// A complete frame failed verification `bad_frame_len` bytes into
-    /// the tail (the whole frame, prefix and payload, has been consumed,
-    /// so the stream sits on the next frame boundary). Count the whole
-    /// frames from here to EOF (the bad one included) by walking length
-    /// prefixes — best effort: if a *later* length prefix was damaged the
-    /// walk desynchronises, so the count is a floor, never a panic.
-    fn finish_corrupt(
-        &mut self,
-        bad_frame_len: u64,
-        detail: &str,
-    ) -> Result<Option<(u64, WalEvent)>, WalError> {
-        let _ = detail; // classification only; the status carries the counts
-        self.done = true;
-        let mut events_lost = 1u64; // the frame that failed verification
-        let mut dropped = bad_frame_len;
-        loop {
-            let mut prefix = [0u8; FRAME_PREFIX];
-            let got = read_up_to(&mut self.src, &mut prefix)?;
-            dropped += got as u64;
-            if got < FRAME_PREFIX {
-                break;
-            }
-            let payload_len = u32::from_le_bytes(prefix[0..4].try_into().expect("4 bytes"));
-            if payload_len > MAX_PAYLOAD {
-                // The walk lost framing; swallow the rest uncounted.
-                dropped += drain(&mut self.src)?;
-                break;
-            }
-            let mut payload = vec![0u8; payload_len as usize];
-            let got = read_up_to(&mut self.src, &mut payload)?;
-            dropped += got as u64;
-            if got < payload.len() {
-                break;
-            }
-            events_lost += 1;
-        }
-        self.tail = TailStatus::Corrupt {
-            first_bad_offset: self.valid_len,
-            events_lost,
-            dropped_bytes: dropped,
-        };
-        Ok(None)
-    }
-}
-
-/// One observation of a live log's tail, from
+/// One observation of a log's tail, from
 /// [`WalTailReader::poll_next_event`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WalPoll {
@@ -488,51 +334,61 @@ pub enum WalPoll {
     /// Clean end of the visible log: every byte so far belongs to a
     /// verified record and whatever follows (nothing, or a partial
     /// frame) is still incomplete. On a live log more bytes may arrive —
-    /// poll again; on a quiesced one this is exactly a clean or torn
-    /// tail.
+    /// poll again; on a quiesced one [`WalTailReader::tail`] says which.
     Pending,
 }
 
-/// A resumable reader for *live* logs: where [`WalReader`] scans a dead
-/// file once and classifies its tail at EOF, `WalTailReader` keeps the
-/// file open and re-examines the tail on every poll, so a follower can
-/// apply events while a writer is still appending to the same file.
+/// The log's one reader. It yields verified `(seq, event)` records one
+/// poll at a time, and once a scan stops it classifies the unverified
+/// suffix ([`tail`](Self::tail)). Recovery scans a dead log with it; a
+/// follower keeps it open and polls a live one while a writer is still
+/// appending to the same file.
 ///
-/// The classification rules shift accordingly. Frames are appended with
-/// a single `write_all`, so a concurrently visible partial frame is
-/// always a byte-prefix of what the writer is putting there — an
-/// **incomplete** frame means "in flight, come back later"
-/// ([`WalPoll::Pending`]), never corruption. A **complete** frame that
-/// fails verification (absurd length, checksum mismatch, sequence
+/// Frames are appended with a single `write_all`, so a concurrently
+/// visible partial frame is always a byte-prefix of what the writer is
+/// putting there — an **incomplete** frame means "in flight, come back
+/// later" ([`WalPoll::Pending`]), never corruption. A **complete** frame
+/// that fails verification (absurd length, checksum mismatch, sequence
 /// discontinuity, undecodable payload) can never be repaired by more
 /// bytes, so it poisons the reader: that poll and every poll after it
 /// return the same [`WalError::Corrupt`]. A follower stuck there must
 /// re-bootstrap — typically after the log's owner has itself recovered
 /// and truncated the bad tail.
+///
+/// Reads go through one buffered handle, so a scan costs far fewer read
+/// calls than frames. The handle only re-seeks to
+/// [`valid_len`](Self::valid_len) after a poll that consumed part of an
+/// incomplete frame.
 pub struct WalTailReader {
-    file: File,
+    src: BufReader<File>,
     /// Bytes of verified log consumed so far: header plus every frame
-    /// yielded as an event. Each poll re-reads from here.
+    /// yielded as an event.
     valid_len: u64,
+    /// Set when the last poll stopped inside an incomplete frame: the
+    /// handle sits past `valid_len`, and the next poll seeks back.
+    rewind: bool,
     expect_seq: Option<u64>,
     payload: Vec<u8>,
-    /// Set once a complete frame fails verification: `(offset, detail)`
-    /// of the permanently bad tail.
-    poisoned: Option<(u64, String)>,
+    /// Set once a complete frame at `valid_len` fails verification: what
+    /// was wrong with it.
+    poisoned: Option<&'static str>,
 }
 
 impl WalTailReader {
-    /// Open a log file for tailing, validating its header. A file still
-    /// too short to hold its header reads as [`WalError::BadHeader`] —
-    /// if the log is being created concurrently, retry the open.
+    /// Open a log file, validating its header. A missing file is an
+    /// ordinary [`WalError::Io`] with `NotFound`; a file too short to
+    /// hold a header, or one with the wrong magic, is a
+    /// [`WalError::BadHeader`] — if the log is being created
+    /// concurrently, retry the open.
     pub fn open(path: &Path) -> Result<Self, WalError> {
-        let mut file = File::open(path)?;
+        let mut src = BufReader::new(File::open(path)?);
         let mut header = [0u8; WAL_HEADER_LEN as usize];
-        let got = read_up_to(&mut file, &mut header)?;
+        let got = read_up_to(&mut src, &mut header)?;
         validate_header(&header[..got])?;
         Ok(WalTailReader {
-            file,
+            src,
             valid_len: WAL_HEADER_LEN,
+            rewind: false,
             expect_seq: None,
             payload: Vec::new(),
             poisoned: None,
@@ -542,18 +398,20 @@ impl WalTailReader {
     /// The next verified record if one is fully visible, or
     /// [`WalPoll::Pending`] at the (current) end of the log. A complete
     /// frame that fails verification is sticky: this and every later
-    /// poll return the same [`WalError::Corrupt`].
+    /// poll return the same [`WalError::Corrupt`]. Other errors are real
+    /// I/O failures.
     pub fn poll_next_event(&mut self) -> Result<WalPoll, WalError> {
-        if let Some((offset, detail)) = &self.poisoned {
-            return Err(WalError::Corrupt {
-                offset: *offset,
-                detail: detail.clone(),
-            });
+        if let Some(detail) = self.poisoned {
+            return Err(self.corrupt(detail));
         }
-        self.file.seek(SeekFrom::Start(self.valid_len))?;
+        if self.rewind {
+            self.src.seek(SeekFrom::Start(self.valid_len))?;
+            self.rewind = false;
+        }
         let mut prefix = [0u8; FRAME_PREFIX];
-        let got = read_up_to(&mut self.file, &mut prefix)?;
+        let got = read_up_to(&mut self.src, &mut prefix)?;
         if got < FRAME_PREFIX {
+            self.rewind = got > 0;
             return Ok(WalPoll::Pending);
         }
         let payload_len = u32::from_le_bytes(prefix[0..4].try_into().expect("4 bytes"));
@@ -565,17 +423,15 @@ impl WalTailReader {
             return self.poison("absurd payload length");
         }
         self.payload.resize(payload_len as usize, 0);
-        let got = read_up_to(&mut self.file, &mut self.payload)?;
-        if got < self.payload.len() {
+        if read_up_to(&mut self.src, &mut self.payload)? < self.payload.len() {
+            self.rewind = true;
             return Ok(WalPoll::Pending);
         }
         if crc32_concat(&[&prefix[8..16], &self.payload]) != stored_crc {
             return self.poison("checksum mismatch");
         }
-        if let Some(expected) = self.expect_seq {
-            if seq != expected {
-                return self.poison("sequence discontinuity");
-            }
+        if self.expect_seq.is_some_and(|expected| seq != expected) {
+            return self.poison("sequence discontinuity");
         }
         let Some(event) = WalEvent::decode(&self.payload) else {
             return self.poison("undecodable event payload");
@@ -585,7 +441,8 @@ impl WalTailReader {
         Ok(WalPoll::Event { seq, event })
     }
 
-    /// Byte length of the verified prefix consumed so far.
+    /// Byte length of the verified prefix consumed so far — what the file
+    /// should be truncated to before appending resumes.
     pub fn valid_len(&self) -> u64 {
         self.valid_len
     }
@@ -596,13 +453,67 @@ impl WalTailReader {
         self.expect_seq
     }
 
+    /// Classify the unverified suffix past [`valid_len`](Self::valid_len)
+    /// as the file stands now. Meaningful once a poll has stopped the
+    /// scan (returned [`WalPoll::Pending`] or corruption):
+    ///
+    /// * nothing left → [`TailStatus::Clean`];
+    /// * a pending scan with bytes left → [`TailStatus::TornWrite`];
+    /// * a poisoned scan → [`TailStatus::Corrupt`], counting the whole
+    ///   frames from the bad one to EOF by walking their length prefixes.
+    ///   The count is best effort: a damaged *later* length prefix
+    ///   desynchronises the walk, and an absurd one ends it, so the count
+    ///   is a floor of at least 1 (the bad frame itself), never a panic.
+    pub fn tail(&mut self) -> Result<TailStatus, WalError> {
+        let dropped_bytes = self
+            .src
+            .get_ref()
+            .metadata()?
+            .len()
+            .saturating_sub(self.valid_len);
+        if self.poisoned.is_none() {
+            return Ok(match dropped_bytes {
+                0 => TailStatus::Clean,
+                _ => TailStatus::TornWrite { dropped_bytes },
+            });
+        }
+        self.src.seek(SeekFrom::Start(self.valid_len))?;
+        let mut frames = 0u64;
+        loop {
+            let mut prefix = [0u8; FRAME_PREFIX];
+            if read_up_to(&mut self.src, &mut prefix)? < FRAME_PREFIX {
+                break;
+            }
+            let payload_len = u32::from_le_bytes(prefix[0..4].try_into().expect("4 bytes"));
+            if payload_len > MAX_PAYLOAD {
+                // The frame's true extent is unknowable: reading on would
+                // reinterpret its payload bytes as frame prefixes.
+                break;
+            }
+            self.payload.resize(payload_len as usize, 0);
+            if read_up_to(&mut self.src, &mut self.payload)? < self.payload.len() {
+                break;
+            }
+            frames += 1;
+        }
+        Ok(TailStatus::Corrupt {
+            first_bad_offset: self.valid_len,
+            events_lost: frames.max(1),
+            dropped_bytes,
+        })
+    }
+
     /// Mark the tail permanently bad at the current verified offset.
-    fn poison(&mut self, detail: &str) -> Result<WalPoll, WalError> {
-        self.poisoned = Some((self.valid_len, detail.to_string()));
-        Err(WalError::Corrupt {
+    fn poison(&mut self, detail: &'static str) -> Result<WalPoll, WalError> {
+        self.poisoned = Some(detail);
+        Err(self.corrupt(detail))
+    }
+
+    fn corrupt(&self, detail: &str) -> WalError {
+        WalError::Corrupt {
             offset: self.valid_len,
             detail: detail.to_string(),
-        })
+        }
     }
 }
 
@@ -620,25 +531,11 @@ fn read_up_to<R: Read>(src: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     Ok(filled)
 }
 
-/// Consume a source to EOF, returning how many bytes were discarded.
-fn drain<R: Read>(src: &mut R) -> io::Result<u64> {
-    let mut sink = [0u8; 512];
-    let mut total = 0u64;
-    loop {
-        match src.read(&mut sink) {
-            Ok(0) => return Ok(total),
-            Ok(n) => total += n as u64,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rrp_core::Document;
-    use std::io::Cursor;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
 
     /// An in-memory sink shared with the test so it can replay the bytes.
@@ -693,13 +590,37 @@ mod tests {
         bytes
     }
 
-    fn scan(bytes: &[u8]) -> (Vec<(u64, WalEvent)>, TailStatus, u64) {
-        let mut reader = WalReader::from_reader(Cursor::new(bytes)).unwrap();
+    /// Open a reader over `bytes` written to a fresh file. The file is
+    /// unlinked straight away; the open handle keeps its contents.
+    fn open_bytes(bytes: &[u8]) -> Result<WalTailReader, WalError> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "rrp-wal-scan-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        let reader = WalTailReader::open(&path);
+        std::fs::remove_file(&path).unwrap();
+        reader
+    }
+
+    /// Poll until the scan stops, then classify the tail — the scan
+    /// recovery runs.
+    fn scan_reader(reader: &mut WalTailReader) -> (Vec<(u64, WalEvent)>, TailStatus, u64) {
         let mut events = Vec::new();
-        while let Some(record) = reader.next_event().unwrap() {
-            events.push(record);
+        loop {
+            match reader.poll_next_event() {
+                Ok(WalPoll::Event { seq, event }) => events.push((seq, event)),
+                Ok(WalPoll::Pending) | Err(WalError::Corrupt { .. }) => break,
+                Err(e) => panic!("unexpected read error: {e}"),
+            }
         }
-        (events, reader.tail(), reader.valid_len())
+        (events, reader.tail().unwrap(), reader.valid_len())
+    }
+
+    fn scan(bytes: &[u8]) -> (Vec<(u64, WalEvent)>, TailStatus, u64) {
+        scan_reader(&mut open_bytes(bytes).unwrap())
     }
 
     #[test]
@@ -728,10 +649,7 @@ mod tests {
                 // scanned at all: a typed header error, never a panic and
                 // never a misread.
                 assert!(
-                    matches!(
-                        WalReader::from_reader(Cursor::new(&bytes[..cut])),
-                        Err(WalError::BadHeader { .. })
-                    ),
+                    matches!(open_bytes(&bytes[..cut]), Err(WalError::BadHeader { .. })),
                     "cut at {cut}"
                 );
                 continue;
@@ -909,19 +827,19 @@ mod tests {
     fn bad_headers_are_typed_errors() {
         let short = WAL_MAGIC[..4].to_vec();
         assert!(matches!(
-            WalReader::from_reader(Cursor::new(short)),
+            open_bytes(&short),
             Err(WalError::BadHeader { .. })
         ));
         let mut wrong_magic = header_bytes();
         wrong_magic[0] ^= 0xFF;
         assert!(matches!(
-            WalReader::from_reader(Cursor::new(wrong_magic)),
+            open_bytes(&wrong_magic),
             Err(WalError::BadHeader { .. })
         ));
         let mut future = WAL_MAGIC.to_vec();
         future.extend_from_slice(&99u32.to_le_bytes());
         assert!(matches!(
-            WalReader::from_reader(Cursor::new(future)),
+            open_bytes(&future),
             Err(WalError::UnsupportedVersion { found: 99 })
         ));
     }
@@ -992,10 +910,7 @@ mod tests {
         for cut in 0..=bytes.len() {
             if cut < WAL_HEADER_LEN as usize {
                 assert!(
-                    matches!(
-                        WalReader::from_reader(Cursor::new(&bytes[..cut])),
-                        Err(WalError::BadHeader { .. })
-                    ),
+                    matches!(open_bytes(&bytes[..cut]), Err(WalError::BadHeader { .. })),
                     "cut at {cut}"
                 );
                 continue;
@@ -1178,6 +1093,64 @@ mod tests {
     }
 
     #[test]
+    fn tail_classifies_a_live_log_between_polls() {
+        // Grow the file one byte at a time and classify the tail after
+        // every poll: torn while a frame is in flight, clean on every
+        // frame boundary — and the frame that completes after a torn
+        // reading is still yielded whole (the poll re-seeks past the
+        // partial bytes the previous poll consumed).
+        let dir = tail_dir("classify");
+        let path = dir.join("wal.log");
+        let bytes = sample_log();
+        let bounds = sample_frame_boundaries();
+        std::fs::write(&path, &bytes[..WAL_HEADER_LEN as usize]).unwrap();
+        let mut tail = WalTailReader::open(&path).unwrap();
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        let mut seen = Vec::new();
+        for grow in WAL_HEADER_LEN as usize + 1..=bytes.len() {
+            file.write_all(&bytes[grow - 1..grow]).unwrap();
+            while let WalPoll::Event { seq, event } = tail.poll_next_event().unwrap() {
+                seen.push((seq, event));
+            }
+            let complete = *bounds.iter().rfind(|&&b| b <= grow).unwrap();
+            let expected = match grow - complete {
+                0 => TailStatus::Clean,
+                torn => TailStatus::TornWrite {
+                    dropped_bytes: torn as u64,
+                },
+            };
+            assert_eq!(tail.tail().unwrap(), expected, "grew to {grow}");
+        }
+        assert_eq!(seen, scan(&bytes).0);
+
+        // A complete bad frame poisons the scan: the tail turns corrupt.
+        let (bad, boundary) = log_with_empty_payload_final_frame();
+        file.write_all(&bad[boundary..]).unwrap();
+        assert!(matches!(
+            tail.poll_next_event(),
+            Err(WalError::Corrupt { .. })
+        ));
+        assert_eq!(
+            tail.tail().unwrap(),
+            TailStatus::Corrupt {
+                first_bad_offset: boundary as u64,
+                events_lost: 1,
+                dropped_bytes: FRAME_PREFIX as u64,
+            }
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_bare_file_name_lives_in_the_current_directory() {
+        assert_eq!(parent_dir(Path::new("wal.log")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("dir/wal.log")), Path::new("dir"));
+        assert_eq!(parent_dir(Path::new("/wal.log")), Path::new("/"));
+        // The bare name's directory is the working directory, and it syncs.
+        sync_parent_dir(Path::new("wal.log")).unwrap();
+    }
+
+    #[test]
     fn file_round_trip_create_resume_append() {
         let dir = std::env::temp_dir().join(format!(
             "rrp-wal-log-file-round-trip-{}",
@@ -1192,13 +1165,16 @@ mod tests {
         writer.sync().unwrap();
         drop(writer);
 
-        let mut reader = WalReader::open(&path).unwrap();
+        let mut reader = WalTailReader::open(&path).unwrap();
         assert!(matches!(
-            reader.next_event().unwrap(),
-            Some((0, WalEvent::Visit { seq: 3 }))
+            reader.poll_next_event().unwrap(),
+            WalPoll::Event {
+                seq: 0,
+                event: WalEvent::Visit { seq: 3 }
+            }
         ));
-        assert!(reader.next_event().unwrap().is_none());
-        assert_eq!(reader.tail(), TailStatus::Clean);
+        assert_eq!(reader.poll_next_event().unwrap(), WalPoll::Pending);
+        assert_eq!(reader.tail().unwrap(), TailStatus::Clean);
         let (valid, next) = (reader.valid_len(), reader.next_seq().unwrap());
 
         // Resume where the scan left off and append one more record.
@@ -1207,13 +1183,10 @@ mod tests {
         assert_eq!(writer.append(&WalEvent::Visit { seq: 4 }).unwrap(), 1);
         drop(writer);
 
-        let mut reader = WalReader::open(&path).unwrap();
-        let mut seqs = Vec::new();
-        while let Some((seq, _)) = reader.next_event().unwrap() {
-            seqs.push(seq);
-        }
+        let (events, tail, _) = scan_reader(&mut WalTailReader::open(&path).unwrap());
+        let seqs: Vec<u64> = events.iter().map(|&(seq, _)| seq).collect();
         assert_eq!(seqs, [0, 1]);
-        assert_eq!(reader.tail(), TailStatus::Clean);
+        assert_eq!(tail, TailStatus::Clean);
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -14,7 +14,7 @@
 //! ```
 
 use crate::crc32::crc32;
-use crate::log::WalError;
+use crate::log::{sync_parent_dir, WalError};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -35,6 +35,8 @@ fn tmp_path(path: &Path) -> PathBuf {
 /// Write `payload` under `path` atomically: the envelope goes to a
 /// sibling `.tmp` file, is flushed, and only then renamed over `path`.
 /// At every instant `path` holds either the old snapshot or the new one.
+/// The parent directory is synced after the rename, so the new snapshot
+/// survives power loss once this returns.
 pub fn write_snapshot_atomic(path: &Path, payload: &[u8]) -> Result<(), WalError> {
     let tmp = tmp_path(path);
     let mut out = Vec::with_capacity(ENVELOPE_LEN + payload.len());
@@ -52,6 +54,7 @@ pub fn write_snapshot_atomic(path: &Path, payload: &[u8]) -> Result<(), WalError
     file.sync_data()?;
     drop(file);
     fs::rename(&tmp, path)?;
+    sync_parent_dir(path)?;
     Ok(())
 }
 

@@ -8,7 +8,7 @@
 //! * [`generator`] — preferential-attachment, copy-model and uniform random
 //!   graph generators (the rich-get-richer structure that causes the
 //!   entrenchment effect in the first place);
-//! * [`pagerank`] — PageRank by power iteration with teleportation;
+//! * [`pagerank()`] — PageRank by power iteration with teleportation;
 //! * [`random_surf`] — a simulated random surfer, used both to validate
 //!   PageRank and as the browsing-traffic model of Section 8;
 //! * [`GraphPopularity`] — normalisation of graph measures into the

@@ -243,7 +243,6 @@ fn mutate_then_serve_top_k_matches_its_golden() {
     );
     // The schedule was served entirely from repaired state.
     let stats = service.serve_stats();
-    assert_eq!(stats.rebuilds, 0);
     assert_eq!(stats.mask_resets, 0);
 }
 
@@ -317,7 +316,6 @@ fn shard_merged_top_k_reproduces_the_recorded_goldens_for_all_four_policies() {
                 assert_eq!(stats.shard_retrievals, 0, "{label}");
                 assert_eq!(stats.order_merges, 1, "{label}");
             }
-            assert_eq!(stats.rebuilds, 0, "{label}");
         }
     }
 }
@@ -364,7 +362,6 @@ fn uniform_full_rerank_reproduces_its_golden_through_the_merged_order() {
             assert_eq!(batch[1], GOLDEN_UNIFORM_R30_K1_FULL_7_11_13);
             let stats = service.serve_stats();
             assert_eq!(stats.shard_retrievals, 0, "{shards} shards");
-            assert_eq!(stats.rebuilds, 0, "{shards} shards");
             assert_eq!(stats.order_merges, 1, "{shards} shards");
         }
     }
@@ -463,7 +460,6 @@ fn mutate_then_merge_schedule_reproduces_its_golden_at_every_shard_count() {
         assert_eq!(stats.order_merges, 0, "{shards} shards");
         assert_eq!(stats.shard_retrievals, shards as u64);
         assert_eq!(stats.shard_repairs, 1, "one repair covers the schedule");
-        assert_eq!(stats.rebuilds, 0);
         assert_eq!(stats.mask_resets, 0);
     }
 }
@@ -557,7 +553,6 @@ fn v2_shard_merged_top_k_reproduces_its_recorded_goldens() {
                 assert_eq!(stats.order_merges, 1, "{label}");
                 assert_eq!(stats.pool_draws, 0, "{label}: Uniform never draws");
             }
-            assert_eq!(stats.rebuilds, 0, "{label}");
             assert_eq!(
                 stats.mask_resets,
                 if engine.reads_pool_index() { 0 } else { 6 },
@@ -595,7 +590,6 @@ fn v2_mutate_then_serve_matches_its_golden_at_every_shard_count() {
             "{shards} shards"
         );
         let stats = service.serve_stats();
-        assert_eq!(stats.rebuilds, 0);
         assert_eq!(stats.mask_resets, 0);
         assert!(stats.pool_draws <= 12, "{shards} shards: O(k) draws");
     }
