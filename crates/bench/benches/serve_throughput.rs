@@ -12,9 +12,8 @@
 //! * `full_mutated` — 32 mutations between batches: the order is repaired
 //!   by dirty-slot binary-search reinsertion, then the batch runs;
 //! * `top10_mutated` — same mutation schedule, but each query asks for
-//!   only the top 10 ranks — answered by per-shard candidate retrieval
-//!   plus the deterministic merge (zero complete-order merges), on the
-//!   default 8-way service;
+//!   only the top 10 ranks — the pool plus the first 10 non-pool entries
+//!   of the popularity order — on the default 8-way service;
 //! * `top10_mutated_v2` — the same top-10 workload under **engine v2**:
 //!   the lazy Fisher–Yates overlay draws at most `k` swaps per query
 //!   instead of copying and shuffling the whole promotion pool, so this
@@ -25,13 +24,10 @@
 //!   off): this row against `top10_mutated` is the durability overhead
 //!   on the mutation path — the serve path is untouched by the log;
 //! * `top10_mutated_shards{1,2,8}` — the same top-10 workload across
-//!   shard counts (`shards8` matches `top10_mutated`'s 8-way layout, as
-//!   its own row so the sweep is self-contained): the retrieval cost is
-//!   `O(pool + k)` *per shard*, so the sweep shows what the merged read
-//!   path costs as the corpus is cut finer (per-shard work shrinks; on
-//!   this single-core VM the shards are visited sequentially, so the
-//!   total is what one machine pays — a deployment overlaps them across
-//!   index servers).
+//!   store shard counts (`shards8` matches `top10_mutated`'s 8-way
+//!   layout, as its own row so the sweep is self-contained). Ranking
+//!   state is one corpus-wide cache at every shard count, so the rows
+//!   differ only in how the store routes and holds documents.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rrp_core::{Document, EngineVersion, QueryContext, RankPromotionEngine};

@@ -50,8 +50,8 @@ fn main() {
     println!("rest (63 q):     {:8.1} us/round", t_rest * per);
     let stats = service.serve_stats();
     println!(
-        "publications {} conflicts {} order_merges {} pool_draws {}",
-        stats.version_publications, stats.epoch_conflicts, stats.order_merges, stats.pool_draws
+        "publications {} conflicts {} pool_draws {}",
+        stats.version_publications, stats.epoch_conflicts, stats.pool_draws
     );
 }
 

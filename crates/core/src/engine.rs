@@ -185,9 +185,9 @@ impl RankPromotionEngine {
     /// Re-rank from maintained serving state, returning slots in display
     /// order: the full ranking with `k = None`, else its first `min(k, n)`
     /// ranks. This is the one slot-level entry every server path takes —
-    /// the [`RankSource`] comes off a [`CorpusCache`], a
-    /// [`PublishedVersion`](crate::PublishedVersion)'s merged order, or a
-    /// shard retrieval. Given a source equivalent to `documents`, the
+    /// the [`RankSource`] comes off a [`CorpusCache`] (directly, or through
+    /// a [`PublishedVersion`](crate::PublishedVersion)). Given a source
+    /// equivalent to `documents`, the
     /// output is byte-identical to [`rerank_slots`](Self::rerank_slots)
     /// (its first `k` entries under engine v1). See
     /// [`RandomizedRankPromotion::rank`] for the contract and panics.
@@ -206,6 +206,7 @@ impl RankPromotionEngine {
     /// A full rerank over the complete popularity `order`, with the
     /// maintained `pool` and its membership predicate `in_pool`: a
     /// [`RankSource::new`] through [`rerank_source_into`](Self::rerank_source_into).
+    /// Kept only because `benchmark/` calls it.
     pub fn rerank_merged_into(
         &self,
         pool: &[usize],
@@ -227,7 +228,7 @@ impl RankPromotionEngine {
     /// A top-`k` rerank from the maintained `pool` and a retrieved
     /// pool-free order prefix `rest`: a [`RankSource::retrieved`] through
     /// [`rerank_source_into`](Self::rerank_source_into). Selective engines
-    /// only.
+    /// only. Kept only because `benchmark/` calls it.
     pub fn rerank_top_k_retrieved_into(
         &self,
         pool: &[usize],

@@ -1,0 +1,185 @@
+//! Publication ≡ from scratch: under arbitrary push / patch / publish /
+//! recycle schedules — with readers that straggle on retired versions and
+//! pool maintenance toggled mid-stream — every version
+//! [`ShardedCorpusCache::publish`] cuts serves exactly what a
+//! [`CorpusCache`] rebuilt from the current documents serves, and every
+//! straggling version keeps serving its own epoch.
+//!
+//! Publication repairs instead of rebuilding and recycles the retired
+//! version's cache by replaying a diff, so a slot missed by either would
+//! not fail loudly: it would shift the order, the pool, or a page id in
+//! some later version. This suite compares all of them after every
+//! publication.
+
+use proptest::prelude::*;
+use rrp_core::model::PageId;
+use rrp_core::{CorpusCache, Document, PublishedVersion, RankPromotionEngine, ShardedCorpusCache};
+use std::sync::Arc;
+
+/// One step of a writer's schedule.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Append a document (unexplored when `popularity` rounds to zero).
+    Push { popularity: f64, age: u64 },
+    /// A first visit: the document leaves the pool.
+    Visit { salt: usize },
+    /// A popularity move.
+    SetPopularity { salt: usize, popularity: f64 },
+    /// The document becomes unexplored again: it rejoins the pool.
+    Forget { salt: usize },
+    /// Cut a version and recycle the retired one — after a reader parks
+    /// on it, when `straggle` is set.
+    Publish { straggle: bool },
+    /// Every parked reader lets go.
+    Release,
+    /// Flip pool maintenance.
+    TogglePool,
+}
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec((0usize..12, 0usize..10_000, 0.0f64..1.5, 0u64..300), 1..60).prop_map(
+        |raw| {
+            raw.into_iter()
+                .map(|(kind, salt, popularity, age)| match kind {
+                    0..=2 => Op::Push { popularity, age },
+                    3 | 4 => Op::Visit { salt },
+                    5 | 6 => Op::SetPopularity { salt, popularity },
+                    7 => Op::Forget { salt },
+                    8 | 9 => Op::Publish { straggle: false },
+                    10 => Op::Publish {
+                        straggle: salt % 2 == 0,
+                    },
+                    _ if salt % 3 == 0 => Op::TogglePool,
+                    _ => Op::Release,
+                })
+                .collect()
+        },
+    )
+}
+
+/// What a version must serve: a cache rebuilt from `docs`.
+fn fresh(docs: &[Document], maintained: bool) -> CorpusCache {
+    let mut cache = CorpusCache::new();
+    cache.set_pool_maintained(maintained);
+    cache.rebuild(
+        docs.iter()
+            .enumerate()
+            .map(|(slot, d)| RankPromotionEngine::document_stat(slot, d)),
+    );
+    cache
+}
+
+/// Compare every accessor a reader uses against the from-scratch cache.
+fn check(
+    version: &PublishedVersion,
+    docs: &[Document],
+    maintained: bool,
+) -> Result<(), TestCaseError> {
+    let expected = fresh(docs, maintained);
+    prop_assert_eq!(version.len(), docs.len());
+    prop_assert_eq!(version.cache().order(), expected.order());
+    prop_assert_eq!(version.pool_slots(), expected.pool().members());
+    prop_assert_eq!(version.cache().stats(), expected.stats());
+    for (slot, doc) in docs.iter().enumerate() {
+        prop_assert_eq!(version.in_pool(slot), maintained && doc.is_unexplored);
+        prop_assert_eq!(version.page_of(slot), PageId::new(doc.id));
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn every_publication_equals_a_from_scratch_cache(
+        ops in arb_ops(),
+        initial in 0usize..20,
+    ) {
+        let mut cache = ShardedCorpusCache::new(1);
+        let mut docs: Vec<Document> = Vec::new();
+        let mut next_id = 0u64;
+        let mut push = |cache: &mut ShardedCorpusCache, docs: &mut Vec<Document>, popularity: f64, age: u64| {
+            let doc = if popularity < 0.1 {
+                Document::unexplored(next_id)
+            } else {
+                Document::established(next_id, popularity).with_age(age)
+            };
+            next_id += 1;
+            docs.push(doc);
+            cache.push(0, &doc);
+        };
+        for i in 0..initial {
+            push(&mut cache, &mut docs, (i % 5) as f64 * 0.3, i as u64);
+        }
+        let mut maintained = cache.pool_maintained();
+        let mut epoch = 0u64;
+        let mut live = Arc::new(PublishedVersion::empty(1, maintained));
+        // Parked readers, each with the documents its version must serve.
+        let mut stragglers: Vec<(Arc<PublishedVersion>, Vec<Document>, bool)> = Vec::new();
+        // What the live version serves, and what changed since.
+        let (mut live_docs, mut live_maintained) = (Vec::new(), maintained);
+        let mut mutated: std::collections::BTreeSet<usize> = (0..docs.len()).collect();
+        let mut toggled = false;
+
+        for &op in &ops {
+            let slot = |salt: usize| (!docs.is_empty()).then(|| salt % docs.len());
+            match op {
+                Op::Push { popularity, age } => {
+                    mutated.insert(docs.len());
+                    push(&mut cache, &mut docs, popularity, age);
+                }
+                Op::Visit { salt } => if let Some(s) = slot(salt) {
+                    docs[s].is_unexplored = false;
+                    cache.patch(s, &docs[s]);
+                    mutated.insert(s);
+                },
+                Op::SetPopularity { salt, popularity } => if let Some(s) = slot(salt) {
+                    docs[s].popularity = popularity;
+                    cache.patch(s, &docs[s]);
+                    mutated.insert(s);
+                },
+                Op::Forget { salt } => if let Some(s) = slot(salt) {
+                    docs[s].is_unexplored = true;
+                    cache.patch(s, &docs[s]);
+                    mutated.insert(s);
+                },
+                Op::Publish { straggle } => {
+                    epoch += 1;
+                    let (version, charged) = cache.publish(epoch);
+                    prop_assert_eq!(charged, mutated.len() as u64);
+                    prop_assert_eq!(version.epoch(), epoch);
+                    check(&version, &docs, maintained)?;
+                    let pool_changed = version.pool_slots() != live.pool_slots();
+                    if toggled {
+                        prop_assert!(version.pool_repaired() || !pool_changed);
+                    } else {
+                        prop_assert_eq!(version.pool_repaired(), pool_changed);
+                    }
+                    let retired = std::mem::replace(&mut live, version);
+                    if straggle {
+                        stragglers.push((retired.clone(), live_docs.clone(), live_maintained));
+                    }
+                    cache.recycle(retired, |s| docs[s]);
+                    live_docs.clone_from(&docs);
+                    live_maintained = maintained;
+                    mutated.clear();
+                    toggled = false;
+                }
+                Op::Release => {
+                    for (version, docs, maintained) in stragglers.drain(..) {
+                        check(&version, &docs, maintained)?;
+                    }
+                }
+                Op::TogglePool => {
+                    maintained = !maintained;
+                    cache.set_pool_maintained(maintained);
+                    toggled = true;
+                }
+            }
+        }
+        for (version, docs, maintained) in &stragglers {
+            check(version, docs, *maintained)?;
+        }
+        epoch += 1;
+        let (version, _) = cache.publish(epoch);
+        check(&version, &docs, maintained)?;
+    }
+}

@@ -36,7 +36,6 @@ pub mod cache;
 pub mod candidates;
 pub mod deterministic;
 pub mod kind;
-pub mod lazy;
 pub mod lazyshuffle;
 pub mod merge;
 pub mod policy;
@@ -49,13 +48,9 @@ pub mod stats;
 
 pub use buffers::RankBuffers;
 pub use cache::CorpusCache;
-pub use candidates::{
-    merge_ascending_slots_into, merge_shard_candidates_into, merge_shard_orders_into,
-    MergedCandidates, ShardCandidates,
-};
+pub use candidates::{merge_shard_candidates_into, MergedCandidates, ShardCandidates};
 pub use deterministic::{FullyRandomRanking, PopularityRanking, QualityOracleRanking};
 pub use kind::PolicyKind;
-pub use lazy::SharedLazyOrder;
 pub use lazyshuffle::{
     forward_shuffle, merge_promoted_top_k_lazy_into, EngineVersion, LazyShuffle,
 };

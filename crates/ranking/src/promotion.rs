@@ -108,9 +108,8 @@ impl PromotionConfig {
     /// each later position consumes at most one element of either list,
     /// so `k` deterministic candidates always suffice — and with `r = 0`
     /// every one of the `k` ranks comes from `L_d`, so none can be
-    /// spared. One formula, shared by the serving tier's retrieval and
-    /// the conformance suites, so the two can never disagree about the
-    /// candidate budget.
+    /// spared. Its only non-test caller is `benchmark/`, which re-enacts a
+    /// candidate retrieval.
     #[inline]
     pub fn candidate_prefix_len(&self, k: usize) -> usize {
         let protected = self.protected_prefix().min(k);

@@ -59,7 +59,8 @@ impl<'a, F: Fn(usize) -> bool> RankSource<'a, F> {
 impl<'a> RankSource<'a> {
     /// A retrieved source: `rest` holds the first non-pool slots of the
     /// popularity order (at least `min(k, available)` for a top-`k` rank).
-    /// Selective top-`k` only.
+    /// Selective top-`k` only. Its only non-test caller is `benchmark/`,
+    /// through [`merge_shard_candidates_into`](crate::merge_shard_candidates_into).
     pub fn retrieved(pool: &'a [usize], rest: &'a [usize]) -> Self {
         RankSource {
             pool,

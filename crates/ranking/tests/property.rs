@@ -7,11 +7,10 @@
 use proptest::prelude::*;
 use rrp_model::{new_rng, PageId};
 use rrp_ranking::{
-    is_permutation, merge_ascending_slots_into, merge_promoted, merge_shard_candidates_into,
-    merge_shard_orders_into, popularity_order, CorpusCache, EngineVersion, FullyRandomRanking,
-    MergedCandidates, PageStats, PolicyKind, PoolIndex, PopularityRanking, PromotionConfig,
-    PromotionRule, QualityOracleRanking, RandomizedRankPromotion, RankBuffers, RankSource,
-    RankingPolicy, ShardCandidates,
+    is_permutation, merge_promoted, merge_shard_candidates_into, popularity_order, CorpusCache,
+    EngineVersion, FullyRandomRanking, MergedCandidates, PageStats, PolicyKind, PoolIndex,
+    PopularityRanking, PromotionConfig, PromotionRule, QualityOracleRanking,
+    RandomizedRankPromotion, RankBuffers, RankSource, RankingPolicy, ShardCandidates,
 };
 use serde::{Deserialize, Serialize};
 
@@ -363,11 +362,10 @@ proptest! {
     ///   scanning `rank_into`;
     /// * under V1, `rank(source, Some(k))` is the length-`k` prefix;
     /// * a V2 Selective top-`k` query makes at most `k` pool draws;
-    /// * a source rebuilt from 1..9 shards — the complete order by
-    ///   `merge_shard_orders_into`, the pool by `merge_ascending_slots_into`
-    ///   and, for Selective top-k, the retrieved rest by
-    ///   `merge_shard_candidates_into` — answers exactly as the
-    ///   corpus-wide source does.
+    /// * the serving tier's source — a `CorpusCache` filled slot by slot
+    ///   and repaired — and, for Selective top-k, the retrieved rest by
+    ///   `collect_rest` + `merge_shard_candidates_into` answer exactly as
+    ///   the from-scratch source does.
     ///
     /// A single mis-merged, stale or re-ordered entry would shift the RNG
     /// stream, so equality is exact.
@@ -380,8 +378,6 @@ proptest! {
         start_rank in 1usize..50,
         degree in 0.0f64..=1.0,
         k in 0usize..140,
-        shards in 1usize..9,
-        route_salt in 0usize..1000,
     ) {
         let n = pages.len();
         let config = PromotionConfig::new(rule, start_rank, degree).unwrap();
@@ -409,71 +405,24 @@ proptest! {
             prop_assert_eq!(draws, 0);
         }
 
-        // Partition into shard-local corpora with dense local slots under
-        // an arbitrary (but slot-order-preserving) routing, and rebuild
-        // the source from the shards alone.
-        let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
-        let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for p in &pages {
-            let shard = (p.slot * 31 + route_salt) % shards;
-            let mut local = *p;
-            local.slot = locals[shard].len();
-            locals[shard].push(local);
-            globals[shard].push(p.slot);
+        let mut cache = CorpusCache::new();
+        for &p in &pages {
+            cache.push(p);
         }
-        let caches: Vec<CorpusCache> = locals
-            .iter()
-            .map(|l| {
-                let mut cache = CorpusCache::new();
-                cache.rebuild(l.iter().copied());
-                cache
-            })
-            .collect();
-        let (mut heads, mut merged_order, mut merged_pool) = (Vec::new(), Vec::new(), Vec::new());
-        merge_shard_orders_into(
-            shards,
-            |s| caches[s].order().len(),
-            |s, i| {
-                let local = caches[s].order()[i];
-                let mut stat = locals[s][local];
-                stat.slot = globals[s][local];
-                stat
-            },
-            &mut heads,
-            &mut merged_order,
-        );
-        merge_ascending_slots_into(
-            shards,
-            |s| caches[s].pool().len(),
-            |s, i| globals[s][caches[s].pool().members()[i]],
-            &mut heads,
-            &mut merged_pool,
-        );
-        prop_assert_eq!(&merged_order, &sorted);
-        prop_assert_eq!(&merged_pool[..], pool.members());
-        let mut mask = vec![false; n];
-        for &s in &merged_pool {
-            mask[s] = true;
-        }
-        let sharded = RankSource::new(&merged_pool, &merged_order, |s| mask[s]);
-        policy.rank(sharded, None, &mut new_rng(seed), &mut buffers, &mut out);
+        cache.repair();
+        policy.rank(cache.source(), None, &mut new_rng(seed), &mut buffers, &mut out);
         prop_assert_eq!(&out, &full);
-        policy.rank(sharded, Some(k), &mut new_rng(seed), &mut buffers, &mut out);
+        policy.rank(cache.source(), Some(k), &mut new_rng(seed), &mut buffers, &mut out);
         prop_assert_eq!(&out, &top);
 
         if rule == PromotionRule::Selective {
             let limit = config.candidate_prefix_len(k);
-            let candidates: Vec<ShardCandidates> = (0..shards)
-                .map(|s| {
-                    let mut c = ShardCandidates::new();
-                    c.collect_rest(&caches[s], limit, &globals[s]);
-                    c
-                })
-                .collect();
+            let mut candidates = ShardCandidates::new();
+            candidates.collect_rest(&cache, limit);
             let mut merged = MergedCandidates::new();
-            merge_shard_candidates_into(&candidates, limit, &mut merged);
+            merge_shard_candidates_into(&[candidates], limit, &mut merged);
             let rest: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
-            policy.rank(RankSource::retrieved(&merged_pool, &rest), Some(k), &mut new_rng(seed), &mut buffers, &mut out);
+            policy.rank(RankSource::retrieved(cache.pool().members(), &rest), Some(k), &mut new_rng(seed), &mut buffers, &mut out);
             prop_assert_eq!(&out, &top);
         }
     }

@@ -13,6 +13,8 @@
 //!            │ 3. apply to in-memory service            │  state unchanged
 //!            │ 4. every `snapshot_every` events:        │
 //!            │    sync WAL, write snapshot atomically   │
+//!            │    (failure → counted, retried at the    │
+//!            │     next mark; the mutation stands)      │
 //!            └──────────────────────────────────────────┘
 //!
 //!            ┌──────────────── recovery ────────────────┐
@@ -106,7 +108,10 @@ pub struct RecoveryReport {
 /// An `Ok` from [`insert`](Self::insert),
 /// [`record_visit`](Self::record_visit) or
 /// [`update_popularity`](Self::update_popularity) means the event's frame
-/// reached the OS: it survives a **process crash**. It survives an **OS
+/// reached the OS and the event was applied: it survives a **process
+/// crash**. A cadence snapshot that fails after that point does not undo
+/// the `Ok` — it is counted in [`ServeStats::snapshot_failures`] and
+/// retried at the next cadence mark. It survives an **OS
 /// crash or power loss** only once a later sync covers it — a cadence
 /// snapshot (every [`with_snapshot_every`](Self::with_snapshot_every)
 /// events), [`snapshot_now`](Self::snapshot_now) or
@@ -119,8 +124,12 @@ pub struct DurableService {
     snapshot_path: PathBuf,
     snapshot_every: u64,
     events_since_snapshot: u64,
+    /// Cadence snapshots that failed since the last written one: the next
+    /// attempt waits that many extra cadence intervals.
+    failures_since_snapshot: u64,
     wal_appends: u64,
     snapshots_written: u64,
+    snapshot_failures: u64,
     events_replayed: u64,
 }
 
@@ -227,8 +236,10 @@ impl DurableService {
             // replay tail grow to ~2× `snapshot_every` across repeated
             // crashes.
             events_since_snapshot: replayed,
+            failures_since_snapshot: 0,
             wal_appends: 0,
             snapshots_written: 0,
+            snapshot_failures: 0,
             events_replayed: replayed,
         };
         Ok((service, report))
@@ -266,11 +277,12 @@ impl DurableService {
 
     /// The wrapped service's counters plus the durability probes
     /// ([`ServeStats::wal_appends`], [`ServeStats::snapshots_written`],
-    /// [`ServeStats::events_replayed`]).
+    /// [`ServeStats::snapshot_failures`], [`ServeStats::events_replayed`]).
     pub fn serve_stats(&self) -> ServeStats {
         let mut stats = self.inner.serve_stats();
         stats.wal_appends = self.wal_appends;
         stats.snapshots_written = self.snapshots_written;
+        stats.snapshot_failures = self.snapshot_failures;
         stats.events_replayed = self.events_replayed;
         stats
     }
@@ -278,11 +290,13 @@ impl DurableService {
     /// Durably insert one document: the insert event is appended to the
     /// log first, then applied in memory. On an append failure nothing is
     /// applied and nothing is logged — the error is typed, the state
-    /// consistent.
+    /// consistent. Once appended and applied the insert returns its `seq`
+    /// whatever the cadence snapshot does, so a caller never retries (and
+    /// duplicates) an insert that already happened.
     pub fn insert(&mut self, document: Document) -> Result<u64, ServeError> {
         self.log_event(&WalEvent::Insert(document))?;
         let seq = self.inner.insert(document);
-        self.maybe_snapshot()?;
+        self.maybe_snapshot();
         Ok(seq)
     }
 
@@ -305,7 +319,8 @@ impl DurableService {
         self.check_seq(seq)?;
         self.log_event(&WalEvent::Visit { seq })?;
         self.inner.try_record_visit(seq)?;
-        self.maybe_snapshot()
+        self.maybe_snapshot();
+        Ok(())
     }
 
     /// Durably replace a popularity score. An unknown sequence is
@@ -314,7 +329,8 @@ impl DurableService {
         self.check_seq(seq)?;
         self.log_event(&WalEvent::SetPopularity { seq, popularity })?;
         self.inner.try_update_popularity(seq, popularity)?;
-        self.maybe_snapshot()
+        self.maybe_snapshot();
+        Ok(())
     }
 
     /// Write a snapshot right now: sync the log, serialise the engine,
@@ -327,6 +343,7 @@ impl DurableService {
         write_snapshot_atomic(&self.snapshot_path, payload.as_bytes())?;
         self.snapshots_written += 1;
         self.events_since_snapshot = 0;
+        self.failures_since_snapshot = 0;
         Ok(())
     }
 
@@ -362,12 +379,19 @@ impl DurableService {
         Ok(())
     }
 
-    /// The periodic snapshot trigger on the mutation path.
-    fn maybe_snapshot(&mut self) -> Result<(), ServeError> {
-        if self.events_since_snapshot >= self.snapshot_every {
-            self.snapshot_now()?;
+    /// The periodic snapshot trigger on the mutation path. It runs after
+    /// the event is logged and applied, so a failure cannot fail the
+    /// mutation: it is counted, and the snapshot is retried at the next
+    /// cadence mark (the log still holds every event, so recovery only
+    /// replays a longer tail).
+    fn maybe_snapshot(&mut self) {
+        let due = self
+            .snapshot_every
+            .saturating_mul(self.failures_since_snapshot + 1);
+        if self.events_since_snapshot >= due && self.snapshot_now().is_err() {
+            self.snapshot_failures += 1;
+            self.failures_since_snapshot += 1;
         }
-        Ok(())
     }
 }
 
@@ -402,7 +426,7 @@ pub(crate) fn bootstrap_snapshot(
         Ok(Some(payload)) => {
             let state = decode_snapshot(&payload, &engine, shard_count)?;
             Ok(SnapshotBootstrap {
-                service: ShardedPromotionService::from_parts(engine, state.store, state.shards),
+                service: ShardedPromotionService::from_parts(engine, state.store, state.tier),
                 hwm: state.next_event,
                 snapshot_loaded: true,
                 snapshot_fallback: false,
@@ -540,7 +564,7 @@ impl ReplayCursor {
 /// tier, and the event sequence the snapshot is current through.
 struct SnapshotState {
     store: ShardedStore,
-    shards: ShardedCorpusCache,
+    tier: ShardedCorpusCache,
     next_event: u64,
 }
 
@@ -551,12 +575,11 @@ fn encode_snapshot(
     // One writer-lock scope covers both halves: taking `store()` and a
     // second guard in the same expression would deadlock on the
     // non-reentrant writer mutex.
-    let (store, shards) =
-        service.with_writer(|store, shards| (store.to_value(), shards.to_value()));
+    let (store, tier) = service.with_writer(|store, tier| (store.to_value(), tier.to_value()));
     let value = Value::Map(vec![
         ("engine".to_string(), service.engine().to_value()),
         ("store".to_string(), store),
-        ("shards".to_string(), shards),
+        ("shards".to_string(), tier),
         ("next_event".to_string(), next_event.to_value()),
     ]);
     serde_json::to_string(&value).map_err(|e| ServeError::Recovery {
@@ -597,12 +620,12 @@ fn decode_snapshot(
             store.shard_count()
         )));
     }
-    let shards = ShardedCorpusCache::from_value(field("shards")?)
+    let tier = ShardedCorpusCache::from_value(field("shards")?)
         .map_err(|e| recovery(format!("snapshot serving tier: {e}")))?;
-    if shards.len() != store.len() {
+    if tier.len() != store.len() {
         return Err(recovery(format!(
             "snapshot serving tier covers {} slots but the store holds {} documents",
-            shards.len(),
+            tier.len(),
             store.len()
         )));
     }
@@ -610,7 +633,7 @@ fn decode_snapshot(
         .map_err(|e| recovery(format!("snapshot next_event: {e}")))?;
     Ok(SnapshotState {
         store,
-        shards,
+        tier,
         next_event,
     })
 }
@@ -711,6 +734,47 @@ mod tests {
         svc.record_visit(0).unwrap();
         assert_eq!(svc.serve_stats().snapshots_written, 3);
         assert_eq!(svc.events_since_snapshot, 0);
+    }
+
+    #[test]
+    fn a_failed_cadence_snapshot_still_acknowledges_the_mutation() {
+        let dir = Scratch::new("snapshot-squatter");
+        // A directory squatting on the snapshot's temporary path makes
+        // every snapshot write fail.
+        let squatter = dir.path().join(format!("{SNAPSHOT_FILE}.tmp"));
+        std::fs::create_dir_all(&squatter).unwrap();
+        {
+            let (svc, _) = DurableService::open(dir.path(), engine(), 2).unwrap();
+            let mut svc = svc.with_snapshot_every(4);
+            // Inserts across two cadence marks (events 4 and 8) are
+            // acknowledged with their seqs: a caller has no reason to
+            // retry, so no duplicate can appear.
+            for i in 0..9 {
+                assert_eq!(svc.insert(doc(i)).unwrap(), i);
+            }
+            let stats = svc.serve_stats();
+            assert_eq!(stats.snapshot_failures, 2);
+            assert_eq!(stats.snapshots_written, 0);
+            assert_eq!(svc.store().len(), 9);
+            // The retry waits for the next mark (event 12), not the next
+            // event; visits and popularity updates are acknowledged too.
+            svc.record_visit(0).unwrap();
+            svc.update_popularity(1, 0.5).unwrap();
+            assert_eq!(svc.serve_stats().snapshot_failures, 2);
+            svc.record_visit(2).unwrap();
+            assert_eq!(svc.serve_stats().snapshot_failures, 3);
+            // An explicit snapshot still reports its failure.
+            assert!(svc.snapshot_now().is_err());
+            assert_eq!(svc.serve_stats().wal_appends, 12);
+        } // crash
+        std::fs::remove_dir_all(&squatter).unwrap();
+        let (svc, report) = DurableService::open(dir.path(), engine(), 2).unwrap();
+        assert!(!report.snapshot_loaded, "no snapshot was ever written");
+        assert_eq!(report.events_replayed, 12, "the log holds every event");
+        let store = svc.store();
+        assert_eq!(store.len(), 9);
+        assert!((0..9).all(|i| store.get(i).unwrap().id == i));
+        assert_eq!(store.get(1).unwrap().popularity, 0.5);
     }
 
     #[test]

@@ -2,37 +2,30 @@
 //!
 //! The paper pitches rank promotion as something a production search engine
 //! embeds; this crate is the serving tier of that picture. It partitions a
-//! document corpus across N shards, answers batches of queries on std
-//! scoped threads, and keeps its serving state **alive across batches** in
-//! a *single* tier: one per-shard ranking cache per store shard, holding
-//! that shard's statistics, popularity order and promotion-pool
-//! membership — there is no corpus-wide snapshot or cache anywhere in the
-//! service. Mutations ([`ShardedPromotionService::insert`],
+//! document store across N shards, answers batches of queries on std
+//! scoped threads, and keeps its ranking state **alive across batches** in
+//! one corpus-wide [`rrp_core::CorpusCache`] over global slots — the
+//! paper's one popularity list `L_d` and one promotion pool `L_p`,
+//! whatever the store's shard count. Mutations
+//! ([`ShardedPromotionService::insert`],
 //! [`ShardedPromotionService::record_visit`],
-//! [`ShardedPromotionService::update_popularity`]) patch one shard-local
-//! slot, repaired by dirty-slot reinsertion when next queried, so an
-//! unchanged corpus pays zero sorts and zero rebuilds per batch.
+//! [`ShardedPromotionService::update_popularity`]) patch one slot,
+//! repaired by dirty-slot reinsertion when next queried, so an unchanged
+//! corpus pays zero sorts and zero rebuilds per batch.
 //!
-//! Every query route reads that tier. Full reranks (and the Uniform
-//! rule's per-page coin scan, which needs every slot) consume the
-//! **complete merged order** — the shard popularity orders streamed
-//! through the same deterministic k-way merge as top-k candidates,
-//! re-merged lazily at most once per mutation epoch (pinned by
-//! [`ServeStats::order_merges`]). Selective top-k
-//! ([`ShardedPromotionService::rerank_top_k`],
-//! [`ShardedPromotionService::rerank_batch_top_k_into`]) is
-//! **shard-local retrieval**: per read call (a batch, or one sequential
-//! query) each shard contributes only its popularity-order prefix, the
-//! merge reassembles the exact global order prefix once, and every query
-//! shuffles the maintained merged global pool into it — the complete
-//! order is never consulted, pinned by [`ServeStats::order_merges`]` == 0`
-//! and [`ServeStats::shard_retrievals`]` == shards` per call. Batch
-//! fan-out writes into disjoint `&mut` result regions (no result lock),
-//! with the calling thread as one of the workers. All of it
-//! preserves the `(engine seed, query, session)` determinism of
+//! Every read — a full rerank, the Uniform rule's per-page coin scan and
+//! a selective top-k ([`ShardedPromotionService::rerank_top_k`],
+//! [`ShardedPromotionService::rerank_batch_top_k_into`]) — ranks from the
+//! published version's [`source`](rrp_core::PublishedVersion::source):
+//! the complete popularity order, the maintained pool and its membership
+//! mask. A top-k read fills `L_d` only up to `k` non-pool entries, so it
+//! is `O(pool + k)` (`O(k)` draws under engine v2). Batch fan-out writes
+//! into disjoint `&mut` result regions (no result lock), with the calling
+//! thread as one of the workers. All of it preserves the
+//! `(engine seed, query, session)` determinism of
 //! [`rrp_core::RankPromotionEngine`] exactly: batch, sequential and top-k
-//! answers are bit-identical (top-k ≡ the full rerank's prefix) at any
-//! shard or worker count.
+//! answers are bit-identical (top-k ≡ the full rerank's prefix under
+//! engine v1) at any shard or worker count.
 //!
 //! Since PR 8 the tier can also be **durable**: [`DurableService`] wraps
 //! the service behind a write-ahead log (`rrp-wal`), appending every

@@ -1,30 +1,27 @@
 //! The sharded batch rerank service.
 
 use crate::store::ShardedStore;
-use rrp_core::{
-    Document, PublishedVersion, QueryContext, RankPromotionEngine, RankSource, ShardedCorpusCache,
-};
-use rrp_ranking::{merge_shard_candidates_into, MergedCandidates, RankBuffers, ShardCandidates};
+use rrp_core::{Document, PublishedVersion, QueryContext, RankPromotionEngine, ShardedCorpusCache};
+use rrp_ranking::RankBuffers;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Operation counters for the incremental serving state — the probe that
 /// pins the steady-state contract in tests: when the corpus is unchanged a
-/// batch performs **zero** repairs, **zero** order merges and **zero**
-/// version publications, and a mutated corpus costs one publication
-/// repairing exactly the dirty slots plus one lazy re-merge of the
-/// complete order (paid only by the next full-order consumer).
+/// batch performs **zero** repairs and **zero** version publications, and
+/// a mutated corpus costs one publication repairing exactly the dirty
+/// slots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Batches answered (one per `rerank_batch*` call).
     pub batches: u64,
     /// Queries answered, across batch, single and top-k paths.
     pub queries: u64,
-    /// Dirty slots handed to the shard-tier repairs (distinct slots per
-    /// shard: the dirty lists deduplicate on entry).
+    /// Dirty slots repaired by version publications (distinct slots: the
+    /// diff log deduplicates on entry).
     pub dirty_slots_repaired: u64,
-    /// Publications that changed the merged global pool — a mutation
+    /// Publications that changed the promotion pool — a mutation
     /// flipped some slot's membership (a first visit, an unexplored
     /// insert). Popularity-only mutations publish without one, and an
     /// engine that maintains no pool never counts any.
@@ -35,18 +32,9 @@ pub struct ServeStats {
     /// a Uniform-rule engine necessarily pays one per query, its per-page
     /// coins being part of the observable RNG stream.
     pub mask_resets: u64,
-    /// Shard-local candidate retrievals: one per shard per top-k read
-    /// call answered through the retrieve→merge→rank path — the rest
-    /// prefix of `L_d` is the same for every query against a version, so
-    /// a batch retrieves it once (`shards` per batch, whatever its size)
-    /// and a sequential read once per attempt (`shards` per read, again
-    /// on a retry). Pinned in tests. The complete merged order is never
-    /// consulted on that path.
+    /// Always 0: every read ranks from the one corpus-wide cache, so no
+    /// shard retrieval exists. Kept only because `benchmark/` reads it.
     pub shard_retrievals: u64,
-    /// Repair events on the per-shard caches: one per version publication
-    /// that found at least one dirty slot. Every query path runs through
-    /// this single repair site — there is no other tier to keep current.
-    pub shard_repairs: u64,
     /// Swap draws consumed by the v2 engines' lazy pool shuffle (one per
     /// promoted slot actually taken, except the pool's last remaining
     /// member which is emitted draw-free). A v2 selective top-k batch
@@ -55,12 +43,8 @@ pub struct ServeStats {
     /// eager shuffle is not instrumented, being exactly the `O(pool)`
     /// cost v2 exists to remove.
     pub pool_draws: u64,
-    /// Lazy re-merges of the **complete** global popularity order — the
-    /// `O(n)` k-way merge a full rerank or a Uniform-rule query reads
-    /// instead of any corpus-wide snapshot. Paid at most once per
-    /// published version: clean batches between mutations re-merge
-    /// nothing (pinned in tests), and top-k traffic under a selective
-    /// engine never merges at all.
+    /// Always 0: the complete popularity order is the cache's own, so no
+    /// order merge exists. Kept only because `benchmark/` reads it.
     pub order_merges: u64,
     /// Merge-time epoch-validation conflicts: a query or batch ranked
     /// against a published version whose epoch no longer matched the live
@@ -85,6 +69,10 @@ pub struct ServeStats {
     /// Snapshots written to disk by the durable wrapper (periodic plus
     /// explicit), each one an atomic rename-into-place.
     pub snapshots_written: u64,
+    /// Cadence snapshots the durable wrapper failed to write. The
+    /// mutation that triggered one is still acknowledged (it is logged and
+    /// applied); the snapshot is retried at the next cadence mark.
+    pub snapshot_failures: u64,
     /// Events replayed from the log tail during the most recent recovery
     /// — 0 for a service that was never recovered, and exactly the
     /// events-past-the-snapshot for one that was.
@@ -102,10 +90,7 @@ struct ProbeCells {
     dirty_slots_repaired: AtomicU64,
     pool_repairs: AtomicU64,
     mask_resets: AtomicU64,
-    shard_retrievals: AtomicU64,
-    shard_repairs: AtomicU64,
     pool_draws: AtomicU64,
-    order_merges: AtomicU64,
     epoch_conflicts: AtomicU64,
     version_publications: AtomicU64,
 }
@@ -122,15 +107,10 @@ impl ProbeCells {
             dirty_slots_repaired: self.dirty_slots_repaired.load(Ordering::Relaxed),
             pool_repairs: self.pool_repairs.load(Ordering::Relaxed),
             mask_resets: self.mask_resets.load(Ordering::Relaxed),
-            shard_retrievals: self.shard_retrievals.load(Ordering::Relaxed),
-            shard_repairs: self.shard_repairs.load(Ordering::Relaxed),
             pool_draws: self.pool_draws.load(Ordering::Relaxed),
-            order_merges: self.order_merges.load(Ordering::Relaxed),
             epoch_conflicts: self.epoch_conflicts.load(Ordering::Relaxed),
             version_publications: self.version_publications.load(Ordering::Relaxed),
-            wal_appends: 0,
-            snapshots_written: 0,
-            events_replayed: 0,
+            ..ServeStats::default()
         }
     }
 }
@@ -141,24 +121,15 @@ impl ProbeCells {
 #[derive(Debug)]
 struct WriterState {
     store: ShardedStore,
-    /// The writer generation of the serving tier: one cache per store
-    /// shard, mutated in place and published as immutable epoch-stamped
-    /// versions (see [`ShardedCorpusCache`]).
-    shards: ShardedCorpusCache,
+    /// The writer generation of the serving tier: one corpus-wide cache,
+    /// mutated in place and published as immutable epoch-stamped versions
+    /// (see [`ShardedCorpusCache`]).
+    tier: ShardedCorpusCache,
 }
 
-/// Per-reader scratch, pooled so concurrent `&self` readers each borrow a
-/// private set and the steady-state read path stays allocation-free: the
-/// rank arenas a worker ranks with, plus the top-k retrieval buffers the
-/// read call's [`read_mode`](ShardedPromotionService::read_mode) fills
-/// (used only by the set the calling thread borrows).
-#[derive(Debug, Default)]
-struct QueryScratch {
-    rank: RankScratch,
-    retrieval: TopKRetrieval,
-}
-
-/// One worker's rank arenas and the slot list its answers flatten into.
+/// One reader's rank arenas and the slot list its answers flatten into,
+/// pooled so concurrent `&self` readers each borrow a private set and the
+/// steady-state read path stays allocation-free.
 #[derive(Debug, Default)]
 struct RankScratch {
     buffers: RankBuffers,
@@ -200,25 +171,23 @@ impl std::fmt::Debug for StoreGuard<'_> {
 ///    function of `(engine seed, query, session)`, never of scheduling, so
 ///    [`rerank_batch`](Self::rerank_batch) equals a sequential loop of
 ///    [`rerank_one`](Self::rerank_one) bit for bit at any worker count.
-/// 3. **Incremental steady state** — the serving state is a *single*
-///    tier: one shard-local cache per store shard
-///    ([`ShardedCorpusCache`]), holding the ranking statistics,
-///    popularity order and promotion-pool membership of its shard's
-///    documents. It persists *across* batches and is repaired at
-///    publication time instead of being re-derived per batch or per
-///    query: an unchanged corpus pays zero repairs and zero order
-///    merges (pinned by [`ServeStats`]), a full rerank reads the
-///    lazily maintained complete merged order, and a selective-promotion
-///    [`rerank_top_k`](Self::rerank_top_k) query is truly `O(pool + k)` —
-///    no full-corpus scan, no membership-mask reset (also pinned, via
-///    [`ServeStats::mask_resets`]).
-/// 4. **Chunked fan-out** — the query-independent part of a read (the
-///    route, and for selective top-k the merged shard rest prefix) is
-///    computed once per batch; batch results are then written into
-///    disjoint `&mut` chunks that workers — the calling thread among
-///    them — claim one at a time (one short lock per chunk, never per
-///    query). Workers never touch another worker's slots, and per-worker
-///    scratch arenas keep the per-query path allocation-free.
+/// 3. **Incremental steady state** — the serving state is *one*
+///    corpus-wide cache ([`ShardedCorpusCache`]) holding the ranking
+///    statistics, popularity order and promotion-pool membership of every
+///    document, whatever the store's shard count. It persists *across*
+///    batches and is repaired at publication time instead of being
+///    re-derived per batch or per query: an unchanged corpus pays zero
+///    repairs (pinned by [`ServeStats`]), every read — full, Uniform or
+///    top-k — ranks from the cache's
+///    [`source`](rrp_core::PublishedVersion::source), and a
+///    selective-promotion [`rerank_top_k`](Self::rerank_top_k) query is
+///    `O(pool + k)` — no full-corpus scan, no membership-mask reset (also
+///    pinned, via [`ServeStats::mask_resets`]).
+/// 4. **Chunked fan-out** — batch results are written into disjoint
+///    `&mut` chunks that workers — the calling thread among them — claim
+///    one at a time (one short lock per chunk, never per query). Workers
+///    never touch another worker's slots, and per-worker scratch arenas
+///    keep the per-query path allocation-free.
 /// 5. **Epoch-versioned shared reads** — every query path takes `&self`:
 ///    mutations bump a mutation-epoch counter and patch the writer
 ///    generation under a mutex, while readers rank against an immutable
@@ -237,16 +206,15 @@ pub struct ShardedPromotionService {
     /// mutation, read (acquire) by readers to detect a stale published
     /// version and to validate at merge time.
     epoch: AtomicU64,
-    /// The writer generation: store + shard caches,
-    /// locked by mutations and by the (at most once per epoch)
-    /// publication step.
+    /// The writer generation: store + serving tier, locked by mutations and
+    /// by the (at most once per epoch) publication step.
     writer: Mutex<WriterState>,
     /// The published immutable serving version readers rank against.
     /// Swapped wholesale at publication; reads only ever clone the `Arc`.
     published: RwLock<Arc<PublishedVersion>>,
     probe: ProbeCells,
     /// Pooled per-query scratch for the sequential `&self` paths.
-    scratch: Mutex<Vec<QueryScratch>>,
+    scratch: Mutex<Vec<RankScratch>>,
 }
 
 impl ShardedPromotionService {
@@ -254,12 +222,12 @@ impl ShardedPromotionService {
     /// answering batches with up to [`available_workers`] threads.
     pub fn new(engine: RankPromotionEngine, shard_count: usize) -> Self {
         let store = ShardedStore::new(shard_count);
-        let mut shards = ShardedCorpusCache::new(store.shard_count());
+        let mut tier = ShardedCorpusCache::new(store.shard_count());
         // Pool maintenance is dead weight for engines that re-derive
         // their pool per query (the Uniform rule's coin scan draws one
         // coin per page instead of reading any membership index).
-        shards.set_pool_maintained(engine.reads_pool_index());
-        Self::from_parts(engine, store, shards)
+        tier.set_pool_maintained(engine.reads_pool_index());
+        Self::from_parts(engine, store, tier)
     }
 
     /// Like [`new`](Self::new), but a zero `shard_count` is a typed
@@ -285,7 +253,7 @@ impl ShardedPromotionService {
     pub(crate) fn from_parts(
         engine: RankPromotionEngine,
         store: ShardedStore,
-        shards: ShardedCorpusCache,
+        tier: ShardedCorpusCache,
     ) -> Self {
         // A non-empty recovered corpus must start one epoch ahead of the
         // empty sentinel version, so the first query publishes instead of
@@ -293,13 +261,13 @@ impl ShardedPromotionService {
         let epoch = if store.is_empty() { 0 } else { 1 };
         let published = Arc::new(PublishedVersion::empty(
             store.shard_count(),
-            shards.pool_maintained(),
+            tier.pool_maintained(),
         ));
         ShardedPromotionService {
             engine,
             workers: available_workers(),
             epoch: AtomicU64::new(epoch),
-            writer: Mutex::new(WriterState { store, shards }),
+            writer: Mutex::new(WriterState { store, tier }),
             published: RwLock::new(published),
             probe: ProbeCells::default(),
             scratch: Mutex::new(Vec::new()),
@@ -314,7 +282,7 @@ impl ShardedPromotionService {
         f: impl FnOnce(&ShardedStore, &ShardedCorpusCache) -> R,
     ) -> R {
         let writer = self.writer.lock().expect("writer lock");
-        f(&writer.store, &writer.shards)
+        f(&writer.store, &writer.tier)
     }
 
     /// Set the number of batch worker threads (clamped to at least 1).
@@ -359,16 +327,15 @@ impl ShardedPromotionService {
 
     /// Insert one document into its shard, returning its global sequence
     /// number — the handle for [`record_visit`](Self::record_visit) and
-    /// [`update_popularity`](Self::update_popularity). The owning shard's
-    /// cache is extended in place (`O(1)`): the new slot joins its
-    /// popularity order at the next publication via dirty-slot
-    /// reinsertion.
+    /// [`update_popularity`](Self::update_popularity) and the document's
+    /// slot in the serving cache, which is extended in place (`O(1)`): the
+    /// new slot joins the popularity order at the next publication via
+    /// dirty-slot reinsertion.
     pub fn insert(&self, document: Document) -> u64 {
         let mut writer = self.writer.lock().expect("writer lock");
-        let WriterState { store, shards } = &mut *writer;
+        let WriterState { store, tier } = &mut *writer;
         let seq = store.insert(document);
-        let shard = store.shard_of_id(document.id);
-        shards.push(shard, &document);
+        tier.push(store.shard_of_id(document.id), &document);
         self.epoch.fetch_add(1, Ordering::Release);
         seq
     }
@@ -387,13 +354,13 @@ impl ShardedPromotionService {
     /// does not move).
     pub fn record_visit(&self, seq: u64) -> bool {
         let mut writer = self.writer.lock().expect("writer lock");
-        let WriterState { store, shards } = &mut *writer;
+        let WriterState { store, tier } = &mut *writer;
         match store.record_visit(seq) {
             Some(document) => {
                 let slot = store
                     .slot_of(seq)
                     .expect("a recorded visit has a placement slot");
-                shards.patch(slot, &document);
+                tier.patch(slot, &document);
                 self.epoch.fetch_add(1, Ordering::Release);
                 true
             }
@@ -407,13 +374,13 @@ impl ShardedPromotionService {
     /// (and the epoch does not move).
     pub fn update_popularity(&self, seq: u64, popularity: f64) -> bool {
         let mut writer = self.writer.lock().expect("writer lock");
-        let WriterState { store, shards } = &mut *writer;
+        let WriterState { store, tier } = &mut *writer;
         match store.update_popularity(seq, popularity) {
             Some(document) => {
                 let slot = store
                     .slot_of(seq)
                     .expect("an updated document has a placement slot");
-                shards.patch(slot, &document);
+                tier.patch(slot, &document);
                 self.epoch.fetch_add(1, Ordering::Release);
                 true
             }
@@ -488,12 +455,9 @@ impl ShardedPromotionService {
                 return published.clone();
             }
         }
-        let WriterState { store, shards } = &mut *writer;
-        let (version, charged) = shards.publish(epoch);
-        if charged > 0 {
-            ProbeCells::add(&self.probe.shard_repairs, 1);
-            ProbeCells::add(&self.probe.dirty_slots_repaired, charged);
-        }
+        let WriterState { store, tier } = &mut *writer;
+        let (version, charged) = tier.publish(epoch);
+        ProbeCells::add(&self.probe.dirty_slots_repaired, charged);
         if version.pool_repaired() {
             ProbeCells::add(&self.probe.pool_repairs, 1);
         }
@@ -502,7 +466,7 @@ impl ShardedPromotionService {
             &mut *self.published.write().expect("published version lock"),
             version.clone(),
         );
-        shards.recycle(prev, |slot| {
+        tier.recycle(prev, |slot| {
             *store
                 .get(slot as u64)
                 .expect("every published slot exists in the store")
@@ -511,7 +475,7 @@ impl ShardedPromotionService {
     }
 
     /// Borrow a pooled scratch set (or start a fresh one).
-    fn take_scratch(&self) -> QueryScratch {
+    fn take_scratch(&self) -> RankScratch {
         self.scratch
             .lock()
             .expect("scratch pool lock")
@@ -520,7 +484,7 @@ impl ShardedPromotionService {
     }
 
     /// Return a scratch set to the pool for the next query.
-    fn put_scratch(&self, scratch: QueryScratch) {
+    fn put_scratch(&self, scratch: RankScratch) {
         self.scratch
             .lock()
             .expect("scratch pool lock")
@@ -541,8 +505,8 @@ impl ShardedPromotionService {
     /// Answer one query sequentially: the canonical snapshot order
     /// re-ranked by the engine. This is the reference the batch path is
     /// measured against — and must stay bit-identical to. Served from the
-    /// published version's complete merged order, so the only per-call
-    /// allocation after warm-up is the returned vector itself
+    /// published version's cache, so the only per-call allocation after
+    /// warm-up is the returned vector itself
     /// ([`rerank_one_into`](Self::rerank_one_into) removes that too).
     pub fn rerank_one(&self, context: QueryContext) -> Vec<u64> {
         self.rerank_one_versioned(context).1
@@ -565,11 +529,10 @@ impl ShardedPromotionService {
     }
 
     /// One sequential read: the full rerank (`k = None`) or its top-`k`,
-    /// answered by [`answer_into`](Self::answer_into) on the route
-    /// [`read_mode`](Self::read_mode) picks. Validates at merge time: a
-    /// racing mutation leaves the answer consistent at the version's
-    /// epoch, merely stale — retry once against the fresh version, then
-    /// accept (the writer may always be one step ahead).
+    /// answered by [`answer_into`](Self::answer_into). Validates once the
+    /// answer is ranked: a racing mutation leaves the answer consistent at
+    /// the version's epoch, merely stale — retry once against the fresh
+    /// version, then accept (the writer may always be one step ahead).
     fn read_into(&self, context: QueryContext, k: Option<usize>, out: &mut Vec<u64>) -> u64 {
         ProbeCells::add(&self.probe.queries, 1);
         if k == Some(0) {
@@ -580,17 +543,14 @@ impl ShardedPromotionService {
         }
         let mut version = self.current_version();
         if version.is_empty() {
-            // Degenerate path: an empty corpus must not book retrievals
-            // (or merges) that never happen.
+            // Degenerate path: an empty corpus answers from nothing.
             out.clear();
             return version.epoch();
         }
         let mut scratch = self.take_scratch();
-        let QueryScratch { rank, retrieval } = &mut scratch;
         let mut retried = false;
         let epoch = loop {
-            let mode = self.read_mode(&version, k, retrieval);
-            self.answer_into(&version, mode, context, rank, out);
+            self.answer_into(&version, k, context, &mut scratch, out);
             if retried || self.epoch.load(Ordering::Acquire) == version.epoch() {
                 break version.epoch();
             }
@@ -602,69 +562,30 @@ impl ShardedPromotionService {
         epoch
     }
 
-    /// Pick how one read call (a batch, or a sequential attempt) against
-    /// `version` is answered, doing its query-independent work once and
-    /// charging the routing probes: top-k under a selective engine
-    /// retrieves and merges the shard rest prefix into `retrieval`
-    /// (`shards` retrievals, however many queries then rank from it);
-    /// everything else (full reranks, the Uniform rule's coin scan) reads
-    /// the complete merged order, brought current first.
-    fn read_mode<'r>(
-        &self,
-        version: &PublishedVersion,
-        k: Option<usize>,
-        retrieval: &'r mut TopKRetrieval,
-    ) -> ReadMode<'r> {
-        match k {
-            Some(k) if self.engine.reads_pool_index() => {
-                ProbeCells::add(&self.probe.shard_retrievals, version.shard_count() as u64);
-                ReadMode::Shards(k, retrieval.retrieve(&self.engine, version, k))
-            }
-            _ => {
-                let (_, ran) = version.ensure_merged_order();
-                if ran {
-                    ProbeCells::add(&self.probe.order_merges, 1);
-                }
-                ReadMode::Merged(k)
-            }
-        }
-    }
-
-    /// Answer one query against `version` into `out` (cleared first) on
-    /// `mode`'s route — the one place every read path ranks. Reuses the
-    /// worker's arenas and `out`'s storage, so it allocates nothing once
-    /// both have warmed up.
+    /// Answer one query against `version` into `out` (cleared first): the
+    /// full rerank (`k = None`) or its top-`k`, ranked from the version's
+    /// source — the one place every read path ranks. Reuses the worker's
+    /// arenas and `out`'s storage, so it allocates nothing once both have
+    /// warmed up.
     fn answer_into(
         &self,
         version: &PublishedVersion,
-        mode: ReadMode<'_>,
+        k: Option<usize>,
         context: QueryContext,
         rank: &mut RankScratch,
         out: &mut Vec<u64>,
     ) {
         let RankScratch { buffers, slots } = rank;
-        match mode {
-            ReadMode::Merged(k) => {
-                let source = RankSource::new(version.pool_slots(), version.merged_order(), |s| {
-                    version.in_pool(s)
-                });
-                self.engine
-                    .rerank_source_into(source, k, context, buffers, slots);
-            }
-            ReadMode::Shards(k, rest) => {
-                let source = RankSource::retrieved(version.pool_slots(), rest);
-                self.engine
-                    .rerank_source_into(source, Some(k), context, buffers, slots);
-            }
-        }
+        self.engine
+            .rerank_source_into(version.source(), k, context, buffers, slots);
         out.clear();
         out.extend(slots.iter().map(|&s| version.page_of(s).0));
     }
 
     /// Fold a scratch set's arena counters into the probes (one relaxed
     /// add each) and return it to the pool.
-    fn finish_scratch(&self, mut scratch: QueryScratch) {
-        let buffers = &mut scratch.rank.buffers;
+    fn finish_scratch(&self, mut scratch: RankScratch) {
+        let buffers = &mut scratch.buffers;
         ProbeCells::add(&self.probe.mask_resets, buffers.take_mask_resets());
         ProbeCells::add(&self.probe.pool_draws, buffers.take_pool_draws());
         self.put_scratch(scratch);
@@ -682,15 +603,11 @@ impl ShardedPromotionService {
     /// [`rerank_one`](Self::rerank_one), computed with the early-exit
     /// merge: bit-identical to the length-`k` prefix of the full rerank.
     ///
-    /// Under a selective engine this is the **shard-retrieval path**: each
-    /// shard cache contributes only a popularity-order prefix, the
-    /// deterministic merge reassembles the global order prefix, and the
-    /// query ranks against that plus the maintained merged pool — the
-    /// complete merged order is neither re-merged nor consulted (pinned
-    /// by [`ServeStats::order_merges`]). A Uniform-rule engine must keep
-    /// scanning every slot for its per-page coins and reads the complete
-    /// merged order instead. `k = 0` answers without consulting — or
-    /// publishing — any serving state.
+    /// Under a selective engine the query reads only the maintained pool
+    /// and the first `k` non-pool entries of the popularity order. A
+    /// Uniform-rule engine must keep scanning every slot for its per-page
+    /// coins. `k = 0` answers without consulting — or publishing — any
+    /// serving state.
     pub fn rerank_top_k(&self, context: QueryContext, k: usize) -> Vec<u64> {
         self.rerank_top_k_versioned(context, k).1
     }
@@ -738,12 +655,8 @@ impl ShardedPromotionService {
 
     /// The top-`k` batch path: every result holds only the first
     /// `min(k, n)` ranks, each bit-identical to the length-`k` prefix of
-    /// the corresponding full rerank. Routed through shard-local candidate
-    /// retrieval for selective engines (see
-    /// [`rerank_top_k`](Self::rerank_top_k)): the batch performs **zero**
-    /// complete-order merges and exactly `shards` shard retrievals — the
-    /// merged rest prefix is query-independent, so it is retrieved once
-    /// and every query ranks its own pool shuffle and coin flips from it.
+    /// the corresponding full rerank (see
+    /// [`rerank_top_k`](Self::rerank_top_k)).
     pub fn rerank_batch_top_k_into(
         &self,
         queries: &[QueryContext],
@@ -780,19 +693,13 @@ impl ShardedPromotionService {
         let version = self.current_version();
         if version.is_empty() {
             // An empty corpus answers every query with an empty ranking
-            // and charges nothing — no repair, no retrievals, no merge.
+            // and charges nothing — no repair, no rank.
             // `resize_with` keeps reused entries' stale contents, so
             // clear each result explicitly.
             results.iter_mut().for_each(Vec::clear);
             return version.epoch();
         }
 
-        // The query-independent work, once per batch: the route and, for
-        // selective top-k, the merged shard rest prefix every query ranks
-        // from (held in the calling thread's scratch set).
-        let mut lead = self.take_scratch();
-        let QueryScratch { rank, retrieval } = &mut lead;
-        let mode = self.read_mode(&version, k, retrieval);
         let workers = self.workers.min(queries.len());
         // Chunked work-stealing: workers claim result chunks a few queries
         // wide (one short lock per chunk), so a slow query does not
@@ -807,7 +714,7 @@ impl ShardedPromotionService {
             };
             let start = index * chunk;
             for (&ctx, out) in queries[start..].iter().zip(slots.iter_mut()) {
-                self.answer_into(&version, mode, ctx, rank, out);
+                self.answer_into(&version, k, ctx, rank, out);
             }
         };
         // The calling thread works alongside `workers − 1` spawned ones
@@ -819,13 +726,14 @@ impl ShardedPromotionService {
             for _ in 1..workers {
                 scope.spawn(|| {
                     let mut scratch = self.take_scratch();
-                    work(&mut scratch.rank);
+                    work(&mut scratch);
                     self.finish_scratch(scratch);
                 });
             }
-            work(rank);
+            let mut scratch = self.take_scratch();
+            work(&mut scratch);
+            self.finish_scratch(scratch);
         });
-        self.finish_scratch(lead);
         // Validate once at merge time, count-only: each answer is
         // consistent at the version's epoch by construction (versions are
         // immutable), so a conflict records bounded staleness rather than
@@ -837,58 +745,11 @@ impl ShardedPromotionService {
     }
 }
 
-/// How a read is answered (decided once per batch, or per sequential
-/// attempt, by [`ShardedPromotionService::read_mode`]).
-#[derive(Clone, Copy)]
-enum ReadMode<'r> {
-    /// Off the complete merged order: a full rerank (`None`) or a top-k
-    /// (the Uniform rule's per-page coin scan needs every slot).
-    Merged(Option<usize>),
-    /// Top-`k` from the merged shard rest slots, retrieved once for the
-    /// whole read call — no complete order touched.
-    Shards(usize, &'r [usize]),
-}
-
 /// Chunk width for the batch fan-out: a handful of chunks per worker
 /// amortises the claim while still letting fast workers steal work from
 /// slow ones.
 fn chunk_len(queries: usize, workers: usize) -> usize {
     queries.div_ceil(workers * 4).max(1)
-}
-
-/// Reusable buffers for one read call's shard retrieval: the per-shard
-/// rest candidates, their merge, and the slot list the merged rest
-/// flattens into. Filled once per batch or sequential attempt by
-/// [`ShardedPromotionService::read_mode`] and then only read — every
-/// query of the call ranks from the same slots. Owned by the calling
-/// thread's pooled scratch set, so steady-state reads allocate nothing.
-#[derive(Debug, Default)]
-struct TopKRetrieval {
-    shards: Vec<ShardCandidates>,
-    merged: MergedCandidates,
-    rest_slots: Vec<usize>,
-}
-
-impl TopKRetrieval {
-    /// Retrieve each shard's rest prefix of a published version (`O(k)`
-    /// per shard) and merge them deterministically into the first
-    /// non-pool slots of the global popularity order — with the version's
-    /// merged pool, a [`RankSource::retrieved`]. The complete order is
-    /// never read.
-    fn retrieve(
-        &mut self,
-        engine: &RankPromotionEngine,
-        version: &PublishedVersion,
-        k: usize,
-    ) -> &[usize] {
-        let limit = engine.config().candidate_prefix_len(k);
-        version.collect_rest_candidates(limit, &mut self.shards);
-        merge_shard_candidates_into(&self.shards, limit, &mut self.merged);
-        self.rest_slots.clear();
-        self.rest_slots
-            .extend(self.merged.rest().iter().map(|p| p.slot));
-        &self.rest_slots
-    }
 }
 
 /// Default worker count: the machine's available parallelism (1 if
@@ -976,10 +837,9 @@ mod tests {
 
     #[test]
     fn empty_corpus_and_empty_batch_queries_charge_nothing() {
-        // Regression for the probe over-counting bug: the old routing
-        // charged `shard_retrievals` (and merged-path work) *before*
-        // noticing the corpus was empty, booking retrievals that never
-        // happened.
+        // Regression for the probe over-counting bug: an old routing
+        // charged read work *before* noticing the corpus was empty,
+        // booking work that never happened.
         for engine in [RankPromotionEngine::recommended(), uniform_engine()] {
             let service = ShardedPromotionService::new(engine, 4).with_workers(2);
             let qs = queries(3);
@@ -996,12 +856,7 @@ mod tests {
             let stats = service.serve_stats();
             assert_eq!(stats.batches, 2);
             assert_eq!(stats.queries, 8);
-            assert_eq!(
-                stats.shard_retrievals, 0,
-                "an empty corpus performs no retrievals"
-            );
-            assert_eq!(stats.order_merges, 0);
-            assert_eq!(stats.shard_repairs, 0);
+            assert_eq!(stats.dirty_slots_repaired, 0);
             assert_eq!(stats.mask_resets, 0, "not even the Uniform coin scan runs");
             assert_eq!(
                 stats.version_publications, 0,
@@ -1028,25 +883,24 @@ mod tests {
         service.extend(corpus(300));
         let qs = queries(16);
 
-        // Warm-up: the 300 inserted slots enter the shard orders via one
-        // publication's repair, and the complete order is merged once for
-        // the batch.
+        // Warm-up: the 300 inserted slots enter the order via one
+        // publication's repair.
         service.rerank_batch(&qs);
         let warm = service.serve_stats();
-        assert_eq!(warm.shard_repairs, 1);
         assert_eq!(warm.dirty_slots_repaired, 300);
-        assert_eq!(warm.order_merges, 1);
         assert_eq!(warm.version_publications, 1);
 
-        // Steady state, corpus unchanged: no repair, no re-merge, no sort,
-        // no rebuild, no publication — and with a selective engine, no
-        // per-query pool scan or mask reset either: every query reads the
-        // persistent pool index.
+        // Steady state, corpus unchanged: no repair, no sort, no rebuild,
+        // no publication — and with a selective engine, no per-query pool
+        // scan or mask reset either: every query reads the persistent pool
+        // index.
         service.rerank_batch(&qs);
         service.rerank_batch(&qs);
         let steady = service.serve_stats();
-        assert_eq!(steady.shard_repairs, 1, "clean batches must not repair");
-        assert_eq!(steady.order_merges, 1, "clean batches must not re-merge");
+        assert_eq!(
+            steady.dirty_slots_repaired, 300,
+            "clean batches must not repair"
+        );
         assert_eq!(
             steady.version_publications, 1,
             "clean batches must not publish"
@@ -1058,27 +912,24 @@ mod tests {
         assert_eq!(steady.epoch_conflicts, 0, "no writer raced these batches");
 
         // A mutation dirties exactly the touched slots; the next batch
-        // publishes once, repairs those, re-merges the order once, and
-        // nothing else — still no sort, no rebuild, no pool rebuild.
+        // publishes once, repairs those, and nothing else — still no sort,
+        // no rebuild, no pool rebuild.
         assert!(service.record_visit(0));
         assert!(service.update_popularity(7, 0.99));
         service.rerank_batch(&qs);
         let mutated = service.serve_stats();
-        assert_eq!(mutated.shard_repairs, 2);
         assert_eq!(mutated.dirty_slots_repaired, 302);
-        assert_eq!(mutated.order_merges, 2);
         assert_eq!(mutated.version_publications, 2);
         assert_eq!(mutated.pool_repairs, 2);
         assert_eq!(mutated.mask_resets, 0);
         assert_eq!(mutated.epoch_conflicts, 0);
 
         // A popularity-only mutation flips no slot's pool membership: its
-        // publication repairs the shard that holds it and leaves the
-        // merged pool alone.
+        // publication repairs the order and leaves the pool alone.
         assert!(service.update_popularity(7, 0.5));
         service.rerank_batch(&qs);
         let moved = service.serve_stats();
-        assert_eq!(moved.shard_repairs, 3);
+        assert_eq!(moved.dirty_slots_repaired, 303);
         assert_eq!(moved.version_publications, 3);
         assert_eq!(moved.pool_repairs, 2, "no membership flipped");
     }
@@ -1087,9 +938,8 @@ mod tests {
     fn top_k_on_a_clean_batch_never_scans_or_resets() {
         // The acceptance gate for the pooled top-k path: on a clean batch,
         // a selective engine's `rerank_top_k` performs zero full-corpus
-        // pool derivations (mask resets), zero pool rebuilds and zero
-        // complete-order merges, on the sequential and the fan-out paths
-        // alike.
+        // pool derivations (mask resets), zero repairs and zero
+        // publications, on the sequential and the fan-out paths alike.
         let service =
             ShardedPromotionService::new(RankPromotionEngine::recommended(), 4).with_workers(4);
         service.extend(corpus(500));
@@ -1104,23 +954,19 @@ mod tests {
         service.rerank_batch_top_k_into(&qs, 10, &mut results);
         let after = service.serve_stats();
         assert_eq!(after.mask_resets, before.mask_resets);
-        assert_eq!(after.shard_repairs, before.shard_repairs);
-        assert_eq!(after.order_merges, before.order_merges);
+        assert_eq!(after.dirty_slots_repaired, before.dirty_slots_repaired);
         assert_eq!(after.version_publications, before.version_publications);
         assert_eq!(after.queries, before.queries + 64);
     }
 
     #[test]
     fn selective_top_k_never_merges_the_complete_order() {
-        // The acceptance gate for shard-local retrieval: a selective
-        // engine's top-k traffic — batched or sequential, clean or
-        // mutated — never merges (or otherwise consults) the complete
-        // global order, and performs exactly one candidate retrieval per
-        // shard per read call: once per batch, once per sequential query.
-        let shards = 4u64;
+        // A selective engine's top-k traffic — batched or sequential,
+        // clean or mutated — ranks from the one cache: no merge and no
+        // shard retrieval exist at any store shard count, and each
+        // mutation stretch costs one publication.
         let service =
-            ShardedPromotionService::new(RankPromotionEngine::recommended(), shards as usize)
-                .with_workers(4);
+            ShardedPromotionService::new(RankPromotionEngine::recommended(), 4).with_workers(4);
         service.extend(corpus(300));
         let qs = queries(16);
 
@@ -1135,30 +981,29 @@ mod tests {
 
         let stats = service.serve_stats();
         assert_eq!(stats.order_merges, 0, "no complete-order merge on top-k");
-        assert_eq!(stats.shard_retrievals, shards * (1 + 16 + 1));
+        assert_eq!(stats.shard_retrievals, 0);
         assert_eq!(stats.mask_resets, 0);
         // Two publications repaired dirt: the warm-up (300 inserted
         // slots) and the two mutations — there is only one tier, so the
         // top-k traffic left no deferred backlog behind.
-        assert_eq!(stats.shard_repairs, 2);
+        assert_eq!(stats.version_publications, 2);
         assert_eq!(stats.dirty_slots_repaired, 302);
 
-        // The first full batch pays exactly the one deferred merge of the
-        // complete order; the published version is already current.
+        // A full batch on the current version merges and repairs nothing.
         service.rerank_batch(&qs);
         let stats = service.serve_stats();
-        assert_eq!(stats.order_merges, 1);
-        assert_eq!(stats.shard_repairs, 2);
+        assert_eq!(stats.order_merges, 0);
+        assert_eq!(stats.version_publications, 2);
         assert_eq!(stats.dirty_slots_repaired, 302);
     }
 
     #[test]
     fn a_top_k_batch_retrieves_once_and_answers_like_sequential_reads() {
-        // The batch half of the retrieval contract: one top-k batch
-        // retrieves the shard rest prefix once (`shards` retrievals,
-        // whatever its size or worker count), merges no order, keeps the
-        // O(k)-draw cap, and answers each query exactly as a sequential
-        // read — including when the calling thread answers everything.
+        // The batch half of the top-k contract: one top-k batch, whatever
+        // its size, worker or store shard count, retrieves and merges
+        // nothing, keeps the O(k)-draw cap, and answers each query exactly
+        // as a sequential read — including when the calling thread answers
+        // everything.
         use rrp_core::EngineVersion;
         let k = 10usize;
         let v1 = RankPromotionEngine::recommended().with_seed(29);
@@ -1180,11 +1025,7 @@ mod tests {
                     service.rerank_batch_top_k_into(&qs, k, &mut results);
                     let after = service.serve_stats();
                     assert_eq!(results, expected, "{label}");
-                    assert_eq!(
-                        after.shard_retrievals - before.shard_retrievals,
-                        shards as u64,
-                        "{label}"
-                    );
+                    assert_eq!(after.shard_retrievals, 0, "{label}");
                     assert_eq!(after.order_merges, 0, "{label}");
                     assert!(
                         after.pool_draws - before.pool_draws <= (k as u64) * batch,
@@ -1216,25 +1057,22 @@ mod tests {
         assert_eq!(stats.batches, 2, "empty batches are still counted");
         assert_eq!(stats.queries, 0);
         assert_eq!(
-            stats.shard_repairs, 0,
+            stats.dirty_slots_repaired, 0,
             "nothing consulted, nothing repaired"
         );
-        assert_eq!(stats.shard_retrievals, 0);
-        assert_eq!(stats.order_merges, 0);
         assert_eq!(stats.version_publications, 0);
 
         // The pending warm-up dirt is published by the first real query.
         service.rerank_batch(&queries(2));
-        assert_eq!(service.serve_stats().shard_repairs, 1);
+        assert_eq!(service.serve_stats().dirty_slots_repaired, 50);
         assert_eq!(service.serve_stats().version_publications, 1);
     }
 
     #[test]
     fn uniform_top_k_serves_from_the_merged_shard_order() {
         // The Uniform rule's per-page coins require every slot, so its
-        // top-k traffic reads the complete merged order — assembled from
-        // the shard caches, not from any corpus-wide snapshot — and pays
-        // the merge once per published version, not per query.
+        // top-k traffic reads the complete popularity order — the one
+        // cache's own, at any store shard count, so nothing is merged.
         let service = ShardedPromotionService::new(uniform_engine(), 4).with_workers(2);
         service.extend(corpus(80));
         let qs = queries(6);
@@ -1242,12 +1080,9 @@ mod tests {
         service.rerank_batch_top_k_into(&qs, 5, &mut results);
         service.rerank_top_k(qs[0], 5);
         let stats = service.serve_stats();
-        assert_eq!(
-            stats.shard_retrievals, 0,
-            "no retrieval path without a maintained pool"
-        );
-        assert_eq!(stats.shard_repairs, 1, "one warm-up repair");
-        assert_eq!(stats.order_merges, 1, "one merge serves the clean stretch");
+        assert_eq!(stats.shard_retrievals, 0);
+        assert_eq!(stats.version_publications, 1, "one warm-up repair");
+        assert_eq!(stats.order_merges, 0, "the order is never merged");
         assert_eq!(stats.mask_resets, 7, "the coin scan stays mandatory");
         // And the answers are still the full-rerank prefix.
         let full = service.rerank_one(qs[0]);
@@ -1352,7 +1187,7 @@ mod tests {
 
     #[test]
     fn uniform_top_k_equals_the_full_rerank_prefix() {
-        // The merged-order top-k path (Uniform has no retrieval route)
+        // The Uniform top-k path (a coin per page over the complete order)
         // must stay bit-identical to the full rerank's prefix too.
         let engine = uniform_engine().with_seed(21);
         let service = ShardedPromotionService::new(engine, 4).with_workers(4);
@@ -1460,9 +1295,7 @@ mod tests {
         assert_eq!(stats.queries, 5);
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.version_publications, 0, "k = 0 must not publish");
-        assert_eq!(stats.shard_repairs, 0);
-        assert_eq!(stats.shard_retrievals, 0);
-        assert_eq!(stats.order_merges, 0);
+        assert_eq!(stats.dirty_slots_repaired, 0);
         assert_eq!(stats.epoch_conflicts, 0);
         // k > n is the whole full rerank (one publication, shared by both
         // calls).

@@ -82,10 +82,7 @@ impl ShardedStore {
             })
     }
 
-    /// The shard a document with `id` routes to. Exposed so the serving
-    /// tier can mirror the store's placement in its per-shard ranking
-    /// caches — the two layouts must agree document by document for
-    /// shard-local candidate retrieval to cover the corpus exactly.
+    /// The shard a document with `id` routes to.
     #[inline]
     pub fn shard_of_id(&self, id: u64) -> usize {
         shard_of(id, self.shards.len())

@@ -8,10 +8,17 @@ mod common;
 
 use common::{apply_mutation_durable, arb_ops, assert_same_corpus, queries, ServeShape, TempDir};
 use proptest::prelude::*;
-use rrp_core::{Document, RankPromotionEngine};
-use rrp_serve::{DurableService, ServeError, ShardedPromotionService};
+use rrp_core::model::PageId;
+use rrp_core::{CorpusCache, Document, RankPromotionEngine};
+use rrp_ranking::PageStats;
+use rrp_serve::{
+    BootstrapSource, DurableService, ReplicaService, ServeError, ShardedPromotionService,
+    ShardedStore,
+};
 use rrp_wal::fault::{flip_byte, truncate_at, Failpoint};
+use rrp_wal::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use rrp_wal::{WalError, WalEvent, WalPoll, WalTailReader, WAL_HEADER_LEN};
+use serde::{Serialize, Value};
 
 fn engine(seed: u64) -> RankPromotionEngine {
     RankPromotionEngine::recommended().with_seed(seed)
@@ -243,6 +250,135 @@ fn a_corrupt_snapshot_falls_back_to_full_log_replay() {
         recovered.service().rerank_batch(&qs),
         twin.rerank_batch(&qs)
     );
+}
+
+/// The payload a snapshot held before the serving tier became one
+/// corpus-wide cache: one `CorpusCache` per store shard under local slots,
+/// with the local→global maps and the global placement, page, membership
+/// and pool arrays beside them.
+fn parent_shaped_payload(store: &ShardedStore, engine: RankPromotionEngine, next: u64) -> String {
+    let docs = store.snapshot();
+    let mut shards: Vec<(Vec<PageStats>, Vec<usize>)> =
+        vec![Default::default(); store.shard_count()];
+    let mut placement = Vec::new();
+    for (slot, doc) in docs.iter().enumerate() {
+        let (stats, globals) = &mut shards[store.shard_of_id(doc.id)];
+        placement.push((store.shard_of_id(doc.id) as u32, stats.len() as u32));
+        stats.push(RankPromotionEngine::document_stat(stats.len(), doc));
+        globals.push(slot);
+    }
+    let shards: Vec<Value> = shards
+        .into_iter()
+        .map(|(stats, globals)| {
+            let mut cache = CorpusCache::new();
+            cache.rebuild(stats);
+            Value::Map(vec![
+                ("cache".to_string(), cache.to_value()),
+                ("globals".to_string(), globals.to_value()),
+            ])
+        })
+        .collect();
+    let pages: Vec<PageId> = docs.iter().map(|d| PageId::new(d.id)).collect();
+    let mask: Vec<bool> = docs.iter().map(|d| d.is_unexplored).collect();
+    let pool: Vec<usize> = (0..docs.len()).filter(|&s| mask[s]).collect();
+    let tier = Value::Map(vec![
+        ("shards".to_string(), Value::Seq(shards)),
+        ("placement".to_string(), placement.to_value()),
+        ("pages".to_string(), pages.to_value()),
+        ("pool_mask".to_string(), mask.to_value()),
+        ("merged_pool".to_string(), pool.to_value()),
+    ]);
+    let value = Value::Map(vec![
+        ("engine".to_string(), engine.to_value()),
+        ("store".to_string(), store.to_value()),
+        ("shards".to_string(), tier),
+        ("next_event".to_string(), next.to_value()),
+    ]);
+    serde_json::to_string(&value).unwrap()
+}
+
+/// A snapshot envelope of `version` around `payload`, as the writer of
+/// that version laid it out.
+fn envelope(version: u32, payload: &[u8]) -> Vec<u8> {
+    let mut out = SNAPSHOT_MAGIC.to_vec();
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&rrp_wal::crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+#[test]
+fn a_parent_format_snapshot_falls_back_to_full_log_replay() {
+    let dir = TempDir::new("snapshot-parent-format");
+    let (mut durable, _) = DurableService::open(dir.path(), engine(5), 2).unwrap();
+    let twin = ShardedPromotionService::new(engine(5), 2);
+    for i in 0..20u64 {
+        let doc = if i % 4 == 0 {
+            Document::unexplored(i)
+        } else {
+            Document::established(i, 1.0 - i as f64 * 0.01).with_age(i)
+        };
+        durable.insert(doc).unwrap();
+        twin.insert(doc);
+    }
+    durable.snapshot_now().unwrap();
+    durable.record_visit(4).unwrap();
+    twin.record_visit(4);
+    drop(durable);
+
+    // Overwrite the snapshot with what the previous format wrote at the
+    // same point: a version-1 envelope around the per-shard payload.
+    let payload = parent_shaped_payload(&twin.store(), engine(5), 20);
+    std::fs::write(dir.snapshot_path(), envelope(1, payload.as_bytes())).unwrap();
+
+    let qs = queries(4, 17);
+    let expected = twin.rerank_batch(&qs);
+
+    // A replica goes around it and replays the whole log.
+    let replica = std::panic::catch_unwind(|| {
+        let mut replica = ReplicaService::open(dir.path(), engine(5), 2)?;
+        replica.catch_up()?;
+        Ok::<_, ServeError>(replica)
+    })
+    .expect("opening over an old-format snapshot must not panic")
+    .unwrap();
+    assert_eq!(
+        replica.stats().bootstrap_source,
+        BootstrapSource::SnapshotFallback
+    );
+    assert_eq!(
+        replica.stats().events_applied,
+        21,
+        "the whole history replays"
+    );
+    assert_same_corpus(&replica.store().snapshot(), &twin.store().snapshot());
+    assert_eq!(replica.service().rerank_batch(&qs), expected);
+    drop(replica);
+
+    // So does the leader's recovery.
+    let (recovered, report) =
+        std::panic::catch_unwind(|| DurableService::open(dir.path(), engine(5), 2))
+            .expect("opening over an old-format snapshot must not panic")
+            .unwrap();
+    assert!(report.snapshot_fallback);
+    assert!(!report.snapshot_loaded);
+    assert_eq!(report.events_replayed, 21, "the whole history replays");
+    assert_same_corpus(&recovered.store().snapshot(), &twin.store().snapshot());
+    assert_eq!(recovered.service().rerank_batch(&qs), expected);
+    drop(recovered);
+
+    // The version bump is what routes around it: the same payload in a
+    // current envelope verifies, fails to decode, and fails `open`.
+    std::fs::write(
+        dir.snapshot_path(),
+        envelope(SNAPSHOT_VERSION, payload.as_bytes()),
+    )
+    .unwrap();
+    assert!(matches!(
+        DurableService::open(dir.path(), engine(5), 2),
+        Err(ServeError::Recovery { .. })
+    ));
 }
 
 #[test]

@@ -107,9 +107,7 @@ proptest! {
 
         // The steady-state probe: nothing in this schedule may have caused
         // a snapshot rebuild, a from-scratch sort, a pool rebuild, or a
-        // single per-query pool scan (the engine is selective) — and no
-        // top-k batch may have materialised a global ranking: every one
-        // was answered from shard-local candidate retrieval.
+        // single per-query pool scan (the engine is selective).
         prop_assert_eq!(service.serve_stats().mask_resets, 0);
     }
 }

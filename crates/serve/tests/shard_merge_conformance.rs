@@ -1,20 +1,18 @@
-//! The shard-merge conformance suite: **shard-local serving ≡
-//! single-engine output**, under arbitrary mutate-while-serving schedules,
-//! across shard × worker grids and all four serving policies.
+//! The shard-merge conformance suite: **sharded serving ≡ single-engine
+//! output**, under arbitrary mutate-while-serving schedules, across store
+//! shard × worker grids and all four serving policies.
 //!
 //! The contract on the line: every answer the service produces from its
-//! shard tier — a top-k query via per-shard candidate retrieval, or a
-//! full rerank (and the Uniform rule's per-page coin scan) via the
-//! complete merged order — must be *bit-identical* to
-//! [`RankPromotionEngine::rerank`] on the canonical corpus, the
-//! single-engine reference that every recorded golden and every RNG
-//! stream is defined against. The merged pool's pre-shuffle order and the
-//! merged complete order both feed the generator directly, so a shard
-//! cache that listed one member out of order, dropped a candidate, or
-//! merged one entry too few would not fail loudly: it would silently
-//! rearrange the served ranking. If any schedule, shard count, worker
-//! count, or policy can tell the sharded read path from the single
-//! engine, this suite fails.
+//! serving tier — a top-k query, a full rerank, or the Uniform rule's
+//! per-page coin scan, all ranked from the one corpus-wide cache — must
+//! be *bit-identical* to [`RankPromotionEngine::rerank`] on the canonical
+//! corpus, the single-engine reference that every recorded golden and
+//! every RNG stream is defined against. The pool's pre-shuffle order and
+//! the popularity order both feed the generator directly, so a cache that
+//! listed one member out of order or repaired one slot wrongly would not
+//! fail loudly: it would silently rearrange the served ranking. If any
+//! schedule, store shard count, worker count, or policy can tell the
+//! sharded service from the single engine, this suite fails.
 
 mod common;
 
@@ -25,9 +23,9 @@ use rrp_ranking::{PromotionConfig, PromotionRule};
 use rrp_serve::ShardedPromotionService;
 
 /// The four serving policies: both promotion rules, with and without a
-/// protected top result. Selective engines serve top-k through shard
-/// retrieval; Uniform engines draw their per-page coins over the complete
-/// merged order — the conformance bar is the same for both.
+/// protected top result. Selective engines read the pool and an order
+/// prefix; Uniform engines draw their per-page coins over the complete
+/// order — the conformance bar is the same for both.
 fn policies() -> [RankPromotionEngine; 4] {
     [
         RankPromotionEngine::recommended(), // selective, r = 0.1, k = 2
@@ -54,10 +52,8 @@ proptest! {
     /// Drive one service per policy through an arbitrary schedule; after
     /// every serve step each top-k answer must equal the single-engine
     /// prefix over the then-current corpus, and at the end the same holds
-    /// for every shard × worker combination — plus the routing probe:
-    /// selective top-k traffic performs zero complete-order merges and
-    /// exactly shards retrievals per batch, Uniform traffic zero
-    /// retrievals.
+    /// for every shard × worker combination — plus the routing probe: no
+    /// traffic retrieves from shards or merges an order.
     #[test]
     fn shard_merged_top_k_equals_the_single_engine(
         ops in arb_ops(ServeShape::TopK),
@@ -66,23 +62,15 @@ proptest! {
         policy_index in 0usize..4,
     ) {
         let engine = policies()[policy_index].with_seed(seed);
-        let selective = engine.reads_pool_index();
         let mut service = ShardedPromotionService::new(engine, 4).with_workers(4);
         seed_service(&mut service, initial, 4, 0.02);
 
         let mut batch_salt = 0u64;
-        let mut topk_batches = 0u64;
         for &op in &ops {
             if let Some((q, Some(k))) = apply_mutation(&mut service, op) {
                 batch_salt += 1;
                 let qs = queries(q, batch_salt);
                 let corpus = service.store().snapshot();
-                // Empty-corpus serves charge nothing (the probe
-                // over-counting regression), so only batches on a live
-                // corpus count toward the expected retrievals.
-                if !corpus.is_empty() {
-                    topk_batches += 1;
-                }
                 let mut top = Vec::new();
                 service.rerank_batch_top_k_into(&qs, k, &mut top);
                 for (i, got) in top.iter().enumerate() {
@@ -98,19 +86,11 @@ proptest! {
             }
         }
 
-        // The routing probe: selective engines answered every top-k query
-        // from shard retrieval alone (zero complete-order merges, one
-        // retrieval per shard per batch); Uniform engines answered every
-        // one from the complete merged order (zero retrievals, at most
-        // one lazy merge per serve point). Neither route ever rebuilds.
+        // The routing probe: every engine answered every query from the
+        // one cache — no shard retrieval and no order merge exist.
         let stats = service.serve_stats();
-        if selective {
-            prop_assert_eq!(stats.order_merges, 0);
-            prop_assert_eq!(stats.shard_retrievals, 4 * topk_batches);
-        } else {
-            prop_assert_eq!(stats.shard_retrievals, 0);
-            prop_assert!(stats.order_merges <= batch_salt);
-        }
+        prop_assert_eq!(stats.order_merges, 0);
+        prop_assert_eq!(stats.shard_retrievals, 0);
 
         // Final sweep: every shard × worker combination serves the same
         // corpus with the same answers, on the batch and sequential top-k
@@ -155,11 +135,10 @@ proptest! {
     /// The full-rerank twin: drive one service per policy through an
     /// arbitrary schedule of full-rerank serve points; after every serve
     /// step each answer must equal `engine.rerank` over the then-current
-    /// corpus — the complete merged order standing in for the deleted
+    /// corpus — the cache's complete order standing in for the deleted
     /// corpus-wide snapshot — and at the end the same holds for every
     /// shard × worker combination, batched and sequential. The probe pins
-    /// the route: full reranks retrieve nothing, rebuild nothing, and
-    /// re-merge the complete order at most once per serve point.
+    /// the route: full reranks retrieve nothing and merge nothing.
     #[test]
     fn shard_merged_full_rerank_equals_the_single_engine(
         ops in arb_ops(ServeShape::Full),
@@ -193,7 +172,7 @@ proptest! {
 
         let stats = service.serve_stats();
         prop_assert_eq!(stats.shard_retrievals, 0);
-        prop_assert!(stats.order_merges <= batch_salt);
+        prop_assert_eq!(stats.order_merges, 0);
 
         // Final sweep: every shard × worker combination reproduces the
         // single engine on the batch and sequential full paths alike.

@@ -1,25 +1,24 @@
-//! The v2 twin of the shard-merge conformance suite: **shard-local v2
+//! The v2 twin of the shard-merge conformance suite: **sharded v2
 //! serving ≡ single-engine v2 output**, under arbitrary
-//! mutate-while-serving schedules, across shard × worker grids and all
-//! four serving policies.
+//! mutate-while-serving schedules, across store shard × worker grids and
+//! all four serving policies.
 //!
 //! Engine v2 replaces the eager copy-and-shuffle of the promotion pool
 //! with the lazy Fisher–Yates overlay ([`rrp_ranking::LazyShuffle`]), so
 //! a v2 top-k answer is **not** the prefix of the v2 full rerank — the
 //! reference here is [`RankPromotionEngine::rerank_top_k`] on the
-//! canonical corpus, the single-engine pooled route that the service's
-//! shard-retrieval route must reproduce bit for bit. The two routes share
-//! the draw *sequence* but none of the code that assembles their inputs:
-//! a shard cache that listed a pool member out of order or merged one
-//! candidate too few would silently rearrange the served ranking, and a
+//! canonical corpus, a cache rebuilt per call, which the service's
+//! incrementally repaired and published cache must reproduce bit for
+//! bit: a repair that listed a pool member out of order or misplaced one
+//! slot in the order would silently rearrange the served ranking, and a
 //! lazy overlay that drew one swap too many would shift the entire RNG
 //! stream. If any schedule, shard count, worker count, or policy can tell
 //! the sharded v2 read path from the single v2 engine, this suite fails.
 //!
 //! The probe rides along: v2 selective traffic draws **at most `k` swaps
 //! per query** ([`rrp_serve::ServeStats::pool_draws`]) — the O(k)-draw
-//! contract that motivates v2 — while still performing zero
-//! complete-order merges and zero corpus scans.
+//! contract that motivates v2 — while still performing zero corpus
+//! scans.
 
 mod common;
 
@@ -60,9 +59,9 @@ proptest! {
     /// after every serve step each top-k answer must equal the
     /// single-engine v2 top-k over the then-current corpus, and at the
     /// end the same holds for every shard × worker combination — plus the
-    /// probes: selective v2 traffic performs zero complete-order merges,
-    /// exactly shards retrievals per batch, and at most `k` lazy swap
-    /// draws per query; Uniform v2 traffic books zero draws.
+    /// probes: no traffic retrieves from shards or merges an order,
+    /// selective v2 traffic makes at most `k` lazy swap draws per query,
+    /// and Uniform v2 traffic books zero draws.
     #[test]
     fn shard_merged_v2_top_k_equals_the_single_v2_engine(
         ops in arb_ops(ServeShape::TopK),
@@ -77,7 +76,6 @@ proptest! {
         seed_service(&mut service, initial, 4, 0.02);
 
         let mut batch_salt = 0u64;
-        let mut topk_batches = 0u64;
         let mut draw_budget = 0u64;
         for &op in &ops {
             if let Some((q, Some(k))) = apply_mutation(&mut service, op) {
@@ -85,7 +83,6 @@ proptest! {
                 let qs = queries(q, batch_salt);
                 let corpus = service.store().snapshot();
                 if !corpus.is_empty() {
-                    topk_batches += 1;
                     draw_budget += q * k as u64;
                 }
                 let mut top = Vec::new();
@@ -103,15 +100,13 @@ proptest! {
             }
         }
 
-        // The routing and draw probes: the lazy route keeps the v1
-        // retrieval guarantees (no complete-order merge, one retrieval
-        // per shard per batch, no rebuild) and adds the O(k)-draw cap.
-        // Uniform engines take the merged-order route unchanged and never
+        // The routing and draw probes: no engine retrieves or merges, and
+        // the lazy route adds the O(k)-draw cap. Uniform engines never
         // touch the overlay.
         let stats = service.serve_stats();
+        prop_assert_eq!(stats.order_merges, 0);
+        prop_assert_eq!(stats.shard_retrievals, 0);
         if selective {
-            prop_assert_eq!(stats.order_merges, 0);
-            prop_assert_eq!(stats.shard_retrievals, 4 * topk_batches);
             prop_assert!(
                 stats.pool_draws <= draw_budget,
                 "{} swap draws exceed the k-per-query budget {}",
@@ -119,8 +114,6 @@ proptest! {
                 draw_budget
             );
         } else {
-            prop_assert_eq!(stats.shard_retrievals, 0);
-            prop_assert!(stats.order_merges <= batch_salt);
             prop_assert_eq!(stats.pool_draws, 0);
         }
 

@@ -3,7 +3,7 @@
 //! previous good snapshot.
 //!
 //! The payload is whatever the caller serialised (the serving tier stores
-//! engine + store + shard caches as JSON); this module only guarantees
+//! engine + store + ranking cache as JSON); this module only guarantees
 //! that what [`read_snapshot`] hands back is byte-for-byte what
 //! [`write_snapshot_atomic`] was given, or a typed error — never a
 //! half-written or bit-rotted blob.
@@ -21,8 +21,12 @@ use std::path::{Path, PathBuf};
 
 /// The eight magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RRPSNAP0";
-/// The current snapshot envelope version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// The current snapshot envelope version. It moves whenever the payload's
+/// shape does, so a snapshot written in an older shape fails verification
+/// (and recovery replays the log around it) instead of failing to decode.
+/// Version 2: the serving tier is one corpus-wide cache, no longer one
+/// cache per shard.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 const ENVELOPE_LEN: usize = 8 + 4 + 8 + 4;
 

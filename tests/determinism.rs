@@ -18,9 +18,7 @@
 use rrp_core::{Document, EngineVersion, QueryContext, RankPromotionEngine};
 use rrp_experiments::runner::SweepExecutor;
 use rrp_model::{new_rng, SeedSequence};
-use rrp_ranking::{
-    CorpusCache, PolicyKind, PoolIndex, PromotionConfig, PromotionRule, RankBuffers,
-};
+use rrp_ranking::{CorpusCache, PolicyKind, PromotionConfig, PromotionRule, RankBuffers};
 use rrp_serve::{DurableService, ReplicaService, ShardedPromotionService};
 
 fn corpus() -> Vec<Document> {
@@ -246,16 +244,15 @@ fn mutate_then_serve_top_k_matches_its_golden() {
     assert_eq!(stats.mask_resets, 0);
 }
 
-/// Layer 3, the shard-merge serving path: top-k answered by per-shard
-/// candidate retrieval plus the deterministic k-way merge reproduces the
-/// recorded goldens for **all four serving policies**, at every shard
-/// count, for `k` at 1, at the protected-prefix boundary (`start_rank`),
-/// and at 10. The merged pool's pre-shuffle order and the merged order
-/// prefix feed the RNG and the coin-flip merge directly, so a merge that
-/// reassembled either one differently — even only at some shard count —
-/// would shift these vectors. Selective engines take the shard-retrieval
-/// path; Uniform engines draw their per-page coins over the complete
-/// merged order and are pinned to the same bar.
+/// Layer 3, the sharded serving path: top-k answered from the service's
+/// one corpus-wide cache reproduces the recorded goldens for **all four
+/// serving policies**, at every store shard count, for `k` at 1, at the
+/// protected-prefix boundary (`start_rank`), and at 10. The pool's
+/// pre-shuffle order and the order prefix feed the RNG and the coin-flip
+/// merge directly, so a cache that held either one differently — even
+/// only at some shard count — would shift these vectors. Selective
+/// engines read the pool and an order prefix; Uniform engines draw their
+/// per-page coins over the complete order and are pinned to the same bar.
 #[test]
 fn shard_merged_top_k_reproduces_the_recorded_goldens_for_all_four_policies() {
     let policies: [(RankPromotionEngine, [u64; 10]); 4] = [
@@ -303,33 +300,25 @@ fn shard_merged_top_k_reproduces_the_recorded_goldens_for_all_four_policies() {
                     "{label}, {shards} shards, batch top-{k}"
                 );
             }
-            // The routing probe: selective engines answered all six
-            // queries from shard retrieval alone, never consulting the
-            // complete merged order; Uniform engines drew their per-page
-            // coins over the merged order, assembled exactly once and
-            // reused, with zero retrievals.
+            // The routing probe: every engine answered all six queries
+            // from the one corpus-wide cache — no shard retrieval and no
+            // order merge exist at any shard count.
             let stats = service.serve_stats();
-            if engine.reads_pool_index() {
-                assert_eq!(stats.order_merges, 0, "{label}");
-                assert_eq!(stats.shard_retrievals, 6 * shards as u64, "{label}");
-            } else {
-                assert_eq!(stats.shard_retrievals, 0, "{label}");
-                assert_eq!(stats.order_merges, 1, "{label}");
-            }
+            assert_eq!(stats.order_merges, 0, "{label}");
+            assert_eq!(stats.shard_retrievals, 0, "{label}");
         }
     }
 }
 
-/// Layer 3, the Uniform coin scan through the merged order: a Uniform
+/// Layer 3, the Uniform coin scan through the complete order: a Uniform
 /// engine flips one coin per page *in slot order*, so its full rerank
-/// consumes every slot of the ranking — the path that used to require a
-/// corpus-wide snapshot and is now answered from the complete merged
-/// shard order. The recorded golden pins the entire 30-slot output (not
-/// just a prefix): if the k-way merge assembled the complete order even
-/// one transposition away from the canonical popularity order at any
+/// consumes every slot of the ranking, answered from the service's
+/// complete popularity order. The recorded golden pins the entire 30-slot
+/// output (not just a prefix): if the served order were even one
+/// transposition away from the canonical popularity order at any store
 /// shard count, some coin would land on the wrong page and this vector
-/// would shift. The probe confirms the route: zero shard retrievals,
-/// zero snapshot rebuilds, exactly one lazy merge.
+/// would shift. The probe confirms the route: zero shard retrievals and
+/// zero order merges.
 #[test]
 fn uniform_full_rerank_reproduces_its_golden_through_the_merged_order() {
     let engine =
@@ -362,23 +351,21 @@ fn uniform_full_rerank_reproduces_its_golden_through_the_merged_order() {
             assert_eq!(batch[1], GOLDEN_UNIFORM_R30_K1_FULL_7_11_13);
             let stats = service.serve_stats();
             assert_eq!(stats.shard_retrievals, 0, "{shards} shards");
-            assert_eq!(stats.order_merges, 1, "{shards} shards");
+            assert_eq!(stats.order_merges, 0, "{shards} shards");
         }
     }
 }
 
-/// Layer 3, the merge at the ranking layer: partitioning the documented
-/// corpus into 1, 3 or 8 shard-local corpora, merging the shard pools
-/// (`merge_ascending_slots_into`) and the per-shard rest candidates
-/// (`merge_shard_candidates_into`) and ranking from that retrieved source
-/// reproduces the *same* recorded pooled golden as the corpus-wide path,
-/// from the same RNG state.
+/// Layer 3, the candidate merge at the ranking layer: collecting the
+/// documented corpus's rest candidates off its corpus-wide cache
+/// (`ShardCandidates::collect_rest`), merging them
+/// (`merge_shard_candidates_into`, the benchmark's re-enacted read) and
+/// ranking that retrieved source with the cache's pool reproduces the
+/// *same* recorded pooled golden as the complete source, from the same
+/// RNG state.
 #[test]
 fn shard_candidate_merge_reproduces_the_pooled_goldens() {
-    use rrp_ranking::{
-        merge_ascending_slots_into, merge_shard_candidates_into, MergedCandidates, PageStats,
-        RankSource, ShardCandidates,
-    };
+    use rrp_ranking::{merge_shard_candidates_into, MergedCandidates, RankSource, ShardCandidates};
 
     let docs = corpus();
     let mut stats = Vec::new();
@@ -388,58 +375,38 @@ fn shard_candidate_merge_reproduces_the_pooled_goldens() {
     };
     let mut buffers = RankBuffers::new();
     let mut out = Vec::new();
+    let mut cache = CorpusCache::new();
+    cache.rebuild(stats.iter().copied());
+    let mut candidates = ShardCandidates::new();
+    candidates.collect_rest(&cache, 10);
     let mut merged = MergedCandidates::new();
-    let (mut heads, mut pool) = (Vec::new(), Vec::new());
-    for shards in [1usize, 3, 8] {
-        let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
-        let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for p in &stats {
-            let shard = (p.slot * 13 + 5) % shards;
-            let mut local = *p;
-            local.slot = locals[shard].len();
-            locals[shard].push(local);
-            globals[shard].push(p.slot);
-        }
-        let pools: Vec<PoolIndex> = locals.iter().map(|l| PoolIndex::build(l)).collect();
-        merge_ascending_slots_into(
-            shards,
-            |s| pools[s].len(),
-            |s, i| globals[s][pools[s].members()[i]],
-            &mut heads,
-            &mut pool,
-        );
-        let candidates: Vec<ShardCandidates> = (0..shards)
-            .map(|s| {
-                let mut cache = CorpusCache::new();
-                cache.rebuild(locals[s].iter().copied());
-                let mut c = ShardCandidates::new();
-                c.collect_rest(&cache, 10, &globals[s]);
-                c
-            })
-            .collect();
-        merge_shard_candidates_into(&candidates, 10, &mut merged);
-        let rest_slots: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
-        policy.rank(
-            RankSource::retrieved(&pool, &rest_slots),
-            Some(10),
-            &mut new_rng(123),
-            &mut buffers,
-            &mut out,
-        );
-        assert_eq!(
-            out, GOLDEN_TOP10_SELECTIVE_123,
-            "retrieved form via {shards}-shard merge"
-        );
-    }
+    merge_shard_candidates_into(&[candidates], 10, &mut merged);
+    let rest_slots: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
+    policy.rank(
+        RankSource::retrieved(cache.pool().members(), &rest_slots),
+        Some(10),
+        &mut new_rng(123),
+        &mut buffers,
+        &mut out,
+    );
+    assert_eq!(out, GOLDEN_TOP10_SELECTIVE_123, "retrieved form");
+    policy.rank(
+        cache.source(),
+        Some(10),
+        &mut new_rng(123),
+        &mut buffers,
+        &mut out,
+    );
+    assert_eq!(out, GOLDEN_TOP10_SELECTIVE_123, "complete source");
 }
 
 /// Layer 3, mutate-then-merge: the documented mutation schedule (two
-/// visits, a popularity boost, two inserts) served *exclusively* through
-/// shard retrieval — the complete merged order is never assembled at
-/// all — reproduces the same recorded golden at every shard count. Mutations here cross shard boundaries (the two
-/// inserts land on different shards as the count changes), so a shard
-/// cache that mis-repaired its local dirty slots would desynchronise the
-/// merge at some count and shift this vector.
+/// visits, a popularity boost, two inserts) applied before the first
+/// publication reproduces the same recorded golden at every store shard
+/// count. Mutations here cross store shard boundaries (the two inserts
+/// land on different shards as the count changes), so a serving tier that
+/// mis-mapped a sequence to its slot at some count would shift this
+/// vector.
 #[test]
 fn mutate_then_merge_schedule_reproduces_its_golden_at_every_shard_count() {
     let engine = RankPromotionEngine::recommended().with_seed(7);
@@ -458,8 +425,11 @@ fn mutate_then_merge_schedule_reproduces_its_golden_at_every_shard_count() {
         );
         let stats = service.serve_stats();
         assert_eq!(stats.order_merges, 0, "{shards} shards");
-        assert_eq!(stats.shard_retrievals, shards as u64);
-        assert_eq!(stats.shard_repairs, 1, "one repair covers the schedule");
+        assert_eq!(stats.shard_retrievals, 0);
+        assert_eq!(
+            stats.version_publications, 1,
+            "one repair covers the schedule"
+        );
         assert_eq!(stats.mask_resets, 0);
     }
 }
@@ -469,7 +439,7 @@ fn mutate_then_merge_schedule_reproduces_its_golden_at_every_shard_count() {
 /// single-engine reference. V2 spends the pool's randomness lazily — one
 /// swap draw per promoted slot actually consumed — so its top-k output
 /// is *not* the v1 full rerank's prefix; the invariants on the line are
-/// instead (a) the recorded vectors themselves, (b) shard-merged ≡
+/// instead (a) the recorded vectors themselves, (b) served ≡
 /// single v2 engine, (c) prefix consistency *within* the v2 top-k family
 /// (`k = 1` is the head of `k = 10`), and (d) Uniform engines staying
 /// bit-identical to v1 under v2 (the overlay only serves the Selective
@@ -540,17 +510,15 @@ fn v2_shard_merged_top_k_reproduces_its_recorded_goldens() {
             }
             // Same routing probe as v1, plus the O(k)-draw contract.
             let stats = service.serve_stats();
+            assert_eq!(stats.order_merges, 0, "{label}");
+            assert_eq!(stats.shard_retrievals, 0, "{label}");
             if engine.reads_pool_index() {
-                assert_eq!(stats.order_merges, 0, "{label}");
-                assert_eq!(stats.shard_retrievals, 6 * shards as u64, "{label}");
                 assert!(
                     stats.pool_draws <= served,
                     "{label}: {} draws exceed the k-per-query budget {served}",
                     stats.pool_draws
                 );
             } else {
-                assert_eq!(stats.shard_retrievals, 0, "{label}");
-                assert_eq!(stats.order_merges, 1, "{label}");
                 assert_eq!(stats.pool_draws, 0, "{label}: Uniform never draws");
             }
             assert_eq!(
@@ -768,7 +736,7 @@ const GOLDEN_RERANK_7_11_13_TOP10: [u64; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
 
 /// Golden *complete* rerank (all 30 slots) for the Uniform r = 0.3,
 /// k = 1 engine, seed 7, `QueryContext::new(11, 13)` — the coin-scan
-/// path served from the complete merged shard order. Its prefix is
+/// path served from the complete popularity order. Its prefix is
 /// `GOLDEN_TOP10_UNIFORM_R30_K1_7_11_13`.
 const GOLDEN_UNIFORM_R30_K1_FULL_7_11_13: [u64; 30] = [
     0, 1, 3, 4, 5, 25, 22, 6, 8, 7, 9, 10, 11, 27, 29, 23, 12, 26, 15, 14, 16, 17, 13, 2, 18, 19,
