@@ -19,8 +19,11 @@
 //! published version's [`source`](rrp_core::PublishedVersion::source):
 //! the complete popularity order, the maintained pool and its membership
 //! mask. A top-k read fills `L_d` only up to `k` non-pool entries, so it
-//! is `O(pool + k)` (`O(k)` draws under engine v2). Batch fan-out writes
-//! into disjoint `&mut` result regions (no result lock), with the calling
+//! is `O(pool + k)` (`O(k)` draws under engine v2). A batch whose
+//! estimated work (queries × ranked positions) is below
+//! [`FAN_OUT_MIN_POSITIONS`] — such as a small engine-v2 top-k batch — is
+//! answered on the calling thread alone; a larger one fans out, writing
+//! into disjoint `&mut` result regions (no result lock) with the calling
 //! thread as one of the workers. All of it preserves the
 //! `(engine seed, query, session)` determinism of
 //! [`rrp_core::RankPromotionEngine`] exactly: batch, sequential and top-k
@@ -83,5 +86,7 @@ pub mod store;
 pub use durable::{DurableService, RecoveryReport};
 pub use error::ServeError;
 pub use replica::{BootstrapSource, ReplicaService, ReplicaStats};
-pub use service::{available_workers, ServeStats, ShardedPromotionService, StoreGuard};
+pub use service::{
+    available_workers, ServeStats, ShardedPromotionService, StoreGuard, FAN_OUT_MIN_POSITIONS,
+};
 pub use store::ShardedStore;

@@ -1,7 +1,10 @@
 //! The sharded batch rerank service.
 
 use crate::store::ShardedStore;
-use rrp_core::{Document, PublishedVersion, QueryContext, RankPromotionEngine, ShardedCorpusCache};
+use rrp_core::{
+    Document, EngineVersion, PublishedVersion, QueryContext, RankPromotionEngine,
+    ShardedCorpusCache,
+};
 use rrp_ranking::RankBuffers;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,8 +164,8 @@ impl std::fmt::Debug for StoreGuard<'_> {
 /// Serves randomized rank promotion over a sharded document store.
 ///
 /// The service owns the corpus (partitioned across N shards by document-id
-/// hash, as an index tier would be) and answers batches of queries on std
-/// scoped threads. Five properties make it safe to scale:
+/// hash, as an index tier would be) and answers large batches of queries on
+/// std scoped threads. Five properties make it safe to scale:
 ///
 /// 1. **Shard-count independence** — ranking is defined over the store's
 ///    canonical snapshot order, so 1-shard and 64-shard deployments answer
@@ -183,11 +186,14 @@ impl std::fmt::Debug for StoreGuard<'_> {
 ///    selective-promotion [`rerank_top_k`](Self::rerank_top_k) query is
 ///    `O(pool + k)` — no full-corpus scan, no membership-mask reset (also
 ///    pinned, via [`ServeStats::mask_resets`]).
-/// 4. **Chunked fan-out** — batch results are written into disjoint
-///    `&mut` chunks that workers — the calling thread among them — claim
-///    one at a time (one short lock per chunk, never per query). Workers
-///    never touch another worker's slots, and per-worker scratch arenas
-///    keep the per-query path allocation-free.
+/// 4. **Chunked fan-out, only when it pays** — a batch whose estimated
+///    work is below [`FAN_OUT_MIN_POSITIONS`] (such as a small engine-v2
+///    top-k batch) is answered on the calling thread alone, with one pooled
+///    scratch set and no thread spawn. A larger batch's results are written
+///    into disjoint `&mut` chunks that workers — the calling thread among
+///    them — claim one at a time (one short lock per chunk, never per
+///    query). Workers never touch another worker's slots, and per-worker
+///    scratch arenas keep the per-query path allocation-free.
 /// 5. **Epoch-versioned shared reads** — every query path takes `&self`:
 ///    mutations bump a mutation-epoch counter and patch the writer
 ///    generation under a mutex, while readers rank against an immutable
@@ -627,7 +633,8 @@ impl ShardedPromotionService {
     }
 
     /// Answer a batch of queries, fanning out across scoped worker
-    /// threads. Per query, the returned document ids equal
+    /// threads when the batch is large enough to pay for them (see
+    /// [`FAN_OUT_MIN_POSITIONS`]). Per query, the returned document ids equal
     /// [`rerank_one`](Self::rerank_one) — and therefore
     /// [`RankPromotionEngine::rerank`] on the canonical snapshot —
     /// regardless of shard count, worker count, or scheduling.
@@ -700,7 +707,7 @@ impl ShardedPromotionService {
             return version.epoch();
         }
 
-        let workers = self.workers.min(queries.len());
+        let workers = batch_workers(self.engine, self.workers, queries.len(), k, version.len());
         // Chunked work-stealing: workers claim result chunks a few queries
         // wide (one short lock per chunk), so a slow query does not
         // serialise its neighbours behind one worker.
@@ -718,10 +725,10 @@ impl ShardedPromotionService {
             }
         };
         // The calling thread works alongside `workers − 1` spawned ones
-        // (none for a single worker). Each spawned worker borrows a
-        // private scratch set from the pool — queries are allocation-free
-        // once the pool has warmed up to the fan-out — and folds its arena
-        // counters into the probes once, at exit.
+        // (none when the batch is answered inline). Each spawned worker
+        // borrows a private scratch set from the pool — queries are
+        // allocation-free once the pool has warmed up to the fan-out — and
+        // folds its arena counters into the probes once, at exit.
         std::thread::scope(|scope| {
             for _ in 1..workers {
                 scope.spawn(|| {
@@ -742,6 +749,65 @@ impl ShardedPromotionService {
             ProbeCells::add(&self.probe.epoch_conflicts, 1);
         }
         version.epoch()
+    }
+}
+
+/// The batch work, in ranked positions, at which
+/// [`ShardedPromotionService`] starts fanning a batch out across scoped
+/// threads; below it the calling thread answers every query itself with one
+/// pooled scratch set.
+///
+/// **Rule.** A batch of `queries` reads fans out to
+/// `min(workers, queries)` threads when `queries × positions` reaches this
+/// threshold, where `positions` is the per-query cost in ranked positions:
+/// `min(k, n)` on the lazy route — a Selective-rule
+/// [`EngineVersion::V2`] engine answering top-`k` — and `n`, the corpus
+/// size, on every other route (v1's eager pool shuffle, the Uniform rule's
+/// per-page coin scan, full reranks), whose per-query cost grows with the
+/// corpus. One worker or a one-query batch never spawns.
+///
+/// **Cost model.** Spawning and joining one scoped thread costs about
+/// 30 µs, as much as 64 lazy top-10 queries answered inline; the work a
+/// fan-out takes off the calling thread must outweigh that. A lazy-route
+/// position costs about 0.015–0.02 µs. On the `n` routes a position costs
+/// from about 0.002 µs (v1 top-k, whose real work is the pool, ≈ n/10)
+/// to about 0.04 µs (a Uniform full rerank), so the `n` estimate never
+/// keeps one of them inline far past its own crossover.
+///
+/// **Crossover.** One worker / two workers, µs per batch (p50 of 400
+/// batches), at n = 100 000, engine v2, 8 store shards, on a 2-vCPU
+/// x86-64 VM:
+///
+/// | k \ queries | 16 | 64 | 128 | 256 | 1024 |
+/// |---|---|---|---|---|---|
+/// | 10 | 4.2 / 33.6 | 16.0 / 38.1 | 29.0 / 41.5 | 61.5 / 58.2 | 240 / 155 |
+/// | 100 | 35.1 / 48.2 | 137 / 114 | 283 / 186 | 564 / 338 | 2210 / 1134 |
+///
+/// A finer sweep on the same machine (k ∈ {10, 25, 100}, p50 of 1 000
+/// batches) put the lazy route's crossover between 2 560 and 3 520
+/// positions; the threshold sits inside that band. At n = 1 000 the
+/// Uniform and full-rerank routes cross between 2 000 and 8 000.
+pub const FAN_OUT_MIN_POSITIONS: usize = 3072;
+
+/// How many threads answer a batch: 1 (the calling thread alone) below
+/// [`FAN_OUT_MIN_POSITIONS`], else `min(workers, queries)`. `n` is the
+/// answering version's corpus size.
+fn batch_workers(
+    engine: RankPromotionEngine,
+    workers: usize,
+    queries: usize,
+    k: Option<usize>,
+    n: usize,
+) -> usize {
+    let lazy = engine.version() == EngineVersion::V2 && engine.reads_pool_index();
+    let positions = match k {
+        Some(k) if lazy => k.min(n),
+        _ => n,
+    };
+    if queries.saturating_mul(positions) < FAN_OUT_MIN_POSITIONS {
+        1
+    } else {
+        workers.min(queries)
     }
 }
 
@@ -1000,10 +1066,11 @@ mod tests {
     #[test]
     fn a_top_k_batch_retrieves_once_and_answers_like_sequential_reads() {
         // The batch half of the top-k contract: one top-k batch, whatever
-        // its size, worker or store shard count, retrieves and merges
-        // nothing, keeps the O(k)-draw cap, and answers each query exactly
-        // as a sequential read — including when the calling thread answers
-        // everything.
+        // its size, worker or store shard count, ranks straight from the
+        // one corpus-wide cache (the shard-retrieval and order-merge
+        // probes stay at 0), keeps the O(k)-draw cap, and answers each
+        // query exactly as a sequential read — including when the calling
+        // thread answers everything.
         use rrp_core::EngineVersion;
         let k = 10usize;
         let v1 = RankPromotionEngine::recommended().with_seed(29);
@@ -1069,7 +1136,7 @@ mod tests {
     }
 
     #[test]
-    fn uniform_top_k_serves_from_the_merged_shard_order() {
+    fn uniform_top_k_serves_from_the_complete_popularity_order() {
         // The Uniform rule's per-page coins require every slot, so its
         // top-k traffic reads the complete popularity order — the one
         // cache's own, at any store shard count, so nothing is merged.
@@ -1358,6 +1425,164 @@ mod tests {
         let stats = service.serve_stats();
         assert_eq!(stats.version_publications, 2);
         assert_eq!(stats.epoch_conflicts, 0);
+    }
+
+    #[test]
+    fn small_lazy_batches_answer_on_the_calling_thread() {
+        // The `topk_v2_100k` batch: 64 lazy top-10 queries over 100k
+        // documents is 640 positions, far below one fan-out's worth.
+        use rrp_core::EngineVersion;
+        let v2 = RankPromotionEngine::recommended().with_version(EngineVersion::V2);
+        for workers in [1usize, 2, 8] {
+            assert_eq!(batch_workers(v2, workers, 64, Some(10), 100_000), 1);
+        }
+        // k is capped by the corpus: a huge k over a tiny corpus is tiny.
+        assert_eq!(batch_workers(v2, 8, 64, Some(1_000_000), 40), 1);
+    }
+
+    #[test]
+    fn lazy_batches_above_the_threshold_fan_out() {
+        use rrp_core::EngineVersion;
+        let v2 = RankPromotionEngine::recommended().with_version(EngineVersion::V2);
+        let at = FAN_OUT_MIN_POSITIONS / 8;
+        assert_eq!(at * 8, FAN_OUT_MIN_POSITIONS);
+        for workers in [2usize, 8] {
+            assert_eq!(batch_workers(v2, workers, at - 1, Some(8), 100_000), 1);
+            assert_eq!(batch_workers(v2, workers, at, Some(8), 100_000), workers);
+            assert_eq!(batch_workers(v2, workers, 1024, Some(10), 100_000), workers);
+            assert_eq!(batch_workers(v2, workers, 64, Some(100), 100_000), workers);
+        }
+    }
+
+    #[test]
+    fn corpus_sized_routes_fan_out_as_before_at_the_bench_sizes() {
+        // v1 top-k (eager pool shuffle), every Uniform read and every full
+        // rerank cost `n` positions per query: at `serve_throughput`'s
+        // sizes (64-query batches, n = 10k and 100k) they fan out to
+        // `min(workers, queries)` threads, exactly as every batch did
+        // before the threshold existed.
+        use rrp_core::EngineVersion;
+        let v1 = RankPromotionEngine::recommended();
+        let v2 = v1.with_version(EngineVersion::V2);
+        let uniform_v2 = uniform_engine().with_version(EngineVersion::V2);
+        for n in [10_000usize, 100_000] {
+            for workers in [2usize, 8] {
+                for (engine, k) in [
+                    (v1, Some(10)),
+                    (v1, None),
+                    (v2, None),
+                    (uniform_engine(), Some(10)),
+                    (uniform_engine(), None),
+                    (uniform_v2, Some(10)),
+                ] {
+                    assert_eq!(
+                        batch_workers(engine, workers, 64, k, n),
+                        workers,
+                        "{:?} {:?}, k = {k:?}, n = {n}, {workers} workers",
+                        engine.config().rule,
+                        engine.version()
+                    );
+                }
+                assert_eq!(batch_workers(v1, workers, 3, Some(10), n), workers.min(3));
+            }
+        }
+    }
+
+    #[test]
+    fn one_worker_or_one_query_never_spawns() {
+        use rrp_core::EngineVersion;
+        let v1 = RankPromotionEngine::recommended();
+        let v2 = v1.with_version(EngineVersion::V2);
+        for engine in [v1, v2, uniform_engine()] {
+            for k in [Some(10), None] {
+                assert_eq!(batch_workers(engine, 1, 1_000_000, k, 1_000_000), 1);
+                assert_eq!(batch_workers(engine, 8, 1, k, 1_000_000), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn batches_on_both_sides_of_the_threshold_match_sequential_reads() {
+        // Each batch — answered inline (1 and 64 queries) or fanned out
+        // (the smallest batch that reaches the threshold) — equals the
+        // sequential reads of a twin service, and books the twin's arena
+        // counters exactly: the inline path folds its scratch set's
+        // `pool_draws` and `mask_resets` into the probes as each spawned
+        // worker does.
+        use rrp_core::EngineVersion;
+        let n = 40u64;
+        let v1 = RankPromotionEngine::recommended().with_seed(31);
+        let engines = [v1, v1.with_version(EngineVersion::V2), uniform_engine()];
+        for engine in engines {
+            for k in [Some(10usize), None] {
+                // The smallest batch this route fans out.
+                let above = (1..)
+                    .find(|&q| batch_workers(engine, 2, q, k, n as usize) > 1)
+                    .expect("a large enough batch fans out") as u64;
+                assert!(above > 64, "64 queries stay inline on every route");
+                for workers in [1usize, 2, 8] {
+                    for batch in [1u64, 64, above] {
+                        let label = format!(
+                            "{:?} {:?}, k = {k:?}, {workers} workers, {batch} queries",
+                            engine.config().rule,
+                            engine.version()
+                        );
+                        let fans_out = workers > 1 && batch == above;
+                        assert_eq!(
+                            batch_workers(engine, workers, batch as usize, k, n as usize) > 1,
+                            fans_out,
+                            "{label}"
+                        );
+                        let qs = queries(batch);
+                        let service = ShardedPromotionService::new(engine, 3).with_workers(workers);
+                        let twin = ShardedPromotionService::new(engine, 3).with_workers(workers);
+                        for s in [&service, &twin] {
+                            s.extend(corpus(n));
+                            s.rerank_one(qs[0]); // absorb the warm-up publication
+                        }
+
+                        let before = twin.serve_stats();
+                        let expected: Vec<Vec<u64>> = qs
+                            .iter()
+                            .map(|&ctx| match k {
+                                Some(k) => twin.rerank_top_k(ctx, k),
+                                None => twin.rerank_one(ctx),
+                            })
+                            .collect();
+                        let sequential = twin.serve_stats();
+
+                        let start = service.serve_stats();
+                        let mut results = Vec::new();
+                        match k {
+                            Some(k) => service.rerank_batch_top_k_into(&qs, k, &mut results),
+                            None => service.rerank_batch_into(&qs, &mut results),
+                        }
+                        let batched = service.serve_stats();
+
+                        assert_eq!(results, expected, "{label}");
+                        assert_eq!(
+                            batched.pool_draws - start.pool_draws,
+                            sequential.pool_draws - before.pool_draws,
+                            "{label}"
+                        );
+                        assert_eq!(
+                            batched.mask_resets - start.mask_resets,
+                            sequential.mask_resets - before.mask_resets,
+                            "{label}"
+                        );
+                        assert_eq!(
+                            batched.queries - start.queries,
+                            sequential.queries - before.queries,
+                            "{label}"
+                        );
+                        // Sequential reads book no batch; the batch books
+                        // exactly one.
+                        assert_eq!(sequential.batches, before.batches, "{label}");
+                        assert_eq!(batched.batches - start.batches, 1, "{label}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use rrp_core::{Document, EngineVersion, QueryContext, RankPromotionEngine};
 use rrp_ranking::{PromotionConfig, PromotionRule};
-use rrp_serve::ShardedPromotionService;
+use rrp_serve::{ShardedPromotionService, FAN_OUT_MIN_POSITIONS};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
@@ -247,6 +247,23 @@ fn every_policy_and_version_survives_the_shard_by_worker_grid() {
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn a_batch_above_the_fan_out_threshold_survives_the_worker_grid() {
+    // Every other case here batches 4 full reranks over at most 64
+    // documents, which the calling thread answers alone. At n = 1024 the
+    // same batch is 4 × 1024 positions, so it fans out to spawned workers
+    // on every route — v1 and v2 Selective and Uniform — and the race
+    // surface of the spawned hand-off stays under test.
+    let n = 1024u64;
+    assert!(queries().len() * n as usize >= FAN_OUT_MIN_POSITIONS);
+    let v1 = selective(42);
+    for engine in [v1, v1.with_version(EngineVersion::V2), uniform(42)] {
+        for workers in [2usize, 8] {
+            stress(engine, 2, workers, n, 8);
         }
     }
 }
