@@ -470,7 +470,7 @@ mod tests {
     }
 
     #[test]
-    fn patches_flow_through_the_shard_local_dirty_lists() {
+    fn patches_and_pushes_flow_through_the_dirty_list() {
         let mut docs = documents(40);
         let mut cache = filled(&docs);
         let (v1, _) = cache.publish(1);
@@ -585,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_shards_are_shared_across_versions_not_copied() {
+    fn a_clean_cache_is_shared_across_versions_not_copied() {
         // A publication with nothing mutated since the last one shares
         // the cache allocation; a mutation republishes a fresh one.
         let docs = documents(40);
@@ -694,7 +694,7 @@ mod tests {
     }
 
     #[test]
-    fn page_of_resolves_ids_through_the_owning_shard() {
+    fn page_of_resolves_ids_by_global_slot() {
         let docs = documents(25);
         let mut cache = filled(&docs);
         let (version, _) = cache.publish(1);
@@ -759,7 +759,7 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "is_consistent")]
-    fn unmarked_shard_local_mutation_trips_the_membership_assertion() {
+    fn an_unmarked_mutation_trips_the_membership_assertion() {
         use serde::Value;
         let mut docs = documents(12);
         let mut cache = filled(&docs);

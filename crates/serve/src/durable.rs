@@ -362,13 +362,14 @@ impl DurableService {
     /// Reject mutations against sequences the store never issued, before
     /// they can be logged.
     fn check_seq(&self, seq: u64) -> Result<(), ServeError> {
-        if self.inner.store().get(seq).is_none() {
-            return Err(ServeError::UnknownSequence {
+        let store = self.inner.store();
+        match store.slot_of(seq) {
+            Some(_) => Ok(()),
+            None => Err(ServeError::UnknownSequence {
                 seq,
-                len: self.inner.store().len() as u64,
-            });
+                len: store.len() as u64,
+            }),
         }
-        Ok(())
     }
 
     /// Append one event; accounting only happens on success.
@@ -413,38 +414,38 @@ pub(crate) struct SnapshotBootstrap {
 }
 
 /// Load and verify the snapshot at `snapshot_path`, if one exists, and
-/// seed a service from it. A snapshot that exists but fails verification
-/// is recovered *around* — start empty, replay everything; a snapshot
-/// that verifies but belongs to a different deployment (engine, shard
-/// count) is a typed error.
+/// seed a service from it. A zero `shard_count` is a typed error whether
+/// or not a snapshot exists. A snapshot that exists but fails
+/// verification is recovered *around* — start empty, replay everything;
+/// a snapshot that verifies but belongs to a different deployment
+/// (engine, shard count) is a typed error.
 pub(crate) fn bootstrap_snapshot(
     snapshot_path: &Path,
     engine: RankPromotionEngine,
     shard_count: usize,
 ) -> Result<SnapshotBootstrap, ServeError> {
-    match read_snapshot(snapshot_path) {
+    if shard_count == 0 {
+        return Err(ServeError::InvalidShardCount { requested: 0 });
+    }
+    let snapshot_fallback = match read_snapshot(snapshot_path) {
         Ok(Some(payload)) => {
             let state = decode_snapshot(&payload, &engine, shard_count)?;
-            Ok(SnapshotBootstrap {
+            return Ok(SnapshotBootstrap {
                 service: ShardedPromotionService::from_parts(engine, state.store, state.tier),
                 hwm: state.next_event,
                 snapshot_loaded: true,
                 snapshot_fallback: false,
-            })
+            });
         }
-        Ok(None) => Ok(SnapshotBootstrap {
-            service: ShardedPromotionService::try_new(engine, shard_count)?,
-            hwm: 0,
-            snapshot_loaded: false,
-            snapshot_fallback: false,
-        }),
-        Err(_) => Ok(SnapshotBootstrap {
-            service: ShardedPromotionService::try_new(engine, shard_count)?,
-            hwm: 0,
-            snapshot_loaded: false,
-            snapshot_fallback: true,
-        }),
-    }
+        Ok(None) => false,
+        Err(_) => true,
+    };
+    Ok(SnapshotBootstrap {
+        service: ShardedPromotionService::new(engine, shard_count),
+        hwm: 0,
+        snapshot_loaded: false,
+        snapshot_fallback,
+    })
 }
 
 /// The replay loop shared by [`DurableService::open`] and the replica:
@@ -614,6 +615,9 @@ fn decode_snapshot(
     }
     let store = ShardedStore::from_value(field("store")?)
         .map_err(|e| recovery(format!("snapshot store: {e}")))?;
+    if store.shard_count() == 0 {
+        return Err(recovery("snapshot store has zero shards".to_string()));
+    }
     if store.shard_count() != shard_count {
         return Err(recovery(format!(
             "snapshot has {} shards, the service was opened with {shard_count}",

@@ -1,9 +1,12 @@
 //! # rrp-serve — sharded batch serving over randomized rank promotion
 //!
 //! The paper pitches rank promotion as something a production search engine
-//! embeds; this crate is the serving tier of that picture. It partitions a
-//! document store across N shards, answers batches of queries on std
-//! scoped threads, and keeps its ranking state **alive across batches** in
+//! embeds; this crate is the serving tier of that picture. It keeps the
+//! corpus as one document table indexed by global sequence number (its
+//! shard count is a routing label: [`ShardedStore::shard_of_id`] and
+//! [`ShardedStore::shard_len`] report the id-hash routing, and recovery
+//! checks it), answers batches of queries on std scoped threads, and
+//! keeps its ranking state **alive across batches** in
 //! one corpus-wide [`rrp_core::CorpusCache`] over global slots — the
 //! paper's one popularity list `L_d` and one promotion pool `L_p`,
 //! whatever the store's shard count. Mutations

@@ -163,9 +163,10 @@ impl std::fmt::Debug for StoreGuard<'_> {
 
 /// Serves randomized rank promotion over a sharded document store.
 ///
-/// The service owns the corpus (partitioned across N shards by document-id
-/// hash, as an index tier would be) and answers large batches of queries on
-/// std scoped threads. Five properties make it safe to scale:
+/// The service owns the corpus (one document table in global sequence
+/// order; its shard count is a routing label that document ids hash onto,
+/// as an index tier would partition them) and answers large batches of
+/// queries on std scoped threads. Five properties make it safe to scale:
 ///
 /// 1. **Shard-count independence** — ranking is defined over the store's
 ///    canonical snapshot order, so 1-shard and 64-shard deployments answer
@@ -331,8 +332,8 @@ impl ShardedPromotionService {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Insert one document into its shard, returning its global sequence
-    /// number — the handle for [`record_visit`](Self::record_visit) and
+    /// Insert one document, returning its global sequence number — the
+    /// handle for [`record_visit`](Self::record_visit) and
     /// [`update_popularity`](Self::update_popularity) and the document's
     /// slot in the serving cache, which is extended in place (`O(1)`): the
     /// new slot joins the popularity order at the next publication via
@@ -341,7 +342,8 @@ impl ShardedPromotionService {
         let mut writer = self.writer.lock().expect("writer lock");
         let WriterState { store, tier } = &mut *writer;
         let seq = store.insert(document);
-        tier.push(store.shard_of_id(document.id), &document);
+        // The cache ignores the shard argument: its slots are global.
+        tier.push(0, &document);
         self.epoch.fetch_add(1, Ordering::Release);
         seq
     }
@@ -359,19 +361,7 @@ impl ShardedPromotionService {
     /// dirty. Returns `false` if no such sequence exists (and the epoch
     /// does not move).
     pub fn record_visit(&self, seq: u64) -> bool {
-        let mut writer = self.writer.lock().expect("writer lock");
-        let WriterState { store, tier } = &mut *writer;
-        match store.record_visit(seq) {
-            Some(document) => {
-                let slot = store
-                    .slot_of(seq)
-                    .expect("a recorded visit has a placement slot");
-                tier.patch(slot, &document);
-                self.epoch.fetch_add(1, Ordering::Release);
-                true
-            }
-            None => false,
-        }
+        self.try_record_visit(seq).is_ok()
     }
 
     /// Replace the popularity score of the document with sequence number
@@ -379,19 +369,7 @@ impl ShardedPromotionService {
     /// place and marked dirty. Returns `false` if no such sequence exists
     /// (and the epoch does not move).
     pub fn update_popularity(&self, seq: u64, popularity: f64) -> bool {
-        let mut writer = self.writer.lock().expect("writer lock");
-        let WriterState { store, tier } = &mut *writer;
-        match store.update_popularity(seq, popularity) {
-            Some(document) => {
-                let slot = store
-                    .slot_of(seq)
-                    .expect("an updated document has a placement slot");
-                tier.patch(slot, &document);
-                self.epoch.fetch_add(1, Ordering::Release);
-                true
-            }
-            None => false,
-        }
+        self.try_update_popularity(seq, popularity).is_ok()
     }
 
     /// [`record_visit`](Self::record_visit) with the failure typed: an
@@ -399,14 +377,7 @@ impl ShardedPromotionService {
     /// [`ServeError::UnknownSequence`](crate::ServeError::UnknownSequence),
     /// and the serving state is untouched.
     pub fn try_record_visit(&self, seq: u64) -> Result<(), crate::ServeError> {
-        if self.record_visit(seq) {
-            Ok(())
-        } else {
-            Err(crate::ServeError::UnknownSequence {
-                seq,
-                len: self.store().len() as u64,
-            })
-        }
+        self.mutate(seq, |store| store.record_visit(seq))
     }
 
     /// [`update_popularity`](Self::update_popularity) with the failure
@@ -418,14 +389,29 @@ impl ShardedPromotionService {
         seq: u64,
         popularity: f64,
     ) -> Result<(), crate::ServeError> {
-        if self.update_popularity(seq, popularity) {
-            Ok(())
-        } else {
-            Err(crate::ServeError::UnknownSequence {
+        self.mutate(seq, |store| store.update_popularity(seq, popularity))
+    }
+
+    /// Apply one store mutation to the document at `seq`, patch its cached
+    /// slot and bump the epoch, all under one writer guard. An unknown
+    /// sequence reports the store length read under that same guard, so a
+    /// concurrent insert can never make the error claim `seq < len`.
+    fn mutate(
+        &self,
+        seq: u64,
+        apply: impl FnOnce(&mut ShardedStore) -> Option<Document>,
+    ) -> Result<(), crate::ServeError> {
+        let mut writer = self.writer.lock().expect("writer lock");
+        let WriterState { store, tier } = &mut *writer;
+        let Some((document, slot)) = apply(store).zip(store.slot_of(seq)) else {
+            return Err(crate::ServeError::UnknownSequence {
                 seq,
-                len: self.store().len() as u64,
-            })
-        }
+                len: store.len() as u64,
+            });
+        };
+        tier.patch(slot, &document);
+        self.epoch.fetch_add(1, Ordering::Release);
+        Ok(())
     }
 
     /// The serving version for the current epoch: the published one if it
@@ -1064,7 +1050,7 @@ mod tests {
     }
 
     #[test]
-    fn a_top_k_batch_retrieves_once_and_answers_like_sequential_reads() {
+    fn a_top_k_batch_publishes_once_and_answers_like_sequential_reads() {
         // The batch half of the top-k contract: one top-k batch, whatever
         // its size, worker or store shard count, ranks straight from the
         // one corpus-wide cache (the shard-retrieval and order-merge

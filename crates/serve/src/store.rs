@@ -1,91 +1,88 @@
-//! A document store partitioned across shards.
+//! The document store: one table of documents in global sequence order.
 //!
-//! Documents are routed to shards by a stable hash of their id, as a real
-//! deployment would partition a corpus across index servers. Every insert
-//! also receives a *global sequence number*; the canonical snapshot order
-//! (and therefore every ranking decision) is defined by that sequence, not
-//! by the shard layout — so re-sharding the same corpus from 1 to N shards
-//! never changes a single query result.
+//! Every insert receives a *global sequence number*, dense (`0..len`, no
+//! removal path): it is the document's index in the table, its stable
+//! mutation handle ([`record_visit`](ShardedStore::record_visit),
+//! [`update_popularity`](ShardedStore::update_popularity)) and its slot in
+//! the canonical snapshot and the serving cache — which is what lets the
+//! serving tier map store mutations straight onto dirty slots. Ranking is
+//! defined by that order alone.
 //!
-//! The sequence number doubles as the document's stable mutation handle:
-//! [`record_visit`](ShardedStore::record_visit) and
-//! [`update_popularity`](ShardedStore::update_popularity) address documents
-//! by it, and because sequences are dense (`0..len`, no removal path) it is
-//! also the document's slot in the canonical snapshot — which is what lets
-//! the serving tier map store mutations straight onto dirty snapshot slots.
+//! The shard count is a routing label, not a layout. Documents route to
+//! shards by a stable hash of their id, as a real deployment would
+//! partition a corpus across index servers: [`shard_of_id`] and
+//! [`shard_len`] report that routing, and recovery checks a snapshot's
+//! shard count against the deployment's. No state is kept per shard, so
+//! re-sharding the same corpus from 1 to N shards never changes a single
+//! query result.
+//!
+//! [`shard_of_id`]: ShardedStore::shard_of_id
+//! [`shard_len`]: ShardedStore::shard_len
 
 use crate::error::ServeError;
 use rrp_core::Document;
 use serde::{Deserialize, Serialize};
 
-/// A sharded document store with a canonical, shard-count-independent
-/// snapshot order.
+/// A document store indexed by global sequence number, with a shard count
+/// that routes document ids but never changes the snapshot order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardedStore {
-    /// Per-shard `(sequence, document)` pairs; each shard is ascending in
-    /// sequence because inserts are globally ordered.
-    shards: Vec<Vec<(u64, Document)>>,
-    /// Dense `sequence → (shard, index)` placement map, appended on every
-    /// insert. Sequences are dense (`0..len`, no removal path), so its
-    /// length is also the total document count, and every mutation handle
-    /// resolves in `O(1)` — the old per-mutation binary search over every
-    /// shard was `O(shards · log n)`. `u32` halves the map's footprint;
-    /// it caps shards and per-shard lengths at `u32::MAX`, far beyond the
-    /// in-memory corpus this store can hold anyway.
-    placement: Vec<(u32, u32)>,
+    /// The number of shards document ids route to (at least 1).
+    shard_count: usize,
+    /// Every document, indexed by its global sequence number.
+    documents: Vec<Document>,
 }
 
 impl ShardedStore {
-    /// An empty store with `shard_count` partitions (at least 1).
+    /// An empty store with `shard_count` shards (at least 1).
     pub fn new(shard_count: usize) -> Self {
         ShardedStore {
-            shards: vec![Vec::new(); shard_count.max(1)],
-            placement: Vec::new(),
+            shard_count: shard_count.max(1),
+            documents: Vec::new(),
         }
     }
 
     /// Number of shards.
     #[inline]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shard_count
     }
 
-    /// Total number of stored documents. `O(1)`: sequences are dense with
-    /// no removal path, so the placement map's length *is* the count (a
-    /// per-shard sum would be `O(shards)` on a per-batch call).
+    /// Total number of stored documents.
     #[inline]
     pub fn len(&self) -> usize {
-        debug_assert_eq!(
-            self.shards.iter().map(Vec::len).sum::<usize>(),
-            self.placement.len()
-        );
-        self.placement.len()
+        self.documents.len()
     }
 
     /// Whether the store holds no documents.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.placement.is_empty()
+        self.documents.is_empty()
     }
 
-    /// Number of documents on one shard. A shard index past the
-    /// partition count is a typed [`ServeError::ShardOutOfRange`] —
+    /// Number of documents whose id routes to `shard`, counted in one
+    /// `O(n)` pass (the store keeps no per-shard state). A shard index
+    /// past the shard count is a typed [`ServeError::ShardOutOfRange`] —
     /// monitoring endpoints feed this from deployment config, which must
     /// not be able to abort the process.
     pub fn shard_len(&self, shard: usize) -> Result<usize, ServeError> {
-        self.shards
-            .get(shard)
-            .map(Vec::len)
-            .ok_or(ServeError::ShardOutOfRange {
+        if shard >= self.shard_count {
+            return Err(ServeError::ShardOutOfRange {
                 shard,
-                shards: self.shards.len(),
-            })
+                shards: self.shard_count,
+            });
+        }
+        Ok(self
+            .documents
+            .iter()
+            .filter(|document| self.shard_of_id(document.id) == shard)
+            .count())
     }
 
     /// The shard a document with `id` routes to.
     #[inline]
     pub fn shard_of_id(&self, id: u64) -> usize {
-        shard_of(id, self.shards.len())
+        shard_of(id, self.shard_count)
     }
 
     /// Insert one document, returning its global sequence number — the
@@ -93,26 +90,18 @@ impl ShardedStore {
     /// [`update_popularity`](Self::update_popularity) calls, and the
     /// document's slot in the canonical snapshot.
     pub fn insert(&mut self, document: Document) -> u64 {
-        let seq = self.placement.len() as u64;
-        let shard = shard_of(document.id, self.shards.len());
-        self.placement
-            .push((shard as u32, self.shards[shard].len() as u32));
-        self.shards[shard].push((seq, document));
-        seq
+        self.documents.push(document);
+        self.documents.len() as u64 - 1
     }
 
     /// Insert every document of an iterator, in order.
     pub fn extend(&mut self, documents: impl IntoIterator<Item = Document>) {
-        for document in documents {
-            self.insert(document);
-        }
+        self.documents.extend(documents);
     }
 
-    /// The document with global sequence number `seq`, if it exists —
-    /// `O(1)` through the placement map.
+    /// The document with global sequence number `seq`, if it exists.
     pub fn get(&self, seq: u64) -> Option<&Document> {
-        self.locate(seq)
-            .map(|(shard, index)| &self.shards[shard][index].1)
+        Some(&self.documents[self.slot_of(seq)?])
     }
 
     /// Record a user visit to the document with sequence number `seq`:
@@ -120,8 +109,8 @@ impl ShardedStore {
     /// from the selective promotion pool). Returns the updated document,
     /// or `None` if no such sequence exists.
     pub fn record_visit(&mut self, seq: u64) -> Option<Document> {
-        let (shard, index) = self.locate(seq)?;
-        let document = &mut self.shards[shard][index].1;
+        let slot = self.slot_of(seq)?;
+        let document = &mut self.documents[slot];
         document.is_unexplored = false;
         Some(*document)
     }
@@ -130,8 +119,8 @@ impl ShardedStore {
     /// `seq` (clamped to be non-negative). Returns the updated document,
     /// or `None` if no such sequence exists.
     pub fn update_popularity(&mut self, seq: u64, popularity: f64) -> Option<Document> {
-        let (shard, index) = self.locate(seq)?;
-        let document = &mut self.shards[shard][index].1;
+        let slot = self.slot_of(seq)?;
+        let document = &mut self.documents[slot];
         document.popularity = popularity.max(0.0);
         Some(*document)
     }
@@ -144,64 +133,27 @@ impl ShardedStore {
     #[inline]
     pub fn slot_of(&self, seq: u64) -> Option<usize> {
         let slot = usize::try_from(seq).ok()?;
-        (slot < self.placement.len()).then_some(slot)
-    }
-
-    /// Find `(shard, index)` of the entry with sequence `seq` — one
-    /// placement-map read, `O(1)` for every mutation instead of a binary
-    /// search over every shard.
-    fn locate(&self, seq: u64) -> Option<(usize, usize)> {
-        let &(shard, index) = self.placement.get(self.slot_of(seq)?)?;
-        debug_assert_eq!(self.shards[shard as usize][index as usize].0, seq);
-        Some((shard as usize, index as usize))
+        (slot < self.documents.len()).then_some(slot)
     }
 
     /// Write the canonical snapshot — all documents in global insertion
-    /// order, independent of the shard layout — into `out` (cleared first).
-    ///
-    /// Sequence numbers are dense (`0..len`, assigned by `insert` with no
-    /// removal path), so each shard's documents scatter directly to their
-    /// final position: one `O(n)` pass, independent of the shard count.
+    /// order — into `out` (cleared first): one slice copy.
     pub fn snapshot_into(&self, out: &mut Vec<Document>) {
         out.clear();
-        out.resize(self.len(), Document::unexplored(0));
-        // The `unexplored(0)` pre-fill is storage, never content: every
-        // slot must be overwritten by exactly one shard entry, or the
-        // snapshot would silently serve placeholder documents.
-        #[cfg(debug_assertions)]
-        let mut written = vec![false; out.len()];
-        for shard in &self.shards {
-            for &(seq, document) in shard {
-                #[cfg(debug_assertions)]
-                {
-                    assert!(!written[seq as usize], "sequence {seq} written twice");
-                    written[seq as usize] = true;
-                }
-                out[seq as usize] = document;
-            }
-        }
-        #[cfg(debug_assertions)]
-        assert!(
-            written.iter().all(|&w| w),
-            "every snapshot slot must be written exactly once"
-        );
+        out.extend_from_slice(&self.documents);
     }
 
     /// The canonical snapshot as a fresh vector.
     pub fn snapshot(&self) -> Vec<Document> {
-        let mut out = Vec::new();
-        self.snapshot_into(&mut out);
-        out
+        self.documents.clone()
     }
 }
 
 /// Stable shard routing: SplitMix64-style mix of the document id, reduced
 /// onto `0..shards` with a Lemire multiply-shift (`(hash · shards) >> 64`)
-/// instead of an integer division — the reduction sits on every insert and
-/// lookup, and `%` costs 20–40 cycles where the multiply-high costs ~3.
-/// Deterministic across runs and platforms. (The routing changed from the
-/// old `%` reduction in the same change that made it cheaper; shard layout
-/// is invisible in query results, so routing is free to evolve.)
+/// instead of an integer division (`%` costs 20–40 cycles where the
+/// multiply-high costs ~3). Deterministic across runs and platforms. Shard
+/// routing is invisible in query results, so it is free to evolve.
 fn shard_of(id: u64, shards: usize) -> usize {
     let mut z = id.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -332,10 +284,9 @@ mod tests {
 
     #[test]
     fn mutations_agree_across_shard_counts() {
-        // Regression for the placement map: `locate` must resolve every
-        // sequence to the same document at any shard count, so a mutation
-        // schedule leaves 1-, 2- and 8-shard stores with identical
-        // canonical snapshots.
+        // Every sequence addresses the same document at any shard count,
+        // so a mutation schedule leaves 1-, 2- and 8-shard stores with
+        // identical canonical snapshots.
         let reference = docs(120);
         let snapshots: Vec<Vec<Document>> = [1usize, 2, 8]
             .into_iter()

@@ -9,7 +9,7 @@ mod common;
 use common::{apply_mutation_durable, arb_ops, assert_same_corpus, queries, ServeShape, TempDir};
 use proptest::prelude::*;
 use rrp_core::model::PageId;
-use rrp_core::{CorpusCache, Document, RankPromotionEngine};
+use rrp_core::{CorpusCache, Document, RankPromotionEngine, ShardedCorpusCache};
 use rrp_ranking::PageStats;
 use rrp_serve::{
     BootstrapSource, DurableService, ReplicaService, ServeError, ShardedPromotionService,
@@ -252,11 +252,44 @@ fn a_corrupt_snapshot_falls_back_to_full_log_replay() {
     );
 }
 
-/// The payload a snapshot held before the serving tier became one
-/// corpus-wide cache: one `CorpusCache` per store shard under local slots,
-/// with the local→global maps and the global placement, page, membership
-/// and pool arrays beside them.
-fn parent_shaped_payload(store: &ShardedStore, engine: RankPromotionEngine, next: u64) -> String {
+/// The store as snapshot versions 1 and 2 laid it out, written by hand:
+/// per-shard `(sequence, document)` lists beside a dense
+/// `sequence → (shard, index)` placement map.
+fn per_shard_store(store: &ShardedStore) -> Value {
+    let mut shards: Vec<Vec<(u64, Document)>> = vec![Vec::new(); store.shard_count()];
+    let mut placement: Vec<(u32, u32)> = Vec::new();
+    for (seq, doc) in store.snapshot().into_iter().enumerate() {
+        let shard = store.shard_of_id(doc.id);
+        placement.push((shard as u32, shards[shard].len() as u32));
+        shards[shard].push((seq as u64, doc));
+    }
+    Value::Map(vec![
+        ("shards".to_string(), shards.to_value()),
+        ("placement".to_string(), placement.to_value()),
+    ])
+}
+
+/// A snapshot payload around the per-shard store and the given serving
+/// tier.
+fn payload_with_tier(
+    store: &ShardedStore,
+    tier: Value,
+    engine: RankPromotionEngine,
+    next: u64,
+) -> String {
+    let value = Value::Map(vec![
+        ("engine".to_string(), engine.to_value()),
+        ("store".to_string(), per_shard_store(store)),
+        ("shards".to_string(), tier),
+        ("next_event".to_string(), next.to_value()),
+    ]);
+    serde_json::to_string(&value).unwrap()
+}
+
+/// The version-1 payload: beside the per-shard store, one `CorpusCache`
+/// per store shard under local slots, with the local→global maps and the
+/// global placement, page, membership and pool arrays.
+fn version_1_payload(store: &ShardedStore, engine: RankPromotionEngine, next: u64) -> String {
     let docs = store.snapshot();
     let mut shards: Vec<(Vec<PageStats>, Vec<usize>)> =
         vec![Default::default(); store.shard_count()];
@@ -288,13 +321,18 @@ fn parent_shaped_payload(store: &ShardedStore, engine: RankPromotionEngine, next
         ("pool_mask".to_string(), mask.to_value()),
         ("merged_pool".to_string(), pool.to_value()),
     ]);
-    let value = Value::Map(vec![
-        ("engine".to_string(), engine.to_value()),
-        ("store".to_string(), store.to_value()),
-        ("shards".to_string(), tier),
-        ("next_event".to_string(), next.to_value()),
-    ]);
-    serde_json::to_string(&value).unwrap()
+    payload_with_tier(store, tier, engine, next)
+}
+
+/// The version-2 payload: beside the per-shard store, the serving tier as
+/// one corpus-wide cache over global slots.
+fn version_2_payload(store: &ShardedStore, engine: RankPromotionEngine, next: u64) -> String {
+    let mut tier = ShardedCorpusCache::new(store.shard_count());
+    tier.set_pool_maintained(engine.reads_pool_index());
+    for doc in store.snapshot() {
+        tier.push(0, &doc);
+    }
+    payload_with_tier(store, tier.to_value(), engine, next)
 }
 
 /// A snapshot envelope of `version` around `payload`, as the writer of
@@ -327,58 +365,70 @@ fn a_parent_format_snapshot_falls_back_to_full_log_replay() {
     twin.record_visit(4);
     drop(durable);
 
-    // Overwrite the snapshot with what the previous format wrote at the
-    // same point: a version-1 envelope around the per-shard payload.
-    let payload = parent_shaped_payload(&twin.store(), engine(5), 20);
-    std::fs::write(dir.snapshot_path(), envelope(1, payload.as_bytes())).unwrap();
-
     let qs = queries(4, 17);
     let expected = twin.rerank_batch(&qs);
+    let store = twin.store().clone();
+    let old_formats = [
+        (1, version_1_payload(&store, engine(5), 20)),
+        (2, version_2_payload(&store, engine(5), 20)),
+    ];
+    for (version, payload) in old_formats {
+        // Overwrite the snapshot with what that format wrote at the same
+        // point.
+        std::fs::write(dir.snapshot_path(), envelope(version, payload.as_bytes())).unwrap();
 
-    // A replica goes around it and replays the whole log.
-    let replica = std::panic::catch_unwind(|| {
-        let mut replica = ReplicaService::open(dir.path(), engine(5), 2)?;
-        replica.catch_up()?;
-        Ok::<_, ServeError>(replica)
-    })
-    .expect("opening over an old-format snapshot must not panic")
-    .unwrap();
-    assert_eq!(
-        replica.stats().bootstrap_source,
-        BootstrapSource::SnapshotFallback
-    );
-    assert_eq!(
-        replica.stats().events_applied,
-        21,
-        "the whole history replays"
-    );
-    assert_same_corpus(&replica.store().snapshot(), &twin.store().snapshot());
-    assert_eq!(replica.service().rerank_batch(&qs), expected);
-    drop(replica);
+        // A replica goes around it and replays the whole log.
+        let replica = std::panic::catch_unwind(|| {
+            let mut replica = ReplicaService::open(dir.path(), engine(5), 2)?;
+            replica.catch_up()?;
+            Ok::<_, ServeError>(replica)
+        })
+        .expect("opening over an old-format snapshot must not panic")
+        .unwrap();
+        assert_eq!(
+            replica.stats().bootstrap_source,
+            BootstrapSource::SnapshotFallback,
+            "version {version}"
+        );
+        assert_eq!(
+            replica.stats().events_applied,
+            21,
+            "version {version}: the whole history replays"
+        );
+        assert_same_corpus(&replica.store().snapshot(), &store.snapshot());
+        assert_eq!(replica.service().rerank_batch(&qs), expected);
+        drop(replica);
 
-    // So does the leader's recovery.
-    let (recovered, report) =
-        std::panic::catch_unwind(|| DurableService::open(dir.path(), engine(5), 2))
-            .expect("opening over an old-format snapshot must not panic")
-            .unwrap();
-    assert!(report.snapshot_fallback);
-    assert!(!report.snapshot_loaded);
-    assert_eq!(report.events_replayed, 21, "the whole history replays");
-    assert_same_corpus(&recovered.store().snapshot(), &twin.store().snapshot());
-    assert_eq!(recovered.service().rerank_batch(&qs), expected);
-    drop(recovered);
+        // So does the leader's recovery.
+        let (recovered, report) =
+            std::panic::catch_unwind(|| DurableService::open(dir.path(), engine(5), 2))
+                .expect("opening over an old-format snapshot must not panic")
+                .unwrap();
+        assert!(report.snapshot_fallback, "version {version}");
+        assert!(!report.snapshot_loaded, "version {version}");
+        assert_eq!(
+            report.events_replayed, 21,
+            "version {version}: the whole history replays"
+        );
+        assert_same_corpus(&recovered.store().snapshot(), &store.snapshot());
+        assert_eq!(recovered.service().rerank_batch(&qs), expected);
+        drop(recovered);
 
-    // The version bump is what routes around it: the same payload in a
-    // current envelope verifies, fails to decode, and fails `open`.
-    std::fs::write(
-        dir.snapshot_path(),
-        envelope(SNAPSHOT_VERSION, payload.as_bytes()),
-    )
-    .unwrap();
-    assert!(matches!(
-        DurableService::open(dir.path(), engine(5), 2),
-        Err(ServeError::Recovery { .. })
-    ));
+        // The version bump is what routes around it: the same payload in
+        // a current envelope verifies, fails to decode, and fails `open`.
+        std::fs::write(
+            dir.snapshot_path(),
+            envelope(SNAPSHOT_VERSION, payload.as_bytes()),
+        )
+        .unwrap();
+        assert!(
+            matches!(
+                DurableService::open(dir.path(), engine(5), 2),
+                Err(ServeError::Recovery { .. })
+            ),
+            "version {version}"
+        );
+    }
 }
 
 #[test]

@@ -8,7 +8,11 @@ mod common;
 
 use common::{queries, seed_service, TempDir};
 use rrp_core::{Document, RankPromotionEngine};
-use rrp_serve::{DurableService, ServeError, ShardedPromotionService, ShardedStore};
+use rrp_serve::{
+    DurableService, ReplicaService, ServeError, ShardedPromotionService, ShardedStore,
+};
+use rrp_wal::snapshot::{read_snapshot, write_snapshot_atomic};
+use serde::{Serialize, Value};
 
 fn engine() -> RankPromotionEngine {
     RankPromotionEngine::recommended().with_seed(99)
@@ -92,6 +96,99 @@ fn a_durable_service_cannot_open_with_zero_shards() {
             panic!("expected InvalidShardCount, got {other:?}");
         }
     }
+
+    // The same error, not a recovery failure, when a valid snapshot is on
+    // disk — for the leader and for a replica.
+    let (mut durable, _) = DurableService::open(dir.path(), engine(), 2).unwrap();
+    durable.extend((0..6).map(Document::unexplored)).unwrap();
+    durable.snapshot_now().unwrap();
+    drop(durable);
+    match DurableService::open(dir.path(), engine(), 0) {
+        Err(ServeError::InvalidShardCount { requested: 0 }) => {}
+        other => {
+            let other = other.map(|_| "a service");
+            panic!("leader: expected InvalidShardCount, got {other:?}");
+        }
+    }
+    match ReplicaService::open(dir.path(), engine(), 0) {
+        Err(ServeError::InvalidShardCount { requested: 0 }) => {}
+        other => {
+            let other = other.map(|_| "a replica");
+            panic!("replica: expected InvalidShardCount, got {other:?}");
+        }
+    }
+
+    // A checksum-valid snapshot whose store claims zero shards verifies,
+    // so decoding must reject it — whatever shard count `open` asks for.
+    let payload = read_snapshot(&dir.snapshot_path()).unwrap().unwrap();
+    let mut value: Value = serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
+    let Value::Map(fields) = &mut value else {
+        unreachable!("a snapshot payload is a map")
+    };
+    let (_, Value::Map(store)) = fields.iter_mut().find(|(name, _)| name == "store").unwrap()
+    else {
+        unreachable!("the store serializes as a map")
+    };
+    let (_, shard_count) = store
+        .iter_mut()
+        .find(|(name, _)| name == "shard_count")
+        .unwrap();
+    *shard_count = 0usize.to_value();
+    let payload = serde_json::to_string(&value).unwrap();
+    write_snapshot_atomic(&dir.snapshot_path(), payload.as_bytes()).unwrap();
+    for shards in [1, 2] {
+        match DurableService::open(dir.path(), engine(), shards) {
+            Err(ServeError::Recovery { detail }) => {
+                assert!(detail.contains("zero shards"), "{detail}")
+            }
+            other => {
+                let other = other.map(|_| "a service");
+                panic!("leader: expected Recovery, got {other:?}");
+            }
+        }
+        match ReplicaService::open(dir.path(), engine(), shards) {
+            Err(ServeError::Recovery { detail }) => {
+                assert!(detail.contains("zero shards"), "{detail}")
+            }
+            other => {
+                let other = other.map(|_| "a replica");
+                panic!("replica: expected Recovery, got {other:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn unknown_sequence_errors_read_the_length_under_the_failed_lookup() {
+    // A writer inserts while a reader targets the current length: every
+    // rejection must report a length the sequence is not below — the
+    // length the failed lookup saw, not one read after a later insert.
+    let service = ShardedPromotionService::new(engine(), 2);
+    let inserts = 2_000u64;
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for i in 0..inserts {
+                service.insert(Document::unexplored(i));
+            }
+        });
+        loop {
+            let len = service.store().len() as u64;
+            if let Err(error) = service.try_record_visit(len) {
+                match error {
+                    ServeError::UnknownSequence { seq, len } => {
+                        assert!(
+                            seq >= len,
+                            "sequence {seq} reported unknown at length {len}"
+                        )
+                    }
+                    other => panic!("expected UnknownSequence, got {other:?}"),
+                }
+            }
+            if len == inserts {
+                break;
+            }
+        }
+    });
 }
 
 #[test]

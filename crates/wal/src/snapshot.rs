@@ -25,8 +25,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RRPSNAP0";
 /// shape does, so a snapshot written in an older shape fails verification
 /// (and recovery replays the log around it) instead of failing to decode.
 /// Version 2: the serving tier is one corpus-wide cache, no longer one
-/// cache per shard.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// cache per shard. Version 3: the store is one document table in
+/// sequence order, no longer per-shard `(sequence, document)` lists with
+/// a placement map.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const ENVELOPE_LEN: usize = 8 + 4 + 8 + 4;
 
