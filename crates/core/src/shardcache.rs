@@ -759,7 +759,7 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "is_consistent")]
-    fn an_unmarked_mutation_trips_the_membership_assertion() {
+    fn unmarked_shard_local_mutation_trips_the_membership_assertion() {
         use serde::Value;
         let mut docs = documents(12);
         let mut cache = filled(&docs);
