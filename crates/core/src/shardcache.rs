@@ -24,23 +24,29 @@
 //!   into the version by `Arc` clone. Readers rank against a version
 //!   without any lock.
 //!
-//! Publication is `O(dirty)` apart from block copies — no step walks all
-//! `n` slots one by one:
+//! Publication repairs each slot mutated since the last publication
+//! exactly once, in one copying pass out of the live version:
 //!
-//! * the popularity order is repaired with `O(d log n)` binary searches
-//!   plus block moves
-//!   ([`PopularityIndex::repair`](rrp_ranking::PopularityIndex::repair)),
-//!   and the pool with an `O(d)` membership check that stops there when
-//!   nothing flipped ([`PoolIndex::repair`](rrp_ranking::PoolIndex::repair));
-//! * the cache is **recycled**: the writer keeps a *diff log* of every slot
-//!   mutated since the last publication, and when a version retires
+//! * the writer's popularity order is written from the live order
+//!   ([`CorpusCache::repair_from`]): each dirty slot's old position and
+//!   new place are found by `2·d` binary searches run in lockstep against
+//!   the live order, whose stats hold every dirty slot's old key, and the
+//!   order is copied across once, leaving out the dirty slots' old entries
+//!   and writing them in at their new places — `2·d` lockstep searches
+//!   plus one `n`-entry copy. The pool costs an `O(d)` membership check
+//!   against the live mask and one copying edit of the live member list;
+//! * the cache is **recycled**: when a version retires
 //!   ([`recycle`](ShardedCorpusCache::recycle)) its uniquely-held cache is
-//!   reclaimed and caught up by replaying exactly that diff — the retired
-//!   generation is one publication behind, so the diff is precisely what
-//!   it is missing. If a straggling reader still holds the retired
-//!   version, recycling is skipped and the next mutation falls back to
-//!   copy-on-write (`Arc::make_mut`) — correct at any interleaving, merely
-//!   paying a one-time copy.
+//!   reclaimed and caught up by copying the live stats and pool-mask bits
+//!   at the slots the new version repaired ([`CorpusCache::catch_up`]), so
+//!   the reclaimed writer differs from the live version exactly at its own
+//!   dirty slots. Its order and member list stay scratch until the next
+//!   publication overwrites them — nothing is repaired twice — and
+//!   serialization reads the live ones in their place. If a straggling
+//!   reader still holds the
+//!   retired version, recycling is skipped and the next mutation falls
+//!   back to copy-on-write (`Arc::make_mut`) — correct at any
+//!   interleaving, merely paying a one-time copy.
 //!
 //! Every read — full rerank, the Uniform rule's per-page coin scan and a
 //! selective top-k — ranks from the version's
@@ -53,7 +59,7 @@ use crate::document::Document;
 use crate::engine::RankPromotionEngine;
 use rrp_model::PageId;
 use rrp_ranking::{CorpusCache, RankSource, ShardCandidates};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
 /// An immutable, epoch-stamped snapshot of the serving tier: the repaired
@@ -167,43 +173,34 @@ impl PublishedVersion {
 }
 
 /// The writer generation of the serving tier: one [`CorpusCache`] over
-/// global slots, a diff log of the slots mutated since the last
-/// publication, and epoch-stamped immutable publication for concurrent
-/// readers (see the module docs for the two-generation layout).
+/// global slots, the live cache it publishes edits from, and
+/// epoch-stamped immutable publication for concurrent readers (see the
+/// module docs for the two-generation layout).
 ///
 /// Its serialised form is what a snapshot stores for the serving tier.
 /// `benchmark/` writes the same form and compares snapshot bytes, so the
 /// shape changes only together with it.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
 pub struct ShardedCorpusCache {
     cache: Arc<CorpusCache>,
-    /// The diff log: slots mutated since the last publication, in arrival
-    /// order (pushes therefore ascend), deduplicated via `since_mask` so it
-    /// is bounded by the corpus size.
+    /// The cache of the last published version, while the writer's stats
+    /// and pool mask equal it everywhere but at the writer's dirty slots:
+    /// the source [`publish`](Self::publish) edits the writer's order and
+    /// member list from, and the valid ones the writer serializes (its own
+    /// are scratch after a [`recycle`](Self::recycle)). `None` after
+    /// deserialisation and after a pool-maintenance toggle: the writer's
+    /// own index is valid then, and the next publication repairs it in
+    /// place.
     #[serde(skip)]
-    since_publish: Vec<usize>,
-    /// Parallel to `since_publish`: whether each slot was a pool member at
-    /// the last publication, so publication can tell a net membership
-    /// flip in `O(dirty)`.
-    #[serde(skip)]
-    was_member: Vec<bool>,
-    /// Per-slot "already in `since_publish`" mask (reset at publication).
-    #[serde(skip)]
-    since_mask: Vec<bool>,
-    /// Whether `since_publish` is a *complete* diff against the currently
-    /// published version. False after deserialisation — publication then
-    /// charges from the actual repair and skips recycling once, falling
-    /// back to copy-on-write.
-    #[serde(skip)]
-    diff_log_intact: bool,
+    live: Option<Arc<CorpusCache>>,
     /// Whether pool maintenance was toggled on a non-empty cache since the
     /// last publication: the pool was re-derived wholesale, so the next
     /// version counts as a pool repair.
     #[serde(skip)]
     pool_toggled: bool,
-    /// The diff consumed by the last [`publish`](Self::publish), retained
-    /// for the follow-up [`recycle`](Self::recycle): the retiring version
-    /// lags the new one by exactly these slots.
+    /// The slots the last [`publish`](Self::publish) repaired, retained for
+    /// the follow-up [`recycle`](Self::recycle): the retiring version lags
+    /// the new one by exactly these slots.
     #[serde(skip)]
     recycle_diff: Vec<usize>,
     /// Whether `recycle_diff` is a complete catch-up diff for the version
@@ -217,12 +214,10 @@ impl ShardedCorpusCache {
     /// corpus-wide); the parameter exists only because `benchmark/` calls
     /// this signature.
     pub fn new(_shard_count: usize) -> Self {
+        let cache = Arc::new(CorpusCache::new());
         ShardedCorpusCache {
-            cache: Arc::new(CorpusCache::new()),
-            since_publish: Vec::new(),
-            was_member: Vec::new(),
-            since_mask: Vec::new(),
-            diff_log_intact: true,
+            live: Some(cache.clone()),
+            cache,
             pool_toggled: false,
             recycle_diff: Vec::new(),
             recycle_valid: false,
@@ -231,13 +226,26 @@ impl ShardedCorpusCache {
 
     /// Enable or disable pool maintenance (see
     /// [`CorpusCache::set_pool_maintained`]). A toggle re-derives the pool
-    /// wholesale; the retired version keeps the old setting, so the next
-    /// publication skips recycling once.
+    /// wholesale, so the writer no longer differs from the live version
+    /// only at its dirty slots: it first takes the live version's valid
+    /// order in place of its own scratch one, and the next publication
+    /// repairs in place and skips recycling once.
     pub fn set_pool_maintained(&mut self, maintained: bool) {
-        if maintained != self.pool_maintained() {
-            Arc::make_mut(&mut self.cache).set_pool_maintained(maintained);
-            self.pool_toggled |= !self.is_empty();
+        if maintained == self.pool_maintained() {
+            return;
         }
+        let cache = Arc::make_mut(&mut self.cache);
+        if cache.is_empty() {
+            // Nothing to publish yet: an empty writer is its own source.
+            cache.set_pool_maintained(maintained);
+            self.live = Some(self.cache.clone());
+            return;
+        }
+        if let Some(live) = self.live.take() {
+            cache.adopt_order_of(&live);
+        }
+        cache.set_pool_maintained(maintained);
+        self.pool_toggled = true;
     }
 
     /// Whether pool maintenance is enabled (see
@@ -263,20 +271,6 @@ impl ShardedCorpusCache {
         self.cache.dirty_len()
     }
 
-    /// Record `slot` in the since-publication diff log (deduplicated),
-    /// with its pool membership at the last publication.
-    fn note_mutation(&mut self, slot: usize, was_member: bool) {
-        if self.since_mask.len() <= slot {
-            self.since_mask
-                .resize(self.cache.len().max(slot + 1), false);
-        }
-        if !self.since_mask[slot] {
-            self.since_mask[slot] = true;
-            self.since_publish.push(slot);
-            self.was_member.push(was_member);
-        }
-    }
-
     /// Append the document occupying the next global slot (`O(1)`
     /// amortised). Global slots are assigned densely in push order — they
     /// are the store's global sequence numbers. The shard argument is
@@ -284,7 +278,6 @@ impl ShardedCorpusCache {
     pub fn push(&mut self, _shard: usize, document: &Document) {
         let slot = self.cache.len();
         Arc::make_mut(&mut self.cache).push(RankPromotionEngine::document_stat(slot, document));
-        self.note_mutation(slot, false);
     }
 
     /// Patch the cached stats of the document at `slot` after a mutation,
@@ -292,61 +285,57 @@ impl ShardedCorpusCache {
     /// shared with a published version falls back to one copy-on-write
     /// clone).
     pub fn patch(&mut self, slot: usize, document: &Document) {
-        // Stats are patched eagerly, so before the first patch since the
-        // last publication they are exactly what that version holds.
-        let was_member = self.pool_maintained() && self.cache.stats()[slot].is_unexplored();
         let stat = RankPromotionEngine::document_stat(slot, document);
         Arc::make_mut(&mut self.cache).patch(slot, stat);
-        self.note_mutation(slot, was_member);
     }
 
     /// Cut an immutable [`PublishedVersion`] of the current state, stamped
     /// with `epoch`: repair the writer generation, then share its cache
     /// into the version by `Arc` clone. Returns the version and the number
-    /// of *charged* dirty slots — the distinct slots mutated since the
-    /// last publication (or, when the diff log is not intact, the count
-    /// the repair actually handled), which is what the owner's repair
-    /// probes record.
+    /// of dirty slots repaired — the distinct slots mutated since the last
+    /// publication, each repaired exactly once, which is what the owner's
+    /// repair probes record.
+    ///
+    /// The writer's order and member list are written in one copying edit
+    /// each from the live version's, whose stats hold every dirty slot's
+    /// old key ([`CorpusCache::repair_from`]); a deserialised writer, or one
+    /// whose pool maintenance was toggled, repairs in place instead
+    /// ([`CorpusCache::repair`]). With nothing mutated since the live
+    /// version, the version shares the live cache.
     ///
     /// Publication happens at most once per mutation epoch by
     /// construction: the owner only calls this when its published
     /// version's epoch trails the live epoch counter. Follow with
     /// [`recycle`](Self::recycle) on the retired version to keep the
-    /// steady-state cost `O(dirty)`.
+    /// steady-state cost `O(dirty)` apart from the copies.
     pub fn publish(&mut self, epoch: u64) -> (Arc<PublishedVersion>, u64) {
-        let handed = if self.cache.dirty_len() > 0 {
-            Arc::make_mut(&mut self.cache).repair()
-        } else {
-            0
-        };
-        let intact = self.diff_log_intact;
-        let maintained = self.pool_maintained();
-        let pool = self.cache.pool();
-        let (charged, flipped) = if intact {
-            let flipped = maintained
-                && self
-                    .since_publish
-                    .iter()
-                    .zip(&self.was_member)
-                    .any(|(&slot, &was)| pool.contains(slot) != was);
-            (self.since_publish.len() as u64, flipped)
-        } else {
-            // A deserialised cache is only ever published over the empty
-            // sentinel version, whose pool is empty.
-            (handed, !pool.is_empty())
-        };
-        let pool_repaired = flipped || self.pool_toggled;
-        // Hand the consumed diff to the recycle step: the version retired
-        // by this publication lags the new one by exactly these slots.
-        self.recycle_valid = intact;
+        let charged = self.cache.dirty_len() as u64;
         self.recycle_diff.clear();
-        std::mem::swap(&mut self.recycle_diff, &mut self.since_publish);
-        for &slot in &self.recycle_diff {
-            self.since_mask[slot] = false;
-        }
-        self.was_member.clear();
-        self.diff_log_intact = true;
-        self.pool_toggled = false;
+        self.recycle_valid = false;
+        let flipped = match self.live.clone() {
+            Some(live) if charged == 0 => {
+                self.cache = live;
+                false
+            }
+            Some(live) => {
+                // The version retired by this publication lags the new one
+                // by exactly the repaired slots.
+                self.recycle_diff.extend_from_slice(self.cache.dirty());
+                self.recycle_valid = true;
+                Arc::make_mut(&mut self.cache).repair_from(&live)
+            }
+            None => {
+                if charged > 0 {
+                    Arc::make_mut(&mut self.cache).repair();
+                }
+                // A deserialised cache is only ever published over the
+                // empty sentinel version, whose pool is empty (after a
+                // toggle the version counts as a pool repair anyway).
+                !self.cache.pool().is_empty()
+            }
+        };
+        let pool_repaired = std::mem::take(&mut self.pool_toggled) || flipped;
+        self.live = Some(self.cache.clone());
         let version = PublishedVersion {
             epoch,
             pool_repaired,
@@ -359,14 +348,22 @@ impl ShardedCorpusCache {
     ///
     /// Call right after swapping a fresh [`publish`](Self::publish) result
     /// into place, handing over the previous version. If no reader still
-    /// holds it, its cache is caught up by replaying the publish-to-publish
-    /// diff — `fetch` resolves a slot to its *current* document (the store
-    /// lookup) — and installed as the writable generation, so subsequent
-    /// mutations stay `O(1)` instead of copy-on-write. If a straggler still
-    /// holds the version, the diff log was invalidated, pool maintenance
-    /// was toggled, or the diff is longer than the retired cache, this is
-    /// a no-op and the next mutation clones.
-    pub fn recycle(&mut self, prev: Arc<PublishedVersion>, fetch: impl Fn(usize) -> Document) {
+    /// holds it, its cache is caught up to the new live version by copying
+    /// the live stats and pool-mask bits at the slots that publication
+    /// repaired ([`CorpusCache::catch_up`], `O(dirty)`), and installed as
+    /// the writable generation, so subsequent mutations stay `O(1)`
+    /// instead of copy-on-write. Its order and member list stay as they
+    /// were — scratch, until the next publication overwrites them from the
+    /// live version; nothing is repaired twice. If a straggler still holds
+    /// the version, the last publication repaired in place (a deserialised
+    /// writer, a pool-maintenance toggle), the retired cache maintains the
+    /// pool differently, or the diff is longer than the retired cache,
+    /// this is a no-op and the next mutation clones.
+    ///
+    /// `fetch` is unused: the live version holds everything the retired
+    /// one is missing. It is kept only because `benchmark/` calls this
+    /// signature.
+    pub fn recycle(&mut self, prev: Arc<PublishedVersion>, _fetch: impl Fn(usize) -> Document) {
         if !std::mem::replace(&mut self.recycle_valid, false) {
             return;
         }
@@ -377,26 +374,32 @@ impl ShardedCorpusCache {
             return;
         };
         if cache.pool_maintained() != self.pool_maintained() {
-            return; // a maintenance toggle the diff cannot replay
+            return; // a maintenance toggle the diff cannot catch up
         }
         if cache.len() < self.recycle_diff.len() {
             // Mostly pushes (the empty first version, a bulk load): the
-            // next publication would re-sort them all, while the
-            // copy-on-write it falls back to is one copy of the cache.
+            // copy-on-write the writer falls back to is one copy of the
+            // cache either way.
             return;
         }
-        // Chronological replay: pushes arrive in ascending slot order, and
-        // patched slots take their current (post-diff) content in one write.
-        for &slot in &self.recycle_diff {
-            let stat = RankPromotionEngine::document_stat(slot, &fetch(slot));
-            if slot == cache.len() {
-                cache.push(stat);
-            } else {
-                cache.patch(slot, stat);
-            }
-        }
+        cache.catch_up(&self.cache, &self.recycle_diff);
         self.recycle_diff.clear();
         self.cache = Arc::new(cache);
+    }
+}
+
+impl Serialize for ShardedCorpusCache {
+    /// The writer's cache, with the live version's order and pool while it
+    /// edits from one: between a [`recycle`](Self::recycle) and the next
+    /// publication the writer's own order and member list are scratch, and
+    /// the live ones are what its stats derive with the dirty slots' old
+    /// keys. The shape is the derived one (`{"cache": …}`).
+    fn to_value(&self) -> Value {
+        let cache = match &self.live {
+            Some(live) => self.cache.to_value_with_index_of(live),
+            None => self.cache.to_value(),
+        };
+        Value::Map(vec![("cache".to_string(), cache)])
     }
 }
 
@@ -524,7 +527,8 @@ mod tests {
         // The steady-state loop: publish → mutate → publish → recycle,
         // with every published version compared against a from-scratch
         // derivation. This is the recycling catch-up's correctness gate:
-        // the reclaimed cache replays exactly the publish-to-publish diff.
+        // the reclaimed cache copies exactly the publish-to-publish diff
+        // from the live version, and its scratch order is overwritten.
         let mut docs = documents(50);
         let mut cache = filled(&docs);
         let (mut live, _) = cache.publish(1);

@@ -5,15 +5,22 @@
 //! [`CorpusCache`] rebuilt from the current documents serves, and every
 //! straggling version keeps serving its own epoch.
 //!
-//! Publication repairs instead of rebuilding and recycles the retired
-//! version's cache by replaying a diff, so a slot missed by either would
-//! not fail loudly: it would shift the order, the pool, or a page id in
-//! some later version. This suite compares all of them after every
-//! publication.
+//! Publication edits the writer's order in one copying pass from the live
+//! version's, repairing each slot mutated since the last publication once
+//! (`2·d` lockstep binary searches plus one `n`-entry copy), and recycles
+//! the retired version's cache by copying the live stats at that diff —
+//! leaving its order scratch until the next publication overwrites it. A
+//! slot missed by either step, or scratch state that leaks, would not fail
+//! loudly: it would shift the order, the pool, or a page id in some later
+//! version. This suite compares all of them after every publication, and
+//! round-trips the writer through serde JSON at arbitrary points (right
+//! after a publication too, when its order is scratch) to pin that what it
+//! serializes is valid.
 
 use proptest::prelude::*;
 use rrp_core::model::PageId;
 use rrp_core::{CorpusCache, Document, PublishedVersion, RankPromotionEngine, ShardedCorpusCache};
+use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
 /// One step of a writer's schedule.
@@ -34,27 +41,41 @@ enum Op {
     Release,
     /// Flip pool maintenance.
     TogglePool,
+    /// Serialize the writer tier through serde JSON and continue from the
+    /// deserialised copy.
+    RoundTrip,
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec((0usize..12, 0usize..10_000, 0.0f64..1.5, 0u64..300), 1..60).prop_map(
+    prop::collection::vec((0usize..14, 0usize..10_000, 0.0f64..1.5, 0u64..300), 1..60).prop_map(
         |raw| {
             raw.into_iter()
-                .map(|(kind, salt, popularity, age)| match kind {
-                    0..=2 => Op::Push { popularity, age },
-                    3 | 4 => Op::Visit { salt },
-                    5 | 6 => Op::SetPopularity { salt, popularity },
-                    7 => Op::Forget { salt },
-                    8 | 9 => Op::Publish { straggle: false },
-                    10 => Op::Publish {
+                .flat_map(|(kind, salt, popularity, age)| match kind {
+                    0..=2 => vec![Op::Push { popularity, age }],
+                    3 | 4 => vec![Op::Visit { salt }],
+                    5 | 6 => vec![Op::SetPopularity { salt, popularity }],
+                    7 => vec![Op::Forget { salt }],
+                    8 | 9 => vec![Op::Publish { straggle: false }],
+                    10 => vec![Op::Publish {
                         straggle: salt % 2 == 0,
-                    },
-                    _ if salt % 3 == 0 => Op::TogglePool,
-                    _ => Op::Release,
+                    }],
+                    11 if salt % 3 == 0 => vec![Op::TogglePool],
+                    11 => vec![Op::Release],
+                    12 => vec![Op::RoundTrip],
+                    // Right after a publication and its recycle, the
+                    // writer's own order is scratch.
+                    _ => vec![Op::Publish { straggle: false }, Op::RoundTrip],
                 })
                 .collect()
         },
     )
+}
+
+/// The writer tier after a trip through serde JSON.
+fn roundtrip(cache: &ShardedCorpusCache) -> ShardedCorpusCache {
+    let text = serde_json::to_string(&cache.to_value()).expect("serializes");
+    let parsed: Value = serde_json::from_str(&text).expect("parses");
+    ShardedCorpusCache::from_value(&parsed).expect("deserializes")
 }
 
 /// What a version must serve: a cache rebuilt from `docs`.
@@ -118,6 +139,10 @@ proptest! {
         let (mut live_docs, mut live_maintained) = (Vec::new(), maintained);
         let mut mutated: std::collections::BTreeSet<usize> = (0..docs.len()).collect();
         let mut toggled = false;
+        // A deserialised writer's first version reports a pool repair
+        // exactly when its pool is non-empty: in service it is only ever
+        // published over the empty sentinel, not over `live`.
+        let mut deserialised = false;
 
         for &op in &ops {
             let slot = |salt: usize| (!docs.is_empty()).then(|| salt % docs.len());
@@ -148,7 +173,11 @@ proptest! {
                     prop_assert_eq!(version.epoch(), epoch);
                     check(&version, &docs, maintained)?;
                     let pool_changed = version.pool_slots() != live.pool_slots();
-                    if toggled {
+                    if deserialised {
+                        if !toggled {
+                            prop_assert_eq!(version.pool_repaired(), !version.pool_slots().is_empty());
+                        }
+                    } else if toggled {
                         prop_assert!(version.pool_repaired() || !pool_changed);
                     } else {
                         prop_assert_eq!(version.pool_repaired(), pool_changed);
@@ -162,6 +191,7 @@ proptest! {
                     live_maintained = maintained;
                     mutated.clear();
                     toggled = false;
+                    deserialised = false;
                 }
                 Op::Release => {
                     for (version, docs, maintained) in stragglers.drain(..) {
@@ -172,6 +202,14 @@ proptest! {
                     maintained = !maintained;
                     cache.set_pool_maintained(maintained);
                     toggled = true;
+                }
+                Op::RoundTrip => {
+                    let back = roundtrip(&cache);
+                    prop_assert_eq!(back.to_value(), cache.to_value());
+                    prop_assert_eq!(back.dirty_len(), cache.dirty_len());
+                    prop_assert_eq!(back.pool_maintained(), cache.pool_maintained());
+                    cache = back;
+                    deserialised = true;
                 }
             }
         }

@@ -1,37 +1,53 @@
 //! The incremental per-corpus ranking state, bundled.
 //!
 //! Every steady-state consumer of the maintained-order ranking path — the
-//! simulator's day loop and every serving shard — keeps the same three
+//! simulator's day loop and the serving tier — keeps the same three
 //! derived structures alive across rankings: the per-slot [`PageStats`]
 //! snapshot, the [`PopularityIndex`] over it, and the [`PoolIndex`]
 //! recording selective-promotion membership. [`CorpusCache`] owns all
 //! three plus the shared dirty list that keeps them honest: a mutation
 //! patches one stats slot, marks it dirty and, the first time, keeps the
-//! stats it replaced (its *displaced key*); [`repair`](CorpusCache::repair)
-//! then brings *both* indexes current from the same dirty slots
-//! (membership flips exactly where popularity keys move, because both are
-//! functions of the mutated slot's stats). Nothing is ever re-derived
-//! wholesale on a ranking path — the "repair, don't rebuild" discipline of
-//! incremental view maintenance — and a repair of `d` dirty slots costs
-//! `O(d log n)` binary searches plus block moves, with no pool work at all
-//! when no membership flipped.
+//! stats it replaced (its *displaced key*). A repair then brings *both*
+//! indexes current from the same dirty slots (membership flips exactly
+//! where popularity keys move, because both are functions of the mutated
+//! slot's stats), each in one copying edit of its sorted list. Nothing is
+//! ever re-derived wholesale on a ranking path — the "repair, don't
+//! rebuild" discipline of incremental view maintenance.
+//!
+//! There are two repairs, one per kind of owner:
+//!
+//! * [`repair`](CorpusCache::repair) — a single generation (the
+//!   simulator) edits in place: the source is its own previous order and
+//!   member list, and the old keys are the displaced keys;
+//! * [`repair_from`](CorpusCache::repair_from) — a writer generation (the
+//!   serving tier) edits from the live published cache, whose stats and
+//!   pool mask equal its own everywhere but at its dirty slots: the source
+//!   is the live order and member list, and the old keys are the live
+//!   stats. [`catch_up`](CorpusCache::catch_up) establishes that state on
+//!   a retired generation by copying the live stats and mask bits at the
+//!   slots that changed since it was published.
+//!
+//! Either way a repair of `d` dirty slots costs `2·d` lockstep binary
+//! searches plus one `n`-entry copy of the order. In place, the pool costs
+//! nothing more when no membership flipped; from the live version, its
+//! member list is one more copy.
 
 use crate::poolindex::PoolIndex;
 use crate::popindex::PopularityIndex;
 use crate::randomized::RankSource;
 use crate::stats::PageStats;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// The persistent ranking state over one corpus under dense slots
 /// (`stats[i].slot == i`): statistics snapshot, popularity order, and
 /// promotion-pool membership, repaired together from a shared dirty list.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 pub struct CorpusCache {
     /// `PageStats` for each slot (slot = insertion index), patched in
     /// place on mutation.
     stats: Vec<PageStats>,
-    /// Popularity order over the slots, repaired via dirty-slot
-    /// binary-search reinsertion.
+    /// Popularity order over the slots, repaired by one copying edit of
+    /// the dirty slots.
     popularity: PopularityIndex,
     /// Selective-promotion pool membership (unexplored slots, ascending),
     /// repaired from the same dirty slots.
@@ -49,9 +65,10 @@ pub struct CorpusCache {
     dirty_mask: Vec<bool>,
     /// The stats each patched slot had at the last repair, recorded by its
     /// first patch since then (pushes record nothing, so this stays `O(d)`).
-    /// The popularity repair finds each slot's old position by them. Not
-    /// serialized: a deserialised cache with patched slots pending has
-    /// none, and its next repair re-sorts once instead.
+    /// The in-place popularity repair finds each slot's old position by
+    /// them ([`repair_from`](Self::repair_from) reads the live stats
+    /// instead). Not serialized: a deserialised cache with patched slots
+    /// pending has none, and its next repair re-sorts once instead.
     #[serde(skip)]
     displaced: Vec<PageStats>,
 }
@@ -204,29 +221,33 @@ impl CorpusCache {
         self.displaced.clear();
     }
 
-    /// Bring both indexes current by repairing the dirty slots (no-op when
-    /// nothing changed), returning the number of dirty entries handed to
-    /// the repair (distinct slots — the list deduplicates on entry). Every
-    /// ranking path calls this first.
+    /// The dirty slots awaiting the next repair, in arrival order
+    /// (deduplicated on entry, so pushes ascend).
+    #[inline]
+    pub fn dirty(&self) -> &[usize] {
+        &self.dirty
+    }
+
+    /// Bring both indexes current by repairing the dirty slots in place
+    /// (no-op when nothing changed), returning the number of dirty entries
+    /// handed to the repair (distinct slots — the list deduplicates on
+    /// entry). Every ranking path of a single-generation owner calls this
+    /// first.
     ///
-    /// Cost: `O(d log n)` binary searches plus block moves for the
-    /// popularity order (see [`PopularityIndex::repair`]), and `O(d)` for
-    /// the pool when no dirty slot flipped membership (see
-    /// [`PoolIndex::repair`]). Both end up exactly where a from-scratch
-    /// derivation would put them (each repair carries its own debug
-    /// assertion against the fresh derivation, so a producer that mutates
-    /// stats without marking the slot dirty trips here).
+    /// Cost: `2·d` lockstep binary searches plus one copy of the order
+    /// (see [`PopularityIndex::repair`]), and `O(d)` for the pool when no
+    /// dirty slot flipped membership (see [`PoolIndex::repair`]). Both end
+    /// up exactly where a from-scratch derivation would put them (each
+    /// repair carries its own debug assertion against the fresh
+    /// derivation, so a producer that mutates stats without marking the
+    /// slot dirty trips here).
     pub fn repair(&mut self) -> u64 {
         let handed = self.dirty.len() as u64;
         if handed > 0 {
             if self.maintain_pool {
                 self.pool.repair(&self.stats, &self.dirty);
             }
-            // Restore the mask (`O(d)` — exactly the entries set since
-            // last time).
-            for &slot in &self.dirty {
-                self.dirty_mask[slot] = false;
-            }
+            self.clear_dirty_mask();
             // Every dirty slot is either new (past the indexed length) or
             // patched with a displaced key — unless the cache was
             // deserialised with patches pending, which lost their keys.
@@ -240,6 +261,90 @@ impl CorpusCache {
             self.dirty.clear();
         }
         handed
+    }
+
+    /// Bring both indexes current by editing them from `live`, the cache
+    /// this writer generation was published or caught up from, and
+    /// return whether any pool membership flipped against it. This
+    /// cache's stats and pool mask must equal `live`'s everywhere but at
+    /// its dirty slots (the state [`catch_up`](Self::catch_up) or a clone
+    /// of `live` leaves); its own order and member list are overwritten —
+    /// between a `catch_up` and this call they are scratch. Each dirty slot
+    /// is repaired once: the live stats hold its old key, so no displaced
+    /// key is read.
+    ///
+    /// Cost: `2·d` lockstep binary searches, one copy of the live order
+    /// (see [`PopularityIndex::repair_from`]) and one of the live member
+    /// list, which goes through the same edit.
+    pub fn repair_from(&mut self, live: &CorpusCache) -> bool {
+        self.popularity
+            .repair_from(&live.popularity, &live.stats, &self.stats, &self.dirty);
+        let flipped =
+            self.maintain_pool && self.pool.repair_from(&live.pool, &self.stats, &self.dirty);
+        self.clear_dirty_mask();
+        self.dirty.clear();
+        self.displaced.clear();
+        flipped
+    }
+
+    /// Catch a retired generation up to `live` after it was published:
+    /// copy `live`'s stats and pool-mask bits at the `diff` slots — every
+    /// slot `live` changed since this cache was current, the pushed ones
+    /// among them — so that the two differ nowhere. This cache must be
+    /// clean (repaired) and maintain the pool exactly when `live` does.
+    /// Its order and member list are left as they were: they are scratch
+    /// until the next [`repair_from`](Self::repair_from) overwrites them
+    /// (read `live`'s instead). `O(diff)`.
+    pub fn catch_up(&mut self, live: &CorpusCache, diff: &[usize]) {
+        debug_assert!(self.dirty.is_empty(), "a retired generation is clean");
+        debug_assert_eq!(self.maintain_pool, live.maintain_pool);
+        let indexed = self.stats.len();
+        self.stats.extend_from_slice(&live.stats[indexed..]);
+        for &slot in diff.iter().filter(|&&slot| slot < indexed) {
+            self.stats[slot] = live.stats[slot];
+        }
+        if self.maintain_pool {
+            self.pool.catch_up_mask(&live.pool, diff);
+        }
+        self.dirty_mask.resize(self.stats.len(), false);
+    }
+
+    /// Replace this cache's popularity order with a copy of `live`'s — the
+    /// valid order of a writer generation that
+    /// [`repair_from`](Self::repair_from) would otherwise have edited from
+    /// `live`. Afterwards the cache repairs in place again: its displaced
+    /// keys are `live`'s stats.
+    pub fn adopt_order_of(&mut self, live: &CorpusCache) {
+        self.popularity.clone_from(&live.popularity);
+    }
+
+    /// This cache's serialized form, with `index`'s popularity order and
+    /// pool in place of its own — how a writer generation whose order and
+    /// member list are scratch serializes the valid ones of the cache it
+    /// edits from (whose pool mask equals its own).
+    pub fn to_value_with_index_of(&self, index: &CorpusCache) -> Value {
+        Value::Map(vec![
+            ("stats".to_string(), self.stats.to_value()),
+            ("popularity".to_string(), index.popularity.to_value()),
+            ("pool".to_string(), index.pool.to_value()),
+            ("maintain_pool".to_string(), self.maintain_pool.to_value()),
+            ("dirty".to_string(), self.dirty.to_value()),
+            ("dirty_mask".to_string(), self.dirty_mask.to_value()),
+        ])
+    }
+
+    /// Restore the dirty mask (`O(d)` — exactly the entries set since the
+    /// last repair).
+    fn clear_dirty_mask(&mut self) {
+        for &slot in &self.dirty {
+            self.dirty_mask[slot] = false;
+        }
+    }
+}
+
+impl Serialize for CorpusCache {
+    fn to_value(&self) -> Value {
+        self.to_value_with_index_of(self)
     }
 }
 

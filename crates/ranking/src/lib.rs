@@ -60,4 +60,5 @@ pub use poolindex::PoolIndex;
 pub use popindex::PopularityIndex;
 pub use promotion::{PromotionConfig, PromotionRule};
 pub use randomized::{RandomizedRankPromotion, RankSource};
+pub use splice::lower_bounds;
 pub use stats::{popularity_order, PageStats};

@@ -20,12 +20,17 @@
 //! change without the slot being mutated — and every awareness mutation
 //! marks its slot dirty (that is the mutation path's contract, the same one
 //! the popularity order relies on). Membership order is ascending slot
-//! index, which never changes, so cutting out the dirty slots that left and
-//! splicing in the ones that joined reproduces the from-scratch scan
-//! exactly. The subtle part is that this *must* be exact: the pool is
-//! shuffled into the merged prefix, so even a reordering of members (let
-//! alone a stale member) changes which page lands at which rank — the RNG
-//! stream itself is observable through the pool.
+//! index, which never changes, so leaving out the dirty slots that left and
+//! writing in the ones that joined — one copying pass through the same
+//! edit as the popularity order — reproduces the from-scratch scan
+//! exactly. The simulator repairs in place (the source is the previous
+//! member list, moved into a spare buffer); the serving tier's writer
+//! generation, whose mask equals the live version's, writes its member
+//! list from the live one (`repair_from`). The subtle part is that this
+//! *must* be exact: the pool is shuffled into the merged prefix, so even a
+//! reordering of members (let alone a stale member) changes which page
+//! lands at which rank — the RNG stream itself is observable through the
+//! pool.
 
 use crate::splice;
 use crate::stats::PageStats;
@@ -42,15 +47,20 @@ pub struct PoolIndex {
     /// never reset — so the deterministic-remainder filter reads it
     /// without an `O(n)` clear per query.
     mask: Vec<bool>,
-    /// Scratch: dirty slots that left the pool during a repair.
+    /// Scratch: the previous member list, the source of an in-place
+    /// [`repair`](Self::repair). Empty on an index repaired from a live
+    /// source.
+    #[serde(skip)]
+    spare: Vec<usize>,
+    /// Scratch: dirty slots that left the pool during a repair, ascending.
     #[serde(skip)]
     leaving: Vec<usize>,
-    /// Scratch: dirty slots that joined the pool during a repair.
+    /// Scratch: dirty slots that joined the pool during a repair, ascending.
     #[serde(skip)]
     joining: Vec<usize>,
-    /// Scratch: removal, then insertion, positions during a repair.
+    /// Scratch: the lockstep search results.
     #[serde(skip)]
-    positions: Vec<usize>,
+    at: Vec<usize>,
 }
 
 impl PoolIndex {
@@ -111,20 +121,20 @@ impl PoolIndex {
     }
 
     /// Restore membership after the slots in `dirty` changed their stats,
-    /// testing against the *current* `stats`. Slots may appear multiple
-    /// times and in any order; unlike
+    /// testing against the *current* `stats`, in place. Slots may appear
+    /// multiple times and in any order; unlike
     /// [`PopularityIndex::repair`](crate::PopularityIndex::repair) the list
     /// is borrowed, not drained, so the same dirty list can feed both
     /// indexes. The population may have grown since the last repair
     /// (`stats.len() > indexed_slots()`), in which case every new slot must
-    /// appear in `dirty`. Allocation-free once the scratch buffers have
-    /// grown to `d`.
+    /// appear in `dirty`. Allocation-free once the buffers have grown.
     ///
     /// Cost: `O(d)` to re-test each dirty slot against the mask — and
     /// nothing more when no membership flipped, the steady state of a
-    /// popularity-only mutation stream. Each flip then adds one binary
-    /// search in the member list plus block moves (one `memmove` per gap
-    /// between edited positions), versus the `O(n)` scan of a rebuild.
+    /// popularity-only mutation stream. Otherwise the previous member list
+    /// moves into a spare buffer and is edited back in one copying pass:
+    /// one lockstep binary search per flip plus one copy of the pool,
+    /// versus the `O(n)` scan of a rebuild.
     ///
     /// Debug builds verify the repaired membership against a fresh
     /// [`is_unexplored`](crate::PageStats::is_unexplored) scan afterwards
@@ -132,6 +142,67 @@ impl PoolIndex {
     /// mutates awareness without marking the slot dirty trips an assertion
     /// at the next repair instead of silently drifting the pool.
     pub fn repair(&mut self, stats: &[PageStats], dirty: &[usize]) {
+        if self.flip(stats, dirty) {
+            std::mem::swap(&mut self.members, &mut self.spare);
+            Self::edit(
+                &self.spare,
+                &self.leaving,
+                &self.joining,
+                &mut self.at,
+                &mut self.members,
+            );
+        }
+        debug_assert!(self.is_consistent(stats));
+    }
+
+    /// Write the membership for the current `stats` from a `live` index,
+    /// replacing this index's member list (which may be stale scratch).
+    /// This index's mask must equal the live one, whose stats differ from
+    /// the current `stats` only at the `dirty` slots (which must include
+    /// every slot past `live.indexed_slots()`): a flip against the mask is
+    /// then a flip against the live version. Returns whether any
+    /// membership flipped.
+    ///
+    /// Cost: `O(d)` to re-test the dirty slots, one lockstep binary search
+    /// per flip, and one copy of the live member list — which also leaves
+    /// the list the next reads shuffle freshly cached. An index repaired
+    /// this way keeps no spare buffer.
+    pub(crate) fn repair_from(
+        &mut self,
+        live: &PoolIndex,
+        stats: &[PageStats],
+        dirty: &[usize],
+    ) -> bool {
+        debug_assert!(self.mask == live.mask, "the writer's mask is the live mask");
+        let flipped = self.flip(stats, dirty);
+        Self::edit(
+            &live.members,
+            &self.leaving,
+            &self.joining,
+            &mut self.at,
+            &mut self.members,
+        );
+        self.spare = Vec::new();
+        debug_assert!(self.is_consistent(stats));
+        flipped
+    }
+
+    /// Bring a retired generation's mask up to `live`'s: `diff` lists
+    /// every slot whose stats changed between the two (every slot past
+    /// this mask's length among them). The member list is left as it was —
+    /// it is scratch until the next [`repair_from`](Self::repair_from).
+    /// `O(diff)`.
+    pub(crate) fn catch_up_mask(&mut self, live: &PoolIndex, diff: &[usize]) {
+        self.mask.resize(live.mask.len(), false);
+        for &slot in diff {
+            self.mask[slot] = live.mask[slot];
+        }
+    }
+
+    /// Re-test every dirty slot against the mask, flipping it where
+    /// membership changed, and list the flips (ascending) in `leaving` and
+    /// `joining`. Returns whether any slot flipped.
+    fn flip(&mut self, stats: &[PageStats], dirty: &[usize]) -> bool {
         debug_assert!(
             stats.len() >= self.mask.len(),
             "the population never shrinks"
@@ -139,9 +210,8 @@ impl PoolIndex {
         // Inserted slots start outside the pool and join below if they
         // test unexplored.
         self.mask.resize(stats.len(), false);
-
-        // Re-test every dirty slot; the mask absorbs duplicates (a slot
-        // listed twice flips on its first listing only).
+        // The mask absorbs duplicates (a slot listed twice flips on its
+        // first listing only).
         self.leaving.clear();
         self.joining.clear();
         for &slot in dirty {
@@ -155,30 +225,29 @@ impl PoolIndex {
                 }
             }
         }
+        self.leaving.sort_unstable();
+        self.joining.sort_unstable();
+        !(self.leaving.is_empty() && self.joining.is_empty())
+    }
 
-        if !self.leaving.is_empty() {
-            self.leaving.sort_unstable();
-            self.positions.clear();
-            let mut from = 0;
-            for &slot in &self.leaving {
-                from += self.members[from..].partition_point(|&m| m < slot);
-                debug_assert_eq!(self.members.get(from), Some(&slot));
-                self.positions.push(from);
-            }
-            splice::remove_at(&mut self.members, &self.positions);
-        }
-        if !self.joining.is_empty() {
-            self.joining.sort_unstable();
-            self.positions.clear();
-            let mut from = 0;
-            for &slot in &self.joining {
-                from += self.members[from..].partition_point(|&m| m < slot);
-                self.positions.push(from);
-            }
-            splice::insert_at(&mut self.members, &self.joining, &self.positions);
-        }
-
-        debug_assert!(self.is_consistent(stats));
+    /// The member-list edit: `src` (ascending) without `leaving`, with
+    /// `joining`, into `dst`.
+    fn edit(
+        src: &[usize],
+        leaving: &[usize],
+        joining: &[usize],
+        at: &mut Vec<usize>,
+        dst: &mut Vec<usize>,
+    ) {
+        splice::edit(
+            src,
+            leaving,
+            joining,
+            |e, i| e < leaving[i],
+            |e, i| e < joining[i],
+            at,
+            dst,
+        );
     }
 
     /// Whether the maintained membership equals a fresh

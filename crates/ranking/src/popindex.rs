@@ -5,13 +5,27 @@
 //! `n` pages by popularity on every step, `O(n log n)` work even though a
 //! step changes the popularity key of only the handful of slots that
 //! received a visit, changed their score, or were inserted.
-//! [`PopularityIndex`] keeps the previous order and *repairs* it: each
-//! changed slot is found at its old position by a binary search on the key
-//! it had there (its *displaced key*), cut out, and spliced back in at the
-//! position a binary search against
-//! [`popularity_order`] dictates.
+//! [`PopularityIndex`] keeps a previous order and *edits* it: each changed
+//! slot is found at its old position by a binary search on the key it had
+//! there (its *old key*), left out, and written back in at the position a
+//! binary search for its new key against [`popularity_order`] dictates —
+//! all in one copying pass from the source order into the index's own
+//! buffer, the one sorted-list edit both indexes share, with the `2·d`
+//! searches run in lockstep ([`lower_bounds`](crate::lower_bounds)).
 //!
-//! Why repair is sound: the comparator is a **total** order (popularity
+//! Two callers supply the source and the old keys:
+//!
+//! * the simulator's single generation repairs in place
+//!   ([`repair`](PopularityIndex::repair)): the source is its own previous
+//!   order, moved into a reusable spare buffer, and the old keys are the
+//!   *displaced keys* the caller kept, swapped into the stats for the
+//!   duration of the edit;
+//! * the serving tier's writer generation edits from the live published
+//!   version ([`repair_from`](PopularityIndex::repair_from)): the source
+//!   is the live order and the old keys are the live stats, which differ
+//!   from the writer's exactly at the changed slots.
+//!
+//! Why the edit is sound: the comparator is a **total** order (popularity
 //! descending, then age descending, then slot ascending), so there is
 //! exactly one sorted permutation — any procedure that restores sortedness
 //! reproduces the from-scratch sort bit for bit. And a clean slot's key can
@@ -20,31 +34,64 @@
 //! the slot dirty), and ages grow by exactly one day for *every* surviving
 //! page, which leaves all pairwise age comparisons between clean slots
 //! untouched. Newborn pages reset their age, so retirement marks them dirty
-//! too. The same argument locates a changed slot: with every displaced key
-//! swapped back in, the stored order is sorted over the stats again, so the
-//! binary search for a displaced key lands exactly on its slot (displaced
-//! keys age along with every other page).
+//! too. So the source is sorted over the old keys, the search for a changed
+//! slot's old key lands exactly on its slot (displaced keys age along with
+//! every other page), and the clean entries keep their relative order: each
+//! changed slot goes in after exactly the source entries whose old key
+//! sorts before its new one.
 //!
 //! The population may also *grow* between repairs (a serving corpus takes
-//! inserts): slots past the indexed length are new, have no old position,
-//! and are spliced in like every other changed slot.
+//! inserts): slots past the source's length are new, have no old position,
+//! and are written in like every other changed slot.
 
 use crate::splice;
-use crate::stats::{popularity_order, PageStats};
+use crate::stats::{popularity_order, precedes, PageStats};
 use serde::{Deserialize, Serialize};
 
 /// Slots sorted by [`popularity_order`], repaired incrementally.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PopularityIndex {
-    /// Slot indices, best-ranked first. Invariant outside `repair`: sorted
+    /// Slot indices, best-ranked first. Invariant outside a repair: sorted
     /// by `popularity_order` over the most recent `stats` passed in.
     order: Vec<usize>,
-    /// Scratch: the changed slots, spliced back in during a repair.
+    /// Scratch: the previous order, the source of an in-place
+    /// [`repair`](Self::repair). Empty on an index repaired from a live
+    /// source.
+    #[serde(skip)]
+    spare: Vec<usize>,
+    /// Scratch: the changed slots that have an old position.
+    #[serde(skip)]
+    removed: Vec<usize>,
+    /// Scratch: every changed slot, sorted by its new key.
     #[serde(skip)]
     changed: Vec<usize>,
-    /// Scratch: removal, then insertion, positions during a repair.
+    /// Scratch: the lockstep search results.
     #[serde(skip)]
-    positions: Vec<usize>,
+    at: Vec<usize>,
+}
+
+/// The one order edit: write into `dst` the order `src` — sorted by
+/// [`popularity_order`] over `old` — with the `removed` slots taken out
+/// and the `changed` slots (sorted by their new keys, `new_key(i)` being
+/// the key of `changed[i]`) written in at their places.
+fn edit<'k>(
+    src: &[usize],
+    old: &[PageStats],
+    removed: &[usize],
+    changed: &[usize],
+    new_key: impl Fn(usize) -> &'k PageStats,
+    at: &mut Vec<usize>,
+    dst: &mut Vec<usize>,
+) {
+    splice::edit(
+        src,
+        removed,
+        changed,
+        |e, i| precedes(&old[e], &old[removed[i]]),
+        |e, i| precedes(&old[e], new_key(i)),
+        at,
+        dst,
+    );
 }
 
 impl PopularityIndex {
@@ -86,20 +133,19 @@ impl PopularityIndex {
     }
 
     /// Restore sortedness against the *current* `stats` after keys
-    /// changed. `displaced` holds, for every indexed slot
+    /// changed, in place. `displaced` holds, for every indexed slot
     /// (`slot < len()`) whose key changed since the last repair, the
     /// [`PageStats`] it had at that repair — once per slot, in any order —
     /// and is drained. Slots past [`len`](Self::len) are new (the
     /// population may grow between repairs) and need no entry. `stats` is
     /// only borrowed mutably to swap the displaced keys in and back out; it
-    /// is returned unchanged. Allocation-free once the scratch buffers
-    /// have grown to `d`.
+    /// is returned unchanged. The previous order moves into a spare buffer
+    /// and is the source of the edit, so this is allocation-free once the
+    /// buffers have grown.
     ///
-    /// Cost: `O(d log n)` for `d` changed slots — one binary search to find
-    /// each old position, one to find each new one, and a sort of the `d`
-    /// slots — plus block moves: one `memmove` per gap between removed
-    /// positions and one per gap between inserted ones. No pass touches
-    /// all `n` entries one by one.
+    /// Cost: `2·d` lockstep binary searches for `d` changed slots (one for
+    /// each old position, one for each new one) and a sort of the `d`
+    /// slots, plus one copy of the `n`-entry order.
     pub fn repair(&mut self, stats: &mut [PageStats], displaced: &mut Vec<PageStats>) {
         let indexed = self.order.len();
         debug_assert!(stats.len() >= indexed, "the population never shrinks");
@@ -107,55 +153,84 @@ impl PopularityIndex {
             debug_assert!(self.is_consistent(stats));
             return;
         }
+        if indexed == 0 {
+            // Every slot is new (a bulk load): one sort places them all,
+            // with no keys copied aside.
+            self.rebuild(stats);
+            return;
+        }
 
-        // Find each changed slot's old position: with the displaced keys
-        // swapped back in, `order` is sorted over `stats` again, and the
-        // total order makes the partition point the slot's own entry.
+        // With the displaced keys swapped in, `stats` holds every slot's
+        // old key (the source order is sorted over them again) and
+        // `displaced` the patched slots' new keys; the pushed slots' new
+        // keys join them.
         for key in displaced.iter_mut() {
             debug_assert!(key.slot < indexed, "only indexed slots are displaced");
             std::mem::swap(&mut stats[key.slot], key);
         }
-        self.positions.clear();
-        for current in displaced.iter() {
-            let old = &stats[current.slot];
-            let at = self
-                .order
-                .partition_point(|&s| popularity_order(&stats[s], old).is_lt());
-            debug_assert_eq!(
-                self.order.get(at),
-                Some(&current.slot),
-                "a displaced key must locate its slot in the order"
-            );
-            self.positions.push(at);
-        }
+        self.removed.clear();
+        self.removed.extend(displaced.iter().map(|key| key.slot));
+        displaced.extend_from_slice(&stats[indexed..]);
+        displaced.sort_unstable_by(popularity_order);
         self.changed.clear();
-        for key in displaced.iter_mut() {
+        self.changed.extend(displaced.iter().map(|key| key.slot));
+
+        std::mem::swap(&mut self.order, &mut self.spare);
+        edit(
+            &self.spare,
+            stats,
+            &self.removed,
+            &self.changed,
+            |i| &displaced[i],
+            &mut self.at,
+            &mut self.order,
+        );
+
+        for key in displaced.iter_mut().filter(|key| key.slot < indexed) {
             std::mem::swap(&mut stats[key.slot], key);
-            self.changed.push(key.slot);
         }
         displaced.clear();
-        self.changed.extend(indexed..stats.len());
+        debug_assert!(self.is_consistent(stats));
+    }
 
-        // Cut the changed slots out; the clean remainder stays sorted.
-        self.positions.sort_unstable();
-        splice::remove_at(&mut self.order, &self.positions);
-
-        // Splice them back in: sort the changed slots by the shared total
-        // order and binary-search each one's position in the clean list
-        // (clean slots never compare equal to a changed one — slot indices
-        // differ — so the position is unique, and it never moves left of
-        // the previous slot's).
+    /// Write the order for the current `stats` from a `live` index sorted
+    /// over `live_stats`, replacing this index's contents (which may be
+    /// stale scratch). `stats` may differ from `live_stats` only at the
+    /// `changed` slots — each listed once, and including every slot past
+    /// `live_stats.len()` — so the live stats hold each changed slot's
+    /// old key and no displaced keys are needed.
+    ///
+    /// Cost: `2·d` lockstep binary searches for `d` changed slots and a
+    /// sort of the `d` slots, plus one copy of the `n`-entry live order.
+    /// An index repaired this way keeps no spare buffer.
+    pub fn repair_from(
+        &mut self,
+        live: &PopularityIndex,
+        live_stats: &[PageStats],
+        stats: &[PageStats],
+        changed: &[usize],
+    ) {
+        let indexed = live.order.len();
+        debug_assert_eq!(indexed, live_stats.len(), "the live order is repaired");
+        debug_assert!(stats.len() >= indexed, "the population never shrinks");
+        self.removed.clear();
+        self.removed
+            .extend(changed.iter().copied().filter(|&slot| slot < indexed));
+        self.changed.clear();
+        self.changed.extend_from_slice(changed);
         self.changed
             .sort_unstable_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
-        self.positions.clear();
-        let mut from = 0;
-        for &slot in &self.changed {
-            from += self.order[from..]
-                .partition_point(|&clean| popularity_order(&stats[clean], &stats[slot]).is_lt());
-            self.positions.push(from);
-        }
-        splice::insert_at(&mut self.order, &self.changed, &self.positions);
-
+        let changed = &self.changed;
+        edit(
+            &live.order,
+            live_stats,
+            &self.removed,
+            changed,
+            |i| &stats[changed[i]],
+            &mut self.at,
+            &mut self.order,
+        );
+        self.spare = Vec::new();
         debug_assert!(self.is_consistent(stats));
     }
 

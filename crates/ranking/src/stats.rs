@@ -90,6 +90,20 @@ pub fn popularity_order(a: &PageStats, b: &PageStats) -> std::cmp::Ordering {
         .then_with(|| a.slot.cmp(&b.slot))
 }
 
+/// Whether `a` ranks strictly before `b` under [`popularity_order`],
+/// computed without branches: every comparison is evaluated and the
+/// results are combined bitwise, so a binary-search step on it costs no
+/// misprediction and the lockstep searches' loads stay in flight.
+/// Popularity is never NaN, so this equals
+/// `popularity_order(a, b).is_lt()`.
+#[inline]
+pub(crate) fn precedes(a: &PageStats, b: &PageStats) -> bool {
+    let (pa, pb) = (a.popularity, b.popularity);
+    (pa > pb)
+        | ((pa == pb)
+            & ((a.age_days > b.age_days) | ((a.age_days == b.age_days) & (a.slot < b.slot))))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,6 +172,28 @@ mod tests {
         // Same popularity: older first (age 30 before age 10); equal age:
         // lower slot first.
         assert_eq!(slots, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn precedes_is_the_strict_popularity_order() {
+        let pages = [
+            page(0, 0.5, 10),
+            page(1, 0.5, 30),
+            page(2, 0.5, 30),
+            page(3, 0.9, 0),
+            page(4, 0.0, 0),
+            page(5, -0.0, 0),
+            page(6, 0.5, 10),
+        ];
+        for a in &pages {
+            for b in &pages {
+                assert_eq!(
+                    precedes(a, b),
+                    popularity_order(a, b).is_lt(),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,11 @@
 use proptest::prelude::*;
 use rrp_model::{new_rng, PageId};
 use rrp_ranking::{
-    is_permutation, merge_promoted, merge_shard_candidates_into, popularity_order, CorpusCache,
-    EngineVersion, FullyRandomRanking, MergedCandidates, PageStats, PolicyKind, PoolIndex,
-    PopularityRanking, PromotionConfig, PromotionRule, QualityOracleRanking,
-    RandomizedRankPromotion, RankBuffers, RankSource, RankingPolicy, ShardCandidates,
+    is_permutation, lower_bounds, merge_promoted, merge_shard_candidates_into, popularity_order,
+    CorpusCache, EngineVersion, FullyRandomRanking, MergedCandidates, PageStats, PolicyKind,
+    PoolIndex, PopularityIndex, PopularityRanking, PromotionConfig, PromotionRule,
+    QualityOracleRanking, RandomizedRankPromotion, RankBuffers, RankSource, RankingPolicy,
+    ShardCandidates,
 };
 use serde::{Deserialize, Serialize};
 
@@ -352,6 +353,102 @@ proptest! {
         let mut fresh = CorpusCache::new();
         fresh.rebuild(stats.iter().copied());
         prop_assert_eq!(cache.pool().members(), fresh.pool().members());
+    }
+
+    /// The lockstep lower bounds against `partition_point`: an arbitrary
+    /// sorted list with duplicates (odd entries), probed below its first
+    /// entry, on and between every entry (the even probes), above its last
+    /// one, and at arbitrary extra points; an empty list answers 0.
+    #[test]
+    fn lockstep_lower_bounds_equal_partition_point(
+        mut values in prop::collection::vec(0usize..50, 0..60),
+        extra in prop::collection::vec(0usize..120, 0..20),
+    ) {
+        values.sort_unstable();
+        let list: Vec<usize> = values.iter().map(|v| 2 * v + 1).collect();
+        let mut probes: Vec<usize> = (0..=list.last().map_or(1, |&last| last + 1)).collect();
+        probes.extend(extra);
+        let mut at = vec![7; 3]; // stale contents are overwritten
+        lower_bounds(&list, probes.len(), |i, e| e < probes[i], &mut at);
+        prop_assert_eq!(at.len(), probes.len());
+        for (&found, &probe) in at.iter().zip(&probes) {
+            prop_assert_eq!(found, list.partition_point(|&e| e < probe), "probe {}", probe);
+        }
+    }
+
+    /// The one-pass order edit against a from-scratch sort, through both of
+    /// its callers. The source order is sorted over arbitrary old keys on a
+    /// tie-heavy grid (four popularities, three ages: most comparisons fall
+    /// to the slot tie-break); the change set moves arbitrary slots,
+    /// patches some to their own key, may change every slot, and pushes new
+    /// ones — an empty source is the bulk load. Editing from the live
+    /// source (`repair_from`, over stale or empty scratch) and in place
+    /// from displaced keys (`repair`) must both equal a sort of the new
+    /// keys.
+    #[test]
+    fn one_pass_edit_equals_a_from_scratch_sort(
+        old_cells in prop::collection::vec(0usize..12, 0..40),
+        changes in prop::collection::vec((0usize..40, 0usize..13), 0..40),
+        pushes in prop::collection::vec(0usize..12, 0..8),
+        every_slot in prop::bool::ANY,
+        stale_scratch in prop::bool::ANY,
+    ) {
+        let grid = |slot: usize, cell: usize| {
+            PageStats::new(slot, PageId::new(slot as u64), [0.0, 0.25, 0.5, 0.75][cell % 4], 0.5)
+                .with_age((cell / 4) as u64)
+        };
+        let live_stats: Vec<PageStats> =
+            old_cells.iter().enumerate().map(|(slot, &cell)| grid(slot, cell)).collect();
+        let live = PopularityIndex::build(&live_stats);
+        let indexed = live_stats.len();
+
+        // Each changed slot once, in arrival order; cell 12 patches a slot
+        // to its own key.
+        let mut stats = live_stats.clone();
+        let mut changed: Vec<usize> = Vec::new();
+        let mut listed = vec![false; indexed];
+        let mut touch = |slot: usize, changed: &mut Vec<usize>| {
+            if !std::mem::replace(&mut listed[slot], true) {
+                changed.push(slot);
+            }
+        };
+        if every_slot {
+            (0..indexed).for_each(|slot| touch(slot, &mut changed));
+        }
+        for &(raw, cell) in changes.iter().filter(|_| indexed > 0) {
+            let slot = raw % indexed;
+            if cell < 12 {
+                stats[slot] = grid(slot, cell);
+            }
+            touch(slot, &mut changed);
+        }
+        for &cell in &pushes {
+            let slot = stats.len();
+            stats.push(grid(slot, cell));
+            changed.push(slot);
+        }
+        let mut expected: Vec<usize> = (0..stats.len()).collect();
+        expected.sort_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
+
+        let mut from_live = if stale_scratch {
+            PopularityIndex::build(&stats[..stats.len() / 2])
+        } else {
+            PopularityIndex::default()
+        };
+        from_live.repair_from(&live, &live_stats, &stats, &changed);
+        prop_assert_eq!(from_live.order(), expected.as_slice());
+        prop_assert!(from_live.is_consistent(&stats));
+
+        let mut in_place = live.clone();
+        let mut displaced: Vec<PageStats> = changed
+            .iter()
+            .filter(|&&slot| slot < indexed)
+            .map(|&slot| live_stats[slot])
+            .collect();
+        let current = stats.clone();
+        in_place.repair(&mut stats, &mut displaced);
+        prop_assert_eq!(in_place.order(), expected.as_slice());
+        prop_assert_eq!(stats, current);
     }
 
     /// The one rank primitive against the scanning reference, for any

@@ -667,7 +667,7 @@ pub(crate) fn apply_event(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrp_core::RankPromotionEngine;
+    use rrp_core::{QueryContext, RankPromotionEngine};
     use std::path::PathBuf;
 
     fn engine() -> RankPromotionEngine {
@@ -720,6 +720,58 @@ mod tests {
     fn truncate_log(path: &Path, len: u64) {
         let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
         file.set_len(len).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_right_after_a_recycled_publication_recovers_the_twin() {
+        // A read that publishes also recycles the retired version as the
+        // next writer generation, whose own popularity order stays scratch
+        // until the next publication. A snapshot taken right then, with
+        // nothing mutated since, must still store a valid order.
+        let dir = Scratch::new("recycled-snapshot");
+        let twin = ShardedPromotionService::new(engine(), 2);
+        let docs: Vec<Document> = (0..40)
+            .map(|i| {
+                if i % 4 == 0 {
+                    Document::unexplored(i)
+                } else {
+                    doc(i)
+                }
+            })
+            .collect();
+        let ctx = |q: u64| QueryContext::new(q, q * 5 + 1);
+        {
+            let (mut svc, _) = DurableService::open(dir.path(), engine(), 2).unwrap();
+            svc.extend(docs.iter().copied()).unwrap();
+            twin.extend(docs.iter().copied());
+            svc.service().rerank_top_k(ctx(0), 10); // the first version
+            for seq in [3u64, 17, 30, 38] {
+                let popularity = 0.95 - seq as f64 * 0.001;
+                svc.update_popularity(seq, popularity).unwrap();
+                assert!(twin.update_popularity(seq, popularity));
+            }
+            svc.record_visit(8).unwrap();
+            assert!(twin.record_visit(8));
+            // Publishes the mutations and recycles the first version.
+            svc.service().rerank_top_k(ctx(1), 10);
+            assert_eq!(svc.serve_stats().version_publications, 2);
+            svc.snapshot_now().unwrap();
+        } // crash
+        let (svc, report) = DurableService::open(dir.path(), engine(), 2).unwrap();
+        assert!(report.snapshot_loaded);
+        assert_eq!(report.events_replayed, 0);
+        for q in 0..8 {
+            assert_eq!(
+                svc.service().rerank_one(ctx(q)),
+                twin.rerank_one(ctx(q)),
+                "query {q}"
+            );
+            assert_eq!(
+                svc.service().rerank_top_k(ctx(q), 10),
+                twin.rerank_top_k(ctx(q), 10),
+                "query {q}"
+            );
+        }
     }
 
     #[test]

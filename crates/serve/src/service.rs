@@ -21,8 +21,10 @@ pub struct ServeStats {
     pub batches: u64,
     /// Queries answered, across batch, single and top-k paths.
     pub queries: u64,
-    /// Dirty slots repaired by version publications (distinct slots: the
-    /// diff log deduplicates on entry).
+    /// Dirty slots repaired by version publications: the distinct slots
+    /// mutated since the previous publication (the dirty list deduplicates
+    /// on entry). Each is repaired exactly once, so this count is the
+    /// repair's whole work.
     pub dirty_slots_repaired: u64,
     /// Publications that changed the promotion pool — a mutation
     /// flipped some slot's membership (a first visit, an unexplored
@@ -447,7 +449,7 @@ impl ShardedPromotionService {
                 return published.clone();
             }
         }
-        let WriterState { store, tier } = &mut *writer;
+        let tier = &mut writer.tier;
         let (version, charged) = tier.publish(epoch);
         ProbeCells::add(&self.probe.dirty_slots_repaired, charged);
         if version.pool_repaired() {
@@ -458,11 +460,8 @@ impl ShardedPromotionService {
             &mut *self.published.write().expect("published version lock"),
             version.clone(),
         );
-        tier.recycle(prev, |slot| {
-            *store
-                .get(slot as u64)
-                .expect("every published slot exists in the store")
-        });
+        // Recycling copies from the live version; it never fetches.
+        tier.recycle(prev, |_| unreachable!("recycle reads the live version"));
         version
     }
 
