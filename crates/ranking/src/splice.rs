@@ -153,6 +153,23 @@ mod tests {
     }
 
     #[test]
+    fn remove_at_drops_exactly_the_listed_positions() {
+        let src: Vec<usize> = (0..8).collect();
+        assert_eq!(ascending_edit(&src, &[0, 2, 5, 7], &[]), [1, 3, 4, 6]);
+        assert_eq!(ascending_edit(&[1, 3, 4, 6], &[], &[]), [1, 3, 4, 6]);
+        assert!(ascending_edit(&[1, 3, 4, 6], &[1, 3, 4, 6], &[]).is_empty());
+    }
+
+    #[test]
+    fn insert_at_places_items_before_their_positions() {
+        assert_eq!(
+            ascending_edit(&[10, 20, 30], &[], &[5, 15, 16, 40]),
+            [5, 10, 15, 16, 20, 30, 40]
+        );
+        assert_eq!(ascending_edit(&[], &[], &[1, 2]), [1, 2]);
+    }
+
+    #[test]
     fn edit_removes_and_inserts_in_one_pass() {
         let src: Vec<usize> = (0..8).map(|s| s * 10).collect();
         assert_eq!(
