@@ -54,12 +54,19 @@
 //! the maintained pool and its membership mask. A top-`k` read stops
 //! filling `L_d` after `k` non-pool entries, so it never walks the order
 //! past its prefix.
+//!
+//! The tier is a function of the documents, so it is only ever built by
+//! pushing them in slot order — by a fresh service, leader recovery and
+//! replica bootstrap alike; nothing decodes it. Pool maintenance is fixed
+//! before the first document, so the writer has one state: it edits from
+//! the live version. Snapshots still write its serialised form, byte for
+//! byte, for `benchmark/`'s byte comparison; recovery never reads it.
 
 use crate::document::Document;
 use crate::engine::RankPromotionEngine;
 use rrp_model::PageId;
 use rrp_ranking::{CorpusCache, RankSource, ShardCandidates};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::sync::Arc;
 
 /// An immutable, epoch-stamped snapshot of the serving tier: the repaired
@@ -177,35 +184,27 @@ impl PublishedVersion {
 /// epoch-stamped immutable publication for concurrent readers (see the
 /// module docs for the two-generation layout).
 ///
-/// Its serialised form is what a snapshot stores for the serving tier.
-/// `benchmark/` writes the same form and compares snapshot bytes, so the
-/// shape changes only together with it.
-#[derive(Debug, Deserialize)]
+/// Built only by pushing documents (a service derives it from its store,
+/// at construction and recovery alike), with pool maintenance fixed
+/// before the first one. Snapshots write its serialised form but never
+/// read it back; `benchmark/` writes the same form and compares snapshot
+/// bytes, so the shape changes only together with it.
+#[derive(Debug)]
 pub struct ShardedCorpusCache {
     cache: Arc<CorpusCache>,
-    /// The cache of the last published version, while the writer's stats
-    /// and pool mask equal it everywhere but at the writer's dirty slots:
-    /// the source [`publish`](Self::publish) edits the writer's order and
-    /// member list from, and the valid ones the writer serializes (its own
-    /// are scratch after a [`recycle`](Self::recycle)). `None` after
-    /// deserialisation and after a pool-maintenance toggle: the writer's
-    /// own index is valid then, and the next publication repairs it in
-    /// place.
-    #[serde(skip)]
-    live: Option<Arc<CorpusCache>>,
-    /// Whether pool maintenance was toggled on a non-empty cache since the
-    /// last publication: the pool was re-derived wholesale, so the next
-    /// version counts as a pool repair.
-    #[serde(skip)]
-    pool_toggled: bool,
+    /// The cache of the last published version (the empty cache before
+    /// the first publication). The writer's stats and pool mask equal it
+    /// everywhere but at the writer's dirty slots: it is the source
+    /// [`publish`](Self::publish) edits the writer's order and member list
+    /// from, and the valid ones the writer serializes (its own are scratch
+    /// after a [`recycle`](Self::recycle)).
+    live: Arc<CorpusCache>,
     /// The slots the last [`publish`](Self::publish) repaired, retained for
     /// the follow-up [`recycle`](Self::recycle): the retiring version lags
     /// the new one by exactly these slots.
-    #[serde(skip)]
     recycle_diff: Vec<usize>,
     /// Whether `recycle_diff` is a complete catch-up diff for the version
     /// retired by the last publication.
-    #[serde(skip)]
     recycle_valid: bool,
 }
 
@@ -216,36 +215,25 @@ impl ShardedCorpusCache {
     pub fn new(_shard_count: usize) -> Self {
         let cache = Arc::new(CorpusCache::new());
         ShardedCorpusCache {
-            live: Some(cache.clone()),
+            live: cache.clone(),
             cache,
-            pool_toggled: false,
             recycle_diff: Vec::new(),
             recycle_valid: false,
         }
     }
 
     /// Enable or disable pool maintenance (see
-    /// [`CorpusCache::set_pool_maintained`]). A toggle re-derives the pool
-    /// wholesale, so the writer no longer differs from the live version
-    /// only at its dirty slots: it first takes the live version's valid
-    /// order in place of its own scratch one, and the next publication
-    /// repairs in place and skips recycling once.
+    /// [`CorpusCache::set_pool_maintained`]) before the first document is
+    /// pushed.
+    ///
+    /// # Panics
+    ///
+    /// If the cache holds any document: maintenance is a construction-time
+    /// property, as [`push`](Self::push)'s slot is.
     pub fn set_pool_maintained(&mut self, maintained: bool) {
-        if maintained == self.pool_maintained() {
-            return;
-        }
-        let cache = Arc::make_mut(&mut self.cache);
-        if cache.is_empty() {
-            // Nothing to publish yet: an empty writer is its own source.
-            cache.set_pool_maintained(maintained);
-            self.live = Some(self.cache.clone());
-            return;
-        }
-        if let Some(live) = self.live.take() {
-            cache.adopt_order_of(&live);
-        }
-        cache.set_pool_maintained(maintained);
-        self.pool_toggled = true;
+        Arc::make_mut(&mut self.cache).set_pool_maintained(maintained);
+        // Nothing to publish yet: an empty writer is its own source.
+        self.live = self.cache.clone();
     }
 
     /// Whether pool maintenance is enabled (see
@@ -298,10 +286,8 @@ impl ShardedCorpusCache {
     ///
     /// The writer's order and member list are written in one copying edit
     /// each from the live version's, whose stats hold every dirty slot's
-    /// old key ([`CorpusCache::repair_from`]); a deserialised writer, or one
-    /// whose pool maintenance was toggled, repairs in place instead
-    /// ([`CorpusCache::repair`]). With nothing mutated since the live
-    /// version, the version shares the live cache.
+    /// old key ([`CorpusCache::repair_from`]). With nothing mutated since
+    /// the live version, the version shares the live cache.
     ///
     /// Publication happens at most once per mutation epoch by
     /// construction: the owner only calls this when its published
@@ -311,31 +297,17 @@ impl ShardedCorpusCache {
     pub fn publish(&mut self, epoch: u64) -> (Arc<PublishedVersion>, u64) {
         let charged = self.cache.dirty_len() as u64;
         self.recycle_diff.clear();
-        self.recycle_valid = false;
-        let flipped = match self.live.clone() {
-            Some(live) if charged == 0 => {
-                self.cache = live;
-                false
-            }
-            Some(live) => {
-                // The version retired by this publication lags the new one
-                // by exactly the repaired slots.
-                self.recycle_diff.extend_from_slice(self.cache.dirty());
-                self.recycle_valid = true;
-                Arc::make_mut(&mut self.cache).repair_from(&live)
-            }
-            None => {
-                if charged > 0 {
-                    Arc::make_mut(&mut self.cache).repair();
-                }
-                // A deserialised cache is only ever published over the
-                // empty sentinel version, whose pool is empty (after a
-                // toggle the version counts as a pool repair anyway).
-                !self.cache.pool().is_empty()
-            }
+        self.recycle_valid = charged > 0;
+        let pool_repaired = if charged == 0 {
+            self.cache = self.live.clone();
+            false
+        } else {
+            // The version retired by this publication lags the new one by
+            // exactly the repaired slots.
+            self.recycle_diff.extend_from_slice(self.cache.dirty());
+            Arc::make_mut(&mut self.cache).repair_from(&self.live)
         };
-        let pool_repaired = std::mem::take(&mut self.pool_toggled) || flipped;
-        self.live = Some(self.cache.clone());
+        self.live = self.cache.clone();
         let version = PublishedVersion {
             epoch,
             pool_repaired,
@@ -355,10 +327,9 @@ impl ShardedCorpusCache {
     /// instead of copy-on-write. Its order and member list stay as they
     /// were — scratch, until the next publication overwrites them from the
     /// live version; nothing is repaired twice. If a straggler still holds
-    /// the version, the last publication repaired in place (a deserialised
-    /// writer, a pool-maintenance toggle), the retired cache maintains the
-    /// pool differently, or the diff is longer than the retired cache,
-    /// this is a no-op and the next mutation clones.
+    /// the version, the last publication repaired nothing, or the diff is
+    /// longer than the retired cache, this is a no-op and the next
+    /// mutation clones.
     ///
     /// `fetch` is unused: the live version holds everything the retired
     /// one is missing. It is kept only because `benchmark/` calls this
@@ -373,9 +344,6 @@ impl ShardedCorpusCache {
         else {
             return;
         };
-        if cache.pool_maintained() != self.pool_maintained() {
-            return; // a maintenance toggle the diff cannot catch up
-        }
         if cache.len() < self.recycle_diff.len() {
             // Mostly pushes (the empty first version, a bulk load): the
             // copy-on-write the writer falls back to is one copy of the
@@ -389,16 +357,13 @@ impl ShardedCorpusCache {
 }
 
 impl Serialize for ShardedCorpusCache {
-    /// The writer's cache, with the live version's order and pool while it
-    /// edits from one: between a [`recycle`](Self::recycle) and the next
-    /// publication the writer's own order and member list are scratch, and
-    /// the live ones are what its stats derive with the dirty slots' old
-    /// keys. The shape is the derived one (`{"cache": …}`).
+    /// The writer's cache, with the live version's order and pool: between
+    /// a [`recycle`](Self::recycle) and the next publication the writer's
+    /// own order and member list are scratch, and the live ones are what
+    /// its stats derive with the dirty slots' old keys. The shape is the
+    /// derived one (`{"cache": …}`).
     fn to_value(&self) -> Value {
-        let cache = match &self.live {
-            Some(live) => self.cache.to_value_with_index_of(live),
-            None => self.cache.to_value(),
-        };
+        let cache = self.cache.to_value_with_index_of(&self.live);
         Value::Map(vec![("cache".to_string(), cache)])
     }
 }
@@ -666,20 +631,6 @@ mod tests {
         docs.push(Document::unexplored(500));
         cache.push(0, docs.last().unwrap());
         republish(&mut cache, &docs);
-        // A maintenance toggle each way: off empties the pool, on restores
-        // it from the current stats.
-        cache.set_pool_maintained(false);
-        epoch += 1;
-        let (off, _) = cache.publish(epoch);
-        assert!(off.pool_repaired());
-        assert!(off.pool_slots().is_empty());
-        assert_eq!(off.pool_slots(), mask_scan(&off).as_slice());
-        cache.set_pool_maintained(true);
-        epoch += 1;
-        let (on, _) = cache.publish(epoch);
-        assert!(on.pool_repaired());
-        assert_eq!(on.pool_slots(), mask_scan(&on).as_slice());
-        assert_eq!(on.pool_slots(), global_reference(&docs).1.members());
     }
 
     #[test]
@@ -734,58 +685,27 @@ mod tests {
             assert_eq!(version.in_pool(slot), doc.is_unexplored, "slot {slot}");
             assert_eq!(version.page_of(slot), PageId::new(doc.id), "slot {slot}");
         }
-        // Turning maintenance off empties the mask (unmaintained pools are
-        // empty); turning it back on recomputes from the patched stats —
-        // including a visit made while it was off, which must not stay
-        // promoted.
-        cache.set_pool_maintained(false);
-        let version = republish(&mut cache, &docs);
-        assert!((0..docs.len()).all(|s| !version.in_pool(s)));
-        assert!(docs[3].is_unexplored);
-        docs[3].is_unexplored = false;
-        cache.patch(3, &docs[3]);
-        let version = republish(&mut cache, &docs);
-        assert!(version.pool_slots().is_empty());
-        cache.set_pool_maintained(true);
-        let version = republish(&mut cache, &docs);
-        for (slot, doc) in docs.iter().enumerate() {
-            assert_eq!(version.in_pool(slot), doc.is_unexplored, "slot {slot}");
+        // A cache built with maintenance off keeps the mask empty through
+        // the same mutations: unmaintained pools are empty.
+        let mut off = ShardedCorpusCache::new(1);
+        off.set_pool_maintained(false);
+        for doc in &docs {
+            off.push(0, doc);
         }
-        assert!(!version.pool_slots().contains(&3));
-        assert_eq!(version.pool_slots(), global_reference(&docs).1.members());
+        let (version, _) = off.publish(1);
+        assert!((0..docs.len()).all(|s| !version.in_pool(s)));
+        docs[3].is_unexplored = false;
+        off.patch(3, &docs[3]);
+        let (version, _) = off.publish(2);
+        assert!(version.pool_slots().is_empty());
+        assert!(!version.pool_repaired());
     }
 
-    /// The pool index's `is_unexplored` tripwire at the serving tier:
-    /// mutating a document's awareness *without* routing the mutation
-    /// through [`ShardedCorpusCache::patch`] leaves the pool index stale,
-    /// and the membership debug assertion inside the next repair catches
-    /// it instead of silently serving a drifted pool.
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "is_consistent")]
-    fn unmarked_shard_local_mutation_trips_the_membership_assertion() {
-        use serde::Value;
-        let mut docs = documents(12);
-        let mut cache = filled(&docs);
+    #[should_panic(expected = "fixed before the first slot")]
+    fn pool_maintenance_cannot_change_once_a_document_is_pushed() {
+        let mut cache = filled(&documents(3));
         cache.publish(1);
-
-        // Visit the unexplored slot 0 behind the cache's back — rewrite its
-        // entry in the cache's serialized state, so no dirty mark is set —
-        // then dirty another slot through a legitimate patch: the next
-        // repair's membership assertion fires.
-        docs[0].is_unexplored = false;
-        let stat = RankPromotionEngine::document_stat(0, &docs[0]);
-        let Value::Map(mut fields) = cache.cache.to_value() else {
-            unreachable!("a cache serializes as a map")
-        };
-        let Some((_, Value::Seq(stats))) = fields.iter_mut().find(|(name, _)| name == "stats")
-        else {
-            unreachable!("the cache serializes its stats")
-        };
-        stats[0] = stat.to_value();
-        cache.cache = Arc::new(CorpusCache::from_value(&Value::Map(fields)).unwrap());
-        docs[3].popularity = 0.9;
-        cache.patch(3, &docs[3]);
-        cache.publish(2);
+        cache.set_pool_maintained(false);
     }
 }

@@ -1,6 +1,6 @@
 //! Publication ≡ from scratch: under arbitrary push / patch / publish /
-//! recycle schedules — with readers that straggle on retired versions and
-//! pool maintenance toggled mid-stream — every version
+//! recycle schedules — with readers that straggle on retired versions,
+//! with pool maintenance on or off — every version
 //! [`ShardedCorpusCache::publish`] cuts serves exactly what a
 //! [`CorpusCache`] rebuilt from the current documents serves, and every
 //! straggling version keeps serving its own epoch.
@@ -13,14 +13,16 @@
 //! slot missed by either step, or scratch state that leaks, would not fail
 //! loudly: it would shift the order, the pool, or a page id in some later
 //! version. This suite compares all of them after every publication, and
-//! round-trips the writer through serde JSON at arbitrary points (right
-//! after a publication too, when its order is scratch) to pin that what it
-//! serializes is valid.
+//! inspects the writer's serialized form at arbitrary points (right after
+//! a publication too, when its own order is scratch): snapshots write it,
+//! so it must carry the current stats, the dirty slots and the live
+//! version's from-scratch order and pool.
 
 use proptest::prelude::*;
 use rrp_core::model::PageId;
 use rrp_core::{CorpusCache, Document, PublishedVersion, RankPromotionEngine, ShardedCorpusCache};
 use serde::{Deserialize, Serialize, Value};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One step of a writer's schedule.
@@ -39,11 +41,8 @@ enum Op {
     Publish { straggle: bool },
     /// Every parked reader lets go.
     Release,
-    /// Flip pool maintenance.
-    TogglePool,
-    /// Serialize the writer tier through serde JSON and continue from the
-    /// deserialised copy.
-    RoundTrip,
+    /// Check the writer tier's serialized form.
+    Inspect,
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
@@ -59,23 +58,15 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
                     10 => vec![Op::Publish {
                         straggle: salt % 2 == 0,
                     }],
-                    11 if salt % 3 == 0 => vec![Op::TogglePool],
                     11 => vec![Op::Release],
-                    12 => vec![Op::RoundTrip],
+                    12 => vec![Op::Inspect],
                     // Right after a publication and its recycle, the
                     // writer's own order is scratch.
-                    _ => vec![Op::Publish { straggle: false }, Op::RoundTrip],
+                    _ => vec![Op::Publish { straggle: false }, Op::Inspect],
                 })
                 .collect()
         },
     )
-}
-
-/// The writer tier after a trip through serde JSON.
-fn roundtrip(cache: &ShardedCorpusCache) -> ShardedCorpusCache {
-    let text = serde_json::to_string(&cache.to_value()).expect("serializes");
-    let parsed: Value = serde_json::from_str(&text).expect("parses");
-    ShardedCorpusCache::from_value(&parsed).expect("deserializes")
 }
 
 /// What a version must serve: a cache rebuilt from `docs`.
@@ -108,13 +99,50 @@ fn check(
     Ok(())
 }
 
+/// The writer's serialized form — what every snapshot writes for the
+/// serving tier — against the from-scratch derivation: the current stats
+/// and dirty slots, with the order and pool of the live version's
+/// documents (the valid ones while the writer's own are scratch).
+fn inspect(
+    cache: &ShardedCorpusCache,
+    docs: &[Document],
+    live_docs: &[Document],
+    mutated: &BTreeSet<usize>,
+    maintained: bool,
+) -> Result<(), TestCaseError> {
+    let value = cache.to_value();
+    let field = |value: &Value, name: &str| value.get(name).cloned().expect("a serialized field");
+    let written = field(&value, "cache");
+    let current = fresh(docs, maintained);
+    let live = fresh(live_docs, maintained);
+    prop_assert_eq!(field(&written, "stats"), current.stats().to_value());
+    prop_assert_eq!(
+        field(&field(&written, "popularity"), "order"),
+        live.order().to_value()
+    );
+    prop_assert_eq!(field(&written, "pool"), live.pool().to_value());
+    prop_assert_eq!(field(&written, "maintain_pool"), maintained.to_value());
+    let Value::Seq(dirty) = field(&written, "dirty") else {
+        panic!("the dirty list serializes as a sequence");
+    };
+    let mut dirty: Vec<usize> = dirty
+        .iter()
+        .map(|slot| usize::from_value(slot).expect("a slot"))
+        .collect();
+    dirty.sort_unstable();
+    prop_assert_eq!(dirty, mutated.iter().copied().collect::<Vec<_>>());
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn every_publication_equals_a_from_scratch_cache(
         ops in arb_ops(),
         initial in 0usize..20,
+        maintained in prop::bool::ANY,
     ) {
         let mut cache = ShardedCorpusCache::new(1);
+        cache.set_pool_maintained(maintained);
         let mut docs: Vec<Document> = Vec::new();
         let mut next_id = 0u64;
         let mut push = |cache: &mut ShardedCorpusCache, docs: &mut Vec<Document>, popularity: f64, age: u64| {
@@ -130,19 +158,13 @@ proptest! {
         for i in 0..initial {
             push(&mut cache, &mut docs, (i % 5) as f64 * 0.3, i as u64);
         }
-        let mut maintained = cache.pool_maintained();
         let mut epoch = 0u64;
         let mut live = Arc::new(PublishedVersion::empty(1, maintained));
         // Parked readers, each with the documents its version must serve.
-        let mut stragglers: Vec<(Arc<PublishedVersion>, Vec<Document>, bool)> = Vec::new();
+        let mut stragglers: Vec<(Arc<PublishedVersion>, Vec<Document>)> = Vec::new();
         // What the live version serves, and what changed since.
-        let (mut live_docs, mut live_maintained) = (Vec::new(), maintained);
-        let mut mutated: std::collections::BTreeSet<usize> = (0..docs.len()).collect();
-        let mut toggled = false;
-        // A deserialised writer's first version reports a pool repair
-        // exactly when its pool is non-empty: in service it is only ever
-        // published over the empty sentinel, not over `live`.
-        let mut deserialised = false;
+        let mut live_docs = Vec::new();
+        let mut mutated: BTreeSet<usize> = (0..docs.len()).collect();
 
         for &op in &ops {
             let slot = |salt: usize| (!docs.is_empty()).then(|| salt % docs.len());
@@ -173,48 +195,25 @@ proptest! {
                     prop_assert_eq!(version.epoch(), epoch);
                     check(&version, &docs, maintained)?;
                     let pool_changed = version.pool_slots() != live.pool_slots();
-                    if deserialised {
-                        if !toggled {
-                            prop_assert_eq!(version.pool_repaired(), !version.pool_slots().is_empty());
-                        }
-                    } else if toggled {
-                        prop_assert!(version.pool_repaired() || !pool_changed);
-                    } else {
-                        prop_assert_eq!(version.pool_repaired(), pool_changed);
-                    }
+                    prop_assert_eq!(version.pool_repaired(), pool_changed);
                     let retired = std::mem::replace(&mut live, version);
                     if straggle {
-                        stragglers.push((retired.clone(), live_docs.clone(), live_maintained));
+                        stragglers.push((retired.clone(), live_docs.clone()));
                     }
                     cache.recycle(retired, |s| docs[s]);
                     live_docs.clone_from(&docs);
-                    live_maintained = maintained;
                     mutated.clear();
-                    toggled = false;
-                    deserialised = false;
                 }
                 Op::Release => {
-                    for (version, docs, maintained) in stragglers.drain(..) {
+                    for (version, docs) in stragglers.drain(..) {
                         check(&version, &docs, maintained)?;
                     }
                 }
-                Op::TogglePool => {
-                    maintained = !maintained;
-                    cache.set_pool_maintained(maintained);
-                    toggled = true;
-                }
-                Op::RoundTrip => {
-                    let back = roundtrip(&cache);
-                    prop_assert_eq!(back.to_value(), cache.to_value());
-                    prop_assert_eq!(back.dirty_len(), cache.dirty_len());
-                    prop_assert_eq!(back.pool_maintained(), cache.pool_maintained());
-                    cache = back;
-                    deserialised = true;
-                }
+                Op::Inspect => inspect(&cache, &docs, &live_docs, &mutated, maintained)?,
             }
         }
-        for (version, docs, maintained) in &stragglers {
-            check(version, docs, *maintained)?;
+        for (version, docs) in &stragglers {
+            check(version, docs, maintained)?;
         }
         epoch += 1;
         let (version, _) = cache.publish(epoch);

@@ -36,12 +36,12 @@ use crate::poolindex::PoolIndex;
 use crate::popindex::PopularityIndex;
 use crate::randomized::RankSource;
 use crate::stats::PageStats;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// The persistent ranking state over one corpus under dense slots
 /// (`stats[i].slot == i`): statistics snapshot, popularity order, and
 /// promotion-pool membership, repaired together from a shared dirty list.
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorpusCache {
     /// `PageStats` for each slot (slot = insertion index), patched in
     /// place on mutation.
@@ -52,8 +52,8 @@ pub struct CorpusCache {
     /// Selective-promotion pool membership (unexplored slots, ascending),
     /// repaired from the same dirty slots.
     pool: PoolIndex,
-    /// Whether the pool index is kept current (see
-    /// [`set_pool_maintained`](Self::set_pool_maintained)).
+    /// Whether the pool index is kept current (fixed while the cache is
+    /// empty, see [`set_pool_maintained`](Self::set_pool_maintained)).
     maintain_pool: bool,
     /// Slots whose stats changed (or appeared) since the last repair —
     /// deduplicated on entry via `dirty_mask`: the mutations between two
@@ -67,9 +67,7 @@ pub struct CorpusCache {
     /// first patch since then (pushes record nothing, so this stays `O(d)`).
     /// The in-place popularity repair finds each slot's old position by
     /// them ([`repair_from`](Self::repair_from) reads the live stats
-    /// instead). Not serialized: a deserialised cache with patched slots
-    /// pending has none, and its next repair re-sorts once instead.
-    #[serde(skip)]
+    /// instead).
     displaced: Vec<PageStats>,
 }
 
@@ -94,22 +92,23 @@ impl CorpusCache {
         CorpusCache::default()
     }
 
-    /// Enable or disable pool-index maintenance (on by default). An owner
-    /// whose policy never reads the pool —
+    /// Enable or disable pool-index maintenance (on by default) on an
+    /// empty cache: it is a property of the cache, fixed before the first
+    /// slot joins. An owner whose policy never reads the pool —
     /// [`PolicyKind::reads_pool_index`](crate::PolicyKind::reads_pool_index)
     /// is the predicate; the Uniform rule re-draws its per-page coins —
-    /// can switch it off so rebuilds and repairs stop paying for dead
-    /// state. The [`source`](Self::source) then carries the (empty)
-    /// index, which such policies ignore. Switching it back on re-derives
-    /// the pool from the current stats (`O(n)`, once): repairs skipped
-    /// while it was off would otherwise leave stale members behind.
+    /// switches it off so rebuilds and repairs stop paying for dead state.
+    /// The [`source`](Self::source) then carries the (empty) index, which
+    /// such policies ignore.
+    ///
+    /// # Panics
+    ///
+    /// If the cache holds any slot.
     pub fn set_pool_maintained(&mut self, maintained: bool) {
-        if maintained != self.maintain_pool {
-            self.pool = PoolIndex::default();
-            if maintained {
-                self.pool.rebuild(&self.stats);
-            }
-        }
+        assert!(
+            self.is_empty(),
+            "pool maintenance is fixed before the first slot"
+        );
         self.maintain_pool = maintained;
     }
 
@@ -248,16 +247,12 @@ impl CorpusCache {
                 self.pool.repair(&self.stats, &self.dirty);
             }
             self.clear_dirty_mask();
-            // Every dirty slot is either new (past the indexed length) or
-            // patched with a displaced key — unless the cache was
-            // deserialised with patches pending, which lost their keys.
-            let pushed = self.stats.len() - self.popularity.len();
-            if self.displaced.len() + pushed == self.dirty.len() {
-                self.popularity.repair(&mut self.stats, &mut self.displaced);
-            } else {
-                self.popularity.rebuild(&self.stats);
-                self.displaced.clear();
-            }
+            debug_assert_eq!(
+                self.displaced.len() + self.stats.len() - self.popularity.len(),
+                self.dirty.len(),
+                "every dirty slot is either pushed or patched with a displaced key"
+            );
+            self.popularity.repair(&mut self.stats, &mut self.displaced);
             self.dirty.clear();
         }
         handed
@@ -307,15 +302,6 @@ impl CorpusCache {
             self.pool.catch_up_mask(&live.pool, diff);
         }
         self.dirty_mask.resize(self.stats.len(), false);
-    }
-
-    /// Replace this cache's popularity order with a copy of `live`'s — the
-    /// valid order of a writer generation that
-    /// [`repair_from`](Self::repair_from) would otherwise have edited from
-    /// `live`. Afterwards the cache repairs in place again: its displaced
-    /// keys are `live`'s stats.
-    pub fn adopt_order_of(&mut self, live: &CorpusCache) {
-        self.popularity.clone_from(&live.popularity);
     }
 
     /// This cache's serialized form, with `index`'s popularity order and
@@ -466,48 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn re_enabling_pool_maintenance_drops_members_visited_while_off() {
-        // A first visit while nobody maintains the pool: switching
-        // maintenance back on must not resume repairing the stale index.
-        let mut ps = stats();
-        let mut cache = filled(&ps);
-        cache.repair();
-        assert!(cache.pool().contains(0));
-        cache.set_pool_maintained(false);
-        ps[0].awareness = 1.0;
-        ps[0].popularity = 0.5;
-        cache.patch(0, ps[0]);
-        cache.repair();
-        cache.set_pool_maintained(true);
-        cache.repair();
-        assert!(!cache.pool().contains(0), "the visited page left the pool");
-        assert_matches_rebuild(&cache, &ps);
-    }
-
-    #[test]
-    fn a_deserialised_cache_with_pending_patches_re_sorts_once() {
-        // The displaced keys are not serialized: the round-tripped cache
-        // re-derives its order from the current stats at the next repair.
-        let mut ps = stats();
-        let mut cache = filled(&ps);
-        cache.repair();
-        ps[5].popularity = 5.0;
-        cache.patch(5, ps[5]);
-        ps.push(PageStats::new(40, PageId::new(40), 0.9, 1.0));
-        cache.push(ps[40]);
-        let mut back = CorpusCache::from_value(&cache.to_value()).expect("round trip");
-        assert_eq!(back.dirty_len(), 2);
-        assert_eq!(back.repair(), 2);
-        assert_matches_rebuild(&back, &ps);
-        assert_eq!(back.order()[0], 5);
-        // Once re-derived, the next patch repairs incrementally again.
-        ps[7].popularity = 0.0;
-        back.patch(7, ps[7]);
-        back.repair();
-        assert_matches_rebuild(&back, &ps);
-    }
-
-    #[test]
     fn repair_on_a_clean_cache_is_a_no_op() {
         let ps = stats();
         let mut cache = filled(&ps);
@@ -540,6 +484,37 @@ mod tests {
         let ps = stats();
         let mut cache = filled(&ps);
         cache.patch(0, ps[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fixed before the first slot")]
+    fn pool_maintenance_is_fixed_once_a_slot_joins() {
+        let mut cache = filled(&stats());
+        cache.set_pool_maintained(false);
+    }
+
+    /// The pool index's `is_unexplored` tripwire on the serving tier's
+    /// repair: mutating a slot's awareness *without* marking it dirty
+    /// leaves the pool index stale, and the membership debug assertion
+    /// inside the next repair catches it instead of silently serving a
+    /// drifted pool.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is_consistent")]
+    fn unmarked_shard_local_mutation_trips_the_membership_assertion() {
+        let mut ps = stats();
+        let mut live = filled(&ps);
+        live.repair();
+        let mut writer = live.clone();
+
+        // Visit the unexplored slot 0 behind the cache's back — no dirty
+        // mark is set — then dirty another slot through a legitimate
+        // patch: the next repair's membership assertion fires.
+        assert!(ps[0].is_unexplored());
+        writer.stats[0].awareness = 1.0;
+        ps[3].popularity = 0.9;
+        writer.patch(3, ps[3]);
+        writer.repair_from(&live);
     }
 
     #[test]

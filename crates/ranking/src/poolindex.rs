@@ -34,10 +34,10 @@
 
 use crate::splice;
 use crate::stats::PageStats;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Unexplored slots in ascending slot order, repaired incrementally.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct PoolIndex {
     /// Pool members (unexplored slots), ascending. Invariant outside
     /// `repair`: equals the slots where `is_unexplored` holds for the most

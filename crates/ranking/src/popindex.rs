@@ -46,10 +46,10 @@
 
 use crate::splice;
 use crate::stats::{popularity_order, precedes, PageStats};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Slots sorted by [`popularity_order`], repaired incrementally.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct PopularityIndex {
     /// Slot indices, best-ranked first. Invariant outside a repair: sorted
     /// by `popularity_order` over the most recent `stats` passed in.
@@ -213,6 +213,13 @@ impl PopularityIndex {
         let indexed = live.order.len();
         debug_assert_eq!(indexed, live_stats.len(), "the live order is repaired");
         debug_assert!(stats.len() >= indexed, "the population never shrinks");
+        if indexed == 0 {
+            // Every slot is new (a bulk load, or a tier derived from a
+            // snapshot's documents): one sort places them all, with no
+            // scratch grown to the corpus size.
+            self.rebuild(stats);
+            return;
+        }
         self.removed.clear();
         self.removed
             .extend(changed.iter().copied().filter(|&slot| slot < indexed));

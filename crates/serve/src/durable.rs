@@ -18,9 +18,10 @@
 //!            └──────────────────────────────────────────┘
 //!
 //!            ┌──────────────── recovery ────────────────┐
-//!            │ 1. read + CRC-verify snapshot            │
-//!            │    (corrupt/missing → start empty,       │
-//!            │     replay the whole log instead)        │
+//!            │ 1. read + CRC-verify snapshot, load its  │
+//!            │    store, derive the serving tier from   │
+//!            │    the documents (corrupt/missing →      │
+//!            │    start empty, replay the whole log)    │
 //!            │ 2. catch up on the log as a replica does │
 //!            │    (events ≥ the snapshot's high-water   │
 //!            │    mark), until the reader stops         │
@@ -37,6 +38,16 @@
 //! poll → admit → apply loop as [`crate::ReplicaService`], and only the
 //! leader truncates.
 //!
+//! A snapshot is JSON of the engine, the store, the serving tier and the
+//! event mark, but recovery and replica bootstrap read back only the
+//! engine, the store and the mark: the tier (stats, the slot-tie-broken
+//! popularity order, the unexplored pool) is a function of the documents,
+//! derived by pushing each one as [`ShardedPromotionService::new`]'s
+//! inserts would. The tier field is write-only, kept byte for byte because
+//! the benchmark re-enacts this writer and compares bytes; with the bytes
+//! unchanged, [`SNAPSHOT_VERSION`](rrp_wal::snapshot::SNAPSHOT_VERSION)
+//! did not move.
+//!
 //! Replay reproduces bit-identical output because every serving answer is
 //! a pure function of (engine seed, query, session) over the store's
 //! canonical order, and both the snapshot (exact-bit floats through the
@@ -52,7 +63,7 @@
 use crate::error::ServeError;
 use crate::service::{ServeStats, ShardedPromotionService, StoreGuard};
 use crate::store::ShardedStore;
-use rrp_core::{Document, RankPromotionEngine, ShardedCorpusCache};
+use rrp_core::{Document, RankPromotionEngine};
 use rrp_wal::fault::{Failpoint, FailpointSink};
 use rrp_wal::snapshot::{read_snapshot, write_snapshot_atomic};
 use rrp_wal::{
@@ -293,7 +304,11 @@ impl DurableService {
     /// consistent. Once appended and applied the insert returns its `seq`
     /// whatever the cadence snapshot does, so a caller never retries (and
     /// duplicates) an insert that already happened.
+    ///
+    /// A NaN or infinite popularity, which no snapshot could write, is
+    /// rejected as [`ServeError::NonFinitePopularity`] before logging.
     pub fn insert(&mut self, document: Document) -> Result<u64, ServeError> {
+        check_popularity(document.popularity)?;
         self.log_event(&WalEvent::Insert(document))?;
         let seq = self.inner.insert(document);
         self.maybe_snapshot();
@@ -323,9 +338,11 @@ impl DurableService {
         Ok(())
     }
 
-    /// Durably replace a popularity score. An unknown sequence is
+    /// Durably replace a popularity score. An unknown sequence, and a NaN
+    /// or infinite score ([`ServeError::NonFinitePopularity`]), are
     /// rejected before anything reaches the log.
     pub fn update_popularity(&mut self, seq: u64, popularity: f64) -> Result<(), ServeError> {
+        check_popularity(popularity)?;
         self.check_seq(seq)?;
         self.log_event(&WalEvent::SetPopularity { seq, popularity })?;
         self.inner.try_update_popularity(seq, popularity)?;
@@ -336,7 +353,8 @@ impl DurableService {
     /// Write a snapshot right now: sync the log, serialise the engine,
     /// store and serving tier, and rename it into place atomically. A
     /// crash at any instant leaves either the previous snapshot or this
-    /// one.
+    /// one. The serving tier is written but never read back: recovery
+    /// derives it from the store (see the module docs).
     pub fn snapshot_now(&mut self) -> Result<(), ServeError> {
         self.wal.sync()?;
         let payload = encode_snapshot(&self.inner, self.wal.next_seq())?;
@@ -396,6 +414,15 @@ impl DurableService {
     }
 }
 
+/// Reject a popularity score the snapshot codec cannot write.
+fn check_popularity(popularity: f64) -> Result<(), ServeError> {
+    if popularity.is_finite() {
+        Ok(())
+    } else {
+        Err(ServeError::NonFinitePopularity { popularity })
+    }
+}
+
 /// What the snapshot half of recovery produced: the seeded service and
 /// where log replay must pick up. Shared by [`DurableService::open`] and
 /// the replica bootstrap (`crate::replica`).
@@ -431,7 +458,7 @@ pub(crate) fn bootstrap_snapshot(
         Ok(Some(payload)) => {
             let state = decode_snapshot(&payload, &engine, shard_count)?;
             return Ok(SnapshotBootstrap {
-                service: ShardedPromotionService::from_parts(engine, state.store, state.tier),
+                service: ShardedPromotionService::with_store(engine, state.store),
                 hwm: state.next_event,
                 snapshot_loaded: true,
                 snapshot_fallback: false,
@@ -561,14 +588,15 @@ impl ReplayCursor {
     }
 }
 
-/// The serialized form of a snapshot payload: engine, store, serving
-/// tier, and the event sequence the snapshot is current through.
+/// What recovery reads back from a snapshot payload: the store and the
+/// event sequence the snapshot is current through.
 struct SnapshotState {
     store: ShardedStore,
-    tier: ShardedCorpusCache,
     next_event: u64,
 }
 
+/// Serialize a snapshot payload: engine, store, serving tier (`"shards"`,
+/// written for byte compatibility, never read) and the event mark.
 fn encode_snapshot(
     service: &ShardedPromotionService,
     next_event: u64,
@@ -588,6 +616,9 @@ fn encode_snapshot(
     })
 }
 
+/// Read a snapshot payload back: check its engine and shard count against
+/// the caller's, and return its store and event mark. The `"shards"`
+/// field is not read, whatever it holds.
 fn decode_snapshot(
     payload: &[u8],
     engine: &RankPromotionEngine,
@@ -624,22 +655,9 @@ fn decode_snapshot(
             store.shard_count()
         )));
     }
-    let tier = ShardedCorpusCache::from_value(field("shards")?)
-        .map_err(|e| recovery(format!("snapshot serving tier: {e}")))?;
-    if tier.len() != store.len() {
-        return Err(recovery(format!(
-            "snapshot serving tier covers {} slots but the store holds {} documents",
-            tier.len(),
-            store.len()
-        )));
-    }
     let next_event = u64::from_value(field("next_event")?)
         .map_err(|e| recovery(format!("snapshot next_event: {e}")))?;
-    Ok(SnapshotState {
-        store,
-        tier,
-        next_event,
-    })
+    Ok(SnapshotState { store, next_event })
 }
 
 /// Apply one replayed event. Events were validated before they were
@@ -772,6 +790,123 @@ mod tests {
                 "query {q}"
             );
         }
+    }
+
+    #[test]
+    fn recovery_derives_the_tier_and_never_reads_the_written_one() {
+        // The snapshot's serving tier is written but not read: with it
+        // replaced by `null` (inside a recomputed envelope), the leader's
+        // recovery and a replica's bootstrap still answer as the uncrashed
+        // twin does.
+        let dir = Scratch::new("tier-unread");
+        let twin = ShardedPromotionService::new(engine(), 2);
+        let docs: Vec<Document> = (0..30)
+            .map(|i| {
+                if i % 3 == 0 {
+                    Document::unexplored(i)
+                } else {
+                    doc(i)
+                }
+            })
+            .collect();
+        let ctx = |q: u64| QueryContext::new(q, q * 7 + 3);
+        {
+            let (mut svc, _) = DurableService::open(dir.path(), engine(), 2).unwrap();
+            svc.extend(docs.iter().copied()).unwrap();
+            twin.extend(docs.iter().copied());
+            svc.service().rerank_top_k(ctx(0), 10);
+            svc.record_visit(6).unwrap();
+            assert!(twin.record_visit(6));
+            svc.update_popularity(4, 0.99).unwrap();
+            assert!(twin.update_popularity(4, 0.99));
+            svc.snapshot_now().unwrap();
+            // A tail past the snapshot for recovery to replay.
+            svc.record_visit(9).unwrap();
+            assert!(twin.record_visit(9));
+            svc.insert(Document::unexplored(500)).unwrap();
+            twin.insert(Document::unexplored(500));
+        } // crash
+
+        let snapshot = dir.path().join(SNAPSHOT_FILE);
+        let payload = read_snapshot(&snapshot).unwrap().expect("a snapshot");
+        let Value::Map(mut fields) =
+            serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap()
+        else {
+            panic!("a snapshot payload is a map");
+        };
+        let tier = fields
+            .iter_mut()
+            .find(|(name, _)| name == "shards")
+            .expect("the payload writes the serving tier");
+        tier.1 = Value::Null;
+        let payload = serde_json::to_string(&Value::Map(fields)).unwrap();
+        write_snapshot_atomic(&snapshot, payload.as_bytes()).unwrap();
+
+        let assert_twin = |service: &ShardedPromotionService| {
+            assert_eq!(service.pooled_slots(), twin.pooled_slots());
+            for q in 0..8 {
+                assert_eq!(
+                    service.rerank_one(ctx(q)),
+                    twin.rerank_one(ctx(q)),
+                    "query {q}"
+                );
+                assert_eq!(
+                    service.rerank_top_k(ctx(q), 10),
+                    twin.rerank_top_k(ctx(q), 10),
+                    "query {q}"
+                );
+            }
+        };
+        let mut replica = crate::ReplicaService::open(dir.path(), engine(), 2).unwrap();
+        assert_eq!(
+            replica.stats().bootstrap_source,
+            crate::BootstrapSource::Snapshot
+        );
+        assert_eq!(replica.catch_up().unwrap(), 2);
+        assert_twin(replica.service());
+        drop(replica);
+
+        let (svc, report) = DurableService::open(dir.path(), engine(), 2).unwrap();
+        assert!(report.snapshot_loaded);
+        assert_eq!(report.events_replayed, 2);
+        assert_twin(svc.service());
+    }
+
+    #[test]
+    fn a_non_finite_popularity_is_rejected_before_it_is_logged() {
+        // The snapshot codec cannot write NaN or ±∞: a logged one would
+        // fail every later snapshot. Both mutators reject it before the
+        // log, and the next cadence snapshot is written.
+        let dir = Scratch::new("non-finite");
+        let (svc, _) = DurableService::open(dir.path(), engine(), 2).unwrap();
+        let mut svc = svc.with_snapshot_every(2);
+        svc.extend((0..3).map(doc)).unwrap(); // a snapshot at event 2
+        let stats = svc.serve_stats();
+        let corpus = svc.store().snapshot();
+        let epoch = svc.service().epoch();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                svc.insert(Document::established(3, bad)),
+                Err(ServeError::NonFinitePopularity { .. })
+            ));
+            assert!(matches!(
+                svc.update_popularity(1, bad),
+                Err(ServeError::NonFinitePopularity { .. })
+            ));
+        }
+        assert_eq!(svc.serve_stats(), stats, "nothing logged");
+        assert_eq!(svc.store().snapshot(), corpus, "nothing applied");
+        assert_eq!(svc.service().epoch(), epoch);
+
+        svc.record_visit(0).unwrap(); // event 4: the cadence snapshot
+        let stats = svc.serve_stats();
+        assert_eq!(stats.wal_appends, 4);
+        assert_eq!(stats.snapshots_written, 2);
+        assert_eq!(stats.snapshot_failures, 0);
+        drop(svc);
+        let (_, report) = DurableService::open(dir.path(), engine(), 2).unwrap();
+        assert!(report.snapshot_loaded);
+        assert_eq!(report.events_replayed, 0, "the snapshot is current");
     }
 
     #[test]

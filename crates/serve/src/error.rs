@@ -1,12 +1,12 @@
 //! Typed serving-tier errors.
 //!
 //! Bad external input — an unknown sequence handle, a zero shard count, a
-//! shard index past the partition count, a snapshot from a different
-//! deployment — degrades to a [`ServeError`] instead of a panic or a
-//! silently clamped value. The infallible constructors and the
-//! `bool`-returning mutation APIs remain for callers that prefer the old
-//! contracts; the `try_*` twins and everything on the durable path speak
-//! `Result`.
+//! shard index past the partition count, a non-finite popularity on the
+//! durable path, a snapshot from a different deployment — degrades to a
+//! [`ServeError`] instead of a panic or a silently clamped value. The
+//! infallible constructors and the `bool`-returning mutation APIs remain
+//! for callers that prefer the old contracts; the `try_*` twins and
+//! everything on the durable path speak `Result`.
 
 use rrp_wal::WalError;
 use std::fmt;
@@ -34,6 +34,12 @@ pub enum ServeError {
         /// The number of shards that exist.
         shards: usize,
     },
+    /// A durable mutation carried a NaN or infinite popularity score,
+    /// which no snapshot could record. Nothing was logged or applied.
+    NonFinitePopularity {
+        /// The score the caller supplied.
+        popularity: f64,
+    },
     /// The write-ahead log or snapshot layer failed (I/O, bad header,
     /// corruption that cannot be recovered around).
     Wal(WalError),
@@ -56,6 +62,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::ShardOutOfRange { shard, shards } => {
                 write!(f, "shard {shard} out of range ({shards} shards exist)")
+            }
+            ServeError::NonFinitePopularity { popularity } => {
+                write!(f, "popularity {popularity} is not a finite number")
             }
             ServeError::Wal(e) => write!(f, "durability layer: {e}"),
             ServeError::Recovery { detail } => write!(f, "recovery failed: {detail}"),

@@ -230,13 +230,7 @@ impl ShardedPromotionService {
     /// A service over an empty `shard_count`-way store (at least 1 shard),
     /// answering batches with up to [`available_workers`] threads.
     pub fn new(engine: RankPromotionEngine, shard_count: usize) -> Self {
-        let store = ShardedStore::new(shard_count);
-        let mut tier = ShardedCorpusCache::new(store.shard_count());
-        // Pool maintenance is dead weight for engines that re-derive
-        // their pool per query (the Uniform rule's coin scan draws one
-        // coin per page instead of reading any membership index).
-        tier.set_pool_maintained(engine.reads_pool_index());
-        Self::from_parts(engine, store, tier)
+        Self::with_store(engine, ShardedStore::new(shard_count))
     }
 
     /// Like [`new`](Self::new), but a zero `shard_count` is a typed
@@ -254,18 +248,22 @@ impl ShardedPromotionService {
         Ok(Self::new(engine, shard_count))
     }
 
-    /// Reassemble a service from recovered state: the engine, the store
-    /// and the serving tier exactly as a snapshot captured them. Scratch
-    /// and probes start fresh — they are per-process, not part of the
-    /// durable state. The caller (the recovery path) guarantees the three
-    /// parts belong together.
-    pub(crate) fn from_parts(
-        engine: RankPromotionEngine,
-        store: ShardedStore,
-        tier: ShardedCorpusCache,
-    ) -> Self {
-        // A non-empty recovered corpus must start one epoch ahead of the
-        // empty sentinel version, so the first query publishes instead of
+    /// A service over `store`'s documents — the one constructor, shared by
+    /// [`new`](Self::new) (an empty store) and recovery (a snapshot's
+    /// store). The serving tier is derived from the documents, never
+    /// decoded: each is pushed in store order, exactly as
+    /// [`insert`](Self::insert) pushes one. Scratch and probes start fresh.
+    pub(crate) fn with_store(engine: RankPromotionEngine, store: ShardedStore) -> Self {
+        let mut tier = ShardedCorpusCache::new(store.shard_count());
+        // Pool maintenance is dead weight for engines that re-derive
+        // their pool per query (the Uniform rule's coin scan draws one
+        // coin per page instead of reading any membership index).
+        tier.set_pool_maintained(engine.reads_pool_index());
+        for document in store.documents() {
+            tier.push(0, document);
+        }
+        // A non-empty corpus must start one epoch ahead of the empty
+        // sentinel version, so the first query publishes instead of
         // serving the sentinel; an empty corpus is exactly the sentinel.
         let epoch = if store.is_empty() { 0 } else { 1 };
         let published = Arc::new(PublishedVersion::empty(

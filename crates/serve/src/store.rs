@@ -42,6 +42,11 @@ impl ShardedStore {
         }
     }
 
+    /// Every document, in global sequence order.
+    pub(crate) fn documents(&self) -> &[Document] {
+        &self.documents
+    }
+
     /// Number of shards.
     #[inline]
     pub fn shard_count(&self) -> usize {
