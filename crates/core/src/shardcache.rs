@@ -708,4 +708,32 @@ mod tests {
         cache.publish(1);
         cache.set_pool_maintained(false);
     }
+
+    /// The pool index's `is_unexplored` tripwire at the serving tier:
+    /// mutating a document's awareness *without* routing the mutation
+    /// through [`ShardedCorpusCache::patch`] leaves the pool index stale,
+    /// and the membership debug assertion inside the next publication's
+    /// repair catches it instead of silently serving a drifted pool.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is_consistent")]
+    fn unmarked_shard_local_mutation_trips_the_membership_assertion() {
+        let mut docs = documents(12);
+        let mut cache = filled(&docs);
+        cache.publish(1);
+
+        // Visit the unexplored slot 0 behind the cache's back — catch the
+        // writer up from a copy holding the visit as an unrepaired patch,
+        // which copies the visited stats and the stale mask bit but sets
+        // no dirty mark — then dirty another slot through a legitimate
+        // patch: the next publication's membership assertion fires.
+        assert!(cache.live.pool().contains(0));
+        docs[0].is_unexplored = false;
+        let mut visited = (*cache.live).clone();
+        visited.patch(0, RankPromotionEngine::document_stat(0, &docs[0]));
+        Arc::make_mut(&mut cache.cache).catch_up(&visited, &[0]);
+        docs[3].popularity = 0.9;
+        cache.patch(3, &docs[3]);
+        cache.publish(2);
+    }
 }
