@@ -7,7 +7,10 @@
 //! from `serde_derive`), built on a simple self-describing [`Value`] data
 //! model instead of serde's visitor architecture. The companion
 //! `serde_json` crate renders [`Value`] to JSON text and parses it back,
-//! which is all the workspace uses serialization for.
+//! which is all the workspace uses serialization for. Two provided trait
+//! methods, overridden only by [`Value`] itself, let it do so without
+//! copying a tree: [`Serialize::with_value`] lends a `Value` to the
+//! writer, and [`Deserialize::from_owned_value`] moves a parsed one out.
 //!
 //! Supported derive features (the subset the workspace uses):
 //! `#[serde(transparent)]` on newtype structs, `#[serde(skip)]` on fields
@@ -123,12 +126,26 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// Convert to the intermediate data model.
     fn to_value(&self) -> Value;
+
+    /// Run `f` over this value's data model. The default builds it with
+    /// [`to_value`](Self::to_value); [`Value`] lends itself, so a tree
+    /// handed to a writer is never copied.
+    fn with_value<R>(&self, f: impl FnOnce(&Value) -> R) -> R {
+        f(&self.to_value())
+    }
 }
 
 /// A type that can be reconstructed from the [`Value`] data model.
 pub trait Deserialize: Sized {
     /// Reconstruct from the intermediate data model.
     fn from_value(value: &Value) -> Result<Self, DeError>;
+
+    /// Reconstruct from a data model the caller no longer needs. The
+    /// default borrows it for [`from_value`](Self::from_value); [`Value`]
+    /// takes it as is, so a parsed tree is never copied.
+    fn from_owned_value(value: Value) -> Result<Self, DeError> {
+        Self::from_value(&value)
+    }
 }
 
 macro_rules! impl_unsigned {
@@ -243,11 +260,19 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn with_value<R>(&self, f: impl FnOnce(&Value) -> R) -> R {
+        (**self).with_value(f)
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn with_value<R>(&self, f: impl FnOnce(&Value) -> R) -> R {
+        (**self).with_value(f)
     }
 }
 
@@ -437,11 +462,19 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    fn with_value<R>(&self, f: impl FnOnce(&Value) -> R) -> R {
+        f(self)
+    }
 }
 
 impl Deserialize for Value {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         Ok(value.clone())
+    }
+
+    fn from_owned_value(value: Value) -> Result<Self, DeError> {
+        Ok(value)
     }
 }
 
@@ -477,6 +510,21 @@ mod tests {
         assert_eq!(Value::F64(3.0).as_u64(), Some(3));
         assert_eq!(Value::F64(3.5).as_u64(), None);
         assert_eq!(Value::I64(-1).as_u64(), None);
+    }
+
+    #[test]
+    fn a_value_is_lent_and_moved_never_copied() {
+        fn lends<T: Serialize + ?Sized>(value: &T, tree: &Value) -> bool {
+            value.with_value(|lent| std::ptr::eq(lent, tree))
+        }
+        let tree = Value::Seq(vec![Value::Str("lent".into())]);
+        assert!(lends(&tree, &tree));
+        assert!(lends(&&tree, &tree));
+        let shared = std::sync::Arc::new(tree.clone());
+        assert!(lends(&shared, &shared));
+        assert_eq!(7u64.with_value(Value::clone), Value::U64(7));
+        assert_eq!(Value::from_owned_value(tree.clone()).unwrap(), tree);
+        assert_eq!(u64::from_owned_value(Value::U64(7)).unwrap(), 7);
     }
 
     #[test]

@@ -4,9 +4,24 @@
 //! Supports everything the workspace's round-trip tests exercise: objects,
 //! arrays, strings with escapes, booleans, null, and numbers (shortest
 //! round-trip float formatting, like the real crate).
+//!
+//! The durable serving tier's snapshots are this writer's output, so its
+//! bytes are a format: an integral float below 1e16 is written as the
+//! integer plus `.0` (`-0.0` keeps its sign), any other finite float in
+//! Rust's shortest round-trip `Display` form (never an exponent),
+//! integers in decimal, and strings with `"`, `\\`, `\n`, `\r`, `\t`
+//! escaped and every other control character as `\u00xx`. Non-finite
+//! floats are an error.
+//!
+//! Neither direction copies a tree: a [`Value`] passed to [`to_string`]
+//! is written in place ([`Serialize::with_value`]), and the tree
+//! [`from_str`] parses is moved into a `Value` result
+//! ([`Deserialize::from_owned_value`]). The writer appends straight into
+//! the output: integers through a stack buffer, other floats through
+//! `fmt::Write`, and a string needing no escapes in one copy.
 
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,14 +47,14 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Serialize a value to compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out)?;
+    value.with_value(|value| write_value(value, &mut out))?;
     Ok(out)
 }
 
 /// Serialize a value to pretty-printed JSON text (two-space indents).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value_pretty(&value.to_value(), &mut out, 0)?;
+    value.with_value(|value| write_value_pretty(value, &mut out, 0))?;
     Ok(out)
 }
 
@@ -58,7 +73,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T> {
             parser.pos
         )));
     }
-    Ok(T::from_value(&value)?)
+    Ok(T::from_owned_value(value)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -69,9 +84,14 @@ fn write_value(value: &Value, out: &mut String) -> Result<()> {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::I64(x) => out.push_str(&x.to_string()),
-        Value::U64(x) => out.push_str(&x.to_string()),
-        Value::F64(x) => out.push_str(&format_f64(*x)?),
+        Value::I64(x) => {
+            if *x < 0 {
+                out.push('-');
+            }
+            write_u64(x.unsigned_abs(), out);
+        }
+        Value::U64(x) => write_u64(*x, out),
+        Value::F64(x) => write_f64(*x, out)?,
         Value::Str(s) => write_string(s, out),
         Value::Seq(items) => {
             out.push('[');
@@ -141,33 +161,67 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-/// Shortest round-trip formatting, as the real crate produces ("0.4", "1.0").
-fn format_f64(x: f64) -> Result<String> {
+/// Decimal digits, through a stack buffer.
+fn write_u64(mut x: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// Shortest round-trip formatting, as the real crate produces ("0.4",
+/// "1.0"). An integral float below 1e16 is exactly an integer (2^53 <
+/// 1e16 < 2^54), so it is written as one plus `.0`.
+fn write_f64(x: f64, out: &mut String) -> Result<()> {
     if !x.is_finite() {
         return Err(Error(format!("cannot serialize non-finite float {x}")));
     }
     if x == x.trunc() && x.abs() < 1e16 {
-        Ok(format!("{x:.1}"))
+        if x.is_sign_negative() {
+            out.push('-');
+        }
+        write_u64(x.abs() as u64, out);
+        out.push_str(".0");
     } else {
-        Ok(format!("{x}"))
+        write!(out, "{x}").expect("writing to a String cannot fail");
     }
+    Ok(())
 }
 
+/// A quoted JSON string: runs that need no escape are copied whole (a
+/// string with none is one copy). Every escaped character is ASCII, so a
+/// byte scan never splits a UTF-8 sequence.
 fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &byte) in s.as_bytes().iter().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        out.push('\\');
+        match byte {
+            b'"' | b'\\' => out.push(byte as char),
+            b'\n' => out.push('n'),
+            b'\r' => out.push('r'),
+            b'\t' => out.push('t'),
+            _ => {
+                out.push_str("u00");
+                out.push(HEX[usize::from(byte >> 4)] as char);
+                out.push(HEX[usize::from(byte & 0xf)] as char);
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -379,6 +433,206 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The writer as it was before it wrote in place: `to_string` through
+    /// a fresh string per number, `format!` floats, a char-by-char
+    /// escaper. The writer above must produce exactly these bytes.
+    mod reference {
+        use super::*;
+
+        pub fn to_string(value: &Value) -> Result<String> {
+            let mut out = String::new();
+            write_value(value, &mut out)?;
+            Ok(out)
+        }
+
+        fn write_value(value: &Value, out: &mut String) -> Result<()> {
+            match value {
+                Value::Null => out.push_str("null"),
+                Value::Bool(true) => out.push_str("true"),
+                Value::Bool(false) => out.push_str("false"),
+                Value::I64(x) => out.push_str(&x.to_string()),
+                Value::U64(x) => out.push_str(&x.to_string()),
+                Value::F64(x) => out.push_str(&format_f64(*x)?),
+                Value::Str(s) => write_string(s, out),
+                Value::Seq(items) => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        write_value(item, out)?;
+                    }
+                    out.push(']');
+                }
+                Value::Map(entries) => {
+                    out.push('{');
+                    for (i, (key, item)) in entries.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        write_string(key, out);
+                        out.push(':');
+                        write_value(item, out)?;
+                    }
+                    out.push('}');
+                }
+            }
+            Ok(())
+        }
+
+        fn format_f64(x: f64) -> Result<String> {
+            if !x.is_finite() {
+                return Err(Error(format!("cannot serialize non-finite float {x}")));
+            }
+            if x == x.trunc() && x.abs() < 1e16 {
+                Ok(format!("{x:.1}"))
+            } else {
+                Ok(format!("{x}"))
+            }
+        }
+
+        fn write_string(s: &str, out: &mut String) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        out.push_str(&format!("\\u{:04x}", c as u32));
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+    }
+
+    /// Floats of every kind: raw bit patterns (non-finite included),
+    /// integral values on both sides of 1e16, and everyday magnitudes.
+    fn floats() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            prop::num::u64::ANY.prop_map(f64::from_bits),
+            prop::num::u64::ANY.prop_map(|x| (x % 20_000_000_000_000_000) as f64 - 1e16),
+            (0u64..64).prop_map(|ulps| f64::from_bits(1e16f64.to_bits() - 32 + ulps)),
+            (0u64..64).prop_map(|ulps| -f64::from_bits(1e16f64.to_bits() - 32 + ulps)),
+            prop::num::f64::ANY,
+        ]
+    }
+
+    /// Strings mixing every escape class with plain ASCII, multi-byte
+    /// characters and arbitrary scalar values.
+    fn strings() -> impl Strategy<Value = String> {
+        const POOL: [char; 16] = [
+            'a', 'Z', ' ', '/', '"', '\\', '\n', '\r', '\t', '\0', '\u{8}', '\u{1f}', '\u{7f}',
+            'é', '€', '𝄞',
+        ];
+        let character = prop_oneof![
+            (0usize..POOL.len()).prop_map(|i| POOL[i]),
+            (0u32..0x11_0000).prop_map(|x| char::from_u32(x).unwrap_or('\u{fffd}')),
+        ];
+        prop::collection::vec(character, 0..24).prop_map(String::from_iter)
+    }
+
+    fn scalars() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            prop::bool::ANY.prop_map(Value::Bool),
+            prop::num::u64::ANY.prop_map(Value::U64),
+            prop::num::u64::ANY.prop_map(|x| Value::I64(x as i64)),
+            floats().prop_map(Value::F64),
+            strings().prop_map(Value::Str),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn floats_are_written_as_before(x in floats()) {
+            prop_assert_eq!(to_string(&x), reference::to_string(&Value::F64(x)));
+            prop_assert_eq!(to_string(&x).is_err(), !x.is_finite());
+        }
+
+        #[test]
+        fn integers_are_written_as_before(x in prop::num::u64::ANY) {
+            prop_assert_eq!(to_string(&x), reference::to_string(&Value::U64(x)));
+            let signed = x as i64;
+            prop_assert_eq!(to_string(&signed), reference::to_string(&Value::I64(signed)));
+        }
+
+        #[test]
+        fn strings_are_escaped_as_before(s in strings()) {
+            prop_assert_eq!(to_string(&s), reference::to_string(&Value::Str(s.clone())));
+            prop_assert_eq!(from_str::<String>(&to_string(&s).unwrap()), Ok(s));
+        }
+
+        #[test]
+        fn trees_are_written_as_before(
+            entries in prop::collection::vec(
+                (strings(), prop::collection::vec(scalars(), 0..6)),
+                0..6,
+            ),
+        ) {
+            let tree = Value::Map(
+                entries
+                    .into_iter()
+                    .map(|(key, items)| (key, Value::Seq(items)))
+                    .collect(),
+            );
+            prop_assert_eq!(to_string(&tree), reference::to_string(&tree));
+        }
+    }
+
+    #[test]
+    fn integer_and_float_edges_are_written_as_before() {
+        let mut integers = vec![0, 1, 9, 10, 99, 100, u64::MAX, i64::MAX as u64, 1 << 63];
+        integers.extend((1..20).flat_map(|e| {
+            let p = 10u64.pow(e);
+            [p - 1, p, p + 1]
+        }));
+        for x in integers {
+            assert_eq!(to_string(&x), reference::to_string(&Value::U64(x)));
+            let signed = (x as i64).wrapping_neg();
+            assert_eq!(
+                to_string(&signed),
+                reference::to_string(&Value::I64(signed))
+            );
+        }
+        for x in [
+            0.0,
+            -0.0,
+            1e16,
+            -1e16,
+            9_999_999_999_999_998.0,
+            -9_999_999_999_999_998.0,
+            4_503_599_627_370_496.5,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+        ] {
+            assert_eq!(to_string(&x), reference::to_string(&Value::F64(x)), "{x:e}");
+        }
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(to_string(&x).is_err());
+            assert!(to_string(&vec![Value::F64(x)]).is_err());
+        }
+    }
+
+    #[test]
+    fn a_value_is_written_and_parsed_like_any_other_type() {
+        let tree = Value::Seq(vec![Value::Str("lent".into()), Value::F64(-0.0)]);
+        assert_eq!(to_string(&tree).unwrap(), "[\"lent\",-0.0]");
+        assert_eq!(
+            to_string_pretty(&tree).unwrap(),
+            "[\n  \"lent\",\n  -0.0\n]"
+        );
+        assert_eq!(from_str::<Value>("[\"lent\",-0.0]").unwrap(), tree);
+    }
 
     #[test]
     fn scalars_roundtrip() {

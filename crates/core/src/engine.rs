@@ -144,7 +144,13 @@ impl RankPromotionEngine {
         PageStats {
             slot,
             page: PageId::new(document.id),
-            popularity: document.popularity.max(0.0),
+            // Not `f64::max`: which zero it returns for −0.0 differs
+            // between optimisation levels; −0.0 is kept.
+            popularity: if document.popularity >= 0.0 {
+                document.popularity
+            } else {
+                0.0
+            },
             // Only the zero/non-zero distinction matters to the
             // selective rule.
             awareness: if document.is_unexplored { 0.0 } else { 1.0 },
@@ -631,6 +637,17 @@ mod tests {
         let back: RankPromotionEngine = serde_json::from_str(&legacy).unwrap();
         assert_eq!(back.version(), EngineVersion::V1);
         assert_eq!(back.seed(), 9);
+    }
+
+    #[test]
+    fn document_stat_clamps_below_zero_and_keeps_negative_zero() {
+        for (popularity, stat) in [(-0.0, -0.0), (-2.0, 0.0), (f64::NAN, 0.0), (0.25, 0.25)] {
+            let document = Document::established(1, popularity);
+            let bits = RankPromotionEngine::document_stat(0, &document)
+                .popularity
+                .to_bits();
+            assert_eq!(bits, f64::to_bits(stat), "{popularity}");
+        }
     }
 
     #[test]

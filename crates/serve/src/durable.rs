@@ -873,6 +873,65 @@ mod tests {
     }
 
     #[test]
+    fn the_snapshot_payload_bytes_are_pinned() {
+        // A byte-identity golden for the snapshot codec: the payload's
+        // length and CRC-32 for a fixed service whose corpus exercises
+        // every formatting edge the codec has — −0.0, integral floats just
+        // below and at 1e16 (the two integral-float spellings), a
+        // subnormal, `u64::MAX` ids and ages, a visited unexplored page —
+        // with a published version behind it and slots still dirty. Any
+        // change to these bytes is a snapshot format change.
+        let dir = Scratch::new("payload-golden");
+        let (svc, _) = DurableService::open(dir.path(), engine(), 3).unwrap();
+        let mut svc = svc.with_snapshot_every(1 << 20);
+        let edges = [
+            Document::established(u64::MAX, -0.0).with_age(u64::MAX),
+            Document::established(u64::MAX - 1, 9_999_999_999_999_998.0).with_age(7),
+            Document::established(1 << 53, 1e16).with_age(1 << 40),
+            Document::established(3, 5e-324).with_age(0),
+            Document::established(4, f64::MIN_POSITIVE / 3.0),
+            Document::established(5, 1.0 / 3.0).with_age(12),
+            Document::established(6, 123_456_789.0),
+            Document::established(7, 0.1 + 0.2),
+            Document::established(8, 2.5e-8),
+            Document::established(9, 1.7976931348623157e308),
+        ];
+        svc.extend(edges).unwrap();
+        svc.extend((20..60).map(|i| {
+            if i % 5 == 0 {
+                Document::unexplored(i).with_age(i * 3)
+            } else {
+                doc(i)
+            }
+        }))
+        .unwrap();
+        svc.service().rerank_top_k(QueryContext::new(1, 2), 10); // publishes
+        svc.record_visit(10).unwrap(); // a visited unexplored page
+        svc.record_visit(2).unwrap();
+        svc.update_popularity(15, -0.0).unwrap();
+        svc.update_popularity(5, 4_503_599_627_370_497.0).unwrap();
+        svc.insert(Document::unexplored(u64::MAX - 2)).unwrap();
+        // Everything since the read is still dirty in the tier.
+        let payload = encode_snapshot(&svc.inner, svc.wal.next_seq()).unwrap();
+        let subnormal = format!("0.{}5,", "0".repeat(323)); // 5e-324
+        for spelling in [
+            "-0.0,",
+            "9999999999999998.0,",
+            "10000000000000000,",
+            "4503599627370497.0,",
+            "18446744073709551615,",
+            &subnormal,
+        ] {
+            assert!(payload.contains(spelling), "the corpus writes {spelling}");
+        }
+        assert_eq!(
+            (payload.len(), rrp_wal::crc32(payload.as_bytes())),
+            (11_157, 0xA2CD_202B),
+            "snapshot payload bytes moved"
+        );
+    }
+
+    #[test]
     fn a_non_finite_popularity_is_rejected_before_it_is_logged() {
         // The snapshot codec cannot write NaN or ±∞: a logged one would
         // fail every later snapshot. Both mutators reject it before the

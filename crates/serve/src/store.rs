@@ -121,12 +121,14 @@ impl ShardedStore {
     }
 
     /// Replace the popularity score of the document with sequence number
-    /// `seq` (clamped to be non-negative). Returns the updated document,
-    /// or `None` if no such sequence exists.
+    /// `seq` (a negative score or NaN becomes 0.0; −0.0 is kept). Returns
+    /// the updated document, or `None` if no such sequence exists.
     pub fn update_popularity(&mut self, seq: u64, popularity: f64) -> Option<Document> {
         let slot = self.slot_of(seq)?;
         let document = &mut self.documents[slot];
-        document.popularity = popularity.max(0.0);
+        // Not `f64::max`: which zero it returns for −0.0 differs between
+        // optimisation levels, and the stored bits reach snapshots.
+        document.popularity = if popularity >= 0.0 { popularity } else { 0.0 };
         Some(*document)
     }
 
@@ -192,6 +194,20 @@ mod tests {
             assert_eq!(store.shard_count(), shards);
             assert_eq!(store.len(), 100);
             assert_eq!(store.snapshot(), reference, "{shards} shards");
+        }
+    }
+
+    #[test]
+    fn popularity_updates_clamp_below_zero_and_keep_negative_zero() {
+        let mut store = ShardedStore::new(2);
+        store.extend(docs(3));
+        for (update, stored) in [(-0.0, -0.0), (-1.5, 0.0), (f64::NAN, 0.0), (0.5, 0.5)] {
+            let document = store.update_popularity(1, update).unwrap();
+            assert_eq!(
+                document.popularity.to_bits(),
+                f64::to_bits(stored),
+                "{update}"
+            );
         }
     }
 

@@ -42,21 +42,22 @@ fn tmp_path(path: &Path) -> PathBuf {
 /// sibling `.tmp` file, is flushed, and only then renamed over `path`.
 /// At every instant `path` holds either the old snapshot or the new one.
 /// The parent directory is synced after the rename, so the new snapshot
-/// survives power loss once this returns.
+/// survives power loss once this returns. The header and the payload are
+/// written one after the other, so the payload is never copied.
 pub fn write_snapshot_atomic(path: &Path, payload: &[u8]) -> Result<(), WalError> {
     let tmp = tmp_path(path);
-    let mut out = Vec::with_capacity(ENVELOPE_LEN + payload.len());
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    let mut header = [0u8; ENVELOPE_LEN];
+    header[..8].copy_from_slice(&SNAPSHOT_MAGIC);
+    header[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[20..].copy_from_slice(&crc32(payload).to_le_bytes());
     let mut file = OpenOptions::new()
         .write(true)
         .create(true)
         .truncate(true)
         .open(&tmp)?;
-    file.write_all(&out)?;
+    file.write_all(&header)?;
+    file.write_all(payload)?;
     file.sync_data()?;
     drop(file);
     fs::rename(&tmp, path)?;
@@ -110,7 +111,8 @@ pub fn read_snapshot(path: &Path) -> Result<Option<Vec<u8>>, WalError> {
             detail: "snapshot checksum mismatch".to_string(),
         });
     }
-    Ok(Some(payload.to_vec()))
+    bytes.drain(..ENVELOPE_LEN);
+    Ok(Some(bytes))
 }
 
 #[cfg(test)]
