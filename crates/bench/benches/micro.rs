@@ -12,9 +12,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rrp_core::{CorpusCache, Document, QueryContext, RankPromotionEngine, RerankScratch};
 use rrp_model::{new_rng, CommunityConfig, PowerLawQuality, QualityDistribution};
-use rrp_ranking::{
-    PageStats, PopularityRanking, RandomizedRankPromotion, RankBuffers, RankingPolicy,
-};
+use rrp_ranking::{PageStats, PolicyKind, RandomizedRankPromotion, RankBuffers};
 use rrp_serve::ShardedPromotionService;
 use rrp_sim::{SimConfig, Simulation};
 use std::hint::black_box;
@@ -144,11 +142,11 @@ fn bench_ranking_policies(c: &mut Criterion) {
     let stats = page_stats(10_000);
     let mut rng = new_rng(1);
     group.bench_function("popularity", |b| {
-        b.iter(|| black_box(PopularityRanking.rank(&stats, &mut rng)))
+        b.iter(|| black_box(PolicyKind::Popularity.rank(&stats, &mut rng)))
     });
     let promo = RandomizedRankPromotion::recommended(2);
     group.bench_function("selective_promotion", |b| {
-        b.iter(|| black_box(RankingPolicy::rank(&promo, &stats, &mut rng)))
+        b.iter(|| black_box(PolicyKind::Promotion(promo).rank(&stats, &mut rng)))
     });
     // The same policy through the reusable arena (no per-call allocation).
     let mut buffers = RankBuffers::with_capacity(stats.len());

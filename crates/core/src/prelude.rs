@@ -9,8 +9,7 @@ pub use rrp_analytic::{AnalyticModel, QualityGroups, RankingModel, SolvedModel};
 pub use rrp_attention::RankBias;
 pub use rrp_model::{CommunityConfig, PowerLawQuality, Quality, QualityDistribution};
 pub use rrp_ranking::{
-    PageStats, PolicyKind, PopularityRanking, PromotionConfig, PromotionRule, QualityOracleRanking,
-    RandomizedRankPromotion, RankBuffers, RankingPolicy,
+    PageStats, PolicyKind, PromotionConfig, PromotionRule, RandomizedRankPromotion, RankBuffers,
 };
 pub use rrp_sim::{SimConfig, SimMetrics, Simulation};
 
@@ -23,6 +22,6 @@ mod tests {
         let _engine = RankPromotionEngine::recommended();
         let _config: PromotionConfig = PromotionConfig::recommended(2);
         let _community = CommunityConfig::paper_default();
-        let _policy = PopularityRanking;
+        let _policy = PolicyKind::Popularity;
     }
 }

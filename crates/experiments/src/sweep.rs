@@ -9,21 +9,15 @@
 //! Determinism: `parallel_map` only schedules work — each cell's RNG seed is
 //! derived from stable identifiers (see [`crate::runner`]), never from the
 //! execution order — so the parallel and serial paths produce bit-identical
-//! results. The `parallel` cargo feature (default on) enables the threaded
-//! path; without it, or with `RRP_THREADS=1`, everything runs serially on
-//! the calling thread.
+//! results. With `RRP_THREADS=1`, everything runs serially on the calling
+//! thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Number of worker threads the threaded path would use: `RRP_THREADS` if
-/// set, otherwise the available parallelism. Always 1 when the `parallel`
-/// feature is off — builds without it are fully serial regardless of the
-/// environment.
+/// set, otherwise the available parallelism.
 pub fn worker_threads() -> usize {
-    if !cfg!(feature = "parallel") {
-        return 1;
-    }
     if let Ok(threads) = std::env::var("RRP_THREADS") {
         if let Ok(threads) = threads.parse::<usize>() {
             return threads.max(1);

@@ -1,12 +1,12 @@
 //! Reusable scratch buffers for the allocation-free ranking hot path.
 //!
-//! Every [`RankingPolicy::rank_into`](crate::RankingPolicy::rank_into) call
+//! Every [`PolicyKind::rank_into`](crate::PolicyKind::rank_into) call
 //! needs a handful of intermediate lists (the promotion pool, the
-//! deterministic remainder, membership masks). Allocating them per call is
-//! what made the legacy [`rank`](crate::RankingPolicy::rank) path cost ~5
-//! heap round-trips per query; a [`RankBuffers`] owned by the caller and
-//! handed to every call amortises them to zero once the buffers have grown
-//! to the working-set size.
+//! deterministic remainder, membership masks). Allocating them per call
+//! costs ~5 heap round-trips per query (what the allocating
+//! [`PolicyKind::rank`](crate::PolicyKind::rank) still pays); a
+//! [`RankBuffers`] owned by the caller and handed to every call amortises
+//! them to zero once the buffers have grown to the working-set size.
 //!
 //! The arena is deliberately *not* shared between threads: each worker in a
 //! batch-serving or sweep context owns one (`RankBuffers` is cheap to
@@ -16,7 +16,7 @@
 ///
 /// Obtain one with [`RankBuffers::new`] (or `Default`), keep it alive for as
 /// many calls as you like, and pass it to
-/// [`RankingPolicy::rank_into`](crate::RankingPolicy::rank_into). Contents
+/// [`PolicyKind::rank_into`](crate::PolicyKind::rank_into). Contents
 /// are meaningless between calls; only the capacity persists.
 #[derive(Debug, Default)]
 pub struct RankBuffers {

@@ -1,142 +1,9 @@
-//! Baseline ranking policies that involve no rank promotion.
-//!
-//! * [`PopularityRanking`] — the standard search-engine behaviour the paper
-//!   calls "nonrandomized ranking": strictly descending popularity.
-//! * [`QualityOracleRanking`] — the hypothetical ideal that ranks by
-//!   intrinsic quality; it defines the QPC = 1.0 normalisation used in
-//!   Figures 5–7.
-//! * [`FullyRandomRanking`] — the opposite extreme: a uniformly random
-//!   permutation each query, corresponding to `F(x) = v/n` in Section 5.
+//! Tests of the three baseline arms of [`PolicyKind`](crate::PolicyKind):
+//! popularity ranking, the quality oracle and the fully random shuffle.
 
-use crate::buffers::RankBuffers;
-use crate::policy::RankingPolicy;
-use crate::stats::{popularity_order, PageStats};
-use rand::seq::SliceRandom;
-use rand::RngCore;
-
-/// Strict deterministic ranking by descending popularity (ties broken by
-/// age, then slot index).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PopularityRanking;
-
-impl PopularityRanking {
-    /// The deterministic ordering, written into `out` (cleared first) —
-    /// no RNG involved, shared by the trait impl and the enum dispatch.
-    pub fn rank_order_into(&self, pages: &[PageStats], out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(0..pages.len());
-        // `popularity_order` is a total order (slot index breaks all ties),
-        // so the allocation-free unstable sort yields the same permutation
-        // as a stable sort would.
-        out.sort_unstable_by(|&a, &b| popularity_order(&pages[a], &pages[b]));
-        for index in out.iter_mut() {
-            *index = pages[*index].slot;
-        }
-    }
-}
-
-impl RankingPolicy for PopularityRanking {
-    fn rank_into(
-        &self,
-        pages: &[PageStats],
-        _rng: &mut dyn RngCore,
-        _buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        self.rank_order_into(pages, out);
-    }
-
-    fn name(&self) -> String {
-        "no randomization".to_owned()
-    }
-}
-
-/// Hypothetical ideal ranking by descending intrinsic quality.
-///
-/// No real engine can implement this (quality is unobservable); it exists to
-/// compute the theoretical upper bound on quality-per-click against which
-/// all other policies are normalised.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QualityOracleRanking;
-
-impl QualityOracleRanking {
-    /// The quality ordering, written into `out` (cleared first) — no RNG
-    /// involved, shared by the trait impl and the enum dispatch.
-    pub fn rank_order_into(&self, pages: &[PageStats], out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(0..pages.len());
-        out.sort_unstable_by(|&a, &b| {
-            pages[b]
-                .quality
-                .partial_cmp(&pages[a].quality)
-                .expect("quality is never NaN")
-                .then_with(|| pages[a].slot.cmp(&pages[b].slot))
-        });
-        for index in out.iter_mut() {
-            *index = pages[*index].slot;
-        }
-    }
-}
-
-impl RankingPolicy for QualityOracleRanking {
-    fn rank_into(
-        &self,
-        pages: &[PageStats],
-        _rng: &mut dyn RngCore,
-        _buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        self.rank_order_into(pages, out);
-    }
-
-    fn name(&self) -> String {
-        "quality oracle".to_owned()
-    }
-}
-
-/// Uniformly random ranking: every permutation is equally likely, each
-/// query. Corresponds to the completely random case `F(x) = v · 1/n`
-/// discussed below Equation 2 of the paper.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FullyRandomRanking;
-
-impl FullyRandomRanking {
-    /// The uniform shuffle, written into `out` (cleared first) — the one
-    /// definition of this policy's draw order, shared by the trait impl
-    /// and the enum dispatch. Generic over the RNG so concrete generators
-    /// inline.
-    pub fn shuffle_into<R: RngCore + ?Sized>(
-        &self,
-        pages: &[PageStats],
-        rng: &mut R,
-        out: &mut Vec<usize>,
-    ) {
-        out.clear();
-        out.extend(pages.iter().map(|p| p.slot));
-        out.shuffle(rng);
-    }
-}
-
-impl RankingPolicy for FullyRandomRanking {
-    fn rank_into(
-        &self,
-        pages: &[PageStats],
-        rng: &mut dyn RngCore,
-        _buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        self.shuffle_into(pages, rng, out);
-    }
-
-    fn name(&self) -> String {
-        "fully random".to_owned()
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::policy::is_permutation;
+    use crate::{PageStats, PolicyKind};
     use rrp_model::{new_rng, PageId};
 
     fn pages() -> Vec<PageStats> {
@@ -151,24 +18,24 @@ mod tests {
     #[test]
     fn popularity_ranking_is_descending_popularity() {
         let mut rng = new_rng(0);
-        let order = PopularityRanking.rank(&pages(), &mut rng);
+        let order = PolicyKind::Popularity.rank(&pages(), &mut rng);
         assert_eq!(order, vec![1, 3, 0, 2]);
         assert!(is_permutation(&order, 4));
-        assert_eq!(PopularityRanking.name(), "no randomization");
+        assert_eq!(PolicyKind::Popularity.name(), "no randomization");
     }
 
     #[test]
     fn quality_oracle_ignores_popularity() {
         let mut rng = new_rng(0);
-        let order = QualityOracleRanking.rank(&pages(), &mut rng);
+        let order = PolicyKind::QualityOracle.rank(&pages(), &mut rng);
         assert_eq!(order, vec![0, 2, 1, 3]);
-        assert!(QualityOracleRanking.name().contains("oracle"));
+        assert!(PolicyKind::QualityOracle.name().contains("oracle"));
     }
 
     #[test]
     fn fully_random_is_a_permutation_and_varies() {
         let mut rng = new_rng(1);
-        let policy = FullyRandomRanking;
+        let policy = PolicyKind::FullyRandom;
         let a = policy.rank(&pages(), &mut rng);
         assert!(is_permutation(&a, 4));
         // Over many draws every slot must appear at rank 1 at least once.
@@ -188,17 +55,17 @@ mod tests {
         let mut rng_a = new_rng(1);
         let mut rng_b = new_rng(999);
         assert_eq!(
-            PopularityRanking.rank(&pages(), &mut rng_a),
-            PopularityRanking.rank(&pages(), &mut rng_b)
+            PolicyKind::Popularity.rank(&pages(), &mut rng_a),
+            PolicyKind::Popularity.rank(&pages(), &mut rng_b)
         );
     }
 
     #[test]
     fn empty_input_yields_empty_ranking() {
         let mut rng = new_rng(0);
-        assert!(PopularityRanking.rank(&[], &mut rng).is_empty());
-        assert!(FullyRandomRanking.rank(&[], &mut rng).is_empty());
-        assert!(QualityOracleRanking.rank(&[], &mut rng).is_empty());
+        assert!(PolicyKind::Popularity.rank(&[], &mut rng).is_empty());
+        assert!(PolicyKind::FullyRandom.rank(&[], &mut rng).is_empty());
+        assert!(PolicyKind::QualityOracle.rank(&[], &mut rng).is_empty());
     }
 
     #[test]
@@ -207,7 +74,7 @@ mod tests {
         let mut ps = pages();
         ps.reverse();
         let mut rng = new_rng(0);
-        let order = PopularityRanking.rank(&ps, &mut rng);
+        let order = PolicyKind::Popularity.rank(&ps, &mut rng);
         assert_eq!(order, vec![1, 3, 0, 2]);
     }
 }

@@ -1,36 +1,35 @@
-//! [`PolicyKind`] — a closed, copyable enum over every ranking policy in
-//! this crate.
-//!
-//! The simulator's day loop used to dispatch ranking through a
-//! `Box<dyn RankingPolicy>`; that is flexible but puts a vtable call (and a
-//! heap allocation per simulation) on the hottest path in the workspace.
-//! All policies the workspace actually runs are the four defined here, so a
-//! plain enum gives static dispatch, `Copy` semantics (policies are a few
-//! words of configuration), and exhaustive matching — while still
-//! implementing [`RankingPolicy`] for callers that want the trait.
+//! [`PolicyKind`] — the one ranking-policy type: a closed, copyable enum
+//! over the four rankings the paper compares. A plain enum gives static
+//! dispatch, `Copy` semantics (policies are a few words of configuration)
+//! and exhaustive matching.
 
 use crate::buffers::RankBuffers;
 use crate::cache::CorpusCache;
-use crate::deterministic::{FullyRandomRanking, PopularityRanking, QualityOracleRanking};
-use crate::policy::RankingPolicy;
 use crate::promotion::{PromotionConfig, PromotionRule};
 use crate::randomized::RandomizedRankPromotion;
-use crate::stats::PageStats;
+use crate::stats::{popularity_order, PageStats};
+use rand::seq::SliceRandom;
 use rand::RngCore;
+use std::cmp::Ordering;
 
 /// A closed enum over the crate's ranking policies (static dispatch).
 ///
-/// Construct it directly, via `From` on any concrete policy, or with
-/// [`PolicyKind::promotion`]. All methods forward to the corresponding
-/// policy and consume identical RNG draws, so swapping a boxed policy for a
-/// `PolicyKind` never changes simulation results.
+/// Construct it directly, via `From` on a [`RandomizedRankPromotion`] or a
+/// [`PromotionConfig`], or with [`PolicyKind::promotion`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyKind {
-    /// Strict descending-popularity ranking ([`PopularityRanking`]).
+    /// The standard search-engine behaviour the paper calls
+    /// "nonrandomized ranking": strictly descending popularity (ties
+    /// broken by age, then slot index).
     Popularity,
-    /// The hypothetical quality-ordered ideal ([`QualityOracleRanking`]).
+    /// Hypothetical ideal ranking by descending intrinsic quality (ties
+    /// broken by slot index). No real engine can implement this (quality
+    /// is unobservable); it defines the QPC = 1.0 normalisation of
+    /// Figures 5–7, against which all other policies are measured.
     QualityOracle,
-    /// A uniformly random permutation per query ([`FullyRandomRanking`]).
+    /// Uniformly random ranking: every permutation is equally likely, each
+    /// query. The completely random case `F(x) = v · 1/n` discussed below
+    /// Equation 2 of the paper.
     FullyRandom,
     /// The paper's randomized rank promotion ([`RandomizedRankPromotion`]).
     Promotion(RandomizedRankPromotion),
@@ -48,10 +47,16 @@ impl PolicyKind {
         PolicyKind::Promotion(RandomizedRankPromotion::recommended(start_rank))
     }
 
-    /// Rank `pages` into `out` (see
-    /// [`RankingPolicy::rank_into`]) with a `match` instead of a vtable.
-    /// Generic over the RNG so concrete generators stay statically
-    /// dispatched through the enum.
+    /// Produce the result ordering for one query / one simulation day,
+    /// writing it into `out` (cleared first) and drawing any scratch space
+    /// from `buffers`.
+    ///
+    /// The output is a permutation of the *slot indices* of the input: the
+    /// page at `out[0]` is shown at rank 1, `out[1]` at rank 2, and so on.
+    /// Randomized policies draw from `rng`, so simulations are
+    /// reproducible; the two sorts draw nothing. Hot paths (the simulator
+    /// day loop, batch serving) reuse the same arena and output vector
+    /// across calls, so ranking never allocates after warm-up.
     pub fn rank_into<R: RngCore + ?Sized>(
         &self,
         pages: &[PageStats],
@@ -60,17 +65,29 @@ impl PolicyKind {
         out: &mut Vec<usize>,
     ) {
         match self {
-            PolicyKind::Popularity => PopularityRanking.rank_order_into(pages, out),
-            PolicyKind::QualityOracle => QualityOracleRanking.rank_order_into(pages, out),
-            PolicyKind::FullyRandom => FullyRandomRanking.shuffle_into(pages, rng, out),
+            PolicyKind::Popularity => sort_slots_by(pages, out, popularity_order),
+            PolicyKind::QualityOracle => sort_slots_by(pages, out, |a, b| {
+                b.quality
+                    .partial_cmp(&a.quality)
+                    .expect("quality is never NaN")
+                    .then_with(|| a.slot.cmp(&b.slot))
+            }),
+            PolicyKind::FullyRandom => {
+                out.clear();
+                out.extend(pages.iter().map(|p| p.slot));
+                out.shuffle(rng);
+            }
             PolicyKind::Promotion(policy) => policy.rank_into(pages, rng, buffers, out),
         }
     }
 
-    /// Allocating convenience wrapper over [`rank_into`](Self::rank_into)
-    /// (the [`RankingPolicy`] provided method).
-    pub fn rank(&self, pages: &[PageStats], rng: &mut dyn RngCore) -> Vec<usize> {
-        RankingPolicy::rank(self, pages, rng)
+    /// Allocating convenience wrapper over [`rank_into`](Self::rank_into):
+    /// a fresh arena and output vector per call, the same ordering from the
+    /// same RNG state. Prefer `rank_into` anywhere throughput matters.
+    pub fn rank<R: RngCore + ?Sized>(&self, pages: &[PageStats], rng: &mut R) -> Vec<usize> {
+        let mut out = Vec::with_capacity(pages.len());
+        self.rank_into(pages, rng, &mut RankBuffers::new(), &mut out);
+        out
     }
 
     /// Rank against a repaired [`CorpusCache`] (the stats, their
@@ -83,9 +100,10 @@ impl PolicyKind {
     /// Promotion ranks through [`RandomizedRankPromotion::rank`] from
     /// [`CorpusCache::source`]; plain popularity ranking copies the order.
     /// The quality oracle and the fully-random shuffle read the whole
-    /// population and are truncated afterwards. Only the Selective rule
-    /// reads the pool index, so owners may leave it unmaintained otherwise
-    /// (see [`reads_pool_index`](Self::reads_pool_index)).
+    /// population through `rank_into` and are truncated afterwards. Only
+    /// the Selective rule reads the pool index, so owners may leave it
+    /// unmaintained otherwise (see
+    /// [`reads_pool_index`](Self::reads_pool_index)).
     pub fn rank_view_into<R: RngCore + ?Sized>(
         &self,
         cache: &CorpusCache,
@@ -103,12 +121,8 @@ impl PolicyKind {
                 out.clear();
                 out.extend_from_slice(&sorted[..limit.min(sorted.len())]);
             }
-            PolicyKind::QualityOracle => {
-                QualityOracleRanking.rank_order_into(pages, out);
-                out.truncate(limit);
-            }
-            PolicyKind::FullyRandom => {
-                FullyRandomRanking.shuffle_into(pages, rng, out);
+            PolicyKind::QualityOracle | PolicyKind::FullyRandom => {
+                self.rank_into(pages, rng, buffers, out);
                 out.truncate(limit);
             }
             PolicyKind::Promotion(policy) => {
@@ -134,48 +148,32 @@ impl PolicyKind {
         )
     }
 
-    /// The policy's report name (see [`RankingPolicy::name`]).
+    /// A short human-readable name used in experiment reports
+    /// (e.g. `"no randomization"`, `"selective (r=0.1, k=1)"`).
     pub fn name(&self) -> String {
         match self {
-            PolicyKind::Popularity => PopularityRanking.name(),
-            PolicyKind::QualityOracle => QualityOracleRanking.name(),
-            PolicyKind::FullyRandom => FullyRandomRanking.name(),
-            PolicyKind::Promotion(policy) => RankingPolicy::name(policy),
+            PolicyKind::Popularity => "no randomization".to_owned(),
+            PolicyKind::QualityOracle => "quality oracle".to_owned(),
+            PolicyKind::FullyRandom => "fully random".to_owned(),
+            PolicyKind::Promotion(policy) => policy.config().label(),
         }
     }
 }
 
-impl RankingPolicy for PolicyKind {
-    fn rank_into(
-        &self,
-        pages: &[PageStats],
-        rng: &mut dyn RngCore,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        PolicyKind::rank_into(self, pages, rng, buffers, out)
-    }
-
-    fn name(&self) -> String {
-        PolicyKind::name(self)
-    }
-}
-
-impl From<PopularityRanking> for PolicyKind {
-    fn from(_: PopularityRanking) -> Self {
-        PolicyKind::Popularity
-    }
-}
-
-impl From<QualityOracleRanking> for PolicyKind {
-    fn from(_: QualityOracleRanking) -> Self {
-        PolicyKind::QualityOracle
-    }
-}
-
-impl From<FullyRandomRanking> for PolicyKind {
-    fn from(_: FullyRandomRanking) -> Self {
-        PolicyKind::FullyRandom
+/// Write the slots of `pages` into `out` (cleared first), sorted by `cmp`.
+/// Both callers' comparators are total orders (the slot index breaks all
+/// ties), so the allocation-free unstable sort yields the same permutation
+/// as a stable sort would.
+fn sort_slots_by(
+    pages: &[PageStats],
+    out: &mut Vec<usize>,
+    cmp: impl Fn(&PageStats, &PageStats) -> Ordering,
+) {
+    out.clear();
+    out.extend(0..pages.len());
+    out.sort_unstable_by(|&a, &b| cmp(&pages[a], &pages[b]));
+    for index in out.iter_mut() {
+        *index = pages[*index].slot;
     }
 }
 
@@ -226,27 +224,24 @@ mod tests {
     #[test]
     fn enum_dispatch_matches_concrete_policies() {
         let ps = pages();
-        let concrete: Vec<Box<dyn RankingPolicy>> = vec![
-            Box::new(PopularityRanking),
-            Box::new(QualityOracleRanking),
-            Box::new(FullyRandomRanking),
-            Box::new(RandomizedRankPromotion::recommended(2)),
-            Box::new(RandomizedRankPromotion::new(
-                PromotionConfig::new(PromotionRule::Uniform, 1, 0.3).unwrap(),
-            )),
-        ];
-        for (kind, boxed) in all_kinds().iter().zip(&concrete) {
+        let mut buffers = RankBuffers::new();
+        let mut concrete = Vec::new();
+        for config in [
+            PromotionConfig::recommended(2),
+            PromotionConfig::new(PromotionRule::Uniform, 1, 0.3).unwrap(),
+        ] {
+            let kind = PolicyKind::promotion(config);
+            let policy = RandomizedRankPromotion::new(config);
             for seed in 0..10 {
-                let mut rng_a = new_rng(seed);
-                let mut rng_b = new_rng(seed);
+                policy.rank_into(&ps, &mut new_rng(seed), &mut buffers, &mut concrete);
                 assert_eq!(
-                    kind.rank(&ps, &mut rng_a),
-                    boxed.rank(&ps, &mut rng_b),
+                    kind.rank(&ps, &mut new_rng(seed)),
+                    concrete,
                     "{}",
                     kind.name()
                 );
             }
-            assert_eq!(kind.name(), boxed.name());
+            assert_eq!(kind.name(), config.label());
         }
     }
 
@@ -336,15 +331,6 @@ mod tests {
 
     #[test]
     fn from_impls_map_to_the_right_variant() {
-        assert_eq!(PolicyKind::from(PopularityRanking), PolicyKind::Popularity);
-        assert_eq!(
-            PolicyKind::from(QualityOracleRanking),
-            PolicyKind::QualityOracle
-        );
-        assert_eq!(
-            PolicyKind::from(FullyRandomRanking),
-            PolicyKind::FullyRandom
-        );
         let config = PromotionConfig::recommended(2);
         assert_eq!(
             PolicyKind::from(RandomizedRankPromotion::new(config)),

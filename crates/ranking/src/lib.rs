@@ -1,13 +1,14 @@
 //! # rrp-ranking — ranking policies and the randomized rank-promotion merge
 //!
-//! Implements Section 4 of *"Shuffling a Stacked Deck"*: the baseline
-//! popularity ranking used by conventional search engines, the hypothetical
+//! Implements Section 4 of *"Shuffling a Stacked Deck"*. [`PolicyKind`]
+//! covers the four rankings the paper compares: the baseline popularity
+//! ranking used by conventional search engines, the hypothetical
 //! quality-oracle upper bound, a fully random baseline, and the paper's
 //! contribution — [`RandomizedRankPromotion`], which promotes a configurable
 //! pool of pages to randomly chosen rank positions.
 //!
 //! ```
-//! use rrp_ranking::{PageStats, PromotionConfig, RandomizedRankPromotion, RankingPolicy};
+//! use rrp_ranking::{PageStats, PolicyKind, PromotionConfig};
 //! use rrp_model::{new_rng, PageId};
 //!
 //! // Three established pages and one brand-new page nobody has seen yet.
@@ -19,9 +20,9 @@
 //! ];
 //!
 //! // The paper's recommendation: selective promotion, r = 0.1, k = 2.
-//! let policy = RandomizedRankPromotion::new(PromotionConfig::recommended(2));
+//! let policy = PolicyKind::promotion(PromotionConfig::recommended(2));
 //! let mut rng = new_rng(42);
-//! let result = RankingPolicy::rank(&policy, &pages, &mut rng);
+//! let result = policy.rank(&pages, &mut rng);
 //!
 //! // The top result is protected, and every page appears exactly once.
 //! assert_eq!(result[0], 0);
@@ -34,7 +35,8 @@
 pub mod buffers;
 pub mod cache;
 pub mod candidates;
-pub mod deterministic;
+#[cfg(test)]
+mod deterministic;
 pub mod kind;
 pub mod lazyshuffle;
 pub mod merge;
@@ -49,13 +51,12 @@ pub mod stats;
 pub use buffers::RankBuffers;
 pub use cache::CorpusCache;
 pub use candidates::{merge_shard_candidates_into, MergedCandidates, ShardCandidates};
-pub use deterministic::{FullyRandomRanking, PopularityRanking, QualityOracleRanking};
 pub use kind::PolicyKind;
 pub use lazyshuffle::{
     forward_shuffle, merge_promoted_top_k_lazy_into, EngineVersion, LazyShuffle,
 };
 pub use merge::{merge_promoted, merge_promoted_into, merge_promoted_top_k_into};
-pub use policy::{is_permutation, is_permutation_with_scratch, RankingPolicy};
+pub use policy::{is_permutation, is_permutation_with_scratch};
 pub use poolindex::PoolIndex;
 pub use popindex::PopularityIndex;
 pub use promotion::{PromotionConfig, PromotionRule};

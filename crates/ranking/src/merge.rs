@@ -50,7 +50,7 @@ pub fn merge_promoted(
 
 /// [`merge_promoted`] writing into a caller-supplied vector (cleared first)
 /// instead of allocating — the allocation-free primitive behind
-/// [`RankingPolicy::rank_into`](crate::RankingPolicy::rank_into).
+/// [`PolicyKind::rank_into`](crate::PolicyKind::rank_into).
 ///
 /// Consumes exactly the same RNG draws as [`merge_promoted`], so the two
 /// produce byte-identical output from the same generator state. Generic

@@ -1,52 +1,7 @@
-//! The [`RankingPolicy`] trait: from page statistics to a result ordering.
-
-use crate::buffers::RankBuffers;
-use crate::stats::PageStats;
-use rand::RngCore;
-
-/// A ranking policy orders the pages of a community (equivalently, the
-/// result set of the single query the community model assumes) into a
-/// result list.
-///
-/// The output is a permutation of the *slot indices* of the input: the page
-/// at `output[0]` is shown at rank 1, `output[1]` at rank 2, and so on.
-/// Policies that involve randomness draw it from the supplied RNG so that
-/// simulations are reproducible.
-///
-/// [`rank_into`](Self::rank_into) is the allocation-free primitive every
-/// policy implements; [`rank`](Self::rank) is a convenience wrapper that
-/// allocates a fresh arena and output vector per call. Both produce
-/// byte-identical orderings from the same RNG state.
-pub trait RankingPolicy: Send + Sync {
-    /// Produce the result ordering for one query / one simulation day,
-    /// writing it into `out` (cleared first) and drawing any scratch space
-    /// from `buffers`. Hot paths (the simulator day loop, batch serving)
-    /// reuse the same arena and output vector across calls so that ranking
-    /// never allocates after warm-up.
-    fn rank_into(
-        &self,
-        pages: &[PageStats],
-        rng: &mut dyn RngCore,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    );
-
-    /// Produce the result ordering for one query / one simulation day.
-    ///
-    /// Thin compatibility wrapper over [`rank_into`](Self::rank_into): it
-    /// allocates a fresh arena and output vector each call. Prefer
-    /// `rank_into` anywhere throughput matters.
-    fn rank(&self, pages: &[PageStats], rng: &mut dyn RngCore) -> Vec<usize> {
-        let mut buffers = RankBuffers::new();
-        let mut out = Vec::with_capacity(pages.len());
-        self.rank_into(pages, rng, &mut buffers, &mut out);
-        out
-    }
-
-    /// A short human-readable name used in experiment reports
-    /// (e.g. `"no randomization"`, `"selective (r=0.1, k=1)"`).
-    fn name(&self) -> String;
-}
+//! Permutation checks for ranking output.
+//!
+//! A ranking is a permutation of the *slot indices* of its input: the page
+//! at `ordering[0]` is shown at rank 1, `ordering[1]` at rank 2, and so on.
 
 /// Verify that `ordering` is a permutation of `0..n`. Used by debug
 /// assertions in the simulator and by the property tests of every policy.

@@ -16,7 +16,6 @@
 use crate::buffers::RankBuffers;
 use crate::lazyshuffle::{merge_promoted_top_k_lazy_into, EngineVersion, LazyShuffle};
 use crate::merge::{merge_promoted_into, merge_promoted_top_k_into};
-use crate::policy::RankingPolicy;
 use crate::promotion::{PromotionConfig, PromotionRule};
 use crate::stats::{popularity_order, PageStats};
 use rand::seq::SliceRandom;
@@ -282,10 +281,10 @@ impl RandomizedRankPromotion {
         }
     }
 
-    /// Statically dispatched implementation of
-    /// [`RankingPolicy::rank_into`]; the trait method forwards here
-    /// (inherent methods win name resolution), so concrete callers inline
-    /// their generator while `dyn RankingPolicy` users keep working.
+    /// Rank `pages` by scanning them: split the pool, shuffle it, sort the
+    /// rest, merge ([`PolicyKind::rank_into`](crate::PolicyKind::rank_into)
+    /// for this policy). The reference the maintained-state
+    /// [`rank`](Self::rank) is held to.
     pub fn rank_into<R: RngCore + ?Sized>(
         &self,
         pages: &[PageStats],
@@ -344,27 +343,12 @@ fn fill_rest(
     );
 }
 
-impl RankingPolicy for RandomizedRankPromotion {
-    fn rank_into(
-        &self,
-        pages: &[PageStats],
-        rng: &mut dyn RngCore,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        RandomizedRankPromotion::rank_into(self, pages, rng, buffers, out)
-    }
-
-    fn name(&self) -> String {
-        self.config.label()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::is_permutation;
     use crate::poolindex::PoolIndex;
+    use crate::PolicyKind;
     use rrp_model::{new_rng, PageId};
 
     /// 10 pages: slots 0..5 are established (popularity descending with
@@ -387,7 +371,7 @@ mod tests {
         let policy = RandomizedRankPromotion::recommended(2);
         for seed in 0..100 {
             let mut rng = new_rng(seed);
-            let order = RankingPolicy::rank(&policy, &pages(), &mut rng);
+            let order = PolicyKind::Promotion(policy).rank(&pages(), &mut rng);
             assert!(is_permutation(&order, 10));
         }
     }
@@ -427,7 +411,7 @@ mod tests {
         );
         for seed in 0..50 {
             let mut rng = new_rng(seed);
-            let order = RankingPolicy::rank(&policy, &pages(), &mut rng);
+            let order = PolicyKind::Promotion(policy).rank(&pages(), &mut rng);
             assert_eq!(
                 order[0], 0,
                 "slot 0 has the highest popularity and k=2 protects it"
@@ -443,7 +427,7 @@ mod tests {
         let mut displaced = false;
         for seed in 0..50 {
             let mut rng = new_rng(seed);
-            let order = RankingPolicy::rank(&policy, &pages(), &mut rng);
+            let order = PolicyKind::Promotion(policy).rank(&pages(), &mut rng);
             if order[0] != 0 {
                 displaced = true;
                 break;
@@ -464,7 +448,7 @@ mod tests {
             PromotionConfig::new(PromotionRule::Selective, 1, 0.0).unwrap(),
         );
         let mut rng = new_rng(5);
-        let order = RankingPolicy::rank(&policy, &pages(), &mut rng);
+        let order = PolicyKind::Promotion(policy).rank(&pages(), &mut rng);
         assert_eq!(&order[..5], &[0, 1, 2, 3, 4]);
         let mut tail: Vec<usize> = order[5..].to_vec();
         tail.sort_unstable();
@@ -476,7 +460,7 @@ mod tests {
         let policy = RandomizedRankPromotion::recommended(1);
         for seed in 0..20 {
             let mut rng = new_rng(seed);
-            let order = RankingPolicy::rank(&policy, &pages(), &mut rng);
+            let order = PolicyKind::Promotion(policy).rank(&pages(), &mut rng);
             let positions: Vec<usize> = (0..5)
                 .map(|slot| order.iter().position(|&s| s == slot).unwrap())
                 .collect();
@@ -495,7 +479,7 @@ mod tests {
             PromotionConfig::new(PromotionRule::Selective, 1, 1.0).unwrap(),
         );
         let mut rng = new_rng(2);
-        let order = RankingPolicy::rank(&policy, &pages(), &mut rng);
+        let order = PolicyKind::Promotion(policy).rank(&pages(), &mut rng);
         let mut head: Vec<usize> = order[..5].to_vec();
         head.sort_unstable();
         assert_eq!(head, vec![5, 6, 7, 8, 9]);
@@ -645,7 +629,7 @@ mod tests {
     #[test]
     fn name_reports_configuration() {
         let policy = RandomizedRankPromotion::recommended(2);
-        let name = policy.name();
+        let name = PolicyKind::Promotion(policy).name();
         assert!(name.contains("selective"));
         assert!(name.contains("k=2"));
         assert_eq!(policy.config().degree, 0.1);
@@ -655,6 +639,6 @@ mod tests {
     fn empty_input_is_fine() {
         let policy = RandomizedRankPromotion::recommended(1);
         let mut rng = new_rng(0);
-        assert!(RankingPolicy::rank(&policy, &[], &mut rng).is_empty());
+        assert!(PolicyKind::Promotion(policy).rank(&[], &mut rng).is_empty());
     }
 }

@@ -8,10 +8,9 @@ use proptest::prelude::*;
 use rrp_model::{new_rng, PageId};
 use rrp_ranking::{
     is_permutation, lower_bounds, merge_promoted, merge_shard_candidates_into, popularity_order,
-    CorpusCache, EngineVersion, FullyRandomRanking, MergedCandidates, PageStats, PolicyKind,
-    PoolIndex, PopularityIndex, PopularityRanking, PromotionConfig, PromotionRule,
-    QualityOracleRanking, RandomizedRankPromotion, RankBuffers, RankSource, RankingPolicy,
-    ShardCandidates,
+    CorpusCache, EngineVersion, MergedCandidates, PageStats, PolicyKind, PoolIndex,
+    PopularityIndex, PromotionConfig, PromotionRule, RandomizedRankPromotion, RankBuffers,
+    RankSource, ShardCandidates,
 };
 
 /// Strategy producing an arbitrary page population of size 1..=120.
@@ -46,19 +45,19 @@ proptest! {
         let n = pages.len();
         let mut rng = new_rng(seed);
 
-        let det = PopularityRanking.rank(&pages, &mut rng);
+        let det = PolicyKind::Popularity.rank(&pages, &mut rng);
         prop_assert!(is_permutation(&det, n));
 
-        let oracle = QualityOracleRanking.rank(&pages, &mut rng);
+        let oracle = PolicyKind::QualityOracle.rank(&pages, &mut rng);
         prop_assert!(is_permutation(&oracle, n));
 
-        let random = FullyRandomRanking.rank(&pages, &mut rng);
+        let random = PolicyKind::FullyRandom.rank(&pages, &mut rng);
         prop_assert!(is_permutation(&random, n));
 
-        let promo = RandomizedRankPromotion::new(
+        let promo = PolicyKind::promotion(
             PromotionConfig::new(rule, k, degree).unwrap(),
         );
-        let promoted = RankingPolicy::rank(&promo, &pages, &mut rng);
+        let promoted = promo.rank(&pages, &mut rng);
         prop_assert!(is_permutation(&promoted, n));
     }
 
@@ -68,7 +67,7 @@ proptest! {
         seed in proptest::num::u64::ANY,
     ) {
         let mut rng = new_rng(seed);
-        let order = PopularityRanking.rank(&pages, &mut rng);
+        let order = PolicyKind::Popularity.rank(&pages, &mut rng);
         let by_slot: std::collections::HashMap<usize, &PageStats> =
             pages.iter().map(|p| (p.slot, p)).collect();
         for w in order.windows(2) {
@@ -87,13 +86,13 @@ proptest! {
         k in 1usize..20,
     ) {
         let mut rng_det = new_rng(seed);
-        let det = PopularityRanking.rank(&pages, &mut rng_det);
+        let det = PolicyKind::Popularity.rank(&pages, &mut rng_det);
 
-        let promo = RandomizedRankPromotion::new(
+        let promo = PolicyKind::promotion(
             PromotionConfig::new(PromotionRule::Selective, k, degree).unwrap(),
         );
         let mut rng = new_rng(seed.wrapping_add(1));
-        let promoted = RankingPolicy::rank(&promo, &pages, &mut rng);
+        let promoted = promo.rank(&pages, &mut rng);
 
         // The selective pool contains only zero-awareness (zero-popularity)
         // pages, so the deterministic prefix of explored pages is identical.
@@ -143,7 +142,7 @@ proptest! {
         seed in proptest::num::u64::ANY,
     ) {
         let mut rng = new_rng(seed);
-        let order = QualityOracleRanking.rank(&pages, &mut rng);
+        let order = PolicyKind::QualityOracle.rank(&pages, &mut rng);
         let by_slot: std::collections::HashMap<usize, &PageStats> =
             pages.iter().map(|p| (p.slot, p)).collect();
         for w in order.windows(2) {
@@ -156,10 +155,10 @@ proptest! {
         pages in arb_pages(),
         seed in proptest::num::u64::ANY,
     ) {
-        let policy = RandomizedRankPromotion::recommended(2);
+        let policy = PolicyKind::recommended(2);
         let mut a = new_rng(seed);
         let mut b = new_rng(seed);
-        prop_assert_eq!(RankingPolicy::rank(&policy, &pages, &mut a), RankingPolicy::rank(&policy, &pages, &mut b));
+        prop_assert_eq!(policy.rank(&pages, &mut a), policy.rank(&pages, &mut b));
     }
 
     /// For *any* valid promotion configuration — both rules, any starting
@@ -174,16 +173,16 @@ proptest! {
         degree in 0.0f64..=1.0,
     ) {
         let config = PromotionConfig::new(rule, k, degree).unwrap();
-        let policy = RandomizedRankPromotion::new(config);
+        let policy = PolicyKind::promotion(config);
         let mut rng = new_rng(seed);
-        let order = RankingPolicy::rank(&policy, &pages, &mut rng);
+        let order = policy.rank(&pages, &mut rng);
         prop_assert!(is_permutation(&order, pages.len()));
     }
 
     /// For every policy and any valid promotion configuration, the
     /// allocation-free `rank_into` (through a reused scratch arena) produces
-    /// byte-identical output to the legacy allocating `rank` from the same
-    /// RNG state — the hot path is a pure refactor, not a behaviour change.
+    /// byte-identical output to the allocating `rank` from the same RNG
+    /// state.
     #[test]
     fn rank_into_matches_legacy_rank_for_all_policies(
         pages in arb_pages(),
@@ -193,12 +192,11 @@ proptest! {
         degree in 0.0f64..=1.0,
     ) {
         let config = PromotionConfig::new(rule, k, degree).unwrap();
-        let policies: Vec<Box<dyn RankingPolicy>> = vec![
-            Box::new(PopularityRanking),
-            Box::new(QualityOracleRanking),
-            Box::new(FullyRandomRanking),
-            Box::new(RandomizedRankPromotion::new(config)),
-            Box::new(PolicyKind::promotion(config)),
+        let policies = [
+            PolicyKind::Popularity,
+            PolicyKind::QualityOracle,
+            PolicyKind::FullyRandom,
+            PolicyKind::promotion(config),
         ];
         // One arena reused across every policy and call: stale contents
         // from a previous call must never leak into the next result.
@@ -533,8 +531,8 @@ proptest! {
         degree in 0.0f64..=1.0,
     ) {
         let config = PromotionConfig::new(rule, k, degree).unwrap();
-        let policy = RandomizedRankPromotion::new(config);
-        let order = RankingPolicy::rank(&policy, &pages, &mut new_rng(seed));
+        let policy = PolicyKind::promotion(config);
+        let order = policy.rank(&pages, &mut new_rng(seed));
 
         // Reproduce the policy's own pool split from the same seed: the
         // Uniform rule consumes one coin flip per page, in input order,

@@ -70,9 +70,9 @@ pub struct Simulation {
 impl Simulation {
     /// Create a simulation with explicit per-slot qualities.
     ///
-    /// `policy` accepts any concrete ranking policy from `rrp_ranking` (or
-    /// a [`PolicyKind`] directly) — e.g.
-    /// `Simulation::new(config, PopularityRanking)`.
+    /// `policy` is a [`PolicyKind`], or anything that converts into one
+    /// (a `RandomizedRankPromotion` or a `PromotionConfig`) — e.g.
+    /// `Simulation::new(config, PolicyKind::Popularity)`.
     pub fn with_qualities(
         config: SimConfig,
         qualities: &[Quality],
@@ -446,7 +446,7 @@ fn cumulative(probabilities: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use rrp_model::CommunityConfig;
-    use rrp_ranking::{PopularityRanking, PromotionConfig, QualityOracleRanking};
+    use rrp_ranking::PromotionConfig;
 
     fn tiny_config(seed: u64) -> SimConfig {
         SimConfig::for_community(
@@ -464,7 +464,7 @@ mod tests {
 
     #[test]
     fn simulation_construction_and_accessors() {
-        let sim = Simulation::new(tiny_config(1), PopularityRanking).unwrap();
+        let sim = Simulation::new(tiny_config(1), PolicyKind::Popularity).unwrap();
         assert_eq!(sim.population().len(), 200);
         assert_eq!(sim.today(), Day::ZERO);
         assert_eq!(sim.policy_name(), "no randomization");
@@ -474,7 +474,7 @@ mod tests {
 
     #[test]
     fn clock_advances_and_pages_retire() {
-        let mut sim = Simulation::new(tiny_config(2), PopularityRanking).unwrap();
+        let mut sim = Simulation::new(tiny_config(2), PolicyKind::Popularity).unwrap();
         sim.run(100);
         assert_eq!(sim.today(), Day::new(100));
         assert!(
@@ -486,7 +486,7 @@ mod tests {
 
     #[test]
     fn awareness_grows_over_time() {
-        let mut sim = Simulation::new(tiny_config(3), PopularityRanking).unwrap();
+        let mut sim = Simulation::new(tiny_config(3), PolicyKind::Popularity).unwrap();
         let (zero_before, mean_before) = sim.population().awareness_summary();
         assert_eq!(zero_before, 200);
         assert_eq!(mean_before, 0.0);
@@ -498,7 +498,7 @@ mod tests {
 
     #[test]
     fn metrics_require_measurement_window() {
-        let mut sim = Simulation::new(tiny_config(4), PopularityRanking).unwrap();
+        let mut sim = Simulation::new(tiny_config(4), PolicyKind::Popularity).unwrap();
         sim.run(50);
         let metrics = sim.metrics();
         assert_eq!(metrics.days_measured, 0);
@@ -521,7 +521,7 @@ mod tests {
 
     #[test]
     fn quality_oracle_achieves_nearly_ideal_qpc() {
-        let mut sim = Simulation::new(tiny_config(5), QualityOracleRanking).unwrap();
+        let mut sim = Simulation::new(tiny_config(5), PolicyKind::QualityOracle).unwrap();
         let metrics = sim.run_windows(100, 200);
         assert!(
             metrics.normalized_qpc > 0.95,
@@ -533,7 +533,7 @@ mod tests {
     #[test]
     fn same_seed_reproduces_the_run_exactly() {
         let run = |seed| {
-            let mut sim = Simulation::new(tiny_config(seed), PopularityRanking).unwrap();
+            let mut sim = Simulation::new(tiny_config(seed), PolicyKind::Popularity).unwrap();
             sim.run_windows(100, 100)
         };
         let a = run(7);
@@ -562,12 +562,12 @@ mod tests {
     #[test]
     fn mixed_surfing_distributes_some_visits_by_popularity() {
         let config = tiny_config(12).with_surf_fraction(0.5);
-        let mut sim = Simulation::new(config, PopularityRanking).unwrap();
+        let mut sim = Simulation::new(config, PolicyKind::Popularity).unwrap();
         let metrics = sim.run_windows(100, 100);
         assert!(metrics.absolute_qpc > 0.0);
         // Pure surfing variant also runs.
         let config = tiny_config(13).with_surf_fraction(1.0);
-        let mut sim = Simulation::new(config, PopularityRanking).unwrap();
+        let mut sim = Simulation::new(config, PolicyKind::Popularity).unwrap();
         let metrics = sim.run_windows(100, 100);
         assert!(metrics.absolute_qpc > 0.0);
     }
@@ -585,7 +585,7 @@ mod tests {
                 .unwrap(),
             9,
         );
-        let mut sim = Simulation::new(config, PopularityRanking).unwrap();
+        let mut sim = Simulation::new(config, PolicyKind::Popularity).unwrap();
         let metrics = sim.run_standard();
         assert_eq!(metrics.days_measured, 20);
         assert_eq!(sim.today(), Day::new(40));
@@ -622,14 +622,14 @@ mod tests {
     #[test]
     fn invalid_config_is_rejected() {
         let config = tiny_config(1).with_surf_fraction(2.0);
-        assert!(Simulation::new(config, PopularityRanking).is_err());
+        assert!(Simulation::new(config, PolicyKind::Popularity).is_err());
     }
 
     #[test]
     fn a_quality_per_slot_is_required() {
         for len in [199usize, 201] {
             let qualities = vec![Quality::new(0.1).unwrap(); len];
-            match Simulation::with_qualities(tiny_config(1), &qualities, PopularityRanking) {
+            match Simulation::with_qualities(tiny_config(1), &qualities, PolicyKind::Popularity) {
                 Err(ModelError::InvalidCommunity { reason }) => {
                     assert_eq!(reason, format!("{len} qualities for 200 page slots"))
                 }
@@ -640,6 +640,8 @@ mod tests {
             }
         }
         let qualities = vec![Quality::new(0.1).unwrap(); 200];
-        assert!(Simulation::with_qualities(tiny_config(1), &qualities, PopularityRanking).is_ok());
+        assert!(
+            Simulation::with_qualities(tiny_config(1), &qualities, PolicyKind::Popularity).is_ok()
+        );
     }
 }

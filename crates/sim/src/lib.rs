@@ -19,11 +19,12 @@
 //! [`rrp_ranking::CorpusCache`] — the stats snapshot, popularity order and
 //! promotion pool, repaired from the slots each day's visits and
 //! retirements touched — so it never sorts, scans the pool or allocates
-//! per day. Every serving shard keeps the same cache across batches.
+//! per day. The serving tier (`rrp-serve`) ranks from one corpus-wide
+//! cache of the same type.
 //!
 //! ```
 //! use rrp_sim::{SimConfig, Simulation};
-//! use rrp_ranking::{PopularityRanking, RandomizedRankPromotion};
+//! use rrp_ranking::{PolicyKind, RandomizedRankPromotion};
 //! use rrp_model::CommunityConfig;
 //!
 //! let community = CommunityConfig::builder()
@@ -34,7 +35,7 @@
 //! // Baseline: strict popularity ranking.
 //! let mut baseline = Simulation::new(
 //!     SimConfig::for_community(community, 7),
-//!     PopularityRanking,
+//!     PolicyKind::Popularity,
 //! ).unwrap();
 //! let metrics = baseline.run_windows(120, 120);
 //! assert!(metrics.normalized_qpc > 0.0);

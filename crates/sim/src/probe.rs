@@ -99,7 +99,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use rrp_model::CommunityConfig;
-    use rrp_ranking::{PolicyKind, PopularityRanking, PromotionConfig, PromotionRule};
+    use rrp_ranking::{PolicyKind, PromotionConfig, PromotionRule};
 
     fn config(seed: u64) -> SimConfig {
         SimConfig::for_community(
@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn trace_starts_at_zero_and_never_exceeds_quality() {
-        let mut sim = Simulation::new(config(1), PopularityRanking).unwrap();
+        let mut sim = Simulation::new(config(1), PolicyKind::Popularity).unwrap();
         sim.run(100);
         let trace = sim.trace_fresh_best_page(200);
         assert_eq!(trace.popularity.len(), 201);
@@ -137,7 +137,7 @@ mod tests {
             sim.run(300); // reach a rough steady state
             sim.measure_tbp(3, 3_000)
         };
-        let base = run(PopularityRanking.into(), 21);
+        let base = run(PolicyKind::Popularity, 21);
         let promoted = run(
             PolicyKind::promotion(PromotionConfig::new(PromotionRule::Selective, 1, 0.2).unwrap()),
             21,
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn tbp_result_censoring_is_reported() {
-        let mut sim = Simulation::new(config(5), PopularityRanking).unwrap();
+        let mut sim = Simulation::new(config(5), PolicyKind::Popularity).unwrap();
         // With a horizon of 1 day the probe cannot possibly reach 99%.
         let result = sim.measure_tbp(2, 1);
         assert_eq!(result.trials, 2);
@@ -169,7 +169,7 @@ mod tests {
 
     #[test]
     fn zero_trials_is_harmless() {
-        let mut sim = Simulation::new(config(6), PopularityRanking).unwrap();
+        let mut sim = Simulation::new(config(6), PolicyKind::Popularity).unwrap();
         let result = sim.measure_tbp(0, 10);
         assert_eq!(result.mean_days, 0.0);
         assert_eq!(result.trials, 0);

@@ -5,7 +5,7 @@
 use rrp_analytic::{AnalyticModel, QualityGroups, RankingModel};
 use rrp_core::{Document, QueryContext, RankPromotionEngine};
 use rrp_model::{assign_qualities, new_rng, CommunityConfig, PageId, PowerLawQuality};
-use rrp_ranking::{PageStats, PopularityRanking, PromotionConfig, PromotionRule, RankingPolicy};
+use rrp_ranking::{PageStats, PolicyKind, PromotionConfig, PromotionRule};
 use rrp_sim::{SimConfig, Simulation};
 
 /// With randomization disabled, the public engine must order documents
@@ -31,7 +31,7 @@ fn engine_with_zero_randomization_matches_popularity_policy() {
     let engine_order = engine.rerank(&documents, QueryContext::new(1, 1));
 
     let mut rng = new_rng(0);
-    let policy_order: Vec<u64> = PopularityRanking
+    let policy_order: Vec<u64> = PolicyKind::Popularity
         .rank(&stats, &mut rng)
         .into_iter()
         .map(|slot| documents[slot].id)
@@ -53,7 +53,11 @@ fn simulator_and_analytic_model_agree_on_the_ideal_qpc() {
         .build()
         .unwrap();
 
-    let sim = Simulation::new(SimConfig::for_community(community, 1), PopularityRanking).unwrap();
+    let sim = Simulation::new(
+        SimConfig::for_community(community, 1),
+        PolicyKind::Popularity,
+    )
+    .unwrap();
     let sim_ideal = sim.ideal_qpc();
 
     let groups = QualityGroups::from_distribution(&PowerLawQuality::paper_default(), 1_000);
@@ -126,8 +130,11 @@ fn simulation_preserves_model_invariants_over_time() {
         q
     };
 
-    let mut sim =
-        Simulation::new(SimConfig::for_community(community, 5), PopularityRanking).unwrap();
+    let mut sim = Simulation::new(
+        SimConfig::for_community(community, 5),
+        PolicyKind::Popularity,
+    )
+    .unwrap();
     sim.run(400);
 
     let m = sim.population().monitored_users();

@@ -217,6 +217,60 @@ fn pooled_top_k_reproduces_the_recorded_goldens_for_all_four_policies() {
     }
 }
 
+/// Layer 1, the three baselines over pages that tell them apart: quality
+/// order differs from popularity order, popularities tie (broken by age,
+/// then slot), two qualities tie (broken by slot), and the slice lists the
+/// slots out of order, so every output must map positions back to slots.
+/// The full-length `rank_into` orders of popularity, the quality oracle
+/// and the fully random shuffle at `new_rng(123)` are pinned. The
+/// cache-backed `rank_view_into` (over the same pages in slot order) must
+/// equal `rank_into` over that slice, and for the two sorts, the golden.
+#[test]
+fn baseline_policies_reproduce_their_recorded_goldens() {
+    use rrp_model::PageId;
+    use rrp_ranking::PageStats;
+
+    const POPULARITY: [f64; 12] = [0.5, 0.3, 0.3, 0.3, 0.9, 0.0, 0.1, 0.5, 0.0, 0.7, 0.3, 0.2];
+    const QUALITY: [f64; 12] = [
+        0.2, 0.8, 0.1, 0.6, 0.05, 0.9, 0.4, 0.3, 0.6, 0.15, 0.7, 0.95,
+    ];
+    let pages: Vec<PageStats> = (0..12)
+        .map(|i| {
+            let slot = (i * 5) % 12;
+            let awareness = if POPULARITY[slot] > 0.0 { 0.5 } else { 0.0 };
+            PageStats::new(
+                slot,
+                PageId::new(100 + slot as u64),
+                POPULARITY[slot],
+                awareness,
+            )
+            .with_age((slot % 4) as u64)
+            .with_quality(QUALITY[slot])
+        })
+        .collect();
+    let mut dense = pages.clone();
+    dense.sort_unstable_by_key(|p| p.slot);
+    let mut cache = CorpusCache::new();
+    cache.rebuild(dense.iter().copied());
+    let mut buffers = RankBuffers::new();
+    let (mut full, mut view) = (Vec::new(), Vec::new());
+    let kinds: [(PolicyKind, &[usize; 12]); 3] = [
+        (PolicyKind::Popularity, &GOLDEN_BASELINE_POPULARITY_123),
+        (PolicyKind::QualityOracle, &GOLDEN_BASELINE_ORACLE_123),
+        (PolicyKind::FullyRandom, &GOLDEN_BASELINE_RANDOM_123),
+    ];
+    for (kind, golden) in kinds {
+        kind.rank_into(&pages, &mut new_rng(123), &mut buffers, &mut full);
+        assert_eq!(full, *golden, "{}", kind.name());
+        kind.rank_view_into(&cache, None, &mut new_rng(123), &mut buffers, &mut view);
+        kind.rank_into(&dense, &mut new_rng(123), &mut buffers, &mut full);
+        assert_eq!(view, full, "{} cache view", kind.name());
+        if kind != PolicyKind::FullyRandom {
+            assert_eq!(view, *golden, "{} ignores the slice order", kind.name());
+        }
+    }
+}
+
 /// Layer 3, mutate-then-serve: a fixed schedule of visits, a popularity
 /// update and two inserts applied to a warm service, then one pooled top-k
 /// query — pinned to a recorded golden. This is the path where a repaired
@@ -713,6 +767,13 @@ const GOLDEN_TOP10_POPULARITY_123: [usize; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
 const GOLDEN_TOP10_ORACLE_123: [usize; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
 const GOLDEN_TOP10_RANDOM_123: [usize; 10] = [9, 12, 20, 6, 16, 27, 23, 21, 5, 3];
 const GOLDEN_TOP10_SELECTIVE_123: [usize; 10] = [0, 1, 28, 2, 3, 4, 5, 6, 7, 8];
+
+/// Golden full-length *slot* orders of the three baselines over the
+/// pages of `baseline_policies_reproduce_their_recorded_goldens`, from
+/// `new_rng(123)`.
+const GOLDEN_BASELINE_POPULARITY_123: [usize; 12] = [4, 9, 7, 0, 3, 2, 10, 1, 11, 6, 5, 8];
+const GOLDEN_BASELINE_ORACLE_123: [usize; 12] = [11, 5, 1, 10, 3, 8, 6, 7, 0, 9, 2, 4];
+const GOLDEN_BASELINE_RANDOM_123: [usize; 12] = [10, 9, 0, 2, 11, 7, 6, 4, 8, 3, 5, 1];
 
 /// Golden top-12 document ids after the documented mutate-then-serve
 /// schedule (engine seed 7, `QueryContext::new(11, 13)`).
