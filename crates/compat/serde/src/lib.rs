@@ -6,23 +6,41 @@
 //! [`Deserialize`] traits (re-exporting the derive macros of the same names
 //! from `serde_derive`), built on a simple self-describing [`Value`] data
 //! model instead of serde's visitor architecture. The companion
-//! `serde_json` crate renders [`Value`] to JSON text and parses it back,
-//! which is all the workspace uses serialization for. Two provided trait
-//! methods, overridden only by [`Value`] itself, let it do so without
-//! copying a tree: [`Serialize::with_value`] lends a `Value` to the
-//! writer, and [`Deserialize::from_owned_value`] moves a parsed one out.
+//! `serde_json` crate writes JSON text through [`Serialize::write_json`]
+//! and parses it back into a [`Value`], which is all the workspace uses
+//! serialization for.
+//!
+//! Writing needs no tree: [`Serialize::write_json`] appends compact JSON
+//! straight into a `String`. Its default renders
+//! [`to_value`](Serialize::to_value), so an impl that only builds the tree
+//! stays correct; the derive macros, the std impls below and [`Value`]
+//! (the tree walker) override it, each writing exactly the bytes its tree
+//! would. Reading moves a parsed tree out without copying it
+//! ([`Deserialize::from_owned_value`]).
+//!
+//! The durable serving tier's snapshots are this output, so its bytes are
+//! a format: an integral float below 1e16 is written as the integer plus
+//! `.0` (`-0.0` keeps its sign), any other finite float in Rust's shortest
+//! round-trip `Display` form (never an exponent), integers in decimal, and
+//! strings with `"`, `\\`, `\n`, `\r`, `\t` escaped and every other control
+//! character as `\u00xx`. Non-finite floats are an error ([`SerError`]).
+//! One set of primitives writes these bytes for every renderer.
 //!
 //! Supported derive features (the subset the workspace uses):
 //! `#[serde(transparent)]` on newtype structs, `#[serde(skip)]` on fields
 //! (skipped on serialize, `Default::default()` on deserialize), structs with
 //! named fields, unit structs, tuple structs, and enums with unit, newtype,
 //! tuple and struct variants (externally tagged, as in real serde).
+//! `Serialize` also derives on structs and enums with lifetime parameters,
+//! such as a view that borrows its fields.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::Hash;
 
 pub use serde_derive::{Deserialize, Serialize};
+
+mod json;
 
 /// The self-describing intermediate data model.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,16 +140,30 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
+/// Serialization error: the one thing JSON cannot hold, a non-finite
+/// float.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SerError(pub String);
+
+impl fmt::Display for SerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "serialization error: {}", self.0)
+    }
+}
+
+impl std::error::Error for SerError {}
+
 /// A type that can convert itself into the [`Value`] data model.
 pub trait Serialize {
     /// Convert to the intermediate data model.
     fn to_value(&self) -> Value;
 
-    /// Run `f` over this value's data model. The default builds it with
-    /// [`to_value`](Self::to_value); [`Value`] lends itself, so a tree
-    /// handed to a writer is never copied.
-    fn with_value<R>(&self, f: impl FnOnce(&Value) -> R) -> R {
-        f(&self.to_value())
+    /// Append this value's compact JSON to `out`: exactly the bytes its
+    /// [`to_value`](Self::to_value) tree renders to. The default builds
+    /// that tree and walks it; an override writes the same bytes with no
+    /// tree. On an error `out` holds a partial write.
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        self.to_value().write_json(out)
     }
 }
 
@@ -152,6 +184,10 @@ macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::U64(*self as u64) }
+            fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+                json::write_u64(*self as u64, out);
+                Ok(())
+            }
         }
         impl Deserialize for $t {
             fn from_value(value: &Value) -> Result<Self, DeError> {
@@ -169,6 +205,10 @@ macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::I64(*self as i64) }
+            fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+                json::write_i64(*self as i64, out);
+                Ok(())
+            }
         }
         impl Deserialize for $t {
             fn from_value(value: &Value) -> Result<Self, DeError> {
@@ -189,6 +229,9 @@ macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::F64(*self as f64) }
+            fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+                json::write_f64(*self as f64, out)
+            }
         }
         impl Deserialize for $t {
             fn from_value(value: &Value) -> Result<Self, DeError> {
@@ -207,6 +250,11 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        out.push_str(if *self { "true" } else { "false" });
+        Ok(())
+    }
 }
 
 impl Deserialize for bool {
@@ -222,6 +270,11 @@ impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
     }
+
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_string(self, out);
+        Ok(())
+    }
 }
 
 impl Deserialize for String {
@@ -236,6 +289,11 @@ impl Deserialize for String {
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_owned())
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_string(self, out);
+        Ok(())
     }
 }
 
@@ -261,8 +319,8 @@ impl<T: Serialize + ?Sized> Serialize for &T {
         (**self).to_value()
     }
 
-    fn with_value<R>(&self, f: impl FnOnce(&Value) -> R) -> R {
-        (**self).with_value(f)
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        (**self).write_json(out)
     }
 }
 
@@ -271,8 +329,8 @@ impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
         (**self).to_value()
     }
 
-    fn with_value<R>(&self, f: impl FnOnce(&Value) -> R) -> R {
-        (**self).with_value(f)
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        (**self).write_json(out)
     }
 }
 
@@ -287,6 +345,16 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             None => Value::Null,
             Some(v) => v.to_value(),
+        }
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        match self {
+            None => {
+                out.push_str("null");
+                Ok(())
+            }
+            Some(v) => v.write_json(out),
         }
     }
 }
@@ -304,17 +372,29 @@ impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_seq(self, out)
+    }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_seq(self, out)
+    }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_seq(self, out)
     }
 }
 
@@ -344,6 +424,9 @@ macro_rules! impl_tuple {
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn to_value(&self) -> Value {
                 Value::Seq(vec![$(self.$idx.to_value()),+])
+            }
+            fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+                json::write_seq(&[$(&self.$idx as &dyn Serialize),+], out)
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
@@ -463,8 +546,30 @@ impl Serialize for Value {
         self.clone()
     }
 
-    fn with_value<R>(&self, f: impl FnOnce(&Value) -> R) -> R {
-        f(self)
+    /// The tree walker.
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.write_json(out)?,
+            Value::I64(x) => json::write_i64(*x, out),
+            Value::U64(x) => json::write_u64(*x, out),
+            Value::F64(x) => json::write_f64(*x, out)?,
+            Value::Str(s) => json::write_string(s, out),
+            Value::Seq(items) => json::write_seq(items, out)?,
+            Value::Map(entries) => {
+                out.push('{');
+                for (i, (key, item)) in entries.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    json::write_string(key, out);
+                    out.push(':');
+                    item.write_json(out)?;
+                }
+                out.push('}');
+            }
+        }
+        Ok(())
     }
 }
 
@@ -510,21 +615,6 @@ mod tests {
         assert_eq!(Value::F64(3.0).as_u64(), Some(3));
         assert_eq!(Value::F64(3.5).as_u64(), None);
         assert_eq!(Value::I64(-1).as_u64(), None);
-    }
-
-    #[test]
-    fn a_value_is_lent_and_moved_never_copied() {
-        fn lends<T: Serialize + ?Sized>(value: &T, tree: &Value) -> bool {
-            value.with_value(|lent| std::ptr::eq(lent, tree))
-        }
-        let tree = Value::Seq(vec![Value::Str("lent".into())]);
-        assert!(lends(&tree, &tree));
-        assert!(lends(&&tree, &tree));
-        let shared = std::sync::Arc::new(tree.clone());
-        assert!(lends(&shared, &shared));
-        assert_eq!(7u64.with_value(Value::clone), Value::U64(7));
-        assert_eq!(Value::from_owned_value(tree.clone()).unwrap(), tree);
-        assert_eq!(u64::from_owned_value(Value::U64(7)).unwrap(), 7);
     }
 
     #[test]

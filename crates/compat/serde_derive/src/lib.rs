@@ -3,11 +3,15 @@
 //!
 //! The build environment has no crates.io access, so this proc-macro crate
 //! parses the item's token stream directly (no `syn`/`quote`) and emits
-//! implementations of the facade's `to_value`/`from_value` traits. It
-//! supports exactly the shapes this workspace derives on: non-generic
+//! implementations of the facade's traits: `to_value` and `write_json`
+//! (both rendered from one description of the fields, so the JSON a type
+//! writes directly is byte for byte the JSON of its tree) and
+//! `from_value`. It supports exactly the shapes this workspace derives on:
 //! structs (named, tuple, unit) and enums (unit, newtype, tuple and struct
 //! variants), plus the `#[serde(transparent)]` container attribute and the
-//! `#[serde(skip)]` / `#[serde(default)]` field attributes.
+//! `#[serde(skip)]` / `#[serde(default)]` field attributes. Types take no
+//! type parameters; `Serialize` also derives on types with lifetime
+//! parameters (a view borrowing its fields).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -60,6 +64,9 @@ enum Body {
 
 struct Item {
     name: String,
+    /// The lifetime parameters, as written in `impl<…>` and `Name<…>`
+    /// (empty when there are none).
+    generics: String,
     transparent: bool,
     body: Body,
 }
@@ -107,9 +114,32 @@ fn parse_item(input: TokenStream) -> Item {
     };
     i += 1;
 
+    let mut lifetimes = Vec::new();
     if matches!(&tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        panic!("serde_derive (vendored): generic types are not supported, found `{name}<...>`");
+        i += 1;
+        loop {
+            match (tokens.get(i), tokens.get(i + 1)) {
+                (Some(TokenTree::Punct(p)), Some(TokenTree::Ident(id))) if p.as_char() == '\'' => {
+                    lifetimes.push(format!("'{id}"));
+                    i += 2;
+                }
+                (Some(TokenTree::Punct(p)), _) if p.as_char() == ',' => i += 1,
+                (Some(TokenTree::Punct(p)), _) if p.as_char() == '>' => {
+                    i += 1;
+                    break;
+                }
+                _ => panic!(
+                    "serde_derive (vendored): only lifetime parameters without bounds are \
+                     supported, found `{name}<...>`"
+                ),
+            }
+        }
     }
+    let generics = if lifetimes.is_empty() {
+        String::new()
+    } else {
+        format!("<{}>", lifetimes.join(", "))
+    };
 
     let body = match kind.as_str() {
         "struct" => {
@@ -135,6 +165,7 @@ fn parse_item(input: TokenStream) -> Item {
 
     Item {
         name,
+        generics,
         transparent,
         body,
     }
@@ -302,89 +333,96 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 
 fn generate_serialize(item: &Item) -> String {
     let name = &item.name;
-    let body = match &item.body {
-        Body::Struct(shape) => serialize_shape_expr(shape, item.transparent, "self.", None),
-        Body::Enum(variants) => {
-            let mut arms = String::new();
-            for v in variants {
-                arms.push_str(&serialize_variant_arm(name, v));
-            }
-            format!("match self {{ {arms} }}")
-        }
-    };
+    let generics = &item.generics;
+    let to_value = serialize_body(item, &value_expr);
+    let write_json = serialize_body(item, &|form| {
+        format!("{{ {}::std::result::Result::Ok(()) }}", write_stmts(form))
+    });
     format!(
-        "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+        "impl{generics} ::serde::Serialize for {name}{generics} {{\n\
+             fn to_value(&self) -> ::serde::Value {{ {to_value} }}\n\
+             fn write_json(&self, __out: &mut ::std::string::String) \
+                 -> ::std::result::Result<(), ::serde::SerError> {{ {write_json} }}\n\
          }}"
     )
 }
 
-/// Serialize expression for a struct-like shape.
-///
-/// `access` is the prefix for reaching fields (`self.` for structs, empty
-/// for variant bindings). `variant` wraps the result in the externally
-/// tagged enum representation.
-fn serialize_shape_expr(
-    shape: &Shape,
-    transparent: bool,
-    access: &str,
-    variant: Option<&str>,
-) -> String {
-    let inner = match shape {
-        Shape::Unit => "::serde::Value::Map(::std::vec::Vec::new())".to_string(),
+/// What a shape serializes as. Both `to_value` and `write_json` are
+/// rendered from it, so they cannot disagree on a field.
+enum Form {
+    /// A newtype or transparent container: its one field, as itself.
+    Forward(String),
+    /// An array of the fields.
+    Seq(Vec<String>),
+    /// A map of `(name, field)` entries.
+    Map(Vec<(String, String)>),
+    /// A unit variant: its name as a string.
+    Tag(String),
+    /// Any other variant, externally tagged: a one-entry map from its name
+    /// to its fields' form.
+    Tagged(String, Box<Form>),
+}
+
+/// The serialize body of `item`, each form rendered by `render`: the
+/// struct's one form, or a `match self` with one arm per variant.
+fn serialize_body(item: &Item, render: &dyn Fn(&Form) -> String) -> String {
+    let name = &item.name;
+    match &item.body {
+        Body::Struct(shape) => render(&shape_form(shape, item.transparent, "self.")),
+        Body::Enum(variants) => {
+            let mut arms = String::new();
+            for v in variants {
+                let vname = &v.name;
+                let pattern = match &v.shape {
+                    Shape::Unit => String::new(),
+                    Shape::Tuple(fields) => {
+                        let binders: Vec<String> =
+                            (0..fields.len()).map(|i| format!("__f{i}")).collect();
+                        format!("({})", binders.join(", "))
+                    }
+                    Shape::Named(fields) => {
+                        let binders: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        format!(" {{ {} }}", binders.join(", "))
+                    }
+                };
+                let form = match &v.shape {
+                    Shape::Unit => Form::Tag(vname.clone()),
+                    shape => Form::Tagged(vname.clone(), Box::new(shape_form(shape, false, ""))),
+                };
+                arms.push_str(&format!("{name}::{vname}{pattern} => {},\n", render(&form)));
+            }
+            format!("match self {{ {arms} }}")
+        }
+    }
+}
+
+/// The form of a struct-like shape. `access` is the prefix for reaching
+/// fields (`self.` for structs, empty for variant bindings).
+fn shape_form(shape: &Shape, transparent: bool, access: &str) -> Form {
+    match shape {
+        Shape::Unit => Form::Map(Vec::new()),
         Shape::Tuple(fields) => {
-            let active: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
+            let active: Vec<String> = fields
+                .iter()
+                .filter(|f| !f.skip)
+                .map(|f| format!("&{access}{}", binding(access, &f.name)))
+                .collect();
             if transparent || active.len() == 1 {
-                let f = active.first().expect("transparent/newtype needs a field");
-                format!(
-                    "::serde::Serialize::to_value(&{access}{})",
-                    binding(access, &f.name)
-                )
+                let field = active.into_iter().next();
+                Form::Forward(field.expect("transparent/newtype needs a field"))
             } else {
-                let items: Vec<String> = active
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "::serde::Serialize::to_value(&{access}{})",
-                            binding(access, &f.name)
-                        )
-                    })
-                    .collect();
-                format!("::serde::Value::Seq(vec![{}])", items.join(", "))
+                Form::Seq(active)
             }
         }
         Shape::Named(fields) => {
+            let mut active = fields
+                .iter()
+                .filter(|f| !f.skip)
+                .map(|f| (f.name.clone(), format!("&{access}{}", f.name)));
             if transparent {
-                let f = fields
-                    .iter()
-                    .find(|f| !f.skip)
-                    .expect("transparent needs a field");
-                format!("::serde::Serialize::to_value(&{access}{})", f.name)
+                Form::Forward(active.next().expect("transparent needs a field").1)
             } else {
-                let mut pushes = String::new();
-                for f in fields.iter().filter(|f| !f.skip) {
-                    pushes.push_str(&format!(
-                        "__fields.push((::std::string::String::from(\"{0}\"), \
-                         ::serde::Serialize::to_value(&{access}{0})));",
-                        f.name
-                    ));
-                }
-                format!(
-                    "{{ let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> \
-                     = ::std::vec::Vec::new(); {pushes} ::serde::Value::Map(__fields) }}"
-                )
-            }
-        }
-    };
-    match variant {
-        None => inner,
-        Some(tag) => {
-            if matches!(shape, Shape::Unit) {
-                format!("::serde::Value::Str(::std::string::String::from(\"{tag}\"))")
-            } else {
-                format!(
-                    "::serde::Value::Map(vec![(::std::string::String::from(\"{tag}\"), {inner})])"
-                )
+                Form::Map(active.collect())
             }
         }
     }
@@ -400,31 +438,61 @@ fn binding(access: &str, field: &str) -> String {
     }
 }
 
-fn serialize_variant_arm(enum_name: &str, v: &Variant) -> String {
-    let vname = &v.name;
-    match &v.shape {
-        Shape::Unit => format!(
-            "{enum_name}::{vname} => \
-             ::serde::Value::Str(::std::string::String::from(\"{vname}\")),\n"
+/// `to_value`: an expression building the form's `Value`.
+fn value_expr(form: &Form) -> String {
+    let to_value = |field: &str| format!("::serde::Serialize::to_value({field})");
+    let key = |name: &str| format!("::std::string::String::from({name:?})");
+    match form {
+        Form::Forward(field) => to_value(field),
+        Form::Seq(fields) => {
+            let items: Vec<String> = fields.iter().map(|f| to_value(f)).collect();
+            format!("::serde::Value::Seq(::std::vec![{}])", items.join(", "))
+        }
+        Form::Map(entries) => {
+            let items: Vec<String> = entries
+                .iter()
+                .map(|(name, field)| format!("({}, {})", key(name), to_value(field)))
+                .collect();
+            format!("::serde::Value::Map(::std::vec![{}])", items.join(", "))
+        }
+        Form::Tag(tag) => format!("::serde::Value::Str({})", key(tag)),
+        Form::Tagged(tag, inner) => format!(
+            "::serde::Value::Map(::std::vec![({}, {})])",
+            key(tag),
+            value_expr(inner)
         ),
-        Shape::Tuple(fields) => {
-            let binders: Vec<String> = (0..fields.len()).map(|i| format!("__f{i}")).collect();
-            let expr = serialize_shape_expr(&v.shape, false, "", Some(vname));
-            format!("{enum_name}::{vname}({}) => {expr},\n", binders.join(", "))
+    }
+}
+
+/// `write_json`: statements appending the form's JSON to `__out`, the
+/// bytes [`value_expr`]'s tree renders to. Keys and tags are
+/// identifiers, which need no JSON escape.
+fn write_stmts(form: &Form) -> String {
+    let text = |text: &str| format!("__out.push_str({text:?}); ");
+    let write = |field: &str| format!("::serde::Serialize::write_json({field}, __out)?; ");
+    let wrap = |open: &str, items: Vec<String>, close: &str| {
+        format!("{}{}{}", text(open), items.join(&text(",")), text(close))
+    };
+    match form {
+        Form::Forward(field) => write(field),
+        Form::Seq(fields) => wrap("[", fields.iter().map(|f| write(f)).collect(), "]"),
+        Form::Map(entries) => {
+            let items = entries
+                .iter()
+                .map(|(name, field)| text(&format!("\"{name}\":")) + &write(field))
+                .collect();
+            wrap("{", items, "}")
         }
-        Shape::Named(fields) => {
-            let binders: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-            let expr = serialize_shape_expr(&v.shape, false, "", Some(vname));
-            format!(
-                "{enum_name}::{vname} {{ {} }} => {expr},\n",
-                binders.join(", ")
-            )
-        }
+        Form::Tag(tag) => text(&format!("\"{tag}\"")),
+        Form::Tagged(tag, inner) => wrap(&format!("{{\"{tag}\":"), vec![write_stmts(inner)], "}"),
     }
 }
 
 fn generate_deserialize(item: &Item) -> String {
     let name = &item.name;
+    if !item.generics.is_empty() {
+        panic!("serde_derive (vendored): cannot derive Deserialize for `{name}<...>`");
+    }
     let body = match &item.body {
         Body::Struct(shape) => {
             deserialize_shape_expr(name, None, shape, item.transparent, "__value")

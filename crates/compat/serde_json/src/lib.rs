@@ -1,27 +1,20 @@
-//! A minimal, vendored stand-in for `serde_json`: renders the facade's
-//! `serde::Value` data model to JSON text and parses JSON text back.
+//! A minimal, vendored stand-in for `serde_json`: writes any
+//! `serde::Serialize` type as compact JSON text and parses JSON text back
+//! into the facade's `serde::Value` data model.
 //!
 //! Supports everything the workspace's round-trip tests exercise: objects,
 //! arrays, strings with escapes, booleans, null, and numbers (shortest
 //! round-trip float formatting, like the real crate).
 //!
-//! The durable serving tier's snapshots are this writer's output, so its
-//! bytes are a format: an integral float below 1e16 is written as the
-//! integer plus `.0` (`-0.0` keeps its sign), any other finite float in
-//! Rust's shortest round-trip `Display` form (never an exponent),
-//! integers in decimal, and strings with `"`, `\\`, `\n`, `\r`, `\t`
-//! escaped and every other control character as `\u00xx`. Non-finite
-//! floats are an error.
-//!
-//! Neither direction copies a tree: a [`Value`] passed to [`to_string`]
-//! is written in place ([`Serialize::with_value`]), and the tree
-//! [`from_str`] parses is moved into a `Value` result
-//! ([`Deserialize::from_owned_value`]). The writer appends straight into
-//! the output: integers through a stack buffer, other floats through
-//! `fmt::Write`, and a string needing no escapes in one copy.
+//! [`to_string`] builds no tree: it calls [`Serialize::write_json`], which
+//! derived types and the std impls override to append their JSON straight
+//! into the output (a [`Value`] is walked in place). The bytes, which the
+//! durable serving tier's snapshots store, are specified in the `serde`
+//! crate docs; non-finite floats are an error. The tree [`from_str`] parses
+//! is moved into a `Value` result ([`Deserialize::from_owned_value`]).
 
-use serde::{DeError, Deserialize, Serialize, Value};
-use std::fmt::{self, Write as _};
+use serde::{DeError, Deserialize, SerError, Serialize, Value};
+use std::fmt;
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,20 +34,19 @@ impl From<DeError> for Error {
     }
 }
 
+impl From<SerError> for Error {
+    fn from(e: SerError) -> Self {
+        Error(e.0)
+    }
+}
+
 /// Result alias matching the real crate's.
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serialize a value to compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    value.with_value(|value| write_value(value, &mut out))?;
-    Ok(out)
-}
-
-/// Serialize a value to pretty-printed JSON text (two-space indents).
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    value.with_value(|value| write_value_pretty(value, &mut out, 0))?;
+    value.write_json(&mut out)?;
     Ok(out)
 }
 
@@ -74,155 +66,6 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T> {
         )));
     }
     Ok(T::from_owned_value(value)?)
-}
-
-// ---------------------------------------------------------------------------
-// Writer.
-
-fn write_value(value: &Value, out: &mut String) -> Result<()> {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::I64(x) => {
-            if *x < 0 {
-                out.push('-');
-            }
-            write_u64(x.unsigned_abs(), out);
-        }
-        Value::U64(x) => write_u64(*x, out),
-        Value::F64(x) => write_f64(*x, out)?,
-        Value::Str(s) => write_string(s, out),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out)?;
-            }
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(key, out);
-                out.push(':');
-                write_value(item, out)?;
-            }
-            out.push('}');
-        }
-    }
-    Ok(())
-}
-
-fn write_value_pretty(value: &Value, out: &mut String, indent: usize) -> Result<()> {
-    match value {
-        Value::Seq(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                push_indent(out, indent + 1);
-                write_value_pretty(item, out, indent + 1)?;
-            }
-            out.push('\n');
-            push_indent(out, indent);
-            out.push(']');
-            Ok(())
-        }
-        Value::Map(entries) if !entries.is_empty() => {
-            out.push_str("{\n");
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                push_indent(out, indent + 1);
-                write_string(key, out);
-                out.push_str(": ");
-                write_value_pretty(item, out, indent + 1)?;
-            }
-            out.push('\n');
-            push_indent(out, indent);
-            out.push('}');
-            Ok(())
-        }
-        other => write_value(other, out),
-    }
-}
-
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-/// Decimal digits, through a stack buffer.
-fn write_u64(mut x: u64, out: &mut String) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (x % 10) as u8;
-        x /= 10;
-        if x == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
-}
-
-/// Shortest round-trip formatting, as the real crate produces ("0.4",
-/// "1.0"). An integral float below 1e16 is exactly an integer (2^53 <
-/// 1e16 < 2^54), so it is written as one plus `.0`.
-fn write_f64(x: f64, out: &mut String) -> Result<()> {
-    if !x.is_finite() {
-        return Err(Error(format!("cannot serialize non-finite float {x}")));
-    }
-    if x == x.trunc() && x.abs() < 1e16 {
-        if x.is_sign_negative() {
-            out.push('-');
-        }
-        write_u64(x.abs() as u64, out);
-        out.push_str(".0");
-    } else {
-        write!(out, "{x}").expect("writing to a String cannot fail");
-    }
-    Ok(())
-}
-
-/// A quoted JSON string: runs that need no escape are copied whole (a
-/// string with none is one copy). Every escaped character is ASCII, so a
-/// byte scan never splits a UTF-8 sequence.
-fn write_string(s: &str, out: &mut String) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.push('"');
-    let mut run = 0;
-    for (i, &byte) in s.as_bytes().iter().enumerate() {
-        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        out.push('\\');
-        match byte {
-            b'"' | b'\\' => out.push(byte as char),
-            b'\n' => out.push('n'),
-            b'\r' => out.push('r'),
-            b'\t' => out.push('t'),
-            _ => {
-                out.push_str("u00");
-                out.push(HEX[usize::from(byte >> 4)] as char);
-                out.push(HEX[usize::from(byte & 0xf)] as char);
-            }
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
-    out.push('"');
 }
 
 // ---------------------------------------------------------------------------
@@ -437,7 +280,8 @@ mod tests {
 
     /// The writer as it was before it wrote in place: `to_string` through
     /// a fresh string per number, `format!` floats, a char-by-char
-    /// escaper. The writer above must produce exactly these bytes.
+    /// escaper. [`to_string`] must produce exactly these bytes, for a
+    /// scalar written directly and for a `Value` tree alike.
     mod reference {
         use super::*;
 
@@ -627,10 +471,6 @@ mod tests {
     fn a_value_is_written_and_parsed_like_any_other_type() {
         let tree = Value::Seq(vec![Value::Str("lent".into()), Value::F64(-0.0)]);
         assert_eq!(to_string(&tree).unwrap(), "[\"lent\",-0.0]");
-        assert_eq!(
-            to_string_pretty(&tree).unwrap(),
-            "[\n  \"lent\",\n  -0.0\n]"
-        );
         assert_eq!(from_str::<Value>("[\"lent\",-0.0]").unwrap(), tree);
     }
 

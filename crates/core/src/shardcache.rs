@@ -65,8 +65,8 @@
 use crate::document::Document;
 use crate::engine::RankPromotionEngine;
 use rrp_model::PageId;
-use rrp_ranking::{CorpusCache, RankSource, ShardCandidates};
-use serde::{Serialize, Value};
+use rrp_ranking::{CorpusCache, CorpusCacheView, RankSource, ShardCandidates};
+use serde::{SerError, Serialize, Value};
 use std::sync::Arc;
 
 /// An immutable, epoch-stamped snapshot of the serving tier: the repaired
@@ -357,14 +357,30 @@ impl ShardedCorpusCache {
 }
 
 impl Serialize for ShardedCorpusCache {
-    /// The writer's cache, with the live version's order and pool: between
-    /// a [`recycle`](Self::recycle) and the next publication the writer's
-    /// own order and member list are scratch, and the live ones are what
-    /// its stats derive with the dirty slots' old keys. The shape is the
-    /// derived one (`{"cache": …}`).
     fn to_value(&self) -> Value {
-        let cache = self.cache.to_value_with_index_of(&self.live);
-        Value::Map(vec![("cache".to_string(), cache)])
+        self.view().to_value()
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        self.view().write_json(out)
+    }
+}
+
+/// A [`ShardedCorpusCache`]'s serialized form (`{"cache": …}`): the
+/// writer's cache, with the live version's order and pool. Between a
+/// [`recycle`](ShardedCorpusCache::recycle) and the next publication the
+/// writer's own order and member list are scratch, and the live ones are
+/// what its stats derive with the dirty slots' old keys.
+#[derive(Serialize)]
+struct ShardedCorpusCacheView<'a> {
+    cache: CorpusCacheView<'a>,
+}
+
+impl ShardedCorpusCache {
+    fn view(&self) -> ShardedCorpusCacheView<'_> {
+        ShardedCorpusCacheView {
+            cache: self.cache.view_with_index_of(&self.live),
+        }
     }
 }
 

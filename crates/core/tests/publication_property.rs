@@ -16,7 +16,8 @@
 //! inspects the writer's serialized form at arbitrary points (right after
 //! a publication too, when its own order is scratch): snapshots write it,
 //! so it must carry the current stats, the dirty slots and the live
-//! version's from-scratch order and pool.
+//! version's from-scratch order and pool. After every step the JSON the
+//! writer streams must also equal its `Value` tree's, byte for byte.
 
 use proptest::prelude::*;
 use rrp_core::model::PageId;
@@ -134,6 +135,17 @@ fn inspect(
     Ok(())
 }
 
+/// The writer's JSON as snapshots stream it, with no tree, is byte for
+/// byte the JSON of its `Value` tree — also between a recycle and the next
+/// publication, when its own order is scratch.
+fn streamed_bytes_agree(cache: &ShardedCorpusCache) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        serde_json::to_string(cache),
+        serde_json::to_string(&cache.to_value())
+    );
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn every_publication_equals_a_from_scratch_cache(
@@ -211,6 +223,7 @@ proptest! {
                 }
                 Op::Inspect => inspect(&cache, &docs, &live_docs, &mutated, maintained)?,
             }
+            streamed_bytes_agree(&cache)?;
         }
         for (version, docs) in &stragglers {
             check(version, docs, maintained)?;

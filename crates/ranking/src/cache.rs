@@ -36,7 +36,7 @@ use crate::poolindex::PoolIndex;
 use crate::popindex::PopularityIndex;
 use crate::randomized::RankSource;
 use crate::stats::PageStats;
-use serde::{Serialize, Value};
+use serde::{SerError, Serialize, Value};
 
 /// The persistent ranking state over one corpus under dense slots
 /// (`stats[i].slot == i`): statistics snapshot, popularity order, and
@@ -308,15 +308,15 @@ impl CorpusCache {
     /// pool in place of its own — how a writer generation whose order and
     /// member list are scratch serializes the valid ones of the cache it
     /// edits from (whose pool mask equals its own).
-    pub fn to_value_with_index_of(&self, index: &CorpusCache) -> Value {
-        Value::Map(vec![
-            ("stats".to_string(), self.stats.to_value()),
-            ("popularity".to_string(), index.popularity.to_value()),
-            ("pool".to_string(), index.pool.to_value()),
-            ("maintain_pool".to_string(), self.maintain_pool.to_value()),
-            ("dirty".to_string(), self.dirty.to_value()),
-            ("dirty_mask".to_string(), self.dirty_mask.to_value()),
-        ])
+    pub fn view_with_index_of<'a>(&'a self, index: &'a CorpusCache) -> CorpusCacheView<'a> {
+        CorpusCacheView {
+            stats: &self.stats,
+            popularity: &index.popularity,
+            pool: &index.pool,
+            maintain_pool: self.maintain_pool,
+            dirty: &self.dirty,
+            dirty_mask: &self.dirty_mask,
+        }
     }
 
     /// Restore the dirty mask (`O(d)` — exactly the entries set since the
@@ -330,8 +330,25 @@ impl CorpusCache {
 
 impl Serialize for CorpusCache {
     fn to_value(&self) -> Value {
-        self.to_value_with_index_of(self)
+        self.view_with_index_of(self).to_value()
     }
+
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        self.view_with_index_of(self).write_json(out)
+    }
+}
+
+/// A [`CorpusCache`]'s serialized form, borrowed: the one list of the
+/// fields a snapshot stores (the displaced keys are scratch). Built by
+/// [`CorpusCache::view_with_index_of`].
+#[derive(Debug, Serialize)]
+pub struct CorpusCacheView<'a> {
+    stats: &'a [PageStats],
+    popularity: &'a PopularityIndex,
+    pool: &'a PoolIndex,
+    maintain_pool: bool,
+    dirty: &'a [usize],
+    dirty_mask: &'a [bool],
 }
 
 #[cfg(test)]

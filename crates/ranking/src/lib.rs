@@ -49,7 +49,7 @@ mod splice;
 pub mod stats;
 
 pub use buffers::RankBuffers;
-pub use cache::CorpusCache;
+pub use cache::{CorpusCache, CorpusCacheView};
 pub use candidates::{merge_shard_candidates_into, MergedCandidates, ShardCandidates};
 pub use kind::PolicyKind;
 pub use lazyshuffle::{

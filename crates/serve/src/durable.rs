@@ -63,7 +63,7 @@
 use crate::error::ServeError;
 use crate::service::{ServeStats, ShardedPromotionService, StoreGuard};
 use crate::store::ShardedStore;
-use rrp_core::{Document, RankPromotionEngine};
+use rrp_core::{Document, RankPromotionEngine, ShardedCorpusCache};
 use rrp_wal::fault::{Failpoint, FailpointSink};
 use rrp_wal::snapshot::{read_snapshot, write_snapshot_atomic};
 use rrp_wal::{
@@ -597,23 +597,37 @@ struct SnapshotState {
 
 /// Serialize a snapshot payload: engine, store, serving tier (`"shards"`,
 /// written for byte compatibility, never read) and the event mark.
+///
+/// The derived [`SnapshotFields`] writes its JSON straight into one
+/// `String`, no `Value` tree built, byte for byte what the tree of the
+/// same fields renders to (the benchmark re-enacts the tree and compares
+/// bytes). The writer lock is held while the store and tier are written.
 fn encode_snapshot(
     service: &ShardedPromotionService,
     next_event: u64,
 ) -> Result<String, ServeError> {
-    // One writer-lock scope covers both halves: taking `store()` and a
-    // second guard in the same expression would deadlock on the
-    // non-reentrant writer mutex.
-    let (store, tier) = service.with_writer(|store, tier| (store.to_value(), tier.to_value()));
-    let value = Value::Map(vec![
-        ("engine".to_string(), service.engine().to_value()),
-        ("store".to_string(), store),
-        ("shards".to_string(), tier),
-        ("next_event".to_string(), next_event.to_value()),
-    ]);
-    serde_json::to_string(&value).map_err(|e| ServeError::Recovery {
-        detail: format!("snapshot serialisation failed: {e}"),
-    })
+    let engine = service.engine();
+    service
+        .with_writer(|store, shards| {
+            serde_json::to_string(&SnapshotFields {
+                engine,
+                store,
+                shards,
+                next_event,
+            })
+        })
+        .map_err(|e| ServeError::Recovery {
+            detail: format!("snapshot serialisation failed: {e}"),
+        })
+}
+
+/// A snapshot payload's fields, borrowed from the service.
+#[derive(Serialize)]
+struct SnapshotFields<'a> {
+    engine: RankPromotionEngine,
+    store: &'a ShardedStore,
+    shards: &'a ShardedCorpusCache,
+    next_event: u64,
 }
 
 /// Read a snapshot payload back: check its engine and shard count against

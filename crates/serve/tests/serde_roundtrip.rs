@@ -8,7 +8,9 @@
 //! Round trips go all the way through the JSON text codec (the on-disk
 //! snapshot format), not just `Value`, and are checked two ways: the
 //! re-serialized `Value` is `==` the original, and behavioral probes
-//! (documents, popularity bits, shard routing) agree.
+//! (documents, popularity bits, shard routing) agree. The text is what
+//! snapshots write, streamed with no tree; it must be byte for byte the
+//! text of the value's `Value` tree.
 
 mod common;
 
@@ -18,9 +20,15 @@ use rrp_ranking::{PromotionConfig, PromotionRule};
 use rrp_serve::ShardedStore;
 use serde::{Deserialize, Serialize, Value};
 
-/// Through the on-disk codec: value → JSON text → value → T.
+/// Through the on-disk codec: value → JSON text → value → T, the text
+/// streamed exactly as the tree writes it.
 fn roundtrip<T: Serialize + Deserialize>(value: &T) -> T {
-    let text = serde_json::to_string(&value.to_value()).expect("serializes");
+    let text = serde_json::to_string(value).expect("serializes");
+    assert_eq!(
+        text,
+        serde_json::to_string(&value.to_value()).expect("the tree serializes"),
+        "the streamed bytes equal the tree's"
+    );
     let parsed: Value = serde_json::from_str(&text).expect("parses");
     T::from_value(&parsed).expect("deserializes")
 }
@@ -61,14 +69,14 @@ fn a_sharded_store_roundtrips_bit_exactly() {
 #[test]
 fn engines_roundtrip_for_both_versions() {
     for version in [EngineVersion::V1, EngineVersion::V2] {
-        let engine = RankPromotionEngine::new(
-            PromotionConfig::new(PromotionRule::Uniform, 2, 0.25).unwrap(),
-        )
-        .with_seed(0xBEEF)
-        .with_version(version);
-        let back = roundtrip(&engine);
-        assert_eq!(back, engine);
-        assert_eq!(back.version(), version);
+        for rule in [PromotionRule::Uniform, PromotionRule::Selective] {
+            let engine = RankPromotionEngine::new(PromotionConfig::new(rule, 2, 0.25).unwrap())
+                .with_seed(0xBEEF)
+                .with_version(version);
+            let back = roundtrip(&engine);
+            assert_eq!(back, engine);
+            assert_eq!(back.version(), version);
+        }
     }
 }
 

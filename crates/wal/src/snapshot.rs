@@ -67,35 +67,37 @@ pub fn write_snapshot_atomic(path: &Path, payload: &[u8]) -> Result<(), WalError
 
 /// Read and verify the snapshot at `path`. `Ok(None)` means no snapshot
 /// exists (a fresh directory); every integrity failure is a typed
-/// [`WalError`], never a panic.
+/// [`WalError`], never a panic. The envelope is read into a stack array
+/// and the payload into a buffer sized by the file's length (never by the
+/// unverified header), so the payload is read once and never moved.
 pub fn read_snapshot(path: &Path) -> Result<Option<Vec<u8>>, WalError> {
     let mut file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    if bytes.len() < ENVELOPE_LEN {
+    let file_len = file.metadata()?.len();
+    if file_len < ENVELOPE_LEN as u64 {
         return Err(WalError::BadHeader {
-            detail: format!(
-                "snapshot holds {} bytes, envelope needs {ENVELOPE_LEN}",
-                bytes.len()
-            ),
+            detail: format!("snapshot holds {file_len} bytes, envelope needs {ENVELOPE_LEN}"),
         });
     }
-    if bytes[..8] != SNAPSHOT_MAGIC {
+    let mut header = [0u8; ENVELOPE_LEN];
+    file.read_exact(&mut header)?;
+    if header[..8] != SNAPSHOT_MAGIC {
         return Err(WalError::BadHeader {
             detail: "snapshot magic mismatch".to_string(),
         });
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
     if version != SNAPSHOT_VERSION {
         return Err(WalError::UnsupportedVersion { found: version });
     }
-    let payload_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let stored_crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    let payload = &bytes[ENVELOPE_LEN..];
+    let payload_len = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
+    let stored_crc = u32::from_le_bytes(header[20..].try_into().expect("4 bytes"));
+    let capacity = usize::try_from(file_len - ENVELOPE_LEN as u64).unwrap_or(0);
+    let mut payload = Vec::with_capacity(capacity);
+    file.read_to_end(&mut payload)?;
     if payload.len() as u64 != payload_len {
         return Err(WalError::Corrupt {
             offset: 12,
@@ -105,14 +107,13 @@ pub fn read_snapshot(path: &Path) -> Result<Option<Vec<u8>>, WalError> {
             ),
         });
     }
-    if crc32(payload) != stored_crc {
+    if crc32(&payload) != stored_crc {
         return Err(WalError::Corrupt {
             offset: ENVELOPE_LEN as u64,
             detail: "snapshot checksum mismatch".to_string(),
         });
     }
-    bytes.drain(..ENVELOPE_LEN);
-    Ok(Some(bytes))
+    Ok(Some(payload))
 }
 
 #[cfg(test)]
