@@ -4,19 +4,24 @@
 //! the handful of external dependencies are vendored as small compatible
 //! subsets under `crates/compat/`. This crate provides the [`Serialize`] and
 //! [`Deserialize`] traits (re-exporting the derive macros of the same names
-//! from `serde_derive`), built on a simple self-describing [`Value`] data
+//! from `serde_derive`), with a simple self-describing [`Value`] data
 //! model instead of serde's visitor architecture. The companion
 //! `serde_json` crate writes JSON text through [`Serialize::write_json`]
-//! and parses it back into a [`Value`], which is all the workspace uses
-//! serialization for.
+//! and reads it back through [`Deserialize::read_json`], which is all the
+//! workspace uses serialization for.
 //!
 //! Writing needs no tree: [`Serialize::write_json`] appends compact JSON
 //! straight into a `String`. Its default renders
 //! [`to_value`](Serialize::to_value), so an impl that only builds the tree
 //! stays correct; the derive macros, the std impls below and [`Value`]
 //! (the tree walker) override it, each writing exactly the bytes its tree
-//! would. Reading moves a parsed tree out without copying it
-//! ([`Deserialize::from_owned_value`]).
+//! would.
+//!
+//! Reading needs no tree either: [`Deserialize::read_json`] pulls a value
+//! off a [`Reader`], the one JSON parser. A derived struct reads each
+//! field where its key stands in the text (the first entry of a key wins)
+//! and checks and skips every entry it has no field for, without building
+//! it; [`Value`]'s impl is the tree builder.
 //!
 //! The durable serving tier's snapshots are this output, so its bytes are
 //! a format: an integral float below 1e16 is written as the integer plus
@@ -28,12 +33,15 @@
 //!
 //! Supported derive features (the subset the workspace uses):
 //! `#[serde(transparent)]` on newtype structs, `#[serde(skip)]` on fields
-//! (skipped on serialize, `Default::default()` on deserialize), structs with
-//! named fields, unit structs, tuple structs, and enums with unit, newtype,
-//! tuple and struct variants (externally tagged, as in real serde).
+//! (skipped on serialize, `Default::default()` on deserialize),
+//! `#[serde(default)]` on fields (`Default::default()` when the key is
+//! missing), structs with named fields, unit structs, tuple structs, and
+//! enums with unit, newtype, tuple and struct variants (externally tagged,
+//! as in real serde).
 //! `Serialize` also derives on structs and enums with lifetime parameters,
 //! such as a view that borrows its fields.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::Hash;
@@ -42,7 +50,10 @@ pub use serde_derive::{Deserialize, Serialize};
 
 mod json;
 
-/// The self-describing intermediate data model.
+pub use json::Reader;
+
+/// The self-describing data model: what [`Serialize::to_value`] builds,
+/// and what reading a `Value` makes of any JSON text.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null` / Rust `Option::None`.
@@ -167,17 +178,12 @@ pub trait Serialize {
     }
 }
 
-/// A type that can be reconstructed from the [`Value`] data model.
+/// A type that can be read from JSON text.
 pub trait Deserialize: Sized {
-    /// Reconstruct from the intermediate data model.
-    fn from_value(value: &Value) -> Result<Self, DeError>;
-
-    /// Reconstruct from a data model the caller no longer needs. The
-    /// default borrows it for [`from_value`](Self::from_value); [`Value`]
-    /// takes it as is, so a parsed tree is never copied.
-    fn from_owned_value(value: Value) -> Result<Self, DeError> {
-        Self::from_value(&value)
-    }
+    /// Read one value off `reader`, consuming exactly its tokens. A
+    /// number is read through [`Reader::read_scalar`] and coerced as
+    /// [`Value::as_u64`], [`Value::as_i64`] or [`Value::as_f64`] do.
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError>;
 }
 
 macro_rules! impl_unsigned {
@@ -190,9 +196,10 @@ macro_rules! impl_unsigned {
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
+            fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError> {
+                let value = reader.read_scalar()?;
                 let raw = value.as_u64().ok_or_else(|| {
-                    DeError::msg(format!("expected unsigned integer, got {value:?}"))
+                    reader.error(format_args!("expected unsigned integer, got {value:?}"))
                 })?;
                 <$t>::try_from(raw)
                     .map_err(|_| DeError::msg(format!("integer {raw} out of range for {}", stringify!($t))))
@@ -211,9 +218,10 @@ macro_rules! impl_signed {
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
+            fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError> {
+                let value = reader.read_scalar()?;
                 let raw = value.as_i64().ok_or_else(|| {
-                    DeError::msg(format!("expected signed integer, got {value:?}"))
+                    reader.error(format_args!("expected signed integer, got {value:?}"))
                 })?;
                 <$t>::try_from(raw)
                     .map_err(|_| DeError::msg(format!("integer {raw} out of range for {}", stringify!($t))))
@@ -234,11 +242,12 @@ macro_rules! impl_float {
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
+            fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError> {
+                let value = reader.read_scalar()?;
                 value
                     .as_f64()
                     .map(|x| x as $t)
-                    .ok_or_else(|| DeError::msg(format!("expected number, got {value:?}")))
+                    .ok_or_else(|| reader.error(format_args!("expected number, got {value:?}")))
             }
         }
     )*};
@@ -258,10 +267,10 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError::msg(format!("expected bool, got {other:?}"))),
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError> {
+        match reader.read_scalar()? {
+            Value::Bool(b) => Ok(b),
+            other => Err(reader.error(format_args!("expected bool, got {other:?}"))),
         }
     }
 }
@@ -278,11 +287,8 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(DeError::msg(format!("expected string, got {other:?}"))),
-        }
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError> {
+        reader.read_str().map(Cow::into_owned)
     }
 }
 
@@ -304,12 +310,12 @@ impl Serialize for char {
 }
 
 impl Deserialize for char {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(DeError::msg(format!(
-                "expected single-char string, got {other:?}"
-            ))),
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError> {
+        let text = reader.read_str()?;
+        let mut chars = text.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(c),
+            _ => Err(reader.error(format_args!("expected single-char string, got {text:?}"))),
         }
     }
 }
@@ -335,8 +341,8 @@ impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
 }
 
 impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        T::from_value(value).map(std::sync::Arc::new)
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError> {
+        T::read_json(reader).map(std::sync::Arc::new)
     }
 }
 
@@ -360,10 +366,12 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError> {
+        if reader.peek() == Some(b'n') {
+            reader.read_scalar()?;
+            Ok(None)
+        } else {
+            T::read_json(reader).map(Some)
         }
     }
 }
@@ -399,28 +407,28 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let items: Vec<T> = Vec::from_value(value)?;
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError> {
+        let items = Vec::<T>::read_json(reader)?;
         let len = items.len();
         items
             .try_into()
-            .map_err(|_| DeError::msg(format!("expected array of {N} elements, got {len}")))
+            .map_err(|_| reader.error(format_args!("expected array of {N} elements, got {len}")))
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_seq()
-            .ok_or_else(|| DeError::msg(format!("expected sequence, got {value:?}")))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError> {
+        let mut items = Vec::new();
+        reader.read_seq(|reader| {
+            items.push(T::read_json(reader)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
 macro_rules! impl_tuple {
-    ($(($($name:ident : $idx:tt),+))*) => {$(
+    ($(($($name:ident $item:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn to_value(&self) -> Value {
                 Value::Seq(vec![$(self.$idx.to_value()),+])
@@ -430,28 +438,34 @@ macro_rules! impl_tuple {
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let seq = value
-                    .as_seq()
-                    .ok_or_else(|| DeError::msg(format!("expected tuple sequence, got {value:?}")))?;
+            fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError> {
                 let expected = [$($idx),+].len();
-                if seq.len() != expected {
-                    return Err(DeError::msg(format!(
-                        "expected tuple of {expected} elements, got {}",
-                        seq.len()
-                    )));
+                let mut items = ($(None::<$name>,)+);
+                let mut len = 0;
+                reader.read_seq(|reader| {
+                    match len {
+                        $($idx => items.$idx = Some($name::read_json(reader)?),)+
+                        _ => reader.skip_value()?,
+                    }
+                    len += 1;
+                    Ok(())
+                })?;
+                match items {
+                    ($(Some($item),)+) if len == expected => Ok(($($item,)+)),
+                    _ => Err(reader.error(format_args!(
+                        "expected tuple of {expected} elements, got {len}"
+                    ))),
                 }
-                Ok(($($name::from_value(&seq[$idx])?,)+))
             }
         }
     )*};
 }
 
 impl_tuple! {
-    (A: 0)
-    (A: 0, B: 1)
-    (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
+    (A a: 0)
+    (A a: 0, B b: 1)
+    (A a: 0, B b: 1, C c: 2)
+    (A a: 0, B b: 1, C c: 2, D d: 3)
 }
 
 /// Render a map key as a string (JSON object keys are strings).
@@ -506,13 +520,13 @@ where
     V: Deserialize,
     S: std::hash::BuildHasher + Default,
 {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_map()
-            .ok_or_else(|| DeError::msg(format!("expected map, got {value:?}")))?
-            .iter()
-            .map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?)))
-            .collect()
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError> {
+        let mut map = Self::default();
+        reader.read_map(|reader, key| {
+            map.insert(K::from_key(key)?, V::read_json(reader)?);
+            Ok(())
+        })?;
+        Ok(map)
     }
 }
 
@@ -531,13 +545,13 @@ where
     K: Deserialize + FromKey + Ord,
     V: Deserialize,
 {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_map()
-            .ok_or_else(|| DeError::msg(format!("expected map, got {value:?}")))?
-            .iter()
-            .map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?)))
-            .collect()
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError> {
+        let mut map = Self::default();
+        reader.read_map(|reader, key| {
+            map.insert(K::from_key(key)?, V::read_json(reader)?);
+            Ok(())
+        })?;
+        Ok(map)
     }
 }
 
@@ -574,12 +588,21 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(value.clone())
-    }
-
-    fn from_owned_value(value: Value) -> Result<Self, DeError> {
-        Ok(value)
+    /// The tree builder.
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, DeError> {
+        Ok(match reader.peek() {
+            Some(b'"') => Value::Str(reader.read_str()?.into_owned()),
+            Some(b'[') => Value::Seq(Vec::read_json(reader)?),
+            Some(b'{') => {
+                let mut entries = Vec::new();
+                reader.read_map(|reader, key| {
+                    entries.push((key.to_owned(), Value::read_json(reader)?));
+                    Ok(())
+                })?;
+                Value::Map(entries)
+            }
+            _ => reader.read_scalar()?,
+        })
     }
 }
 
@@ -587,26 +610,50 @@ impl Deserialize for Value {
 mod tests {
     use super::*;
 
+    /// Write `value`, then read the text back.
+    fn roundtrip<T: Serialize + Deserialize>(value: &T) -> T {
+        let mut text = String::new();
+        value.write_json(&mut text).unwrap();
+        let mut reader = Reader::new(&text);
+        let back = T::read_json(&mut reader).unwrap();
+        reader.finish().unwrap();
+        back
+    }
+
     #[test]
     fn primitives_roundtrip() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i32::from_value(&(-5i32).to_value()).unwrap(), -5);
-        assert_eq!(f64::from_value(&0.25f64.to_value()).unwrap(), 0.25);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
-            "hi"
-        );
+        assert_eq!(roundtrip(&42u64), 42);
+        assert_eq!(roundtrip(&-5i32), -5);
+        assert_eq!(roundtrip(&0.25f64), 0.25);
+        assert!(roundtrip(&true));
+        assert_eq!(roundtrip(&"hi".to_string()), "hi");
     }
 
     #[test]
     fn containers_roundtrip() {
         let v = vec![(1.0f64, 2.0f64), (3.0, 4.0)];
-        let back: Vec<(f64, f64)> = Vec::from_value(&v.to_value()).unwrap();
-        assert_eq!(back, v);
+        assert_eq!(roundtrip(&v), v);
         let none: Option<u64> = None;
         assert_eq!(none.to_value(), Value::Null);
-        assert_eq!(Option::<u64>::from_value(&Value::Null).unwrap(), None);
+        assert_eq!(roundtrip(&none), None);
+    }
+
+    #[test]
+    fn skipping_checks_what_it_passes_over() {
+        let mut reader = Reader::new(r#" {"a\u0062":[1,-2.5e3,"x\n",{"k":null}],"t":true} 7"#);
+        reader.skip_value().unwrap();
+        assert_eq!(reader.read_scalar(), Ok(Value::U64(7)));
+        reader.finish().unwrap();
+        for bad in [
+            r#"{"a":}"#,
+            "[1,]",
+            r#""\ud800""#,
+            "1e",
+            "tru",
+            r#"{"a" 1}"#,
+        ] {
+            assert!(Reader::new(bad).skip_value().is_err(), "{bad}");
+        }
     }
 
     #[test]

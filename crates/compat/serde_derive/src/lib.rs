@@ -6,7 +6,8 @@
 //! implementations of the facade's traits: `to_value` and `write_json`
 //! (both rendered from one description of the fields, so the JSON a type
 //! writes directly is byte for byte the JSON of its tree) and
-//! `from_value`. It supports exactly the shapes this workspace derives on:
+//! `read_json`, which reads the fields straight off a `serde::Reader`
+//! with no tree. It supports exactly the shapes this workspace derives on:
 //! structs (named, tuple, unit) and enums (unit, newtype, tuple and struct
 //! variants), plus the `#[serde(transparent)]` container attribute and the
 //! `#[serde(skip)]` / `#[serde(default)]` field attributes. Types take no
@@ -494,155 +495,208 @@ fn generate_deserialize(item: &Item) -> String {
         panic!("serde_derive (vendored): cannot derive Deserialize for `{name}<...>`");
     }
     let body = match &item.body {
-        Body::Struct(shape) => {
-            deserialize_shape_expr(name, None, shape, item.transparent, "__value")
-        }
-        Body::Enum(variants) => {
-            let mut unit_arms = String::new();
-            let mut tagged_arms = String::new();
-            for v in variants {
-                match &v.shape {
-                    Shape::Unit => {
-                        unit_arms.push_str(&format!(
-                            "\"{0}\" => return ::std::result::Result::Ok({name}::{0}),\n",
-                            v.name
-                        ));
-                    }
-                    shape => {
-                        let expr =
-                            deserialize_shape_expr(name, Some(&v.name), shape, false, "__inner");
-                        tagged_arms.push_str(&format!(
-                            "\"{0}\" => {{ let __inner = __v; return {expr}; }}\n",
-                            v.name
-                        ));
-                    }
-                }
-            }
-            format!(
-                "if let ::serde::Value::Str(__s) = __value {{\n\
-                     match __s.as_str() {{ {unit_arms} _ => {{}} }}\n\
-                 }}\n\
-                 if let ::serde::Value::Map(__entries) = __value {{\n\
-                     if let ::std::option::Option::Some((__tag, __v)) = __entries.first() {{\n\
-                         match __tag.as_str() {{ {tagged_arms} _ => {{}} }}\n\
-                     }}\n\
-                 }}\n\
-                 ::std::result::Result::Err(::serde::DeError::msg(format!(\n\
-                     \"unknown {name} variant: {{:?}}\", __value)))"
-            )
-        }
+        Body::Struct(shape) => read_shape_expr(name, shape, item.transparent),
+        Body::Enum(variants) => read_enum_expr(name, variants),
     };
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(__value: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
+             fn read_json(__r: &mut ::serde::Reader<'_>) \
+                 -> ::std::result::Result<Self, ::serde::DeError> {{\n\
                  {body}\n\
              }}\n\
          }}"
     )
 }
 
-/// Deserialize expression evaluating to `Result<Type, DeError>`.
-fn deserialize_shape_expr(
-    type_name: &str,
-    variant: Option<&str>,
-    shape: &Shape,
-    transparent: bool,
-    source: &str,
-) -> String {
-    let constructor = match variant {
-        None => type_name.to_string(),
-        Some(v) => format!("{type_name}::{v}"),
-    };
-    match shape {
-        Shape::Unit => format!("::std::result::Result::Ok({constructor})"),
-        Shape::Tuple(fields) => {
-            let active: Vec<(usize, &Field)> =
-                fields.iter().enumerate().filter(|(_, f)| !f.skip).collect();
-            if transparent || active.len() == 1 {
-                let mut args = Vec::new();
-                for f in fields {
-                    if f.skip {
-                        args.push("::std::default::Default::default()".to_string());
-                    } else {
-                        args.push(format!("::serde::Deserialize::from_value({source})?"));
-                    }
-                }
-                format!(
-                    "::std::result::Result::Ok({constructor}({}))",
-                    args.join(", ")
-                )
-            } else {
-                let mut args = Vec::new();
-                let mut idx = 0usize;
-                for f in fields {
-                    if f.skip {
-                        args.push("::std::default::Default::default()".to_string());
-                    } else {
-                        args.push(format!("::serde::Deserialize::from_value(&__seq[{idx}])?"));
-                        idx += 1;
-                    }
-                }
-                format!(
-                    "{{ let __seq = {source}.as_seq().ok_or_else(|| \
-                     ::serde::DeError::msg(\"expected sequence for {constructor}\"))?;\n\
-                     if __seq.len() != {count} {{ return ::std::result::Result::Err(\
-                     ::serde::DeError::msg(format!(\"expected {count} elements for {constructor}, got {{}}\", __seq.len()))); }}\n\
-                     ::std::result::Result::Ok({constructor}({args})) }}",
-                    count = active.len(),
-                    args = args.join(", ")
-                )
-            }
-        }
-        Shape::Named(fields) => {
-            if transparent {
-                let f = fields
-                    .iter()
-                    .find(|f| !f.skip)
-                    .expect("transparent needs a field");
-                let mut inits = Vec::new();
-                for field in fields {
-                    if field.name == f.name {
-                        inits.push(format!(
-                            "{}: ::serde::Deserialize::from_value({source})?",
-                            field.name
-                        ));
-                    } else {
-                        inits.push(format!(
-                            "{}: ::std::default::Default::default()",
-                            field.name
-                        ));
-                    }
-                }
-                format!(
-                    "::std::result::Result::Ok({constructor} {{ {} }})",
-                    inits.join(", ")
-                )
-            } else {
-                let mut inits = Vec::new();
-                for f in fields {
-                    if f.skip {
-                        inits.push(format!("{}: ::std::default::Default::default()", f.name));
-                    } else if f.default {
-                        inits.push(format!(
-                            "{0}: match {source}.get(\"{0}\") {{\n\
-                                 ::std::option::Option::Some(__f) => ::serde::Deserialize::from_value(__f)?,\n\
-                                 ::std::option::Option::None => ::std::default::Default::default(),\n\
-                             }}",
-                            f.name
-                        ));
-                    } else {
-                        inits.push(format!(
-                            "{0}: ::serde::Deserialize::from_value({source}.get(\"{0}\")\
-                             .ok_or_else(|| ::serde::DeError::msg(\"missing field `{0}`\"))?)?",
-                            f.name
-                        ));
-                    }
-                }
-                format!(
-                    "::std::result::Result::Ok({constructor} {{ {} }})",
-                    inits.join(", ")
-                )
-            }
+/// An externally tagged enum: a unit variant is its name as a string,
+/// any other variant a map whose first entry is its name and fields.
+/// Later entries are checked and skipped.
+fn read_enum_expr(name: &str, variants: &[Variant]) -> String {
+    let unknown = error(&format!("unknown {name} variant"));
+    let mut unit_arms = String::new();
+    let mut tagged_arms = String::new();
+    for v in variants {
+        let constructor = format!("{name}::{}", v.name);
+        match &v.shape {
+            Shape::Unit => unit_arms.push_str(&format!(
+                "{:?} => ::std::result::Result::Ok({constructor}),\n",
+                v.name
+            )),
+            shape => tagged_arms.push_str(&format!(
+                "{:?} => {{ {} }}?,\n",
+                v.name,
+                read_shape_expr(&constructor, shape, false)
+            )),
         }
     }
+    let from_str = if unit_arms.is_empty() {
+        unknown.clone()
+    } else {
+        format!("match &*__r.read_str()? {{ {unit_arms} _ => {unknown} }}")
+    };
+    let from_map = if tagged_arms.is_empty() {
+        unknown.clone()
+    } else {
+        format!(
+            "let mut __value: ::std::option::Option<Self> = ::std::option::Option::None;\n\
+             __r.read_map(|__r, __tag| {{\n\
+                 if __value.is_some() {{ return __r.skip_value(); }}\n\
+                 __value = ::std::option::Option::Some(match __tag {{\n\
+                     {tagged_arms} _ => return {unknown},\n\
+                 }});\n\
+                 ::std::result::Result::Ok(())\n\
+             }})?;\n\
+             match __value {{ ::std::option::Option::Some(__v) => ::std::result::Result::Ok(__v), \
+                 ::std::option::Option::None => {unknown} }}"
+        )
+    };
+    format!(
+        "match __r.peek() {{\n\
+             ::std::option::Option::Some(b'\"') => {{ {from_str} }}\n\
+             ::std::option::Option::Some(b'{{') => {{ {from_map} }}\n\
+             _ => {unknown},\n\
+         }}"
+    )
+}
+
+/// An expression reading a struct-like shape off `__r` into
+/// `Result<_, DeError>`, built by `constructor` (a type or a variant
+/// path). Skipped fields are `Default::default()`.
+fn read_shape_expr(constructor: &str, shape: &Shape, transparent: bool) -> String {
+    let fields = match shape {
+        Shape::Tuple(fields) => return read_tuple_expr(constructor, fields, transparent),
+        // `Name {}` builds a unit struct too.
+        Shape::Unit => &[][..],
+        Shape::Named(fields) => fields,
+    };
+    let init = |f: &Field, value: &str| {
+        let value = if f.skip { DEFAULT } else { value };
+        format!("{}: {value}", f.name)
+    };
+    if transparent {
+        let mut active = fields.iter().filter(|f| !f.skip);
+        let field = active.next().expect("transparent needs a field");
+        let inits: Vec<String> = fields
+            .iter()
+            .map(|f| init(f, if f.name == field.name { READ } else { DEFAULT }))
+            .collect();
+        return ok(&format!("{constructor} {{ {} }}", inits.join(", ")));
+    }
+    // A map: the first entry of each field's key is read, every other
+    // entry is checked and skipped. Anything but a map reads as one with
+    // no entries.
+    let active: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
+    let lets: String = active
+        .iter()
+        .map(|f| format!("let mut __f_{} = ::std::option::Option::None;\n", f.name))
+        .collect();
+    let arms: String = active
+        .iter()
+        .map(|f| {
+            format!(
+                "{0:?} if __f_{0}.is_none() => __f_{0} = ::std::option::Option::Some({READ}),\n",
+                f.name
+            )
+        })
+        .collect();
+    let inits: Vec<String> = fields
+        .iter()
+        .map(|f| {
+            let missing = if f.default {
+                DEFAULT.to_string()
+            } else {
+                format!("return {}", error(&format!("missing field `{}`", f.name)))
+            };
+            let value = format!(
+                "match __f_{} {{ ::std::option::Option::Some(__v) => __v, \
+                 ::std::option::Option::None => {missing} }}",
+                f.name
+            );
+            init(f, &value)
+        })
+        .collect();
+    format!(
+        "{lets}if __r.peek() == ::std::option::Option::Some(b'{{') {{\n\
+             __r.read_map(|__r, __key| {{\n\
+                 match __key {{ {arms} _ => __r.skip_value()?, }}\n\
+                 ::std::result::Result::Ok(())\n\
+             }})?;\n\
+         }} else {{\n\
+             __r.skip_value()?;\n\
+         }}\n\
+         {}",
+        ok(&format!("{constructor} {{ {} }}", inits.join(", ")))
+    )
+}
+
+/// [`read_shape_expr`] for tuple fields: a newtype (or transparent) reads
+/// as its one field, any other tuple as a sequence of exactly its active
+/// fields.
+fn read_tuple_expr(constructor: &str, fields: &[Field], transparent: bool) -> String {
+    let active: Vec<usize> = (0..fields.len()).filter(|&i| !fields[i].skip).collect();
+    if transparent || active.len() == 1 {
+        let args: Vec<&str> = fields
+            .iter()
+            .map(|f| if f.skip { DEFAULT } else { READ })
+            .collect();
+        return ok(&format!("{constructor}({})", args.join(", ")));
+    }
+    let slots: Vec<String> = active.iter().map(|i| format!("__f{i}")).collect();
+    let lets: String = slots
+        .iter()
+        .map(|slot| format!("let mut {slot} = ::std::option::Option::None;\n"))
+        .collect();
+    let arms: String = slots
+        .iter()
+        .enumerate()
+        .map(|(n, slot)| format!("{n} => {slot} = ::std::option::Option::Some({READ}),\n"))
+        .collect();
+    let filled: Vec<String> = slots
+        .iter()
+        .map(|slot| format!("::std::option::Option::Some({slot})"))
+        .collect();
+    let args: Vec<String> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            if f.skip {
+                DEFAULT.to_string()
+            } else {
+                format!("__f{i}")
+            }
+        })
+        .collect();
+    let count = active.len();
+    format!(
+        "{lets}let mut __len = 0usize;\n\
+         __r.read_seq(|__r| {{\n\
+             match __len {{ {arms} _ => __r.skip_value()?, }}\n\
+             __len += 1;\n\
+             ::std::result::Result::Ok(())\n\
+         }})?;\n\
+         match ({}) {{\n\
+             ({}) if __len == {count} => {},\n\
+             _ => ::std::result::Result::Err(__r.error(::std::format_args!(\n\
+                 \"expected {count} elements for {constructor}, got {{}}\", __len))),\n\
+         }}",
+        slots.join(", "),
+        filled.join(", "),
+        ok(&format!("{constructor}({})", args.join(", ")))
+    )
+}
+
+/// A skipped field's value.
+const DEFAULT: &str = "::std::default::Default::default()";
+
+/// A field read off `__r`.
+const READ: &str = "::serde::Deserialize::read_json(__r)?";
+
+/// An `Ok` result.
+fn ok(built: &str) -> String {
+    format!("::std::result::Result::Ok({built})")
+}
+
+/// An error result with a fixed message.
+fn error(message: &str) -> String {
+    format!("::std::result::Result::Err(__r.error({message:?}))")
 }

@@ -1,6 +1,6 @@
 //! A minimal, vendored stand-in for `serde_json`: writes any
-//! `serde::Serialize` type as compact JSON text and parses JSON text back
-//! into the facade's `serde::Value` data model.
+//! `serde::Serialize` type as compact JSON text and reads any
+//! `serde::Deserialize` type back from it.
 //!
 //! Supports everything the workspace's round-trip tests exercise: objects,
 //! arrays, strings with escapes, booleans, null, and numbers (shortest
@@ -8,12 +8,17 @@
 //!
 //! [`to_string`] builds no tree: it calls [`Serialize::write_json`], which
 //! derived types and the std impls override to append their JSON straight
-//! into the output (a [`Value`] is walked in place). The bytes, which the
-//! durable serving tier's snapshots store, are specified in the `serde`
-//! crate docs; non-finite floats are an error. The tree [`from_str`] parses
-//! is moved into a `Value` result ([`Deserialize::from_owned_value`]).
+//! into the output (a [`Value`](serde::Value) is walked in place). The
+//! bytes, which the durable serving tier's snapshots store, are specified
+//! in the `serde` crate docs; non-finite floats are an error.
+//!
+//! [`from_str`] builds no tree either: it hands a [`serde::Reader`] over
+//! the text to [`Deserialize::read_json`], which the derived and std impls
+//! implement by reading their fields straight off it and skipping, after
+//! checking, whatever they do not read. Reading a `serde::Value` builds
+//! the tree.
 
-use serde::{DeError, Deserialize, SerError, Serialize, Value};
+use serde::{DeError, Deserialize, Reader, SerError, Serialize};
 use std::fmt;
 
 /// Serialization/deserialization error.
@@ -50,233 +55,20 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     Ok(out)
 }
 
-/// Deserialize a value from JSON text.
+/// Deserialize a value from JSON text: the value's tokens, then nothing
+/// but whitespace.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(Error(format!(
-            "trailing characters at offset {}",
-            parser.pos
-        )));
-    }
-    Ok(T::from_owned_value(value)?)
-}
-
-// ---------------------------------------------------------------------------
-// Parser.
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error(format!(
-                "expected `{}` at offset {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value> {
-        match self.peek() {
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
-            other => Err(Error(format!(
-                "unexpected {:?} at offset {}",
-                other.map(|b| b as char),
-                self.pos
-            ))),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(Error(format!("invalid literal at offset {}", self.pos)))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            while self.pos < self.bytes.len()
-                && self.bytes[self.pos] != b'"'
-                && self.bytes[self.pos] != b'\\'
-            {
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| Error(e.to_string()))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error("unterminated escape".into()))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| Error(e.to_string()))?,
-                                16,
-                            )
-                            .map_err(|e| Error(e.to_string()))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error(format!("invalid codepoint {code}")))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error(format!("invalid escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                _ => return Err(Error("unterminated string".into())),
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| Error(e.to_string()))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::F64)
-                .map_err(|e| Error(e.to_string()))
-        } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::I64)
-                .map_err(|e| Error(e.to_string()))
-        } else {
-            text.parse::<u64>()
-                .map(Value::U64)
-                .map_err(|e| Error(e.to_string()))
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Seq(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                _ => return Err(Error(format!("expected `,` or `]` at {}", self.pos))),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Map(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                _ => return Err(Error(format!("expected `,` or `}}` at {}", self.pos))),
-            }
-        }
-    }
+    let mut reader = Reader::new(text);
+    let value = T::read_json(&mut reader)?;
+    reader.finish()?;
+    Ok(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use serde::Value;
 
     /// The writer as it was before it wrote in place: `to_string` through
     /// a fresh string per number, `format!` floats, a char-by-char

@@ -22,7 +22,7 @@
 use proptest::prelude::*;
 use rrp_core::model::PageId;
 use rrp_core::{CorpusCache, Document, PublishedVersion, RankPromotionEngine, ShardedCorpusCache};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -128,7 +128,7 @@ fn inspect(
     };
     let mut dirty: Vec<usize> = dirty
         .iter()
-        .map(|slot| usize::from_value(slot).expect("a slot"))
+        .map(|slot| slot.as_u64().expect("a slot") as usize)
         .collect();
     dirty.sort_unstable();
     prop_assert_eq!(dirty, mutated.iter().copied().collect::<Vec<_>>());

@@ -70,7 +70,7 @@ use rrp_wal::{
     create_log_file, resume_log_file, FileSink, WalError, WalEvent, WalPoll, WalTailReader,
     WalWriter,
 };
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
@@ -456,10 +456,10 @@ pub(crate) fn bootstrap_snapshot(
     }
     let snapshot_fallback = match read_snapshot(snapshot_path) {
         Ok(Some(payload)) => {
-            let state = decode_snapshot(&payload, &engine, shard_count)?;
+            let record = decode_snapshot(&payload, &engine, shard_count)?;
             return Ok(SnapshotBootstrap {
-                service: ShardedPromotionService::with_store(engine, state.store),
-                hwm: state.next_event,
+                service: ShardedPromotionService::with_store(engine, record.store),
+                hwm: record.next_event,
                 snapshot_loaded: true,
                 snapshot_fallback: false,
             });
@@ -588,9 +588,13 @@ impl ReplayCursor {
     }
 }
 
-/// What recovery reads back from a snapshot payload: the store and the
-/// event sequence the snapshot is current through.
-struct SnapshotState {
+/// What recovery reads back from a snapshot payload: the engine that
+/// wrote it, the store and the event sequence the snapshot is current
+/// through. The payload's `"shards"` entry has no field, so it is only
+/// checked and skipped.
+#[derive(Deserialize)]
+struct SnapshotRecord {
+    engine: RankPromotionEngine,
     store: ShardedStore,
     next_event: u64,
 }
@@ -631,47 +635,42 @@ struct SnapshotFields<'a> {
 }
 
 /// Read a snapshot payload back: check its engine and shard count against
-/// the caller's, and return its store and event mark. The `"shards"`
-/// field is not read, whatever it holds.
+/// the caller's, and return it.
+///
+/// The payload is read straight into a [`SnapshotRecord`], no `Value`
+/// tree built: the engine, the store's documents and the event mark are
+/// read where they stand in the text, and the `"shards"` entry (and any
+/// other the record has no field for) is checked as JSON and skipped,
+/// whatever it holds. Damage anywhere in the text, trailing bytes
+/// included, is a typed recovery error.
 fn decode_snapshot(
     payload: &[u8],
     engine: &RankPromotionEngine,
     shard_count: usize,
-) -> Result<SnapshotState, ServeError> {
+) -> Result<SnapshotRecord, ServeError> {
     let recovery = |detail: String| ServeError::Recovery { detail };
     let text = std::str::from_utf8(payload)
         .map_err(|e| recovery(format!("snapshot is not UTF-8: {e}")))?;
-    let value: Value = serde_json::from_str(text)
-        .map_err(|e| recovery(format!("snapshot is not valid JSON: {e}")))?;
-    let field = |name: &str| {
-        value
-            .get(name)
-            .ok_or_else(|| recovery(format!("snapshot is missing the `{name}` field")))
-    };
-    let stored_engine = RankPromotionEngine::from_value(field("engine")?)
-        .map_err(|e| recovery(format!("snapshot engine: {e}")))?;
+    let record: SnapshotRecord = serde_json::from_str(text)
+        .map_err(|e| recovery(format!("snapshot could not be read: {e}")))?;
     // The engine (config, seed, version) defines every RNG stream; a
     // snapshot from a different engine would replay into silently
     // different rankings, so the mismatch is surfaced instead.
-    if stored_engine.to_value() != engine.to_value() {
+    if record.engine != *engine {
         return Err(recovery(
             "snapshot was written by a different engine configuration".to_string(),
         ));
     }
-    let store = ShardedStore::from_value(field("store")?)
-        .map_err(|e| recovery(format!("snapshot store: {e}")))?;
-    if store.shard_count() == 0 {
+    let stored = record.store.shard_count();
+    if stored == 0 {
         return Err(recovery("snapshot store has zero shards".to_string()));
     }
-    if store.shard_count() != shard_count {
+    if stored != shard_count {
         return Err(recovery(format!(
-            "snapshot has {} shards, the service was opened with {shard_count}",
-            store.shard_count()
+            "snapshot has {stored} shards, the service was opened with {shard_count}"
         )));
     }
-    let next_event = u64::from_value(field("next_event")?)
-        .map_err(|e| recovery(format!("snapshot next_event: {e}")))?;
-    Ok(SnapshotState { store, next_event })
+    Ok(record)
 }
 
 /// Apply one replayed event. Events were validated before they were
@@ -700,6 +699,7 @@ pub(crate) fn apply_event(
 mod tests {
     use super::*;
     use rrp_core::{QueryContext, RankPromotionEngine};
+    use serde::Value;
     use std::path::PathBuf;
 
     fn engine() -> RankPromotionEngine {

@@ -120,22 +120,12 @@ fn a_durable_service_cannot_open_with_zero_shards() {
 
     // A checksum-valid snapshot whose store claims zero shards verifies,
     // so decoding must reject it — whatever shard count `open` asks for.
-    let payload = read_snapshot(&dir.snapshot_path()).unwrap().unwrap();
-    let mut value: Value = serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
-    let Value::Map(fields) = &mut value else {
-        unreachable!("a snapshot payload is a map")
-    };
-    let (_, Value::Map(store)) = fields.iter_mut().find(|(name, _)| name == "store").unwrap()
-    else {
-        unreachable!("the store serializes as a map")
-    };
-    let (_, shard_count) = store
-        .iter_mut()
-        .find(|(name, _)| name == "shard_count")
-        .unwrap();
-    *shard_count = 0usize.to_value();
-    let payload = serde_json::to_string(&value).unwrap();
-    write_snapshot_atomic(&dir.snapshot_path(), payload.as_bytes()).unwrap();
+    rewrite_snapshot(&dir, |fields| {
+        let Value::Map(store) = field(fields, "store") else {
+            unreachable!("the store serializes as a map")
+        };
+        *field(store, "shard_count") = 0usize.to_value();
+    });
     for shards in [1, 2] {
         match DurableService::open(dir.path(), engine(), shards) {
             Err(ServeError::Recovery { detail }) => {
@@ -153,6 +143,122 @@ fn a_durable_service_cannot_open_with_zero_shards() {
             other => {
                 let other = other.map(|_| "a replica");
                 panic!("replica: expected Recovery, got {other:?}");
+            }
+        }
+    }
+}
+
+/// The first entry named `name` of a map's fields.
+fn field<'a>(fields: &'a mut [(String, Value)], name: &str) -> &'a mut Value {
+    let (_, value) = fields.iter_mut().find(|(key, _)| key == name).unwrap();
+    value
+}
+
+/// Rewrite the snapshot in `dir` through `edit` on its payload text, and
+/// put it back in a fresh envelope: the checksum verifies, so only
+/// decoding can reject it.
+fn rewrite_snapshot_text(dir: &TempDir, edit: impl FnOnce(&str) -> String) {
+    let payload = read_snapshot(&dir.snapshot_path()).unwrap().unwrap();
+    let payload = edit(std::str::from_utf8(&payload).unwrap());
+    write_snapshot_atomic(&dir.snapshot_path(), payload.as_bytes()).unwrap();
+}
+
+/// [`rewrite_snapshot_text`] through an edit of the payload's top-level
+/// fields.
+fn rewrite_snapshot(dir: &TempDir, edit: impl FnOnce(&mut Vec<(String, Value)>)) {
+    rewrite_snapshot_text(dir, |text| {
+        let mut value: Value = serde_json::from_str(text).unwrap();
+        let Value::Map(fields) = &mut value else {
+            unreachable!("a snapshot payload is a map")
+        };
+        edit(fields);
+        serde_json::to_string(&value).unwrap()
+    });
+}
+
+#[test]
+fn a_damaged_snapshot_payload_is_a_recovery_error_or_reads_as_before() {
+    let dir = TempDir::new("damaged-payload");
+    let (mut durable, _) = DurableService::open(dir.path(), engine(), 2).unwrap();
+    durable
+        .extend((0..6).map(|i| Document::established(i, 0.5).with_age(i)))
+        .unwrap();
+    durable.snapshot_now().unwrap();
+    drop(durable);
+    let original = read_snapshot(&dir.snapshot_path()).unwrap().unwrap();
+    let original = String::from_utf8(original).unwrap();
+
+    type Damage = fn(&TempDir);
+    let cases: [(&str, Damage, bool); 5] = [
+        (
+            "the store is missing",
+            |dir| rewrite_snapshot(dir, |fields| fields.retain(|(key, _)| key != "store")),
+            false,
+        ),
+        (
+            "a popularity is a string",
+            |dir| {
+                rewrite_snapshot(dir, |fields| {
+                    let Value::Map(store) = field(fields, "store") else {
+                        unreachable!("the store serializes as a map")
+                    };
+                    let Value::Seq(documents) = field(store, "documents") else {
+                        unreachable!("the documents serialize as a sequence")
+                    };
+                    let Value::Map(document) = &mut documents[3] else {
+                        unreachable!("a document serializes as a map")
+                    };
+                    *field(document, "popularity") = Value::Str("0.5".into());
+                })
+            },
+            false,
+        ),
+        (
+            "the unread serving tier is cut to invalid JSON",
+            |dir| {
+                rewrite_snapshot_text(dir, |text| {
+                    let start = text.find("\"shards\":").unwrap();
+                    let end = text.find(",\"next_event\":").unwrap();
+                    format!("{}{}", &text[..(start + end) / 2], &text[end..])
+                })
+            },
+            false,
+        ),
+        (
+            "bytes trail the payload",
+            |dir| rewrite_snapshot_text(dir, |text| format!("{text} {{}}")),
+            false,
+        ),
+        (
+            "a second store is garbage",
+            |dir| {
+                rewrite_snapshot(dir, |fields| {
+                    fields.push(("store".into(), Value::Str("garbage".into())))
+                })
+            },
+            true,
+        ),
+    ];
+    for (case, damage, opens) in cases {
+        write_snapshot_atomic(&dir.snapshot_path(), original.as_bytes()).unwrap();
+        damage(&dir);
+        match DurableService::open(dir.path(), engine(), 2) {
+            Ok((durable, report)) if opens => {
+                assert!(report.snapshot_loaded, "{case}");
+                assert_eq!(durable.store().len(), 6, "{case}");
+            }
+            Err(ServeError::Recovery { .. }) if !opens => {}
+            other => {
+                let other = other.map(|(_, report)| report);
+                panic!("{case}: leader: unexpected {other:?}");
+            }
+        }
+        match ReplicaService::open(dir.path(), engine(), 2) {
+            Ok(replica) if opens => assert_eq!(replica.store().len(), 6, "{case}"),
+            Err(ServeError::Recovery { .. }) if !opens => {}
+            other => {
+                let other = other.map(|_| "a replica");
+                panic!("{case}: replica: unexpected {other:?}");
             }
         }
     }

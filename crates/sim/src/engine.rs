@@ -38,8 +38,9 @@ pub struct Simulation {
     policy: PolicyKind,
     rng: Rng64,
     clock: SimClock,
-    /// Rank-bias law for the full user population (budget `v_u`).
-    total_bias: RankBias,
+    /// Expected visits from the full user population (budget `v_u`) at
+    /// each rank, rank 1 first: the rank-bias law, tabulated once.
+    total_visits_by_rank: Vec<f64>,
     /// Rank-bias law for monitored users (budget `v`).
     monitored_bias: RankBias,
     /// Cumulative view-probability table over rank positions, used to sample
@@ -90,6 +91,7 @@ impl Simulation {
         let monitored_bias = RankBias::altavista(n, config.community.monitored_visits_per_day());
         let rank_cdf = cumulative(&monitored_bias.probabilities_by_rank());
         let ideal_qpc = ideal_qpc(&total_bias, qualities);
+        let total_visits_by_rank = total_bias.visits_by_rank();
         let policy = policy.into();
         let mut cache = CorpusCache::new();
         cache.set_pool_maintained(policy.reads_pool_index());
@@ -100,7 +102,7 @@ impl Simulation {
             population,
             policy,
             clock: SimClock::new(),
-            total_bias,
+            total_visits_by_rank,
             monitored_bias,
             rank_cdf,
             qpc: QpcAccumulator::default(),
@@ -280,8 +282,8 @@ impl Simulation {
             // Search-driven visits follow the rank-bias law.
             let search_share = 1.0 - surf;
             if search_share > 0.0 {
-                for (idx, &slot) in self.ranking.iter().enumerate() {
-                    let visits = search_share * self.total_bias.visits_at_rank(idx + 1);
+                for (&slot, &rank_visits) in self.ranking.iter().zip(&self.total_visits_by_rank) {
+                    let visits = search_share * rank_visits;
                     let quality = self.population.slot(slot).quality;
                     weighted += visits * quality;
                     visits_total += visits;
