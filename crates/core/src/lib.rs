@@ -58,7 +58,7 @@ pub mod shardcache;
 pub use advisor::{Advice, CandidateOutcome, ParameterAdvisor};
 pub use document::{Document, QueryContext};
 pub use engine::{RankPromotionEngine, RerankScratch};
-pub use shardcache::{PublishedVersion, ShardedCorpusCache};
+pub use shardcache::{PublishedVersion, ShardedCorpusCache, TierCapture};
 
 // Re-export the supporting crates under stable module names so downstream
 // users need a single dependency.

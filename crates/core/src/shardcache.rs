@@ -60,7 +60,10 @@
 //! replica bootstrap alike; nothing decodes it. Pool maintenance is fixed
 //! before the first document, so the writer has one state: it edits from
 //! the live version. Snapshots still write its serialised form, byte for
-//! byte, for `benchmark/`'s byte comparison; recovery never reads it.
+//! byte, for `benchmark/`'s byte comparison; recovery never reads it. A
+//! snapshot renders that form from a [`TierCapture`]: the few lists it
+//! cannot derive from the documents, copied out of the writer so the
+//! rendering can run on another thread.
 
 use crate::document::Document;
 use crate::engine::RankPromotionEngine;
@@ -354,6 +357,110 @@ impl ShardedCorpusCache {
         self.recycle_diff.clear();
         self.cache = Arc::new(cache);
     }
+}
+
+impl ShardedCorpusCache {
+    /// Copy what a snapshot renders of the tier and cannot derive from
+    /// the documents (see [`TierCapture`]): `O(n)` for the order, `O(pool
+    /// + dirty)` for the rest.
+    pub fn capture(&self) -> TierCapture {
+        TierCapture {
+            order: self.live.order().to_vec(),
+            pool_members: self.live.pool().members().to_vec(),
+            pool_indexed: self.live.pool().indexed_slots(),
+            maintain_pool: self.cache.pool_maintained(),
+            dirty: self.cache.dirty().to_vec(),
+        }
+    }
+}
+
+/// What a snapshot renders of the serving tier, copied out of the writer
+/// by [`ShardedCorpusCache::capture`] so it can be rendered off the writer
+/// lock, on another thread, while the writer takes further mutations.
+///
+/// It holds the live version's popularity order and pool members (the
+/// valid ones, as serialization reads them), the pool's indexed length,
+/// the writer's pool-maintenance flag and its dirty slots. Everything else
+/// the serialized form holds is derived by [`render`](Self::render): each
+/// slot's stats from its document, the pool mask from the members and the
+/// dirty mask from the dirty slots (each mask is its list's membership).
+#[derive(Debug)]
+pub struct TierCapture {
+    order: Vec<usize>,
+    pool_members: Vec<usize>,
+    /// The length of the live pool mask (0 while the pool is unmaintained).
+    pool_indexed: usize,
+    maintain_pool: bool,
+    dirty: Vec<usize>,
+}
+
+impl TierCapture {
+    /// Append the tier's serialized form (`{"cache":{…}}`), byte for byte
+    /// what serializing the captured [`ShardedCorpusCache`] writes, to
+    /// `out`. `documents` are the store's at the capture, in slot order;
+    /// each slot's stats are [`RankPromotionEngine::document_stat`] of its
+    /// document, which is what the writer's patches hold. `flush(out)`
+    /// runs after every list entry and may drain `out`, so the text never
+    /// has to be held whole. A non-finite popularity is an error.
+    pub fn render<E: From<SerError>>(
+        &self,
+        documents: &[Document],
+        out: &mut String,
+        flush: &mut impl FnMut(&mut String) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let stats = documents
+            .iter()
+            .enumerate()
+            .map(|(slot, document)| RankPromotionEngine::document_stat(slot, document));
+        out.push_str("{\"cache\":{\"stats\":");
+        render_list(stats, out, flush)?;
+        out.push_str(",\"popularity\":{\"order\":");
+        render_list(&self.order, out, flush)?;
+        out.push_str("},\"pool\":{\"members\":");
+        render_list(&self.pool_members, out, flush)?;
+        out.push_str(",\"mask\":");
+        render_list(
+            membership(&self.pool_members, self.pool_indexed),
+            out,
+            flush,
+        )?;
+        out.push_str("},\"maintain_pool\":");
+        self.maintain_pool.write_json(out)?;
+        out.push_str(",\"dirty\":");
+        render_list(&self.dirty, out, flush)?;
+        out.push_str(",\"dirty_mask\":");
+        render_list(membership(&self.dirty, documents.len()), out, flush)?;
+        out.push_str("}}");
+        Ok(())
+    }
+}
+
+/// `entries` as a JSON array appended to `out`, with `flush(out)` after
+/// each entry.
+fn render_list<T: Serialize, E: From<SerError>>(
+    entries: impl IntoIterator<Item = T>,
+    out: &mut String,
+    flush: &mut impl FnMut(&mut String) -> Result<(), E>,
+) -> Result<(), E> {
+    out.push('[');
+    for (i, entry) in entries.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        entry.write_json(out)?;
+        flush(out)?;
+    }
+    out.push(']');
+    Ok(())
+}
+
+/// The `len`-slot mask of `slots`' membership.
+fn membership(slots: &[usize], len: usize) -> Vec<bool> {
+    let mut mask = vec![false; len];
+    for &slot in slots {
+        mask[slot] = true;
+    }
+    mask
 }
 
 impl Serialize for ShardedCorpusCache {

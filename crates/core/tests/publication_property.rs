@@ -17,12 +17,13 @@
 //! a publication too, when its own order is scratch): snapshots write it,
 //! so it must carry the current stats, the dirty slots and the live
 //! version's from-scratch order and pool. After every step the JSON the
-//! writer streams must also equal its `Value` tree's, byte for byte.
+//! writer streams, and the rendering of its snapshot capture, must also
+//! equal its `Value` tree's, byte for byte.
 
 use proptest::prelude::*;
 use rrp_core::model::PageId;
 use rrp_core::{CorpusCache, Document, PublishedVersion, RankPromotionEngine, ShardedCorpusCache};
-use serde::{Serialize, Value};
+use serde::{SerError, Serialize, Value};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -137,12 +138,28 @@ fn inspect(
 
 /// The writer's JSON as snapshots stream it, with no tree, is byte for
 /// byte the JSON of its `Value` tree — also between a recycle and the next
-/// publication, when its own order is scratch.
-fn streamed_bytes_agree(cache: &ShardedCorpusCache) -> Result<(), TestCaseError> {
-    prop_assert_eq!(
-        serde_json::to_string(cache),
-        serde_json::to_string(&cache.to_value())
-    );
+/// publication, when its own order is scratch. So is its capture rendered
+/// over the documents, through a flush that drains every entry (the stats
+/// derived from the documents, the masks from their lists).
+fn streamed_bytes_agree(
+    cache: &ShardedCorpusCache,
+    docs: &[Document],
+) -> Result<(), TestCaseError> {
+    let tree = serde_json::to_string(&cache.to_value()).expect("finite floats");
+    let streamed = serde_json::to_string(cache).expect("finite floats");
+    prop_assert_eq!(&streamed, &tree);
+    let (mut rendered, mut out) = (String::new(), String::new());
+    let mut drain = |out: &mut String| {
+        rendered.push_str(out);
+        out.clear();
+        Ok::<(), SerError>(())
+    };
+    cache
+        .capture()
+        .render(docs, &mut out, &mut drain)
+        .expect("finite floats");
+    rendered.push_str(&out);
+    prop_assert_eq!(rendered, tree);
     Ok(())
 }
 
@@ -223,7 +240,7 @@ proptest! {
                 }
                 Op::Inspect => inspect(&cache, &docs, &live_docs, &mutated, maintained)?,
             }
-            streamed_bytes_agree(&cache)?;
+            streamed_bytes_agree(&cache, &docs)?;
         }
         for (version, docs) in &stragglers {
             check(version, docs, maintained)?;

@@ -11,10 +11,14 @@
 //!            │    nothing logged)                       │
 //!            │ 2. append event to WAL  ──failure──▶ typed error,
 //!            │ 3. apply to in-memory service            │  state unchanged
-//!            │ 4. every `snapshot_every` events:        │
-//!            │    sync WAL, write snapshot atomically   │
-//!            │    (failure → counted, retried at the    │
-//!            │     next mark; the mutation stands)      │
+//!            │ 4. every `snapshot_every` events: sync   │
+//!            │    WAL, copy the state, hand the copy to │
+//!            │    the snapshot thread (render, write    │
+//!            │    atomically); joined and counted at    │
+//!            │    the next mark, `snapshot_now`,        │
+//!            │    `serve_stats` or drop (failure →      │
+//!            │    counted, the next mark tries again;   │
+//!            │    the mutation stands)                  │
 //!            └──────────────────────────────────────────┘
 //!
 //!            ┌──────────────── recovery ────────────────┐
@@ -48,6 +52,15 @@
 //! unchanged, [`SNAPSHOT_VERSION`](rrp_wal::snapshot::SNAPSHOT_VERSION)
 //! did not move.
 //!
+//! Every snapshot is rendered from a copy taken under the writer lock at
+//! its event mark (`SnapshotCapture`: the documents, and the few tier
+//! lists that are not a function of them), through a buffer of about
+//! 64 KB into a streamed [`SnapshotWriter`], which checksums the parts as
+//! they pass and writes the envelope last. A cadence snapshot does that on
+//! its own thread, so the acknowledgement that crosses the mark pays only
+//! the log sync and the copy; [`DurableService::snapshot_now`] does it on
+//! the calling thread. Either way the file is the same, byte for byte.
+//!
 //! Replay reproduces bit-identical output because every serving answer is
 //! a pure function of (engine seed, query, session) over the store's
 //! canonical order, and both the snapshot (exact-bit floats through the
@@ -63,9 +76,9 @@
 use crate::error::ServeError;
 use crate::service::{ServeStats, ShardedPromotionService, StoreGuard};
 use crate::store::ShardedStore;
-use rrp_core::{Document, RankPromotionEngine, ShardedCorpusCache};
+use rrp_core::{Document, RankPromotionEngine, TierCapture};
 use rrp_wal::fault::{Failpoint, FailpointSink};
-use rrp_wal::snapshot::{read_snapshot, write_snapshot_atomic};
+use rrp_wal::snapshot::{read_snapshot, SnapshotWriter};
 use rrp_wal::{
     create_log_file, resume_log_file, FileSink, WalError, WalEvent, WalPoll, WalTailReader,
     WalWriter,
@@ -73,6 +86,8 @@ use rrp_wal::{
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
+use std::thread::{self, JoinHandle};
 
 /// File name of the log inside a durable directory.
 pub(crate) const WAL_FILE: &str = "wal.log";
@@ -80,6 +95,12 @@ pub(crate) const WAL_FILE: &str = "wal.log";
 pub(crate) const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// Default mutation count between automatic snapshots.
 const DEFAULT_SNAPSHOT_EVERY: u64 = 1024;
+/// The rendered bytes a snapshot buffers before writing them as one part.
+const RENDER_CHUNK: usize = 64 * 1024;
+/// Room past [`RENDER_CHUNK`] for the entry that fills the buffer (one
+/// entry renders to a few hundred bytes at most), so the buffer never
+/// grows.
+const RENDER_SLACK: usize = 4 * 1024;
 
 /// What [`DurableService::open`] found on disk and what it did about it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -120,28 +141,68 @@ pub struct RecoveryReport {
 /// [`record_visit`](Self::record_visit) or
 /// [`update_popularity`](Self::update_popularity) means the event's frame
 /// reached the OS and the event was applied: it survives a **process
-/// crash**. A cadence snapshot that fails after that point does not undo
-/// the `Ok` — it is counted in [`ServeStats::snapshot_failures`] and
-/// retried at the next cadence mark. It survives an **OS
-/// crash or power loss** only once a later sync covers it — a cadence
-/// snapshot (every [`with_snapshot_every`](Self::with_snapshot_every)
-/// events), [`snapshot_now`](Self::snapshot_now) or
+/// crash**. It survives an **OS crash or power loss** only once a later
+/// sync covers it — a cadence mark (every
+/// [`with_snapshot_every`](Self::with_snapshot_every) events),
+/// [`snapshot_now`](Self::snapshot_now) or
 /// [`sync_for_followers`](Self::sync_for_followers). Each of those syncs
-/// the log; a snapshot is also renamed into place and its directory
-/// synced.
+/// the log before it returns.
+///
+/// A cadence snapshot is written off the acknowledgement path. The
+/// mutation that crosses the mark syncs the log and copies the state at
+/// the mark, and the snapshot thread renders that copy and writes it:
+/// the snapshot is durable (synced, renamed into place, its directory
+/// synced) once the thread finishes. It is joined, and its outcome
+/// counted, at the next cadence mark, at [`snapshot_now`](Self::snapshot_now),
+/// at [`serve_stats`](Self::serve_stats) and when the service is dropped,
+/// so a service dropped mid-snapshot still leaves it written. A failed one
+/// never fails a mutation: it is counted in
+/// [`ServeStats::snapshot_failures`] when joined, and the next mark tries
+/// again (the log still holds every event, so recovery only replays a
+/// longer tail). `serve_stats` waits for a snapshot in flight, so its
+/// counts are exact and the snapshot file is the last one counted.
 pub struct DurableService {
     inner: ShardedPromotionService,
     wal: WalWriter,
     snapshot_path: PathBuf,
     snapshot_every: u64,
+    /// Events since the last cadence mark or written `snapshot_now`.
     events_since_snapshot: u64,
-    /// Cadence snapshots that failed since the last written one: the next
-    /// attempt waits that many extra cadence intervals.
-    failures_since_snapshot: u64,
     wal_appends: u64,
-    snapshots_written: u64,
-    snapshot_failures: u64,
+    /// The cadence snapshot in flight and the outcomes counted so far,
+    /// behind a lock only because [`serve_stats`](Self::serve_stats) joins
+    /// through `&self`.
+    snapshots: Mutex<SnapshotThread>,
     events_replayed: u64,
+}
+
+/// The snapshot thread of a [`DurableService`]: at most one cadence
+/// snapshot in flight, and the tally of those joined. Joined on drop, so
+/// the service's owner never has to.
+#[derive(Default)]
+struct SnapshotThread {
+    in_flight: Option<JoinHandle<Result<(), ServeError>>>,
+    written: u64,
+    failed: u64,
+}
+
+impl SnapshotThread {
+    /// Wait for the snapshot in flight, if any, and count how it ended; a
+    /// thread that panicked counts as a failure.
+    fn join(&mut self) {
+        if let Some(handle) = self.in_flight.take() {
+            match handle.join() {
+                Ok(Ok(())) => self.written += 1,
+                Ok(Err(_)) | Err(_) => self.failed += 1,
+            }
+        }
+    }
+}
+
+impl Drop for SnapshotThread {
+    fn drop(&mut self) {
+        self.join();
+    }
 }
 
 impl DurableService {
@@ -247,10 +308,8 @@ impl DurableService {
             // replay tail grow to ~2× `snapshot_every` across repeated
             // crashes.
             events_since_snapshot: replayed,
-            failures_since_snapshot: 0,
             wal_appends: 0,
-            snapshots_written: 0,
-            snapshot_failures: 0,
+            snapshots: Mutex::default(),
             events_replayed: replayed,
         };
         Ok((service, report))
@@ -289,11 +348,18 @@ impl DurableService {
     /// The wrapped service's counters plus the durability probes
     /// ([`ServeStats::wal_appends`], [`ServeStats::snapshots_written`],
     /// [`ServeStats::snapshot_failures`], [`ServeStats::events_replayed`]).
+    /// A cadence snapshot in flight is waited for and counted first, so
+    /// the snapshot counts are exact.
     pub fn serve_stats(&self) -> ServeStats {
+        let mut snapshots = self
+            .snapshots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        snapshots.join();
         let mut stats = self.inner.serve_stats();
         stats.wal_appends = self.wal_appends;
-        stats.snapshots_written = self.snapshots_written;
-        stats.snapshot_failures = self.snapshot_failures;
+        stats.snapshots_written = snapshots.written;
+        stats.snapshot_failures = snapshots.failed;
         stats.events_replayed = self.events_replayed;
         stats
     }
@@ -350,18 +416,24 @@ impl DurableService {
         Ok(())
     }
 
-    /// Write a snapshot right now: sync the log, serialise the engine,
-    /// store and serving tier, and rename it into place atomically. A
-    /// crash at any instant leaves either the previous snapshot or this
-    /// one. The serving tier is written but never read back: recovery
-    /// derives it from the store (see the module docs).
+    /// Write a snapshot right now, on the calling thread: wait for a
+    /// cadence snapshot in flight (and count it), sync the log, serialise
+    /// the engine, store and serving tier, and rename it into place
+    /// atomically. A crash at any instant leaves either the previous
+    /// snapshot or this one. The serving tier is written but never read
+    /// back: recovery derives it from the store (see the module docs).
     pub fn snapshot_now(&mut self) -> Result<(), ServeError> {
+        let snapshots = self
+            .snapshots
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        // The one in flight lands first, so it never renames an older
+        // state over this one.
+        snapshots.join();
         self.wal.sync()?;
-        let payload = encode_snapshot(&self.inner, self.wal.next_seq())?;
-        write_snapshot_atomic(&self.snapshot_path, payload.as_bytes())?;
-        self.snapshots_written += 1;
+        SnapshotCapture::of(&self.inner, self.wal.next_seq()).write(&self.snapshot_path)?;
+        snapshots.written += 1;
         self.events_since_snapshot = 0;
-        self.failures_since_snapshot = 0;
         Ok(())
     }
 
@@ -398,18 +470,34 @@ impl DurableService {
         Ok(())
     }
 
-    /// The periodic snapshot trigger on the mutation path. It runs after
-    /// the event is logged and applied, so a failure cannot fail the
-    /// mutation: it is counted, and the snapshot is retried at the next
-    /// cadence mark (the log still holds every event, so recovery only
-    /// replays a longer tail).
+    /// The cadence trigger on the mutation path, after the event is
+    /// logged and applied. At a mark it joins the previous snapshot (and
+    /// counts it), syncs the log, copies the state and hands the copy to a
+    /// new snapshot thread. Nothing here can fail the mutation: a failed
+    /// sync or thread start is counted as a failed snapshot, and the next
+    /// mark tries again.
     fn maybe_snapshot(&mut self) {
-        let due = self
-            .snapshot_every
-            .saturating_mul(self.failures_since_snapshot + 1);
-        if self.events_since_snapshot >= due && self.snapshot_now().is_err() {
-            self.snapshot_failures += 1;
-            self.failures_since_snapshot += 1;
+        if self.events_since_snapshot < self.snapshot_every {
+            return;
+        }
+        self.events_since_snapshot = 0;
+        let snapshots = self
+            .snapshots
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        snapshots.join();
+        if self.wal.sync().is_err() {
+            snapshots.failed += 1;
+            return;
+        }
+        let capture = SnapshotCapture::of(&self.inner, self.wal.next_seq());
+        let path = self.snapshot_path.clone();
+        let spawned = thread::Builder::new()
+            .name("rrp-snapshot".to_string())
+            .spawn(move || capture.write(&path));
+        match spawned {
+            Ok(handle) => snapshots.in_flight = Some(handle),
+            Err(_) => snapshots.failed += 1,
         }
     }
 }
@@ -599,43 +687,84 @@ struct SnapshotRecord {
     next_event: u64,
 }
 
-/// Serialize a snapshot payload: engine, store, serving tier (`"shards"`,
-/// written for byte compatibility, never read) and the event mark.
-///
-/// The derived [`SnapshotFields`] writes its JSON straight into one
-/// `String`, no `Value` tree built, byte for byte what the tree of the
-/// same fields renders to (the benchmark re-enacts the tree and compares
-/// bytes). The writer lock is held while the store and tier are written.
-fn encode_snapshot(
-    service: &ShardedPromotionService,
+/// What a snapshot payload renders, copied out of the service under the
+/// writer lock at an event mark: the engine, the store's shard count and
+/// documents, the tier lists the documents do not determine
+/// ([`TierCapture`]) and the mark. Rendering it reads nothing else, so a
+/// cadence snapshot renders it on the snapshot thread while the service
+/// takes further mutations.
+struct SnapshotCapture {
+    engine: RankPromotionEngine,
+    shard_count: usize,
+    documents: Vec<Document>,
+    tier: TierCapture,
     next_event: u64,
-) -> Result<String, ServeError> {
-    let engine = service.engine();
-    service
-        .with_writer(|store, shards| {
-            serde_json::to_string(&SnapshotFields {
-                engine,
-                store,
-                shards,
-                next_event,
-            })
-        })
-        .map_err(|e| ServeError::Recovery {
-            detail: format!("snapshot serialisation failed: {e}"),
-        })
 }
 
-/// A snapshot payload's fields, borrowed from the service.
-#[derive(Serialize)]
-struct SnapshotFields<'a> {
-    engine: RankPromotionEngine,
-    store: &'a ShardedStore,
-    shards: &'a ShardedCorpusCache,
-    next_event: u64,
+impl SnapshotCapture {
+    /// Copy the service's state at `next_event`.
+    fn of(service: &ShardedPromotionService, next_event: u64) -> Self {
+        service.with_writer(|store, tier| SnapshotCapture {
+            engine: service.engine(),
+            shard_count: store.shard_count(),
+            documents: store.documents().to_vec(),
+            tier: tier.capture(),
+            next_event,
+        })
+    }
+
+    /// Append the payload to `out`: engine, store, serving tier
+    /// (`"shards"`, written for byte compatibility, never read) and the
+    /// event mark, byte for byte what serializing them from the service
+    /// writes (the benchmark re-enacts that and compares bytes).
+    /// `flush(out)` runs after every list entry and may drain `out`.
+    fn render(
+        &self,
+        out: &mut String,
+        flush: &mut impl FnMut(&mut String) -> Result<(), ServeError>,
+    ) -> Result<(), ServeError> {
+        out.push_str("{\"engine\":");
+        self.engine.write_json(out)?;
+        out.push_str(",\"store\":{\"shard_count\":");
+        self.shard_count.write_json(out)?;
+        out.push_str(",\"documents\":[");
+        for (i, document) in self.documents.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            document.write_json(out)?;
+            flush(out)?;
+        }
+        out.push_str("]},\"shards\":");
+        self.tier.render(&self.documents, out, flush)?;
+        out.push_str(",\"next_event\":");
+        self.next_event.write_json(out)?;
+        out.push('}');
+        Ok(())
+    }
+
+    /// Render the payload into the snapshot at `path`, a
+    /// [`RENDER_CHUNK`]-sized part at a time, and rename it into place.
+    fn write(&self, path: &Path) -> Result<(), ServeError> {
+        let mut file = SnapshotWriter::create(path)?;
+        let mut out = String::with_capacity(RENDER_CHUNK + RENDER_SLACK);
+        self.render(&mut out, &mut |out: &mut String| {
+            if out.len() >= RENDER_CHUNK {
+                file.write(out.as_bytes())?;
+                out.clear();
+            }
+            Ok(())
+        })?;
+        file.write(out.as_bytes())?;
+        file.finish()?;
+        Ok(())
+    }
 }
 
 /// Read a snapshot payload back: check its engine and shard count against
-/// the caller's, and return it.
+/// the caller's, check that every popularity is finite (no snapshot
+/// writer writes another, and a served one would fail every later
+/// snapshot), and return it.
 ///
 /// The payload is read straight into a [`SnapshotRecord`], no `Value`
 /// tree built: the engine, the store's documents and the event mark are
@@ -670,6 +799,13 @@ fn decode_snapshot(
             "snapshot has {stored} shards, the service was opened with {shard_count}"
         )));
     }
+    let documents = record.store.documents();
+    if let Some(index) = documents.iter().position(|d| !d.popularity.is_finite()) {
+        return Err(recovery(format!(
+            "snapshot document {index} has a non-finite popularity {}",
+            documents[index].popularity
+        )));
+    }
     Ok(record)
 }
 
@@ -698,9 +834,47 @@ pub(crate) fn apply_event(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrp_core::{QueryContext, RankPromotionEngine};
+    use proptest::prelude::*;
+    use rrp_core::{QueryContext, RankPromotionEngine, ShardedCorpusCache};
+    use rrp_ranking::{PromotionConfig, PromotionRule};
+    use rrp_wal::snapshot::write_snapshot_atomic;
     use serde::Value;
     use std::path::PathBuf;
+
+    /// A snapshot payload's fields serialized straight from the service:
+    /// the reference the streamed renderer is held to, byte for byte.
+    #[derive(Serialize)]
+    struct SnapshotFields<'a> {
+        engine: RankPromotionEngine,
+        store: &'a ShardedStore,
+        shards: &'a ShardedCorpusCache,
+        next_event: u64,
+    }
+
+    /// The reference payload of `service` at `next_event`.
+    fn reference_payload(service: &ShardedPromotionService, next_event: u64) -> String {
+        let engine = service.engine();
+        service
+            .with_writer(|store, shards| {
+                serde_json::to_string(&SnapshotFields {
+                    engine,
+                    store,
+                    shards,
+                    next_event,
+                })
+            })
+            .expect("finite floats")
+    }
+
+    /// The payload a snapshot of `service` at `next_event` writes, rendered
+    /// whole.
+    fn rendered_payload(service: &ShardedPromotionService, next_event: u64) -> String {
+        let mut out = String::new();
+        SnapshotCapture::of(service, next_event)
+            .render(&mut out, &mut |_: &mut String| Ok(()))
+            .expect("finite floats");
+        out
+    }
 
     fn engine() -> RankPromotionEngine {
         RankPromotionEngine::recommended().with_seed(42)
@@ -926,7 +1100,7 @@ mod tests {
         svc.update_popularity(5, 4_503_599_627_370_497.0).unwrap();
         svc.insert(Document::unexplored(u64::MAX - 2)).unwrap();
         // Everything since the read is still dirty in the tier.
-        let payload = encode_snapshot(&svc.inner, svc.wal.next_seq()).unwrap();
+        let payload = rendered_payload(&svc.inner, svc.wal.next_seq());
         let subnormal = format!("0.{}5,", "0".repeat(323)); // 5e-324
         for spelling in [
             "-0.0,",
@@ -1120,5 +1294,240 @@ mod tests {
         let (_, report) = DurableService::open(dir.path(), engine(), 2).unwrap();
         assert_eq!(report.events_lost, 0);
         assert_eq!(report.events_replayed, 1);
+    }
+
+    /// One step of the equivalence schedule.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Insert {
+            popularity: f64,
+            unexplored: bool,
+            age: u64,
+        },
+        Visit {
+            salt: usize,
+        },
+        SetPopularity {
+            salt: usize,
+            popularity: f64,
+        },
+        /// A read: publishes pending mutations and recycles the retired
+        /// version, whose order stays scratch until the next publication.
+        Read {
+            query: u64,
+        },
+    }
+
+    fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+        prop::collection::vec((0usize..10, 0usize..1_000, -0.5f64..1.5, 0u64..400), 1..50).prop_map(
+            |raw| {
+                raw.into_iter()
+                    .map(|(kind, salt, popularity, age)| match kind {
+                        0..=3 => Step::Insert {
+                            popularity,
+                            unexplored: salt % 3 == 0,
+                            age,
+                        },
+                        4 | 5 => Step::Visit { salt },
+                        6 | 7 => Step::SetPopularity { salt, popularity },
+                        _ => Step::Read { query: salt as u64 },
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        /// The streamed renderer writes exactly the bytes the derived
+        /// fields serialize to, after every step of arbitrary inserts,
+        /// mutations, publications and recycles (right after a recycle
+        /// too, when the writer's own order is scratch), with the pool
+        /// maintained (selective rule) or not (uniform rule).
+        #[test]
+        fn the_streamed_payload_equals_the_derived_fields(
+            steps in arb_steps(),
+            shards in 1usize..4,
+            uniform in prop::bool::ANY,
+            seed in 0u64..1_000,
+        ) {
+            let engine = if uniform {
+                RankPromotionEngine::new(PromotionConfig::new(PromotionRule::Uniform, 1, 0.3).unwrap())
+            } else {
+                RankPromotionEngine::recommended()
+            }
+            .with_seed(seed);
+            let service = ShardedPromotionService::new(engine, shards);
+            for (event, &step) in steps.iter().enumerate() {
+                let len = service.store().len() as u64;
+                match step {
+                    Step::Insert { popularity, unexplored, age } => {
+                        let document = if unexplored {
+                            Document::unexplored(event as u64)
+                        } else {
+                            Document::established(event as u64, popularity)
+                        };
+                        service.insert(document.with_age(age));
+                    }
+                    Step::Visit { salt } if len > 0 => {
+                        service.record_visit(salt as u64 % len);
+                    }
+                    Step::SetPopularity { salt, popularity } if len > 0 => {
+                        service.update_popularity(salt as u64 % len, popularity);
+                    }
+                    Step::Read { query } => {
+                        service.rerank_top_k(QueryContext::new(query, query + 1), 5);
+                    }
+                    _ => {}
+                }
+                let next_event = event as u64 + 1;
+                prop_assert_eq!(
+                    rendered_payload(&service, next_event),
+                    reference_payload(&service, next_event),
+                    "after step {} ({:?})",
+                    event,
+                    step
+                );
+            }
+        }
+    }
+
+    /// A corpus big enough that its payload spans many render chunks.
+    fn chunked_corpus() -> Vec<Document> {
+        (0..1_500)
+            .map(|i| {
+                if i % 6 == 0 {
+                    Document::unexplored(i).with_age(i % 90)
+                } else {
+                    Document::established(i, 1.0 / (i + 3) as f64).with_age(i % 90)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_cadence_snapshot_is_the_file_snapshot_now_writes_at_its_mark() {
+        // The same events into two services: one crosses a cadence mark
+        // and keeps mutating while its snapshot thread writes; the other
+        // stops at the mark and snapshots on the calling thread. Both files
+        // are the reference payload at the mark, through many chunks.
+        let (cadence_dir, now_dir) = (Scratch::new("cadence-file"), Scratch::new("now-file"));
+        let docs = chunked_corpus();
+        let mark = docs.len() as u64 + 4;
+        let ctx = QueryContext::new(3, 4);
+        let mutate = |svc: &mut DurableService| {
+            svc.extend(docs.iter().copied()).unwrap();
+            svc.service().rerank_top_k(ctx, 10); // publishes
+            svc.record_visit(12).unwrap();
+            svc.update_popularity(7, 0.75).unwrap();
+            svc.service().rerank_top_k(ctx, 10); // publishes and recycles
+            svc.update_popularity(30, 0.5).unwrap();
+            svc.record_visit(6).unwrap(); // the mark
+        };
+        let (svc, _) = DurableService::open(cadence_dir.path(), engine(), 3).unwrap();
+        let mut cadence = svc.with_snapshot_every(mark);
+        mutate(&mut cadence);
+        let reference = reference_payload(&cadence.inner, mark);
+        cadence.record_visit(18).unwrap(); // past the mark, while it writes
+        cadence.update_popularity(9, 0.25).unwrap();
+        let stats = cadence.serve_stats();
+        assert_eq!((stats.snapshots_written, stats.snapshot_failures), (1, 0));
+
+        let (svc, _) = DurableService::open(now_dir.path(), engine(), 3).unwrap();
+        let mut now = svc.with_snapshot_every(u64::MAX);
+        mutate(&mut now);
+        now.snapshot_now().unwrap();
+
+        let cadence_file = std::fs::read(cadence_dir.path().join(SNAPSHOT_FILE)).unwrap();
+        let now_file = std::fs::read(now_dir.path().join(SNAPSHOT_FILE)).unwrap();
+        assert!(cadence_file == now_file, "the two snapshot files differ");
+        let payload = read_snapshot(&now_dir.path().join(SNAPSHOT_FILE))
+            .unwrap()
+            .unwrap();
+        assert!(payload.len() > 4 * RENDER_CHUNK, "{} bytes", payload.len());
+        assert!(
+            payload == reference.as_bytes(),
+            "the file is not the reference payload"
+        );
+    }
+
+    #[test]
+    fn a_service_dropped_mid_snapshot_leaves_it_written() {
+        let dir = Scratch::new("drop-in-flight");
+        {
+            let (svc, _) = DurableService::open(dir.path(), engine(), 2).unwrap();
+            let mut svc = svc.with_snapshot_every(1_000);
+            svc.extend(chunked_corpus().into_iter().take(1_000))
+                .unwrap();
+            // The mark's snapshot is in flight (or just written): dropping
+            // the service joins it.
+        }
+        let (svc, report) = DurableService::open(dir.path(), engine(), 2).unwrap();
+        assert!(report.snapshot_loaded);
+        assert_eq!(report.events_replayed, 0, "the snapshot is current");
+        assert_eq!(svc.store().len(), 1_000);
+    }
+
+    #[test]
+    fn snapshot_now_joins_the_snapshot_in_flight_first() {
+        // Were the cadence snapshot (at event 1000) to land after
+        // `snapshot_now` (at event 1003), recovery would replay 3 events.
+        let dir = Scratch::new("now-joins");
+        {
+            let (svc, _) = DurableService::open(dir.path(), engine(), 2).unwrap();
+            let mut svc = svc.with_snapshot_every(1_000);
+            svc.extend(chunked_corpus().into_iter().take(1_003))
+                .unwrap();
+            svc.snapshot_now().unwrap();
+            let stats = svc.serve_stats();
+            assert_eq!((stats.snapshots_written, stats.snapshot_failures), (2, 0));
+        }
+        let (_, report) = DurableService::open(dir.path(), engine(), 2).unwrap();
+        assert!(report.snapshot_loaded);
+        assert_eq!(report.events_replayed, 0, "snapshot_now's file stands");
+    }
+
+    #[test]
+    fn a_panicked_snapshot_thread_counts_as_a_failure() {
+        let dir = Scratch::new("panicked-thread");
+        let (svc, _) = DurableService::open(dir.path(), engine(), 2).unwrap();
+        let mut svc = svc.with_snapshot_every(2);
+        let panicking =
+            thread::spawn(|| -> Result<(), ServeError> { panic!("a snapshot thread that panics") });
+        svc.snapshots.get_mut().unwrap().in_flight = Some(panicking);
+        // The next mark joins it, counts it and starts its own snapshot.
+        svc.extend((0..2).map(doc)).unwrap();
+        let stats = svc.serve_stats();
+        assert_eq!((stats.snapshots_written, stats.snapshot_failures), (1, 1));
+    }
+
+    #[test]
+    fn a_non_finite_popularity_in_a_snapshot_is_a_typed_recovery_error() {
+        // A checksum-valid snapshot whose second document's popularity
+        // reads as +∞ (`1e400` overflows): the leader's recovery and a
+        // replica's bootstrap both refuse it, naming the document.
+        let dir = Scratch::new("non-finite-snapshot");
+        {
+            let (mut svc, _) = DurableService::open(dir.path(), engine(), 2).unwrap();
+            svc.extend([doc(0), Document::established(1, 0.5), doc(2)])
+                .unwrap();
+            svc.snapshot_now().unwrap();
+        }
+        let snapshot = dir.path().join(SNAPSHOT_FILE);
+        let payload = read_snapshot(&snapshot).unwrap().expect("a snapshot");
+        let payload = std::str::from_utf8(&payload).unwrap();
+        let (store, shards) = payload.split_at(payload.find("\"shards\"").unwrap());
+        assert_eq!(store.matches("\"popularity\":0.5,").count(), 1);
+        let store = store.replace("\"popularity\":0.5,", "\"popularity\":1e400,");
+        write_snapshot_atomic(&snapshot, format!("{store}{shards}").as_bytes()).unwrap();
+
+        let refused = |result: Result<(), ServeError>| match result {
+            Err(ServeError::Recovery { detail }) => {
+                assert!(detail.contains("document 1 "), "{detail}");
+                assert!(detail.contains("non-finite"), "{detail}");
+            }
+            other => panic!("expected a recovery error, got {other:?}"),
+        };
+        refused(DurableService::open(dir.path(), engine(), 2).map(drop));
+        refused(crate::ReplicaService::open(dir.path(), engine(), 2).map(drop));
     }
 }

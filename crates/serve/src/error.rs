@@ -9,6 +9,7 @@
 //! everything on the durable path speak `Result`.
 
 use rrp_wal::WalError;
+use serde::SerError;
 use std::fmt;
 
 /// Everything the serving tier can reject without aborting.
@@ -84,5 +85,15 @@ impl std::error::Error for ServeError {
 impl From<WalError> for ServeError {
     fn from(e: WalError) -> Self {
         ServeError::Wal(e)
+    }
+}
+
+impl From<SerError> for ServeError {
+    /// A snapshot that could not be rendered: the codec's one failure is a
+    /// non-finite float.
+    fn from(e: SerError) -> Self {
+        ServeError::Recovery {
+            detail: format!("snapshot serialisation failed: {e}"),
+        }
     }
 }

@@ -57,11 +57,31 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// The checksum of several runs hashed as if concatenated — the record
 /// path checks `seq ‖ payload` without materialising the join.
 pub fn crc32_concat(parts: &[&[u8]]) -> u32 {
-    let mut state = !0u32;
+    let mut crc = Crc32::new();
     for part in parts {
-        state = update(state, part);
+        crc.update(part);
     }
-    finish(state)
+    crc.finish()
+}
+
+/// A checksum fed one run at a time, for a writer that streams its bytes
+/// (a snapshot's payload, a part at a time): it finishes at what
+/// [`crc32`] gives for the runs' concatenation.
+#[derive(Debug)]
+pub(crate) struct Crc32(u32);
+
+impl Crc32 {
+    pub(crate) fn new() -> Self {
+        Crc32(!0)
+    }
+
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        self.0 = update(self.0, bytes);
+    }
+
+    pub(crate) fn finish(self) -> u32 {
+        finish(self.0)
+    }
 }
 
 fn update(mut state: u32, bytes: &[u8]) -> u32 {

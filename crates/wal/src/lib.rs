@@ -10,8 +10,9 @@
 //! ends ([`TailStatus`]): a torn final write is dropped cleanly, a
 //! checksum failure truncates the log at the first bad record and
 //! reports how many events were lost. [`snapshot`] wraps serialized
-//! serving state in a checksummed envelope written via atomic rename, so
-//! recovery is snapshot + tail replay rather than full-history replay.
+//! serving state, streamed in parts, in a checksummed envelope written
+//! via atomic rename, so recovery is snapshot + tail replay rather than
+//! full-history replay.
 //! [`fault`] injects the three failures that matter — truncation, bit
 //! rot, append-time I/O errors — so the recovery path is tested against
 //! them, not just described.

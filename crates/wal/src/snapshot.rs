@@ -4,19 +4,28 @@
 //!
 //! The payload is whatever the caller serialised (the serving tier stores
 //! engine + store + ranking cache as JSON); this module only guarantees
-//! that what [`read_snapshot`] hands back is byte-for-byte what
-//! [`write_snapshot_atomic`] was given, or a typed error — never a
-//! half-written or bit-rotted blob.
+//! that what [`read_snapshot`] hands back is byte-for-byte what was
+//! written, or a typed error — never a half-written or bit-rotted blob.
 //!
 //! ```text
 //! file := magic "RRPSNAP0" (8 bytes) ‖ version u32-le
 //!         ‖ payload_len u64-le ‖ crc u32-le ‖ payload
 //! ```
+//!
+//! A payload is written in parts: [`SnapshotWriter`] streams each part to
+//! a sibling `.tmp` file behind a zeroed envelope, folding it into a
+//! running length and CRC-32, so the caller can render a large payload
+//! through a small buffer instead of holding it whole. The envelope at
+//! offset 0 is written last; then the file is synced, renamed over the
+//! snapshot, and the directory synced.
+//! [`write_snapshot_atomic`] is the one-part case. A writer that fails or
+//! is dropped before [`finish`](SnapshotWriter::finish) leaves only the
+//! `.tmp` file, which nothing reads: the previous snapshot stands.
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, Crc32};
 use crate::log::{sync_parent_dir, WalError};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// The eight magic bytes opening every snapshot file.
@@ -38,31 +47,79 @@ fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Write `payload` under `path` atomically: the envelope goes to a
-/// sibling `.tmp` file, is flushed, and only then renamed over `path`.
-/// At every instant `path` holds either the old snapshot or the new one.
-/// The parent directory is synced after the rename, so the new snapshot
-/// survives power loss once this returns. The header and the payload are
-/// written one after the other, so the payload is never copied.
+/// A snapshot being written a part at a time (see the module docs). At
+/// every instant the snapshot's path holds either the old snapshot or,
+/// once [`finish`](Self::finish) has renamed it into place, the new one.
+#[derive(Debug)]
+pub struct SnapshotWriter {
+    path: PathBuf,
+    tmp: PathBuf,
+    file: File,
+    len: u64,
+    crc: Crc32,
+}
+
+impl SnapshotWriter {
+    /// Start a snapshot for `path`: create (or truncate) its `.tmp`
+    /// sibling and reserve the envelope.
+    pub fn create(path: &Path) -> Result<Self, WalError> {
+        let tmp = tmp_path(path);
+        let mut file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
+        file.write_all(&[0; ENVELOPE_LEN])?;
+        Ok(SnapshotWriter {
+            path: path.to_path_buf(),
+            tmp,
+            file,
+            len: 0,
+            crc: Crc32::new(),
+        })
+    }
+
+    /// Append the next part of the payload.
+    pub fn write(&mut self, part: &[u8]) -> Result<(), WalError> {
+        self.file.write_all(part)?;
+        self.crc.update(part);
+        self.len += part.len() as u64;
+        Ok(())
+    }
+
+    /// Write the envelope over the parts written, flush the file, rename
+    /// it over the snapshot and sync the parent directory: the snapshot
+    /// survives power loss once this returns.
+    pub fn finish(self) -> Result<(), WalError> {
+        let SnapshotWriter {
+            path,
+            tmp,
+            mut file,
+            len,
+            crc,
+        } = self;
+        let mut header = [0u8; ENVELOPE_LEN];
+        header[..8].copy_from_slice(&SNAPSHOT_MAGIC);
+        header[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        header[12..20].copy_from_slice(&len.to_le_bytes());
+        header[20..].copy_from_slice(&crc.finish().to_le_bytes());
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(&header)?;
+        file.sync_data()?;
+        drop(file);
+        fs::rename(&tmp, &path)?;
+        sync_parent_dir(&path)?;
+        Ok(())
+    }
+}
+
+/// Write `payload` under `path` atomically, as one part of a
+/// [`SnapshotWriter`]: the payload is never copied, and the snapshot
+/// survives power loss once this returns.
 pub fn write_snapshot_atomic(path: &Path, payload: &[u8]) -> Result<(), WalError> {
-    let tmp = tmp_path(path);
-    let mut header = [0u8; ENVELOPE_LEN];
-    header[..8].copy_from_slice(&SNAPSHOT_MAGIC);
-    header[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    header[20..].copy_from_slice(&crc32(payload).to_le_bytes());
-    let mut file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&tmp)?;
-    file.write_all(&header)?;
-    file.write_all(payload)?;
-    file.sync_data()?;
-    drop(file);
-    fs::rename(&tmp, path)?;
-    sync_parent_dir(path)?;
-    Ok(())
+    let mut writer = SnapshotWriter::create(path)?;
+    writer.write(payload)?;
+    writer.finish()
 }
 
 /// Read and verify the snapshot at `path`. `Ok(None)` means no snapshot
@@ -137,6 +194,57 @@ mod tests {
         write_snapshot_atomic(&path, b"second state").unwrap();
         assert_eq!(read_snapshot(&path).unwrap().unwrap(), b"second state");
         assert!(!tmp_path(&path).exists(), "tmp file renamed away");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_payload_written_in_parts_is_the_one_part_file() {
+        let dir = scratch_dir("parts");
+        let (whole, parted) = (dir.join("whole.bin"), dir.join("parted.bin"));
+        let payload: Vec<u8> = (0..70_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        write_snapshot_atomic(&whole, &payload).unwrap();
+        let mut writer = SnapshotWriter::create(&parted).unwrap();
+        for part in [
+            &payload[..0],
+            &payload[..5],
+            &payload[5..65_536],
+            &payload[65_536..],
+        ] {
+            writer.write(part).unwrap();
+        }
+        writer.finish().unwrap();
+        assert_eq!(fs::read(&parted).unwrap(), fs::read(&whole).unwrap());
+        assert_eq!(read_snapshot(&parted).unwrap().unwrap(), payload);
+        assert!(!tmp_path(&parted).exists(), "tmp file renamed away");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_unfinished_writer_leaves_the_previous_snapshot() {
+        let dir = scratch_dir("unfinished");
+        let path = dir.join("snapshot.bin");
+        write_snapshot_atomic(&path, b"good").unwrap();
+        let mut writer = SnapshotWriter::create(&path).unwrap();
+        writer.write(b"half of a new state").unwrap();
+        drop(writer);
+        assert_eq!(read_snapshot(&path).unwrap().unwrap(), b"good");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_envelope_carries_the_parts_length_and_checksum() {
+        let dir = scratch_dir("envelope");
+        let path = dir.join("snapshot.bin");
+        let mut writer = SnapshotWriter::create(&path).unwrap();
+        writer.write(b"precious ").unwrap();
+        writer.write(b"bytes").unwrap();
+        writer.finish().unwrap();
+        let file = fs::read(&path).unwrap();
+        assert_eq!(file[..8], SNAPSHOT_MAGIC);
+        assert_eq!(file[8..12], SNAPSHOT_VERSION.to_le_bytes());
+        assert_eq!(file[12..20], 14u64.to_le_bytes());
+        assert_eq!(file[20..24], crc32(b"precious bytes").to_le_bytes());
+        assert_eq!(file[24..], *b"precious bytes");
         fs::remove_dir_all(&dir).ok();
     }
 
