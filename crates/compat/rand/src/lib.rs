@@ -6,6 +6,18 @@
 //! `gen_bool`), [`seq::SliceRandom`] (Fisher–Yates `shuffle`, `choose`),
 //! and [`rngs::StdRng`]. All generators are deterministic and portable;
 //! none touch OS entropy.
+//!
+//! # Bulk words
+//!
+//! [`RngCore::fill_u64`] and [`CHUNK_WORDS`] are this crate's additions
+//! to the upstream API. `fill_u64` fills a slice with exactly the words
+//! that many `next_u64` calls would return, and leaves the generator
+//! where they would. That word-stream invariant lets a caller draw in
+//! bulk without moving any golden: the shuffle draws `CHUNK_WORDS` words
+//! at a time while at least that many steps remain, so every drawn word
+//! is consumed, in order. A block generator (`rand_chacha`) overrides
+//! `fill_u64` to write whole blocks straight into the slice; everything
+//! else keeps the default loop over `next_u64`.
 
 /// The core of a random number generator (object safe).
 pub trait RngCore {
@@ -13,6 +25,20 @@ pub trait RngCore {
     fn next_u32(&mut self) -> u32;
     /// Next 64 random bits.
     fn next_u64(&mut self) -> u64;
+    /// Fill `dest` with exactly the words of `dest.len()` [`next_u64`]
+    /// calls, in order, leaving the generator where those calls would.
+    ///
+    /// This is the word-stream invariant every override keeps: a caller
+    /// may mix `fill_u64`, `next_u64` and `next_u32` freely and read the
+    /// same words as with `next_u64` alone. A loop by default; a block
+    /// generator overrides it to write whole blocks straight into `dest`.
+    ///
+    /// [`next_u64`]: RngCore::next_u64
+    fn fill_u64(&mut self, dest: &mut [u64]) {
+        for word in dest {
+            *word = self.next_u64();
+        }
+    }
     /// Fill `dest` with random bytes.
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut chunks = dest.chunks_exact_mut(8);
@@ -34,6 +60,9 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
     }
+    fn fill_u64(&mut self, dest: &mut [u64]) {
+        (**self).fill_u64(dest)
+    }
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         (**self).fill_bytes(dest)
     }
@@ -46,10 +75,17 @@ impl RngCore for Box<dyn RngCore> {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
     }
+    fn fill_u64(&mut self, dest: &mut [u64]) {
+        (**self).fill_u64(dest)
+    }
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         (**self).fill_bytes(dest)
     }
 }
+
+/// Words a bulk caller draws per [`RngCore::fill_u64`] call: a stack
+/// chunk, drawn only while every word in it is certain to be consumed.
+pub const CHUNK_WORDS: usize = 128;
 
 /// A generator that can be instantiated from a fixed seed.
 pub trait SeedableRng: Sized {
@@ -155,36 +191,47 @@ macro_rules! impl_int_range {
 impl_int_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 /// Uniform draw in `[0, span)` by rejection sampling (span ≤ 2^64 here).
-///
-/// The hot path runs entirely in `u64` arithmetic: a non-power-of-two span
-/// always fits in a `u64` (the only 2^64 span is a power of two), and
-/// `2^64 mod span` can be computed as `((u64::MAX % span) + 1) % span`
-/// without touching 128-bit division — the software `u128` modulo used to
-/// dominate Fisher–Yates shuffles. Draws, acceptance zone and outputs are
-/// bit-identical to the previous all-`u128` formulation.
 fn uniform_u128<R: RngCore + ?Sized>(rng: &mut R, span: u128) -> u128 {
     debug_assert!(span > 0);
-    if span.is_power_of_two() {
-        return (rng.next_u64() as u128) & (span - 1);
+    match u64::try_from(span) {
+        Ok(span) => uniform_below(span, || rng.next_u64()) as u128,
+        // The one span past `u64` is 2^64, a power of two: a whole word.
+        Err(_) => rng.next_u64() as u128,
     }
-    let span = u64::try_from(span).expect("non-power-of-two span fits u64");
+}
+
+/// Uniform draw in `[0, span)` from the words `next` yields — the one
+/// acceptance rule behind [`Rng::gen_range`] on integers and
+/// [`SliceRandom::shuffle`](seq::SliceRandom::shuffle).
+///
+/// A power-of-two span takes one word, masked, and never rejects. Any
+/// other span rejects the words in the top `2^64 mod span` values, and
+/// each rejection consumes one more word. Everything runs in `u64`
+/// arithmetic, since a software `u128` modulo would dominate a
+/// Fisher–Yates shuffle: `2^64 mod span` is `((u64::MAX % span) + 1) %
+/// span`, computed only for the rare draw in the top `span` values.
+/// Draws, acceptance zone and outputs equal the all-`u128` formulation
+/// (`uniform_draw_matches_u128_reference_formulation`).
+#[inline(always)]
+fn uniform_below(span: u64, mut next: impl FnMut() -> u64) -> u64 {
+    debug_assert!(span > 0);
+    if span.is_power_of_two() {
+        return next() & (span - 1);
+    }
     loop {
-        let draw = rng.next_u64();
+        let draw = next();
         // The acceptance zone is [0, 2^64 - rem) with rem = 2^64 mod span,
         // and rem < span — so a draw at or below `u64::MAX - span` is
-        // accepted for certain without computing the zone. Only the
-        // astronomically rare draws in the top `span` values (probability
-        // span/2^64) pay for the exact zone test. Accepted draws and
-        // rejections are identical to always computing the zone.
+        // accepted for certain without computing the zone.
         if draw <= u64::MAX - span {
-            return (draw % span) as u128;
+            return draw % span;
         }
-        // rem = 2^64 mod span; `u64::MAX % span` is already in [0, span),
-        // so the outer reduction is a branch rather than a division.
+        // `u64::MAX % span` is already in [0, span), so the outer
+        // reduction is a branch rather than a division.
         let r = (u64::MAX % span) + 1;
         let rem = if r == span { 0 } else { r };
         if draw <= u64::MAX - rem {
-            return (draw % span) as u128;
+            return draw % span;
         }
     }
 }
@@ -234,7 +281,7 @@ impl<R: RngCore + ?Sized> Rng for R {}
 
 /// Sequence-related helpers.
 pub mod seq {
-    use super::{Rng, RngCore};
+    use super::{uniform_below, Rng, RngCore, CHUNK_WORDS};
 
     /// Slice shuffling and random selection.
     pub trait SliceRandom {
@@ -251,10 +298,26 @@ pub mod seq {
     impl<T> SliceRandom for [T] {
         type Item = T;
 
+        /// Draws its words in [`CHUNK_WORDS`] chunks through
+        /// [`RngCore::fill_u64`] while at least that many steps remain:
+        /// every step takes at least one word, so each chunk is consumed
+        /// in full, and the shuffle reads exactly the words — and leaves
+        /// the generator exactly where — one `gen_range(0..i + 1)` per
+        /// step would.
         fn shuffle<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+            let mut words = [0u64; CHUNK_WORDS];
+            let mut unread = 0..0;
             for i in (1..self.len()).rev() {
-                let j = gen_index(rng, i + 1);
-                self.swap(i, j);
+                let j = uniform_below(i as u64 + 1, || match unread.next() {
+                    Some(w) => words[w],
+                    None if i >= CHUNK_WORDS => {
+                        rng.fill_u64(&mut words);
+                        unread = 1..CHUNK_WORDS;
+                        words[0]
+                    }
+                    None => rng.next_u64(),
+                });
+                self.swap(i, j as usize);
             }
         }
 

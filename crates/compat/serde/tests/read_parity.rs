@@ -432,14 +432,14 @@ fn struct_shapes_read_as_recorded() {
     check::<Empty>(&[
         (r#"{}"#, "Empty"),
         (r#"{"a":1}"#, "Empty"),
-        (r#"[]"#, "Empty"),
-        (r#"7"#, "Empty"),
+        (r#"[]"#, "Err"),
+        (r#"7"#, "Err"),
         (r#"{"a":}"#, "Err"),
         (r#"{"a":1,"a":[2]}"#, "Empty"),
     ]);
     check::<AllSkipped>(&[
         (r#"{"scratch":9}"#, "AllSkipped { scratch: 0 }"),
-        (r#""x""#, "AllSkipped { scratch: 0 }"),
+        (r#""x""#, "Err"),
         (r#"{"scratch":}"#, "Err"),
     ]);
     check::<Defaulted>(&[
@@ -468,12 +468,12 @@ fn struct_shapes_read_as_recorded() {
         (r#"{"id":1,"extra":[256]}"#, "Err"),
     ]);
     check::<AllDefault>(&[
-        (r#"5"#, "AllDefault { a: 0 }"),
-        (r#"[1]"#, "AllDefault { a: 0 }"),
+        (r#"5"#, "Err"),
+        (r#"[1]"#, "Err"),
         (r#"{"a":2}"#, "AllDefault { a: 2 }"),
         (r#"{"a":"x"}"#, "Err"),
         (r#"{"b":2}"#, "AllDefault { a: 0 }"),
-        (r#"null"#, "AllDefault { a: 0 }"),
+        (r#"null"#, "Err"),
         (r#"{"a":2,"a":3}"#, "AllDefault { a: 2 }"),
         (r#"[1"#, "Err"),
     ]);
@@ -652,4 +652,25 @@ fn every_truncation_reads_as_recorded() {
         &[1, 2, 3, 4, 6],
     ];
     assert_eq!(outcomes, expected);
+}
+
+/// A named-field struct reads only a map, even when every field is
+/// skipped or defaulted: any other value is a `DeError` naming the type,
+/// at the value's offset. A unit struct still reads any value.
+#[test]
+fn named_structs_refuse_a_value_that_is_not_a_map() {
+    let error = |text: &str| {
+        serde_json::from_str::<AllDefault>(text)
+            .unwrap_err()
+            .to_string()
+    };
+    assert!(error("5").contains("expected a map for AllDefault at offset 0"));
+    assert!(error(" null").contains("expected a map for AllDefault at offset 1"));
+    let error = serde_json::from_str::<Empty>("[]").unwrap_err().to_string();
+    assert!(
+        error.contains("expected a map for Empty at offset 0"),
+        "{error}"
+    );
+    assert!(serde_json::from_str::<AllSkipped>("\"x\"").is_err());
+    assert!(serde_json::from_str::<Unit>("5").is_ok());
 }

@@ -583,8 +583,9 @@ fn read_shape_expr(constructor: &str, shape: &Shape, transparent: bool) -> Strin
         return ok(&format!("{constructor} {{ {} }}", inits.join(", ")));
     }
     // A map: the first entry of each field's key is read, every other
-    // entry is checked and skipped. Anything but a map reads as one with
-    // no entries.
+    // entry is checked and skipped. A unit struct reads any value as one
+    // with no entries; a named-field struct (`Name {}` included) reads
+    // only a map.
     let active: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
     let lets: String = active
         .iter()
@@ -615,16 +616,24 @@ fn read_shape_expr(constructor: &str, shape: &Shape, transparent: bool) -> Strin
             init(f, &value)
         })
         .collect();
+    let read_map = format!(
+        "__r.read_map(|__r, __key| {{\n\
+             match __key {{ {arms} _ => __r.skip_value()?, }}\n\
+             ::std::result::Result::Ok(())\n\
+         }})?;"
+    );
+    let read = match shape {
+        Shape::Unit => format!(
+            "if __r.peek() == ::std::option::Option::Some(b'{{') {{ {read_map} }} \
+             else {{ __r.skip_value()?; }}"
+        ),
+        _ => format!(
+            "if __r.peek() != ::std::option::Option::Some(b'{{') {{ return {}; }}\n{read_map}",
+            error(&format!("expected a map for {constructor}"))
+        ),
+    };
     format!(
-        "{lets}if __r.peek() == ::std::option::Option::Some(b'{{') {{\n\
-             __r.read_map(|__r, __key| {{\n\
-                 match __key {{ {arms} _ => __r.skip_value()?, }}\n\
-                 ::std::result::Result::Ok(())\n\
-             }})?;\n\
-         }} else {{\n\
-             __r.skip_value()?;\n\
-         }}\n\
-         {}",
+        "{lets}{read}\n{}",
         ok(&format!("{constructor} {{ {} }}", inits.join(", ")))
     )
 }

@@ -15,9 +15,35 @@
 //!    biased coin: with probability `r` the next element is taken from the
 //!    top of `L_p`, otherwise from the top of `L_d`; once either list is
 //!    exhausted the rest comes from the other.
+//!
+//! # The coin, in integers
+//!
+//! The paper's coin is `rng.gen::<f64>() < r`, with `gen::<f64>()` the
+//! top 53 bits of one word scaled by `2^-53`: `m · 2^-53 < r` for the
+//! integer `m = word >> 11 < 2^53`. Both sides scale by `2^53` exactly —
+//! `m` is exact in an `f64`, and multiplying by a power of two never
+//! rounds here — so the test is `m < r · 2^53`, and for an integer `m`
+//! that is `m < ⌈r · 2^53⌉`. `coin_threshold` computes that bound once
+//! per merge; `⌈r · 2^53⌉ ≤ 2^53` fits a `u64`, and the saturating cast
+//! maps a NaN or negative `r` to 0 (never promote) and an `r > 1` past
+//! every `m` (always promote), as the float comparison does. So every
+//! coin lands as before, word for word, and a chunk of them is a
+//! branch-free select.
 
-use rand::Rng;
-use rand::RngCore;
+use rand::{RngCore, CHUNK_WORDS};
+
+/// The integer bound of the coin `gen::<f64>() < degree`: a word promotes
+/// exactly when `coin(word, coin_threshold(degree))`. See the module
+/// docs for why the two agree on every word.
+pub(crate) fn coin_threshold(degree: f64) -> u64 {
+    (degree * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One coin flip on `word`: `true` promotes.
+#[inline(always)]
+pub(crate) fn coin(word: u64, threshold: u64) -> bool {
+    (word >> 11) < threshold
+}
 
 /// Merge `deterministic` (`L_d`) and `promoted` (`L_p`) into the final
 /// result list, protecting the first `start_rank − 1` deterministic entries
@@ -54,7 +80,9 @@ pub fn merge_promoted(
 ///
 /// Consumes exactly the same RNG draws as [`merge_promoted`], so the two
 /// produce byte-identical output from the same generator state. Generic
-/// over the RNG so concrete generators inline on the hot path.
+/// over the RNG so concrete generators inline on the hot path. It is the
+/// top-`k` merge with `k` the combined length: one coin per rank until a
+/// list runs out, then the other list's rest in bulk.
 pub fn merge_promoted_into<R: RngCore + ?Sized>(
     deterministic: &[usize],
     promoted: &[usize],
@@ -63,50 +91,16 @@ pub fn merge_promoted_into<R: RngCore + ?Sized>(
     rng: &mut R,
     result: &mut Vec<usize>,
 ) {
-    debug_assert!(start_rank >= 1, "start rank is 1-based");
-    debug_assert!((0.0..=1.0).contains(&degree), "degree must be in [0, 1]");
-
     let total = deterministic.len() + promoted.len();
-    result.clear();
-    result.reserve(total);
-
-    let protected = (start_rank - 1).min(deterministic.len());
-    let mut d_iter = deterministic.iter().copied();
-    let mut p_iter = promoted.iter().copied();
-
-    // Step 1: protected prefix straight from L_d, order preserved.
-    result.extend(d_iter.by_ref().take(protected));
-
-    // Step 2: coin-flip merge for the remaining positions. Once either
-    // list is exhausted no more coins are flipped, so the remaining tail
-    // is appended in bulk — same output and RNG consumption as flipping
-    // element by element, minus the per-element bookkeeping.
-    let mut d_next = d_iter.next();
-    let mut p_next = p_iter.next();
-    loop {
-        match (d_next, p_next) {
-            (Some(d), Some(p)) => {
-                if rng.gen::<f64>() < degree {
-                    result.push(p);
-                    p_next = p_iter.next();
-                } else {
-                    result.push(d);
-                    d_next = d_iter.next();
-                }
-            }
-            (Some(d), None) => {
-                result.push(d);
-                result.extend(d_iter);
-                break;
-            }
-            (None, Some(p)) => {
-                result.push(p);
-                result.extend(p_iter);
-                break;
-            }
-            (None, None) => break,
-        }
-    }
+    merge_promoted_top_k_into(
+        deterministic,
+        promoted,
+        start_rank,
+        degree,
+        total,
+        rng,
+        result,
+    );
     debug_assert_eq!(result.len(), total);
 }
 
@@ -121,6 +115,12 @@ pub fn merge_promoted_into<R: RngCore + ?Sized>(
 /// coin for each emitted position is drawn under exactly the same
 /// conditions as in [`merge_promoted_into`], and positions past `k` draw
 /// nothing.
+///
+/// The coins are drawn [`CHUNK_WORDS`] at a time through
+/// [`RngCore::fill_u64`] while both lists, and the ranks left to emit,
+/// number at least that many: every coin then emits one rank from one
+/// list, so the whole chunk is consumed. Past that point it draws one
+/// `next_u64` per coin.
 ///
 /// `deterministic` may be truncated: because every emitted position
 /// consumes exactly one element, at most `k` elements of `L_d` are ever
@@ -146,39 +146,64 @@ pub fn merge_promoted_top_k_into<R: RngCore + ?Sized>(
     result.clear();
     result.reserve(k.min(deterministic.len() + promoted.len()));
 
-    let protected = (start_rank - 1).min(deterministic.len()).min(k);
-    let mut d_iter = deterministic.iter().copied();
-    let mut p_iter = promoted.iter().copied();
-
     // Step 1: protected prefix straight from L_d, order preserved.
-    result.extend(d_iter.by_ref().take(protected));
+    let protected = (start_rank - 1).min(deterministic.len()).min(k);
+    result.extend_from_slice(&deterministic[..protected]);
+    let (mut d, mut p) = (&deterministic[protected..], promoted);
 
-    // Step 2: coin-flip merge, stopping once `k` ranks are emitted.
-    let mut d_next = d_iter.next();
-    let mut p_next = p_iter.next();
+    // Step 2: coin-flip merge, stopping once `k` ranks are emitted; once
+    // either list is exhausted no more coins are flipped.
+    let threshold = coin_threshold(degree);
+    while d.len().min(p.len()).min(k - result.len()) >= CHUNK_WORDS {
+        merge_chunk(&mut d, &mut p, threshold, rng, result);
+    }
     while result.len() < k {
-        match (d_next, p_next) {
-            (Some(d), Some(p)) => {
-                if rng.gen::<f64>() < degree {
-                    result.push(p);
-                    p_next = p_iter.next();
-                } else {
-                    result.push(d);
-                    d_next = d_iter.next();
-                }
-            }
-            (Some(d), None) => {
-                result.push(d);
-                d_next = d_iter.next();
-            }
-            (None, Some(p)) => {
-                result.push(p);
-                p_next = p_iter.next();
-            }
-            (None, None) => break,
+        let (Some((&next_d, rest_d)), Some((&next_p, rest_p))) = (d.split_first(), p.split_first())
+        else {
+            let rest = if d.is_empty() { p } else { d };
+            result.extend_from_slice(&rest[..rest.len().min(k - result.len())]);
+            break;
+        };
+        if coin(rng.next_u64(), threshold) {
+            result.push(next_p);
+            p = rest_p;
+        } else {
+            result.push(next_d);
+            d = rest_d;
         }
     }
     debug_assert!(result.len() <= k);
+}
+
+/// The next [`CHUNK_WORDS`] ranks of the merge, from one chunk of coins;
+/// `d` and `p` both hold at least that many entries.
+#[inline(always)]
+fn merge_chunk<R: RngCore + ?Sized>(
+    d: &mut &[usize],
+    p: &mut &[usize],
+    threshold: u64,
+    rng: &mut R,
+    result: &mut Vec<usize>,
+) {
+    let mut words = [0u64; CHUNK_WORDS];
+    rng.fill_u64(&mut words);
+    let head_d: &[usize; CHUNK_WORDS] = d[..CHUNK_WORDS].try_into().expect("chunk");
+    let head_p: &[usize; CHUNK_WORDS] = p[..CHUNK_WORDS].try_into().expect("chunk");
+    // `taken_d + taken_p` ranks emitted so far, fewer than `CHUNK_WORDS`
+    // inside the loop, so the masks never wrap; both heads are read and
+    // the coin selects one.
+    let (mut taken_d, mut taken_p) = (0, 0);
+    let mut ranks = [0usize; CHUNK_WORDS];
+    for (rank, &word) in ranks.iter_mut().zip(&words) {
+        let promote = coin(word, threshold);
+        let (next_d, next_p) = (head_d[taken_d % CHUNK_WORDS], head_p[taken_p % CHUNK_WORDS]);
+        *rank = if promote { next_p } else { next_d };
+        taken_p += promote as usize;
+        taken_d += !promote as usize;
+    }
+    result.extend_from_slice(&ranks);
+    *d = &d[taken_d..];
+    *p = &p[taken_p..];
 }
 
 #[cfg(test)]

@@ -15,11 +15,11 @@
 
 use crate::buffers::RankBuffers;
 use crate::lazyshuffle::{merge_promoted_top_k_lazy_into, EngineVersion, LazyShuffle};
-use crate::merge::{merge_promoted_into, merge_promoted_top_k_into};
+use crate::merge::{coin, coin_threshold, merge_promoted_into, merge_promoted_top_k_into};
 use crate::promotion::{PromotionConfig, PromotionRule};
 use crate::stats::{popularity_order, PageStats};
 use rand::seq::SliceRandom;
-use rand::{Rng, RngCore};
+use rand::{Rng, RngCore, CHUNK_WORDS};
 
 /// What [`RandomizedRankPromotion::rank`] ranks. Every maintained-state
 /// caller has this shape, whatever structure it keeps:
@@ -262,10 +262,18 @@ impl RandomizedRankPromotion {
                     ..
                 } = &mut *buffers;
                 pool_buf.clear();
-                for (slot, promoted) in mask.iter_mut().enumerate() {
-                    if rng.gen::<f64>() < degree {
-                        *promoted = true;
-                        pool_buf.push(slot);
+                // One coin per slot, so every word of every chunk is
+                // consumed: draw them `CHUNK_WORDS` at a time.
+                let threshold = coin_threshold(degree);
+                let mut words = [0u64; CHUNK_WORDS];
+                for (chunk, promoted) in mask.chunks_mut(CHUNK_WORDS).enumerate() {
+                    let words = &mut words[..promoted.len()];
+                    rng.fill_u64(words);
+                    for (i, (promoted, &word)) in promoted.iter_mut().zip(&*words).enumerate() {
+                        if coin(word, threshold) {
+                            *promoted = true;
+                            pool_buf.push(chunk * CHUNK_WORDS + i);
+                        }
                     }
                 }
                 fill_rest(order, |s| mask[s], rest_limit, rest);

@@ -737,6 +737,92 @@ fn simulation_reproduces_its_recorded_golden() {
     assert_eq!(bits(sim.run_windows(0, 10)), GOLDEN_SIM_AFTER_TRACE_17);
 }
 
+/// Layer 1, the bulk-draw paths at sizes the small goldens never reach:
+/// V1 Selective and Uniform ranks over 3 000 pages with a 700-page pool,
+/// and `shuffle` at lengths on both sides of 128 words. Each case pins a
+/// digest of its output and the generator's next `next_u64`, so a change
+/// that drew one word more or fewer, or in another order, fails here even
+/// when the output happens to match. Recorded before any RNG word was
+/// drawn in bulk.
+#[test]
+fn bulk_draw_paths_reproduce_their_recorded_goldens() {
+    use rand::seq::SliceRandom;
+    use rand::RngCore;
+    use rrp_model::PageId;
+    use rrp_ranking::{popularity_order, PageStats, RandomizedRankPromotion, RankSource};
+
+    /// FNV-1a over the output's words.
+    fn digest(values: impl IntoIterator<Item = u64>) -> u64 {
+        values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+        })
+    }
+    // Slots with `slot % 30 < 7` are unexplored: 700 of 3 000.
+    let pages: Vec<PageStats> = (0..3_000)
+        .map(|slot| {
+            if slot % 30 < 7 {
+                PageStats::new(slot, PageId::new(slot as u64), 0.0, 0.0)
+            } else {
+                let popularity = ((slot * 7_919) % 2_300 + 1) as f64 / 1e4;
+                PageStats::new(slot, PageId::new(slot as u64), popularity, 0.5)
+                    .with_age(slot as u64 % 50)
+            }
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..pages.len()).collect();
+    order.sort_unstable_by(|&a, &b| popularity_order(&pages[a], &pages[b]));
+    let pool: Vec<usize> = (0..pages.len())
+        .filter(|&s| pages[s].is_unexplored())
+        .collect();
+    assert_eq!(pool.len(), 700);
+    let source = RankSource::new(&pool, &order, |s| pages[s].is_unexplored());
+
+    let mut observed = Vec::new();
+    let mut buffers = RankBuffers::new();
+    let mut out = Vec::new();
+    let configs = [
+        (PromotionRule::Selective, 2, 0.1),
+        (PromotionRule::Selective, 1, 0.5),
+        (PromotionRule::Selective, 3, 0.9),
+        (PromotionRule::Uniform, 1, 0.3),
+        (PromotionRule::Uniform, 2, 0.1),
+    ];
+    for (case, (rule, start_rank, degree)) in configs.into_iter().enumerate() {
+        let config = PromotionConfig::new(rule, start_rank, degree).unwrap();
+        let policy = RandomizedRankPromotion::new(config);
+        let seed = 1_000 + case as u64;
+        // The scanning path: split, shuffle, sort, merge.
+        let mut rng = new_rng(seed);
+        PolicyKind::Promotion(policy).rank_into(&pages, &mut rng, &mut buffers, &mut out);
+        let scanned = digest(out.iter().map(|&s| s as u64));
+        observed.push((scanned, rng.next_u64()));
+        // The maintained-state path, full and top-k.
+        for k in [None, Some(10), Some(300)] {
+            let mut rng = new_rng(seed);
+            policy.rank(source, k, &mut rng, &mut buffers, &mut out);
+            if k.is_none() {
+                assert_eq!(digest(out.iter().map(|&s| s as u64)), scanned);
+            }
+            observed.push((digest(out.iter().map(|&s| s as u64)), rng.next_u64()));
+        }
+    }
+    for len in [0usize, 1, 2, 127, 128, 129, 256, 1_000, 4_097] {
+        let mut values: Vec<u64> = (0..len as u64).collect();
+        let mut rng = new_rng(len as u64);
+        values.shuffle(&mut rng);
+        observed.push((digest(values.iter().copied()), rng.next_u64()));
+        // Odd word alignment: one `next_u32` first.
+        let mut values: Vec<u64> = (0..len as u64).collect();
+        let mut rng = new_rng(len as u64);
+        let _ = rng.next_u32();
+        values.shuffle(&mut rng);
+        observed.push((digest(values.iter().copied()), rng.next_u64()));
+    }
+    assert_eq!(observed, GOLDEN_BULK_DRAWS);
+}
+
 /// Golden outputs of `new_rng(123)`.
 const GOLDEN_RNG_123: [u64; 4] = [
     17369494502333954609,
@@ -940,4 +1026,50 @@ const GOLDEN_SIM_AFTER_TRACE_17: [u64; 5] = [
     4595372468040232909,
     4601056233628962632,
     4603219251127931371,
+];
+
+/// Golden `(output digest, next next_u64)` pairs of
+/// `bulk_draw_paths_reproduce_their_recorded_goldens`: per rank
+/// configuration, the scanning full rank, then the maintained-state full,
+/// top-10 and top-300 ranks; then per shuffle length, word-aligned and
+/// after one `next_u32`.
+const GOLDEN_BULK_DRAWS: [(u64, u64); 38] = [
+    (16354670661056490177, 17832979816469839233),
+    (16354670661056490177, 17832979816469839233),
+    (4731188569419348454, 14920987225168261236),
+    (3651891292637546793, 5604101141441168364),
+    (6204971996131755177, 2728045980259355417),
+    (6204971996131755177, 2728045980259355417),
+    (5407637259148123723, 11071249585527164221),
+    (10037548596362257331, 9910600791355223754),
+    (2389731449009069589, 8962483884444429089),
+    (2389731449009069589, 8962483884444429089),
+    (17076350474747010756, 12486650261829451714),
+    (6221802147549259044, 2020562361516143630),
+    (13027607140120202105, 1973554940026039707),
+    (13027607140120202105, 1973554940026039707),
+    (12736544645444433237, 3025073317188713867),
+    (8953266312865271222, 5215960351016124691),
+    (12026460726984989981, 15435364838720508944),
+    (12026460726984989981, 15435364838720508944),
+    (15534149936451504551, 16313335951452740948),
+    (6009369646751292784, 17292535491716877023),
+    (14695981039346656037, 13804888775535289832),
+    (14695981039346656037, 12023021118774628659),
+    (12161962213042174405, 17254111457321727320),
+    (12161962213042174405, 6456567247093820148),
+    (4116863941369023524, 17597568415782470582),
+    (7576559462502111812, 1489322185053380412),
+    (13853494629143546906, 3622633871713606836),
+    (14880891778657349978, 11291579106334223952),
+    (12799812039198961637, 603350970280555438),
+    (6832188738164403109, 575383690610182274),
+    (3088620692514256453, 16385236505599633112),
+    (17596898100794113221, 9326155753433861578),
+    (2858538247429931301, 7985912107862169977),
+    (15829614931694882757, 3297524588620261568),
+    (2990064880018533909, 4302071923957319384),
+    (13838923482825348449, 15073694549634451359),
+    (6318559866214298057, 13968698097137699528),
+    (9663336160172383589, 12731937915200522472),
 ];
