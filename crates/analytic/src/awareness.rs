@@ -72,8 +72,8 @@ where
 }
 
 /// Direct evaluation of the closed-form Equation 3 for `i < m`
-/// (unnormalised, relative to `f(a_0)`). Exposed for cross-checking the
-/// recurrence in tests.
+/// (unnormalised, relative to `f(a_0)`). Kept public as an oracle: it
+/// checks the solver's recurrence against the paper's closed form.
 pub fn theorem1_unnormalized<F>(
     visit_fn: F,
     quality: f64,

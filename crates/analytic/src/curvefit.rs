@@ -68,22 +68,19 @@ pub fn fit_visit_function(samples: &[(f64, f64)], zero_value: f64) -> Option<Vis
     Some(VisitFunction::new(zero_value.max(0.0), curve, x_floor))
 }
 
-/// Goodness-of-fit diagnostic: the maximum relative error of the fitted
-/// curve over the positive samples it was fitted to.
-pub fn max_fit_error(fit: &VisitFunction, samples: &[(f64, f64)]) -> f64 {
-    samples
-        .iter()
-        .filter(|&&(x, y)| x > 0.0 && y > 0.0)
-        .map(|&(x, y)| {
-            let predicted = fit.eval(x);
-            (predicted - y).abs() / y.abs().max(1e-300)
-        })
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The maximum relative error of the fitted curve over the positive
+    /// samples it was fitted to.
+    fn max_fit_error(fit: &VisitFunction, samples: &[(f64, f64)]) -> f64 {
+        samples
+            .iter()
+            .filter(|&&(x, y)| x > 0.0 && y > 0.0)
+            .map(|&(x, y)| (fit.eval(x) - y).abs() / y.abs().max(1e-300))
+            .fold(0.0, f64::max)
+    }
 
     fn synth_samples(alpha: f64, beta: f64, gamma: f64) -> Vec<(f64, f64)> {
         (1..=60)

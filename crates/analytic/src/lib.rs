@@ -58,7 +58,7 @@ pub use awareness::{
     awareness_chain_trajectory, awareness_distribution, awareness_trajectory,
     expected_hitting_time, time_to_awareness,
 };
-pub use curvefit::{fit_visit_function, max_fit_error};
+pub use curvefit::fit_visit_function;
 pub use metrics::TBP_THRESHOLD;
 pub use quality_groups::{QualityGroup, QualityGroups};
 pub use rank_function::{RankComputer, RankingModel};

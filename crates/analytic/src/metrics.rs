@@ -99,7 +99,9 @@ impl SolvedModel {
     }
 
     /// Expected monitored-visit-rate trajectory of a page of the given
-    /// quality created at day 0 (the curves sketched in Figure 2).
+    /// quality created at day 0 (the curves sketched in Figure 2). Kept
+    /// public as an oracle for checking simulated visit rates against the
+    /// model's.
     pub fn visit_rate_evolution(&self, quality: f64, days: usize) -> Vec<f64> {
         self.popularity_evolution(quality, days)
             .into_iter()
@@ -133,7 +135,8 @@ impl SolvedModel {
     }
 
     /// TBP for the highest-quality page in the community (the page the
-    /// paper's Figure 4 tracks).
+    /// paper's Figure 4 tracks). Kept public as an oracle for checking the
+    /// simulator's measured TBP against the model's.
     pub fn tbp_of_best_page(&self, max_days: usize) -> Option<f64> {
         self.time_to_become_popular(self.groups.max_quality(), max_days)
     }

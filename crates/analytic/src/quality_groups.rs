@@ -10,17 +10,16 @@
 //! lower-quality pages.
 
 use rrp_model::{assign_qualities, Quality, QualityDistribution};
-use serde::{Deserialize, Serialize};
 
 /// A set of quality groups: `(quality, number of pages at that quality)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QualityGroups {
     groups: Vec<QualityGroup>,
     total_pages: usize,
 }
 
 /// One group of pages sharing (approximately) the same quality.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityGroup {
     /// Representative quality of the group.
     pub quality: f64,
@@ -96,18 +95,6 @@ impl QualityGroups {
         self.groups.first().map_or(0.0, |g| g.quality)
     }
 
-    /// Mean quality over pages.
-    pub fn mean_quality(&self) -> f64 {
-        if self.total_pages == 0 {
-            return 0.0;
-        }
-        self.groups
-            .iter()
-            .map(|g| g.quality * g.count as f64)
-            .sum::<f64>()
-            / self.total_pages as f64
-    }
-
     /// The per-page quality list implied by the groups (group-representative
     /// qualities repeated by count), highest first. Used to compute the
     /// ideal (quality-ordered) QPC bound.
@@ -155,16 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_quality_matches_direct_average() {
-        let qs: Vec<Quality> = [0.4, 0.2, 0.2, 0.1]
-            .iter()
-            .map(|&q| Quality::new(q).unwrap())
-            .collect();
-        let groups = QualityGroups::from_qualities(&qs, 10, 1);
-        assert!((groups.mean_quality() - 0.225).abs() < 1e-12);
-    }
-
-    #[test]
     fn bucketing_respects_max_groups() {
         let dist = PowerLawQuality::paper_default();
         let qualities = assign_qualities(&dist, 1_000);
@@ -194,7 +171,6 @@ mod tests {
         let groups = QualityGroups::from_qualities(&[], 10, 2);
         assert_eq!(groups.total_pages(), 0);
         assert_eq!(groups.max_quality(), 0.0);
-        assert_eq!(groups.mean_quality(), 0.0);
         assert!(groups.expanded_qualities().is_empty());
     }
 

@@ -20,10 +20,9 @@
 
 use crate::quality_groups::QualityGroup;
 use rrp_attention::RankBias;
-use serde::{Deserialize, Serialize};
 
 /// Which ranking scheme the analytic model describes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RankingModel {
     /// Strict descending-popularity ranking (the baseline).
     NonRandomized,

@@ -16,10 +16,9 @@ use crate::rank_function::{RankComputer, RankingModel};
 use crate::visit_function::VisitFunction;
 use rrp_attention::RankBias;
 use rrp_model::CommunityConfig;
-use serde::{Deserialize, Serialize};
 
 /// Options controlling the fixed-point iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverOptions {
     /// Maximum number of fixed-point iterations.
     pub max_iterations: usize,

@@ -14,10 +14,8 @@
 //! [`VisitFunction`] stores the value `F(0)` explicitly alongside the
 //! curve.
 
-use serde::{Deserialize, Serialize};
-
 /// Coefficients of `log F = α (log x)² + β log x + γ`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogQuadratic {
     /// Coefficient of `(log x)²`.
     pub alpha: f64,
@@ -37,7 +35,7 @@ impl LogQuadratic {
 }
 
 /// The popularity → expected-monitored-visits function `F(x)` of Equation 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VisitFunction {
     /// Value at zero popularity, `F(0)`.
     zero_value: f64,
@@ -72,22 +70,6 @@ impl VisitFunction {
                 alpha: 0.0,
                 beta: 0.0,
                 gamma: value.ln(),
-            },
-            x_floor: 1e-12,
-        }
-    }
-
-    /// The linear function `F(x) = scale · x` with `F(0) = floor_value`
-    /// (the paper's suggested starting guess `F(x) = x`, made safe at 0).
-    pub fn linear(scale: f64, floor_value: f64) -> Self {
-        assert!(scale > 0.0, "scale must be positive");
-        VisitFunction {
-            zero_value: floor_value.max(0.0),
-            // log F = log x + log(scale)  ⇒ α = 0, β = 1, γ = ln(scale).
-            curve: LogQuadratic {
-                alpha: 0.0,
-                beta: 1.0,
-                gamma: scale.ln(),
             },
             x_floor: 1e-12,
         }
@@ -140,6 +122,13 @@ pub fn relative_difference(a: f64, b: f64) -> f64 {
 mod tests {
     use super::*;
 
+    /// `log F = log x`: the curve `F(x) = x`.
+    const IDENTITY: LogQuadratic = LogQuadratic {
+        alpha: 0.0,
+        beta: 1.0,
+        gamma: 0.0,
+    };
+
     #[test]
     fn constant_function_is_flat() {
         let f = VisitFunction::constant(2.5);
@@ -148,14 +137,6 @@ mod tests {
         assert!((f.eval(0.5) - 2.5).abs() < 1e-9);
         assert!((f.eval(1.0) - 2.5).abs() < 1e-9);
         assert_eq!(f.zero_value(), 2.5);
-    }
-
-    #[test]
-    fn linear_function_scales() {
-        let f = VisitFunction::linear(10.0, 0.01);
-        assert!((f.eval(0.5) - 5.0).abs() < 1e-9);
-        assert!((f.eval(1.0) - 10.0).abs() < 1e-9);
-        assert_eq!(f.eval(0.0), 0.01);
     }
 
     #[test]
@@ -192,7 +173,7 @@ mod tests {
 
     #[test]
     fn zero_and_negative_popularity_use_zero_value() {
-        let f = VisitFunction::linear(1.0, 0.07);
+        let f = VisitFunction::new(0.07, IDENTITY, 1e-12);
         assert_eq!(f.eval(0.0), 0.07);
         assert_eq!(f.eval(-0.5), 0.07);
     }
@@ -208,7 +189,7 @@ mod tests {
     #[test]
     fn max_relative_difference_over_samples() {
         let a = VisitFunction::constant(1.0);
-        let b = VisitFunction::linear(1.0, 1.0);
+        let b = VisitFunction::new(1.0, IDENTITY, 1e-12);
         // At x = 1 both are 1; at x = 0.5 they differ by 50%.
         let d = a.max_relative_difference(&b, &[1.0, 0.5]);
         assert!((d - 0.5).abs() < 1e-9);

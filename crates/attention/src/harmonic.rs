@@ -60,14 +60,13 @@ fn tail_euler_maclaurin(a: usize, b: usize, s: f64) -> f64 {
         + s / 12.0 * (af.powf(-s - 1.0) - bf.powf(-s - 1.0))
 }
 
-/// The Riemann zeta value `ζ(3/2) ≈ 2.612375…`, the limit of
-/// `H(n, 3/2)` as `n → ∞`. Exposed because the analytic model uses it to
-/// sanity-check normalisation constants for very large communities.
-pub const ZETA_3_2: f64 = 2.612_375_348_685_488;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The Riemann zeta value `ζ(3/2)`, the limit of `H(n, 3/2)` as
+    /// `n → ∞`.
+    const ZETA_3_2: f64 = 2.612_375_348_685_488;
 
     fn brute(n: usize, s: f64) -> f64 {
         (1..=n).map(|i| (i as f64).powf(-s)).sum()

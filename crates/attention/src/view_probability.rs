@@ -19,11 +19,10 @@
 //! law is [`RankBias::altavista`] with `s = 3/2`.
 
 use crate::harmonic::generalized_harmonic;
-use serde::{Deserialize, Serialize};
 
 /// A power-law rank-bias model `F2(rank) = θ · rank^(-s)` over `n` result
 /// positions, normalised to a total visit budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankBias {
     /// Power-law exponent `s` (3/2 for the AltaVista law).
     exponent: f64,
@@ -137,13 +136,6 @@ impl RankBias {
     pub fn theta(&self) -> f64 {
         self.theta
     }
-
-    /// A copy of the model rescaled to a different total visit budget
-    /// (used when converting between monitored-user visits `v` and
-    /// all-user visits `v_u`).
-    pub fn with_total_visits(&self, total_visits: f64) -> Self {
-        RankBias::new(self.exponent, self.positions, total_visits)
-    }
 }
 
 #[cfg(test)]
@@ -219,14 +211,6 @@ mod tests {
         let rb = RankBias::altavista(10, 0.0);
         assert_eq!(rb.visits_at_rank(1), 0.0);
         assert_eq!(rb.view_probability(1), 0.0);
-    }
-
-    #[test]
-    fn rescaling_total_visits() {
-        let rb = RankBias::altavista(100, 100.0);
-        let scaled = rb.with_total_visits(1_000.0);
-        assert!((scaled.visits_at_rank(3) / rb.visits_at_rank(3) - 10.0).abs() < 1e-9);
-        assert_eq!(scaled.exponent(), rb.exponent());
     }
 
     #[test]

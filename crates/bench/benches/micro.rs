@@ -1,7 +1,6 @@
 //! Criterion micro-benchmarks of the building blocks: re-ranking a result
-//! list (per-call engine, scratch-reuse, and batch-amortised serving
-//! paths), one simulated community day, the Theorem-1 awareness
-//! distribution, and PageRank on a synthetic graph.
+//! list (per-call engine and batch-amortised serving paths), one simulated
+//! community day and the Theorem-1 awareness distribution.
 //!
 //! The rerank and simulation-day benchmarks are the acceptance gauges for
 //! the zero-allocation ranking core: `engine_rerank` measures the
@@ -10,7 +9,7 @@
 //! point, and `simulation_day` exercises the incremental popularity index.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rrp_core::{CorpusCache, Document, QueryContext, RankPromotionEngine, RerankScratch};
+use rrp_core::{CorpusCache, Document, QueryContext, RankPromotionEngine};
 use rrp_model::{new_rng, CommunityConfig, PowerLawQuality, QualityDistribution};
 use rrp_ranking::{PageStats, PolicyKind, RandomizedRankPromotion, RankBuffers};
 use rrp_serve::ShardedPromotionService;
@@ -172,28 +171,6 @@ fn bench_ranking_policies(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-query scratch-reuse path of the embeddable engine at 10k documents
-/// (no batch amortisation, no allocation).
-fn bench_engine_rerank_scratch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_rerank_scratch_10k");
-    group
-        .measurement_time(Duration::from_secs(3))
-        .sample_size(30);
-    let docs = corpus(10_000);
-    let engine = RankPromotionEngine::recommended();
-    let mut scratch = RerankScratch::with_capacity(docs.len());
-    let mut out = Vec::with_capacity(docs.len());
-    group.bench_function("rerank_slots_into", |b| {
-        let mut query = 0u64;
-        b.iter(|| {
-            query += 1;
-            engine.rerank_slots_into(&docs, QueryContext::new(query, 42), &mut scratch, &mut out);
-            black_box(out.last().copied())
-        });
-    });
-    group.finish();
-}
-
 fn bench_simulation_day(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulation_day");
     group
@@ -231,28 +208,13 @@ fn bench_analytic_awareness(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pagerank(c: &mut Criterion) {
-    let mut group = c.benchmark_group("webgraph");
-    group
-        .measurement_time(Duration::from_secs(3))
-        .sample_size(20);
-    let mut rng = new_rng(11);
-    let graph = rrp_webgraph::preferential_attachment(10_000, 5, &mut rng);
-    group.bench_function("pagerank_10k_nodes", |b| {
-        b.iter(|| black_box(rrp_webgraph::pagerank(&graph, Default::default())))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_engine_rerank,
     bench_engine_rerank_unbatched,
-    bench_engine_rerank_scratch,
     bench_serve_batch,
     bench_ranking_policies,
     bench_simulation_day,
-    bench_analytic_awareness,
-    bench_pagerank
+    bench_analytic_awareness
 );
 criterion_main!(benches);

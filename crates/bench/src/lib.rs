@@ -17,7 +17,9 @@ use std::time::Instant;
 /// together with the wall-clock time, and return it.
 ///
 /// # Panics
-/// Panics if `id` does not match any registered figure.
+/// Panics if `id` does not match any registered figure, or if
+/// `RRP_FULL_SWEEP` or `RRP_SEED` holds a malformed value
+/// ([`ExperimentOptions::from_env`]).
 pub fn run_figure(id: &str) -> FigureReport {
     let options = ExperimentOptions::from_env();
     let (_, driver) = all_figures()

@@ -9,13 +9,12 @@
 //! together with its predicted QPC, so an operator can decide whether
 //! promotion is worth enabling and how aggressively.
 
-use rrp_analytic::{AnalyticModel, QualityGroups, RankingModel, SolverOptions};
+use rrp_analytic::{AnalyticModel, QualityGroups, RankingModel};
 use rrp_model::{CommunityConfig, PowerLawQuality};
 use rrp_ranking::{PromotionConfig, PromotionRule};
-use serde::{Deserialize, Serialize};
 
 /// One evaluated candidate configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateOutcome {
     /// Starting rank `k`.
     pub start_rank: usize,
@@ -26,7 +25,7 @@ pub struct CandidateOutcome {
 }
 
 /// Advice produced by [`ParameterAdvisor::advise`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Advice {
     /// Predicted normalized QPC of plain popularity ranking (the baseline).
     pub baseline_qpc: f64,
@@ -58,42 +57,15 @@ impl Advice {
 }
 
 /// Evaluates candidate promotion settings for a community using the
-/// analytic model.
-#[derive(Debug, Clone)]
-pub struct ParameterAdvisor {
-    degrees: Vec<f64>,
-    start_ranks: Vec<usize>,
-    solver: SolverOptions,
-}
-
-impl Default for ParameterAdvisor {
-    fn default() -> Self {
-        ParameterAdvisor {
-            degrees: vec![0.05, 0.1, 0.2],
-            start_ranks: vec![1, 2],
-            solver: SolverOptions::default(),
-        }
-    }
-}
+/// analytic model, with its default solver options.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ParameterAdvisor;
 
 impl ParameterAdvisor {
-    /// An advisor that evaluates the given degree and starting-rank grids.
-    pub fn with_grid(degrees: Vec<f64>, start_ranks: Vec<usize>) -> Self {
-        assert!(!degrees.is_empty(), "need at least one degree");
-        assert!(!start_ranks.is_empty(), "need at least one starting rank");
-        ParameterAdvisor {
-            degrees,
-            start_ranks,
-            solver: SolverOptions::default(),
-        }
-    }
-
-    /// Override the analytic solver options (e.g. fewer iterations for a
-    /// quicker, rougher answer).
-    pub fn with_solver_options(mut self, options: SolverOptions) -> Self {
-        self.solver = options;
-        self
-    }
+    /// The degrees of randomization `r` evaluated.
+    const DEGREES: [f64; 3] = [0.05, 0.1, 0.2];
+    /// The starting ranks `k` evaluated.
+    const START_RANKS: [usize; 2] = [1, 2];
 
     /// Evaluate the grid for `community` (page quality assumed to follow
     /// the paper's power-law distribution) and return the advice.
@@ -104,17 +76,14 @@ impl ParameterAdvisor {
 
         let baseline_qpc =
             AnalyticModel::new(community, groups.clone(), RankingModel::NonRandomized)?
-                .with_options(self.solver)
                 .solve()
                 .normalized_qpc();
 
         let mut candidates = Vec::new();
-        for &start_rank in &self.start_ranks {
-            for &degree in &self.degrees {
+        for start_rank in Self::START_RANKS {
+            for degree in Self::DEGREES {
                 let model = RankingModel::Selective { start_rank, degree };
-                let solved = AnalyticModel::new(community, groups.clone(), model)?
-                    .with_options(self.solver)
-                    .solve();
+                let solved = AnalyticModel::new(community, groups.clone(), model)?.solve();
                 candidates.push(CandidateOutcome {
                     start_rank,
                     degree,
@@ -158,9 +127,7 @@ mod tests {
 
     #[test]
     fn advisor_finds_promotion_beneficial_for_entrenched_communities() {
-        let advice = ParameterAdvisor::default()
-            .advise(entrenched_community())
-            .unwrap();
+        let advice = ParameterAdvisor.advise(entrenched_community()).unwrap();
         assert_eq!(advice.candidates.len(), 6);
         assert!(advice.best.normalized_qpc > advice.baseline_qpc);
         assert!(advice.predicted_improvement() > 0.05);
@@ -170,26 +137,11 @@ mod tests {
     }
 
     #[test]
-    fn custom_grid_is_respected() {
-        let advisor = ParameterAdvisor::with_grid(vec![0.1], vec![2]);
-        let advice = advisor.advise(entrenched_community()).unwrap();
-        assert_eq!(advice.candidates.len(), 1);
-        assert_eq!(advice.best.start_rank, 2);
-        assert!((advice.best.degree - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
     fn invalid_community_is_rejected() {
         let bad = CommunityConfig::builder().monitored_users(10_000);
         // Builder itself rejects it; construct via paper_default then break it
         // is not possible without unsafe, so validate the advisor's error path
         // through the builder error instead.
         assert!(bad.build().is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one degree")]
-    fn empty_grid_panics() {
-        ParameterAdvisor::with_grid(vec![], vec![1]);
     }
 }

@@ -58,7 +58,7 @@ impl Document {
 /// across unrelated queries — the paper's answer to "lest users learn over
 /// time to avoid [fixed positions]" while still giving any one user a
 /// stable list if they re-run their query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueryContext {
     /// Hash of the query string (or canonical query id).
     pub query_hash: u64,

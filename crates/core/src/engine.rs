@@ -17,33 +17,6 @@ use rrp_ranking::{
 };
 use serde::{Deserialize, Serialize};
 
-/// Reusable scratch state for the allocation-free rerank path.
-///
-/// One `RerankScratch` per caller (or per worker thread in a batch server)
-/// turns [`RankPromotionEngine::rerank_slots_into`] into an allocation-free
-/// operation after the first call: the per-document statistics snapshot and
-/// the ranking arena are rebuilt in place each time.
-#[derive(Debug, Default)]
-pub struct RerankScratch {
-    stats: Vec<PageStats>,
-    buffers: RankBuffers,
-}
-
-impl RerankScratch {
-    /// An empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        RerankScratch::default()
-    }
-
-    /// A scratch pre-grown for result lists of `n` documents.
-    pub fn with_capacity(n: usize) -> Self {
-        RerankScratch {
-            stats: Vec::with_capacity(n),
-            buffers: RankBuffers::with_capacity(n),
-        }
-    }
-}
-
 /// Re-ranks query results with randomized rank promotion.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RankPromotionEngine {
@@ -159,43 +132,14 @@ impl RankPromotionEngine {
         }
     }
 
-    /// Re-rank `documents` for one query evaluation, returning input *slot*
-    /// indices in final display order (rank 1 first). This is the primitive
-    /// behind [`rerank`](Self::rerank) and
-    /// [`rerank_documents`](Self::rerank_documents); use it when the host
-    /// engine keeps its own per-slot payloads.
-    pub fn rerank_slots(&self, documents: &[Document], context: QueryContext) -> Vec<usize> {
-        let mut scratch = RerankScratch::new();
-        let mut out = Vec::with_capacity(documents.len());
-        self.rerank_slots_into(documents, context, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`rerank_slots`](Self::rerank_slots) through a reusable
-    /// [`RerankScratch`], writing the ordering into `out` (cleared first).
-    /// Allocation-free once the scratch has grown to the result-list size;
-    /// output is byte-identical to `rerank_slots`.
-    pub fn rerank_slots_into(
-        &self,
-        documents: &[Document],
-        context: QueryContext,
-        scratch: &mut RerankScratch,
-        out: &mut Vec<usize>,
-    ) {
-        Self::document_stats(documents, &mut scratch.stats);
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_into(&scratch.stats, &mut rng, &mut scratch.buffers, out);
-    }
-
     /// Re-rank from maintained serving state, returning slots in display
     /// order: the full ranking with `k = None`, else its first `min(k, n)`
     /// ranks. This is the one slot-level entry every server path takes —
     /// the [`RankSource`] comes off a [`CorpusCache`] (directly, or through
     /// a [`PublishedVersion`](crate::PublishedVersion)). Given a source
-    /// equivalent to `documents`, the
-    /// output is byte-identical to [`rerank_slots`](Self::rerank_slots)
-    /// (its first `k` entries under engine v1). See
+    /// equivalent to `documents`, the slots name the documents
+    /// [`rerank`](Self::rerank) returns, in its order (its first `k` under
+    /// engine v1). See
     /// [`RandomizedRankPromotion::rank`] for the contract and panics.
     pub fn rerank_source_into<F: Fn(usize) -> bool>(
         &self,
@@ -283,29 +227,17 @@ impl RankPromotionEngine {
     ///
     /// The input order does not matter; popularity and the unexplored flag
     /// drive the result. Duplicated ids are allowed (they are treated as
-    /// distinct result slots).
+    /// distinct result slots). Scans `documents` on every call; servers rank
+    /// from a maintained [`CorpusCache`] through
+    /// [`rerank_source_into`](Self::rerank_source_into) instead.
     pub fn rerank(&self, documents: &[Document], context: QueryContext) -> Vec<u64> {
-        self.rerank_slots(documents, context)
-            .into_iter()
-            .map(|slot| documents[slot].id)
-            .collect()
-    }
-
-    /// Convenience wrapper: re-rank and return `(rank, document)` pairs.
-    ///
-    /// Pairs by result slot, not by id, so duplicated ids keep the same
-    /// "distinct result slots" contract as [`rerank`](Self::rerank): each
-    /// input document appears exactly once, at its promoted rank.
-    pub fn rerank_documents<'a>(
-        &self,
-        documents: &'a [Document],
-        context: QueryContext,
-    ) -> Vec<(usize, &'a Document)> {
-        self.rerank_slots(documents, context)
-            .into_iter()
-            .enumerate()
-            .map(|(idx, slot)| (idx + 1, &documents[slot]))
-            .collect()
+        let mut stats = Vec::with_capacity(documents.len());
+        Self::document_stats(documents, &mut stats);
+        let mut rng = new_rng(context.seed(self.seed));
+        let mut slots = Vec::with_capacity(documents.len());
+        self.policy()
+            .rank_into(&stats, &mut rng, &mut RankBuffers::new(), &mut slots);
+        slots.into_iter().map(|slot| documents[slot].id).collect()
     }
 }
 
@@ -326,6 +258,11 @@ mod tests {
             .collect();
         docs.extend((20..30).map(Document::unexplored));
         docs
+    }
+
+    /// The document ids at `slots`.
+    fn ids(docs: &[Document], slots: &[usize]) -> Vec<u64> {
+        slots.iter().map(|&slot| docs[slot].id).collect()
     }
 
     /// A repaired cache over `docs`, as a batch server keeps one.
@@ -354,6 +291,17 @@ mod tests {
         order.sort_unstable();
         let expected: Vec<u64> = (0..30).collect();
         assert_eq!(order, expected);
+        // Duplicated ids are distinct result slots: none is dropped.
+        let docs = [
+            Document::established(7, 0.9),
+            Document::established(7, 0.3),
+            Document::established(3, 0.6),
+            Document::unexplored(7),
+            Document::unexplored(9),
+        ];
+        let mut order = engine.rerank(&docs, QueryContext::new(4, 2));
+        order.sort_unstable();
+        assert_eq!(order, [3, 7, 7, 7, 9]);
     }
 
     #[test]
@@ -416,77 +364,9 @@ mod tests {
     }
 
     #[test]
-    fn rerank_documents_pairs_ranks_with_documents() {
-        let engine = RankPromotionEngine::default();
-        let docs = corpus();
-        let ranked = engine.rerank_documents(&docs, QueryContext::new(0, 0));
-        assert_eq!(ranked.len(), docs.len());
-        assert_eq!(ranked[0].0, 1);
-        assert_eq!(ranked[0].1.id, 0);
-        assert_eq!(ranked.last().unwrap().0, docs.len());
-    }
-
-    #[test]
     fn empty_input_is_fine() {
         let engine = RankPromotionEngine::recommended();
         assert!(engine.rerank(&[], QueryContext::new(0, 0)).is_empty());
-    }
-
-    #[test]
-    fn rerank_documents_keeps_duplicate_ids_as_distinct_slots() {
-        // Two established results and one unexplored result share id 7 —
-        // hosts may legitimately surface the same document id in several
-        // result slots. Pairing by id used to collapse them onto one
-        // &Document; pairing by slot must keep all three distinct.
-        let docs = vec![
-            Document::established(7, 0.9).with_age(50),
-            Document::established(7, 0.3).with_age(10),
-            Document::established(3, 0.6).with_age(30),
-            Document::unexplored(7),
-            Document::unexplored(9),
-        ];
-        let engine = RankPromotionEngine::new(
-            PromotionConfig::new(PromotionRule::Selective, 1, 0.5).unwrap(),
-        );
-        let ranked = engine.rerank_documents(&docs, QueryContext::new(4, 2));
-
-        assert_eq!(ranked.len(), docs.len(), "no slot may be dropped");
-        let ranks: Vec<usize> = ranked.iter().map(|&(rank, _)| rank).collect();
-        assert_eq!(ranks, vec![1, 2, 3, 4, 5]);
-        // Every input slot appears exactly once: compare by address, since
-        // ids are intentionally ambiguous.
-        let mut seen: Vec<*const Document> =
-            ranked.iter().map(|&(_, d)| d as *const Document).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(
-            seen.len(),
-            docs.len(),
-            "duplicate ids must stay distinct slots"
-        );
-        // The slot order matches rerank()'s id order exactly.
-        let ids: Vec<u64> = ranked.iter().map(|&(_, d)| d.id).collect();
-        assert_eq!(ids, engine.rerank(&docs, QueryContext::new(4, 2)));
-        // And the popularity-distinct duplicates keep their own payloads:
-        // the 0.9-popularity copy of id 7 outranks the 0.3-popularity copy.
-        let pos_of = |popularity: f64| {
-            ranked
-                .iter()
-                .find(|&&(_, d)| d.id == 7 && (d.popularity - popularity).abs() < 1e-12)
-                .map(|&(rank, _)| rank)
-                .unwrap()
-        };
-        assert!(pos_of(0.9) < pos_of(0.3));
-    }
-
-    #[test]
-    fn rerank_slots_is_the_common_primitive() {
-        let docs = corpus();
-        let ctx = QueryContext::new(11, 5);
-        let engine = RankPromotionEngine::recommended();
-        let slots = engine.rerank_slots(&docs, ctx);
-        let ids: Vec<u64> = slots.iter().map(|&s| docs[s].id).collect();
-        assert_eq!(ids, engine.rerank(&docs, ctx));
     }
 
     #[test]
@@ -513,12 +393,16 @@ mod tests {
         let mut cached = Vec::new();
         for q in 0..40u64 {
             let ctx = QueryContext::new(q, q.wrapping_mul(77));
-            let scan = engine.rerank_slots(&docs, ctx);
+            let scan = engine.rerank(&docs, ctx);
             engine.rerank_source_into(source, None, ctx, &mut buffers, &mut cached);
-            assert_eq!(cached, scan, "full cached, q={q}");
+            assert_eq!(ids(&docs, &cached), scan, "full cached, q={q}");
             for k in [0usize, 1, 2, 5, 10, 30, 99] {
                 engine.rerank_source_into(source, Some(k), ctx, &mut buffers, &mut cached);
-                assert_eq!(cached, scan[..k.min(scan.len())], "cached k={k}, q={q}");
+                assert_eq!(
+                    ids(&docs, &cached),
+                    scan[..k.min(scan.len())],
+                    "cached k={k}, q={q}"
+                );
             }
         }
     }
@@ -540,7 +424,7 @@ mod tests {
             let mut merged = Vec::new();
             for q in 0..20u64 {
                 let ctx = QueryContext::new(q, q.wrapping_mul(77));
-                let scan = engine.rerank_slots(&docs, ctx);
+                let scan = engine.rerank(&docs, ctx);
                 engine.rerank_merged_into(
                     pool.members(),
                     cache.order(),
@@ -549,7 +433,7 @@ mod tests {
                     &mut buffers,
                     &mut merged,
                 );
-                assert_eq!(merged, scan, "full merged, q={q}");
+                assert_eq!(ids(&docs, &merged), scan, "full merged, q={q}");
                 if !engine.reads_pool_index() {
                     continue;
                 }
@@ -569,7 +453,11 @@ mod tests {
                         &mut buffers,
                         &mut merged,
                     );
-                    assert_eq!(merged, scan[..k.min(scan.len())], "retrieved k={k}, q={q}");
+                    assert_eq!(
+                        ids(&docs, &merged),
+                        scan[..k.min(scan.len())],
+                        "retrieved k={k}, q={q}"
+                    );
                 }
             }
         }
@@ -610,8 +498,7 @@ mod tests {
                 &mut buffers,
                 &mut retrieved,
             );
-            let retrieved_ids: Vec<u64> = retrieved.iter().map(|&s| docs[s].id).collect();
-            assert_eq!(retrieved_ids, top, "retrieved≡rerank_top_k, q={q}");
+            assert_eq!(ids(&docs, &retrieved), top, "retrieved≡rerank_top_k, q={q}");
             if top != v1.rerank_top_k(&docs, ctx, k) {
                 diverged = true;
             }
@@ -658,30 +545,5 @@ mod tests {
         for (slot, d) in docs.iter().enumerate() {
             assert_eq!(stats[slot], RankPromotionEngine::document_stat(slot, d));
         }
-    }
-
-    #[test]
-    fn scratch_and_presorted_paths_match_the_allocating_path() {
-        let docs = corpus();
-        let engine = RankPromotionEngine::recommended().with_seed(3);
-
-        // The sorted source built once, as a batch server would.
-        let cache = cache_of(&docs);
-        let source = cache.source();
-
-        let mut scratch = RerankScratch::with_capacity(docs.len());
-        let mut buffers = RankBuffers::new();
-        let mut out = Vec::new();
-        for q in 0..50u64 {
-            let ctx = QueryContext::new(q, q ^ 0xABCD);
-            let expected = engine.rerank_slots(&docs, ctx);
-
-            engine.rerank_slots_into(&docs, ctx, &mut scratch, &mut out);
-            assert_eq!(out, expected, "scratch path, query {q}");
-
-            engine.rerank_source_into(source, None, ctx, &mut buffers, &mut out);
-            assert_eq!(out, expected, "presorted path, query {q}");
-        }
-        assert_eq!(engine.seed(), 3);
     }
 }

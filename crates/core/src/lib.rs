@@ -17,7 +17,11 @@
 //! * [`RankPromotionEngine`] — the embeddable re-ranker: hand it your query
 //!   results (popularity score + "unexplored" flag per document) and a
 //!   query/session context, get back the promoted ordering. Deterministic
-//!   per session, different across sessions.
+//!   per session, different across sessions. [`RankPromotionEngine::rerank`]
+//!   scans the documents on every call; a server keeps a [`CorpusCache`]
+//!   (or a [`ShardedCorpusCache`]) repaired across mutations and ranks from
+//!   it with [`RankPromotionEngine::rerank_source_into`], which reuses the
+//!   caller's buffers.
 //! * [`ParameterAdvisor`] — evaluates the paper's analytic model for *your*
 //!   community's characteristics (pages, users, visit rate, page lifetime)
 //!   and predicts how much promotion would help and with which parameters.
@@ -57,7 +61,7 @@ pub mod shardcache;
 
 pub use advisor::{Advice, CandidateOutcome, ParameterAdvisor};
 pub use document::{Document, QueryContext};
-pub use engine::{RankPromotionEngine, RerankScratch};
+pub use engine::RankPromotionEngine;
 pub use shardcache::{PublishedVersion, ShardedCorpusCache, TierCapture};
 
 // Re-export the supporting crates under stable module names so downstream

@@ -136,7 +136,11 @@ mod tests {
     #[test]
     fn damping_ablation_is_stable() {
         let report = ablation_solver_damping(&ExperimentOptions::tiny(2));
-        let series = report.series_named("selective (r=0.1, k=1)").unwrap();
+        let series = report
+            .series
+            .iter()
+            .find(|s| s.name == "selective (r=0.1, k=1)")
+            .unwrap();
         let values: Vec<f64> = series.points.iter().map(|&(_, q)| q).collect();
         let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = values.iter().cloned().fold(0.0, f64::max);

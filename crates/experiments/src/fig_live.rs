@@ -79,7 +79,11 @@ mod tests {
     #[test]
     fn figure1_shows_an_improvement() {
         let report = figure1(&ExperimentOptions::tiny(7));
-        let ratios = report.series_named("funny-vote ratio").unwrap();
+        let ratios = report
+            .series
+            .iter()
+            .find(|s| s.name == "funny-vote ratio")
+            .unwrap();
         let without = ratios.y_at(0.0).unwrap();
         let with = ratios.y_at(1.0).unwrap();
         assert!(without > 0.0 && without < 1.0);

@@ -160,7 +160,11 @@ mod tests {
         }
         // The analytic model is deterministic and shows the paper's
         // direction even at tiny scale: more randomization, better QPC.
-        let analytic = report.series_named("Selective (analysis)").unwrap();
+        let analytic = report
+            .series
+            .iter()
+            .find(|s| s.name == "Selective (analysis)")
+            .unwrap();
         assert!(analytic.y_at(0.2).unwrap() >= analytic.y_at(0.0).unwrap());
         // Note: the *simulated* comparison is intentionally not asserted at
         // tiny scale (m = 4 monitored users is outside the entrenchment

@@ -293,7 +293,17 @@ mod tests {
     fn figure4a_orders_the_three_schemes() {
         let report = figure4a(&ExperimentOptions::tiny(4));
         assert_eq!(report.series.len(), 3);
-        let at_end = |name: &str| report.series_named(name).unwrap().points.last().unwrap().1;
+        let at_end = |name: &str| {
+            report
+                .series
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap()
+                .points
+                .last()
+                .unwrap()
+                .1
+        };
         let selective = at_end("Selective randomization");
         let none = at_end("No randomization");
         assert!(

@@ -47,8 +47,8 @@ pub use fig_tradeoff::{figure2, figure3, figure4a, figure4b};
 pub use options::{ExperimentOptions, Scale};
 pub use report::{FigureReport, Series};
 pub use runner::SweepExecutor;
-// `sweep::parallel_map` is deliberately not re-exported: drivers must go
-// through `SweepExecutor`, which owns per-cell stream derivation.
+// Drivers go through `SweepExecutor`, which owns per-cell stream
+// derivation, never through the sweep helpers directly.
 pub use sweep::{parallel_map_with_workers, worker_threads};
 
 /// A figure driver: options in, reproduced figure out.

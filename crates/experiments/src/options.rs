@@ -1,10 +1,9 @@
 //! Experiment options shared by every figure driver.
 
 use rrp_model::CommunityConfig;
-use serde::{Deserialize, Serialize};
 
 /// How large the experiments run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Minimal scale for unit/integration tests: a few hundred pages and a
     /// few hundred simulated days. Fast even in debug builds, but noisy.
@@ -19,7 +18,7 @@ pub enum Scale {
 }
 
 /// Options controlling experiment scale and reproducibility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentOptions {
     /// Experiment scale.
     pub scale: Scale,
@@ -38,21 +37,35 @@ impl Default for ExperimentOptions {
 
 impl ExperimentOptions {
     /// Read options from the environment: `RRP_FULL_SWEEP=1` selects
-    /// [`Scale::Full`], `RRP_SEED=<u64>` overrides the seed.
+    /// [`Scale::Full`] (`0` or unset keeps [`Scale::Quick`]), and
+    /// `RRP_SEED=<u64>` overrides the seed.
+    ///
+    /// # Panics
+    /// Panics on any other value of either variable, naming the variable and
+    /// the value, so a typo never runs a figure at another scale or seed.
     pub fn from_env() -> Self {
+        let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        Self::parse(var("RRP_FULL_SWEEP").as_deref(), var("RRP_SEED").as_deref())
+            .unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// [`from_env`](Self::from_env)'s parsing, given each variable's value
+    /// (`None` when unset).
+    fn parse(full_sweep: Option<&str>, seed: Option<&str>) -> Result<Self, String> {
         let mut options = ExperimentOptions::default();
-        if std::env::var("RRP_FULL_SWEEP")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
-            options.scale = Scale::Full;
-        }
-        if let Ok(seed) = std::env::var("RRP_SEED") {
-            if let Ok(seed) = seed.parse() {
-                options.seed = seed;
+        match full_sweep {
+            None | Some("0") => {}
+            Some("1") => options.scale = Scale::Full,
+            Some(other) => {
+                return Err(format!("invalid RRP_FULL_SWEEP {other:?}: expected 0 or 1"))
             }
         }
-        options
+        if let Some(seed) = seed {
+            options.seed = seed.parse().map_err(|_| {
+                format!("invalid RRP_SEED {seed:?}: expected an unsigned 64-bit integer")
+            })?;
+        }
+        Ok(options)
     }
 
     /// Quick-scale options with an explicit seed.
@@ -150,13 +163,40 @@ mod tests {
     }
 
     #[test]
+    fn environment_values_parse_in_their_valid_forms() {
+        let parse = |full, seed| ExperimentOptions::parse(full, seed).unwrap();
+        assert_eq!(parse(None, None), ExperimentOptions::default());
+        assert_eq!(parse(Some("0"), None).scale, Scale::Quick);
+        assert_eq!(parse(Some("1"), None).scale, Scale::Full);
+        assert_eq!(parse(None, Some("0")).seed, 0);
+        assert_eq!(parse(None, Some("777")), ExperimentOptions::quick(777));
+        assert_eq!(parse(None, Some("18446744073709551615")).seed, u64::MAX);
+        let full = parse(Some("1"), Some("20050304"));
+        assert_eq!((full.scale, full.seed), (Scale::Full, 20_050_304));
+    }
+
+    #[test]
+    fn malformed_environment_values_are_refused_by_name_and_value() {
+        for seed in ["abc", "", "-1", "18446744073709551616", "true", "2005O304"] {
+            let message = ExperimentOptions::parse(None, Some(seed)).unwrap_err();
+            assert!(message.contains("RRP_SEED"), "{message}");
+            assert!(message.contains(&format!("{seed:?}")), "{message}");
+        }
+        for full in ["true", "", "2", "yes", " 1"] {
+            let message = ExperimentOptions::parse(Some(full), None).unwrap_err();
+            assert!(message.contains("RRP_FULL_SWEEP"), "{message}");
+            assert!(message.contains(&format!("{full:?}")), "{message}");
+        }
+    }
+
+    #[test]
     fn quick_community_preserves_paper_proportions() {
         let quick = ExperimentOptions::quick(1).default_community();
         assert_eq!(quick.pages(), 2_000);
         assert_eq!(quick.users(), 200);
         assert_eq!(quick.monitored_users(), 20);
         assert_eq!(quick.total_visits_per_day(), 200.0);
-        assert!((quick.visits_per_page_per_day() - 0.1).abs() < 1e-12);
+        assert!((quick.total_visits_per_day() / quick.pages() as f64 - 0.1).abs() < 1e-12);
         assert!((quick.expected_lifetime_days() - 547.5).abs() < 1e-9);
     }
 

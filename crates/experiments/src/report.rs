@@ -3,13 +3,12 @@
 //! Every experiment driver returns a [`FigureReport`]: a set of named data
 //! series plus axis labels and free-form notes (including the paper's
 //! qualitative expectation, so the generated output can be eyeballed
-//! against it). Reports render to aligned markdown tables and to CSV.
+//! against it). Reports render to aligned markdown tables.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One named data series: `(x, y)` points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Display name (e.g. `"Selective (simulation)"`).
     pub name: String,
@@ -26,7 +25,7 @@ impl Series {
         }
     }
 
-    /// Look up the y value at an exact x (used by tests).
+    /// Look up the y value at an exact x.
     pub fn y_at(&self, x: f64) -> Option<f64> {
         self.points
             .iter()
@@ -36,7 +35,7 @@ impl Series {
 }
 
 /// A reproduced figure or table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureReport {
     /// Identifier matching the paper ("Figure 5", "Figure 7(a)", …).
     pub id: String,
@@ -80,11 +79,6 @@ impl FigureReport {
     pub fn push_note(&mut self, note: impl Into<String>) -> &mut Self {
         self.notes.push(note.into());
         self
-    }
-
-    /// Find a series by name.
-    pub fn series_named(&self, name: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.name == name)
     }
 
     /// The sorted union of all x values across series.
@@ -136,26 +130,6 @@ impl FigureReport {
         }
         out
     }
-
-    /// Render as CSV: `x,series,value` rows.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("x,series,value\n");
-        for s in &self.series {
-            for &(x, y) in &s.points {
-                let _ = writeln!(out, "{x},{},{y}", csv_escape(&s.name));
-            }
-        }
-        out
-    }
-}
-
-/// Quote a CSV field when needed.
-fn csv_escape(field: &str) -> String {
-    if field.contains(',') || field.contains('"') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_owned()
-    }
 }
 
 #[cfg(test)]
@@ -184,8 +158,6 @@ mod tests {
     fn x_grid_is_sorted_union() {
         let r = sample();
         assert_eq!(r.x_grid(), vec![0.0, 0.1, 0.2]);
-        assert!(r.series_named("baseline").is_some());
-        assert!(r.series_named("missing").is_none());
     }
 
     #[test]
@@ -196,21 +168,5 @@ mod tests {
         assert!(md.contains("0.8000"));
         assert!(md.contains("—"), "missing values are rendered as a dash");
         assert!(md.contains("> paper expectation"));
-    }
-
-    #[test]
-    fn csv_roundtrips_every_point() {
-        let csv = sample().to_csv();
-        let lines: Vec<&str> = csv.trim().lines().collect();
-        assert_eq!(lines[0], "x,series,value");
-        assert_eq!(lines.len(), 1 + 2 + 3);
-        assert!(lines.iter().any(|l| l.starts_with("0.2,promoted,")));
-    }
-
-    #[test]
-    fn csv_escaping() {
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
     }
 }

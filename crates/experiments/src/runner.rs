@@ -4,7 +4,7 @@
 //! parameter)` cells. Two properties must hold at once:
 //!
 //! 1. **Parallelism** — cells are independent simulations, so they should
-//!    fan out across all cores ([`crate::sweep::parallel_map`]).
+//!    fan out across all cores ([`crate::sweep::parallel_map_with_workers`]).
 //! 2. **Determinism** — the random stream a cell consumes must depend only
 //!    on *what the cell is*, never on which worker ran it, how the grid was
 //!    enumerated, or which other cells exist. Adding a grid point must not

@@ -6,10 +6,10 @@
 //! `std::thread::scope` so the closure can borrow from the caller without
 //! `'static` bounds; no external thread-pool crate is needed.
 //!
-//! Determinism: `parallel_map` only schedules work — each cell's RNG seed is
-//! derived from stable identifiers (see [`crate::runner`]), never from the
-//! execution order — so the parallel and serial paths produce bit-identical
-//! results. With `RRP_THREADS=1`, everything runs serially on the calling
+//! Determinism: [`parallel_map_with_workers`] only schedules work — each
+//! cell's RNG seed is derived from stable identifiers (see
+//! [`crate::runner`]), never from the execution order — so the parallel and
+//! serial paths produce bit-identical results. With `RRP_THREADS=1`, everything runs serially on the calling
 //! thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,20 +28,10 @@ pub fn worker_threads() -> usize {
         .unwrap_or(4)
 }
 
-/// Apply `f` to every item, running up to [`worker_threads`] items
-/// concurrently, and return the results in input order.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_with_workers(items, worker_threads(), f)
-}
-
-/// [`parallel_map`] with an explicit worker count; `workers <= 1` runs
-/// serially on the calling thread. Exposed so determinism tests can compare
-/// the serial and threaded paths directly.
+/// Apply `f` to every item, running up to `workers` items concurrently
+/// (the figure drivers pass [`worker_threads`]), and return the results in
+/// input order. `workers <= 1` runs serially on the calling thread, so
+/// determinism tests can compare the serial and threaded paths directly.
 pub fn parallel_map_with_workers<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -89,7 +79,7 @@ mod tests {
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(items, |&x| x * x);
+        let out = parallel_map_with_workers(items, 4, |&x| x * x);
         assert_eq!(out.len(), 100);
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, (i as u64) * (i as u64));
@@ -100,7 +90,7 @@ mod tests {
     fn runs_every_item_exactly_once() {
         let counter = AtomicUsize::new(0);
         let items: Vec<usize> = (0..57).collect();
-        let out = parallel_map(items, |&x| {
+        let out = parallel_map_with_workers(items, 4, |&x| {
             counter.fetch_add(1, Ordering::SeqCst);
             x + 1
         });
@@ -110,20 +100,20 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let out: Vec<u32> = parallel_map(Vec::<u32>::new(), |&x| x);
+        let out: Vec<u32> = parallel_map_with_workers(Vec::<u32>::new(), 4, |&x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn closure_can_borrow_caller_state() {
         let offset = 10_u64;
-        let out = parallel_map(vec![1_u64, 2, 3], |&x| x + offset);
+        let out = parallel_map_with_workers(vec![1_u64, 2, 3], 4, |&x| x + offset);
         assert_eq!(out, vec![11, 12, 13]);
     }
 
     #[test]
     fn single_item_uses_sequential_path() {
-        let out = parallel_map(vec![41_u64], |&x| x + 1);
+        let out = parallel_map_with_workers(vec![41_u64], 4, |&x| x + 1);
         assert_eq!(out, vec![42]);
     }
 

@@ -1,7 +1,6 @@
 //! Configuration of the live-study reproduction (Appendix A).
 
 use rrp_model::{ModelError, ModelResult};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the jokes/quotations user study.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// participants split randomly into two groups, and rank promotion (for the
 /// treatment group only) that inserts never-viewed items in random order
 /// starting at rank position 21.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudyConfig {
     /// Number of accessible items at any time (1,000 in the paper).
     pub items: usize,

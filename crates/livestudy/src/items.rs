@@ -7,10 +7,9 @@
 
 use rand::Rng;
 use rrp_model::{assign_qualities, Rng64, UniformQuality};
-use serde::{Deserialize, Serialize};
 
 /// One joke/quotation item. Funniness plays the role of intrinsic quality.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Item {
     /// Funniness in `[0, 1]` — the probability a visitor who rates the item
     /// rates it "funny".
@@ -22,7 +21,7 @@ pub struct Item {
 }
 
 /// Per-group statistics for one item.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GroupItemStats {
     /// Number of "funny" votes from this group (the popularity measure).
     pub funny_votes: u32,
@@ -40,7 +39,7 @@ impl GroupItemStats {
 }
 
 /// The shared item pool.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ItemPool {
     items: Vec<Item>,
     lifetime_days: u64,

@@ -20,10 +20,9 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rrp_attention::RankBias;
 use rrp_model::{new_rng, Rng64};
-use serde::{Deserialize, Serialize};
 
 /// The two experimental arms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Group {
     /// Strict ranking by the group's funny-vote counts.
     Control,
@@ -39,15 +38,10 @@ impl Group {
             Group::Promoted => 1,
         }
     }
-
-    /// Both groups.
-    pub fn both() -> [Group; 2] {
-        [Group::Control, Group::Promoted]
-    }
 }
 
 /// Vote tallies for one group over the measurement window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VoteTally {
     /// "Funny" votes.
     pub funny: u64,
@@ -68,7 +62,7 @@ impl VoteTally {
 
 /// Outcome of the study: the per-group funny-vote ratios over the
 /// measurement window (the two bars of Figure 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudyOutcome {
     /// Measurement-window tally for the control group.
     pub control: VoteTally,
@@ -279,7 +273,6 @@ mod tests {
     fn group_indexing() {
         assert_eq!(Group::Control.index(), 0);
         assert_eq!(Group::Promoted.index(), 1);
-        assert_eq!(Group::both().len(), 2);
     }
 
     #[test]

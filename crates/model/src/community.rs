@@ -18,13 +18,12 @@
 
 use crate::error::{ModelError, ModelResult};
 use crate::time::years_to_days;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one Web community.
 ///
 /// Construct with [`CommunityConfig::builder`] or use
 /// [`CommunityConfig::paper_default`] for the paper's default scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommunityConfig {
     /// Number of pages in the community (`n = |P|`).
     pages: usize,
@@ -96,19 +95,6 @@ impl CommunityConfig {
     #[inline]
     pub fn retirement_rate(&self) -> f64 {
         1.0 / self.expected_lifetime_days
-    }
-
-    /// Fraction of users that are monitored, `m / u`.
-    #[inline]
-    pub fn monitored_fraction(&self) -> f64 {
-        self.monitored_users as f64 / self.users as f64
-    }
-
-    /// Average number of daily visits per page, `v_u / n` — the paper's
-    /// Section 7.3 discusses regimes of this quantity.
-    #[inline]
-    pub fn visits_per_page_per_day(&self) -> f64 {
-        self.total_visits_per_day / self.pages as f64
     }
 
     /// Validate the internal consistency of the configuration.
@@ -233,8 +219,6 @@ mod tests {
         assert!((c.monitored_visits_per_day() - 100.0).abs() < 1e-9);
         assert!((c.expected_lifetime_days() - 547.5).abs() < 1e-9);
         assert!((c.retirement_rate() - 1.0 / 547.5).abs() < 1e-12);
-        assert!((c.monitored_fraction() - 0.1).abs() < 1e-12);
-        assert!((c.visits_per_page_per_day() - 0.1).abs() < 1e-12);
         assert!(c.validate().is_ok());
         assert_eq!(CommunityConfig::default(), c);
     }
@@ -297,14 +281,6 @@ mod tests {
         assert_eq!(c.pages(), 10);
         assert!(c.monitored_users() >= 1);
         assert!(c.monitored_users() <= c.users());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = CommunityConfig::paper_default();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: CommunityConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 use crate::error::{ModelError, ModelResult};
 use crate::scalar::Quality;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A distribution over page-quality values in `[0, 1]`.
 pub trait QualityDistribution {
@@ -68,7 +67,7 @@ pub trait QualityDistribution {
 /// graph) the overwhelming majority of pages have quality near `q_min`
 /// while a single page per ~n reaches the neighbourhood of `q_max`,
 /// matching the paper's qualitative description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawQuality {
     /// Power-law exponent `α > 0` (density exponent is `-(α+1)`).
     alpha: f64,
@@ -154,7 +153,7 @@ impl QualityDistribution for PowerLawQuality {
 /// Rank-based Zipf quality: when used through [`assign_qualities`], page at
 /// quantile position `u` gets quality `q_max / rank^s` where `rank` is the
 /// page's position counted from the best page.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZipfQuality {
     /// Zipf exponent `s > 0`.
     s: f64,
@@ -208,7 +207,7 @@ impl QualityDistribution for ZipfQuality {
 }
 
 /// Uniform quality on `[lo, hi]` — a baseline without a heavy tail.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UniformQuality {
     lo: f64,
     hi: f64,
@@ -248,7 +247,7 @@ impl QualityDistribution for UniformQuality {
 
 /// Every page has the same quality — the degenerate case used in unit tests
 /// where quality differences must not matter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstantQuality {
     q: f64,
 }

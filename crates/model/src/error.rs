@@ -103,14 +103,6 @@ pub fn ensure_positive(what: &'static str, value: f64) -> ModelResult<f64> {
     Ok(value)
 }
 
-/// Validate that `value` is non-zero.
-pub fn ensure_nonzero(what: &'static str, value: usize) -> ModelResult<usize> {
-    if value == 0 {
-        return Err(ModelError::ZeroCount { what });
-    }
-    Ok(value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,15 +148,6 @@ mod tests {
         assert!(matches!(
             ensure_positive("x", -3.0),
             Err(ModelError::NonPositive { .. })
-        ));
-    }
-
-    #[test]
-    fn nonzero_count() {
-        assert_eq!(ensure_nonzero("pages", 5), Ok(5));
-        assert!(matches!(
-            ensure_nonzero("pages", 0),
-            Err(ModelError::ZeroCount { .. })
         ));
     }
 

@@ -1,10 +1,10 @@
-//! Identifier newtypes for pages and users.
+//! Identifier newtype for pages.
 //!
 //! Using dedicated newtypes (instead of bare `usize`/`u64`) prevents an
-//! entire class of index-confusion bugs in the simulator, where page indices
-//! and user indices are both dense integers.
+//! entire class of index-confusion bugs in the simulator, where page ids
+//! and page slots are both dense integers.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a Web page within a community (`p ∈ P` in the paper).
@@ -13,7 +13,7 @@ use std::fmt;
 /// by `0..n`. When a page is retired and replaced (Section 5.1 of the paper),
 /// the replacement *reuses* the same slot but receives a fresh [`PageId`], so
 /// ids are unique across the lifetime of a simulation while slots stay dense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct PageId(pub u64);
 
 impl PageId {
@@ -48,45 +48,9 @@ impl From<PageId> for u64 {
     }
 }
 
-/// Identifier of a user within a community (`∈ U` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct UserId(pub u64);
-
-impl UserId {
-    /// Construct a user id from a raw integer.
-    #[inline]
-    pub const fn new(raw: u64) -> Self {
-        UserId(raw)
-    }
-
-    /// The raw integer value.
-    #[inline]
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for UserId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "user#{}", self.0)
-    }
-}
-
-impl From<u64> for UserId {
-    fn from(raw: u64) -> Self {
-        UserId(raw)
-    }
-}
-
-impl From<UserId> for u64 {
-    fn from(id: UserId) -> Self {
-        id.0
-    }
-}
-
 /// Monotonically increasing id generator used by the simulator when pages
 /// are retired and replaced.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PageIdGenerator {
     next: u64,
 }
@@ -130,18 +94,8 @@ mod tests {
     }
 
     #[test]
-    fn user_id_roundtrip() {
-        let id = UserId::new(7);
-        assert_eq!(id.raw(), 7);
-        assert_eq!(u64::from(id), 7);
-        assert_eq!(UserId::from(7u64), id);
-        assert_eq!(id.to_string(), "user#7");
-    }
-
-    #[test]
     fn ids_order_by_raw_value() {
         assert!(PageId::new(1) < PageId::new(2));
-        assert!(UserId::new(9) > UserId::new(3));
     }
 
     #[test]
@@ -168,7 +122,5 @@ mod tests {
         let id = PageId::new(5);
         let json = serde_json::to_string(&id).unwrap();
         assert_eq!(json, "5");
-        let back: PageId = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, id);
     }
 }

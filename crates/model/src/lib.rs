@@ -5,7 +5,7 @@
 //! Search Engine Results"* (Pandey, Roy, Olston, Cho, Chakrabarti, 2005).
 //! It contains the vocabulary shared by every other crate:
 //!
-//! * [`PageId`] / [`UserId`] — identifier newtypes;
+//! * [`PageId`] — the page identifier newtype;
 //! * [`Quality`], [`Awareness`], [`Popularity`] — the unit-interval scalars
 //!   of the paper's popularity model `P(p,t) = A(p,t) · Q(p)` (Equation 1);
 //! * [`CommunityConfig`] — the community characteristics of Table 1 /
@@ -49,8 +49,8 @@ pub use distribution::{
     UniformQuality, ZipfQuality,
 };
 pub use error::{ModelError, ModelResult};
-pub use ids::{PageId, PageIdGenerator, UserId};
+pub use ids::{PageId, PageIdGenerator};
 pub use lifetime::LifetimeModel;
 pub use scalar::{popularity, Awareness, Popularity, Quality};
 pub use seed::{new_rng, splitmix64, Rng64, SeedSequence};
-pub use time::{days_to_years, years_to_days, Day, SimClock, DAYS_PER_YEAR};
+pub use time::{years_to_days, Day, SimClock, DAYS_PER_YEAR};

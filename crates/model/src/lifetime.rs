@@ -6,22 +6,15 @@
 //! takes its place, keeping both the community size and the quality
 //! distribution stationary.
 //!
-//! The simulator uses this module in one of two modes:
-//!
-//! * **Sampled** — each page draws an exponential lifetime at birth and is
-//!   retired when it expires (what a discrete event simulation would do).
-//! * **Memoryless per-day retirement** — each day every page independently
-//!   retires with probability `1 − exp(−λ)` (`≈ λ` for small `λ`). Because
-//!   the exponential distribution is memoryless the two modes are
-//!   statistically identical; the second is what the expected-value
-//!   simulator uses.
+//! The simulator retires pages memorylessly: each day every page retires
+//! with probability `1 − exp(−λ)` (`≈ λ` for small `λ`). Because the
+//! exponential distribution is memoryless, this is statistically identical
+//! to drawing an exponential lifetime at birth.
 
 use crate::error::{ensure_positive, ModelResult};
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Exponential page-lifetime model with mean `expected_lifetime_days`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifetimeModel {
     /// Mean lifetime in days (`l`).
     expected_lifetime_days: f64,
@@ -54,34 +47,11 @@ impl LifetimeModel {
     pub fn daily_retirement_probability(&self) -> f64 {
         1.0 - (-self.rate()).exp()
     }
-
-    /// Probability that a page survives at least `days` days,
-    /// `exp(−λ · days)`.
-    #[inline]
-    pub fn survival_probability(&self, days: f64) -> f64 {
-        (-self.rate() * days.max(0.0)).exp()
-    }
-
-    /// Draw a random lifetime (in days, continuous) from the exponential
-    /// distribution via inverse-CDF sampling.
-    pub fn sample_lifetime_days<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // u ∈ (0, 1]; -ln(u)·l is Exp(λ) distributed.
-        let u: f64 = 1.0 - rng.gen::<f64>(); // avoid ln(0)
-        -u.ln() * self.expected_lifetime_days
-    }
-
-    /// Decide whether a page retires today, flipping a coin with the daily
-    /// retirement probability.
-    pub fn retires_today<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.gen::<f64>() < self.daily_retirement_probability()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn rejects_non_positive_lifetime() {
@@ -104,53 +74,5 @@ mod tests {
         let p = m.daily_retirement_probability();
         assert!((p - m.rate()).abs() < 1e-5, "1 - exp(-λ) ≈ λ for small λ");
         assert!(p > 0.0 && p < 1.0);
-    }
-
-    #[test]
-    fn survival_probability_decays() {
-        let m = LifetimeModel::new(100.0).unwrap();
-        assert_eq!(m.survival_probability(0.0), 1.0);
-        assert!((m.survival_probability(100.0) - (-1.0f64).exp()).abs() < 1e-12);
-        assert!(m.survival_probability(1000.0) < m.survival_probability(10.0));
-        // Negative durations are clamped to zero (survival = 1).
-        assert_eq!(m.survival_probability(-5.0), 1.0);
-    }
-
-    #[test]
-    fn sampled_lifetime_mean_close_to_expected() {
-        let m = LifetimeModel::new(100.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(42);
-        let samples = 50_000;
-        let mean: f64 = (0..samples)
-            .map(|_| m.sample_lifetime_days(&mut rng))
-            .sum::<f64>()
-            / samples as f64;
-        assert!(
-            (mean - 100.0).abs() < 2.0,
-            "empirical mean {mean} should be within 2 days of 100"
-        );
-    }
-
-    #[test]
-    fn sampled_lifetimes_are_positive() {
-        let m = LifetimeModel::new(30.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..10_000 {
-            assert!(m.sample_lifetime_days(&mut rng) >= 0.0);
-        }
-    }
-
-    #[test]
-    fn retirement_frequency_matches_probability() {
-        let m = LifetimeModel::new(10.0).unwrap();
-        let p = m.daily_retirement_probability();
-        let mut rng = StdRng::seed_from_u64(5);
-        let trials = 100_000;
-        let retired = (0..trials).filter(|_| m.retires_today(&mut rng)).count();
-        let freq = retired as f64 / trials as f64;
-        assert!(
-            (freq - p).abs() < 0.01,
-            "empirical retirement frequency {freq} vs probability {p}"
-        );
     }
 }

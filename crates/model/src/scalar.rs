@@ -15,22 +15,18 @@
 //! All three validate their range on construction and are `Copy`.
 
 use crate::error::{ensure_unit_interval, ModelError, ModelResult};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 macro_rules! unit_scalar {
     ($(#[$doc:meta])* $name:ident, $label:expr) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-        #[serde(transparent)]
+        #[derive(Debug, Clone, Copy, PartialEq)]
         pub struct $name(f64);
 
         impl $name {
             /// The smallest admissible value, `0.0`.
             pub const ZERO: $name = $name(0.0);
-            /// The largest admissible value, `1.0`.
-            pub const ONE: $name = $name(1.0);
 
             /// Construct a validated value; errors unless `value ∈ [0, 1]`
             /// and finite.
@@ -55,12 +51,6 @@ macro_rules! unit_scalar {
             #[inline]
             pub const fn value(self) -> f64 {
                 self.0
-            }
-
-            /// Whether the value is exactly zero.
-            #[inline]
-            pub fn is_zero(self) -> bool {
-                self.0 == 0.0
             }
         }
 
@@ -132,25 +122,6 @@ impl Quality {
     pub const PAPER_MAX: Quality = Quality(0.4);
 }
 
-impl Awareness {
-    /// Awareness measured over `m` monitored users is always a multiple of
-    /// `1/m`; this constructs the awareness level `i/m`.
-    pub fn of_fraction(aware_users: usize, monitored_users: usize) -> ModelResult<Self> {
-        if monitored_users == 0 {
-            return Err(ModelError::ZeroCount {
-                what: "monitored users",
-            });
-        }
-        if aware_users > monitored_users {
-            return Err(ModelError::OutOfUnitInterval {
-                what: "awareness",
-                value: aware_users as f64 / monitored_users as f64,
-            });
-        }
-        Ok(Awareness(aware_users as f64 / monitored_users as f64))
-    }
-}
-
 impl Popularity {
     /// Popularity is the product of awareness and quality (Equation 1).
     pub fn from_awareness_and_quality(awareness: Awareness, quality: Quality) -> Self {
@@ -202,7 +173,7 @@ mod tests {
     #[test]
     fn popularity_of_zero_awareness_is_zero() {
         let p = popularity(Awareness::ZERO, Quality::PAPER_MAX);
-        assert!(p.is_zero());
+        assert_eq!(p.value(), 0.0);
     }
 
     #[test]
@@ -212,16 +183,6 @@ mod tests {
             let a = Awareness::new(i as f64 / 10.0).unwrap();
             assert!(popularity(a, q) <= Popularity::new(q.value()).unwrap());
         }
-    }
-
-    #[test]
-    fn awareness_of_fraction() {
-        let a = Awareness::of_fraction(25, 100).unwrap();
-        assert!((a.value() - 0.25).abs() < 1e-12);
-        assert!(Awareness::of_fraction(101, 100).is_err());
-        assert!(Awareness::of_fraction(1, 0).is_err());
-        assert_eq!(Awareness::of_fraction(0, 100).unwrap(), Awareness::ZERO);
-        assert_eq!(Awareness::of_fraction(100, 100).unwrap(), Awareness::ONE);
     }
 
     #[test]
@@ -236,7 +197,7 @@ mod tests {
             v.iter().map(|q| q.value()).collect::<Vec<_>>(),
             vec![0.1, 0.5, 0.9]
         );
-        assert!(Quality::ZERO < Quality::ONE);
+        assert!(Quality::ZERO < Quality::PAPER_MAX);
     }
 
     #[test]
@@ -250,13 +211,5 @@ mod tests {
     #[test]
     fn display_is_fixed_precision() {
         assert_eq!(Quality::PAPER_MAX.to_string(), "0.400000");
-    }
-
-    #[test]
-    fn serde_is_transparent() {
-        let q = Quality::new(0.4).unwrap();
-        assert_eq!(serde_json::to_string(&q).unwrap(), "0.4");
-        let back: Quality = serde_json::from_str("0.4").unwrap();
-        assert_eq!(back, q);
     }
 }

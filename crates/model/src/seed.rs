@@ -51,11 +51,6 @@ impl SeedSequence {
         )
     }
 
-    /// Derive the `index`-th child RNG.
-    pub fn child_rng(&self, index: u64) -> Rng64 {
-        new_rng(self.child_seed(index))
-    }
-
     /// Derive a child sequence (for nested sweeps: e.g. one child per
     /// parameter point, grandchildren per repetition).
     pub fn child_sequence(&self, index: u64) -> SeedSequence {
@@ -131,13 +126,5 @@ mod tests {
         let child = seq.child_sequence(0);
         assert_ne!(child.root(), seq.root());
         assert_ne!(child.child_seed(0), seq.child_seed(0));
-    }
-
-    #[test]
-    fn child_rng_matches_child_seed() {
-        let seq = SeedSequence::new(11);
-        let mut a = seq.child_rng(4);
-        let mut b = new_rng(seq.child_seed(4));
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }
 }

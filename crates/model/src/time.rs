@@ -7,10 +7,9 @@
 //! and the expected page lifetime is quoted in years (1.5 years).
 //!
 //! This module provides a [`Day`] time-point type, a [`SimClock`] that the
-//! simulator advances, and conversions between days and years that use the
-//! same convention everywhere (1 year = 365 days).
+//! simulator advances, and the years-to-days conversion every lifetime uses
+//! (1 year = 365 days).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -19,9 +18,7 @@ use std::ops::{Add, AddAssign, Sub};
 pub const DAYS_PER_YEAR: f64 = 365.0;
 
 /// A discrete time point, measured in days since the start of a simulation.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Day(pub u64);
 
 impl Day {
@@ -93,16 +90,10 @@ pub fn years_to_days(years: f64) -> f64 {
     years * DAYS_PER_YEAR
 }
 
-/// Convert a duration expressed in days to years.
-#[inline]
-pub fn days_to_years(days: f64) -> f64 {
-    days / DAYS_PER_YEAR
-}
-
 /// The simulation clock: a thin wrapper over [`Day`] that only moves
 /// forwards. Keeping it as a separate type (rather than a bare counter in
 /// the simulator) makes the "time only advances" invariant explicit.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimClock {
     now: Day,
 }
@@ -127,12 +118,6 @@ impl SimClock {
     /// Advance the clock by one day and return the *new* current day.
     pub fn tick(&mut self) -> Day {
         self.now = self.now.next();
-        self.now
-    }
-
-    /// Advance the clock by `days` days.
-    pub fn advance(&mut self, days: u64) -> Day {
-        self.now += days;
         self.now
     }
 }
@@ -161,11 +146,9 @@ mod tests {
     }
 
     #[test]
-    fn year_day_conversions_are_inverse() {
-        let years = 1.5;
-        let days = years_to_days(years);
-        assert!((days - 547.5).abs() < 1e-12);
-        assert!((days_to_years(days) - years).abs() < 1e-12);
+    fn years_convert_to_365_day_years() {
+        assert!((years_to_days(1.5) - 547.5).abs() < 1e-12);
+        assert_eq!(years_to_days(1.0), DAYS_PER_YEAR);
     }
 
     #[test]
@@ -174,8 +157,7 @@ mod tests {
         assert_eq!(clock.now(), Day::ZERO);
         assert_eq!(clock.tick(), Day::new(1));
         assert_eq!(clock.tick(), Day::new(2));
-        assert_eq!(clock.advance(10), Day::new(12));
-        assert_eq!(clock.now(), Day::new(12));
+        assert_eq!(clock.now(), Day::new(2));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use rrp_model::{
-    assign_qualities, popularity, Awareness, CommunityConfig, LifetimeModel, PowerLawQuality,
-    Quality, QualityDistribution, SeedSequence, UniformQuality, ZipfQuality,
+    assign_qualities, popularity, Awareness, CommunityConfig, PowerLawQuality, Quality,
+    QualityDistribution, SeedSequence, UniformQuality, ZipfQuality,
 };
 
 proptest! {
@@ -79,18 +79,6 @@ proptest! {
         let d = UniformQuality::new(lo, hi).unwrap();
         let q = d.quantile(u).value();
         prop_assert!((q - (lo + u * width)).abs() < 1e-12);
-    }
-
-    /// Survival probability is in [0, 1] and decreasing in time.
-    #[test]
-    fn survival_probability_monotone(l in 1.0f64..2000.0, t1 in 0.0f64..5000.0, t2 in 0.0f64..5000.0) {
-        let m = LifetimeModel::new(l).unwrap();
-        let (a, b) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
-        let sa = m.survival_probability(a);
-        let sb = m.survival_probability(b);
-        prop_assert!((0.0..=1.0).contains(&sa));
-        prop_assert!((0.0..=1.0).contains(&sb));
-        prop_assert!(sb <= sa + 1e-12);
     }
 
     /// Community builder scaled_to_pages always yields a valid config.

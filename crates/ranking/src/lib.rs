@@ -55,7 +55,7 @@ pub use kind::PolicyKind;
 pub use lazyshuffle::{
     forward_shuffle, merge_promoted_top_k_lazy_into, EngineVersion, LazyShuffle,
 };
-pub use merge::{merge_promoted, merge_promoted_into, merge_promoted_top_k_into};
+pub use merge::{merge_promoted_into, merge_promoted_top_k_into};
 pub use policy::{is_permutation, is_permutation_with_scratch};
 pub use poolindex::PoolIndex;
 pub use popindex::PopularityIndex;

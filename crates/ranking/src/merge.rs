@@ -46,43 +46,20 @@ pub(crate) fn coin(word: u64, threshold: u64) -> bool {
 }
 
 /// Merge `deterministic` (`L_d`) and `promoted` (`L_p`) into the final
-/// result list, protecting the first `start_rank − 1` deterministic entries
-/// and using promotion probability `degree` (`r`).
+/// result list, written into `result` (cleared first), protecting the first
+/// `start_rank − 1` deterministic entries and using promotion probability
+/// `degree` (`r`): the allocation-free primitive behind
+/// [`PolicyKind::rank_into`](crate::PolicyKind::rank_into).
 ///
 /// The two input lists must be disjoint; together they contain every page
-/// exactly once, and so does the output.
+/// exactly once, and so does the output. Generic over the RNG so concrete
+/// generators inline on the hot path. It is the top-`k` merge with `k` the
+/// combined length: one coin per rank until a list runs out, then the
+/// other list's rest in bulk.
 ///
 /// # Panics
 /// Panics (in debug builds) if `start_rank == 0` or `degree ∉ [0, 1]`; these
 /// are validated upstream by `PromotionConfig::validate`.
-pub fn merge_promoted(
-    deterministic: &[usize],
-    promoted: &[usize],
-    start_rank: usize,
-    degree: f64,
-    rng: &mut dyn RngCore,
-) -> Vec<usize> {
-    let mut result = Vec::with_capacity(deterministic.len() + promoted.len());
-    merge_promoted_into(
-        deterministic,
-        promoted,
-        start_rank,
-        degree,
-        rng,
-        &mut result,
-    );
-    result
-}
-
-/// [`merge_promoted`] writing into a caller-supplied vector (cleared first)
-/// instead of allocating — the allocation-free primitive behind
-/// [`PolicyKind::rank_into`](crate::PolicyKind::rank_into).
-///
-/// Consumes exactly the same RNG draws as [`merge_promoted`], so the two
-/// produce byte-identical output from the same generator state. Generic
-/// over the RNG so concrete generators inline on the hot path. It is the
-/// top-`k` merge with `k` the combined length: one coin per rank until a
-/// list runs out, then the other list's rest in bulk.
 pub fn merge_promoted_into<R: RngCore + ?Sized>(
     deterministic: &[usize],
     promoted: &[usize],
@@ -104,7 +81,7 @@ pub fn merge_promoted_into<R: RngCore + ?Sized>(
     debug_assert_eq!(result.len(), total);
 }
 
-/// The top-`k` prefix of [`merge_promoted`], stopping the coin-flip merge
+/// The top-`k` prefix of [`merge_promoted_into`], stopping the coin-flip merge
 /// as soon as `k` ranks have been emitted: the paper's rank-biased
 /// attention model means real queries consume only the top of the ranking,
 /// so serving tiers ask for the first page of results, not all `n`.
@@ -217,7 +194,8 @@ mod tests {
         let mut rng = new_rng(3);
         let ld: Vec<usize> = (0..50).collect();
         let lp: Vec<usize> = (50..80).collect();
-        let merged = merge_promoted(&ld, &lp, 2, 0.3, &mut rng);
+        let mut merged = Vec::new();
+        merge_promoted_into(&ld, &lp, 2, 0.3, &mut rng, &mut merged);
         assert_eq!(merged.len(), 80);
         let set: HashSet<usize> = merged.iter().copied().collect();
         assert_eq!(set.len(), 80);
@@ -228,7 +206,8 @@ mod tests {
         let mut rng = new_rng(1);
         let ld = vec![9, 8, 7];
         let lp = vec![1, 2];
-        let merged = merge_promoted(&ld, &lp, 1, 0.0, &mut rng);
+        let mut merged = Vec::new();
+        merge_promoted_into(&ld, &lp, 1, 0.0, &mut rng, &mut merged);
         // With r = 0 the deterministic list is exhausted first, then the
         // pool is appended.
         assert_eq!(merged, vec![9, 8, 7, 1, 2]);
@@ -239,7 +218,8 @@ mod tests {
         let mut rng = new_rng(1);
         let ld = vec![9, 8, 7];
         let lp = vec![1, 2];
-        let merged = merge_promoted(&ld, &lp, 2, 1.0, &mut rng);
+        let mut merged = Vec::new();
+        merge_promoted_into(&ld, &lp, 2, 1.0, &mut rng, &mut merged);
         // Rank 1 is protected (9), then the whole pool, then the rest of L_d.
         assert_eq!(merged, vec![9, 1, 2, 8, 7]);
     }
@@ -250,7 +230,8 @@ mod tests {
         let lp: Vec<usize> = (20..40).collect();
         for seed in 0..50 {
             let mut rng = new_rng(seed);
-            let merged = merge_promoted(&ld, &lp, 6, 0.9, &mut rng);
+            let mut merged = Vec::new();
+            merge_promoted_into(&ld, &lp, 6, 0.9, &mut rng, &mut merged);
             assert_eq!(&merged[..5], &[0, 1, 2, 3, 4], "top k-1 must be stable");
         }
     }
@@ -260,7 +241,8 @@ mod tests {
         let ld = vec![10, 11, 12, 13, 14];
         let lp = vec![20, 21, 22];
         let mut rng = new_rng(9);
-        let merged = merge_promoted(&ld, &lp, 1, 0.5, &mut rng);
+        let mut merged = Vec::new();
+        merge_promoted_into(&ld, &lp, 1, 0.5, &mut rng, &mut merged);
         let d_positions: Vec<usize> = ld
             .iter()
             .map(|x| merged.iter().position(|y| y == x).unwrap())
@@ -277,7 +259,8 @@ mod tests {
     fn empty_pool_is_identity() {
         let ld = vec![3, 1, 4, 1 + 4, 9];
         let mut rng = new_rng(0);
-        let merged = merge_promoted(&ld, &[], 1, 0.8, &mut rng);
+        let mut merged = Vec::new();
+        merge_promoted_into(&ld, &[], 1, 0.8, &mut rng, &mut merged);
         assert_eq!(merged, ld);
     }
 
@@ -285,14 +268,17 @@ mod tests {
     fn empty_deterministic_list_returns_pool() {
         let lp = vec![5, 6, 7];
         let mut rng = new_rng(0);
-        let merged = merge_promoted(&[], &lp, 3, 0.2, &mut rng);
+        let mut merged = Vec::new();
+        merge_promoted_into(&[], &lp, 3, 0.2, &mut rng, &mut merged);
         assert_eq!(merged, lp);
     }
 
     #[test]
     fn both_empty_gives_empty() {
         let mut rng = new_rng(0);
-        assert!(merge_promoted(&[], &[], 1, 0.5, &mut rng).is_empty());
+        let mut merged = vec![7];
+        merge_promoted_into(&[], &[], 1, 0.5, &mut rng, &mut merged);
+        assert!(merged.is_empty());
     }
 
     #[test]
@@ -300,24 +286,9 @@ mod tests {
         let ld = vec![1, 2];
         let lp = vec![3];
         let mut rng = new_rng(0);
-        let merged = merge_promoted(&ld, &lp, 10, 0.5, &mut rng);
+        let mut merged = Vec::new();
+        merge_promoted_into(&ld, &lp, 10, 0.5, &mut rng, &mut merged);
         assert_eq!(merged, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn into_variant_matches_allocating_variant_and_reuses_storage() {
-        let ld: Vec<usize> = (0..40).collect();
-        let lp: Vec<usize> = (40..60).collect();
-        let mut out = Vec::new();
-        for seed in 0..20 {
-            let mut rng_a = new_rng(seed);
-            let mut rng_b = new_rng(seed);
-            let expected = merge_promoted(&ld, &lp, 3, 0.4, &mut rng_a);
-            merge_promoted_into(&ld, &lp, 3, 0.4, &mut rng_b, &mut out);
-            assert_eq!(out, expected);
-        }
-        // The output vector keeps its capacity across calls.
-        assert!(out.capacity() >= 60);
     }
 
     #[test]
@@ -326,7 +297,8 @@ mod tests {
         let lp: Vec<usize> = (30..42).collect();
         let mut out = Vec::new();
         for seed in 0..20 {
-            let full = merge_promoted(&ld, &lp, 3, 0.4, &mut new_rng(seed));
+            let mut full = Vec::new();
+            merge_promoted_into(&ld, &lp, 3, 0.4, &mut new_rng(seed), &mut full);
             for k in [0usize, 1, 2, 3, 7, 30, 42, 100] {
                 merge_promoted_top_k_into(&ld, &lp, 3, 0.4, k, &mut new_rng(seed), &mut out);
                 assert_eq!(out, full[..k.min(full.len())], "seed {seed}, k {k}");
@@ -377,7 +349,8 @@ mod tests {
         let ld: Vec<usize> = (0..10_000).collect();
         let lp: Vec<usize> = (10_000..20_000).collect();
         let mut rng = new_rng(123);
-        let merged = merge_promoted(&ld, &lp, 1, 0.2, &mut rng);
+        let mut merged = Vec::new();
+        merge_promoted_into(&ld, &lp, 1, 0.2, &mut rng, &mut merged);
         let from_pool = merged[..1_000].iter().filter(|&&x| x >= 10_000).count();
         let fraction = from_pool as f64 / 1_000.0;
         assert!(

@@ -10,7 +10,7 @@
 //! 3. rank the remaining pages deterministically by descending popularity
 //!    into `L_d`;
 //! 4. merge the two lists with the coin-flip procedure of
-//!    [`merge_promoted`](crate::merge::merge_promoted), protecting the top
+//!    [`merge_promoted_into`], protecting the top
 //!    `k − 1` deterministic results.
 
 use crate::buffers::RankBuffers;

@@ -8,10 +8,10 @@
 //! expressed, and honest policies must not read it.
 
 use rrp_model::PageId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A snapshot of one page as seen by the ranking function at query time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PageStats {
     /// Dense slot index of the page inside the community (`0..n`).
     pub slot: usize,

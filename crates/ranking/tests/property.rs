@@ -7,10 +7,10 @@
 use proptest::prelude::*;
 use rrp_model::{new_rng, PageId};
 use rrp_ranking::{
-    is_permutation, lower_bounds, merge_promoted, merge_shard_candidates_into, popularity_order,
-    CorpusCache, EngineVersion, MergedCandidates, PageStats, PolicyKind, PoolIndex,
-    PopularityIndex, PromotionConfig, PromotionRule, RandomizedRankPromotion, RankBuffers,
-    RankSource, ShardCandidates,
+    is_permutation, lower_bounds, merge_promoted_into, merge_shard_candidates_into,
+    popularity_order, CorpusCache, EngineVersion, MergedCandidates, PageStats, PolicyKind,
+    PoolIndex, PopularityIndex, PromotionConfig, PromotionRule, RandomizedRankPromotion,
+    RankBuffers, RankSource, ShardCandidates,
 };
 
 /// Strategy producing an arbitrary page population of size 1..=120.
@@ -112,7 +112,8 @@ proptest! {
         let ld: Vec<usize> = (0..d_len).collect();
         let lp: Vec<usize> = (d_len..d_len + p_len).collect();
         let mut rng = new_rng(seed);
-        let merged = merge_promoted(&ld, &lp, k, degree, &mut rng);
+        let mut merged = Vec::new();
+        merge_promoted_into(&ld, &lp, k, degree, &mut rng, &mut merged);
         prop_assert!(is_permutation(&merged, d_len + p_len));
     }
 
@@ -126,7 +127,8 @@ proptest! {
         let ld: Vec<usize> = (0..d_len).collect();
         let lp: Vec<usize> = (d_len..d_len + p_len).collect();
         let mut rng = new_rng(seed);
-        let merged = merge_promoted(&ld, &lp, 1, degree, &mut rng);
+        let mut merged = Vec::new();
+        merge_promoted_into(&ld, &lp, 1, degree, &mut rng, &mut merged);
         let pos = |x: usize| merged.iter().position(|&y| y == x).unwrap();
         for w in ld.windows(2) {
             prop_assert!(pos(w[0]) < pos(w[1]));

@@ -422,6 +422,8 @@ impl DurableService {
     /// atomically. A crash at any instant leaves either the previous
     /// snapshot or this one. The serving tier is written but never read
     /// back: recovery derives it from the store (see the module docs).
+    /// Kept public for operators: a checkpoint between cadence marks, say
+    /// before a planned restart, so recovery replays nothing.
     pub fn snapshot_now(&mut self) -> Result<(), ServeError> {
         let snapshots = self
             .snapshots

@@ -235,9 +235,8 @@ impl ShardedPromotionService {
 
     /// Like [`new`](Self::new), but a zero `shard_count` is a typed
     /// [`ServeError::InvalidShardCount`](crate::ServeError::InvalidShardCount)
-    /// instead of being clamped to 1 — for callers (deployment config
-    /// parsing, the durable recovery path) that want bad input surfaced
-    /// rather than absorbed.
+    /// instead of being clamped to 1. Kept public for callers (deployment
+    /// config parsing) that want bad input surfaced rather than absorbed.
     pub fn try_new(
         engine: RankPromotionEngine,
         shard_count: usize,
@@ -628,7 +627,9 @@ impl ShardedPromotionService {
     }
 
     /// [`rerank_batch`](Self::rerank_batch) plus the epoch of the single
-    /// published version every query in the batch ranked against.
+    /// published version every query in the batch ranked against. Kept
+    /// public: a caller racing mutations needs that epoch to tell which
+    /// corpus a batch saw, as the concurrent-serving suite checks.
     pub fn rerank_batch_versioned(&self, queries: &[QueryContext]) -> (u64, Vec<Vec<u64>>) {
         let mut results = Vec::new();
         let epoch = self.batch_into(queries, None, &mut results);

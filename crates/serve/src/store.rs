@@ -143,13 +143,6 @@ impl ShardedStore {
         (slot < self.documents.len()).then_some(slot)
     }
 
-    /// Write the canonical snapshot — all documents in global insertion
-    /// order — into `out` (cleared first): one slice copy.
-    pub fn snapshot_into(&self, out: &mut Vec<Document>) {
-        out.clear();
-        out.extend_from_slice(&self.documents);
-    }
-
     /// The canonical snapshot as a fresh vector.
     pub fn snapshot(&self) -> Vec<Document> {
         self.documents.clone()
@@ -347,17 +340,5 @@ mod tests {
             assert!(store.get(seq).is_some());
         }
         assert_eq!(ShardedStore::new(1).slot_of(0), None, "empty store");
-    }
-
-    #[test]
-    fn snapshot_into_reuses_storage() {
-        let mut store = ShardedStore::new(2);
-        store.extend(docs(50));
-        let mut out = Vec::new();
-        store.snapshot_into(&mut out);
-        let capacity = out.capacity();
-        store.snapshot_into(&mut out);
-        assert_eq!(out.capacity(), capacity);
-        assert_eq!(out.len(), 50);
     }
 }

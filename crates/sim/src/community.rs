@@ -10,10 +10,9 @@ use rand::Rng;
 use rrp_model::{
     CommunityConfig, Day, LifetimeModel, PageId, PageIdGenerator, Quality, QualityDistribution,
 };
-use serde::{Deserialize, Serialize};
 
 /// One page slot: the live page currently occupying it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageSlot {
     /// Identifier of the live page.
     pub page: PageId,
@@ -52,14 +51,12 @@ impl PageSlot {
 }
 
 /// The full page population of a community.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PagePopulation {
     slots: Vec<PageSlot>,
     monitored_users: usize,
     lifetime: LifetimeModel,
     ids: PageIdGenerator,
-    /// Count of pages retired since the start of the simulation.
-    retired: u64,
 }
 
 impl PagePopulation {
@@ -91,7 +88,6 @@ impl PagePopulation {
             monitored_users: config.monitored_users(),
             lifetime,
             ids,
-            retired: 0,
         }
     }
 
@@ -113,12 +109,6 @@ impl PagePopulation {
         &self.slots
     }
 
-    /// Mutable access to one slot.
-    #[inline]
-    pub fn slot_mut(&mut self, index: usize) -> &mut PageSlot {
-        &mut self.slots[index]
-    }
-
     /// One slot.
     #[inline]
     pub fn slot(&self, index: usize) -> &PageSlot {
@@ -135,12 +125,6 @@ impl PagePopulation {
     #[inline]
     pub fn lifetime(&self) -> &LifetimeModel {
         &self.lifetime
-    }
-
-    /// Total pages retired so far.
-    #[inline]
-    pub fn retired_count(&self) -> u64 {
-        self.retired
     }
 
     /// The slot index holding the highest-quality page.
@@ -186,7 +170,6 @@ impl PagePopulation {
         s.page = id;
         s.aware_users = 0;
         s.born = today;
-        self.retired += 1;
         id
     }
 
@@ -294,6 +277,11 @@ mod tests {
             .unwrap()
     }
 
+    /// Pages retired so far: every replacement issues one fresh id.
+    fn retired(pop: &PagePopulation) -> u64 {
+        pop.ids.issued() - pop.len() as u64
+    }
+
     #[test]
     fn new_population_has_zero_awareness_and_unique_ids() {
         let config = small_config();
@@ -307,7 +295,7 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), 100);
         assert_eq!(pop.monitored_users(), 10);
-        assert_eq!(pop.retired_count(), 0);
+        assert_eq!(retired(&pop), 0);
     }
 
     #[test]
@@ -325,7 +313,7 @@ mod tests {
         let config = small_config();
         let mut pop = PagePopulation::new(&config, &PowerLawQuality::paper_default());
         let slot = pop.best_slot();
-        pop.slot_mut(slot).aware_users = 5;
+        pop.slots[slot].aware_users = 5;
         let s = pop.slot(slot);
         assert!((s.awareness(10) - 0.5).abs() < 1e-12);
         assert!((s.popularity(10) - 0.5 * s.quality).abs() < 1e-12);
@@ -348,7 +336,7 @@ mod tests {
     fn visit_by_already_aware_user_does_not_increase_awareness() {
         let config = small_config();
         let mut pop = PagePopulation::new(&config, &PowerLawQuality::paper_default());
-        pop.slot_mut(0).aware_users = 10;
+        pop.slots[0].aware_users = 10;
         let mut rng = new_rng(2);
         pop.record_monitored_visit(0, &mut rng);
         assert_eq!(pop.slot(0).aware_users, 10);
@@ -358,7 +346,7 @@ mod tests {
     fn replace_page_resets_state_but_keeps_quality() {
         let config = small_config();
         let mut pop = PagePopulation::new(&config, &PowerLawQuality::paper_default());
-        pop.slot_mut(5).aware_users = 7;
+        pop.slots[5].aware_users = 7;
         let old_id = pop.slot(5).page;
         let old_quality = pop.slot(5).quality;
         let new_id = pop.replace_page(5, Day::new(20));
@@ -368,7 +356,7 @@ mod tests {
         assert_eq!(s.aware_users, 0);
         assert_eq!(s.born, Day::new(20));
         assert_eq!(s.quality, old_quality);
-        assert_eq!(pop.retired_count(), 1);
+        assert_eq!(retired(&pop), 1);
     }
 
     #[test]
@@ -408,7 +396,7 @@ mod tests {
         }
         assert!(!replaced.contains(&protected[0]));
         assert_eq!(pop.slot(protected[0]).page, original_id);
-        assert!(pop.retired_count() > 0, "other slots do retire");
+        assert!(retired(&pop) > 0, "other slots do retire");
     }
 
     #[test]
@@ -419,7 +407,7 @@ mod tests {
         // First visit to a fresh page always raises awareness.
         assert!(pop.record_monitored_visit(2, &mut rng));
         // A saturated page can never change again.
-        pop.slot_mut(2).aware_users = 10;
+        pop.slots[2].aware_users = 10;
         assert!(!pop.record_monitored_visit(2, &mut rng));
         // Over many visits, the reported changes equal the awareness count.
         let mut changes = 0;
@@ -450,15 +438,15 @@ mod tests {
                 }
             }
         }
-        assert!(pop.retired_count() > 0);
+        assert!(retired(&pop) > 0);
     }
 
     #[test]
     fn awareness_summary_counts_zero_awareness_pages() {
         let config = small_config();
         let mut pop = PagePopulation::new(&config, &PowerLawQuality::paper_default());
-        pop.slot_mut(0).aware_users = 10;
-        pop.slot_mut(1).aware_users = 5;
+        pop.slots[0].aware_users = 10;
+        pop.slots[1].aware_users = 5;
         let (zero, mean) = pop.awareness_summary();
         assert_eq!(zero, 98);
         assert!((mean - (1.0 + 0.5) / 100.0).abs() < 1e-12);

@@ -1,10 +1,9 @@
 //! Simulation configuration.
 
 use rrp_model::{CommunityConfig, ModelError, ModelResult};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// The community being simulated (`n`, `u`, `m`, `v_u`, `l`).
     pub community: CommunityConfig,
@@ -64,18 +63,6 @@ impl SimConfig {
         }
         Ok(())
     }
-
-    /// Recommended warm-up length before measuring: two expected page
-    /// lifetimes, which lets the page population and the awareness
-    /// distribution turn over into their steady state.
-    pub fn recommended_warmup_days(&self) -> u64 {
-        (2.0 * self.community.expected_lifetime_days()).ceil() as u64
-    }
-
-    /// Recommended measurement window: two expected page lifetimes.
-    pub fn recommended_measure_days(&self) -> u64 {
-        (2.0 * self.community.expected_lifetime_days()).ceil() as u64
-    }
 }
 
 #[cfg(test)]
@@ -120,20 +107,5 @@ mod tests {
             .build()
             .unwrap();
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn recommended_windows_scale_with_lifetime() {
-        let c = SimConfig::paper_default(0);
-        assert_eq!(c.recommended_warmup_days(), 1095);
-        assert_eq!(c.recommended_measure_days(), 1095);
-        let short = SimConfig::for_community(
-            CommunityConfig::builder()
-                .expected_lifetime_days(100.0)
-                .build()
-                .unwrap(),
-            0,
-        );
-        assert_eq!(short.recommended_warmup_days(), 200);
     }
 }

@@ -1,9 +1,7 @@
 //! Measurement results collected by the simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// Running accumulator for quality-per-click.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QpcAccumulator {
     /// Σ visits × quality over the measurement window.
     pub weighted_quality: f64,
@@ -45,7 +43,7 @@ impl QpcAccumulator {
 }
 
 /// Final metrics of a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimMetrics {
     /// Days included in the measurement window.
     pub days_measured: u64,
@@ -60,7 +58,7 @@ pub struct SimMetrics {
 }
 
 /// Result of a TBP (time-to-become-popular) measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TbpResult {
     /// Mean days to become popular over all trials (censored trials counted
     /// at the censoring horizon, making this a lower bound when `completed
@@ -74,28 +72,14 @@ pub struct TbpResult {
     pub max_days: u64,
 }
 
-impl TbpResult {
-    /// Whether every trial reached the threshold before the horizon.
-    pub fn fully_observed(&self) -> bool {
-        self.completed == self.trials
-    }
-}
-
 /// A per-day trace of one page's state, used to reproduce the
 /// popularity-evolution and visit-rate figures (Figures 2 and 4(a)).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PopularityTrace {
     /// Popularity at the end of each day (day 0 = creation day).
     pub popularity: Vec<f64>,
     /// Expected monitored visits per day at the rank the page held that day.
     pub daily_visits: Vec<f64>,
-}
-
-impl PopularityTrace {
-    /// Days until popularity first exceeded `threshold`, if it did.
-    pub fn first_day_above(&self, threshold: f64) -> Option<usize> {
-        self.popularity.iter().position(|&p| p >= threshold)
-    }
 }
 
 #[cfg(test)]
@@ -118,32 +102,5 @@ mod tests {
         let acc = QpcAccumulator::default();
         assert_eq!(acc.absolute_qpc(), 0.0);
         assert_eq!(acc.mean_zero_awareness_fraction(), 0.0);
-    }
-
-    #[test]
-    fn tbp_result_observation_flag() {
-        let full = TbpResult {
-            mean_days: 12.0,
-            completed: 5,
-            trials: 5,
-            max_days: 100,
-        };
-        assert!(full.fully_observed());
-        let censored = TbpResult {
-            completed: 3,
-            ..full
-        };
-        assert!(!censored.fully_observed());
-    }
-
-    #[test]
-    fn trace_first_day_above() {
-        let trace = PopularityTrace {
-            popularity: vec![0.0, 0.0, 0.1, 0.3, 0.39],
-            daily_visits: vec![0.0; 5],
-        };
-        assert_eq!(trace.first_day_above(0.3), Some(3));
-        assert_eq!(trace.first_day_above(0.5), None);
-        assert_eq!(trace.first_day_above(0.0), Some(0));
     }
 }

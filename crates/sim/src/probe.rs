@@ -162,7 +162,6 @@ mod tests {
         let result = sim.measure_tbp(2, 1);
         assert_eq!(result.trials, 2);
         assert_eq!(result.completed, 0);
-        assert!(!result.fully_observed());
         assert_eq!(result.mean_days, 1.0);
         assert_eq!(result.max_days, 1);
     }

@@ -4,9 +4,9 @@
 //! per-day sorting.
 
 use proptest::prelude::*;
-use rrp_model::{CommunityConfig, PageId};
+use rrp_model::PageId;
 use rrp_ranking::{popularity_order, CorpusCache, PageStats, PopularityIndex};
-use rrp_sim::{PopularityTrace, QpcAccumulator, SimConfig};
+use rrp_sim::{QpcAccumulator, SimConfig};
 
 /// One mutation of the page population, as the simulator would apply it.
 #[derive(Debug, Clone, Copy)]
@@ -159,44 +159,5 @@ proptest! {
         prop_assert_eq!(acc.days, days.len() as u64);
         let zero = acc.mean_zero_awareness_fraction();
         prop_assert!((0.0..=1.0).contains(&zero));
-    }
-
-    /// `first_day_above` returns the first index whose popularity meets the
-    /// threshold, and `None` exactly when no day does.
-    #[test]
-    fn trace_first_day_above_is_consistent(
-        popularity in proptest::collection::vec(0.0f64..0.4, 0..200),
-        threshold in 0.0f64..0.4,
-    ) {
-        let trace = PopularityTrace {
-            daily_visits: vec![0.0; popularity.len()],
-            popularity: popularity.clone(),
-        };
-        match trace.first_day_above(threshold) {
-            Some(day) => {
-                prop_assert!(popularity[day] >= threshold);
-                for &p in &popularity[..day] {
-                    prop_assert!(p < threshold);
-                }
-            }
-            None => {
-                prop_assert!(popularity.iter().all(|&p| p < threshold));
-            }
-        }
-    }
-
-    /// Recommended warm-up and measurement windows scale linearly with the
-    /// expected page lifetime.
-    #[test]
-    fn recommended_windows_scale_with_lifetime(lifetime_days in 1.0f64..5_000.0) {
-        let config = SimConfig::for_community(
-            CommunityConfig::builder()
-                .expected_lifetime_days(lifetime_days)
-                .build()
-                .unwrap(),
-            0,
-        );
-        prop_assert_eq!(config.recommended_warmup_days(), (2.0 * lifetime_days).ceil() as u64);
-        prop_assert_eq!(config.recommended_measure_days(), (2.0 * lifetime_days).ceil() as u64);
     }
 }

@@ -34,7 +34,7 @@ fn main() {
         ),
     ];
 
-    let advisor = ParameterAdvisor::default();
+    let advisor = ParameterAdvisor;
     for (name, community) in communities {
         println!("== {name} ==");
         let advice = advisor.advise(community).expect("valid community");

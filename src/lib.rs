@@ -22,7 +22,6 @@ pub use rrp_ranking as ranking;
 pub use rrp_serve as serve;
 pub use rrp_sim as sim;
 pub use rrp_wal as wal;
-pub use rrp_webgraph as webgraph;
 
 /// The paper's recommended engine, re-exported for one-line quickstarts.
 pub use rrp_core::{Document, QueryContext, RankPromotionEngine};
