@@ -167,6 +167,26 @@ mod tests {
     }
 
     #[test]
+    fn mean_quality_matches_direct_average() {
+        // Each bucket is represented by its mean, so grouping keeps the mean
+        // quality over pages at any bucket count.
+        let qs: Vec<Quality> = [0.4, 0.2, 0.2, 0.1]
+            .iter()
+            .map(|&q| Quality::new(q).unwrap())
+            .collect();
+        for max_groups in [1, 2, 10] {
+            let groups = QualityGroups::from_qualities(&qs, max_groups, 1);
+            let mean = groups
+                .groups()
+                .iter()
+                .map(|g| g.quality * g.count as f64)
+                .sum::<f64>()
+                / groups.total_pages() as f64;
+            assert!((mean - 0.225).abs() < 1e-12, "max_groups {max_groups}");
+        }
+    }
+
+    #[test]
     fn empty_quality_list_is_handled() {
         let groups = QualityGroups::from_qualities(&[], 10, 2);
         assert_eq!(groups.total_pages(), 0);

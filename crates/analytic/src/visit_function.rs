@@ -140,6 +140,19 @@ mod tests {
     }
 
     #[test]
+    fn linear_function_scales() {
+        // `log F = log x + ln(scale)` is the line `F(x) = scale · x`.
+        let line = LogQuadratic {
+            gamma: 10.0f64.ln(),
+            ..IDENTITY
+        };
+        let f = VisitFunction::new(0.01, line, 1e-12);
+        assert!((f.eval(0.5) - 5.0).abs() < 1e-9);
+        assert!((f.eval(1.0) - 10.0).abs() < 1e-9);
+        assert_eq!(f.eval(0.0), 0.01);
+    }
+
+    #[test]
     fn log_quadratic_matches_hand_computation() {
         let curve = LogQuadratic {
             alpha: 0.1,

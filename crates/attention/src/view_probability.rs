@@ -207,6 +207,17 @@ mod tests {
     }
 
     #[test]
+    fn rescaling_total_visits() {
+        // The visit budget scales every rank's visits and leaves the law's
+        // shape alone (monitored-user visits `v` against all-user `v_u`).
+        let rb = RankBias::altavista(100, 100.0);
+        let scaled = RankBias::altavista(100, 1_000.0);
+        assert!((scaled.visits_at_rank(3) / rb.visits_at_rank(3) - 10.0).abs() < 1e-9);
+        assert_eq!(scaled.exponent(), rb.exponent());
+        assert_eq!(scaled.probabilities_by_rank(), rb.probabilities_by_rank());
+    }
+
+    #[test]
     fn zero_budget_gives_zero_everywhere() {
         let rb = RankBias::altavista(10, 0.0);
         assert_eq!(rb.visits_at_rank(1), 0.0);

@@ -291,17 +291,6 @@ mod tests {
         order.sort_unstable();
         let expected: Vec<u64> = (0..30).collect();
         assert_eq!(order, expected);
-        // Duplicated ids are distinct result slots: none is dropped.
-        let docs = [
-            Document::established(7, 0.9),
-            Document::established(7, 0.3),
-            Document::established(3, 0.6),
-            Document::unexplored(7),
-            Document::unexplored(9),
-        ];
-        let mut order = engine.rerank(&docs, QueryContext::new(4, 2));
-        order.sort_unstable();
-        assert_eq!(order, [3, 7, 7, 7, 9]);
     }
 
     #[test]
@@ -364,9 +353,101 @@ mod tests {
     }
 
     #[test]
+    fn rerank_documents_pairs_ranks_with_documents() {
+        // A host that keeps its own per-slot payloads pairs rank `i + 1`
+        // with the document at the `i`-th slot the engine returns.
+        let engine = RankPromotionEngine::default();
+        let docs = corpus();
+        let ctx = QueryContext::new(0, 0);
+        let mut slots = Vec::new();
+        engine.rerank_source_into(
+            cache_of(&docs).source(),
+            None,
+            ctx,
+            &mut RankBuffers::new(),
+            &mut slots,
+        );
+        let ranked: Vec<(usize, &Document)> = slots
+            .iter()
+            .enumerate()
+            .map(|(idx, &slot)| (idx + 1, &docs[slot]))
+            .collect();
+        assert_eq!(ranked.len(), docs.len());
+        assert_eq!(ranked[0].0, 1);
+        assert_eq!(ranked[0].1.id, 0);
+        assert_eq!(ranked.last().unwrap().0, docs.len());
+        let ids: Vec<u64> = ranked.iter().map(|&(_, d)| d.id).collect();
+        assert_eq!(ids, engine.rerank(&docs, ctx));
+    }
+
+    #[test]
     fn empty_input_is_fine() {
         let engine = RankPromotionEngine::recommended();
         assert!(engine.rerank(&[], QueryContext::new(0, 0)).is_empty());
+    }
+
+    #[test]
+    fn rerank_documents_keeps_duplicate_ids_as_distinct_slots() {
+        // Two established results and one unexplored result share id 7 —
+        // hosts may legitimately surface the same document id in several
+        // result slots. Ranking works on slots, so all three stay distinct.
+        let docs = vec![
+            Document::established(7, 0.9).with_age(50),
+            Document::established(7, 0.3).with_age(10),
+            Document::established(3, 0.6).with_age(30),
+            Document::unexplored(7),
+            Document::unexplored(9),
+        ];
+        let engine = RankPromotionEngine::new(
+            PromotionConfig::new(PromotionRule::Selective, 1, 0.5).unwrap(),
+        );
+        let ctx = QueryContext::new(4, 2);
+        let mut order = engine.rerank(&docs, ctx);
+        assert_eq!(order.len(), docs.len(), "no slot may be dropped");
+        let mut slots = Vec::new();
+        engine.rerank_source_into(
+            cache_of(&docs).source(),
+            None,
+            ctx,
+            &mut RankBuffers::new(),
+            &mut slots,
+        );
+        // The slot order matches rerank()'s id order exactly.
+        assert_eq!(ids(&docs, &slots), order);
+        // Every input slot appears exactly once.
+        let mut seen = slots.clone();
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            [0, 1, 2, 3, 4],
+            "duplicate ids must stay distinct slots"
+        );
+        // And the popularity-distinct duplicates keep their own payloads:
+        // the 0.9-popularity copy of id 7 outranks the 0.3-popularity copy.
+        let rank_of = |slot: usize| slots.iter().position(|&s| s == slot).unwrap();
+        assert!(rank_of(0) < rank_of(1));
+        order.sort_unstable();
+        assert_eq!(order, [3, 7, 7, 7, 9]);
+    }
+
+    #[test]
+    fn rerank_slots_is_the_common_primitive() {
+        // `rerank` is the policy's `rank_into` over `document_stats`, drawn
+        // from the query's stream: the scanning reference every server path
+        // is held to.
+        let docs = corpus();
+        let ctx = QueryContext::new(11, 5);
+        let engine = RankPromotionEngine::recommended().with_seed(5);
+        let mut stats = Vec::new();
+        RankPromotionEngine::document_stats(&docs, &mut stats);
+        let mut slots = Vec::new();
+        engine.policy().rank_into(
+            &stats,
+            &mut new_rng(ctx.seed(engine.seed())),
+            &mut RankBuffers::new(),
+            &mut slots,
+        );
+        assert_eq!(ids(&docs, &slots), engine.rerank(&docs, ctx));
     }
 
     #[test]
@@ -545,5 +626,38 @@ mod tests {
         for (slot, d) in docs.iter().enumerate() {
             assert_eq!(stats[slot], RankPromotionEngine::document_stat(slot, d));
         }
+    }
+
+    #[test]
+    fn scratch_and_presorted_paths_match_the_allocating_path() {
+        let docs = corpus();
+        let engine = RankPromotionEngine::recommended().with_seed(3);
+
+        // The sorted source built once, as a batch server would.
+        let cache = cache_of(&docs);
+        let source = cache.source();
+
+        // A caller's scratch: the stats and the arena are rebuilt in place
+        // every query and shared with the presorted path.
+        let mut stats = Vec::with_capacity(docs.len());
+        let mut buffers = RankBuffers::with_capacity(docs.len());
+        let mut out = Vec::new();
+        for q in 0..50u64 {
+            let ctx = QueryContext::new(q, q ^ 0xABCD);
+            let expected = engine.rerank(&docs, ctx);
+
+            RankPromotionEngine::document_stats(&docs, &mut stats);
+            engine.policy().rank_into(
+                &stats,
+                &mut new_rng(ctx.seed(engine.seed())),
+                &mut buffers,
+                &mut out,
+            );
+            assert_eq!(ids(&docs, &out), expected, "scratch path, query {q}");
+
+            engine.rerank_source_into(source, None, ctx, &mut buffers, &mut out);
+            assert_eq!(ids(&docs, &out), expected, "presorted path, query {q}");
+        }
+        assert_eq!(engine.seed(), 3);
     }
 }

@@ -52,6 +52,8 @@ impl LifetimeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn rejects_non_positive_lifetime() {
@@ -74,5 +76,39 @@ mod tests {
         let p = m.daily_retirement_probability();
         assert!((p - m.rate()).abs() < 1e-5, "1 - exp(-λ) ≈ λ for small λ");
         assert!(p > 0.0 && p < 1.0);
+    }
+
+    #[test]
+    fn survival_probability_decays() {
+        // Surviving `days` daily draws has probability `(1 − p)^days`,
+        // which is the exponential survival law `exp(−λ · days)`.
+        let m = LifetimeModel::new(100.0).unwrap();
+        let survival = |days: i32| (1.0 - m.daily_retirement_probability()).powi(days);
+        assert_eq!(survival(0), 1.0);
+        assert!((survival(100) - (-1.0f64).exp()).abs() < 1e-12);
+        assert!(survival(1000) < survival(10));
+    }
+
+    #[test]
+    fn sampled_lifetime_mean_close_to_expected() {
+        // A page retired by the daily coin lives a geometric number of days
+        // with mean `1/p ≈ l + 1/2`: the exponential lifetime in whole days.
+        let m = LifetimeModel::new(100.0).unwrap();
+        let p = m.daily_retirement_probability();
+        let mut rng = StdRng::seed_from_u64(42);
+        let samples = 50_000;
+        let mut total_days = 0u64;
+        for _ in 0..samples {
+            let mut days = 1u64;
+            while rng.gen::<f64>() >= p {
+                days += 1;
+            }
+            total_days += days;
+        }
+        let mean = total_days as f64 / samples as f64;
+        assert!(
+            (mean - 100.0).abs() < 2.0,
+            "empirical mean {mean} should be within 2 days of 100"
+        );
     }
 }

@@ -146,8 +146,12 @@ mod tests {
     }
 
     #[test]
-    fn years_convert_to_365_day_years() {
-        assert!((years_to_days(1.5) - 547.5).abs() < 1e-12);
+    fn year_day_conversions_are_inverse() {
+        let years = 1.5;
+        let days = years_to_days(years);
+        assert!((days - 547.5).abs() < 1e-12);
+        // Dividing by `DAYS_PER_YEAR` undoes the conversion.
+        assert!((days / DAYS_PER_YEAR - years).abs() < 1e-12);
         assert_eq!(years_to_days(1.0), DAYS_PER_YEAR);
     }
 

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use rrp_model::{
-    assign_qualities, popularity, Awareness, CommunityConfig, PowerLawQuality, Quality,
-    QualityDistribution, SeedSequence, UniformQuality, ZipfQuality,
+    assign_qualities, popularity, Awareness, CommunityConfig, LifetimeModel, PowerLawQuality,
+    Quality, QualityDistribution, SeedSequence, UniformQuality, ZipfQuality,
 };
 
 proptest! {
@@ -79,6 +79,21 @@ proptest! {
         let d = UniformQuality::new(lo, hi).unwrap();
         let q = d.quantile(u).value();
         prop_assert!((q - (lo + u * width)).abs() < 1e-12);
+    }
+
+    /// Surviving `t` days of daily retirement draws, `(1 − p)^t`, is in
+    /// [0, 1], decreasing in time and equal to `exp(−t / l)`.
+    #[test]
+    fn survival_probability_monotone(l in 1.0f64..2000.0, t1 in 0u32..5000, t2 in 0u32..5000) {
+        let m = LifetimeModel::new(l).unwrap();
+        let survival = |days: u32| (1.0 - m.daily_retirement_probability()).powi(days as i32);
+        let (a, b) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
+        let sa = survival(a);
+        let sb = survival(b);
+        prop_assert!((0.0..=1.0).contains(&sa));
+        prop_assert!((0.0..=1.0).contains(&sb));
+        prop_assert!(sb <= sa + 1e-12);
+        prop_assert!((sa - (-(a as f64) / l).exp()).abs() < 1e-9);
     }
 
     /// Community builder scaled_to_pages always yields a valid config.

@@ -292,6 +292,23 @@ mod tests {
     }
 
     #[test]
+    fn into_variant_matches_allocating_variant_and_reuses_storage() {
+        let ld: Vec<usize> = (0..40).collect();
+        let lp: Vec<usize> = (40..60).collect();
+        let mut out = Vec::new();
+        for seed in 0..20 {
+            // A fresh vector per call against one reused (and never
+            // cleared by the caller) across calls.
+            let mut expected = Vec::new();
+            merge_promoted_into(&ld, &lp, 3, 0.4, &mut new_rng(seed), &mut expected);
+            merge_promoted_into(&ld, &lp, 3, 0.4, &mut new_rng(seed), &mut out);
+            assert_eq!(out, expected);
+        }
+        // The output vector keeps its capacity across calls.
+        assert!(out.capacity() >= 60);
+    }
+
+    #[test]
     fn top_k_is_the_prefix_of_the_full_merge_for_every_k() {
         let ld: Vec<usize> = (0..30).collect();
         let lp: Vec<usize> = (30..42).collect();
