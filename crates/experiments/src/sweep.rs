@@ -17,15 +17,33 @@ use std::sync::Mutex;
 
 /// Number of worker threads the threaded path would use: `RRP_THREADS` if
 /// set, otherwise the available parallelism.
+///
+/// # Panics
+/// Panics if `RRP_THREADS` is set to anything but a positive integer,
+/// naming the variable and the value, so a typo never runs a sweep at
+/// another width.
 pub fn worker_threads() -> usize {
-    if let Ok(threads) = std::env::var("RRP_THREADS") {
-        if let Ok(threads) = threads.parse::<usize>() {
-            return threads.max(1);
-        }
+    let threads = std::env::var_os("RRP_THREADS").map(|v| v.to_string_lossy().into_owned());
+    parse_threads(threads.as_deref())
+        .unwrap_or_else(|message| panic!("{message}"))
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(4)
+        })
+}
+
+/// [`worker_threads`]' parsing, given the variable's value (`None` when
+/// unset): the worker count it names, or `None` for the default.
+fn parse_threads(threads: Option<&str>) -> Result<Option<usize>, String> {
+    match threads.map(str::parse::<usize>) {
+        None => Ok(None),
+        Some(Ok(threads)) if threads > 0 => Ok(Some(threads)),
+        Some(_) => Err(format!(
+            "invalid RRP_THREADS {:?}: expected a positive integer",
+            threads.unwrap_or_default()
+        )),
     }
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
 }
 
 /// Apply `f` to every item, running up to `workers` items concurrently
@@ -128,5 +146,22 @@ mod tests {
     #[test]
     fn worker_threads_is_positive() {
         assert!(worker_threads() >= 1);
+    }
+
+    #[test]
+    fn thread_counts_parse_in_their_valid_forms() {
+        assert_eq!(parse_threads(None), Ok(None));
+        assert_eq!(parse_threads(Some("1")), Ok(Some(1)));
+        assert_eq!(parse_threads(Some("4")), Ok(Some(4)));
+        assert_eq!(parse_threads(Some("64")), Ok(Some(64)));
+    }
+
+    #[test]
+    fn malformed_thread_counts_are_refused_by_name_and_value() {
+        for threads in ["abc", "-2", "4 ", "", "0", "1.5"] {
+            let message = parse_threads(Some(threads)).unwrap_err();
+            assert!(message.contains("RRP_THREADS"), "{message}");
+            assert!(message.contains(&format!("{threads:?}")), "{message}");
+        }
     }
 }

@@ -11,14 +11,23 @@
 //!            │    nothing logged)                       │
 //!            │ 2. append event to WAL  ──failure──▶ typed error,
 //!            │ 3. apply to in-memory service            │  state unchanged
-//!            │ 4. every `snapshot_every` events: sync   │
-//!            │    WAL, copy the state, hand the copy to │
-//!            │    the snapshot thread (render, write    │
-//!            │    atomically); joined and counted at    │
-//!            │    the next mark, `snapshot_now`,        │
-//!            │    `serve_stats` or drop (failure →      │
-//!            │    counted, the next mark tries again;   │
-//!            │    the mutation stands)                  │
+//!            │ 4. every `snapshot_every` events: copy   │
+//!            │    the state, hand the copy to the       │
+//!            │    snapshot thread (kick the syncer,     │
+//!            │    render, wait until the log is synced  │
+//!            │    through the mark, rename into place); │
+//!            │    joined and counted at the next mark,  │
+//!            │    `snapshot_now`, `serve_stats` or drop │
+//!            │    (failure → counted, the next mark     │
+//!            │    tries again; the mutation stands)     │
+//!            └──────────────────────────────────────────┘
+//!
+//!            ┌──────────────── syncer ──────────────────┐
+//!            │ on a kick (`sync_for_followers`, `sync`, │
+//!            │ the snapshot thread): read the written   │
+//!            │ mark, `sync_data` the log, then move     │
+//!            │ `durable_through()` to that mark; a      │
+//!            │ failed sync is sticky                    │
 //!            └──────────────────────────────────────────┘
 //!
 //!            ┌──────────────── recovery ────────────────┐
@@ -58,8 +67,14 @@
 //! 64 KB into a streamed [`SnapshotWriter`], which checksums the parts as
 //! they pass and writes the envelope last. A cadence snapshot does that on
 //! its own thread, so the acknowledgement that crosses the mark pays only
-//! the log sync and the copy; [`DurableService::snapshot_now`] does it on
-//! the calling thread. Either way the file is the same, byte for byte.
+//! the copy; [`DurableService::snapshot_now`] does it on the calling
+//! thread. Either way the file is the same, byte for byte, and it is
+//! renamed into place only once the log is synced through its mark.
+//!
+//! The log is synced by group commit: a syncer thread owns a second
+//! handle on the log file and, when kicked, runs one `sync_data` that
+//! covers every frame written before it began. No sync runs on the thread
+//! that acknowledges a mutation.
 //!
 //! Replay reproduces bit-identical output because every serving answer is
 //! a pure function of (engine seed, query, session) over the store's
@@ -80,13 +95,15 @@ use rrp_core::{Document, RankPromotionEngine, TierCapture};
 use rrp_wal::fault::{Failpoint, FailpointSink};
 use rrp_wal::snapshot::{read_snapshot, SnapshotWriter};
 use rrp_wal::{
-    create_log_file, resume_log_file, FileSink, WalError, WalEvent, WalPoll, WalTailReader,
-    WalWriter,
+    create_log_file, resume_log_file, FileSink, WalError, WalEvent, WalPoll, WalSink, WalSync,
+    WalTailReader, WalWriter,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 
 /// File name of the log inside a durable directory.
@@ -101,6 +118,8 @@ const RENDER_CHUNK: usize = 64 * 1024;
 /// entry renders to a few hundred bytes at most), so the buffer never
 /// grows.
 const RENDER_SLACK: usize = 4 * 1024;
+/// Stack of the syncer thread, which only waits and calls `sync_data`.
+const SYNCER_STACK: usize = 64 * 1024;
 
 /// What [`DurableService::open`] found on disk and what it did about it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -141,18 +160,30 @@ pub struct RecoveryReport {
 /// [`record_visit`](Self::record_visit) or
 /// [`update_popularity`](Self::update_popularity) means the event's frame
 /// reached the OS and the event was applied: it survives a **process
-/// crash**. It survives an **OS crash or power loss** only once a later
-/// sync covers it — a cadence mark (every
-/// [`with_snapshot_every`](Self::with_snapshot_every) events),
-/// [`snapshot_now`](Self::snapshot_now) or
-/// [`sync_for_followers`](Self::sync_for_followers). Each of those syncs
-/// the log before it returns.
+/// crash**, and a follower on the same machine can read it. It survives an
+/// **OS crash or power loss** once a completed sync covers it, which
+/// [`durable_through`](Self::durable_through) reports: every event below
+/// that mark survives power loss. The log is synced by a syncer thread
+/// (group commit: one `sync_data` covers every frame written before it
+/// began), kicked by [`sync_for_followers`](Self::sync_for_followers)
+/// (which does not wait), by [`sync`](Self::sync) and
+/// [`snapshot_now`](Self::snapshot_now) (which wait for it) and by the
+/// snapshot thread; acknowledging a mutation never syncs or waits.
+///
+/// A failed sync is sticky: after it `durable_through` never moves again,
+/// and `sync`, `sync_for_followers` and every later snapshot fail with
+/// [`ServeError::Wal`]. After a failed fsync the kernel may have dropped
+/// the dirty pages it could not write, so a later sync that succeeds
+/// would prove nothing about them; reopening the directory recovers from
+/// what is on disk. Mutations are still acknowledged to the OS.
 ///
 /// A cadence snapshot is written off the acknowledgement path. The
-/// mutation that crosses the mark syncs the log and copies the state at
-/// the mark, and the snapshot thread renders that copy and writes it:
-/// the snapshot is durable (synced, renamed into place, its directory
-/// synced) once the thread finishes. It is joined, and its outcome
+/// mutation that crosses the mark copies the state at the mark, and the
+/// snapshot thread renders that copy, writes it, waits until
+/// `durable_through` reaches the mark (so a snapshot is never ahead of
+/// the durable log) and renames it into place: the snapshot is durable
+/// (synced, renamed, its directory synced) once the thread finishes. It
+/// is joined, and its outcome
 /// counted, at the next cadence mark, at [`snapshot_now`](Self::snapshot_now),
 /// at [`serve_stats`](Self::serve_stats) and when the service is dropped,
 /// so a service dropped mid-snapshot still leaves it written. A failed one
@@ -174,6 +205,162 @@ pub struct DurableService {
     /// through `&self`.
     snapshots: Mutex<SnapshotThread>,
     events_replayed: u64,
+    /// Declared after `snapshots`, so a snapshot in flight, which may wait
+    /// for a sync, is joined before the syncer stops.
+    syncer: Syncer,
+}
+
+/// The marks a [`DurableService`] shares with its syncer thread, and the
+/// handshake between them.
+#[derive(Default)]
+struct SyncMarks {
+    /// One past the last event appended to the log, stored after every
+    /// append.
+    written: AtomicU64,
+    /// One past the last event a completed sync covered.
+    durable: AtomicU64,
+    state: Mutex<SyncState>,
+    /// Wakes the syncer when a sync is asked for, or to stop.
+    kicked: Condvar,
+    /// Wakes the waiters when a sync ends.
+    synced: Condvar,
+}
+
+#[derive(Default)]
+struct SyncState {
+    /// A sync is asked for and has not begun.
+    requested: bool,
+    /// The written mark the sync under way read before it began.
+    in_flight: Option<u64>,
+    /// The first failed sync, sticky: its kind and message.
+    failure: Option<(io::ErrorKind, String)>,
+    /// The service is dropped: the syncer ends once no sync is asked for.
+    stopping: bool,
+}
+
+impl SyncMarks {
+    fn lock(&self) -> MutexGuard<'_, SyncState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The sticky failure, as a typed error.
+    fn check(state: &SyncState) -> Result<(), WalError> {
+        match &state.failure {
+            Some((kind, message)) => Err(WalError::Io(io::Error::new(
+                *kind,
+                format!("the log failed to sync: {message}"),
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// Make sure a sync covering every event below `mark` is done, under
+    /// way or asked for, waking the syncer at most once per sync.
+    fn request(&self, state: &mut SyncState, mark: u64) {
+        let covered = self.durable.load(Ordering::Acquire) >= mark
+            || state.in_flight.is_some_and(|in_flight| in_flight >= mark);
+        if !covered && !state.requested {
+            state.requested = true;
+            self.kicked.notify_one();
+        }
+    }
+
+    /// Ask for a sync through `mark` without waiting for it.
+    fn kick(&self, mark: u64) -> Result<(), WalError> {
+        let mut state = self.lock();
+        Self::check(&state)?;
+        self.request(&mut state, mark);
+        Ok(())
+    }
+
+    /// Wait until a completed sync covers every event below `mark`.
+    fn wait_through(&self, mark: u64) -> Result<(), WalError> {
+        let mut state = self.lock();
+        loop {
+            Self::check(&state)?;
+            if self.durable.load(Ordering::Acquire) >= mark {
+                return Ok(());
+            }
+            self.request(&mut state, mark);
+            state = self
+                .synced
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The syncer's loop: on each request, read the written mark, sync,
+    /// and move the durable mark to what was read. Ends at the first
+    /// failure, or once stopping with nothing asked for.
+    fn run(&self, mut log: Box<dyn WalSync>) {
+        let mut state = self.lock();
+        loop {
+            while !state.requested {
+                if state.stopping {
+                    return;
+                }
+                state = self
+                    .kicked
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            state.requested = false;
+            let mark = self.written.load(Ordering::Acquire);
+            state.in_flight = Some(mark);
+            drop(state);
+            let synced = log.sync();
+            state = self.lock();
+            state.in_flight = None;
+            match synced {
+                Ok(()) => {
+                    self.durable.fetch_max(mark, Ordering::Release);
+                }
+                Err(e) => state.failure = Some((e.kind(), e.to_string())),
+            }
+            self.synced.notify_all();
+            if state.failure.is_some() {
+                return;
+            }
+        }
+    }
+}
+
+/// The syncer thread of a [`DurableService`] (see [`SyncMarks::run`]).
+/// Stopped and joined on drop, after a sync asked for runs.
+struct Syncer {
+    marks: Arc<SyncMarks>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Syncer {
+    /// Start the syncer over `log`, a handle on a log whose next event is
+    /// `written`.
+    fn start(log: Box<dyn WalSync>, written: u64) -> Result<Self, WalError> {
+        let marks = Arc::new(SyncMarks {
+            written: AtomicU64::new(written),
+            ..SyncMarks::default()
+        });
+        let shared = Arc::clone(&marks);
+        let thread = thread::Builder::new()
+            .name("rrp-wal-sync".to_string())
+            .stack_size(SYNCER_STACK)
+            .spawn(move || shared.run(log))?;
+        Ok(Syncer {
+            marks,
+            thread: Some(thread),
+        })
+    }
+}
+
+impl Drop for Syncer {
+    fn drop(&mut self) {
+        self.marks.lock().stopping = true;
+        self.marks.kicked.notify_one();
+        if let Some(thread) = self.thread.take() {
+            // A panicked syncer has nothing left to report.
+            thread.join().ok();
+        }
+    }
 }
 
 /// The snapshot thread of a [`DurableService`]: at most one cadence
@@ -228,6 +415,19 @@ impl DurableService {
         engine: RankPromotionEngine,
         shard_count: usize,
         failpoint: Failpoint,
+    ) -> Result<(Self, RecoveryReport), ServeError> {
+        Self::open_with_sink(dir, engine, shard_count, |file| {
+            Box::new(FailpointSink::new(file, failpoint))
+        })
+    }
+
+    /// [`open`](Self::open) with the log's sink built by `sink` around the
+    /// file sink.
+    fn open_with_sink(
+        dir: &Path,
+        engine: RankPromotionEngine,
+        shard_count: usize,
+        sink: impl FnOnce(FileSink) -> Box<dyn WalSink>,
     ) -> Result<(Self, RecoveryReport), ServeError> {
         std::fs::create_dir_all(dir).map_err(WalError::from)?;
         let wal_path = dir.join(WAL_FILE);
@@ -293,8 +493,8 @@ impl DurableService {
             None => (create_log_file(&wal_path)?, next_event),
         };
         debug_assert!(writer_next >= next_event);
-        let sink = FailpointSink::new(FileSink::new(file), failpoint);
-        let wal = WalWriter::new(Box::new(sink), writer_next);
+        let wal = WalWriter::new(sink(FileSink::new(file)), writer_next);
+        let syncer = Syncer::start(wal.sync_handle()?, writer_next)?;
 
         let replayed = report.events_replayed;
         let service = DurableService {
@@ -311,6 +511,7 @@ impl DurableService {
             wal_appends: 0,
             snapshots: Mutex::default(),
             events_replayed: replayed,
+            syncer,
         };
         Ok((service, report))
     }
@@ -417,38 +618,64 @@ impl DurableService {
     }
 
     /// Write a snapshot right now, on the calling thread: wait for a
-    /// cadence snapshot in flight (and count it), sync the log, serialise
-    /// the engine, store and serving tier, and rename it into place
-    /// atomically. A crash at any instant leaves either the previous
-    /// snapshot or this one. The serving tier is written but never read
-    /// back: recovery derives it from the store (see the module docs).
-    /// Kept public for operators: a checkpoint between cadence marks, say
-    /// before a planned restart, so recovery replays nothing.
+    /// cadence snapshot in flight (and count it), [`sync`](Self::sync) the
+    /// log, serialise the engine, store and serving tier, and rename it
+    /// into place atomically. A crash at any instant leaves either the
+    /// previous snapshot or this one. The serving tier is written but
+    /// never read back: recovery derives it from the store (see the module
+    /// docs). Kept public for operators: a checkpoint between cadence
+    /// marks, say before a planned restart, so recovery replays nothing.
     pub fn snapshot_now(&mut self) -> Result<(), ServeError> {
-        let snapshots = self
-            .snapshots
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
         // The one in flight lands first, so it never renames an older
         // state over this one.
-        snapshots.join();
-        self.wal.sync()?;
-        SnapshotCapture::of(&self.inner, self.wal.next_seq()).write(&self.snapshot_path)?;
-        snapshots.written += 1;
+        self.snapshot_thread().join();
+        let mark = self.sync()?;
+        SnapshotCapture::of(&self.inner, mark).write(&self.snapshot_path, &self.syncer.marks)?;
+        self.snapshot_thread().written += 1;
         self.events_since_snapshot = 0;
         Ok(())
     }
 
-    /// The leader-side replication handoff: flush the log all the way to
-    /// disk and return the sequence one past the last durable event —
-    /// the mark a follower tailing this directory can reach. After this
-    /// returns, a `ReplicaService::catch_up` over the same directory is
-    /// guaranteed to see every event below the returned mark (the frames
-    /// are fully visible to same-machine readers even before the sync;
-    /// the sync makes the handoff crash-durable).
+    /// The leader-side replication handoff: return the sequence one past
+    /// the last event written to the log — the mark a follower tailing
+    /// this directory can reach — and kick the syncer, without waiting for
+    /// it. After this returns, a `ReplicaService::catch_up` over the same
+    /// directory is guaranteed to see every event below the returned mark:
+    /// the frames are visible to same-machine readers before any sync. The
+    /// events become power-loss durable once
+    /// [`durable_through`](Self::durable_through) reaches the mark; call
+    /// [`sync`](Self::sync) to wait for that. Fails with
+    /// [`ServeError::Wal`] once a sync has failed (see the durability
+    /// contract).
     pub fn sync_for_followers(&mut self) -> Result<u64, ServeError> {
-        self.wal.sync()?;
-        Ok(self.wal.next_seq())
+        let mark = self.wal.next_seq();
+        self.syncer.marks.kick(mark)?;
+        Ok(mark)
+    }
+
+    /// Wait until a completed sync covers every event written so far, and
+    /// return that mark: every event below it survives power loss. One
+    /// sync under way or asked for may cover it, so a caller waits at most
+    /// for the sync in flight and one more. Fails with [`ServeError::Wal`]
+    /// once a sync has failed, and from then on.
+    pub fn sync(&self) -> Result<u64, ServeError> {
+        let mark = self.wal.next_seq();
+        self.syncer.marks.wait_through(mark)?;
+        Ok(mark)
+    }
+
+    /// One past the last event a completed sync covered: every event
+    /// below it survives an OS crash or power loss. It counts only the
+    /// syncs this service ran, so it starts at 0 when the service opens,
+    /// and it never moves again after a failed sync.
+    pub fn durable_through(&self) -> u64 {
+        self.syncer.marks.durable.load(Ordering::Acquire)
+    }
+
+    fn snapshot_thread(&mut self) -> &mut SnapshotThread {
+        self.snapshots
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Reject mutations against sequences the store never issued, before
@@ -467,6 +694,10 @@ impl DurableService {
     /// Append one event; accounting only happens on success.
     fn log_event(&mut self, event: &WalEvent) -> Result<(), ServeError> {
         self.wal.append(event)?;
+        self.syncer
+            .marks
+            .written
+            .store(self.wal.next_seq(), Ordering::Release);
         self.wal_appends += 1;
         self.events_since_snapshot += 1;
         Ok(())
@@ -474,29 +705,27 @@ impl DurableService {
 
     /// The cadence trigger on the mutation path, after the event is
     /// logged and applied. At a mark it joins the previous snapshot (and
-    /// counts it), syncs the log, copies the state and hands the copy to a
-    /// new snapshot thread. Nothing here can fail the mutation: a failed
-    /// sync or thread start is counted as a failed snapshot, and the next
-    /// mark tries again.
+    /// counts it), copies the state and hands the copy to a new snapshot
+    /// thread, which kicks the syncer before it renders, so the log's sync
+    /// runs alongside. Nothing here syncs or can fail the mutation: a
+    /// failed snapshot or thread start is counted, and the next mark tries
+    /// again.
     fn maybe_snapshot(&mut self) {
         if self.events_since_snapshot < self.snapshot_every {
             return;
         }
         self.events_since_snapshot = 0;
-        let snapshots = self
-            .snapshots
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        snapshots.join();
-        if self.wal.sync().is_err() {
-            snapshots.failed += 1;
-            return;
-        }
+        self.snapshot_thread().join();
         let capture = SnapshotCapture::of(&self.inner, self.wal.next_seq());
         let path = self.snapshot_path.clone();
+        let marks = Arc::clone(&self.syncer.marks);
         let spawned = thread::Builder::new()
             .name("rrp-snapshot".to_string())
-            .spawn(move || capture.write(&path));
+            .spawn(move || {
+                marks.kick(capture.next_event)?;
+                capture.write(&path, &marks)
+            });
+        let snapshots = self.snapshot_thread();
         match spawned {
             Ok(handle) => snapshots.in_flight = Some(handle),
             Err(_) => snapshots.failed += 1,
@@ -746,8 +975,9 @@ impl SnapshotCapture {
     }
 
     /// Render the payload into the snapshot at `path`, a
-    /// [`RENDER_CHUNK`]-sized part at a time, and rename it into place.
-    fn write(&self, path: &Path) -> Result<(), ServeError> {
+    /// [`RENDER_CHUNK`]-sized part at a time, wait until the log is synced
+    /// through the capture's mark, and rename it into place.
+    fn write(&self, path: &Path, marks: &SyncMarks) -> Result<(), ServeError> {
         let mut file = SnapshotWriter::create(path)?;
         let mut out = String::with_capacity(RENDER_CHUNK + RENDER_SLACK);
         self.render(&mut out, &mut |out: &mut String| {
@@ -758,7 +988,7 @@ impl SnapshotCapture {
             Ok(())
         })?;
         file.write(out.as_bytes())?;
-        file.finish()?;
+        file.finish_after(|| marks.wait_through(self.next_event))?;
         Ok(())
     }
 }
@@ -839,6 +1069,7 @@ mod tests {
     use proptest::prelude::*;
     use rrp_core::{QueryContext, RankPromotionEngine, ShardedCorpusCache};
     use rrp_ranking::{PromotionConfig, PromotionRule};
+    use rrp_wal::fault::{SinkEvent, SinkRecord, SyncRecorder};
     use rrp_wal::snapshot::write_snapshot_atomic;
     use serde::Value;
     use std::path::PathBuf;
@@ -1500,6 +1731,222 @@ mod tests {
         svc.extend((0..2).map(doc)).unwrap();
         let stats = svc.serve_stats();
         assert_eq!((stats.snapshots_written, stats.snapshot_failures), (1, 1));
+    }
+
+    #[test]
+    fn sync_after_acknowledgements_makes_every_one_durable() {
+        let dir = Scratch::new("sync-all");
+        let (svc, _) = DurableService::open(dir.path(), engine(), 2).unwrap();
+        let mut svc = svc.with_snapshot_every(u64::MAX);
+        assert_eq!(svc.durable_through(), 0, "no sync has run yet");
+        svc.extend((0..5).map(doc)).unwrap();
+        svc.record_visit(3).unwrap();
+        svc.update_popularity(1, 0.25).unwrap();
+        assert_eq!(svc.sync().unwrap(), 7);
+        assert_eq!(svc.durable_through(), 7);
+        // A second sync with nothing new written returns at once.
+        assert_eq!(svc.sync().unwrap(), 7);
+        assert_eq!(svc.sync_for_followers().unwrap(), 7);
+    }
+
+    /// One step of the group-commit schedule.
+    #[derive(Debug, Clone, Copy)]
+    enum SyncStep {
+        /// An insert, a visit or a popularity update, chosen by `salt`.
+        Mutate {
+            salt: u64,
+        },
+        ForFollowers,
+        Sync,
+        /// Let `grace` more syncs succeed, then fail every one after.
+        FailSyncs {
+            grace: u64,
+        },
+        /// Let every sync succeed again: a service that forgot a failed
+        /// sync would move its durable mark after this.
+        Heal,
+    }
+
+    fn arb_sync_steps() -> impl Strategy<Value = Vec<SyncStep>> {
+        prop::collection::vec((0usize..40, 0u64..1_000), 1..60).prop_map(|raw| {
+            raw.into_iter()
+                .map(|(kind, salt)| match kind {
+                    0..=25 => SyncStep::Mutate { salt },
+                    26..=31 => SyncStep::ForFollowers,
+                    32..=37 => SyncStep::Sync,
+                    38 => SyncStep::FailSyncs { grace: salt % 3 },
+                    _ => SyncStep::Heal,
+                })
+                .collect()
+        })
+    }
+
+    /// The snapshot file's event mark, if one is in place.
+    fn snapshot_mark(path: &Path) -> Option<u64> {
+        let payload = read_snapshot(path).unwrap()?;
+        let text = std::str::from_utf8(&payload).unwrap();
+        let (_, mark) = text.rsplit_once("\"next_event\":").unwrap();
+        Some(mark.trim_end_matches('}').parse().unwrap())
+    }
+
+    /// What the group-commit property watches across a schedule.
+    struct SyncWatch {
+        record: SinkRecord,
+        snapshot: PathBuf,
+        /// The durable mark when a failed sync was first seen.
+        frozen: Option<u64>,
+    }
+
+    impl SyncWatch {
+        /// Events the completed syncs recorded so far cover: each append
+        /// is one event, from sequence 0 in a fresh directory.
+        fn covered(events: &[SinkEvent]) -> u64 {
+            let bytes = events
+                .iter()
+                .filter_map(|event| match *event {
+                    SinkEvent::Sync {
+                        covered, ok: true, ..
+                    } => Some(covered),
+                    _ => None,
+                })
+                .max()
+                .unwrap_or(0);
+            events
+                .iter()
+                .filter(|event| matches!(event, SinkEvent::Append { end, .. } if *end <= bytes))
+                .count() as u64
+        }
+
+        fn any_failed(events: &[SinkEvent]) -> bool {
+            events
+                .iter()
+                .any(|event| matches!(event, SinkEvent::Sync { ok: false, .. }))
+        }
+
+        fn failed(&self) -> bool {
+            Self::any_failed(&self.record.events())
+        }
+
+        /// Check the durable mark (of a live service) and the snapshot in
+        /// place against the syncs recorded after them, and that none ran
+        /// on this thread.
+        fn observe(&mut self, svc: Option<&DurableService>) -> Result<(), TestCaseError> {
+            let durable = svc.map(DurableService::durable_through);
+            let snapshot = snapshot_mark(&self.snapshot);
+            let events = self.record.events();
+            let covered = Self::covered(&events);
+            if let Some(durable) = durable {
+                prop_assert!(
+                    durable <= covered,
+                    "durable {} > covered {}",
+                    durable,
+                    covered
+                );
+            }
+            if let Some(mark) = snapshot {
+                prop_assert!(mark <= covered, "snapshot {} > covered {}", mark, covered);
+            }
+            let here = thread::current().id();
+            for event in &events {
+                if let SinkEvent::Sync { thread, .. } = *event {
+                    prop_assert!(thread != here, "a sync ran on the acknowledging thread");
+                }
+            }
+            if let (true, Some(svc)) = (Self::any_failed(&events), svc) {
+                // Read after the failure is recorded: no sync stores a
+                // mark after it.
+                let now = svc.durable_through();
+                prop_assert_eq!(
+                    *self.frozen.get_or_insert(now),
+                    now,
+                    "moved after a failure"
+                );
+            }
+            Ok(())
+        }
+    }
+
+    proptest! {
+        /// Group commit under arbitrary interleavings of mutations,
+        /// handoffs, blocking syncs, cadence snapshots and injected sync
+        /// failures, healed or not: the durable mark never passes what a
+        /// completed sync covered and freezes at the first failed sync, a
+        /// failed sync is reported from then on, every snapshot in place
+        /// is covered by a completed sync, and no sync runs on the
+        /// acknowledging thread.
+        #[test]
+        fn the_durable_mark_follows_the_completed_syncs(
+            steps in arb_sync_steps(),
+            every in 1u64..24,
+        ) {
+            let dir = Scratch::new("group-commit");
+            let (record, failpoint) = (SinkRecord::default(), Failpoint::new());
+            let sink_record = record.clone();
+            let sink_failpoint = failpoint.clone();
+            let (svc, _) = DurableService::open_with_sink(dir.path(), engine(), 2, |file| {
+                Box::new(SyncRecorder::new(
+                    FailpointSink::new(file, sink_failpoint),
+                    sink_record,
+                ))
+            })
+            .unwrap();
+            let mut svc = svc.with_snapshot_every(every);
+            let mut watch = SyncWatch {
+                record,
+                snapshot: dir.path().join(SNAPSHOT_FILE),
+                frozen: None,
+            };
+            let (mut written, mut reported) = (0u64, false);
+            for &step in &steps {
+                match step {
+                    SyncStep::Mutate { salt } => {
+                        let len = svc.store().len() as u64;
+                        if len < 4 || salt % 3 == 0 {
+                            svc.insert(doc(len)).unwrap();
+                        } else if salt % 3 == 1 {
+                            svc.record_visit(salt % len).unwrap();
+                        } else {
+                            svc.update_popularity(salt % len, salt as f64 / 1e3).unwrap();
+                        }
+                        written += 1;
+                    }
+                    SyncStep::ForFollowers => match svc.sync_for_followers() {
+                        Ok(mark) => {
+                            prop_assert!(!reported, "a handoff succeeded after a failure");
+                            prop_assert_eq!(mark, written);
+                        }
+                        Err(e) => {
+                            prop_assert!(matches!(e, ServeError::Wal(_)), "{:?}", e);
+                            prop_assert!(watch.failed());
+                            reported = true;
+                        }
+                    },
+                    SyncStep::Sync => {
+                        let doomed = watch.failed() && svc.durable_through() < written;
+                        match svc.sync() {
+                            Ok(mark) => {
+                                prop_assert!(!reported && !doomed, "a sync succeeded after a failure");
+                                prop_assert_eq!(mark, written);
+                                prop_assert!(svc.durable_through() >= mark);
+                            }
+                            Err(e) => {
+                                prop_assert!(matches!(e, ServeError::Wal(_)), "{:?}", e);
+                                prop_assert!(watch.failed());
+                                reported = true;
+                            }
+                        }
+                    }
+                    SyncStep::FailSyncs { grace } => failpoint.arm_syncs_after(grace),
+                    SyncStep::Heal => failpoint.disarm(),
+                }
+                watch.observe(Some(&svc))?;
+            }
+            let stats = svc.serve_stats(); // joins the snapshot in flight
+            prop_assert_eq!(stats.wal_appends, written);
+            watch.observe(Some(&svc))?;
+            drop(svc); // joins the syncer, which runs a sync asked for
+            watch.observe(None)?;
+        }
     }
 
     #[test]

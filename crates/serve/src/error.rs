@@ -42,7 +42,8 @@ pub enum ServeError {
         popularity: f64,
     },
     /// The write-ahead log or snapshot layer failed (I/O, bad header,
-    /// corruption that cannot be recovered around).
+    /// corruption that cannot be recovered around), or the durable
+    /// service's log sync failed, which every later sync reports too.
     Wal(WalError),
     /// A snapshot was readable but does not belong to this service
     /// configuration, or recovery could not replay the log onto it.

@@ -12,7 +12,7 @@
 //!     → maybe snapshot                          empty + full-log replay)
 //!                                            2. open the live log tail
 //!   sync_for_followers():                  catch_up() / apply_up_to(cap):
-//!     fsync the log, return the              poll the tail: complete
+//!     kick the syncer, return the            poll the tail: complete
 //!     follower-reachable mark ──────────▶    frames apply (or wait in a
 //!                                            backlog past the cap),
 //!                                            incomplete frames are
@@ -135,7 +135,12 @@ impl ReplicaService {
     /// how many were newly applied. After the leader has quiesced (or
     /// called [`sync_for_followers`](crate::DurableService::sync_for_followers)
     /// and returned mark `m`), the replica's state is bit-identical to
-    /// the leader's at mark `m` and [`ReplicaStats::behind_by`] is 0.
+    /// the leader's at mark `m` and [`ReplicaStats::behind_by`] is 0. The
+    /// replica reads the frames the leader wrote, whether or not a sync
+    /// has covered them yet: a replica on the same machine is as fresh as
+    /// the leader's acknowledgements, and
+    /// [`durable_through`](crate::DurableService::durable_through) says
+    /// which of those events would survive power loss.
     pub fn catch_up(&mut self) -> Result<u64, ServeError> {
         self.apply_up_to(u64::MAX)
     }

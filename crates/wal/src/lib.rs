@@ -13,9 +13,10 @@
 //! serving state, streamed in parts, in a checksummed envelope written
 //! via atomic rename, so recovery is snapshot + tail replay rather than
 //! full-history replay.
-//! [`fault`] injects the three failures that matter — truncation, bit
-//! rot, append-time I/O errors — so the recovery path is tested against
-//! them, not just described.
+//! [`fault`] injects the failures that matter — truncation, bit rot,
+//! append- and sync-time I/O errors — and records which thread synced
+//! what, so the recovery and group-commit paths are tested against them,
+//! not just described.
 //!
 //! The crate knows nothing about ranking: it logs events and hands back
 //! bytes. The serving-tier integration (the `DurableService` wrapper,
@@ -32,6 +33,6 @@ pub mod snapshot;
 pub use crc32::{crc32, crc32_concat};
 pub use event::WalEvent;
 pub use log::{
-    create_log_file, resume_log_file, FileSink, TailStatus, WalError, WalPoll, WalSink,
+    create_log_file, resume_log_file, FileSink, TailStatus, WalError, WalPoll, WalSink, WalSync,
     WalTailReader, WalWriter, WAL_HEADER_LEN, WAL_MAGIC, WAL_VERSION,
 };

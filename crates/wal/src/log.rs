@@ -42,9 +42,11 @@
 //! reached the OS: it survives a *process* crash, and a crashed process
 //! leaves at worst one torn frame — exactly the case the reader drops
 //! cleanly. An appended frame survives an *OS crash or power loss* only
-//! once a later [`WalWriter::sync`] covers it. [`create_log_file`] syncs
-//! the parent directory, so the log's directory entry is durable from
-//! the start.
+//! once a later sync covers it: [`WalWriter::sync`] on the writer's
+//! thread, or a [`WalSync`] handle from [`WalWriter::sync_handle`] on
+//! another thread, while the writer keeps appending. A sync covers every
+//! frame written before it began. [`create_log_file`] syncs the parent
+//! directory, so the log's directory entry is durable from the start.
 
 use crate::crc32::crc32_concat;
 use crate::event::WalEvent;
@@ -176,6 +178,25 @@ pub trait WalSink: Send {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()>;
     /// Flush as far down the storage stack as the sink can reach.
     fn sync(&mut self) -> io::Result<()>;
+    /// A handle that syncs this sink's log from another thread while the
+    /// sink keeps appending.
+    fn sync_handle(&self) -> io::Result<Box<dyn WalSync>>;
+}
+
+/// Syncs a log from a thread other than the writer's (see
+/// [`WalSink::sync_handle`]). A sync covers every frame appended before
+/// it began.
+pub trait WalSync: Send {
+    /// Flush the log as far down the storage stack as the handle reaches.
+    fn sync(&mut self) -> io::Result<()>;
+}
+
+/// A second handle on the log file: `sync_data` flushes the frames
+/// appended through any handle on it.
+impl WalSync for File {
+    fn sync(&mut self) -> io::Result<()> {
+        self.sync_data()
+    }
 }
 
 /// The production sink: unbuffered appends to a [`File`], so a process
@@ -198,6 +219,10 @@ impl WalSink for FileSink {
 
     fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()
+    }
+
+    fn sync_handle(&self) -> io::Result<Box<dyn WalSync>> {
+        Ok(Box::new(self.file.try_clone()?))
     }
 }
 
@@ -294,6 +319,12 @@ impl WalWriter {
     /// Flush the sink (see [`WalSink::sync`]).
     pub fn sync(&mut self) -> Result<(), WalError> {
         Ok(self.sink.sync()?)
+    }
+
+    /// A handle that syncs this log from another thread (see
+    /// [`WalSink::sync_handle`]).
+    pub fn sync_handle(&self) -> Result<Box<dyn WalSync>, WalError> {
+        Ok(self.sink.sync_handle()?)
     }
 }
 
@@ -556,6 +587,10 @@ mod tests {
 
         fn sync(&mut self) -> io::Result<()> {
             Ok(())
+        }
+
+        fn sync_handle(&self) -> io::Result<Box<dyn WalSync>> {
+            Err(io::ErrorKind::Unsupported.into())
         }
     }
 

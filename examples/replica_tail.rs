@@ -41,8 +41,9 @@ fn main() {
     );
 
     // ── The leader keeps writing; the replica keeps tailing ─────────────
-    // The leader never closes the log. sync_for_followers() fsyncs it
-    // and returns the mark a follower can reach right now.
+    // The leader never closes the log. sync_for_followers() returns the
+    // mark a follower can reach right now and kicks the leader's syncer,
+    // which makes the events power-loss durable in the background.
     leader.record_visit(3).expect("durable visit");
     leader.update_popularity(7, 0.99).expect("durable update");
     leader
