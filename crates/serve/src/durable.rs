@@ -12,22 +12,20 @@
 //!            │ 2. append event to WAL  ──failure──▶ typed error,
 //!            │ 3. apply to in-memory service            │  state unchanged
 //!            │ 4. every `snapshot_every` events: copy   │
-//!            │    the state, hand the copy to the       │
-//!            │    snapshot thread (kick the syncer,     │
-//!            │    render, wait until the log is synced  │
-//!            │    through the mark, rename into place); │
-//!            │    joined and counted at the next mark,  │
-//!            │    `snapshot_now`, `serve_stats` or drop │
-//!            │    (failure → counted, the next mark     │
-//!            │    tries again; the mutation stands)     │
+//!            │    the state and hand the copy to the    │
+//!            │    syncer, once the previous one is      │
+//!            │    counted (the mutation stands)         │
 //!            └──────────────────────────────────────────┘
 //!
 //!            ┌──────────────── syncer ──────────────────┐
-//!            │ on a kick (`sync_for_followers`, `sync`, │
-//!            │ the snapshot thread): read the written   │
-//!            │ mark, `sync_data` the log, then move     │
-//!            │ `durable_through()` to that mark; a      │
-//!            │ failed sync is sticky                    │
+//!            │ the one log thread, from open to drop    │
+//!            │ kicked (`sync_for_followers`, `sync`):   │
+//!            │   read the written mark, `sync_data` the │
+//!            │   log, move `durable_through()` there;   │
+//!            │   a failed sync is sticky                │
+//!            │ handed a copy: sync through its mark     │
+//!            │   unless durable, render, write, rename, │
+//!            │   count (an error or a panic → failure)  │
 //!            └──────────────────────────────────────────┘
 //!
 //!            ┌──────────────── recovery ────────────────┐
@@ -66,15 +64,16 @@
 //! lists that are not a function of them), through a buffer of about
 //! 64 KB into a streamed [`SnapshotWriter`], which checksums the parts as
 //! they pass and writes the envelope last. A cadence snapshot does that on
-//! its own thread, so the acknowledgement that crosses the mark pays only
-//! the copy; [`DurableService::snapshot_now`] does it on the calling
+//! the syncer thread, so the acknowledgement that crosses the mark pays
+//! only the copy; [`DurableService::snapshot_now`] does it on the calling
 //! thread. Either way the file is the same, byte for byte, and it is
-//! renamed into place only once the log is synced through its mark.
+//! rendered only once a completed sync covers its mark.
 //!
-//! The log is synced by group commit: a syncer thread owns a second
+//! The log is synced by group commit: the syncer thread owns a second
 //! handle on the log file and, when kicked, runs one `sync_data` that
 //! covers every frame written before it began. No sync runs on the thread
-//! that acknowledges a mutation.
+//! that acknowledges a mutation, and the syncer is the only thread the
+//! service starts.
 //!
 //! Replay reproduces bit-identical output because every serving answer is
 //! a pure function of (engine seed, query, session) over the store's
@@ -89,6 +88,7 @@
 //! property pinned by the prefix-replay suite.
 
 use crate::error::ServeError;
+use crate::replica::BootstrapSource;
 use crate::service::{ServeStats, ShardedPromotionService, StoreGuard};
 use crate::store::ShardedStore;
 use rrp_core::{Document, RankPromotionEngine, TierCapture};
@@ -101,6 +101,7 @@ use rrp_wal::{
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -118,8 +119,6 @@ const RENDER_CHUNK: usize = 64 * 1024;
 /// entry renders to a few hundred bytes at most), so the buffer never
 /// grows.
 const RENDER_SLACK: usize = 4 * 1024;
-/// Stack of the syncer thread, which only waits and calls `sync_data`.
-const SYNCER_STACK: usize = 64 * 1024;
 
 /// What [`DurableService::open`] found on disk and what it did about it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -167,8 +166,9 @@ pub struct RecoveryReport {
 /// (group commit: one `sync_data` covers every frame written before it
 /// began), kicked by [`sync_for_followers`](Self::sync_for_followers)
 /// (which does not wait), by [`sync`](Self::sync) and
-/// [`snapshot_now`](Self::snapshot_now) (which wait for it) and by the
-/// snapshot thread; acknowledging a mutation never syncs or waits.
+/// [`snapshot_now`](Self::snapshot_now) (which wait for it) and by a
+/// cadence snapshot handed to it; acknowledging a mutation never syncs or
+/// waits for a sync.
 ///
 /// A failed sync is sticky: after it `durable_through` never moves again,
 /// and `sync`, `sync_for_followers` and every later snapshot fail with
@@ -178,20 +178,21 @@ pub struct RecoveryReport {
 /// what is on disk. Mutations are still acknowledged to the OS.
 ///
 /// A cadence snapshot is written off the acknowledgement path. The
-/// mutation that crosses the mark copies the state at the mark, and the
-/// snapshot thread renders that copy, writes it, waits until
-/// `durable_through` reaches the mark (so a snapshot is never ahead of
-/// the durable log) and renames it into place: the snapshot is durable
-/// (synced, renamed, its directory synced) once the thread finishes. It
-/// is joined, and its outcome
-/// counted, at the next cadence mark, at [`snapshot_now`](Self::snapshot_now),
-/// at [`serve_stats`](Self::serve_stats) and when the service is dropped,
-/// so a service dropped mid-snapshot still leaves it written. A failed one
-/// never fails a mutation: it is counted in
-/// [`ServeStats::snapshot_failures`] when joined, and the next mark tries
-/// again (the log still holds every event, so recovery only replays a
-/// longer tail). `serve_stats` waits for a snapshot in flight, so its
-/// counts are exact and the snapshot file is the last one counted.
+/// mutation that crosses the mark copies the state at the mark and hands
+/// the copy to the syncer, which syncs the log through the mark unless
+/// `durable_through` already reaches it (so a snapshot is never ahead of
+/// the durable log), then renders the copy, writes it and renames it into
+/// place: the snapshot is durable (synced, renamed, its directory synced)
+/// once the syncer counts it. The next cadence mark,
+/// [`snapshot_now`](Self::snapshot_now),
+/// [`serve_stats`](Self::serve_stats) and dropping the service wait for
+/// that count, so a service dropped mid-snapshot still leaves it written.
+/// A failed one (a render that panics included) never fails a mutation or
+/// stops the syncer: it is counted in [`ServeStats::snapshot_failures`],
+/// and the next mark tries again (the log still holds every event, so
+/// recovery only replays a longer tail). `serve_stats` waits for a
+/// snapshot in flight, so its counts are exact and the snapshot file is
+/// the last one counted.
 pub struct DurableService {
     inner: ShardedPromotionService,
     wal: WalWriter,
@@ -200,18 +201,12 @@ pub struct DurableService {
     /// Events since the last cadence mark or written `snapshot_now`.
     events_since_snapshot: u64,
     wal_appends: u64,
-    /// The cadence snapshot in flight and the outcomes counted so far,
-    /// behind a lock only because [`serve_stats`](Self::serve_stats) joins
-    /// through `&self`.
-    snapshots: Mutex<SnapshotThread>,
     events_replayed: u64,
-    /// Declared after `snapshots`, so a snapshot in flight, which may wait
-    /// for a sync, is joined before the syncer stops.
     syncer: Syncer,
 }
 
-/// The marks a [`DurableService`] shares with its syncer thread, and the
-/// handshake between them.
+/// What a [`DurableService`] shares with its syncer thread: the marks,
+/// the cadence snapshot handed over, and the handshake between them.
 #[derive(Default)]
 struct SyncMarks {
     /// One past the last event appended to the log, stored after every
@@ -220,9 +215,10 @@ struct SyncMarks {
     /// One past the last event a completed sync covered.
     durable: AtomicU64,
     state: Mutex<SyncState>,
-    /// Wakes the syncer when a sync is asked for, or to stop.
+    /// Wakes the syncer when a sync or a snapshot is asked for, or to
+    /// stop.
     kicked: Condvar,
-    /// Wakes the waiters when a sync ends.
+    /// Wakes the waiters when a sync or a snapshot ends.
     synced: Condvar,
 }
 
@@ -234,13 +230,25 @@ struct SyncState {
     in_flight: Option<u64>,
     /// The first failed sync, sticky: its kind and message.
     failure: Option<(io::ErrorKind, String)>,
-    /// The service is dropped: the syncer ends once no sync is asked for.
+    /// The cadence snapshot handed over and not yet taken up.
+    capture: Option<SnapshotCapture>,
+    /// A cadence snapshot is handed over and not yet counted.
+    snapshot_pending: bool,
+    snapshots_written: u64,
+    snapshot_failures: u64,
+    /// The service is dropped: the syncer ends once nothing is asked for.
     stopping: bool,
 }
 
 impl SyncMarks {
     fn lock(&self) -> MutexGuard<'_, SyncState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, state: MutexGuard<'a, SyncState>) -> MutexGuard<'a, SyncState> {
+        self.synced
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The sticky failure, as a typed error.
@@ -282,20 +290,39 @@ impl SyncMarks {
                 return Ok(());
             }
             self.request(&mut state, mark);
-            state = self
-                .synced
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+            state = self.wait(state);
         }
     }
 
-    /// The syncer's loop: on each request, read the written mark, sync,
-    /// and move the durable mark to what was read. Ends at the first
-    /// failure, or once stopping with nothing asked for.
-    fn run(&self, mut log: Box<dyn WalSync>) {
+    /// Wait until the last cadence snapshot handed over is written (or
+    /// failed) and counted, and return the state with the counts.
+    fn settled(&self) -> MutexGuard<'_, SyncState> {
+        let mut state = self.lock();
+        while state.snapshot_pending {
+            state = self.wait(state);
+        }
+        state
+    }
+
+    /// Hand a cadence snapshot to the syncer, once the one before it is
+    /// counted.
+    fn hand_over(&self, capture: SnapshotCapture) {
+        let mut state = self.settled();
+        state.capture = Some(capture);
+        state.snapshot_pending = true;
+        self.kicked.notify_one();
+    }
+
+    /// The syncer's loop. A sync asked for reads the written mark, syncs,
+    /// and moves the durable mark to what was read. A cadence snapshot is
+    /// synced through its mark first (unless a completed sync covers it),
+    /// then written to `snapshot_path` and counted; a render that panics
+    /// counts as a failure. After a failed sync nothing syncs again and
+    /// every snapshot fails. Ends once stopping with nothing asked for.
+    fn run(&self, mut log: Box<dyn WalSync>, snapshot_path: &Path) {
         let mut state = self.lock();
         loop {
-            while !state.requested {
+            while !state.requested && state.capture.is_none() {
                 if state.stopping {
                     return;
                 }
@@ -304,29 +331,51 @@ impl SyncMarks {
                     .wait(state)
                     .unwrap_or_else(PoisonError::into_inner);
             }
+            let capture = state.capture.take();
+            let behind = capture
+                .as_ref()
+                .is_some_and(|capture| self.durable.load(Ordering::Acquire) < capture.next_event);
+            let sync = state.requested || behind;
             state.requested = false;
-            let mark = self.written.load(Ordering::Acquire);
-            state.in_flight = Some(mark);
-            drop(state);
-            let synced = log.sync();
-            state = self.lock();
-            state.in_flight = None;
-            match synced {
-                Ok(()) => {
-                    self.durable.fetch_max(mark, Ordering::Release);
+            if sync && state.failure.is_none() {
+                let mark = self.written.load(Ordering::Acquire);
+                state.in_flight = Some(mark);
+                drop(state);
+                let synced = log.sync();
+                state = self.lock();
+                state.in_flight = None;
+                match synced {
+                    Ok(()) => {
+                        self.durable.fetch_max(mark, Ordering::Release);
+                    }
+                    Err(e) => state.failure = Some((e.kind(), e.to_string())),
                 }
-                Err(e) => state.failure = Some((e.kind(), e.to_string())),
+                self.synced.notify_all();
             }
-            self.synced.notify_all();
-            if state.failure.is_some() {
-                return;
+            if let Some(capture) = capture {
+                let mut written = false;
+                if state.failure.is_none() {
+                    drop(state);
+                    let outcome =
+                        panic::catch_unwind(AssertUnwindSafe(|| capture.write(snapshot_path)));
+                    written = matches!(outcome, Ok(Ok(())));
+                    state = self.lock();
+                }
+                if written {
+                    state.snapshots_written += 1;
+                } else {
+                    state.snapshot_failures += 1;
+                }
+                state.snapshot_pending = false;
+                self.synced.notify_all();
             }
         }
     }
 }
 
-/// The syncer thread of a [`DurableService`] (see [`SyncMarks::run`]).
-/// Stopped and joined on drop, after a sync asked for runs.
+/// The syncer thread of a [`DurableService`], its one log thread (see
+/// [`SyncMarks::run`]). Stopped and joined on drop, after a sync or a
+/// snapshot asked for runs.
 struct Syncer {
     marks: Arc<SyncMarks>,
     thread: Option<JoinHandle<()>>,
@@ -334,8 +383,12 @@ struct Syncer {
 
 impl Syncer {
     /// Start the syncer over `log`, a handle on a log whose next event is
-    /// `written`.
-    fn start(log: Box<dyn WalSync>, written: u64) -> Result<Self, WalError> {
+    /// `written`, writing cadence snapshots to `snapshot_path`.
+    fn start(
+        log: Box<dyn WalSync>,
+        written: u64,
+        snapshot_path: PathBuf,
+    ) -> Result<Self, WalError> {
         let marks = Arc::new(SyncMarks {
             written: AtomicU64::new(written),
             ..SyncMarks::default()
@@ -343,8 +396,7 @@ impl Syncer {
         let shared = Arc::clone(&marks);
         let thread = thread::Builder::new()
             .name("rrp-wal-sync".to_string())
-            .stack_size(SYNCER_STACK)
-            .spawn(move || shared.run(log))?;
+            .spawn(move || shared.run(log, &snapshot_path))?;
         Ok(Syncer {
             marks,
             thread: Some(thread),
@@ -363,35 +415,6 @@ impl Drop for Syncer {
     }
 }
 
-/// The snapshot thread of a [`DurableService`]: at most one cadence
-/// snapshot in flight, and the tally of those joined. Joined on drop, so
-/// the service's owner never has to.
-#[derive(Default)]
-struct SnapshotThread {
-    in_flight: Option<JoinHandle<Result<(), ServeError>>>,
-    written: u64,
-    failed: u64,
-}
-
-impl SnapshotThread {
-    /// Wait for the snapshot in flight, if any, and count how it ended; a
-    /// thread that panicked counts as a failure.
-    fn join(&mut self) {
-        if let Some(handle) = self.in_flight.take() {
-            match handle.join() {
-                Ok(Ok(())) => self.written += 1,
-                Ok(Err(_)) | Err(_) => self.failed += 1,
-            }
-        }
-    }
-}
-
-impl Drop for SnapshotThread {
-    fn drop(&mut self) {
-        self.join();
-    }
-}
-
 impl DurableService {
     /// Open (or create) the durable service rooted at `dir`: load and
     /// verify the snapshot if one exists, replay the log tail, truncate
@@ -404,12 +427,13 @@ impl DurableService {
         engine: RankPromotionEngine,
         shard_count: usize,
     ) -> Result<(Self, RecoveryReport), ServeError> {
-        Self::open_with_failpoint(dir, engine, shard_count, Failpoint::new())
+        Self::open_with_sink(dir, engine, shard_count, |file| Box::new(file))
     }
 
     /// [`open`](Self::open) with an armed-able [`Failpoint`] interposed on
-    /// the append path — the fault-injection entry used by the recovery
-    /// tests. A disarmed failpoint (the default) changes nothing.
+    /// the log's appends and syncs — the fault-injection entry used by the
+    /// recovery tests. A disarmed failpoint changes nothing but the cost
+    /// of an append.
     pub fn open_with_failpoint(
         dir: &Path,
         engine: RankPromotionEngine,
@@ -439,8 +463,8 @@ impl DurableService {
         let boot = bootstrap_snapshot(&snapshot_path, engine, shard_count)?;
         let next_event = boot.hwm;
         let inner = boot.service;
-        report.snapshot_loaded = boot.snapshot_loaded;
-        report.snapshot_fallback = boot.snapshot_fallback;
+        report.snapshot_loaded = boot.source == BootstrapSource::Snapshot;
+        report.snapshot_fallback = boot.source == BootstrapSource::SnapshotFallback;
 
         // 2–3. Catch up on the log exactly as a replica does, then
         // classify what the scan left unverified.
@@ -494,7 +518,7 @@ impl DurableService {
         };
         debug_assert!(writer_next >= next_event);
         let wal = WalWriter::new(sink(FileSink::new(file)), writer_next);
-        let syncer = Syncer::start(wal.sync_handle()?, writer_next)?;
+        let syncer = Syncer::start(wal.sync_handle()?, writer_next, snapshot_path.clone())?;
 
         let replayed = report.events_replayed;
         let service = DurableService {
@@ -509,7 +533,6 @@ impl DurableService {
             // crashes.
             events_since_snapshot: replayed,
             wal_appends: 0,
-            snapshots: Mutex::default(),
             events_replayed: replayed,
             syncer,
         };
@@ -552,15 +575,11 @@ impl DurableService {
     /// A cadence snapshot in flight is waited for and counted first, so
     /// the snapshot counts are exact.
     pub fn serve_stats(&self) -> ServeStats {
-        let mut snapshots = self
-            .snapshots
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        snapshots.join();
         let mut stats = self.inner.serve_stats();
+        let snapshots = self.syncer.marks.settled();
         stats.wal_appends = self.wal_appends;
-        stats.snapshots_written = snapshots.written;
-        stats.snapshot_failures = snapshots.failed;
+        stats.snapshots_written = snapshots.snapshots_written;
+        stats.snapshot_failures = snapshots.snapshot_failures;
         stats.events_replayed = self.events_replayed;
         stats
     }
@@ -618,7 +637,7 @@ impl DurableService {
     }
 
     /// Write a snapshot right now, on the calling thread: wait for a
-    /// cadence snapshot in flight (and count it), [`sync`](Self::sync) the
+    /// cadence snapshot in flight to be counted, [`sync`](Self::sync) the
     /// log, serialise the engine, store and serving tier, and rename it
     /// into place atomically. A crash at any instant leaves either the
     /// previous snapshot or this one. The serving tier is written but
@@ -628,10 +647,10 @@ impl DurableService {
     pub fn snapshot_now(&mut self) -> Result<(), ServeError> {
         // The one in flight lands first, so it never renames an older
         // state over this one.
-        self.snapshot_thread().join();
+        drop(self.syncer.marks.settled());
         let mark = self.sync()?;
-        SnapshotCapture::of(&self.inner, mark).write(&self.snapshot_path, &self.syncer.marks)?;
-        self.snapshot_thread().written += 1;
+        SnapshotCapture::of(&self.inner, mark).write(&self.snapshot_path)?;
+        self.syncer.marks.lock().snapshots_written += 1;
         self.events_since_snapshot = 0;
         Ok(())
     }
@@ -656,8 +675,8 @@ impl DurableService {
     /// Wait until a completed sync covers every event written so far, and
     /// return that mark: every event below it survives power loss. One
     /// sync under way or asked for may cover it, so a caller waits at most
-    /// for the sync in flight and one more. Fails with [`ServeError::Wal`]
-    /// once a sync has failed, and from then on.
+    /// for the sync or cadence snapshot in flight and one more sync. Fails
+    /// with [`ServeError::Wal`] once a sync has failed, and from then on.
     pub fn sync(&self) -> Result<u64, ServeError> {
         let mark = self.wal.next_seq();
         self.syncer.marks.wait_through(mark)?;
@@ -670,12 +689,6 @@ impl DurableService {
     /// and it never moves again after a failed sync.
     pub fn durable_through(&self) -> u64 {
         self.syncer.marks.durable.load(Ordering::Acquire)
-    }
-
-    fn snapshot_thread(&mut self) -> &mut SnapshotThread {
-        self.snapshots
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Reject mutations against sequences the store never issued, before
@@ -704,32 +717,17 @@ impl DurableService {
     }
 
     /// The cadence trigger on the mutation path, after the event is
-    /// logged and applied. At a mark it joins the previous snapshot (and
-    /// counts it), copies the state and hands the copy to a new snapshot
-    /// thread, which kicks the syncer before it renders, so the log's sync
-    /// runs alongside. Nothing here syncs or can fail the mutation: a
-    /// failed snapshot or thread start is counted, and the next mark tries
-    /// again.
+    /// logged and applied. At a mark it copies the state and hands the
+    /// copy to the syncer, once the previous snapshot is counted. Nothing
+    /// here syncs or can fail the mutation: a failed snapshot is counted,
+    /// and the next mark tries again.
     fn maybe_snapshot(&mut self) {
         if self.events_since_snapshot < self.snapshot_every {
             return;
         }
         self.events_since_snapshot = 0;
-        self.snapshot_thread().join();
         let capture = SnapshotCapture::of(&self.inner, self.wal.next_seq());
-        let path = self.snapshot_path.clone();
-        let marks = Arc::clone(&self.syncer.marks);
-        let spawned = thread::Builder::new()
-            .name("rrp-snapshot".to_string())
-            .spawn(move || {
-                marks.kick(capture.next_event)?;
-                capture.write(&path, &marks)
-            });
-        let snapshots = self.snapshot_thread();
-        match spawned {
-            Ok(handle) => snapshots.in_flight = Some(handle),
-            Err(_) => snapshots.failed += 1,
-        }
+        self.syncer.marks.hand_over(capture);
     }
 }
 
@@ -751,12 +749,10 @@ pub(crate) struct SnapshotBootstrap {
     /// The event sequence the snapshot is current through: replay
     /// applies events at or past this mark.
     pub(crate) hwm: u64,
-    /// Whether a verified snapshot seeded the state.
-    pub(crate) snapshot_loaded: bool,
-    /// Whether a snapshot existed but failed verification (recovery goes
-    /// around it: the log holds full history, snapshots never truncate
-    /// it).
-    pub(crate) snapshot_fallback: bool,
+    /// Where the state came from (a snapshot that failed verification is
+    /// recovered around: the log holds full history, snapshots never
+    /// truncate it).
+    pub(crate) source: BootstrapSource,
 }
 
 /// Load and verify the snapshot at `snapshot_path`, if one exists, and
@@ -773,24 +769,22 @@ pub(crate) fn bootstrap_snapshot(
     if shard_count == 0 {
         return Err(ServeError::InvalidShardCount { requested: 0 });
     }
-    let snapshot_fallback = match read_snapshot(snapshot_path) {
+    let source = match read_snapshot(snapshot_path) {
         Ok(Some(payload)) => {
             let record = decode_snapshot(&payload, &engine, shard_count)?;
             return Ok(SnapshotBootstrap {
                 service: ShardedPromotionService::with_store(engine, record.store),
                 hwm: record.next_event,
-                snapshot_loaded: true,
-                snapshot_fallback: false,
+                source: BootstrapSource::Snapshot,
             });
         }
-        Ok(None) => false,
-        Err(_) => true,
+        Ok(None) => BootstrapSource::FullLog,
+        Err(_) => BootstrapSource::SnapshotFallback,
     };
     Ok(SnapshotBootstrap {
         service: ShardedPromotionService::new(engine, shard_count),
         hwm: 0,
-        snapshot_loaded: false,
-        snapshot_fallback,
+        source,
     })
 }
 
@@ -922,7 +916,7 @@ struct SnapshotRecord {
 /// writer lock at an event mark: the engine, the store's shard count and
 /// documents, the tier lists the documents do not determine
 /// ([`TierCapture`]) and the mark. Rendering it reads nothing else, so a
-/// cadence snapshot renders it on the snapshot thread while the service
+/// cadence snapshot renders it on the syncer thread while the service
 /// takes further mutations.
 struct SnapshotCapture {
     engine: RankPromotionEngine,
@@ -975,9 +969,9 @@ impl SnapshotCapture {
     }
 
     /// Render the payload into the snapshot at `path`, a
-    /// [`RENDER_CHUNK`]-sized part at a time, wait until the log is synced
-    /// through the capture's mark, and rename it into place.
-    fn write(&self, path: &Path, marks: &SyncMarks) -> Result<(), ServeError> {
+    /// [`RENDER_CHUNK`]-sized part at a time, and rename it into place.
+    /// The caller has synced the log through the capture's mark.
+    fn write(&self, path: &Path) -> Result<(), ServeError> {
         let mut file = SnapshotWriter::create(path)?;
         let mut out = String::with_capacity(RENDER_CHUNK + RENDER_SLACK);
         self.render(&mut out, &mut |out: &mut String| {
@@ -988,7 +982,7 @@ impl SnapshotCapture {
             Ok(())
         })?;
         file.write(out.as_bytes())?;
-        file.finish_after(|| marks.wait_through(self.next_event))?;
+        file.finish()?;
         Ok(())
     }
 }
@@ -1692,7 +1686,7 @@ mod tests {
             svc.extend(chunked_corpus().into_iter().take(1_000))
                 .unwrap();
             // The mark's snapshot is in flight (or just written): dropping
-            // the service joins it.
+            // the service waits for it.
         }
         let (svc, report) = DurableService::open(dir.path(), engine(), 2).unwrap();
         assert!(report.snapshot_loaded);
@@ -1720,17 +1714,35 @@ mod tests {
     }
 
     #[test]
-    fn a_panicked_snapshot_thread_counts_as_a_failure() {
-        let dir = Scratch::new("panicked-thread");
+    fn a_render_that_panics_is_counted_and_the_syncer_keeps_working() {
+        let dir = Scratch::new("panicking-render");
         let (svc, _) = DurableService::open(dir.path(), engine(), 2).unwrap();
-        let mut svc = svc.with_snapshot_every(2);
-        let panicking =
-            thread::spawn(|| -> Result<(), ServeError> { panic!("a snapshot thread that panics") });
-        svc.snapshots.get_mut().unwrap().in_flight = Some(panicking);
-        // The next mark joins it, counts it and starts its own snapshot.
-        svc.extend((0..2).map(doc)).unwrap();
+        let mut svc = svc.with_snapshot_every(5);
+        svc.extend((0..3).map(doc)).unwrap();
+        // A capture whose documents stop short of its dirty slots: its
+        // render indexes past them and panics.
+        let broken = || {
+            let mut capture = SnapshotCapture::of(&svc.inner, 3);
+            capture.documents.clear();
+            capture
+        };
+        let render = panic::catch_unwind(|| broken().render(&mut String::new(), &mut |_| Ok(())));
+        assert!(render.is_err(), "the render panics");
+        svc.syncer.marks.hand_over(broken());
+        let stats = svc.serve_stats();
+        assert_eq!((stats.snapshots_written, stats.snapshot_failures), (0, 1));
+        // The syncer survived the panic: it still syncs…
+        svc.record_visit(1).unwrap();
+        assert_eq!(svc.sync().unwrap(), 4);
+        assert_eq!(svc.durable_through(), 4);
+        // …and writes the next mark's snapshot.
+        svc.update_popularity(2, 0.5).unwrap(); // event 5: the mark
         let stats = svc.serve_stats();
         assert_eq!((stats.snapshots_written, stats.snapshot_failures), (1, 1));
+        drop(svc);
+        let (_, report) = DurableService::open(dir.path(), engine(), 2).unwrap();
+        assert!(report.snapshot_loaded);
+        assert_eq!(report.events_replayed, 0, "the snapshot is current");
     }
 
     #[test]
@@ -1941,10 +1953,10 @@ mod tests {
                 }
                 watch.observe(Some(&svc))?;
             }
-            let stats = svc.serve_stats(); // joins the snapshot in flight
+            let stats = svc.serve_stats(); // waits for the snapshot in flight
             prop_assert_eq!(stats.wal_appends, written);
             watch.observe(Some(&svc))?;
-            drop(svc); // joins the syncer, which runs a sync asked for
+            drop(svc); // joins the syncer, which runs what was asked for
             watch.observe(None)?;
         }
     }

@@ -117,17 +117,10 @@ impl ReplicaService {
     ) -> Result<Self, ServeError> {
         let boot = bootstrap_snapshot(&dir.join(SNAPSHOT_FILE), engine, shard_count)?;
         let tail = WalTailReader::open(&dir.join(WAL_FILE)).map_err(ServeError::from)?;
-        let bootstrap_source = if boot.snapshot_loaded {
-            BootstrapSource::Snapshot
-        } else if boot.snapshot_fallback {
-            BootstrapSource::SnapshotFallback
-        } else {
-            BootstrapSource::FullLog
-        };
         Ok(ReplicaService {
             inner: boot.service,
             replay: ReplayCursor::new(tail, boot.hwm),
-            bootstrap_source,
+            bootstrap_source: boot.source,
         })
     }
 

@@ -9,7 +9,7 @@
 //! * [`flip_byte`] — invert one byte in place, the shape of silent media
 //!   corruption that only a checksum can catch;
 //! * [`Failpoint`] + [`FailpointSink`] — make the *next* append, or the
-//!   next sync (through the sink or a handle it gave out), return an
+//!   next sync (through any handle the sink gave out), return an
 //!   injected [`std::io::Error`], so callers can prove they surface a
 //!   typed error and keep serving state consistent instead of panicking.
 //!
@@ -122,7 +122,7 @@ impl Default for Failpoint {
 }
 
 /// A sink wrapper that consults a [`Failpoint`] before every append and
-/// every sync, its sync handles' included. Injected failures happen
+/// every sync through its handles. Injected failures happen
 /// *before* the inner sink sees any bytes, so a failed append leaves the
 /// log exactly as it was.
 pub struct FailpointSink<S> {
@@ -141,11 +141,6 @@ impl<S: WalSink> WalSink for FailpointSink<S> {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.failpoint.check_append()?;
         self.inner.append(bytes)
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        self.failpoint.check_sync()?;
-        self.inner.sync()
     }
 
     fn sync_handle(&self) -> io::Result<Box<dyn WalSync>> {
@@ -220,22 +215,10 @@ impl SinkRecord {
             thread: thread::current().id(),
         });
     }
-
-    /// Run `sync`, recording what was appended when it began.
-    fn sync(&self, sync: impl FnOnce() -> io::Result<()>) -> io::Result<()> {
-        let covered = self.lock().0;
-        let outcome = sync();
-        self.lock().1.push(SinkEvent::Sync {
-            covered,
-            ok: outcome.is_ok(),
-            thread: thread::current().id(),
-        });
-        outcome
-    }
 }
 
-/// A sink wrapper that records every successful append and every sync,
-/// its sync handles' included, into a [`SinkRecord`].
+/// A sink wrapper that records every successful append and every sync
+/// through its handles into a [`SinkRecord`].
 pub struct SyncRecorder<S> {
     inner: S,
     record: SinkRecord,
@@ -255,11 +238,6 @@ impl<S: WalSink> WalSink for SyncRecorder<S> {
         Ok(())
     }
 
-    fn sync(&mut self) -> io::Result<()> {
-        let inner = &mut self.inner;
-        self.record.sync(|| inner.sync())
-    }
-
     fn sync_handle(&self) -> io::Result<Box<dyn WalSync>> {
         Ok(Box::new(RecordedSync {
             inner: self.inner.sync_handle()?,
@@ -275,9 +253,16 @@ struct RecordedSync {
 }
 
 impl WalSync for RecordedSync {
+    /// Sync, recording what was appended when the sync began.
     fn sync(&mut self) -> io::Result<()> {
-        let inner = &mut self.inner;
-        self.record.sync(|| inner.sync())
+        let covered = self.record.lock().0;
+        let outcome = self.inner.sync();
+        self.record.lock().1.push(SinkEvent::Sync {
+            covered,
+            ok: outcome.is_ok(),
+            thread: thread::current().id(),
+        });
+        outcome
     }
 }
 
@@ -290,10 +275,6 @@ mod tests {
     impl WalSink for CountingSink {
         fn append(&mut self, _bytes: &[u8]) -> io::Result<()> {
             self.0 += 1;
-            Ok(())
-        }
-
-        fn sync(&mut self) -> io::Result<()> {
             Ok(())
         }
 
@@ -329,14 +310,14 @@ mod tests {
     fn a_sync_failpoint_fails_the_sink_and_its_handles_until_disarmed() {
         let failpoint = Failpoint::new();
         let mut sink = FailpointSink::new(CountingSink(0), failpoint.clone());
-        let mut handle = sink.sync_handle().unwrap();
+        let (mut first, mut second) = (sink.sync_handle().unwrap(), sink.sync_handle().unwrap());
         failpoint.arm_syncs_after(1);
-        assert!(handle.sync().is_ok(), "one grace sync");
-        assert!(sink.sync().is_err(), "grace exhausted");
-        assert!(handle.sync().is_err(), "shared by the handle");
+        assert!(first.sync().is_ok(), "one grace sync");
+        assert!(second.sync().is_err(), "grace exhausted");
+        assert!(first.sync().is_err(), "shared by the handles");
         assert!(sink.append(b"a").is_ok(), "appends are not armed");
         failpoint.disarm();
-        assert!(sink.sync().is_ok() && handle.sync().is_ok());
+        assert!(first.sync().is_ok() && second.sync().is_ok());
     }
 
     #[test]
@@ -347,7 +328,8 @@ mod tests {
             FailpointSink::new(CountingSink(0), failpoint.clone()),
             record.clone(),
         );
-        let mut handle = sink.sync_handle().unwrap();
+        let (mut handle, mut here_handle) =
+            (sink.sync_handle().unwrap(), sink.sync_handle().unwrap());
         sink.append(b"abc").unwrap();
         sink.append(b"de").unwrap();
         failpoint.arm_after(0);
@@ -359,7 +341,7 @@ mod tests {
         let synced = thread::spawn(move || handle.sync().is_ok()).join().unwrap();
         assert!(!synced);
         failpoint.disarm();
-        sink.sync().unwrap();
+        here_handle.sync().unwrap();
         let here = thread::current().id();
         let events = record.events();
         assert_eq!(events.len(), 4);

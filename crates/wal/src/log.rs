@@ -172,20 +172,18 @@ impl TailStatus {
 
 /// Where appended frames go. The indirection exists for the
 /// fault-injection harness: production uses [`FileSink`], tests wrap it
-/// in a [`crate::fault::FailpointSink`].
+/// in a [`crate::fault::FailpointSink`]. A sink syncs only through the
+/// handles it gives out.
 pub trait WalSink: Send {
     /// Append one complete frame (or the header) to the log.
     fn append(&mut self, bytes: &[u8]) -> io::Result<()>;
-    /// Flush as far down the storage stack as the sink can reach.
-    fn sync(&mut self) -> io::Result<()>;
-    /// A handle that syncs this sink's log from another thread while the
-    /// sink keeps appending.
+    /// A handle that syncs this sink's log, from this thread or another
+    /// while the sink keeps appending.
     fn sync_handle(&self) -> io::Result<Box<dyn WalSync>>;
 }
 
-/// Syncs a log from a thread other than the writer's (see
-/// [`WalSink::sync_handle`]). A sync covers every frame appended before
-/// it began.
+/// Syncs a log on behalf of its sink (see [`WalSink::sync_handle`]). A
+/// sync covers every frame appended before it began.
 pub trait WalSync: Send {
     /// Flush the log as far down the storage stack as the handle reaches.
     fn sync(&mut self) -> io::Result<()>;
@@ -215,10 +213,6 @@ impl FileSink {
 impl WalSink for FileSink {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.file.write_all(bytes)
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()
     }
 
     fn sync_handle(&self) -> io::Result<Box<dyn WalSync>> {
@@ -275,6 +269,8 @@ pub fn resume_log_file(path: &Path, valid_len: u64) -> Result<File, WalError> {
 /// the sink, and assigns strictly monotone event sequence numbers.
 pub struct WalWriter {
     sink: Box<dyn WalSink>,
+    /// The sink's sync handle, taken at the first [`sync`](Self::sync).
+    syncer: Option<Box<dyn WalSync>>,
     next_seq: u64,
     payload: Vec<u8>,
     frame: Vec<u8>,
@@ -285,6 +281,7 @@ impl WalWriter {
     pub fn new(sink: Box<dyn WalSink>, next_seq: u64) -> Self {
         WalWriter {
             sink,
+            syncer: None,
             next_seq,
             payload: Vec::new(),
             frame: Vec::new(),
@@ -316,9 +313,14 @@ impl WalWriter {
         Ok(seq)
     }
 
-    /// Flush the sink (see [`WalSink::sync`]).
+    /// Sync the log on this thread, through a handle taken from the sink
+    /// on first use (see [`WalSink::sync_handle`]).
     pub fn sync(&mut self) -> Result<(), WalError> {
-        Ok(self.sink.sync()?)
+        let syncer = match &mut self.syncer {
+            Some(syncer) => syncer,
+            None => self.syncer.insert(self.sink.sync_handle()?),
+        };
+        Ok(syncer.sync()?)
     }
 
     /// A handle that syncs this log from another thread (see
@@ -582,10 +584,6 @@ mod tests {
     impl WalSink for MemSink {
         fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
             self.0.lock().unwrap().extend_from_slice(bytes);
-            Ok(())
-        }
-
-        fn sync(&mut self) -> io::Result<()> {
             Ok(())
         }
 

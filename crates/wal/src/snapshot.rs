@@ -91,18 +91,6 @@ impl SnapshotWriter {
     /// it over the snapshot and sync the parent directory: the snapshot
     /// survives power loss once this returns.
     pub fn finish(self) -> Result<(), WalError> {
-        self.finish_after(|| Ok(()))
-    }
-
-    /// [`finish`](Self::finish), with `ready` run after the file is
-    /// flushed and before the rename: an error from it leaves the
-    /// previous snapshot in place. The durable service waits there for
-    /// the log to be synced through the snapshot's mark, so a snapshot
-    /// is never ahead of the durable log.
-    pub fn finish_after(
-        self,
-        ready: impl FnOnce() -> Result<(), WalError>,
-    ) -> Result<(), WalError> {
         let SnapshotWriter {
             path,
             tmp,
@@ -119,7 +107,6 @@ impl SnapshotWriter {
         file.write_all(&header)?;
         file.sync_data()?;
         drop(file);
-        ready()?;
         fs::rename(&tmp, &path)?;
         sync_parent_dir(&path)?;
         Ok(())
