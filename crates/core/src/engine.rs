@@ -160,7 +160,7 @@ impl RankPromotionEngine {
     pub fn rerank_merged_into(
         &self,
         pool: &[usize],
-        order: &[usize],
+        order: &[u32],
         in_pool: impl Fn(usize) -> bool,
         context: QueryContext,
         buffers: &mut RankBuffers,
@@ -177,8 +177,10 @@ impl RankPromotionEngine {
 
     /// A top-`k` rerank from the maintained `pool` and a retrieved
     /// pool-free order prefix `rest`: a [`RankSource::retrieved`] through
-    /// [`rerank_source_into`](Self::rerank_source_into). Selective engines
-    /// only. Kept only because `benchmark/` calls it.
+    /// [`rerank_source_into`](Self::rerank_source_into) over the first `k`
+    /// entries of `rest` (all a top-`k` rank reads), copied into the order's
+    /// `u32` slots. Selective engines only. Kept only because `benchmark/`
+    /// calls it.
     pub fn rerank_top_k_retrieved_into(
         &self,
         pool: &[usize],
@@ -188,8 +190,12 @@ impl RankPromotionEngine {
         buffers: &mut RankBuffers,
         out: &mut Vec<usize>,
     ) {
+        let rest: Vec<u32> = rest[..k.min(rest.len())]
+            .iter()
+            .map(|&slot| u32::try_from(slot).expect("a slot fits in u32"))
+            .collect();
         self.rerank_source_into(
-            RankSource::retrieved(pool, rest),
+            RankSource::retrieved(pool, &rest),
             Some(k),
             context,
             buffers,
@@ -522,7 +528,7 @@ mod tests {
                     let rest: Vec<usize> = cache
                         .order()
                         .iter()
-                        .copied()
+                        .map(|&s| s as usize)
                         .filter(|&s| !pool.contains(s))
                         .take(k)
                         .collect();
@@ -558,7 +564,7 @@ mod tests {
         let rest: Vec<usize> = cache
             .order()
             .iter()
-            .copied()
+            .map(|&s| s as usize)
             .filter(|&s| !pool.contains(s))
             .collect();
         let mut buffers = RankBuffers::new();

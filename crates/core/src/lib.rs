@@ -62,7 +62,7 @@ pub mod shardcache;
 pub use advisor::{Advice, CandidateOutcome, ParameterAdvisor};
 pub use document::{Document, QueryContext};
 pub use engine::RankPromotionEngine;
-pub use shardcache::{PublishedVersion, ShardedCorpusCache, TierCapture};
+pub use shardcache::{PopularityText, PublishedVersion, ShardedCorpusCache, TierCapture};
 
 // Re-export the supporting crates under stable module names so downstream
 // users need a single dependency.

@@ -28,12 +28,14 @@
 //! exactly once, in one copying pass out of the live version:
 //!
 //! * the writer's popularity order is written from the live order
-//!   ([`CorpusCache::repair_from`]): each dirty slot's old position and
-//!   new place are found by `2·d` binary searches run in lockstep against
-//!   the live order, whose stats hold every dirty slot's old key, and the
-//!   order is copied across once, leaving out the dirty slots' old entries
-//!   and writing them in at their new places — `2·d` lockstep searches
-//!   plus one `n`-entry copy. The pool costs an `O(d)` membership check
+//!   ([`CorpusCache::repair_from`]): a dirty slot whose key compares equal
+//!   to its live one (a visit to an explored page) stays where it is;
+//!   each of the `m` moved slots' old position and new place are found by
+//!   `2·m` binary searches run in lockstep against the live order, whose
+//!   stats hold every dirty slot's old key, and the order is copied across
+//!   once, leaving out the moved slots' old entries and writing them in at
+//!   their new places — `2·m` lockstep searches for `m` moved slots plus
+//!   one `n`-entry `u32` copy. The pool costs an `O(d)` membership check
 //!   against the live mask and one copying edit of the live member list;
 //! * the cache is **recycled**: when a version retires
 //!   ([`recycle`](ShardedCorpusCache::recycle)) its uniquely-held cache is
@@ -63,7 +65,9 @@
 //! byte, for `benchmark/`'s byte comparison; recovery never reads it. A
 //! snapshot renders that form from a [`TierCapture`]: the few lists it
 //! cannot derive from the documents, copied out of the writer so the
-//! rendering can run on another thread.
+//! rendering can run on another thread. Each document's popularity is
+//! formatted once per snapshot ([`PopularityText`]), for both the
+//! documents list and the tier's stats.
 
 use crate::document::Document;
 use crate::engine::RankPromotionEngine;
@@ -168,7 +172,7 @@ impl PublishedVersion {
 
     /// The complete popularity order, plus `false`: there is no merge left
     /// to run. Kept only because `benchmark/` calls it.
-    pub fn ensure_merged_order(&self) -> (&[usize], bool) {
+    pub fn ensure_merged_order(&self) -> (&[u32], bool) {
         (self.cache.order(), false)
     }
 
@@ -386,7 +390,7 @@ impl ShardedCorpusCache {
 /// dirty mask from the dirty slots (each mask is its list's membership).
 #[derive(Debug)]
 pub struct TierCapture {
-    order: Vec<usize>,
+    order: Vec<u32>,
     pool_members: Vec<usize>,
     /// The length of the live pool mask (0 while the pool is unmaintained).
     pool_indexed: usize,
@@ -397,21 +401,37 @@ pub struct TierCapture {
 impl TierCapture {
     /// Append the tier's serialized form (`{"cache":{…}}`), byte for byte
     /// what serializing the captured [`ShardedCorpusCache`] writes, to
-    /// `out`. `documents` are the store's at the capture, in slot order;
-    /// each slot's stats are [`RankPromotionEngine::document_stat`] of its
-    /// document, which is what the writer's patches hold. `flush(out)`
-    /// runs after every list entry and may drain `out`, so the text never
-    /// has to be held whole. A non-finite popularity is an error.
+    /// `out`. `documents` are the store's at the capture, in slot order,
+    /// and `popularity` their popularities formatted
+    /// ([`PopularityText::format`]); each slot's stats are
+    /// [`RankPromotionEngine::document_stat`] of its document, which is
+    /// what the writer's patches hold. `flush(out)` runs after every list
+    /// entry and may drain `out`, so the text never has to be held whole.
     pub fn render<E: From<SerError>>(
         &self,
         documents: &[Document],
+        popularity: &PopularityText,
         out: &mut String,
         flush: &mut impl FnMut(&mut String) -> Result<(), E>,
     ) -> Result<(), E> {
-        let stats = documents
-            .iter()
-            .enumerate()
-            .map(|(slot, document)| RankPromotionEngine::document_stat(slot, document));
+        let stats = documents.iter().enumerate().map(|(slot, document)| {
+            let stat = RankPromotionEngine::document_stat(slot, document);
+            // The stats clamp a negative popularity to 0.0; any other is
+            // the document's, bit for bit, and its text is reused.
+            let text = (stat.popularity.to_bits() == document.popularity.to_bits())
+                .then(|| popularity.get(slot));
+            StatJson {
+                slot: stat.slot,
+                page: stat.page,
+                popularity: Formatted {
+                    value: stat.popularity,
+                    text,
+                },
+                awareness: stat.awareness,
+                age_days: stat.age_days,
+                quality: stat.quality,
+            }
+        });
         out.push_str("{\"cache\":{\"stats\":");
         render_list(stats, out, flush)?;
         out.push_str(",\"popularity\":{\"order\":");
@@ -433,6 +453,102 @@ impl TierCapture {
         out.push_str("}}");
         Ok(())
     }
+}
+
+/// Each document's popularity as JSON text, formatted once per snapshot:
+/// both the documents list and the tier's stats write it, and the
+/// shortest round-trip float format is most of a snapshot's render. A
+/// snapshot writer keeps one across snapshots, so its buffers grow once.
+#[derive(Debug, Default)]
+pub struct PopularityText {
+    text: String,
+    /// Where each document's text ends in `text`.
+    ends: Vec<usize>,
+}
+
+impl PopularityText {
+    /// Format every document's popularity, replacing what was held. A
+    /// non-finite one is an error.
+    pub fn format(&mut self, documents: &[Document]) -> Result<(), SerError> {
+        self.text.clear();
+        self.ends.clear();
+        for document in documents {
+            document.popularity.write_json(&mut self.text)?;
+            self.ends.push(self.text.len());
+        }
+        Ok(())
+    }
+
+    /// Append the JSON of `document`, the `slot`-th one formatted, to
+    /// `out`: byte for byte its own `write_json`, with the popularity's
+    /// text copied instead of formatted again.
+    pub fn write_document(
+        &self,
+        slot: usize,
+        document: &Document,
+        out: &mut String,
+    ) -> Result<(), SerError> {
+        DocumentJson {
+            id: document.id,
+            popularity: Formatted {
+                value: document.popularity,
+                text: Some(self.get(slot)),
+            },
+            is_unexplored: document.is_unexplored,
+            age_days: document.age_days,
+        }
+        .write_json(out)
+    }
+
+    /// The text of the `slot`-th document's popularity.
+    fn get(&self, slot: usize) -> &str {
+        let start = slot.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.text[start..self.ends[slot]]
+    }
+}
+
+/// A float, with its JSON text when it is already formatted.
+struct Formatted<'a> {
+    value: f64,
+    text: Option<&'a str>,
+}
+
+impl Serialize for Formatted<'_> {
+    fn to_value(&self) -> Value {
+        self.value.to_value()
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        match self.text {
+            Some(text) => {
+                out.push_str(text);
+                Ok(())
+            }
+            None => self.value.write_json(out),
+        }
+    }
+}
+
+/// A [`Document`]'s serialized form (the same fields, in order), its
+/// popularity formatted beforehand.
+#[derive(Serialize)]
+struct DocumentJson<'a> {
+    id: u64,
+    popularity: Formatted<'a>,
+    is_unexplored: bool,
+    age_days: u64,
+}
+
+/// A [`PageStats`](rrp_ranking::PageStats)' serialized form (the same
+/// fields, in order), its popularity formatted beforehand.
+#[derive(Serialize)]
+struct StatJson<'a> {
+    slot: usize,
+    page: PageId,
+    popularity: Formatted<'a>,
+    awareness: f64,
+    age_days: u64,
+    quality: f64,
 }
 
 /// `entries` as a JSON array appended to `out`, with `flush(out)` after
@@ -527,7 +643,7 @@ mod tests {
         order
             .order()
             .iter()
-            .copied()
+            .map(|&s| s as usize)
             .filter(|&s| !pool.contains(s))
             .take(limit)
             .collect()

@@ -22,7 +22,10 @@
 
 use proptest::prelude::*;
 use rrp_core::model::PageId;
-use rrp_core::{CorpusCache, Document, PublishedVersion, RankPromotionEngine, ShardedCorpusCache};
+use rrp_core::{
+    CorpusCache, Document, PopularityText, PublishedVersion, RankPromotionEngine,
+    ShardedCorpusCache,
+};
 use serde::{SerError, Serialize, Value};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -154,9 +157,11 @@ fn streamed_bytes_agree(
         out.clear();
         Ok::<(), SerError>(())
     };
+    let mut popularity = PopularityText::default();
+    popularity.format(docs).expect("finite floats");
     cache
         .capture()
-        .render(docs, &mut out, &mut drain)
+        .render(docs, &popularity, &mut out, &mut drain)
         .expect("finite floats");
     rendered.push_str(&out);
     prop_assert_eq!(rendered, tree);

@@ -27,10 +27,11 @@
 //!   a retired generation by copying the live stats and mask bits at the
 //!   slots that changed since it was published.
 //!
-//! Either way a repair of `d` dirty slots costs `2·d` lockstep binary
-//! searches plus one `n`-entry copy of the order. In place, the pool costs
-//! nothing more when no membership flipped; from the live version, its
-//! member list is one more copy.
+//! Either way a repair of `d` dirty slots, `m` of whose popularity keys
+//! moved, costs `d` key comparisons, `2·m` lockstep binary searches and
+//! one `n`-entry copy of the `u32` order. In place, the pool costs nothing
+//! more when no membership flipped; from the live version, its member list
+//! is one more copy.
 
 use crate::poolindex::PoolIndex;
 use crate::popindex::PopularityIndex;
@@ -139,7 +140,7 @@ impl CorpusCache {
     /// The popularity order (best rank first). Only current after
     /// [`repair`](Self::repair); ranking paths call that first.
     #[inline]
-    pub fn order(&self) -> &[usize] {
+    pub fn order(&self) -> &[u32] {
         self.popularity.order()
     }
 
@@ -171,12 +172,17 @@ impl CorpusCache {
     }
 
     /// Append `stat` as the next slot (`O(1)`; `stat.slot` must equal
-    /// [`len`](Self::len)); it joins both indexes at the next
+    /// [`len`](Self::len), and at most `u32::MAX`: see
+    /// [`MAX_SLOTS`](crate::MAX_SLOTS)); it joins both indexes at the next
     /// [`repair`](Self::repair) via the dirty list.
     #[inline]
     pub fn push(&mut self, stat: PageStats) {
         let slot = self.stats.len();
         assert_eq!(stat.slot, slot, "a pushed entry takes the next slot");
+        assert!(
+            (slot as u64) < crate::MAX_SLOTS,
+            "a slot of the popularity order fits in u32"
+        );
         self.stats.push(stat);
         self.dirty.push(slot);
         self.dirty_mask.push(true);
@@ -233,8 +239,9 @@ impl CorpusCache {
     /// entry). Every ranking path of a single-generation owner calls this
     /// first.
     ///
-    /// Cost: `2·d` lockstep binary searches plus one copy of the order
-    /// (see [`PopularityIndex::repair`]), and `O(d)` for the pool when no
+    /// Cost: `2·m` lockstep binary searches for the `m` slots whose key
+    /// moved plus one copy of the `u32` order (see
+    /// [`PopularityIndex::repair`]), and `O(d)` for the pool when no
     /// dirty slot flipped membership (see [`PoolIndex::repair`]). Both end
     /// up exactly where a from-scratch derivation would put them (each
     /// repair carries its own debug assertion against the fresh
@@ -268,9 +275,10 @@ impl CorpusCache {
     /// is repaired once: the live stats hold its old key, so no displaced
     /// key is read.
     ///
-    /// Cost: `2·d` lockstep binary searches, one copy of the live order
-    /// (see [`PopularityIndex::repair_from`]) and one of the live member
-    /// list, which goes through the same edit.
+    /// Cost: `2·m` lockstep binary searches for the `m` slots whose key
+    /// moved, one copy of the live `u32` order (see
+    /// [`PopularityIndex::repair_from`]) and one of the live member list,
+    /// which goes through the same edit.
     pub fn repair_from(&mut self, live: &CorpusCache) -> bool {
         self.popularity
             .repair_from(&live.popularity, &live.stats, &self.stats, &self.dirty);
@@ -420,8 +428,8 @@ mod tests {
         assert!(cache.pool().contains(40));
         assert!(
             cache.order().windows(2).all(|w| popularity_order(
-                &cache.stats()[w[0]],
-                &cache.stats()[w[1]]
+                &cache.stats()[w[0] as usize],
+                &cache.stats()[w[1] as usize]
             )
             .is_lt()),
             "order stays sorted"

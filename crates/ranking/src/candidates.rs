@@ -52,9 +52,10 @@ impl ShardCandidates {
             cache
                 .order()
                 .iter()
-                .filter(|&&slot| !pool.contains(slot))
+                .map(|&slot| slot as usize)
+                .filter(|&slot| !pool.contains(slot))
                 .take(limit)
-                .map(|&slot| pages[slot]),
+                .map(|slot| pages[slot]),
         );
     }
 }
@@ -175,7 +176,7 @@ mod tests {
             let expected: Vec<usize> = order
                 .order()
                 .iter()
-                .copied()
+                .map(|&s| s as usize)
                 .filter(|&s| !pool.contains(s))
                 .take(limit)
                 .collect();
@@ -200,7 +201,7 @@ mod tests {
         let expected: Vec<usize> = order
             .order()
             .iter()
-            .copied()
+            .map(|&s| s as usize)
             .filter(|&s| !pool.contains(s))
             .take(6)
             .collect();

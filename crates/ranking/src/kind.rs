@@ -119,7 +119,11 @@ impl PolicyKind {
         match self {
             PolicyKind::Popularity => {
                 out.clear();
-                out.extend_from_slice(&sorted[..limit.min(sorted.len())]);
+                out.extend(
+                    sorted[..limit.min(sorted.len())]
+                        .iter()
+                        .map(|&s| s as usize),
+                );
             }
             PolicyKind::QualityOracle | PolicyKind::FullyRandom => {
                 self.rank_into(pages, rng, buffers, out);

@@ -58,7 +58,7 @@ pub use lazyshuffle::{
 pub use merge::{merge_promoted_into, merge_promoted_top_k_into};
 pub use policy::{is_permutation, is_permutation_with_scratch};
 pub use poolindex::PoolIndex;
-pub use popindex::PopularityIndex;
+pub use popindex::{PopularityIndex, MAX_SLOTS};
 pub use promotion::{PromotionConfig, PromotionRule};
 pub use randomized::{RandomizedRankPromotion, RankSource};
 pub use splice::lower_bounds;

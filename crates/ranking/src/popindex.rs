@@ -5,13 +5,17 @@
 //! `n` pages by popularity on every step, `O(n log n)` work even though a
 //! step changes the popularity key of only the handful of slots that
 //! received a visit, changed their score, or were inserted.
-//! [`PopularityIndex`] keeps a previous order and *edits* it: each changed
-//! slot is found at its old position by a binary search on the key it had
-//! there (its *old key*), left out, and written back in at the position a
-//! binary search for its new key against [`popularity_order`] dictates —
-//! all in one copying pass from the source order into the index's own
-//! buffer, the one sorted-list edit both indexes share, with the `2·d`
-//! searches run in lockstep ([`lower_bounds`](crate::lower_bounds)).
+//! [`PopularityIndex`] keeps a previous order and *edits* it: each slot
+//! whose key moved is found at its old position by a binary search on the
+//! key it had there (its *old key*), left out, and written back in at the
+//! position a binary search for its new key against [`popularity_order`]
+//! dictates — all in one copying pass from the source order into the
+//! index's own buffer, the one sorted-list edit both indexes share, with
+//! the `2·m` searches for `m` moved slots run in lockstep
+//! ([`lower_bounds`](crate::lower_bounds)). A changed slot whose old and
+//! new keys compare equal (a visit to an explored page, a score set to
+//! its own value) keeps its place and costs no search. The order stores
+//! `u32` slots, so the copy moves 4 bytes per page.
 //!
 //! Two callers supply the source and the old keys:
 //!
@@ -34,40 +38,63 @@
 //! the slot dirty), and ages grow by exactly one day for *every* surviving
 //! page, which leaves all pairwise age comparisons between clean slots
 //! untouched. Newborn pages reset their age, so retirement marks them dirty
-//! too. So the source is sorted over the old keys, the search for a changed
+//! too. So the source is sorted over the old keys, the search for a moved
 //! slot's old key lands exactly on its slot (displaced keys age along with
-//! every other page), and the clean entries keep their relative order: each
-//! changed slot goes in after exactly the source entries whose old key
-//! sorts before its new one.
+//! every other page), and the entries left in place keep their relative
+//! order — a changed slot that did not move compares against every other
+//! key exactly as its old key did — so each moved slot goes in after
+//! exactly the source entries whose old key sorts before its new one.
 //!
 //! The population may also *grow* between repairs (a serving corpus takes
 //! inserts): slots past the source's length are new, have no old position,
-//! and are written in like every other changed slot.
+//! and are written in like every moved slot. It may not grow past
+//! [`MAX_SLOTS`].
 
 use crate::splice;
 use crate::stats::{popularity_order, precedes, PageStats};
 use serde::Serialize;
+
+/// The most slots a popularity order can hold: it stores each slot as a
+/// `u32`, so every slot is at most `u32::MAX`.
+pub const MAX_SLOTS: u64 = u32::MAX as u64 + 1;
+
+/// `slot` as an order entry.
+///
+/// # Panics
+///
+/// If `slot` is past `u32::MAX` (see [`MAX_SLOTS`]).
+#[inline]
+pub(crate) fn entry(slot: usize) -> u32 {
+    u32::try_from(slot).expect("a slot of the popularity order fits in u32")
+}
 
 /// Slots sorted by [`popularity_order`], repaired incrementally.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct PopularityIndex {
     /// Slot indices, best-ranked first. Invariant outside a repair: sorted
     /// by `popularity_order` over the most recent `stats` passed in.
-    order: Vec<usize>,
+    order: Vec<u32>,
     /// Scratch: the previous order, the source of an in-place
     /// [`repair`](Self::repair). Empty on an index repaired from a live
     /// source.
     #[serde(skip)]
-    spare: Vec<usize>,
-    /// Scratch: the changed slots that have an old position.
+    spare: Vec<u32>,
+    /// Scratch: the moved slots that have an old position.
     #[serde(skip)]
-    removed: Vec<usize>,
-    /// Scratch: every changed slot, sorted by its new key.
+    removed: Vec<u32>,
+    /// Scratch: every moved or new slot, sorted by its new key.
     #[serde(skip)]
-    changed: Vec<usize>,
+    changed: Vec<u32>,
     /// Scratch: the lockstep search results.
     #[serde(skip)]
     at: Vec<usize>,
+}
+
+/// Whether a changed slot's key moved: its old and new keys differ under
+/// [`popularity_order`]. One that did not move keeps its place.
+#[inline]
+fn moved(old: &PageStats, new: &PageStats) -> bool {
+    popularity_order(old, new).is_ne()
 }
 
 /// The one order edit: write into `dst` the order `src` — sorted by
@@ -75,20 +102,20 @@ pub struct PopularityIndex {
 /// and the `changed` slots (sorted by their new keys, `new_key(i)` being
 /// the key of `changed[i]`) written in at their places.
 fn edit<'k>(
-    src: &[usize],
+    src: &[u32],
     old: &[PageStats],
-    removed: &[usize],
-    changed: &[usize],
+    removed: &[u32],
+    changed: &[u32],
     new_key: impl Fn(usize) -> &'k PageStats,
     at: &mut Vec<usize>,
-    dst: &mut Vec<usize>,
+    dst: &mut Vec<u32>,
 ) {
     splice::edit(
         src,
         removed,
         changed,
-        |e, i| precedes(&old[e], &old[removed[i]]),
-        |e, i| precedes(&old[e], new_key(i)),
+        |e, i| precedes(&old[e as usize], &old[removed[i] as usize]),
+        |e, i| precedes(&old[e as usize], new_key(i)),
         at,
         dst,
     );
@@ -106,17 +133,21 @@ impl PopularityIndex {
     }
 
     /// Re-sort from scratch, discarding the incremental state.
+    ///
+    /// # Panics
+    ///
+    /// If `stats` holds more than [`MAX_SLOTS`] slots.
     pub fn rebuild(&mut self, stats: &[PageStats]) {
         debug_assert!(stats.iter().enumerate().all(|(i, p)| p.slot == i));
         self.order.clear();
-        self.order.extend(0..stats.len());
+        self.order.extend((0..stats.len()).map(entry));
         self.order
-            .sort_unstable_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
+            .sort_unstable_by(|&a, &b| popularity_order(&stats[a as usize], &stats[b as usize]));
     }
 
     /// The slots in popularity order (best rank first).
     #[inline]
-    pub fn order(&self) -> &[usize] {
+    pub fn order(&self) -> &[u32] {
         &self.order
     }
 
@@ -143,12 +174,16 @@ impl PopularityIndex {
     /// and is the source of the edit, so this is allocation-free once the
     /// buffers have grown.
     ///
-    /// Cost: `2·d` lockstep binary searches for `d` changed slots (one for
-    /// each old position, one for each new one) and a sort of the `d`
-    /// slots, plus one copy of the `n`-entry order.
+    /// Cost: one key comparison per displaced slot, then `2·m` lockstep
+    /// binary searches for the `m` slots whose key moved (one for each old
+    /// position, one for each new one) and a sort of the `m` slots, plus
+    /// one copy of the `n`-entry `u32` order — none at all when nothing
+    /// moved and nothing is new.
     pub fn repair(&mut self, stats: &mut [PageStats], displaced: &mut Vec<PageStats>) {
         let indexed = self.order.len();
         debug_assert!(stats.len() >= indexed, "the population never shrinks");
+        // A slot whose key did not move keeps its place.
+        displaced.retain(|key| moved(key, &stats[key.slot]));
         if displaced.is_empty() && indexed == stats.len() {
             debug_assert!(self.is_consistent(stats));
             return;
@@ -169,11 +204,13 @@ impl PopularityIndex {
             std::mem::swap(&mut stats[key.slot], key);
         }
         self.removed.clear();
-        self.removed.extend(displaced.iter().map(|key| key.slot));
+        self.removed
+            .extend(displaced.iter().map(|key| entry(key.slot)));
         displaced.extend_from_slice(&stats[indexed..]);
         displaced.sort_unstable_by(popularity_order);
         self.changed.clear();
-        self.changed.extend(displaced.iter().map(|key| key.slot));
+        self.changed
+            .extend(displaced.iter().map(|key| entry(key.slot)));
 
         std::mem::swap(&mut self.order, &mut self.spare);
         edit(
@@ -200,9 +237,10 @@ impl PopularityIndex {
     /// `live_stats.len()` — so the live stats hold each changed slot's
     /// old key and no displaced keys are needed.
     ///
-    /// Cost: `2·d` lockstep binary searches for `d` changed slots and a
-    /// sort of the `d` slots, plus one copy of the `n`-entry live order.
-    /// An index repaired this way keeps no spare buffer.
+    /// Cost: one key comparison per changed slot, then `2·m` lockstep
+    /// binary searches for the `m` slots whose key moved or that are new
+    /// and a sort of the `m` slots, plus one copy of the `n`-entry `u32`
+    /// live order. An index repaired this way keeps no spare buffer.
     pub fn repair_from(
         &mut self,
         live: &PopularityIndex,
@@ -220,20 +258,32 @@ impl PopularityIndex {
             self.rebuild(stats);
             return;
         }
-        self.removed.clear();
-        self.removed
-            .extend(changed.iter().copied().filter(|&slot| slot < indexed));
+        // A slot whose key did not move keeps its place; a new one has
+        // none yet.
         self.changed.clear();
-        self.changed.extend_from_slice(changed);
+        self.changed.extend(
+            changed
+                .iter()
+                .copied()
+                .filter(|&slot| slot >= indexed || moved(&live_stats[slot], &stats[slot]))
+                .map(entry),
+        );
+        self.removed.clear();
+        self.removed.extend(
+            self.changed
+                .iter()
+                .copied()
+                .filter(|&slot| (slot as usize) < indexed),
+        );
         self.changed
-            .sort_unstable_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
+            .sort_unstable_by(|&a, &b| popularity_order(&stats[a as usize], &stats[b as usize]));
         let changed = &self.changed;
         edit(
             &live.order,
             live_stats,
             &self.removed,
             changed,
-            |i| &stats[changed[i]],
+            |i| &stats[changed[i] as usize],
             &mut self.at,
             &mut self.order,
         );
@@ -242,14 +292,16 @@ impl PopularityIndex {
     }
 
     /// Whether the maintained order equals the from-scratch sort of
-    /// `stats` (used by tests and debug assertions).
+    /// `stats` (used by tests and debug assertions). Strictly ascending
+    /// entries are distinct, so `n` of them, each below `n`, are a
+    /// permutation.
     pub fn is_consistent(&self, stats: &[PageStats]) -> bool {
         self.order.len() == stats.len()
+            && self.order.iter().all(|&slot| (slot as usize) < stats.len())
             && self
                 .order
                 .windows(2)
-                .all(|w| popularity_order(&stats[w[0]], &stats[w[1]]).is_lt())
-            && crate::is_permutation(&self.order, stats.len())
+                .all(|w| popularity_order(&stats[w[0] as usize], &stats[w[1] as usize]).is_lt())
     }
 }
 

@@ -37,8 +37,10 @@ use rand::{Rng, RngCore, CHUNK_WORDS};
 pub struct RankSource<'a, F = fn(usize) -> bool> {
     /// The promotion pool, ascending by slot.
     pub pool: &'a [usize],
-    /// Slots in popularity order (complete, or a pool-free prefix).
-    pub order: &'a [usize],
+    /// Slots in popularity order (complete, or a pool-free prefix), as
+    /// the maintained [`PopularityIndex`](crate::PopularityIndex) stores
+    /// them.
+    pub order: &'a [u32],
     /// Pool membership over `order`; `None` for a pool-free prefix.
     pub in_pool: Option<F>,
 }
@@ -46,7 +48,7 @@ pub struct RankSource<'a, F = fn(usize) -> bool> {
 impl<'a, F: Fn(usize) -> bool> RankSource<'a, F> {
     /// A source over the complete popularity `order`, with `in_pool`
     /// telling the pool's members apart.
-    pub fn new(pool: &'a [usize], order: &'a [usize], in_pool: F) -> Self {
+    pub fn new(pool: &'a [usize], order: &'a [u32], in_pool: F) -> Self {
         RankSource {
             pool,
             order,
@@ -60,7 +62,7 @@ impl<'a> RankSource<'a> {
     /// popularity order (at least `min(k, available)` for a top-`k` rank).
     /// Selective top-`k` only. Its only non-test caller is `benchmark/`,
     /// through [`merge_shard_candidates_into`](crate::merge_shard_candidates_into).
-    pub fn retrieved(pool: &'a [usize], rest: &'a [usize]) -> Self {
+    pub fn retrieved(pool: &'a [usize], rest: &'a [u32]) -> Self {
         RankSource {
             pool,
             order: rest,
@@ -217,7 +219,7 @@ impl RandomizedRankPromotion {
     fn rank_lists<R: RngCore + ?Sized>(
         &self,
         pool: &[usize],
-        order: &[usize],
+        order: &[u32],
         in_pool: impl Fn(usize) -> bool,
         k: Option<usize>,
         rng: &mut R,
@@ -336,7 +338,7 @@ impl RandomizedRankPromotion {
 /// *source* pool membership (the caller's predicate vs. freshly drawn
 /// coins).
 fn fill_rest(
-    sorted: &[usize],
+    sorted: &[u32],
     in_pool: impl Fn(usize) -> bool,
     rest_limit: usize,
     rest: &mut Vec<usize>,
@@ -345,7 +347,7 @@ fn fill_rest(
     rest.extend(
         sorted
             .iter()
-            .copied()
+            .map(|&s| s as usize)
             .filter(|&s| !in_pool(s))
             .take(rest_limit),
     );
@@ -494,9 +496,9 @@ mod tests {
     }
 
     /// `pages()` as a source: its popularity order and pool index.
-    fn sorted_and_pool(ps: &[PageStats]) -> (Vec<usize>, PoolIndex) {
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
+    fn sorted_and_pool(ps: &[PageStats]) -> (Vec<u32>, PoolIndex) {
+        let mut sorted: Vec<u32> = (0..ps.len() as u32).collect();
+        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a as usize], &ps[b as usize]));
         (sorted, PoolIndex::build(ps))
     }
 
@@ -553,10 +555,10 @@ mod tests {
             .with_version(EngineVersion::V2);
             assert_eq!(policy.version(), EngineVersion::V2);
             for k in [0usize, 1, 3, 5, 10, 50] {
-                let rest_slots: Vec<usize> = sorted
+                let rest_slots: Vec<u32> = sorted
                     .iter()
                     .copied()
-                    .filter(|&s| !pool.contains(s))
+                    .filter(|&s| !pool.contains(s as usize))
                     .take(k)
                     .collect();
                 for seed in 0..20 {
@@ -585,9 +587,11 @@ mod tests {
                     dedup.dedup();
                     assert_eq!(dedup.len(), full.len(), "no slot emitted twice");
                     let protected = (start_rank - 1).min(k).min(rest_slots.len());
-                    assert_eq!(
-                        &full[..protected],
-                        &rest_slots[..protected],
+                    assert!(
+                        full[..protected]
+                            .iter()
+                            .copied()
+                            .eq(rest_slots[..protected].iter().map(|&s| s as usize)),
                         "protected prefix, k={k}, seed={seed}"
                     );
                 }

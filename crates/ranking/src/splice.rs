@@ -6,8 +6,10 @@
 //! copying pass. Each removed slot is found at its old position and each
 //! inserted slot at its new one by [`lower_bounds`], which runs all `2·d`
 //! binary searches in lockstep, so their cache misses overlap instead of
-//! queueing. A repair of `d` changed slots therefore costs `2·d` lockstep
-//! searches plus one `n`-entry copy.
+//! queueing. A repair of `m` moved slots therefore costs `2·m` lockstep
+//! searches plus one `n`-entry copy. The lists are generic over their
+//! entry type: the popularity order stores `u32` slots, the pool's member
+//! list `usize` ones.
 
 /// Lockstep lower bounds (Khuong & Morin's branchless binary search, run
 /// for all probes at once). `at` receives, for every probe `i` in
@@ -23,10 +25,10 @@
 /// two dependent loads of a step (the entry, then whatever `below` reads
 /// for it) are each issued for the whole block before any is waited on.
 /// Allocation-free once `at` has grown to `probes`.
-pub fn lower_bounds(
-    list: &[usize],
+pub fn lower_bounds<T: Copy>(
+    list: &[T],
     probes: usize,
-    below: impl Fn(usize, usize) -> bool,
+    below: impl Fn(usize, T) -> bool,
     at: &mut Vec<usize>,
 ) {
     const BLOCK: usize = 32;
@@ -38,7 +40,7 @@ pub fn lower_bounds(
     // Every probe's answer lies in `base..=base + size`; all probes share
     // the same `size` at each level.
     let mut size = list.len();
-    let mut mids = [0; BLOCK];
+    let mut mids = [list[0]; BLOCK];
     while size > 1 {
         let half = size / 2;
         for (block, bases) in at.chunks_mut(BLOCK).enumerate() {
@@ -67,14 +69,14 @@ pub fn lower_bounds(
 /// Debug builds check that every removed slot's search lands on its own
 /// entry — the guard that `src` really is sorted over the keys the
 /// caller searched it with.
-pub(crate) fn edit(
-    src: &[usize],
-    removed: &[usize],
-    inserted: &[usize],
-    removed_below: impl Fn(usize, usize) -> bool,
-    inserted_below: impl Fn(usize, usize) -> bool,
+pub(crate) fn edit<T: Copy + PartialEq>(
+    src: &[T],
+    removed: &[T],
+    inserted: &[T],
+    removed_below: impl Fn(T, usize) -> bool,
+    inserted_below: impl Fn(T, usize) -> bool,
     at: &mut Vec<usize>,
-    dst: &mut Vec<usize>,
+    dst: &mut Vec<T>,
 ) {
     let r = removed.len();
     lower_bounds(
@@ -104,7 +106,7 @@ pub(crate) fn edit(
     dst.reserve(src.len() - r + inserted.len());
     let mut gone = gone.iter().copied().peekable();
     let mut from = 0;
-    let mut copy_to = |to: usize, from: &mut usize, dst: &mut Vec<usize>| {
+    let mut copy_to = |to: usize, from: &mut usize, dst: &mut Vec<T>| {
         while let Some(skip) = gone.next_if(|&p| p < to) {
             dst.extend_from_slice(&src[*from..skip]);
             *from = skip + 1;
@@ -148,7 +150,7 @@ mod tests {
             .map(|&k| list.partition_point(|&e| e < k))
             .collect();
         assert_eq!(at, expected);
-        lower_bounds(&[], 2, |_, _| true, &mut at);
+        lower_bounds::<usize>(&[], 2, |_, _| true, &mut at);
         assert_eq!(at, [0, 0]);
     }
 

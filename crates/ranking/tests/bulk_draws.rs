@@ -253,8 +253,8 @@ proptest! {
                 PageStats::new(slot, PageId::new(slot as u64), popularity, 0.5)
             })
             .collect();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by(|&a, &b| popularity_order(&pages[a], &pages[b]));
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by(|&a, &b| popularity_order(&pages[a as usize], &pages[b as usize]));
         let policy = RandomizedRankPromotion::new(
             PromotionConfig::new(PromotionRule::Uniform, start_rank, degree).unwrap(),
         );

@@ -84,7 +84,7 @@ proptest! {
         // versions serve, with disjoint slot ranges so membership of an
         // output slot is a plain comparison.
         let pool: Vec<usize> = (0..pool_len).collect();
-        let rest: Vec<usize> = (pool_len..pool_len + rest_len).collect();
+        let rest: Vec<u32> = (pool_len as u32..(pool_len + rest_len) as u32).collect();
         let source = RankSource::retrieved(&pool, &rest);
 
         let mut buffers = RankBuffers::new();

@@ -339,8 +339,8 @@ proptest! {
         }
         cache.repair();
 
-        let mut expected: Vec<usize> = (0..stats.len()).collect();
-        expected.sort_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
+        let mut expected: Vec<u32> = (0..stats.len() as u32).collect();
+        expected.sort_by(|&a, &b| popularity_order(&stats[a as usize], &stats[b as usize]));
         prop_assert_eq!(cache.stats(), stats.as_slice());
         prop_assert_eq!(cache.order(), expected.as_slice());
         let mut fresh = CorpusCache::new();
@@ -420,8 +420,8 @@ proptest! {
             stats.push(grid(slot, cell));
             changed.push(slot);
         }
-        let mut expected: Vec<usize> = (0..stats.len()).collect();
-        expected.sort_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
+        let mut expected: Vec<u32> = (0..stats.len() as u32).collect();
+        expected.sort_by(|&a, &b| popularity_order(&stats[a as usize], &stats[b as usize]));
 
         let mut from_live = if stale_scratch {
             PopularityIndex::build(&stats[..stats.len() / 2])
@@ -442,6 +442,89 @@ proptest! {
         in_place.repair(&mut stats, &mut displaced);
         prop_assert_eq!(in_place.order(), expected.as_slice());
         prop_assert_eq!(stats, current);
+    }
+
+    /// Both repairs skip a dirty slot whose key did not move, and still
+    /// equal a from-scratch sort — and a fresh pool — under schedules
+    /// that mix such no-op patches with moves: a visit to an explored
+    /// page (nothing ranked changes), a first visit to an unexplored one
+    /// (the pool changes, the key does not), a popularity set to its own
+    /// value, `-0.0` over `0.0` and back (equal under the comparator,
+    /// different bits), a move in age only, a move in the popularity's
+    /// last bit, a move on the grid and inserts. The serving tier's edit
+    /// from the live cache (`repair_from`, through a writer cloned from
+    /// it) and the simulator's in-place `repair` run side by side.
+    #[test]
+    fn both_repairs_skip_unmoved_slots_and_equal_a_from_scratch_sort(
+        initial in prop::collection::vec((0usize..4, 0u64..3, prop::bool::ANY), 1..40),
+        rounds in prop::collection::vec(
+            prop::collection::vec((0usize..9, 0usize..64, 0usize..4), 0..12),
+            1..8,
+        ),
+    ) {
+        let key = |slot: usize, cell: usize, age: u64, explored: bool| {
+            let awareness = if explored { 1.0 } else { 0.0 };
+            PageStats::new(slot, PageId::new(slot as u64), [0.0, 0.25, 0.5, 0.75][cell], awareness)
+                .with_age(age)
+        };
+        let mut stats: Vec<PageStats> = initial
+            .iter()
+            .enumerate()
+            .map(|(slot, &(cell, age, explored))| key(slot, cell, age, explored))
+            .collect();
+        let mut in_place = CorpusCache::new();
+        for &stat in &stats {
+            in_place.push(stat);
+        }
+        in_place.repair();
+        let mut live = in_place.clone();
+
+        for round in &rounds {
+            let mut writer = live.clone();
+            for &(kind, raw_slot, cell) in round {
+                let slot = raw_slot % stats.len();
+                let stat = &mut stats[slot];
+                match kind {
+                    // A visit: to an explored page it changes nothing, to
+                    // an unexplored one only the pool.
+                    0 => stat.awareness = 1.0,
+                    // A popularity set to its own value.
+                    1 => stat.popularity = f64::from_bits(stat.popularity.to_bits()),
+                    // −0.0 over 0.0, and back.
+                    2 if stat.popularity == 0.0 => stat.popularity = -stat.popularity,
+                    // A move in age only.
+                    3 => stat.age_days += 1 + cell as u64,
+                    // A move in the popularity's last bit.
+                    4 => stat.popularity = f64::from_bits(stat.popularity.to_bits() + 1),
+                    // A move on the grid.
+                    5 => stat.popularity = [0.0, 0.25, 0.5, 0.75][cell],
+                    // An insert.
+                    6 => {
+                        let new = stats.len();
+                        stats.push(key(new, cell, cell as u64, cell % 2 == 0));
+                        writer.push(stats[new]);
+                        in_place.push(stats[new]);
+                        continue;
+                    }
+                    // Anything else patches the slot with its own key.
+                    _ => {}
+                }
+                writer.patch(slot, stats[slot]);
+                in_place.patch(slot, stats[slot]);
+            }
+            writer.repair_from(&live);
+            in_place.repair();
+            live = writer;
+
+            let mut expected: Vec<u32> = (0..stats.len() as u32).collect();
+            expected.sort_by(|&a, &b| popularity_order(&stats[a as usize], &stats[b as usize]));
+            let fresh = PoolIndex::build(&stats);
+            for cache in [&live, &in_place] {
+                prop_assert_eq!(cache.stats(), stats.as_slice());
+                prop_assert_eq!(cache.order(), expected.as_slice());
+                prop_assert_eq!(cache.pool().members(), fresh.members());
+            }
+        }
     }
 
     /// The one rank primitive against the scanning reference, for any
@@ -474,8 +557,8 @@ proptest! {
         let version = if v2 { EngineVersion::V2 } else { EngineVersion::V1 };
         let policy = RandomizedRankPromotion::new(config).with_version(version);
         let lazy = version == EngineVersion::V2 && rule == PromotionRule::Selective;
-        let mut sorted: Vec<usize> = (0..n).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&pages[a], &pages[b]));
+        let mut sorted: Vec<u32> = (0..n as u32).collect();
+        sorted.sort_unstable_by(|&a, &b| popularity_order(&pages[a as usize], &pages[b as usize]));
         let pool = PoolIndex::build(&pages);
         let source = RankSource::new(pool.members(), &sorted, |s| pool.contains(s));
 
@@ -511,7 +594,7 @@ proptest! {
             candidates.collect_rest(&cache, limit);
             let mut merged = MergedCandidates::new();
             merge_shard_candidates_into(&[candidates], limit, &mut merged);
-            let rest: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
+            let rest: Vec<u32> = merged.rest().iter().map(|p| p.slot as u32).collect();
             policy.rank(RankSource::retrieved(cache.pool().members(), &rest), Some(k), &mut new_rng(seed), &mut buffers, &mut out);
             prop_assert_eq!(&out, &top);
         }

@@ -26,6 +26,8 @@
 //!            │ handed a copy: sync through its mark     │
 //!            │   unless durable, render, write, rename, │
 //!            │   count (an error or a panic → failure)  │
+//!            │ a panic outside the render stops it: a   │
+//!            │   sticky failure, every waiter woken     │
 //!            └──────────────────────────────────────────┘
 //!
 //!            ┌──────────────── recovery ────────────────┐
@@ -89,9 +91,9 @@
 
 use crate::error::ServeError;
 use crate::replica::BootstrapSource;
-use crate::service::{ServeStats, ShardedPromotionService, StoreGuard};
+use crate::service::{check_next_slot, ServeStats, ShardedPromotionService, StoreGuard};
 use crate::store::ShardedStore;
-use rrp_core::{Document, RankPromotionEngine, TierCapture};
+use rrp_core::{Document, PopularityText, RankPromotionEngine, TierCapture};
 use rrp_wal::fault::{Failpoint, FailpointSink};
 use rrp_wal::snapshot::{read_snapshot, SnapshotWriter};
 use rrp_wal::{
@@ -175,7 +177,11 @@ pub struct RecoveryReport {
 /// [`ServeError::Wal`]. After a failed fsync the kernel may have dropped
 /// the dirty pages it could not write, so a later sync that succeeds
 /// would prove nothing about them; reopening the directory recovers from
-/// what is on disk. Mutations are still acknowledged to the OS.
+/// what is on disk. Mutations are still acknowledged to the OS. A syncer
+/// that panics outside a render (in the sync itself, say) ends the same
+/// way: its panic is recorded as a sticky failure, the snapshot it was
+/// handed is counted as failed, and every caller waiting on it wakes with
+/// [`ServeError::Wal`] instead of waiting forever.
 ///
 /// A cadence snapshot is written off the acknowledgement path. The
 /// mutation that crosses the mark copies the state at the mark and hands
@@ -305,9 +311,14 @@ impl SyncMarks {
     }
 
     /// Hand a cadence snapshot to the syncer, once the one before it is
-    /// counted.
+    /// counted. After a failed sync — a syncer that stopped included — it
+    /// is counted as failed at once: it could never be written.
     fn hand_over(&self, capture: SnapshotCapture) {
         let mut state = self.settled();
+        if state.failure.is_some() {
+            state.snapshot_failures += 1;
+            return;
+        }
         state.capture = Some(capture);
         state.snapshot_pending = true;
         self.kicked.notify_one();
@@ -318,8 +329,13 @@ impl SyncMarks {
     /// synced through its mark first (unless a completed sync covers it),
     /// then written to `snapshot_path` and counted; a render that panics
     /// counts as a failure. After a failed sync nothing syncs again and
-    /// every snapshot fails. Ends once stopping with nothing asked for.
+    /// every snapshot fails. Ends once stopping with nothing asked for, or
+    /// by a panic outside the render, which [`Stopped`] turns into a
+    /// sticky failure.
     fn run(&self, mut log: Box<dyn WalSync>, snapshot_path: &Path) {
+        let _stopped = Stopped(self);
+        // The render's scratch, kept across snapshots.
+        let mut popularity = PopularityText::default();
         let mut state = self.lock();
         loop {
             while !state.requested && state.capture.is_none() {
@@ -356,8 +372,9 @@ impl SyncMarks {
                 let mut written = false;
                 if state.failure.is_none() {
                     drop(state);
-                    let outcome =
-                        panic::catch_unwind(AssertUnwindSafe(|| capture.write(snapshot_path)));
+                    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                        capture.write(snapshot_path, &mut popularity)
+                    }));
                     written = matches!(outcome, Ok(Ok(())));
                     state = self.lock();
                 }
@@ -370,6 +387,36 @@ impl SyncMarks {
                 self.synced.notify_all();
             }
         }
+    }
+}
+
+/// Fails the syncer loudly if its thread unwinds (a panic in
+/// [`WalSync::sync`], say), instead of leaving a sync and a snapshot
+/// marked under way that nothing will ever end: on drop during a panic it
+/// records a sticky "log thread stopped" failure, clears both marks,
+/// counts the snapshot handed over as failed and wakes every waiter. From
+/// then on every sync fails with [`ServeError::Wal`] and every mark's
+/// snapshot is counted as failed without waiting (see
+/// [`SyncMarks::hand_over`]).
+struct Stopped<'a>(&'a SyncMarks);
+
+impl Drop for Stopped<'_> {
+    fn drop(&mut self) {
+        if !thread::panicking() {
+            return;
+        }
+        let mut state = self.0.lock();
+        state.failure.get_or_insert_with(|| {
+            (
+                io::ErrorKind::Other,
+                "the log thread stopped: it panicked".to_string(),
+            )
+        });
+        state.in_flight = None;
+        if std::mem::take(&mut state.snapshot_pending) {
+            state.snapshot_failures += 1;
+        }
+        self.0.synced.notify_all();
     }
 }
 
@@ -592,11 +639,14 @@ impl DurableService {
     /// duplicates) an insert that already happened.
     ///
     /// A NaN or infinite popularity, which no snapshot could write, is
-    /// rejected as [`ServeError::NonFinitePopularity`] before logging.
+    /// rejected as [`ServeError::NonFinitePopularity`] before logging, and
+    /// an insert into a store that already holds
+    /// [`rrp_ranking::MAX_SLOTS`] documents as [`ServeError::SlotLimit`].
     pub fn insert(&mut self, document: Document) -> Result<u64, ServeError> {
         check_popularity(document.popularity)?;
+        check_next_slot(self.inner.store().len() as u64)?;
         self.log_event(&WalEvent::Insert(document))?;
-        let seq = self.inner.insert(document);
+        let seq = self.inner.try_insert(document)?;
         self.maybe_snapshot();
         Ok(seq)
     }
@@ -649,7 +699,8 @@ impl DurableService {
         // state over this one.
         drop(self.syncer.marks.settled());
         let mark = self.sync()?;
-        SnapshotCapture::of(&self.inner, mark).write(&self.snapshot_path)?;
+        SnapshotCapture::of(&self.inner, mark)
+            .write(&self.snapshot_path, &mut PopularityText::default())?;
         self.syncer.marks.lock().snapshots_written += 1;
         self.events_since_snapshot = 0;
         Ok(())
@@ -941,13 +992,17 @@ impl SnapshotCapture {
     /// Append the payload to `out`: engine, store, serving tier
     /// (`"shards"`, written for byte compatibility, never read) and the
     /// event mark, byte for byte what serializing them from the service
-    /// writes (the benchmark re-enacts that and compares bytes).
-    /// `flush(out)` runs after every list entry and may drain `out`.
+    /// writes (the benchmark re-enacts that and compares bytes). Each
+    /// popularity is formatted once, into `popularity`, for the documents
+    /// and the tier's stats alike. `flush(out)` runs after every list entry
+    /// and may drain `out`.
     fn render(
         &self,
+        popularity: &mut PopularityText,
         out: &mut String,
         flush: &mut impl FnMut(&mut String) -> Result<(), ServeError>,
     ) -> Result<(), ServeError> {
+        popularity.format(&self.documents)?;
         out.push_str("{\"engine\":");
         self.engine.write_json(out)?;
         out.push_str(",\"store\":{\"shard_count\":");
@@ -957,11 +1012,11 @@ impl SnapshotCapture {
             if i > 0 {
                 out.push(',');
             }
-            document.write_json(out)?;
+            popularity.write_document(i, document, out)?;
             flush(out)?;
         }
         out.push_str("]},\"shards\":");
-        self.tier.render(&self.documents, out, flush)?;
+        self.tier.render(&self.documents, popularity, out, flush)?;
         out.push_str(",\"next_event\":");
         self.next_event.write_json(out)?;
         out.push('}');
@@ -971,10 +1026,11 @@ impl SnapshotCapture {
     /// Render the payload into the snapshot at `path`, a
     /// [`RENDER_CHUNK`]-sized part at a time, and rename it into place.
     /// The caller has synced the log through the capture's mark.
-    fn write(&self, path: &Path) -> Result<(), ServeError> {
+    /// `popularity` is the render's scratch (see [`render`](Self::render)).
+    fn write(&self, path: &Path, popularity: &mut PopularityText) -> Result<(), ServeError> {
         let mut file = SnapshotWriter::create(path)?;
         let mut out = String::with_capacity(RENDER_CHUNK + RENDER_SLACK);
-        self.render(&mut out, &mut |out: &mut String| {
+        self.render(popularity, &mut out, &mut |out: &mut String| {
             if out.len() >= RENDER_CHUNK {
                 file.write(out.as_bytes())?;
                 out.clear();
@@ -1043,10 +1099,7 @@ pub(crate) fn apply_event(
     event: &WalEvent,
 ) -> Result<(), ServeError> {
     let result = match *event {
-        WalEvent::Insert(document) => {
-            service.insert(document);
-            Ok(())
-        }
+        WalEvent::Insert(document) => service.try_insert(document).map(drop),
         WalEvent::Visit { seq } => service.try_record_visit(seq),
         WalEvent::SetPopularity { seq, popularity } => {
             service.try_update_popularity(seq, popularity)
@@ -1098,7 +1151,11 @@ mod tests {
     fn rendered_payload(service: &ShardedPromotionService, next_event: u64) -> String {
         let mut out = String::new();
         SnapshotCapture::of(service, next_event)
-            .render(&mut out, &mut |_: &mut String| Ok(()))
+            .render(
+                &mut PopularityText::default(),
+                &mut out,
+                &mut |_: &mut String| Ok(()),
+            )
             .expect("finite floats");
         out
     }
@@ -1726,7 +1783,13 @@ mod tests {
             capture.documents.clear();
             capture
         };
-        let render = panic::catch_unwind(|| broken().render(&mut String::new(), &mut |_| Ok(())));
+        let render = panic::catch_unwind(|| {
+            broken().render(
+                &mut PopularityText::default(),
+                &mut String::new(),
+                &mut |_| Ok(()),
+            )
+        });
         assert!(render.is_err(), "the render panics");
         svc.syncer.marks.hand_over(broken());
         let stats = svc.serve_stats();
@@ -1743,6 +1806,47 @@ mod tests {
         let (_, report) = DurableService::open(dir.path(), engine(), 2).unwrap();
         assert!(report.snapshot_loaded);
         assert_eq!(report.events_replayed, 0, "the snapshot is current");
+    }
+
+    #[test]
+    fn a_syncer_that_panics_fails_every_waiter_instead_of_hanging() {
+        let stopped =
+            |e: ServeError| matches!(e, ServeError::Wal(_)) && e.to_string().contains("stopped");
+        let open = |name: &str| {
+            let dir = Scratch::new(name);
+            let failpoint = Failpoint::new();
+            let (svc, _) =
+                DurableService::open_with_failpoint(dir.path(), engine(), 2, failpoint.clone())
+                    .unwrap();
+            let mut svc = svc.with_snapshot_every(5);
+            svc.extend((0..3).map(doc)).unwrap();
+            assert_eq!(svc.sync().unwrap(), 3);
+            failpoint.panic_syncs();
+            (dir, svc)
+        };
+
+        // A caller waiting in `sync` while the syncer panics in its sync.
+        let (_dir, mut svc) = open("panicking-sync");
+        svc.record_visit(1).unwrap();
+        assert!(stopped(svc.sync().unwrap_err()));
+        drop(svc);
+
+        // A cadence snapshot handed over: event 5 crosses the mark, and
+        // the syncer panics syncing through it with the snapshot pending.
+        let (_dir, mut svc) = open("panicking-sync-at-a-mark");
+        svc.extend((3..5).map(doc)).unwrap();
+        let stats = svc.serve_stats();
+        assert_eq!((stats.snapshots_written, stats.snapshot_failures), (0, 1));
+        assert!(stopped(svc.sync().unwrap_err()));
+        assert!(stopped(svc.sync_for_followers().unwrap_err()));
+        assert!(stopped(svc.snapshot_now().unwrap_err()));
+        // Mutations are still acknowledged, and the next mark's snapshot
+        // is counted as failed without waiting for the dead thread.
+        svc.extend((5..10).map(doc)).unwrap();
+        let stats = svc.serve_stats();
+        assert_eq!((stats.snapshots_written, stats.snapshot_failures), (0, 2));
+        assert_eq!(svc.durable_through(), 3, "the durable mark froze");
+        drop(svc);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Typed serving-tier errors.
 //!
 //! Bad external input — an unknown sequence handle, a zero shard count, a
-//! shard index past the partition count, a non-finite popularity on the
-//! durable path, a snapshot from a different deployment — degrades to a
+//! shard index past the partition count, an insert past the last slot the
+//! popularity order can index, a non-finite popularity on the durable
+//! path, a snapshot from a different deployment — degrades to a
 //! [`ServeError`] instead of a panic or a silently clamped value. The
 //! infallible constructors and the `bool`-returning mutation APIs remain
 //! for callers that prefer the old contracts; the `try_*` twins and
@@ -35,6 +36,13 @@ pub enum ServeError {
         /// The number of shards that exist.
         shards: usize,
     },
+    /// An insert would take a slot past `u32::MAX`, the last one the
+    /// popularity order stores ([`rrp_ranking::MAX_SLOTS`] documents).
+    /// Nothing was logged or applied.
+    SlotLimit {
+        /// The number of documents the store already holds.
+        len: u64,
+    },
     /// A durable mutation carried a NaN or infinite popularity score,
     /// which no snapshot could record. Nothing was logged or applied.
     NonFinitePopularity {
@@ -65,6 +73,10 @@ impl fmt::Display for ServeError {
             ServeError::ShardOutOfRange { shard, shards } => {
                 write!(f, "shard {shard} out of range ({shards} shards exist)")
             }
+            ServeError::SlotLimit { len } => write!(
+                f,
+                "the store holds {len} documents, the most the popularity order can index"
+            ),
             ServeError::NonFinitePopularity { popularity } => {
                 write!(f, "popularity {popularity} is not a finite number")
             }

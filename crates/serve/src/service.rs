@@ -337,14 +337,31 @@ impl ShardedPromotionService {
     /// slot in the serving cache, which is extended in place (`O(1)`): the
     /// new slot joins the popularity order at the next publication via
     /// dirty-slot reinsertion.
+    ///
+    /// # Panics
+    ///
+    /// If the store already holds [`rrp_ranking::MAX_SLOTS`] documents
+    /// (see [`try_insert`](Self::try_insert)). The panic is raised after
+    /// the writer lock is released, so the service stays usable.
     pub fn insert(&self, document: Document) -> u64 {
+        self.try_insert(document)
+            .unwrap_or_else(|e| panic!("insert refused: {e}"))
+    }
+
+    /// [`insert`](Self::insert) with the slot limit typed: a store that
+    /// already holds [`rrp_ranking::MAX_SLOTS`] documents refuses the
+    /// insert as [`ServeError::SlotLimit`](crate::ServeError::SlotLimit),
+    /// checked before anything is mutated, and the serving state is
+    /// untouched.
+    pub fn try_insert(&self, document: Document) -> Result<u64, crate::ServeError> {
         let mut writer = self.writer.lock().expect("writer lock");
         let WriterState { store, tier } = &mut *writer;
+        check_next_slot(store.len() as u64)?;
         let seq = store.insert(document);
         // The cache ignores the shard argument: its slots are global.
         tier.push(0, &document);
         self.epoch.fetch_add(1, Ordering::Release);
-        seq
+        Ok(seq)
     }
 
     /// Insert every document of an iterator, in order.
@@ -800,6 +817,16 @@ fn batch_workers(
 /// slow ones.
 fn chunk_len(queries: usize, workers: usize) -> usize {
     queries.div_ceil(workers * 4).max(1)
+}
+
+/// Refuse the next slot of a store holding `len` documents if the
+/// popularity order cannot index it: slots run to `u32::MAX`.
+pub(crate) fn check_next_slot(len: u64) -> Result<(), crate::ServeError> {
+    if len < rrp_ranking::MAX_SLOTS {
+        Ok(())
+    } else {
+        Err(crate::ServeError::SlotLimit { len })
+    }
 }
 
 /// Default worker count: the machine's available parallelism (1 if
@@ -1382,6 +1409,25 @@ mod tests {
             before,
             "failed mutations must not bump the epoch"
         );
+    }
+
+    #[test]
+    fn the_slot_past_u32_max_is_refused_with_a_typed_error() {
+        // The boundary, checked on the lengths a store would report: a
+        // store of 2^32 − 1 documents takes slot u32::MAX, one of 2^32
+        // documents takes nothing more.
+        let last = u64::from(u32::MAX);
+        assert!(check_next_slot(0).is_ok());
+        assert!(check_next_slot(last).is_ok());
+        for len in [last + 1, u64::MAX] {
+            let refused = check_next_slot(len).unwrap_err();
+            assert!(matches!(refused, crate::ServeError::SlotLimit { len: l } if l == len));
+            assert!(refused.to_string().contains(&len.to_string()));
+        }
+        // Below the limit an insert goes through the same check.
+        let service = ShardedPromotionService::new(RankPromotionEngine::recommended(), 2);
+        assert_eq!(service.try_insert(Document::unexplored(7)).unwrap(), 0);
+        assert_eq!(service.epoch(), 1);
     }
 
     #[test]

@@ -80,8 +80,8 @@ proptest! {
         }
         index.repair(&mut stats, &mut displaced);
 
-        let mut expected: Vec<usize> = (0..n).collect();
-        expected.sort_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
+        let mut expected: Vec<u32> = (0..n as u32).collect();
+        expected.sort_by(|&a, &b| popularity_order(&stats[a as usize], &stats[b as usize]));
         prop_assert_eq!(index.order(), expected.as_slice());
         prop_assert!(index.is_consistent(&stats));
     }

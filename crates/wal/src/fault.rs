@@ -11,7 +11,10 @@
 //! * [`Failpoint`] + [`FailpointSink`] — make the *next* append, or the
 //!   next sync (through any handle the sink gave out), return an
 //!   injected [`std::io::Error`], so callers can prove they surface a
-//!   typed error and keep serving state consistent instead of panicking.
+//!   typed error and keep serving state consistent instead of panicking;
+//!   or make every later sync *panic*, the shape of a bug in the sync
+//!   path, so a caller can prove a dead sync thread fails its waiters
+//!   instead of hanging them.
 //!
 //! [`SyncRecorder`] observes instead of failing: it records each append's
 //! end offset and each completed sync, with the thread that ran it, so a
@@ -21,7 +24,7 @@ use crate::log::{WalSink, WalSync};
 use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, ThreadId};
 
@@ -48,10 +51,13 @@ const DISARMED: i64 = -1;
 /// next `n` appends through and fails every one after that, and
 /// [`arm_syncs_after`](Failpoint::arm_syncs_after)`(n)` does the same for
 /// syncs, until [`disarm`](Failpoint::disarm).
+/// [`panic_syncs`](Failpoint::panic_syncs) makes every later sync panic
+/// instead.
 #[derive(Clone, Debug)]
 pub struct Failpoint {
     appends: Arc<AtomicI64>,
     syncs: Arc<AtomicI64>,
+    panics: Arc<AtomicBool>,
 }
 
 impl Failpoint {
@@ -60,6 +66,7 @@ impl Failpoint {
         Failpoint {
             appends: Arc::new(AtomicI64::new(DISARMED)),
             syncs: Arc::new(AtomicI64::new(DISARMED)),
+            panics: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -73,10 +80,16 @@ impl Failpoint {
         arm(&self.syncs, syncs);
     }
 
+    /// Make every later sync panic, until [`disarm`](Self::disarm).
+    pub fn panic_syncs(&self) {
+        self.panics.store(true, Ordering::SeqCst);
+    }
+
     /// Back to letting everything through.
     pub fn disarm(&self) {
         self.appends.store(DISARMED, Ordering::SeqCst);
         self.syncs.store(DISARMED, Ordering::SeqCst);
+        self.panics.store(false, Ordering::SeqCst);
     }
 
     /// Fail the current append if armed and out of grace; an injected
@@ -85,8 +98,13 @@ impl Failpoint {
         check(&self.appends, "injected WAL append failure")
     }
 
-    /// Fail the current sync if armed and out of grace.
+    /// Panic if syncs are set to, else fail the current sync if armed and
+    /// out of grace.
     fn check_sync(&self) -> io::Result<()> {
+        assert!(
+            !self.panics.load(Ordering::SeqCst),
+            "injected WAL sync panic"
+        );
         check(&self.syncs, "injected WAL sync failure")
     }
 }
@@ -318,6 +336,20 @@ mod tests {
         assert!(sink.append(b"a").is_ok(), "appends are not armed");
         failpoint.disarm();
         assert!(first.sync().is_ok() && second.sync().is_ok());
+    }
+
+    #[test]
+    fn panicking_syncs_panic_through_every_handle_until_disarmed() {
+        let failpoint = Failpoint::new();
+        let sink = FailpointSink::new(CountingSink(0), failpoint.clone());
+        let mut handle = sink.sync_handle().unwrap();
+        failpoint.panic_syncs();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.sync()));
+        assert!(panicked.is_err(), "an armed sync panics");
+        let mut other = sink.sync_handle().unwrap();
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| other.sync())).is_err());
+        failpoint.disarm();
+        assert!(handle.sync().is_ok());
     }
 
     #[test]

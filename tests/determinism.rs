@@ -435,7 +435,7 @@ fn shard_candidate_merge_reproduces_the_pooled_goldens() {
     candidates.collect_rest(&cache, 10);
     let mut merged = MergedCandidates::new();
     merge_shard_candidates_into(&[candidates], 10, &mut merged);
-    let rest_slots: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
+    let rest_slots: Vec<u32> = merged.rest().iter().map(|p| p.slot as u32).collect();
     policy.rank(
         RankSource::retrieved(cache.pool().members(), &rest_slots),
         Some(10),
@@ -771,8 +771,8 @@ fn bulk_draw_paths_reproduce_their_recorded_goldens() {
             }
         })
         .collect();
-    let mut order: Vec<usize> = (0..pages.len()).collect();
-    order.sort_unstable_by(|&a, &b| popularity_order(&pages[a], &pages[b]));
+    let mut order: Vec<u32> = (0..pages.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| popularity_order(&pages[a as usize], &pages[b as usize]));
     let pool: Vec<usize> = (0..pages.len())
         .filter(|&s| pages[s].is_unexplored())
         .collect();
